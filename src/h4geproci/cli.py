@@ -28,16 +28,27 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _write_json(path: str, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path: str, payload) -> bool:
+    """Write an artifact; on an I/O error, say so and return False."""
+    try:
+        Path(path).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
 
 
 def cmd_build(out: str) -> int:
     cfg = build_h4()
-    try:
-        _write_json(out, cfg.to_json())
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+    if not _write_json(out, cfg.to_json()):
         return EXIT_USAGE
     print(f"wrote {out}: 60 points, 60 planes, 72 lines")
     return EXIT_OK
@@ -78,15 +89,10 @@ def cmd_coverings(count_only: bool, emit: str, out: Optional[str]) -> int:
             print(",".join(map(str, c.lines)))
     else:
         payload = [c.to_json() for c in covs]
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if out:
-            try:
-                Path(out).write_text(text + "\n")
-            except OSError as exc:
-                print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            print(text)
+        if not out:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        elif not _write_json(out, payload):
+            return EXIT_USAGE
     expected = set(tables.LINE_COVERS)
     if len(covs) == 84 and {c.lines for c in covs} == expected:
         return EXIT_OK
@@ -106,9 +112,10 @@ def cmd_verify_geproci(seed: int, trials: int, out: str) -> int:
         except (geproci_mod.VerificationError, SmoothnessIndeterminate) as exc:
             certs.append({"seed": s, "passed": False, "error": str(exc)})
             ok = False
-    _write_json(out, {"command": "verify geproci",
-                      "seeds": list(range(seed, seed + trials)),
-                      "passed": ok, "certificates": certs})
+    if not _write_json(out, {"command": "verify geproci",
+                             "seeds": list(range(seed, seed + trials)),
+                             "passed": ok, "certificates": certs}):
+        return EXIT_USAGE
     print(f"geproci: {'pass' if ok else 'FAIL'} ({trials} trial(s), {out})")
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -118,13 +125,16 @@ def cmd_verify_halfgrid(subset: str, seed: int, out: str) -> int:
     try:
         cert = geproci_mod.verify_half_grid(cfg, seed, subset)
     except (geproci_mod.VerificationError, SmoothnessIndeterminate) as exc:
-        _write_json(out, {"command": "verify halfgrid", "subset": subset,
-                          "seed": seed, "passed": False, "error": str(exc)})
+        if not _write_json(out, {"command": "verify halfgrid",
+                                 "subset": subset, "seed": seed,
+                                 "passed": False, "error": str(exc)}):
+            return EXIT_USAGE
         print(f"halfgrid {subset}: FAIL ({exc})")
         return EXIT_FAIL
-    _write_json(out, {"command": "verify halfgrid", "subset": subset,
-                      "seed": seed, "passed": cert.passed,
-                      "certificate": cert.to_json()})
+    if not _write_json(out, {"command": "verify halfgrid", "subset": subset,
+                             "seed": seed, "passed": cert.passed,
+                             "certificate": cert.to_json()}):
+        return EXIT_USAGE
     print(f"halfgrid {subset}: {'pass' if cert.passed else 'FAIL'} ({out})")
     return EXIT_OK if cert.passed else EXIT_FAIL
 
@@ -134,12 +144,16 @@ def cmd_verify_not_halfgrid(seed: int, out: str) -> int:
     try:
         report = geproci_mod.verify_not_half_grid(cfg, seed)
     except geproci_mod.VerificationError as exc:
-        _write_json(out, {"command": "verify not-halfgrid", "seed": seed,
-                          "passed": False, "error": str(exc)})
+        if not _write_json(out, {"command": "verify not-halfgrid",
+                                 "seed": seed, "passed": False,
+                                 "error": str(exc)}):
+            return EXIT_USAGE
         print(f"not-halfgrid: FAIL ({exc})")
         return EXIT_FAIL
-    _write_json(out, {"command": "verify not-halfgrid", "seed": seed,
-                      "passed": report.refuted, "report": report.to_json()})
+    if not _write_json(out, {"command": "verify not-halfgrid", "seed": seed,
+                             "passed": report.refuted,
+                             "report": report.to_json()}):
+        return EXIT_USAGE
     print(f"not-halfgrid: {'pass' if report.refuted else 'FAIL'} "
           f"(max collinear {report.max_collinear}, {out})")
     return EXIT_OK if report.refuted else EXIT_FAIL
@@ -203,10 +217,7 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
         "checks": checks,
         "passed": ok,
     }
-    try:
-        _write_json(out, payload)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+    if not _write_json(out, payload):
         return EXIT_USAGE
     for c in checks:
         print(f"[{'pass' if c['passed'] else 'FAIL'}] {c['name']}")
@@ -247,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = vsub.add_parser("geproci")
     g.add_argument("--seed", type=int, default=1)
-    g.add_argument("--trials", type=int, default=1)
+    g.add_argument("--trials", type=_positive_int, default=1)
     g.add_argument("--out", default="geproci-cert.json")
 
     h = vsub.add_parser("halfgrid")

@@ -4,8 +4,8 @@ Forms are sparse maps from exponent tuples to FieldElement coefficients, in
 graded lexicographic order (first variable largest).  The module provides
 exact evaluation, products, interpolation through point sets by fraction-free
 nullspace computation, divisibility, gcd by primitive pseudo-remainder
-sequences, and a certifying smoothness test for plane curves built from
-chart-wise resultants with randomized coordinate retries.
+sequences, and a smoothness certificate for plane curves from chart-wise
+resultants modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import gcd, isqrt, lcm
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .field import FieldElement, ONE, ZERO
@@ -163,7 +163,7 @@ class HomForm:
         return self.scale(self.coeffs[lead].inverse())
 
     def integral(self) -> "HomForm":
-        """Scale to coprime Z[phi] coefficients (fast exact elimination)."""
+        """Scale to coprime Z[phi] coefficients (for reduction modulo a prime)."""
         if self.is_zero():
             return self
         denoms = [f.denominator for c in self.coeffs.values() for f in (c.a, c.b)]
@@ -456,169 +456,14 @@ def _prem(a: Poly, b: Poly, var: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Univariate helpers over the field
+# Smoothness certificate for plane curves, modulo a split prime of Z[phi]
 # ---------------------------------------------------------------------------
 
-def _upoly_trim(p: List[FieldElement]) -> List[FieldElement]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
+# Over F_p: a form maps exponent tuples to nonzero residues; a chart polynomial
+# maps (keep exponent, elim exponent) pairs to them.
+ModForm = Dict[Exponents, int]
+ChartPoly = Dict[Tuple[int, int], int]
 
-
-def _upoly_clear(p: List[FieldElement]) -> List[FieldElement]:
-    """Scale to coprime Z[phi] coefficients; keeps elimination fraction-free."""
-    denoms = [f.denominator for c in p for f in (c.a, c.b)]
-    scale = lcm(*denoms)
-    ints = [int(f * scale) for c in p for f in (c.a, c.b)]
-    content = gcd(*ints)
-    k = FieldElement(Fraction(scale, content))
-    return [c * k for c in p]
-
-
-def _upoly_gcd(a: List[FieldElement], b: List[FieldElement]) -> List[FieldElement]:
-    """Monic gcd via the subresultant pseudo-remainder sequence.
-
-    Plain Euclid over Q(phi) suffers exponential coefficient growth on the
-    large eliminants this module produces; the subresultant scheme divides
-    each pseudo-remainder by a predicted factor, keeping growth linear.
-    """
-    a, b = _upoly_trim(list(a)), _upoly_trim(list(b))
-    if not a or not b:
-        g = a or b
-        if not g:
-            return []
-    else:
-        a, b = _upoly_clear(a), _upoly_clear(b)
-        if len(a) < len(b):
-            a, b = b, a
-        lead = ONE
-        h = ONE
-        while True:
-            d = len(a) - len(b)
-            r = _upoly_trim(_upoly_prem(a, b))
-            if not r:
-                g = b
-                break
-            if len(r) == 1:
-                g = [ONE]
-                break
-            denom = lead * h ** d
-            a, b = b, [c / denom for c in r]
-            lead = a[-1]
-            if d == 1:
-                h = lead
-            elif d > 1:
-                h = lead ** d / h ** (d - 1)
-    inv = g[-1].inverse()
-    return [c * inv for c in g]
-
-
-def _upoly_prem(a: List[FieldElement], b: List[FieldElement]) -> List[FieldElement]:
-    """Pseudo-remainder: the remainder of lc(b)^(deg a - deg b + 1) * a by b."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    e = len(a) - len(b) + 1
-    while r and len(r) - 1 >= db:
-        dr = len(r) - 1
-        lr = r[-1]
-        r = [c * lb for c in r]
-        for i in range(db + 1):
-            r[dr - db + i] = r[dr - db + i] - lr * b[i]
-        _upoly_trim(r)
-        e -= 1
-    if e > 0:
-        k = lb ** e
-        r = [c * k for c in r]
-    return r
-
-
-def _upoly_eval(p: List[FieldElement], x: FieldElement) -> FieldElement:
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _lagrange(samples: List[Tuple[FieldElement, FieldElement]]) -> List[FieldElement]:
-    """Interpolating polynomial through (x, y) samples, as a coefficient list."""
-    result = [ZERO] * len(samples)
-    for i, (xi, yi) in enumerate(samples):
-        if yi.is_zero():
-            continue
-        num = [ONE]
-        denom = ONE
-        for j, (xj, _) in enumerate(samples):
-            if j == i:
-                continue
-            # num *= (x - xj)
-            num = [ZERO] + num
-            for k in range(len(num) - 1):
-                num[k] = num[k] - xj * num[k + 1]
-            denom = denom * (xi - xj)
-        scale = yi / denom
-        for k, c in enumerate(num):
-            result[k] = result[k] + c * scale
-    return _upoly_trim(result)
-
-
-def _resultant_eliminating(u: Poly, v: Poly, elim: int, keep: int) -> List[FieldElement]:
-    """Res_elim(u, v) as a univariate coefficient list in the kept variable.
-
-    Computed by evaluation at sample values of the kept variable followed by
-    exact Lagrange interpolation; evaluation commutes with the Sylvester
-    determinant, so leading-coefficient degeneration needs no special case.
-    """
-    m, n = _deg_in(u, elim), _deg_in(v, elim)
-    cu = {k: _as_univariate(c, keep) for k, c in _coeffs_in(u, elim).items()}
-    cv = {k: _as_univariate(c, keep) for k, c in _coeffs_in(v, elim).items()}
-    if m == 0 and n == 0:
-        return [ONE]  # both constant in the eliminated variable; by convention
-    if m == 0:
-        base = cu[0]
-        out = [ONE]
-        for _ in range(n):
-            out = _upoly_trim([
-                sum((base[j] * out[k - j] for j in range(len(base))
-                     if 0 <= k - j < len(out)), ZERO)
-                for k in range(len(base) + len(out) - 1)])
-        return out
-    if n == 0:
-        return _resultant_eliminating(v, u, elim, keep)
-    du = max((len(p) - 1 for p in cu.values()), default=0)
-    dv = max((len(p) - 1 for p in cv.values()), default=0)
-    bound = m * dv + n * du
-    samples = []
-    x0 = 0
-    while len(samples) < bound + 1:
-        x = FieldElement(x0)
-        x0 = -x0 + (0 if x0 > 0 else 1)  # 0, 1, -1, 2, -2, ...
-        row_u = [_upoly_eval(cu.get(k, [ZERO]), x) for k in range(m + 1)]
-        row_v = [_upoly_eval(cv.get(k, [ZERO]), x) for k in range(n + 1)]
-        size = m + n
-        syl = [[ZERO] * size for _ in range(size)]
-        for i in range(n):
-            for k in range(m + 1):
-                syl[i][i + m - k] = row_u[k]
-        for i in range(m):
-            for k in range(n + 1):
-                syl[n + i][i + n - k] = row_v[k]
-        samples.append((x, linalg.determinant(syl)))
-    return _lagrange(samples)
-
-
-def _as_univariate(p: Poly, var: int) -> List[FieldElement]:
-    out = [ZERO] * (_deg_in(p, var) + 1)
-    for e, c in p.items():
-        if any(k and i != var for i, k in enumerate(e)):
-            raise ValueError("polynomial is not univariate in the kept variable")
-        out[e[var]] = c
-    return _upoly_trim(out) or [ZERO]
-
-
-# ---------------------------------------------------------------------------
-# Smoothness certificate for plane curves
-# ---------------------------------------------------------------------------
 
 class SmoothnessIndeterminate(RuntimeError):
     """Raised when the retry budget ends without a certificate either way."""
@@ -630,18 +475,41 @@ class SmoothnessReport:
     reason: str
     witness: Optional[str] = None
     chart_trail: Tuple[str, ...] = ()
+    prime: Optional[int] = None  # p of the certifying prime (p, phi - phi_root)
+    phi_root: Optional[int] = None  # root of x^2 - x - 1 mod p; phi maps to it
+    coordinate_change: Optional[Tuple[Tuple[int, ...], ...]] = None
 
 
 def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
                           seed: int = 0) -> SmoothnessReport:
     """Certify that a plane curve has no singular point over the closure.
 
-    Per chart, a singular point is a common zero of two partials and the
-    curve itself (the Euler relation supplies the third partial).  Two
-    resultants eliminate one chart variable; a constant gcd of the two
-    eliminants certifies the chart clean.  Degenerate or suspicious charts
-    trigger a random coordinate change and retry.  Never returns a false
-    certificate; exhausting retries raises SmoothnessIndeterminate.
+    The form is scaled to coprime Z[phi] coefficients and reduced modulo a
+    degree-1 prime P = (p, phi - r) of Z[phi], where p > 5, p = +-1 (mod 5)
+    and r is a root of x^2 - x - 1 mod p; the reduction a + b*phi -> a + b*r
+    is a ring map onto F_p.  On each affine chart x_c = 1, with the other
+    two variables called keep and elim, two resultants eliminate elim from
+    (d_keep f, d_elim f) and from (d_keep f, f).  Each lies in the ideal of
+    its pair, so it vanishes at the keep-coordinate of every common zero; a
+    constant gcd of the two nonzero eliminants therefore proves the chart
+    free of zeros of (f, d_keep f, d_elim f), a superset of its singular
+    points.  Because f itself is in the system, the test does not use the
+    Euler relation and stays sound when p divides the degree.  Three clean
+    charts cover P^2, so the singular scheme of f mod P is empty.
+
+    Soundness over Q-bar: the singular scheme V(f, d_0 f, d_1 f, d_2 f) is
+    closed in P^2 over the local ring Z[phi]_P, hence proper over Spec
+    Z[phi]_P, so its image there is closed.  A closed set containing the
+    generic point contains the closed point, so an empty special fibre
+    forces an empty generic fibre: the curve is smooth over Q(phi)-bar.
+    The reduction f mod P is checked to be nonzero.
+
+    "Not clean mod P" proves nothing: the next attempt takes the next prime
+    and a random integer coordinate change invertible mod p.  The only
+    singular verdicts are exact: a form missing a variable, and partials
+    sharing a component (checked over Q(phi) before the first retry).  An
+    exhausted budget raises SmoothnessIndeterminate, never a pass.  A pass
+    records p, r and the coordinate change, so it can be replayed.
     """
     if f.nvars != 3 or f.is_zero():
         raise ValueError("expected a nonzero form in 3 variables")
@@ -655,62 +523,190 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
             return SmoothnessReport(False, "form misses a variable",
                                     witness=f"singular at {pt}")
     rng = random.Random(seed)
+    primes = _split_primes()
+    trail: List[str] = []
     for attempt in range(max_retries):
-        if attempt == 0:
-            fa = f
-        else:
-            fa = f.compose_linear(_random_invertible(rng, 3)).integral()
+        p, r = next(primes)
         if attempt == 1:
             # A clean first pass never reaches this; before retrying, rule
-            # out the one obstruction no coordinate change can fix.
+            # out the one obstruction no prime or coordinate change can fix.
             g = gcd_forms(gcd_forms(partials[0], partials[1]), partials[2])
             if g.degree > 0:
                 return SmoothnessReport(False, "partials share a component",
                                         witness=repr(g))
-        trail = []
-        clean = True
-        for chart in range(3):
-            keep, elim = [(1, 2), (0, 2), (0, 1)][chart]
-            u = _chart_poly(fa.partial(keep), chart)
-            v = _chart_poly(fa.partial(elim), chart)
-            w = _chart_poly(fa, chart)
-            r1 = _resultant_eliminating(u, v, elim=_chart_var(elim, chart),
-                                        keep=_chart_var(keep, chart))
-            r2 = _resultant_eliminating(u, w, elim=_chart_var(elim, chart),
-                                        keep=_chart_var(keep, chart))
-            if r1 == [] or r2 == []:
-                clean = False
-                trail.append(f"chart {chart}: degenerate eliminant")
-                break
-            s = _upoly_gcd(r1, r2)
-            if len(s) - 1 > 0:
-                clean = False
-                trail.append(f"chart {chart}: eliminants share roots (deg {len(s)-1})")
-                break
-            trail.append(f"chart {chart}: clean")
+        fp = _reduce(f, p, r)
+        if not fp:
+            trail = [f"reduction vanishes mod {p}"]
+            continue
+        change = None
+        if attempt > 0:
+            change = _random_invertible_mod(rng, p)
+            fp = _compose_mod(fp, change, p)
+        clean, trail = _chart_test(fp, p)
         if clean:
             return SmoothnessReport(True, f"certified on attempt {attempt}",
-                                    chart_trail=tuple(trail))
+                                    chart_trail=tuple(trail), prime=p,
+                                    phi_root=r, coordinate_change=change)
     raise SmoothnessIndeterminate(
-        f"no certificate after {max_retries} coordinate changes: {trail}")
+        f"no certificate after {max_retries} primes: {trail}")
 
 
-def _chart_poly(f: HomForm, chart: int) -> Poly:
-    """Dehomogenize by setting the chart variable to 1 (two variables remain)."""
-    out: Poly = {}
-    for e, c in f.coeffs.items():
-        e2 = tuple(k for i, k in enumerate(e) if i != chart)
-        out[e2] = out.get(e2, ZERO) + c
-    return {e: c for e, c in out.items() if not c.is_zero()}
+def _split_primes() -> Iterator[Tuple[int, int]]:
+    """Primes p > 2^31 with p = 11 or 19 (mod 20), each with its phi root.
 
-
-def _chart_var(var: int, chart: int) -> int:
-    """Index of a projective variable inside the chart's 2-variable tuple."""
-    return var if var < chart else var - 1
-
-
-def _random_invertible(rng: random.Random, n: int) -> List[List[FieldElement]]:
+    p = +-1 (mod 5) makes 5 a square mod p, so x^2 - x - 1 splits; p = 3
+    (mod 4) makes s = 5^((p+1)/4) a square root of 5, and r = (1 + s)/2.
+    """
+    p = 2 ** 31
     while True:
-        m = [[FieldElement(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
-        if not linalg.determinant(m).is_zero():
+        p += 1
+        if p % 20 in (11, 19) and all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            s = pow(5, (p + 1) // 4, p)
+            yield p, (1 + s) * pow(2, -1, p) % p
+
+
+def _reduce(f: HomForm, p: int, r: int) -> ModForm:
+    """The image of an integral form under Z[phi] -> F_p, phi -> r."""
+    out = ((e, (c.a.numerator + c.b.numerator * r) % p)
+           for e, c in f.coeffs.items())
+    return {e: v for e, v in out if v}
+
+
+def _random_invertible_mod(rng: random.Random, p: int) -> Tuple[Tuple[int, ...], ...]:
+    while True:
+        m = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
+        if _det_mod([list(row) for row in m], p):
             return m
+
+
+def _compose_mod(f: ModForm, matrix: Sequence[Sequence[int]], p: int) -> ModForm:
+    """Substitute x_i -> sum_j matrix[i][j] * x_j over F_p."""
+    out: ModForm = {}
+    for e, c in f.items():
+        term = {(0,) * len(e): c}
+        for i in (i for i, k in enumerate(e) for _ in range(k)):
+            nxt: ModForm = {}
+            for t, v in term.items():
+                for j, m in enumerate(matrix[i]):
+                    t2 = t[:j] + (t[j] + 1,) + t[j + 1:]
+                    nxt[t2] = (nxt.get(t2, 0) + v * m) % p
+            term = nxt
+        for t, v in term.items():
+            out[t] = (out.get(t, 0) + v) % p
+    return {t: v for t, v in out.items() if v}
+
+
+def _partial_mod(f: ModForm, var: int, p: int) -> ModForm:
+    """The partial derivative; exponents stay below p, so none vanish."""
+    return {e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var] % p
+            for e, c in f.items() if e[var]}
+
+
+def _chart_test(f: ModForm, p: int) -> Tuple[bool, List[str]]:
+    """The three-chart eliminant test; True when every chart is clean."""
+    trail = []
+    for chart, (keep, elim) in enumerate(((1, 2), (0, 2), (0, 1))):
+        def on_chart(g: ModForm) -> ChartPoly:
+            return {(e[keep], e[elim]): c for e, c in g.items()}
+
+        u = on_chart(_partial_mod(f, keep, p))
+        r1 = _eliminant(u, on_chart(_partial_mod(f, elim, p)), p)
+        r2 = _eliminant(u, on_chart(f), p)
+        if not r1 or not r2:
+            trail.append(f"chart {chart}: degenerate eliminant")
+            return False, trail
+        s = _gcd_mod(r1, r2, p)
+        if len(s) > 1:
+            trail.append(f"chart {chart}: eliminants share roots (deg {len(s) - 1})")
+            return False, trail
+        trail.append(f"chart {chart}: clean (eliminant degrees "
+                     f"{len(r1) - 1}, {len(r2) - 1})")
+    return True, trail
+
+
+def _eliminant(u: ChartPoly, v: ChartPoly, p: int) -> Optional[List[int]]:
+    """Res_elim(u, v) in F_p[keep], low degree first; None if neither has elim.
+
+    Computed as Sylvester determinants at keep = 0, 1, ..., D followed by
+    interpolation; evaluation commutes with the determinant of the matrix
+    built on the formal degrees m, n in elim.  The coefficient of elim^j
+    in u has degree at most deg u - j in keep, which bounds the degree of
+    the resultant by D = n*deg u + m*deg v - m*n (at most the Bezout bound).
+    With m = n = 0 the resultant would be 1 without lying in the ideal of
+    (u, v), so that case is no certificate at all.
+    """
+    m = max((j for _, j in u), default=0)
+    n = max((j for _, j in v), default=0)
+    if m == n == 0:
+        return None
+    du = max((i + j for i, j in u), default=0)
+    dv = max((i + j for i, j in v), default=0)
+    values = []
+    for x in range(n * du + m * dv - m * n + 1):
+        a, b = [0] * (m + 1), [0] * (n + 1)
+        for (i, j), c in u.items():
+            a[j] = (a[j] + c * pow(x, i, p)) % p
+        for (i, j), c in v.items():
+            b[j] = (b[j] + c * pow(x, i, p)) % p
+        rows = [[0] * k + a[::-1] + [0] * (n - 1 - k) for k in range(n)]
+        rows += [[0] * k + b[::-1] + [0] * (m - 1 - k) for k in range(m)]
+        values.append(_det_mod(rows, p))
+    return _interpolate_mod(values, p)
+
+
+def _det_mod(rows: List[List[int]], p: int) -> int:
+    """Determinant over F_p by Gaussian elimination; overwrites rows."""
+    det = 1
+    for col in range(len(rows)):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det = det * rows[col][col] % p
+        inv = pow(rows[col][col], -1, p)
+        for r in range(col + 1, len(rows)):
+            k = rows[r][col] * inv % p
+            if k:
+                rows[r] = [(x - k * y) % p for x, y in zip(rows[r], rows[col])]
+    return det % p
+
+
+def _interpolate_mod(values: List[int], p: int) -> List[int]:
+    """The polynomial of degree < len(values) taking values[x] at x = 0, 1, ...
+
+    Newton divided differences, then Horner expansion; coefficients run from
+    the constant term up.
+    """
+    c = list(values)
+    for k in range(1, len(c)):
+        inv = pow(k, -1, p)
+        for i in range(len(c) - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % p
+    poly = [c[-1]]
+    for i in range(len(c) - 2, -1, -1):
+        poly = [(lo - i * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
+        poly[0] = (poly[0] + c[i]) % p
+    return _trim_mod(poly)
+
+
+def _gcd_mod(a: List[int], b: List[int], p: int) -> List[int]:
+    """Monic gcd in F_p[x] by Euclid; coefficients from the constant term up."""
+    a, b = _trim_mod([x % p for x in a]), _trim_mod([x % p for x in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            k = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - k * c) % p
+            _trim_mod(a)
+        a, b = b, a
+    return [x * pow(a[-1], -1, p) % p for x in a]  # [] when both are zero
+
+
+def _trim_mod(poly: List[int]) -> List[int]:
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly

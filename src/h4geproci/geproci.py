@@ -253,6 +253,12 @@ class GeprociCertificate:
                 "smooth": self.sextic_smooth.smooth,
                 "reason": self.sextic_smooth.reason,
                 "chart_trail": list(self.sextic_smooth.chart_trail),
+                "prime": self.sextic_smooth.prime,
+                "phi_root": self.sextic_smooth.phi_root,
+                "coordinate_change": (
+                    None if self.sextic_smooth.coordinate_change is None
+                    else [list(row) for row in
+                          self.sextic_smooth.coordinate_change]),
             },
             "grid1": self.grid1.to_json(),
             "grid2": self.grid2.to_json(),

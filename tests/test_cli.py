@@ -106,7 +106,26 @@ def test_verify_geproci_artifact(tmp_path):
     assert blob["passed"] is True
     cert = blob["certificates"][0]
     assert cert["dimension_table"] == [0, 0, 0, 0, 0, 1]
+    smooth = cert["sextic_smooth"]
+    assert smooth["smooth"] and smooth["reason"] == "certified on attempt 0"
+    assert smooth["prime"] > 2 ** 31 and smooth["coordinate_change"] is None
+    assert (smooth["phi_root"] ** 2 - smooth["phi_root"] - 1) % smooth["prime"] == 0
+    assert len(smooth["chart_trail"]) == 3
+    assert all("clean (eliminant degrees" in s for s in smooth["chart_trail"])
     assert json.loads(json.dumps(blob)) == blob
+
+
+def test_verify_geproci_zero_trials_is_a_usage_error(tmp_path):
+    out = tmp_path / "geproci-cert.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "geproci", "--trials", "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_verify_unwritable_path_exits_2(tmp_path):
+    missing_dir = tmp_path / "nope" / "refutation.json"
+    assert _run(["verify", "not-halfgrid", "--out", str(missing_dir)]) == 2
 
 
 def test_report_single_seed(tmp_path):

@@ -1,15 +1,18 @@
 """Polynomial algebra: interpolation, division, gcd, smoothness certificates."""
 
+import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 
 from h4geproci.field import FieldElement, ONE, PHI, ZERO
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
-                             try_quotient, vanishing_space, _upoly_gcd)
+                             try_quotient, vanishing_space, _chart_test,
+                             _compose_mod, _eliminant, _gcd_mod,
+                             _split_primes)
 
 
 def _random_form(rng, nvars, degree, density=0.7) -> HomForm:
@@ -107,16 +110,39 @@ def test_gcd_normalization_and_edge_cases():
 
 
 def test_univariate_gcd_known_cases():
-    one, two = FieldElement(1), FieldElement(2)
-    x2_minus_1 = [FieldElement(-1), FieldElement(0), one]
-    x_minus_1 = [FieldElement(-1), one]
-    assert _upoly_gcd(x2_minus_1, x_minus_1) == x_minus_1
-    assert _upoly_gcd(x2_minus_1, [two, one]) == [one]
-    # common factor with phi in it: (x - phi)(x + 1) and (x - phi)(x - 2)
-    x_minus_phi = [-PHI, one]
-    a = [-PHI, one - PHI, one]
-    b = [two * PHI, -PHI - two, one]
-    assert _upoly_gcd(a, b) == x_minus_phi
+    p, r = next(_split_primes())
+    x2_minus_1 = [p - 1, 0, 1]
+    x_minus_1 = [p - 1, 1]
+    assert _gcd_mod(x2_minus_1, x_minus_1, p) == x_minus_1
+    assert _gcd_mod(x2_minus_1, [2, 1], p) == [1]
+    # common factor with phi in it: (x - phi)(x + 1) and (x - phi)(x - 2),
+    # with phi reduced to the prime's root r
+    a = [-r, 1 - r, 1]
+    b = [2 * r, -r - 2, 1]
+    assert _gcd_mod(a, b, p) == [-r % p, 1]
+
+
+def test_eliminant_matches_sympy_resultant():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    p, _ = next(_split_primes())
+    rng = random.Random(79)
+    for _ in range(20):
+        u, v = ({(i, j): rng.randint(1, 9) for i in range(5) for j in range(5)
+                 if i + j <= d and rng.random() < 0.6}
+                for d in (rng.randint(1, 4), rng.randint(1, 4)))
+        if not any(j for _, j in u) and not any(j for _, j in v):
+            assert _eliminant(u, v, p) is None
+            continue
+        su, sv = (sum((c * x**i * y**j for (i, j), c in w.items()),
+                      sympy.Integer(0)) for w in (u, v))
+        res = sympy.Poly(sympy.resultant(su, sv, y), x).all_coeffs()
+        want = [int(c) % p for c in reversed(res)]
+        while want and not want[-1]:
+            want.pop()
+        # Only the roots matter; sympy's sign convention differs when
+        # deg u < deg v in y.
+        assert _eliminant(u, v, p) in (want, [-c % p for c in want])
 
 
 def test_smooth_conic_certifies():
@@ -158,6 +184,44 @@ def test_nodal_cubic_never_certifies_smooth():
     except SmoothnessIndeterminate:
         return
     assert not report.smooth
+
+
+def test_bad_first_prime_is_retried_never_believed():
+    # Smooth over Q(phi), but x^2 + y^2 modulo the first prime (p0, phi - r0).
+    p0, r0 = next(_split_primes())
+    conic = HomForm(3, 2, {(2, 0, 0): ONE, (0, 2, 0): ONE,
+                           (0, 0, 2): PHI - FieldElement(r0)})
+    with pytest.raises(SmoothnessIndeterminate):
+        plane_curve_is_smooth(conic, max_retries=1)
+    report = plane_curve_is_smooth(conic)
+    assert report.smooth and report.prime != p0
+    assert report.coordinate_change is not None
+
+
+def test_form_vanishing_mod_the_first_prime_is_skipped():
+    p0, r0 = next(_split_primes())
+    k = PHI - FieldElement(r0)
+    f = HomForm(3, 2, {(2, 0, 0): k, (0, 2, 0): k, (0, 0, 2): k})
+    with pytest.raises(SmoothnessIndeterminate, match="vanishes"):
+        plane_curve_is_smooth(f, max_retries=1)
+    report = plane_curve_is_smooth(f)
+    assert report.smooth and report.prime != p0
+
+
+def test_smoothness_certificate_replays_from_json(geproci_cert_seed1):
+    blob = json.loads(json.dumps(geproci_cert_seed1.to_json()))
+    smooth = blob["sextic_smooth"]
+    p, r = smooth["prime"], smooth["phi_root"]
+    assert p > 5 and p % 5 in (1, 4)
+    assert all(p % q for q in range(2, isqrt(p) + 1))
+    assert (r * r - r - 1) % p == 0
+    f = HomForm.from_json(blob["sextic"]).integral()
+    fp = {e: int(c.a + c.b * r) % p for e, c in f.coeffs.items()}
+    if smooth["coordinate_change"] is not None:
+        fp = _compose_mod(fp, smooth["coordinate_change"], p)
+    clean, trail = _chart_test(fp, p)
+    assert clean and trail == smooth["chart_trail"]
+    assert all("clean (eliminant degrees" in step for step in trail)
 
 
 def test_form_json_roundtrip():
