@@ -39,6 +39,26 @@ def _write_json(path: str, payload) -> bool:
     return True
 
 
+def _can_write(path: str) -> bool:
+    """Probe the artifact path before a long computation; False if unwritable.
+
+    Opening in append mode leaves an existing file as it is, and a file the
+    probe creates is removed again, so the artifact itself is still written
+    only by _write_json.
+    """
+    target = Path(path)
+    existed = target.exists()
+    try:
+        with target.open("a"):
+            pass
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    if not existed:
+        target.unlink()
+    return True
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -101,6 +121,8 @@ def cmd_coverings(count_only: bool, emit: str, out: Optional[str]) -> int:
 
 
 def cmd_verify_geproci(seed: int, trials: int, out: str) -> int:
+    if not _can_write(out):
+        return EXIT_USAGE
     cfg = build_h4()
     certs = []
     ok = True
@@ -121,6 +143,8 @@ def cmd_verify_geproci(seed: int, trials: int, out: str) -> int:
 
 
 def cmd_verify_halfgrid(subset: str, seed: int, out: str) -> int:
+    if not _can_write(out):
+        return EXIT_USAGE
     cfg = build_h4()
     try:
         cert = geproci_mod.verify_half_grid(cfg, seed, subset)
@@ -140,6 +164,8 @@ def cmd_verify_halfgrid(subset: str, seed: int, out: str) -> int:
 
 
 def cmd_verify_not_halfgrid(seed: int, out: str) -> int:
+    if not _can_write(out):
+        return EXIT_USAGE
     cfg = build_h4()
     try:
         report = geproci_mod.verify_not_half_grid(cfg, seed)
@@ -160,6 +186,8 @@ def cmd_verify_not_halfgrid(seed: int, out: str) -> int:
 
 
 def cmd_report(out: str, seeds: Sequence[int]) -> int:
+    if not _can_write(out):
+        return EXIT_USAGE
     t_start = time.monotonic()
     cfg = build_h4()
     checks: List[dict] = []

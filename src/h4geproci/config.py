@@ -10,11 +10,13 @@ configuration points each, and no line carries six.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from itertools import combinations
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from .field import ONE, PHI, PHI2, ZERO
 from .projective import (ProjLine, ProjPoint, ProjPlane, canonicalize,
-                         line_through, point_on_line)
+                         line_through)
 
 # Coordinate tokens: 0, 1, -1, f = phi, F = phi^2, with sign prefixes.
 _TOKENS = {
@@ -62,7 +64,15 @@ class PointSet(FrozenSet[int]):
 
 @dataclass(frozen=True)
 class H4Configuration:
-    """The full configuration: flats indexed 1-based, plus incidence maps."""
+    """The full configuration: flats indexed 1-based, plus incidence maps.
+
+    ``secants`` lists every line spanned by two configuration points as the
+    sorted tuple of all configuration points on it, in lexicographic order:
+    722 lines (450 with 2 points, 200 with 3, 72 with 5) whose point pairs
+    cover each of the C(60, 2) = 1770 pairs exactly once.  Collinearity
+    questions about configuration points are lookups in this table.  It is
+    derived data and stays out of ``to_json()``.
+    """
 
     points: Dict[int, ProjPoint]
     planes: Dict[int, ProjPlane]
@@ -73,9 +83,20 @@ class H4Configuration:
     point_lines: Dict[int, Tuple[int, ...]]
     line_planes: Dict[int, Tuple[int, ...]]
     plane_lines: Dict[int, Tuple[int, ...]]
+    secants: Tuple[Tuple[int, ...], ...]
 
-    def max_collinear(self) -> int:
-        return max(len(s) for s in self.line_points.values())
+    def max_collinear(self, subset: Optional[Iterable[int]] = None) -> int:
+        """Largest number of collinear points in a subset (default: all).
+
+        Any two points of the subset span a secant, and the secant lists
+        every configuration point on that line, so the maximum over secants
+        of |secant & subset| is the collinearity bound once the subset has
+        two points; secants meeting it in fewer points never attain it.
+        """
+        members = set(self.points if subset is None else subset)
+        if len(members) < 2:
+            return len(members)
+        return max(len(members.intersection(s)) for s in self.secants)
 
     def to_json(self) -> dict:
         return {
@@ -110,13 +131,6 @@ def collinear_groups(points: Sequence[ProjPoint]) -> Dict[Tuple, List[int]]:
     return {k: sorted(v) for k, v in groups.items()}
 
 
-def max_collinear(points: Sequence[ProjPoint]) -> int:
-    """Largest number of collinear points among the given points."""
-    if len(points) < 2:
-        return len(points)
-    return max(len(v) for v in collinear_groups(points).values())
-
-
 def build_h4() -> H4Configuration:
     """Construct the configuration and populate every incidence map.
 
@@ -140,13 +154,16 @@ def build_h4() -> H4Configuration:
     for j, row in point_planes.items():
         assert len(row) == 15, f"point {j} lies on {len(row)} planes, not 15"
 
-    # Five-reach lines: the maximal collinear subsets of size 5, indexed by
-    # lexicographic order of their sorted point-index sets.
-    groups = collinear_groups(pts)
-    sizes = sorted({len(v) for v in groups.values()})
-    assert max(sizes) == 5, f"a line carries {max(sizes)} points; expected max 5"
-    five_sets = sorted(tuple(i + 1 for i in v)
-                       for v in groups.values() if len(v) == 5)
+    # The secant table, and from it the five-reach lines: the maximal
+    # collinear subsets of size 5, indexed by lexicographic order of their
+    # sorted point-index sets.
+    secants = tuple(sorted(tuple(i + 1 for i in v)
+                           for v in collinear_groups(pts).values()))
+    n_pairs = sum(len(s) * (len(s) - 1) // 2 for s in secants)
+    assert n_pairs == 1770, f"secants cover {n_pairs} point pairs, not 1770"
+    top = max(len(s) for s in secants)
+    assert top == 5, f"a line carries {top} points; expected max 5"
+    five_sets = [s for s in secants if len(s) == 5]
     assert len(five_sets) == 72, f"{len(five_sets)} five-point lines, not 72"
 
     lines = {}
@@ -173,7 +190,8 @@ def build_h4() -> H4Configuration:
         assert len(row) == 6, f"plane {v} contains {len(row)} lines, not 6"
 
     return H4Configuration(points, planes, lines, line_points, plane_points,
-                           point_planes, point_lines, line_planes, plane_lines)
+                           point_planes, point_lines, line_planes, plane_lines,
+                           secants)
 
 
 def _line_in_plane(line: ProjLine, plane: ProjPlane) -> bool:
@@ -198,23 +216,21 @@ def special_points_for_grid(
     For each configuration point X outside the grid, collect all pairs {A, B}
     of grid points collinear with X.  Returns the points with exactly 10 such
     pairs covering 20 distinct grid points, together with their pairings.
+
+    The pairs are read off the secant table: they are the 2-subsets of
+    (secant & grid) over the secants through X.  This finds the same pairs
+    as testing every triple X, A, B for collinearity.  A line through X and
+    a grid point A is the secant spanned by X and A, and the table lists
+    every configuration point on it, so B is collinear with X and A exactly
+    when B lies in that secant.  Each pair {A, B} is found once, on the one
+    secant through X and A.
     """
-    grid = sorted(set(grid_points))
+    grid = set(grid_points)
     assert len(grid) == 25, "expected a 25-point grid"
     out = []
-    for x in sorted(cfg.points):
-        if x in grid:
-            continue
-        px = cfg.points[x]
-        pairs = []
-        for ai in range(len(grid)):
-            a = cfg.points[grid[ai]]
-            if a == px:
-                continue
-            ln = line_through(px, a)
-            for bi in range(ai + 1, len(grid)):
-                if point_on_line(cfg.points[grid[bi]], ln):
-                    pairs.append((grid[ai], grid[bi]))
+    for x in sorted(set(cfg.points) - grid):
+        pairs = [pair for s in cfg.secants if x in s
+                 for pair in combinations([a for a in s if a in grid], 2)]
         covered = {i for pair in pairs for i in pair}
         if len(pairs) == 10 and len(covered) == 20:
             out.append((x, tuple(sorted(pairs))))

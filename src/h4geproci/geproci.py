@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import config as cfgmod
 from .config import H4Configuration
@@ -273,20 +273,30 @@ class GeprociCertificate:
 
 
 def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
-    """Full pipeline for the complete-intersection certificate at one seed."""
+    """Full pipeline for the complete-intersection certificate at one seed.
+
+    The dimension table lists dim_d, the dimension of the degree-d forms
+    vanishing at the 60 images, for d = 1..6.  Degree 6 is interpolated,
+    then each lower degree in turn while the dimension stays above zero; on
+    the configuration that is d = 6 and d = 5 only.  The table is exact: if a nonzero degree-(d-1) form vanishes at the
+    images, its product with any linear form is a nonzero degree-d form
+    vanishing there, so dim_d = 0 forces dim_{d-1} = 0 and every lower
+    dimension to be zero as well.
+    """
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in sorted(cfg.points)]
-    dims = []
-    sextic = None
-    for d in range(1, 7):
-        basis = vanishing_space(images, d, 3)
-        dims.append(len(basis))
-        if d == 6 and len(basis) == 1:
-            sextic = basis[0]
+    top = vanishing_space(images, 6, 3)
+    dim = {6: len(top)}
+    d = 6
+    while d > 1 and dim[d] > 0:
+        d -= 1
+        dim[d] = len(vanishing_space(images, d, 3))
+    dims = tuple(dim.get(d, 0) for d in range(1, 7))
     checks: Dict[str, bool] = {}
-    checks["dimension_table"] = tuple(dims) == (0, 0, 0, 0, 0, 1)
-    if sextic is None:
-        raise VerificationError(f"degree-6 space has dimension {dims[-1]}, not 1")
+    checks["dimension_table"] = dims == (0, 0, 0, 0, 0, 1)
+    if len(top) != 1:
+        raise VerificationError(f"degree-6 space has dimension {len(top)}, not 1")
+    sextic = top[0]
     smooth = plane_curve_is_smooth(sextic, seed=seed)
     checks["sextic_smooth"] = smooth.smooth
 
@@ -299,17 +309,19 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
                                   cfgmod.GRID1_EXTERNAL_LINE)
     quintic2 = build_quintic_cone(cfg, proj, grid2, anchor2,
                                   cfgmod.GRID2_EXTERNAL_LINE)
-    checks["quintic1_on_z1"] = all(quintic1.vanishes_at(proj.images[i])
-                                   for i in z1)
-    checks["quintic2_on_z2"] = all(quintic2.vanishes_at(proj.images[i])
-                                   for i in z2)
+    # Each quintic is evaluated once per image; the decic's value at an
+    # image is the product of the two, since (q1 q2)(p) = q1(p) q2(p).
+    at1 = {i: quintic1.evaluate(proj.images[i]) for i in cfg.points}
+    at2 = {i: quintic2.evaluate(proj.images[i]) for i in cfg.points}
+    checks["quintic1_on_z1"] = all(at1[i].is_zero() for i in z1)
+    checks["quintic2_on_z2"] = all(at2[i].is_zero() for i in z2)
     decic = quintic1 * quintic2
-    checks["decic_on_all"] = all(decic.vanishes_at(proj.images[i])
+    checks["decic_on_all"] = all((at1[i] * at2[i]).is_zero()
                                  for i in cfg.points)
     no_shared = not divides(sextic, decic)
     checks["no_shared_component"] = no_shared
     checks["bezout_count"] = sextic.degree * decic.degree == 60
-    cert = GeprociCertificate(seed, proj.vertex, tuple(dims), sextic, smooth,
+    cert = GeprociCertificate(seed, proj.vertex, dims, sextic, smooth,
                               grid1, grid2, quintic1, quintic2, z1, z2,
                               not no_shared, checks)
     if not cert.passed:
@@ -318,15 +330,9 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     return cert
 
 
-_SPECIALS_CACHE: Dict[Tuple[int, ...], List[Tuple[int, Tuple]]] = {}
-
-
 def _anchor_on(cfg: H4Configuration, grid: GridCertificate,
                external_line: int) -> int:
-    specials = _SPECIALS_CACHE.get(grid.grid_points)
-    if specials is None:
-        specials = cfgmod.special_points_for_grid(cfg, grid.grid_points)
-        _SPECIALS_CACHE[grid.grid_points] = specials
+    specials = cfgmod.special_points_for_grid(cfg, grid.grid_points)
     on_line = [x for x, _ in specials
                if x in cfg.line_points[external_line]]
     if len(on_line) != 5:
@@ -454,7 +460,7 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     """
     indices = sorted(subset) if subset is not None else sorted(cfg.points)
     n = len(indices)
-    mc = cfgmod.max_collinear([cfg.points[i] for i in indices])
+    mc = cfg.max_collinear(indices)
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in indices]
     dims = []

@@ -123,9 +123,30 @@ def test_verify_geproci_zero_trials_is_a_usage_error(tmp_path):
     assert not out.exists()
 
 
-def test_verify_unwritable_path_exits_2(tmp_path):
-    missing_dir = tmp_path / "nope" / "refutation.json"
-    assert _run(["verify", "not-halfgrid", "--out", str(missing_dir)]) == 2
+def test_verify_unwritable_path_exits_2(tmp_path, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("computation started although --out is unwritable")
+
+    monkeypatch.setattr(cli, "build_h4", must_not_run)
+    for name in ("verify_geproci", "verify_half_grid", "verify_not_half_grid"):
+        monkeypatch.setattr(cli.geproci_mod, name, must_not_run)
+    missing_dir = tmp_path / "nope"
+    for argv in (["verify", "geproci"], ["verify", "halfgrid", "--subset", "z1"],
+                 ["verify", "not-halfgrid"], ["report"]):
+        out = missing_dir / "artifact.json"
+        assert _run(argv + ["--out", str(out)]) == 2
+    assert not missing_dir.exists()
+
+
+def test_write_probe_leaves_files_as_they_were(tmp_path):
+    fresh = tmp_path / "fresh.json"
+    assert cli._can_write(str(fresh))
+    assert not fresh.exists()
+    kept = tmp_path / "kept.json"
+    kept.write_text("{}\n")
+    assert cli._can_write(str(kept))
+    assert kept.read_text() == "{}\n"
+    assert not cli._can_write(str(tmp_path))  # a directory is not a file
 
 
 def test_report_single_seed(tmp_path):

@@ -1,13 +1,16 @@
 """The 60-point configuration: tables, counts, duality, special points."""
 
+import random
+from collections import Counter
+from itertools import combinations
+
 from h4geproci import tables
 from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M,
                               GRID2_EXTERNAL_LINE, GRID2_L, GRID2_M,
                               collinear_groups, grid_point_indices,
                               incidence_table_lines, incidence_table_planes,
-                              max_collinear, special_points_for_grid,
-                              z_partition)
-from h4geproci.projective import lines_meet, point_on_line
+                              special_points_for_grid, z_partition)
+from h4geproci.projective import line_through, lines_meet, point_on_line
 
 
 def test_sixty_distinct_points_and_dual_planes(cfg):
@@ -39,16 +42,38 @@ def test_incidence_counts(cfg):
 
 def test_max_collinear_is_five(cfg):
     assert cfg.max_collinear() == 5
-    assert max_collinear(list(cfg.points.values())) == 5
+    assert cfg.max_collinear(cfg.points) == 5
 
 
 def test_collinear_groups_on_small_sets(cfg):
-    p = [cfg.points[i] for i in (1, 2, 3)]
-    assert max_collinear(p) == 2  # coordinate simplex corners, no 3 collinear
-    line5 = [cfg.points[i] for i in tables.LINE_POINTS[1]]
-    assert max_collinear(line5) == 5
+    assert cfg.max_collinear((1, 2, 3)) == 2  # simplex corners, no 3 collinear
+    assert cfg.max_collinear(tables.LINE_POINTS[1]) == 5
+    assert cfg.max_collinear((7,)) == 1 and cfg.max_collinear(()) == 0
     groups = collinear_groups(list(cfg.points.values()))
     assert sum(1 for v in groups.values() if len(v) == 5) == 72
+
+
+def test_secant_table_invariants(cfg):
+    assert len(cfg.secants) == 722
+    assert Counter(len(s) for s in cfg.secants) == {2: 450, 3: 200, 5: 72}
+    pairs = [pair for s in cfg.secants for pair in combinations(s, 2)]
+    assert len(pairs) == len(set(pairs)) == 1770
+    assert [s for s in cfg.secants if len(s) == 5] == \
+        list(cfg.line_points.values())
+    assert list(cfg.secants) == sorted(cfg.secants)
+    assert "secants" not in cfg.to_json()
+
+
+def test_subset_collinearity_lookup_matches_pair_scan(cfg):
+    """The secant lookup agrees with a Pluecker pair scan of the subset."""
+    z1, z2 = z_partition(cfg)
+    rng = random.Random(20261018)
+    subsets = [z1, z2] + [rng.sample(sorted(cfg.points), k)
+                          for k in (2, 3, 8, 20, 45)]
+    for subset in subsets:
+        groups = collinear_groups([cfg.points[i] for i in subset])
+        assert cfg.max_collinear(subset) == \
+            max(len(v) for v in groups.values())
 
 
 def test_lines_lie_on_their_listed_points(cfg):
@@ -96,6 +121,20 @@ def test_special_points_of_grid1(cfg):
         assert len(pairing) == 10
         covered = {i for pair in pairing for i in pair}
         assert len(covered) == 20 and covered <= set(grid)
+
+
+def test_special_points_of_grid2(cfg):
+    """Grid 2 has the same ten special points as grid 1."""
+    grid = grid_point_indices(cfg, GRID2_L)
+    specials = special_points_for_grid(cfg, grid)
+    assert [x for x, _ in specials] == [3, 4, 39, 40, 47, 48, 49, 50, 53, 54]
+    for x, pairing in specials:
+        assert len(pairing) == 10
+        covered = {i for pair in pairing for i in pair}
+        assert len(covered) == 20 and covered <= set(grid)
+        for a, b in pairing:  # rank test, independent of the secant table
+            assert point_on_line(cfg.points[b],
+                                 line_through(cfg.points[x], cfg.points[a]))
 
 
 def test_special_point_4_has_the_printed_pairing(cfg):
