@@ -6,7 +6,8 @@ point sets (bitmask backtracking), bucket them by their 25-point union, and
 inside each bucket test every unordered pair of families combinatorially
 (each cross pair of lines must share exactly one point) and geometrically
 (skewness within each family, a unique quadric through the union).  The
-count printed here is frozen in the test suite as a regression constant.
+test suite imports `count_grids` and checks it against the clique-transversal
+search of `h4geproci.coverings.enumerate_grids`.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from h4geproci.config import build_h4
+from h4geproci.config import H4Configuration, build_h4
 from h4geproci.forms import vanishing_space
 from h4geproci.projective import lines_meet
 
 
-def main() -> None:
-    cfg = build_h4()
+def count_grids(cfg: H4Configuration) -> tuple[int, int]:
+    """(number of disjoint 5-line families, number of (5,5)-grids)."""
     idx = sorted(cfg.lines)
     masks = {i: sum(1 << (p - 1) for p in cfg.line_points[i]) for i in idx}
 
@@ -43,7 +44,6 @@ def main() -> None:
             chosen.pop()
 
     grow(0, [], 0)
-    print(f"disjoint 5-line families: {len(families)}")
 
     buckets: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     for fam in families:
@@ -68,6 +68,12 @@ def main() -> None:
             if len(vanishing_space(union, 2, 4)) != 1:
                 continue
             grids += 1
+    return len(families), grids
+
+
+def main() -> None:
+    families, grids = count_grids(build_h4())
+    print(f"disjoint 5-line families: {families}")
     print(f"(5,5)-grids: {grids}")
 
 

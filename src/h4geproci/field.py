@@ -1,18 +1,20 @@
 """Exact arithmetic in the real quadratic field Q(sqrt5) on the basis {1, phi}.
 
-An element is a + b*phi with rational a, b, where phi = (1+sqrt5)/2 is the
-golden ratio, so phi**2 = phi + 1.  All operations are exact; nothing ever
-rounds.  Rationals are `fractions.Fraction`, which keeps them reduced with a
-positive denominator, so equal elements have equal component pairs and the
-type is hashable.
+An element is (x + y*phi)/d with Python ints x, y and d, where phi =
+(1+sqrt5)/2 is the golden ratio, so phi**2 = phi + 1.  The triple is kept
+normalized, d > 0 and gcd(x, y, d) = 1, so equal elements have equal triples
+and the type is hashable.  All operations are integer formulas and exact;
+nothing ever rounds.  `fractions.Fraction` appears only at the edges: the
+constructor, the `a`/`b` components, `norm()`, the hash of rational elements
+and JSON parsing.  This module is the only one that knows the representation;
+others clear denominators through `primitive_numerators`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
-
-Rational = Fraction
+from math import gcd, lcm
+from typing import Iterable, List, Tuple, Union
 
 _RationalLike = Union[int, Fraction]
 
@@ -20,54 +22,80 @@ _RationalLike = Union[int, Fraction]
 class FieldElement:
     """An element a + b*phi of Q(phi), immutable with value semantics."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_v",)  # the normalized triple (x, y, d)
 
     def __init__(self, a: _RationalLike = 0, b: _RationalLike = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        if type(a) is int and type(b) is int:
+            _set_v(self, (a, b, 1))
+            return
+        # With a = p/q and b = r/s reduced, gcd(x, y, d) = 1 already.
+        a, b = Fraction(a), Fraction(b)
+        d = lcm(a.denominator, b.denominator)
+        _set_v(self, (a.numerator * (d // a.denominator),
+                      b.numerator * (d // b.denominator), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        x, _, d = self._v
+        return Fraction(x, d)
+
+    @property
+    def b(self) -> Fraction:
+        """The phi part."""
+        _, y, d = self._v
+        return Fraction(y, d)
+
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        other = _coerce(other)
-        return FieldElement(self.a + other.a, self.b + other.b)
+        x1, y1, d1 = self._v
+        x2, y2, d2 = _coerce(other)._v
+        if d1 == d2:
+            return _make(x1 + x2, y1 + y2, d1)
+        return _make(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        other = _coerce(other)
-        return FieldElement(self.a - other.a, self.b - other.b)
+        x1, y1, d1 = self._v
+        x2, y2, d2 = _coerce(other)._v
+        if d1 == d2:
+            return _make(x1 - x2, y1 - y2, d1)
+        return _make(x1 * d2 - x2 * d1, y1 * d2 - y2 * d1, d1 * d2)
 
     def __rsub__(self, other) -> "FieldElement":
         return _coerce(other) - self
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.a, -self.b)
+        x, y, d = self._v
+        return _raw(-x, -y, d)
 
     def __mul__(self, other) -> "FieldElement":
-        # (a1 + b1 phi)(a2 + b2 phi) with phi^2 = phi + 1.
-        other = _coerce(other)
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return FieldElement(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
+        # (x1 + y1 phi)(x2 + y2 phi) with phi^2 = phi + 1.
+        x1, y1, d1 = self._v
+        x2, y2, d2 = _coerce(other)._v
+        yy = y1 * y2
+        return _make(x1 * x2 + yy, x1 * y2 + x2 * y1 + yy, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the field norm a^2 + ab - b^2."""
-        n = self.norm()
+        """Multiplicative inverse via the norm: 1/(x + y phi) = (x + y - y phi)/N."""
+        x, y, d = self._v
+        n = x * x + x * y - y * y
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(phi)")
-        # conjugate(a + b phi) = (a + b) - b phi; x * conj(x) = norm(x).
-        return FieldElement((self.a + self.b) / n, -self.b / n)
+        return _make((x + y) * d, -y * d, n)
 
     def __truediv__(self, other) -> "FieldElement":
-        return self * _coerce(other).inverse()
+        return _divide(self, _coerce(other))
 
     def __rtruediv__(self, other) -> "FieldElement":
-        return _coerce(other) * self.inverse()
+        return _divide(_coerce(other), self)
 
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
@@ -85,40 +113,50 @@ class FieldElement:
 
     def conjugate(self) -> "FieldElement":
         """Galois conjugate, sqrt5 -> -sqrt5, i.e. a + b phi -> (a+b) - b phi."""
-        return FieldElement(self.a + self.b, -self.b)
+        x, y, d = self._v
+        return _raw(x + y, -y, d)
 
     def norm(self) -> Fraction:
         """Rational field norm N(a + b phi) = a^2 + ab - b^2."""
-        return self.a * self.a + self.a * self.b - self.b * self.b
+        x, y, d = self._v
+        return Fraction(x * x + x * y - y * y, d * d)
 
     # -- predicates and hashing -----------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        v = self._v
+        return v[0] == 0 and v[1] == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = FieldElement(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+        if isinstance(other, FieldElement):
+            return self._v == other._v
+        if isinstance(other, int):
+            return self._v == (other, 0, 1)
+        if isinstance(other, Fraction):
+            return self._v == (other.numerator, 0, other.denominator)
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # A rational element hashes as the int or Fraction it equals.
+        x, y, d = self._v
+        if y:
+            return hash(self._v)
+        return hash(x) if d == 1 else hash(Fraction(x, d))
 
     def __repr__(self) -> str:
         return f"FieldElement({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*phi"
-        sign = "+" if self.b > 0 else "-"
-        return f"{self.a} {sign} {abs(self.b)}*phi"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return f"{b}*phi"
+        sign = "+" if b > 0 else "-"
+        return f"{a} {sign} {abs(b)}*phi"
 
     # -- serialization ---------------------------------------------------
 
@@ -135,12 +173,71 @@ class FieldElement:
         raise ValueError(f"cannot parse FieldElement from {obj!r}")
 
 
+_new = object.__new__
+_set_v = FieldElement._v.__set__  # bypasses the immutability guard
+
+
+def _raw(x: int, y: int, d: int) -> FieldElement:
+    """An element from a triple that is already normalized."""
+    e = _new(FieldElement)
+    _set_v(e, (x, y, d))
+    return e
+
+
+def _make(x: int, y: int, d: int) -> FieldElement:
+    """An element from a triple with d != 0, normalized."""
+    if d < 0:
+        x, y, d = -x, -y, -d
+    if d != 1:
+        g = gcd(x, y, d)
+        if g != 1:
+            x, y, d = x // g, y // g, d // g
+    return _raw(x, y, d)
+
+
+def _divide(u: FieldElement, w: FieldElement) -> FieldElement:
+    """u / w in one step: u * conj(w) * d_w / (d_u * N(w)).
+
+    With u and w in Z[phi] (d = 1) the quotient is the integer triple
+    (u * conj(w), N(w)) reduced by its gcd, so an exact quotient, such as
+    Bareiss division by the previous pivot, comes out with d = 1.
+    """
+    x1, y1, d1 = u._v
+    x2, y2, d2 = w._v
+    n = x2 * x2 + x2 * y2 - y2 * y2
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Q(phi)")
+    # (x1 + y1 phi)((x2 + y2) - y2 phi), with phi^2 = phi + 1.
+    x = x1 * (x2 + y2) - y1 * y2
+    y = y1 * x2 - x1 * y2
+    if d2 != 1:
+        x, y = x * d2, y * d2
+    return _make(x, y, d1 * n)
+
+
 def _coerce(x) -> FieldElement:
     if isinstance(x, FieldElement):
         return x
     if isinstance(x, (int, Fraction)):
         return FieldElement(x)
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(phi)")
+
+
+def primitive_numerators(elems: Iterable[FieldElement]) -> List[Tuple[int, int]]:
+    """Scale the elements by one positive rational to coprime Z[phi] elements.
+
+    Returns the pairs (x, y) of the scaled elements x + y*phi, in input
+    order; the integer content gcd of all the x and y is 1, unless every
+    element is zero.  Canonical coordinates and integral forms read their
+    numerators through this, so no other module sees the representation.
+    """
+    triples = [e._v for e in elems]
+    scale = lcm(*(d for _, _, d in triples))
+    pairs = [(x * (scale // d), y * (scale // d)) for x, y, d in triples]
+    content = gcd(*(v for pair in pairs for v in pair))
+    if content > 1:
+        pairs = [(x // content, y // content) for x, y in pairs]
+    return pairs
 
 
 ZERO = FieldElement(0)

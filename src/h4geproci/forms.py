@@ -13,12 +13,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .field import FieldElement, ONE, ZERO
+from .field import FieldElement, ONE, ZERO, primitive_numerators
 
 Exponents = Tuple[int, ...]
 Coeffs = Dict[Exponents, FieldElement]
@@ -166,11 +165,10 @@ class HomForm:
         """Scale to coprime Z[phi] coefficients (for reduction modulo a prime)."""
         if self.is_zero():
             return self
-        denoms = [f.denominator for c in self.coeffs.values() for f in (c.a, c.b)]
-        scale = lcm(*denoms)
-        ints = [int(f * scale) for c in self.coeffs.values() for f in (c.a, c.b)]
-        content = gcd(*ints)
-        return self.scale(FieldElement(Fraction(scale, content)))
+        pairs = primitive_numerators(self.coeffs.values())
+        return HomForm(self.nvars, self.degree,
+                       {e: FieldElement(x, y)
+                        for e, (x, y) in zip(self.coeffs, pairs)})
 
     def leading(self) -> Tuple[Exponents, FieldElement]:
         e = max(self.coeffs)
@@ -566,9 +564,9 @@ def _split_primes() -> Iterator[Tuple[int, int]]:
 
 
 def _reduce(f: HomForm, p: int, r: int) -> ModForm:
-    """The image of an integral form under Z[phi] -> F_p, phi -> r."""
-    out = ((e, (c.a.numerator + c.b.numerator * r) % p)
-           for e, c in f.coeffs.items())
+    """The image of a primitive integral form under Z[phi] -> F_p, phi -> r."""
+    pairs = primitive_numerators(f.coeffs.values())
+    out = ((e, (x + y * r) % p) for e, (x, y) in zip(f.coeffs, pairs))
     return {e: v for e, v in out if v}
 
 

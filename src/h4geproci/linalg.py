@@ -15,13 +15,18 @@ from .field import FieldElement, ONE, ZERO
 Matrix = List[List[FieldElement]]
 
 
-def row_echelon(matrix: Sequence[Sequence[FieldElement]]) -> Tuple[Matrix, List[int]]:
-    """Fraction-free row echelon form.  Returns (echelon matrix, pivot columns)."""
+def _eliminate(
+        matrix: Sequence[Sequence[FieldElement]]) -> Tuple[Matrix, List[int], int]:
+    """Bareiss forward elimination: (echelon matrix, pivot columns, swap sign).
+
+    The sign is -1 when an odd number of row swaps was made, else 1.
+    """
     m = [list(row) for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: List[int] = []
     prev = ONE
+    sign = 1
     r = 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
@@ -29,6 +34,7 @@ def row_echelon(matrix: Sequence[Sequence[FieldElement]]) -> Tuple[Matrix, List[
             continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
         p = m[r][c]
         for i in range(r + 1, nrows):
             factor = m[i][c]
@@ -40,6 +46,12 @@ def row_echelon(matrix: Sequence[Sequence[FieldElement]]) -> Tuple[Matrix, List[
         r += 1
         if r == nrows:
             break
+    return m, pivots, sign
+
+
+def row_echelon(matrix: Sequence[Sequence[FieldElement]]) -> Tuple[Matrix, List[int]]:
+    """Fraction-free row echelon form.  Returns (echelon matrix, pivot columns)."""
+    m, pivots, _ = _eliminate(matrix)
     return m, pivots
 
 
@@ -75,25 +87,13 @@ def nullspace(matrix: Sequence[Sequence[FieldElement]]) -> List[List[FieldElemen
 
 
 def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    prev = ONE
-    sign = 1
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if not m[i][c].is_zero()), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        p = m[c][c]
-        for i in range(c + 1, n):
-            factor = m[i][c]
-            for j in range(c + 1, n):
-                m[i][j] = (p * m[i][j] - factor * m[c][j]) / prev
-            m[i][c] = ZERO
-        prev = p
-    d = m[n - 1][n - 1]
+    """The bottom-right Bareiss entry, signed by the row swaps.
+
+    It is the last pivot when the matrix is regular; otherwise the rows below
+    the rank are zero, so it is zero.
+    """
+    m, _, sign = _eliminate(matrix)
+    d = m[-1][-1]
     return d if sign > 0 else -d
 
 

@@ -8,12 +8,10 @@ phi part).  Equality and hashing are therefore componentwise.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from . import linalg
-from .field import FieldElement, ONE, ZERO
+from .field import FieldElement, ONE, ZERO, primitive_numerators
 
 
 class DegenerateSpanError(ValueError):
@@ -32,13 +30,8 @@ def canonicalize(coords: Sequence[FieldElement]) -> Tuple[FieldElement, ...]:
         raise ValueError("all coordinates are zero")
     lead = next(x for x in coords if not x.is_zero())
     inv = lead.inverse()
-    scaled = [x * inv for x in coords]
-    denoms = [f.denominator for x in scaled for f in (x.a, x.b)]
-    scale = lcm(*denoms)
-    ints = [int(f * scale) for x in scaled for f in (x.a, x.b)]
-    content = gcd(*ints)
-    factor = Fraction(scale, content)
-    return tuple(FieldElement(x.a * factor, x.b * factor) for x in scaled)
+    return tuple(FieldElement(x, y)
+                 for x, y in primitive_numerators([c * inv for c in coords]))
 
 
 class _Flat:

@@ -1,5 +1,8 @@
 """Exact covers of the point set and (5,5)-grid enumeration."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from h4geproci import tables
@@ -8,7 +11,7 @@ from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids, verify_covering)
 
 # Count confirmed by scripts/grid_oracle.py (disjoint-family bucketing, an
-# independent search); frozen here as a regression constant.
+# independent search); test_grid_oracle_agrees_with_enumeration reruns it.
 GRID_COUNT = 72
 
 
@@ -65,6 +68,15 @@ def grids(cfg):
 
 def test_grid_count_regression(grids):
     assert len(grids) == GRID_COUNT
+
+
+def test_grid_oracle_agrees_with_enumeration(cfg, grids):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "grid_oracle.py"
+    spec = importlib.util.spec_from_file_location("grid_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    _, count = oracle.count_grids(cfg)
+    assert count == GRID_COUNT == len(grids)
 
 
 def test_both_printed_grids_are_found(grids):

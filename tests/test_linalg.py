@@ -33,9 +33,11 @@ def _permutation_determinant(m):
 def test_determinant_matches_permutation_expansion():
     rng = random.Random(3)
     for n in (2, 3, 4):
-        for _ in range(30):
-            m = _random_matrix(rng, n, n)
-            assert linalg.determinant(m) == _permutation_determinant(m)
+        # Entries in {0, 1, phi, 1 + phi} force row swaps and singular cases.
+        for lo, hi in ((-9, 9), (0, 1)):
+            for _ in range(30):
+                m = _random_matrix(rng, n, n, lo, hi)
+                assert linalg.determinant(m) == _permutation_determinant(m)
 
 
 def test_bareiss_keeps_integer_entries_integral():
