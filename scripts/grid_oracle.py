@@ -6,22 +6,31 @@ point sets (bitmask backtracking), bucket them by their 25-point union, and
 inside each bucket test every unordered pair of families combinatorially
 (each cross pair of lines must share exactly one point) and geometrically
 (skewness within each family, a unique quadric through the union).  The
-test suite imports `count_grids` and checks it against the clique-transversal
-search of `h4geproci.coverings.enumerate_grids`.
+quadric test is its own: the exact rank of the 25 x 10 matrix of the degree-2
+monomials at the 25 points, over all rows, must be 9.  The test suite imports
+`count_grids` and checks it against the clique-transversal search of
+`h4geproci.coverings.enumerate_grids`.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from h4geproci.config import H4Configuration, build_h4
-from h4geproci.forms import vanishing_space
+from h4geproci.linalg import rank
 from h4geproci.projective import lines_meet
+
+
+def has_unique_quadric(points) -> bool:
+    """The quadrics through the points form a 1-dimensional space."""
+    rows = [[p[i] * p[j] for i, j in combinations_with_replacement(range(4), 2)]
+            for p in points]
+    return rank(rows) == 9
 
 
 def count_grids(cfg: H4Configuration) -> tuple[int, int]:
@@ -65,7 +74,7 @@ def count_grids(cfg: H4Configuration) -> tuple[int, int]:
                 continue
             union = [cfg.points[p + 1].coords
                      for p in range(60) if union_mask >> p & 1]
-            if len(vanishing_space(union, 2, 4)) != 1:
+            if not has_unique_quadric(union):
                 continue
             grids += 1
     return len(families), grids

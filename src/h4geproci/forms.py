@@ -210,32 +210,74 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
                     nvars: int) -> List[HomForm]:
     """Basis of the degree-d forms vanishing at every given point.
 
-    Rows are point evaluations, columns the graded-lex monomials; the exact
-    nullspace comes from fraction-free elimination.  Basis forms are
-    normalized so the first nonzero coefficient (in column order) is 1.
+    Rows are point evaluations, columns the graded-lex monomials.  The basis
+    is the exact nullspace of all rows: one vector per free column, with 1
+    in that column and 0 in the other free columns, scaled so its first
+    nonzero coefficient (in column order) is 1.  Only a row basis is
+    eliminated exactly; it is chosen modulo the split prime P = (p, phi - r)
+    of `_PRIME` and `_PHI_ROOT`.
+
+    Soundness.  Scaling a row by a nonzero rational leaves the nullspace
+    alone, so each row is scaled into Z[phi] and sent to F_p by the ring map
+    x + y*phi -> x + y*r.  A nonzero minor mod P is a nonzero minor over
+    Q(phi), so the first rows independent mod P (`linalg.independent_rows_mod`)
+    are independent over Q(phi), and the exact rank is at least their count;
+    when that count is the number of monomials, the space is 0 and nothing
+    is eliminated exactly.  Otherwise let N_S be the exact nullspace of the
+    chosen rows and N that of all rows.  N_S contains N, and when every
+    basis vector of N_S kills every row, N_S = N; the basis above depends on
+    N alone, so it is the one the elimination of all rows gives.  A row
+    that some basis vector does not kill (the rank dropped mod P) joins the
+    chosen rows and the elimination runs again; each round raises the exact
+    rank of the chosen rows, so the loop ends.  The prime only picks rows
+    and bounds the rank from below; it never turns a positive dimension
+    into 0.
     """
     cols = monomials(degree, nvars)
-    rows = []
-    for p in points:
-        if len(p) != nvars:
-            raise ValueError("point dimension does not match variable count")
-        row = []
-        for e in cols:
-            term = ONE
-            for x, k in zip(p, e):
-                if k:
-                    term = term * x ** k
-            row.append(term)
-        rows.append(row)
+    rows = [_evaluation_row(p, degree, nvars, cols) for p in points]
     if not rows:
         return [HomForm(nvars, degree, {cols[j]: ONE}) for j in range(len(cols))]
+    images = [[(x + y * _PHI_ROOT) % _PRIME for x, y in primitive_numerators(row)]
+              for row in rows]
+    chosen = linalg.independent_rows_mod(images, _PRIME)
+    if len(chosen) == len(cols):
+        return []
+    while True:
+        kernel = linalg.nullspace([rows[i] for i in chosen])
+        missed = next((i for vec in kernel
+                       for i, x in enumerate(linalg.mat_vec(rows, vec))
+                       if not x.is_zero()), None)
+        if missed is None:
+            break
+        chosen.append(missed)
     basis = []
-    for vec in linalg.nullspace(rows):
+    for vec in kernel:
         lead = next(i for i, c in enumerate(vec) if not c.is_zero())
         inv = vec[lead].inverse()
         basis.append(HomForm(nvars, degree,
                              {cols[j]: vec[j] * inv for j in range(len(cols))}))
     return basis
+
+
+def _evaluation_row(point: Sequence[FieldElement], degree: int, nvars: int,
+                    cols: Sequence[Exponents]) -> List[FieldElement]:
+    """The monomials at a point, from a table of each coordinate's powers."""
+    if len(point) != nvars:
+        raise ValueError("point dimension does not match variable count")
+    powers = []
+    for x in point:
+        table = [ONE, x]
+        for _ in range(degree - 1):
+            table.append(table[-1] * x)
+        powers.append(table)
+    row = []
+    for e in cols:
+        factors = [table[k] for table, k in zip(powers, e) if k]
+        term = factors[0] if factors else ONE
+        for f in factors[1:]:
+            term = term * f
+        row.append(term)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +605,11 @@ def _split_primes() -> Iterator[Tuple[int, int]]:
             yield p, (1 + s) * pow(2, -1, p) % p
 
 
+# The first split prime and its phi root: P = (2147483659, phi - 1499939161).
+# `vanishing_space` chooses its rows modulo P.
+_PRIME, _PHI_ROOT = next(_split_primes())
+
+
 def _reduce(f: HomForm, p: int, r: int) -> ModForm:
     """The image of a primitive integral form under Z[phi] -> F_p, phi -> r."""
     pairs = primitive_numerators(f.coeffs.values())
@@ -573,7 +620,7 @@ def _reduce(f: HomForm, p: int, r: int) -> ModForm:
 def _random_invertible_mod(rng: random.Random, p: int) -> Tuple[Tuple[int, ...], ...]:
     while True:
         m = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
-        if _det_mod([list(row) for row in m], p):
+        if linalg.determinant_mod(m, p):
             return m
 
 
@@ -648,27 +695,8 @@ def _eliminant(u: ChartPoly, v: ChartPoly, p: int) -> Optional[List[int]]:
             b[j] = (b[j] + c * pow(x, i, p)) % p
         rows = [[0] * k + a[::-1] + [0] * (n - 1 - k) for k in range(n)]
         rows += [[0] * k + b[::-1] + [0] * (m - 1 - k) for k in range(m)]
-        values.append(_det_mod(rows, p))
+        values.append(linalg.determinant_mod(rows, p))
     return _interpolate_mod(values, p)
-
-
-def _det_mod(rows: List[List[int]], p: int) -> int:
-    """Determinant over F_p by Gaussian elimination; overwrites rows."""
-    det = 1
-    for col in range(len(rows)):
-        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det = det * rows[col][col] % p
-        inv = pow(rows[col][col], -1, p)
-        for r in range(col + 1, len(rows)):
-            k = rows[r][col] * inv % p
-            if k:
-                rows[r] = [(x - k * y) % p for x, y in zip(rows[r], rows[col])]
-    return det % p
 
 
 def _interpolate_mod(values: List[int], p: int) -> List[int]:

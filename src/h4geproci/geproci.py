@@ -3,8 +3,9 @@ the degree-5 cone pencil, complete-intersection certificates, and the
 not-half-grid refutation.
 
 Every check is exact.  A passing certificate is machine-checkable evidence:
-it embeds the forms, the dimension table and the per-condition checklist, and
-an independent checker can re-verify each claim by evaluation.
+it embeds the forms, the dimension table and the per-condition checklist, so
+the artifact carries what an independent checker needs to re-verify each
+claim by evaluation.  That checker is not written yet (ROADMAP item 2).
 """
 
 from __future__ import annotations

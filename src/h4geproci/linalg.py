@@ -1,9 +1,12 @@
-"""Exact linear algebra over Q(phi): fraction-free elimination and nullspaces.
+"""Exact linear algebra over Q(phi), and one elimination kernel over F_p.
 
 Matrices are lists of lists of FieldElement.  Forward elimination follows the
 Bareiss scheme (two-by-two minors divided by the previous pivot), which keeps
 entries in Z[phi] whenever the input rows are in Z[phi]; the division is exact
 in any integral domain, and in a field it is exact trivially.
+
+Over F_p, matrices are lists of lists of ints; `_eliminate_mod` reduces them
+one row at a time, and the modular determinant and row selection both read it.
 """
 
 from __future__ import annotations
@@ -95,6 +98,60 @@ def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
     m, _, sign = _eliminate(matrix)
     d = m[-1][-1]
     return d if sign > 0 else -d
+
+
+def _eliminate_mod(rows: Sequence[Sequence[int]], p: int) -> List[Tuple[int, int, int]]:
+    """Gaussian elimination over F_p, one row at a time, in input order.
+
+    Each row is reduced by the rows kept before it and is kept when a nonzero
+    entry remains.  Returns (row index, pivot column, pivot) for each kept row,
+    the pivot being the row's first nonzero entry mod p after reduction.  The
+    kept rows are the first rows independent mod p, and their count is the
+    rank.  Entries may be any ints; the input is not modified.
+    """
+    kept: List[Tuple[int, int, int]] = []
+    reducers: List[Tuple[int, int, Sequence[int]]] = []  # (column, 1/pivot, row)
+    ncols = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        for c, inv, kept_row in reducers:
+            k = row[c] * inv % p
+            if k:
+                row = [(x - k * y) % p for x, y in zip(row, kept_row)]
+        for c, x in enumerate(row):
+            if x % p:
+                break
+        else:
+            continue
+        pivot = row[c] % p
+        kept.append((i, c, pivot))
+        reducers.append((c, pow(pivot, -1, p), row))
+        if len(kept) == ncols:
+            break
+    return kept
+
+
+def independent_rows_mod(rows: Sequence[Sequence[int]], p: int) -> List[int]:
+    """Indices of the first rows independent mod p, in input order."""
+    return [i for i, _, _ in _eliminate_mod(rows, p)]
+
+
+def determinant_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """The determinant over F_p of a square matrix, in range(p).
+
+    After `_eliminate_mod` the reduced rows, with their columns put in pivot
+    order, form an upper triangular matrix; the determinant is the product of
+    the pivots, signed by the parity of that column order.
+    """
+    kept = _eliminate_mod(rows, p)
+    if len(kept) < len(rows):
+        return 0
+    cols = [c for _, c, _ in kept]
+    det = 1
+    for i, (_, c, pivot) in enumerate(kept):
+        if sum(d < c for d in cols[i + 1:]) % 2:
+            det = -det
+        det = det * pivot % p
+    return det % p
 
 
 def mat_vec(matrix: Sequence[Sequence[FieldElement]],

@@ -31,7 +31,7 @@ def test_criterion_01_plane_incidence_table(cfg):
     computed = {i: tuple(sorted(v))
                 for i, v in incidence_table_planes(cfg).items()}
     assert computed == tables.PLANE_POINTS
-    assert time.monotonic() - t0 < 1.0
+    assert time.monotonic() - t0 < 0.1
     _verdict(1, "plane-point incidences reproduce the reference table")
 
 
@@ -43,7 +43,7 @@ def test_criterion_02_line_incidence_table(cfg):
     assert all(len(cfg.point_lines[i]) == 6 for i in cfg.points)
     assert all(len(cfg.line_planes[i]) == 5 for i in cfg.lines)
     assert all(len(cfg.plane_lines[i]) == 6 for i in cfg.planes)
-    assert time.monotonic() - t0 < 1.0
+    assert time.monotonic() - t0 < 0.1
     _verdict(2, "72 five-point lines with all incidence counts")
 
 
@@ -52,7 +52,7 @@ def test_criterion_03_covering_table(cfg):
     covs = enumerate_coverings(cfg)
     assert len(covs) == 84
     assert {c.lines for c in covs} == set(tables.LINE_COVERS)
-    assert time.monotonic() - t0 < 10.0
+    assert time.monotonic() - t0 < 0.3
     _verdict(3, "84 partitions into 12 disjoint lines, matching the table")
 
 
@@ -69,7 +69,7 @@ def test_criterion_04_quadric_certificates(cfg):
         basis = vanishing_space(pts, 2, 4)
         assert len(basis) == 1
         assert basis[0].monic() == expected
-    assert time.monotonic() - t0 < 1.0
+    assert time.monotonic() - t0 < 0.1
     _verdict(4, "each grid lies on a unique quadric with the printed equation")
 
 
@@ -78,7 +78,7 @@ def test_criterion_05_geproci_certificates(cfg, geproci_cert_seed1):
     for seed in (2, 3, 4, 5):
         t0 = time.monotonic()
         certs.append(geproci.verify_geproci(cfg, seed))
-        assert time.monotonic() - t0 < 60.0
+        assert time.monotonic() - t0 < 3.0
     assert len({c.vertex for c in certs}) == 5
     for cert in certs:
         assert cert.passed
@@ -99,7 +99,7 @@ def test_criterion_06_half_grid_certificates(cfg):
             assert cert.passed
             assert cert.cover_lines == cover
             assert cert.quintic.degree * cert.line_product.degree == 30
-            assert time.monotonic() - t0 < 30.0
+            assert time.monotonic() - t0 < 1.0
     _verdict(6, "both halves certify as (5,6) complete intersections")
 
 
@@ -112,7 +112,7 @@ def test_criterion_07_not_half_grid_refutation(cfg):
     z1, _ = z_partition(cfg)
     on_z1 = geproci.verify_not_half_grid(cfg, 1, subset=z1, subset_name="Z1")
     assert not on_z1.refuted  # the half really is a half-grid
-    assert time.monotonic() - t0 < 30.0
+    assert time.monotonic() - t0 < 2.5
     _verdict(7, "full set refuted as half-grid; refutation fails on Z1")
 
 
@@ -178,7 +178,7 @@ def test_criterion_09_property_suites(cfg):
         for p in sample:
             assert f.vanishes_at(p)
 
-    assert time.monotonic() - t0 < 60.0
+    assert time.monotonic() - t0 < 7.0
     _verdict(9, "field axioms, canonical forms, incidence invariance, "
                 "interpolation recheck")
 
@@ -190,5 +190,5 @@ def test_criterion_10_grid_enumeration_regression(cfg):
     assert (tuple(GRID1_L), tuple(GRID1_M)) in pairs
     assert (tuple(GRID2_L), tuple(GRID2_M)) in pairs
     assert len(grids) == 72  # frozen count from scripts/grid_oracle.py
-    assert time.monotonic() - t0 < 600.0
+    assert time.monotonic() - t0 < 7.0
     _verdict(10, "grid enumeration finds 72 grids, matching the oracle")

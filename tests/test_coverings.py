@@ -77,6 +77,10 @@ def test_grid_oracle_agrees_with_enumeration(cfg, grids):
     spec.loader.exec_module(oracle)
     _, count = oracle.count_grids(cfg)
     assert count == GRID_COUNT == len(grids)
+    for g in grids:
+        pts = [cfg.points[i].coords for i in g.grid_points]
+        assert oracle.has_unique_quadric(pts)
+        assert all(g.quadric.vanishes_at(p) for p in pts)
 
 
 def test_both_printed_grids_are_found(grids):

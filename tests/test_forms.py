@@ -7,12 +7,13 @@ from math import comb, isqrt
 
 import pytest
 
+from h4geproci import linalg
 from h4geproci.field import FieldElement, ONE, PHI, ZERO
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
                              try_quotient, vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _gcd_mod,
-                             _split_primes)
+                             _split_primes, _PHI_ROOT, _PRIME)
 
 
 def _random_form(rng, nvars, degree, density=0.7) -> HomForm:
@@ -69,6 +70,93 @@ def test_vanishing_space_basis_vanishes_at_inputs():
 def test_vanishing_space_dimension_without_points():
     basis = vanishing_space([], 2, 3)
     assert len(basis) == len(monomials(2, 3))
+
+
+def _reference_vanishing_space(points, degree, nvars):
+    """Exact nullspace of every evaluation row, with x ** k per monomial."""
+    cols = monomials(degree, nvars)
+    rows = []
+    for p in points:
+        row = []
+        for e in cols:
+            term = ONE
+            for x, k in zip(p, e):
+                term = term * x ** k
+            row.append(term)
+        rows.append(row)
+    basis = []
+    for vec in linalg.nullspace(rows):
+        lead = next(c for c in vec if not c.is_zero())
+        basis.append(HomForm(nvars, degree,
+                             {e: c / lead for e, c in zip(cols, vec)}))
+    return basis
+
+
+def _random_elem(rng):
+    return FieldElement(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+
+def _point_sets(rng, nvars):
+    """Seeded point sets with dimension 0 and dimension > 0 in low degree."""
+    for size in (3, 6, 11):
+        yield [_random_proj_tuple(rng, nvars) for _ in range(size)]
+        yield [tuple(_random_elem(rng) for _ in range(nvars))
+               for _ in range(size)]
+    # Points on a common line: a + t*b.
+    a, b = _random_proj_tuple(rng, nvars), _random_proj_tuple(rng, nvars)
+    yield [tuple(x + FieldElement(t, t % 3) * y for x, y in zip(a, b))
+           for t in range(-4, 5)]
+    # Points on the conic [s^2 : s*t : t^2 (: s*t*phi)], s/t rational.
+    yield [(FieldElement(s * s), FieldElement(s * t), FieldElement(t * t))
+           + ((FieldElement(0, s * t),) if nvars == 4 else ())
+           for s, t in ((1, 0), (0, 1), (1, 1), (2, 1), (1, -3), (5, 2),
+                        (-2, 7), (3, 4))]
+    # Repeated points, some rescaled by a Q(phi) scalar.
+    pts = [tuple(_random_elem(rng) for _ in range(nvars)) for _ in range(4)]
+    scale = FieldElement(Fraction(2, 3), Fraction(-5, 7))
+    yield pts + pts[:3] + [tuple(x * scale for x in p) for p in pts[1:]]
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_vanishing_space_matches_elimination_of_all_rows(nvars):
+    rng = random.Random(83 + nvars)
+    seen = set()
+    for pts in _point_sets(rng, nvars):
+        for degree in (1, 2, 3):
+            basis = vanishing_space(pts, degree, nvars)
+            assert basis == _reference_vanishing_space(pts, degree, nvars)
+            seen.add(len(basis) == 0)
+    assert seen == {True, False}
+
+
+def test_rank_lost_modulo_the_prime_is_repaired(monkeypatch):
+    calls = []
+    nullspace = linalg.nullspace
+
+    def counting_nullspace(rows):
+        calls.append(len(rows))
+        return nullspace(rows)
+
+    monkeypatch.setattr(linalg, "nullspace", counting_nullspace)
+    p = FieldElement(_PRIME)
+    # Exact dimension 0, but (1, p) = (1, 0) mod P: the rank drops to 1.
+    assert vanishing_space([(ONE, ZERO), (ONE, p)], 1, 2) == []
+    assert calls == [1, 2]
+    # phi - r lies in P, so both points reduce to (1, 0, 0); only z survives.
+    calls.clear()
+    pts = [(ONE, ZERO, ZERO), (ONE, PHI - FieldElement(_PHI_ROOT), ZERO)]
+    basis = vanishing_space(pts, 1, 3)
+    assert basis == [HomForm.variable(2, 3)]
+    assert calls == [1, 2]
+    monkeypatch.undo()
+    assert basis == _reference_vanishing_space(pts, 1, 3)
+
+
+def test_full_rank_modulo_the_prime_skips_exact_elimination(monkeypatch):
+    monkeypatch.setattr(linalg, "nullspace", None)
+    pts = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
+    assert vanishing_space(pts, 1, 3) == []
 
 
 def test_divisibility_roundtrip():

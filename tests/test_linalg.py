@@ -1,7 +1,8 @@
-"""Exact linear algebra: elimination, nullspaces, determinants, inverses."""
+"""Linear algebra: exact elimination, nullspaces, determinants, inverses, and
+the elimination kernel over F_p."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -101,3 +102,65 @@ def test_determinant_alternating_in_rows():
     assert linalg.determinant(swapped) == -linalg.determinant(m)
     degenerate = [m[0], m[0], m[2]]
     assert linalg.determinant(degenerate).is_zero()
+
+
+def _permutation_determinant_mod(m, p):
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(m))
+                         for j in range(i + 1, len(m)))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total % p
+
+
+def _rank_mod(rows, p):
+    """The largest size of a minor that is nonzero mod p."""
+    if not rows:
+        return 0
+    for k in range(min(len(rows), len(rows[0])), 0, -1):
+        for rs in combinations(range(len(rows)), k):
+            for cs in combinations(range(len(rows[0])), k):
+                minor = [[rows[r][c] for c in cs] for r in rs]
+                if _permutation_determinant_mod(minor, p):
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("p", [2, 7, 2147483659])
+def test_determinant_mod_matches_permutation_expansion(p):
+    rng = random.Random(23)
+    swaps = 0
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(40):
+            # Mostly zeros and units, so leading entries vanish and rows swap.
+            m = [[rng.choice((0, 0, 1, -1, rng.randint(-10 ** 12, 10 ** 12)))
+                  for _ in range(n)] for _ in range(n)]
+            swaps += m[0][0] % p == 0
+            assert linalg.determinant_mod(m, p) == _permutation_determinant_mod(m, p)
+    assert swaps > 20
+
+
+def test_determinant_mod_leaves_its_input_alone():
+    m = [[0, 1], [1, 0]]
+    assert linalg.determinant_mod(m, 7) == 6
+    assert m == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_independent_rows_mod_are_the_first_independent_rows(p):
+    rng = random.Random(29 + p)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 4)
+        rows = [[rng.choice((0, 0, 1, rng.randint(-20, 20)))
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, nrows), list(rows[0]))
+        chosen = linalg.independent_rows_mod(rows, p)
+        assert chosen == sorted(chosen)
+        assert _rank_mod([rows[i] for i in chosen], p) == len(chosen)
+        for i in range(len(rows)):
+            grows = _rank_mod(rows[:i + 1], p) > _rank_mod(rows[:i], p)
+            assert (i in chosen) == grows
