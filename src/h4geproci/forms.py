@@ -229,21 +229,23 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
     N alone, so it is the one the elimination of all rows gives.  A row
     that some basis vector does not kill (the rank dropped mod P) joins the
     chosen rows and the elimination runs again; each round raises the exact
-    rank of the chosen rows, so the loop ends.  The prime only picks rows
+    rank of the chosen rows, so the loop ends.  When no row is independent
+    mod P (no points, or every row lies in P), N_S is the whole space and
+    the same check applies.  The prime only picks rows
     and bounds the rank from below; it never turns a positive dimension
     into 0.
     """
     cols = monomials(degree, nvars)
     rows = [_evaluation_row(p, degree, nvars, cols) for p in points]
-    if not rows:
-        return [HomForm(nvars, degree, {cols[j]: ONE}) for j in range(len(cols))]
     images = [[(x + y * _PHI_ROOT) % _PRIME for x, y in primitive_numerators(row)]
               for row in rows]
     chosen = linalg.independent_rows_mod(images, _PRIME)
     if len(chosen) == len(cols):
         return []
     while True:
-        kernel = linalg.nullspace([rows[i] for i in chosen])
+        # With nothing chosen (no rows, or all rows zero mod P), start from
+        # the whole space: the nullspace of one zero row.
+        kernel = linalg.nullspace([rows[i] for i in chosen] or [[ZERO] * len(cols)])
         missed = next((i for vec in kernel
                        for i, x in enumerate(linalg.mat_vec(rows, vec))
                        if not x.is_zero()), None)

@@ -153,6 +153,20 @@ def test_rank_lost_modulo_the_prime_is_repaired(monkeypatch):
     assert basis == _reference_vanishing_space(pts, 1, 3)
 
 
+def test_no_row_independent_modulo_the_prime():
+    # Every row lies in P, so nothing is chosen; the exact rank is still 1.
+    pts = [(PHI - FieldElement(_PHI_ROOT), ZERO)]
+    basis = vanishing_space(pts, 1, 2)
+    assert basis == [HomForm.variable(1, 2)]
+    assert basis == _reference_vanishing_space(pts, 1, 2)
+    # The zero point imposes no condition, and neither does the empty set.
+    for pts in ([(ZERO, ZERO, ZERO)], [(ZERO, ZERO, ZERO), (ZERO, ZERO, ZERO)]):
+        assert vanishing_space(pts, 2, 3) == _reference_vanishing_space(pts, 2, 3)
+        assert len(vanishing_space(pts, 2, 3)) == 6
+    assert vanishing_space([], 2, 3) == [HomForm(3, 2, {e: ONE})
+                                         for e in monomials(2, 3)]
+
+
 def test_full_rank_modulo_the_prime_skips_exact_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", None)
     pts = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
