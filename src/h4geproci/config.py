@@ -15,8 +15,9 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple)
 
 from .field import ONE, PHI, PHI2, ZERO
+from .forms import HomForm, vanishing_space
 from .projective import (ProjLine, ProjPoint, ProjPlane, canonicalize,
-                         line_through)
+                         line_through, lines_meet)
 
 # Coordinate tokens: 0, 1, -1, f = phi, F = phi^2, with sign prefixes.
 _TOKENS = {
@@ -55,13 +56,6 @@ def _parse_points() -> List[ProjPoint]:
     return pts
 
 
-class PointSet(FrozenSet[int]):
-    """A set of configuration point indices (1..60)."""
-
-    def sorted(self) -> Tuple[int, ...]:
-        return tuple(sorted(self))
-
-
 @dataclass(frozen=True)
 class H4Configuration:
     """The full configuration: flats indexed 1-based, plus incidence maps.
@@ -70,8 +64,12 @@ class H4Configuration:
     sorted tuple of all configuration points on it, in lexicographic order:
     722 lines (450 with 2 points, 200 with 3, 72 with 5) whose point pairs
     cover each of the C(60, 2) = 1770 pairs exactly once.  Collinearity
-    questions about configuration points are lookups in this table.  It is
-    derived data and stays out of ``to_json()``.
+    questions about configuration points are lookups in this table.
+
+    ``meets`` maps each five-point line to the other lines it meets, and
+    ``grid_quadrics`` holds the unique quadrics through the points of grid 1
+    and grid 2.  Like ``secants``, they are derived data and stay out of
+    ``to_json()``.
     """
 
     points: Dict[int, ProjPoint]
@@ -84,6 +82,8 @@ class H4Configuration:
     line_planes: Dict[int, Tuple[int, ...]]
     plane_lines: Dict[int, Tuple[int, ...]]
     secants: Tuple[Tuple[int, ...], ...]
+    meets: Dict[int, FrozenSet[int]]
+    grid_quadrics: Tuple[HomForm, HomForm]
 
     def max_collinear(self, subset: Optional[Iterable[int]] = None) -> int:
         """Largest number of collinear points in a subset (default: all).
@@ -129,6 +129,15 @@ def collinear_groups(points: Sequence[ProjPoint]) -> Dict[Tuple, List[int]]:
                                               (1, 2), (1, 3), (2, 3))])
             groups.setdefault(pl, set()).update((i, j))
     return {k: sorted(v) for k, v in groups.items()}
+
+
+# The two (5,5)-grids and their external lines, by line index.
+GRID1_L = (1, 25, 32, 37, 44)
+GRID1_M = (2, 26, 31, 38, 43)
+GRID1_EXTERNAL_LINE = 24
+GRID2_L = (7, 51, 60, 65, 70)
+GRID2_M = (8, 54, 58, 63, 71)
+GRID2_EXTERNAL_LINE = 17
 
 
 def build_h4() -> H4Configuration:
@@ -177,8 +186,12 @@ def build_h4() -> H4Configuration:
     }
     for j, row in point_lines.items():
         assert len(row) == 6, f"point {j} lies on {len(row)} lines, not 6"
+    # A line lies in a plane exactly when two of its points do, and
+    # plane_points lists every configuration point of a plane, so a line
+    # lies in a plane exactly when its point set is in the plane's.
+    plane_sets = {v: set(row) for v, row in plane_points.items()}
     line_planes = {
-        i: tuple(v for v in planes if _line_in_plane(lines[i], planes[v]))
+        i: tuple(v for v in planes if plane_sets[v].issuperset(line_points[i]))
         for i in lines
     }
     for i, row in line_planes.items():
@@ -189,13 +202,28 @@ def build_h4() -> H4Configuration:
     for v, row in plane_lines.items():
         assert len(row) == 6, f"plane {v} contains {len(row)} lines, not 6"
 
+    # The meet relation.  Two lines through a common configuration point
+    # meet there; the Pluecker test decides every other pair.
+    meets = {i: set() for i in lines}
+    for i, j in combinations(lines, 2):
+        if not set(line_points[i]).isdisjoint(line_points[j]) \
+                or lines_meet(lines[i], lines[j]):
+            meets[i].add(j)
+            meets[j].add(i)
+
+    # The unique quadric through the 25 points of each printed grid.
+    grid_quadrics = []
+    for family in (GRID1_L, GRID2_L):
+        grid = sorted({j for i in family for j in line_points[i]})
+        basis = vanishing_space([points[j].coords for j in grid], 2, 4)
+        assert len(basis) == 1, \
+            f"grid of lines {family} lies on {len(basis)} quadrics, not 1"
+        grid_quadrics.append(basis[0])
+
     return H4Configuration(points, planes, lines, line_points, plane_points,
                            point_planes, point_lines, line_planes, plane_lines,
-                           secants)
-
-
-def _line_in_plane(line: ProjLine, plane: ProjPlane) -> bool:
-    return plane.contains(line.p) and plane.contains(line.q)
+                           secants, {i: frozenset(s) for i, s in meets.items()},
+                           tuple(grid_quadrics))
 
 
 def incidence_table_planes(cfg: H4Configuration) -> Dict[int, Tuple[int, ...]]:
@@ -235,15 +263,6 @@ def special_points_for_grid(
         if len(pairs) == 10 and len(covered) == 20:
             out.append((x, tuple(sorted(pairs))))
     return out
-
-
-# The two (5,5)-grids and their external lines, by line index.
-GRID1_L = (1, 25, 32, 37, 44)
-GRID1_M = (2, 26, 31, 38, 43)
-GRID1_EXTERNAL_LINE = 24
-GRID2_L = (7, 51, 60, 65, 70)
-GRID2_M = (8, 54, 58, 63, 71)
-GRID2_EXTERNAL_LINE = 17
 
 
 def grid_point_indices(cfg: H4Configuration, line_indices: Iterable[int]) -> Tuple[int, ...]:

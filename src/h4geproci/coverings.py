@@ -14,7 +14,6 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .config import H4Configuration
 from .geproci import GridCertificate, NotAGridError, verify_grid
-from .projective import lines_meet
 
 
 @dataclass(frozen=True)
@@ -79,23 +78,16 @@ def enumerate_coverings(cfg: H4Configuration) -> List[CoverCertificate]:
     return [CoverCertificate(c) for c in found]
 
 
-def enumerate_grids(cfg: H4Configuration, a: int = 5,
-                    b: int = 5) -> List[GridCertificate]:
+def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
     """All unordered (5,5)-grids among the 72 lines, each fully verified.
 
-    An L-family is a skew 5-clique; its partners must meet all five L-lines,
-    so cliques whose common-transversal pool drops below 5 are pruned early.
+    An L-family is a skew 5-clique of the stored meet relation ``cfg.meets``;
+    its partners must meet all five L-lines, so cliques whose
+    common-transversal pool drops below 5 are pruned early.
     The unordered pair {L, M} is reported once, with min(L) < min(M).
     """
-    if (a, b) != (5, 5):
-        raise ValueError("only (5,5)-grids are supported")
     idx = sorted(cfg.lines)
-    meets: Dict[int, Set[int]] = {i: set() for i in idx}
-    for ii, i in enumerate(idx):
-        for j in idx[ii + 1:]:
-            if lines_meet(cfg.lines[i], cfg.lines[j]):
-                meets[i].add(j)
-                meets[j].add(i)
+    meets = cfg.meets
 
     results: List[GridCertificate] = []
     seen: Set[Tuple[Tuple[int, ...], Tuple[int, ...]]] = set()
@@ -137,7 +129,7 @@ def enumerate_grids(cfg: H4Configuration, a: int = 5,
             clique.append(cand)
             extend(clique,
                    [r for r in rest[k + 1:] if r not in meets[cand]],
-                   trans & meets[cand] - {cand})
+                   trans & meets[cand])
             clique.pop()
 
     extend([], idx, set(idx))

@@ -65,10 +65,6 @@ class HomForm:
         return cls(n, 1, {tuple(1 if j == i else 0 for j in range(n)): c
                           for i, c in enumerate(coeffs)})
 
-    @classmethod
-    def variable(cls, i: int, nvars: int) -> "HomForm":
-        return cls(nvars, 1, {tuple(1 if j == i else 0 for j in range(nvars)): ONE})
-
     # -- basic algebra ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -117,16 +113,8 @@ class HomForm:
             raise ValueError("forms have different degrees")
 
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        if len(point) != self.nvars:
-            raise ValueError("point dimension does not match variable count")
-        total = ZERO
-        for e, c in self.coeffs.items():
-            term = c
-            for x, k in zip(point, e):
-                if k:
-                    term = term * x ** k
-            total = total + term
-        return total
+        values = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
+        return sum((c * v for c, v in zip(self.coeffs.values(), values)), ZERO)
 
     def vanishes_at(self, point: Sequence[FieldElement]) -> bool:
         return self.evaluate(point).is_zero()
@@ -140,19 +128,6 @@ class HomForm:
             e2[var] -= 1
             c[tuple(e2)] = v * e[var]
         return HomForm(self.nvars, max(self.degree - 1, 0), c)
-
-    def compose_linear(self, matrix: Sequence[Sequence[FieldElement]]) -> "HomForm":
-        """Substitute x_i -> sum_j matrix[i][j] * x_j (pullback along the map)."""
-        n = self.nvars
-        lin = [HomForm.linear(list(matrix[i])) for i in range(n)]
-        result = HomForm.zero(n, self.degree)
-        for e, c in self.coeffs.items():
-            term = HomForm(n, 0, {(0,) * n: c})
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * lin[i]
-            result = result + term
-        return result
 
     def monic(self) -> "HomForm":
         """Scale so the graded-lex leading coefficient equals 1."""
@@ -169,10 +144,6 @@ class HomForm:
         return HomForm(self.nvars, self.degree,
                        {e: FieldElement(x, y)
                         for e, (x, y) in zip(self.coeffs, pairs)})
-
-    def leading(self) -> Tuple[Exponents, FieldElement]:
-        e = max(self.coeffs)
-        return e, self.coeffs[e]
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -262,7 +233,7 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
 
 
 def _evaluation_row(point: Sequence[FieldElement], degree: int, nvars: int,
-                    cols: Sequence[Exponents]) -> List[FieldElement]:
+                    cols: Iterable[Exponents]) -> List[FieldElement]:
     """The monomials at a point, from a table of each coordinate's powers."""
     if len(point) != nvars:
         raise ValueError("point dimension does not match variable count")

@@ -20,8 +20,7 @@ from .field import FieldElement, ONE, ZERO
 from .forms import (HomForm, SmoothnessReport, divides, plane_curve_is_smooth,
                     vanishing_space)
 from .linalg import inverse, transpose
-from .projective import (ProjMatrix, ProjPoint, canonicalize,
-                         intersection_point, lines_meet, plane_through)
+from .projective import ProjMatrix, ProjPoint, canonicalize, plane_through
 
 PlaneCoords = Tuple[FieldElement, FieldElement, FieldElement]
 
@@ -51,10 +50,6 @@ class Projection:
     images: Dict[int, PlaneCoords]  # configuration point index -> image
     checklist: Dict[str, bool]
 
-    def image_of(self, p: ProjPoint) -> PlaneCoords:
-        moved = self.matrix.apply_point(p)
-        return canonicalize(moved.coords[:3])
-
     def push_plane_through_vertex(self, members: Sequence) -> HomForm:
         """Image of a plane through the vertex, as a linear form on P^2."""
         plane = plane_through(*members, self.vertex)
@@ -62,19 +57,6 @@ class Projection:
         if not moved.coords[3].is_zero():
             raise VerificationError("plane does not pass through the vertex")
         return HomForm.linear(list(moved.coords[:3]))
-
-
-def configuration_quadrics(cfg: H4Configuration) -> Tuple[HomForm, HomForm]:
-    """The two grid quadrics, interpolated from the 25-point grids."""
-    out = []
-    for lines in (cfgmod.GRID1_L, cfgmod.GRID2_L):
-        pts = [cfg.points[i].coords
-               for i in cfgmod.grid_point_indices(cfg, lines)]
-        basis = vanishing_space(pts, 2, 4)
-        if len(basis) != 1:
-            raise VerificationError("grid quadric is not unique")
-        out.append(basis[0])
-    return out[0], out[1]
 
 
 def sample_generic_vertex(cfg: H4Configuration, seed: int,
@@ -86,7 +68,7 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int,
     quadric, or if two configuration points project to the same image.
     """
     rng = random.Random(seed)
-    q1, q2 = configuration_quadrics(cfg)
+    q1, q2 = cfg.grid_quadrics
     for _ in range(budget):
         raw = [rng.randint(-100, 100) for _ in range(4)]
         if all(v == 0 for v in raw):
@@ -149,21 +131,23 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
     for fam_name, fam in (("L", l_lines), ("M", m_lines)):
         for i in range(5):
             for j in range(i + 1, 5):
-                if lines_meet(cfg.lines[fam[i]], cfg.lines[fam[j]]):
+                if fam[j] in cfg.meets[fam[i]]:
                     raise NotAGridError(
                         f"{fam_name}-lines {fam[i]} and {fam[j]} are not skew")
-    point_lookup = {p: i for i, p in cfg.points.items()}
+    # Two distinct lines share at most one point, and line_points lists every
+    # configuration point on a five-point line (these lines are maximal
+    # secants).  So l_i and m_j meet in a configuration point exactly when
+    # their point lists share a point, and that point is where they meet:
+    # the same pairs and points as a Pluecker meet test followed by a lookup
+    # of the intersection point among the configuration points.
     grid_points = set()
     for li in l_lines:
         for mj in m_lines:
-            if not lines_meet(cfg.lines[li], cfg.lines[mj]):
-                raise NotAGridError(f"lines {li} and {mj} do not meet")
-            pt = intersection_point(cfg.lines[li], cfg.lines[mj])
-            idx = point_lookup.get(pt)
-            if idx is None:
+            shared = set(cfg.line_points[li]).intersection(cfg.line_points[mj])
+            if not shared:
                 raise NotAGridError(
-                    f"lines {li} and {mj} meet outside the configuration")
-            grid_points.add(idx)
+                    f"lines {li} and {mj} do not meet in a configuration point")
+            grid_points |= shared
     if len(grid_points) != 25:
         raise NotAGridError(f"{len(grid_points)} intersection points, not 25")
     basis = vanishing_space([cfg.points[i].coords for i in sorted(grid_points)],
@@ -210,16 +194,6 @@ def _product_of_line_images(cfg: H4Configuration, proj: Projection,
     for i in line_indices:
         result = result * proj.push_plane_through_vertex([cfg.lines[i]])
     return result
-
-
-def pencil_base_points(cfg: H4Configuration, proj: Projection,
-                       grid: GridCertificate) -> Tuple[int, ...]:
-    """Configuration points whose images kill both pencil generators."""
-    g = _product_of_line_images(cfg, proj, grid.l_lines)
-    h = _product_of_line_images(cfg, proj, grid.m_lines)
-    return tuple(sorted(i for i in cfg.points
-                        if g.vanishes_at(proj.images[i])
-                        and h.vanishes_at(proj.images[i])))
 
 
 @dataclass(frozen=True)
@@ -394,8 +368,7 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
         raise ValueError("subset must be 'z1' or 'z2'")
     checks: Dict[str, bool] = {}
     checks["cover_pairwise_skew"] = all(
-        not lines_meet(cfg.lines[a], cfg.lines[b])
-        for i, a in enumerate(cover) for b in cover[i + 1:])
+        b not in cfg.meets[a] for i, a in enumerate(cover) for b in cover[i + 1:])
     covered = sorted({p for i in cover for p in cfg.line_points[i]})
     checks["cover_is_exact"] = tuple(covered) == tuple(points)
     if not (checks["cover_pairwise_skew"] and checks["cover_is_exact"]):

@@ -159,13 +159,6 @@ def mat_vec(matrix: Sequence[Sequence[FieldElement]],
     return [sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in matrix]
 
 
-def mat_mul(a: Sequence[Sequence[FieldElement]],
-            b: Sequence[Sequence[FieldElement]]) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), ZERO) for j in range(m)]
-            for i in range(n)]
-
-
 def transpose(matrix: Sequence[Sequence[FieldElement]]) -> Matrix:
     return [list(col) for col in zip(*matrix)]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from . import linalg
-from .field import FieldElement, ONE, ZERO, primitive_numerators
+from .field import FieldElement, ZERO, primitive_numerators
 
 
 class DegenerateSpanError(ValueError):
@@ -89,10 +89,6 @@ class ProjPlane(_Flat):
         return self.evaluate(p).is_zero()
 
 
-def point_on_plane(p: ProjPoint, v: ProjPlane) -> bool:
-    return v.contains(p)
-
-
 class ProjLine:
     """A line of P^3: canonical Pluecker coordinates plus two spanning points.
 
@@ -143,10 +139,6 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     return ProjLine(p, q)
 
 
-def point_on_line(p: ProjPoint, line: ProjLine) -> bool:
-    return line.contains(p)
-
-
 def pluecker_pairing(l1: ProjLine, l2: ProjLine) -> FieldElement:
     a, b = l1.pluecker, l2.pluecker
     return (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
@@ -158,24 +150,6 @@ def lines_meet(l1: ProjLine, l2: ProjLine) -> bool:
     if l1 == l2:
         raise ValueError("lines_meet expects two distinct lines")
     return pluecker_pairing(l1, l2).is_zero()
-
-
-def line_in_plane(line: ProjLine, v: ProjPlane) -> bool:
-    return v.contains(line.p) and v.contains(line.q)
-
-
-def intersection_point(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    """The unique common point of two distinct meeting lines."""
-    if l1 == l2:
-        raise ValueError("lines are identical")
-    cols = [l1.p.coords, l1.q.coords, l2.p.coords, l2.q.coords]
-    m = [[cols[c][r] for c in range(4)] for r in range(4)]
-    kernel = linalg.nullspace(m)
-    if len(kernel) != 1:
-        raise ValueError("lines are skew")
-    alpha, beta = kernel[0][0], kernel[0][1]
-    pt = [alpha * l1.p.coords[i] + beta * l1.q.coords[i] for i in range(4)]
-    return ProjPoint(pt)
 
 
 def plane_through(*members) -> ProjPlane:
@@ -213,10 +187,6 @@ class ProjMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ProjMatrix is immutable")
 
-    @classmethod
-    def identity(cls) -> "ProjMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(4)] for i in range(4)])
-
     def inverse(self) -> "ProjMatrix":
         if self._inv is None:
             object.__setattr__(self, "_inv",
@@ -230,6 +200,3 @@ class ProjMatrix:
         # Planes transform by the inverse transpose so incidence is preserved.
         inv_t = linalg.transpose([list(r) for r in self.inverse().rows])
         return ProjPlane(linalg.mat_vec(inv_t, v.coords))
-
-    def apply_line(self, line: ProjLine) -> ProjLine:
-        return ProjLine(self.apply_point(line.p), self.apply_point(line.q))

@@ -10,7 +10,9 @@ from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M,
                               collinear_groups, grid_point_indices,
                               incidence_table_lines, incidence_table_planes,
                               special_points_for_grid, z_partition)
-from h4geproci.projective import line_through, lines_meet, point_on_line
+from h4geproci.field import FieldElement, ONE, PHI
+from h4geproci.forms import HomForm
+from h4geproci.projective import line_through, lines_meet
 
 
 def test_sixty_distinct_points_and_dual_planes(cfg):
@@ -80,7 +82,41 @@ def test_lines_lie_on_their_listed_points(cfg):
     for i, members in cfg.line_points.items():
         line = cfg.lines[i]
         for j in members:
-            assert point_on_line(cfg.points[j], line)
+            assert line.contains(cfg.points[j])
+
+
+def test_meet_relation_matches_the_pluecker_test(cfg):
+    """The stored relation against an exact test on all 2556 pairs.
+
+    It also equals "shares a point in line_points": no two of the 72 lines
+    meet outside the configuration.
+    """
+    pairs = list(combinations(sorted(cfg.lines), 2))
+    assert len(pairs) == 2556
+    for a, b in pairs:
+        meet = lines_meet(cfg.lines[a], cfg.lines[b])
+        assert (b in cfg.meets[a]) == (a in cfg.meets[b]) == meet
+        assert meet == bool(set(cfg.line_points[a]) & set(cfg.line_points[b]))
+    assert all(i not in cfg.meets[i] for i in cfg.lines)
+    assert set(cfg.meets) == set(cfg.lines)
+
+
+def test_line_planes_match_exact_containment(cfg):
+    for i, line in cfg.lines.items():
+        for v, plane in cfg.planes.items():
+            inside = plane.contains(line.p) and plane.contains(line.q)
+            assert (v in cfg.line_planes[i]) == inside
+
+
+def test_grid_quadrics_match_printed_equations(cfg):
+    # The equations of criterion 4, scaled so the leading coefficient is 1.
+    q1 = HomForm(4, 2, {
+        (1, 1, 0, 0): FieldElement(2), (0, 2, 0, 0): -ONE,
+        (0, 0, 2, 0): PHI - ONE, (0, 0, 0, 2): -PHI}).monic()
+    q2 = HomForm(4, 2, {
+        (2, 0, 0, 0): ONE, (1, 1, 0, 0): FieldElement(2),
+        (0, 0, 2, 0): PHI, (0, 0, 0, 2): ONE - PHI}).monic()
+    assert cfg.grid_quadrics == (q1, q2)
 
 
 def test_z_partition_matches_printed_halves(cfg):
@@ -133,8 +169,8 @@ def test_special_points_of_grid2(cfg):
         covered = {i for pair in pairing for i in pair}
         assert len(covered) == 20 and covered <= set(grid)
         for a, b in pairing:  # rank test, independent of the secant table
-            assert point_on_line(cfg.points[b],
-                                 line_through(cfg.points[x], cfg.points[a]))
+            assert line_through(cfg.points[x],
+                                cfg.points[a]).contains(cfg.points[b])
 
 
 def test_special_point_4_has_the_printed_pairing(cfg):

@@ -100,8 +100,3 @@ def test_grid_pairs_are_unordered_and_distinct(grids):
     assert len(keys) == len(grids)
     for g in grids:
         assert min(g.l_lines) < min(g.m_lines)
-
-
-def test_grid_enumeration_rejects_other_sizes(cfg):
-    with pytest.raises(ValueError):
-        enumerate_grids(cfg, 4, 5)

@@ -24,6 +24,24 @@ def _random_form(rng, nvars, degree, density=0.7) -> HomForm:
     return HomForm(nvars, degree, coeffs)
 
 
+def _var(i, nvars) -> HomForm:
+    return HomForm.linear([ONE if j == i else ZERO for j in range(nvars)])
+
+
+def _compose_linear(f: HomForm, matrix) -> HomForm:
+    """Substitute x_i -> sum_j matrix[i][j] * x_j in f."""
+    n = f.nvars
+    lin = [HomForm.linear(list(row)) for row in matrix]
+    result = HomForm.zero(n, f.degree)
+    for e, c in f.coeffs.items():
+        term = HomForm(n, 0, {(0,) * n: c})
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = term * lin[i]
+        result = result + term
+    return result
+
+
 def _random_proj_tuple(rng, n):
     while True:
         t = tuple(FieldElement(rng.randint(-9, 9)) for _ in range(n))
@@ -45,6 +63,22 @@ def test_product_evaluates_to_product():
         g = _random_form(rng, 3, rng.randint(1, 3))
         pt = _random_proj_tuple(rng, 3)
         assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+
+
+def test_evaluate_matches_term_by_term_powers():
+    rng = random.Random(57)
+    pt = (PHI, FieldElement(Fraction(-2, 3), 1), ZERO)
+    for degree in range(6):
+        f = _random_form(rng, 3, degree)
+        expected = ZERO
+        for e, c in f.coeffs.items():
+            for x, k in zip(pt, e):
+                c = c * x ** k
+            expected = expected + c
+        assert f.evaluate(pt) == expected
+    assert HomForm.zero(3, 2).evaluate(pt) == ZERO
+    with pytest.raises(ValueError):
+        _var(0, 3).evaluate(pt[:2])
 
 
 def test_partial_derivatives_satisfy_euler_relation():
@@ -147,7 +181,7 @@ def test_rank_lost_modulo_the_prime_is_repaired(monkeypatch):
     calls.clear()
     pts = [(ONE, ZERO, ZERO), (ONE, PHI - FieldElement(_PHI_ROOT), ZERO)]
     basis = vanishing_space(pts, 1, 3)
-    assert basis == [HomForm.variable(2, 3)]
+    assert basis == [_var(2, 3)]
     assert calls == [1, 2]
     monkeypatch.undo()
     assert basis == _reference_vanishing_space(pts, 1, 3)
@@ -157,7 +191,7 @@ def test_no_row_independent_modulo_the_prime():
     # Every row lies in P, so nothing is chosen; the exact rank is still 1.
     pts = [(PHI - FieldElement(_PHI_ROOT), ZERO)]
     basis = vanishing_space(pts, 1, 2)
-    assert basis == [HomForm.variable(1, 2)]
+    assert basis == [_var(1, 2)]
     assert basis == _reference_vanishing_space(pts, 1, 2)
     # The zero point imposes no condition, and neither does the empty set.
     for pts in ([(ZERO, ZERO, ZERO)], [(ZERO, ZERO, ZERO), (ZERO, ZERO, ZERO)]):
@@ -184,7 +218,7 @@ def test_divisibility_roundtrip():
         assert divides(f, prod)
         q = try_quotient(f, prod)
         assert q == g
-    x, y = HomForm.variable(0, 3), HomForm.variable(1, 3)
+    x, y = _var(0, 3), _var(1, 3)
     assert not divides(x, y)
     assert try_quotient(x + y, x * x) is None
 
@@ -203,7 +237,7 @@ def test_gcd_of_products_recovers_common_factor():
 
 
 def test_gcd_normalization_and_edge_cases():
-    x, y = HomForm.variable(0, 2), HomForm.variable(1, 2)
+    x, y = _var(0, 2), _var(1, 2)
     g = gcd_forms(x * x * y, x * y * y)
     assert g == (x * y).monic()
     assert gcd_forms(HomForm.zero(2, 3), x) == x.monic()
@@ -266,7 +300,7 @@ def test_fermat_cubic_is_smooth():
 
 
 def test_double_line_is_singular():
-    x = HomForm.variable(0, 3)
+    x = _var(0, 3)
     report = plane_curve_is_smooth(x * x)
     assert not report.smooth
 
@@ -339,7 +373,7 @@ def test_compose_linear_matches_substitution():
     pt = _random_proj_tuple(rng, 3)
     mapped = tuple(sum((m[i][j] * pt[j] for j in range(3)), ZERO)
                    for i in range(3))
-    assert f.compose_linear(m).evaluate(pt) == f.evaluate(mapped)
+    assert _compose_linear(f, m).evaluate(pt) == f.evaluate(mapped)
 
 
 def test_integral_scaling_preserves_the_projective_form():

@@ -55,7 +55,7 @@ def test_grid2_quadric_matches_printed_equation(cfg):
 
 
 def test_configuration_quadrics_agree_with_grid_certificates(cfg, grid1):
-    q1, q2 = geproci.configuration_quadrics(cfg)
+    q1, q2 = cfg.grid_quadrics
     assert q1 == grid1.quadric
     assert q2 == geproci.verify_grid(cfg, GRID2_L, GRID2_M).quadric
 
@@ -72,11 +72,29 @@ def test_non_grid_inputs_are_rejected(cfg):
         geproci.verify_grid(cfg, (1, 2, 3, 4, 5), GRID1_M)  # not skew
     with pytest.raises(geproci.NotAGridError):
         geproci.verify_grid(cfg, GRID1_L[:4] + (GRID1_L[0],), GRID1_M)
+    # Skew families from different grids: lines 1 and 8 share no point.
+    with pytest.raises(geproci.NotAGridError,
+                       match="lines 1 and 8 do not meet in a configuration"):
+        geproci.verify_grid(cfg, GRID1_L, GRID2_M)
+
+
+def _product_of_plane_images(cfg, projection, lines) -> HomForm:
+    """The product of the images of the planes spanned by the vertex and each line."""
+    forms = [projection.push_plane_through_vertex([cfg.lines[i]]) for i in lines]
+    product = forms[0]
+    for f in forms[1:]:
+        product = product * f
+    return product
 
 
 def test_pencil_base_points_are_exactly_the_grid(cfg, projection, grid1):
-    assert geproci.pencil_base_points(cfg, projection, grid1) == \
-        grid1.grid_points
+    """The points whose images kill both pencil generators are the grid."""
+    g = _product_of_plane_images(cfg, projection, grid1.l_lines)
+    h = _product_of_plane_images(cfg, projection, grid1.m_lines)
+    base = tuple(i for i in sorted(cfg.points)
+                 if g.vanishes_at(projection.images[i])
+                 and h.vanishes_at(projection.images[i]))
+    assert base == grid1.grid_points
 
 
 def test_quintic_cone_vanishes_on_its_half(cfg, projection, grid1):

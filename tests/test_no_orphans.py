@@ -1,0 +1,37 @@
+"""Every function and class in the package is used by the package itself.
+
+A definition that only tests call is capability the program does not have;
+the test keeps such helpers in the test modules instead.  A name counts as
+used when it appears in package code as a name, an attribute or an imported
+name; dunder methods are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "h4geproci"
+
+# FieldElement.conjugate and .norm: test_field.py checks the Galois structure
+# through them.
+ALLOWED = {"conjugate", "norm"}
+
+
+def test_no_function_or_class_is_used_only_by_tests():
+    defined = {}
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if not (node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    orphans = {name: where for name, where in defined.items()
+               if name not in used and name not in ALLOWED}
+    assert not orphans, f"defined but never used in src/: {orphans}"

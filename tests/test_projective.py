@@ -5,13 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from h4geproci import linalg
 from h4geproci.field import FieldElement, ONE, PHI, ZERO
 from h4geproci.projective import (DegenerateSpanError, ProjLine, ProjMatrix,
-                                  ProjPoint, canonicalize,
-                                  intersection_point, line_in_plane,
-                                  line_through, lines_meet, plane_through,
-                                  pluecker_pairing, point_on_line,
-                                  point_on_plane)
+                                  ProjPoint, canonicalize, line_through,
+                                  lines_meet, plane_through, pluecker_pairing)
 
 
 def _random_point(rng) -> ProjPoint:
@@ -30,6 +28,17 @@ def _random_proj_matrix(rng) -> ProjMatrix:
             return ProjMatrix(rows)
         except ZeroDivisionError:
             continue
+
+
+def _intersection_point(l1: ProjLine, l2: ProjLine) -> ProjPoint:
+    """The common point of two distinct lines, from the kernel of their spans."""
+    cols = [l1.p.coords, l1.q.coords, l2.p.coords, l2.q.coords]
+    kernel = linalg.nullspace([[cols[c][r] for c in range(4)] for r in range(4)])
+    if len(kernel) != 1:
+        raise ValueError("lines are skew")
+    alpha, beta = kernel[0][0], kernel[0][1]
+    return ProjPoint([alpha * l1.p.coords[i] + beta * l1.q.coords[i]
+                      for i in range(4)])
 
 
 def test_canonicalize_is_idempotent_and_scale_invariant():
@@ -79,10 +88,10 @@ def test_line_contains_its_spanning_points_and_combinations():
         if p == q:
             continue
         line = line_through(p, q)
-        assert point_on_line(p, line) and point_on_line(q, line)
+        assert line.contains(p) and line.contains(q)
         mix = ProjPoint([p.coords[i] * FieldElement(2, 1) + q.coords[i]
                          for i in range(4)])
-        assert point_on_line(mix, line)
+        assert line.contains(mix)
         assert line_through(q, mix) == line
 
 
@@ -108,7 +117,7 @@ def test_meeting_lines_share_their_intersection_point():
         if l1 == l2:
             continue
         assert lines_meet(l1, l2)
-        x = intersection_point(l1, l2)
+        x = _intersection_point(l1, l2)
         assert x == a
         found += 1
 
@@ -119,7 +128,7 @@ def test_skew_lines_report_nonzero_pairing():
     assert not lines_meet(l1, l2)
     assert not pluecker_pairing(l1, l2).is_zero()
     with pytest.raises(ValueError):
-        intersection_point(l1, l2)
+        _intersection_point(l1, l2)
 
 
 def test_plane_through_three_points_contains_them():
@@ -132,7 +141,7 @@ def test_plane_through_three_points_contains_them():
         except DegenerateSpanError:
             continue
         for p in pts:
-            assert point_on_plane(p, v)
+            assert v.contains(p)
         done += 1
 
 
@@ -144,15 +153,16 @@ def test_incidence_invariance_under_coordinate_changes():
     line = line_through(p, q)
     plane = plane_through(p, q, r)
     off_plane = ProjPoint.of(1, 0, 0, 0)
-    assert not point_on_plane(off_plane, plane)
+    assert not plane.contains(off_plane)
     for _ in range(100):
         m = _random_proj_matrix(rng)
         mp, mq, mr = m.apply_point(p), m.apply_point(q), m.apply_point(r)
-        mline, mplane = m.apply_line(line), m.apply_plane(plane)
-        assert point_on_line(mp, mline) and point_on_line(mq, mline)
-        assert all(point_on_plane(x, mplane) for x in (mp, mq, mr))
-        assert line_in_plane(mline, mplane)
-        assert not point_on_plane(m.apply_point(off_plane), mplane)
+        mline = ProjLine(m.apply_point(line.p), m.apply_point(line.q))
+        mplane = m.apply_plane(plane)
+        assert mline.contains(mp) and mline.contains(mq)
+        assert all(mplane.contains(x) for x in (mp, mq, mr))
+        assert mplane.contains(mline.p) and mplane.contains(mline.q)
+        assert not mplane.contains(m.apply_point(off_plane))
 
 
 def test_matrix_inverse_undoes_the_action():
