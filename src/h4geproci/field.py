@@ -6,8 +6,9 @@ normalized, d > 0 and gcd(x, y, d) = 1, so equal elements have equal triples
 and the type is hashable.  All operations are integer formulas and exact;
 nothing ever rounds.  `fractions.Fraction` appears only at the edges: the
 constructor, the `a`/`b` components, `norm()`, the hash of rational elements
-and JSON parsing.  This module is the only one that knows the representation;
-others clear denominators through `primitive_numerators`.
+and JSON parsing.  This module is the only one that knows the triple; others
+clear denominators through `primitive_numerators` and read the Z[phi] pairs
+(x, y) it returns, as `linalg` does for exact elimination.
 """
 
 from __future__ import annotations
@@ -199,8 +200,8 @@ def _divide(u: FieldElement, w: FieldElement) -> FieldElement:
     """u / w in one step: u * conj(w) * d_w / (d_u * N(w)).
 
     With u and w in Z[phi] (d = 1) the quotient is the integer triple
-    (u * conj(w), N(w)) reduced by its gcd, so an exact quotient, such as
-    Bareiss division by the previous pivot, comes out with d = 1.
+    (u * conj(w), N(w)) reduced by its gcd, so an exact quotient comes out
+    with d = 1.
     """
     x1, y1, d1 = u._v
     x2, y2, d2 = w._v

@@ -76,7 +76,9 @@ class HomForm:
                 and (self.degree == other.degree or self.is_zero() and other.is_zero()))
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.degree, frozenset(self.coeffs.items())))
+        # The exponents fix the degree of a nonzero form, and zero forms of
+        # all degrees are equal, so the degree itself is not hashed.
+        return hash((self.nvars, frozenset(self.coeffs.items())))
 
     def __add__(self, other: "HomForm") -> "HomForm":
         self._check_compatible(other, same_degree=True)
@@ -189,37 +191,37 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
     of `_PRIME` and `_PHI_ROOT`.
 
     Soundness.  Scaling a row by a nonzero rational leaves the nullspace
-    alone, so each row is scaled into Z[phi] and sent to F_p by the ring map
-    x + y*phi -> x + y*r.  A nonzero minor mod P is a nonzero minor over
-    Q(phi), so the first rows independent mod P (`linalg.independent_rows_mod`)
-    are independent over Q(phi), and the exact rank is at least their count;
-    when that count is the number of monomials, the space is 0 and nothing
-    is eliminated exactly.  Otherwise let N_S be the exact nullspace of the
-    chosen rows and N that of all rows.  N_S contains N, and when every
-    basis vector of N_S kills every row, N_S = N; the basis above depends on
-    N alone, so it is the one the elimination of all rows gives.  A row
-    that some basis vector does not kill (the rank dropped mod P) joins the
-    chosen rows and the elimination runs again; each round raises the exact
-    rank of the chosen rows, so the loop ends.  When no row is independent
-    mod P (no points, or every row lies in P), N_S is the whole space and
-    the same check applies.  The prime only picks rows
-    and bounds the rank from below; it never turns a positive dimension
-    into 0.
+    alone, so each row is scaled into Z[phi] once, and those numerators are
+    sent to F_p by the ring map x + y*phi -> x + y*r.  A nonzero minor mod P
+    is a nonzero minor over Q(phi), so the first rows independent mod P
+    (`linalg.independent_rows_mod`) are independent over Q(phi), and the
+    exact rank is at least their count; when that count is the number of
+    monomials, the space is 0 and nothing is eliminated exactly.  Otherwise
+    let N_S be the exact nullspace of the chosen rows and N that of all
+    rows.  N_S contains N, and when every basis vector of N_S kills every
+    row (an exact dot product in Z[phi] with the scaled row,
+    `linalg.first_missed_row`), N_S = N; the basis above depends on N alone,
+    so it is the one the elimination of all rows gives.  A row that some
+    basis vector does not kill (the rank dropped mod P) joins the chosen
+    rows and the elimination runs again; each round raises the exact rank of
+    the chosen rows, so the loop ends.  When no row is independent mod P (no
+    points, or every row lies in P), N_S is the whole space and the same
+    check applies.  The prime only picks rows and bounds the rank from
+    below; it never turns a positive dimension into 0.
     """
     cols = monomials(degree, nvars)
-    rows = [_evaluation_row(p, degree, nvars, cols) for p in points]
-    images = [[(x + y * _PHI_ROOT) % _PRIME for x, y in primitive_numerators(row)]
-              for row in rows]
+    rows = [primitive_numerators(_evaluation_row(p, degree, nvars, cols))
+            for p in points]
+    images = [[(x + y * _PHI_ROOT) % _PRIME for x, y in row] for row in rows]
     chosen = linalg.independent_rows_mod(images, _PRIME)
     if len(chosen) == len(cols):
         return []
     while True:
         # With nothing chosen (no rows, or all rows zero mod P), start from
         # the whole space: the nullspace of one zero row.
-        kernel = linalg.nullspace([rows[i] for i in chosen] or [[ZERO] * len(cols)])
-        missed = next((i for vec in kernel
-                       for i, x in enumerate(linalg.mat_vec(rows, vec))
-                       if not x.is_zero()), None)
+        kernel = linalg.nullspace([[FieldElement(x, y) for x, y in rows[i]]
+                                   for i in chosen] or [[ZERO] * len(cols)])
+        missed = linalg.first_missed_row(rows, kernel)
         if missed is None:
             break
         chosen.append(missed)

@@ -253,10 +253,10 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     The dimension table lists dim_d, the dimension of the degree-d forms
     vanishing at the 60 images, for d = 1..6.  Degree 6 is interpolated,
     then each lower degree in turn while the dimension stays above zero; on
-    the configuration that is d = 6 and d = 5 only.  The table is exact: if a nonzero degree-(d-1) form vanishes at the
-    images, its product with any linear form is a nonzero degree-d form
-    vanishing there, so dim_d = 0 forces dim_{d-1} = 0 and every lower
-    dimension to be zero as well.
+    the configuration that is d = 6 and d = 5 only.  The table is exact: if
+    a nonzero degree-(d-1) form vanishes at the images, its product with any
+    linear form is a nonzero degree-d form vanishing there, so dim_d = 0
+    forces dim_{d-1} = 0 and every lower dimension to be zero as well.
     """
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in sorted(cfg.points)]

@@ -1,9 +1,15 @@
 """Exact linear algebra over Q(phi), and one elimination kernel over F_p.
 
-Matrices are lists of lists of FieldElement.  Forward elimination follows the
-Bareiss scheme (two-by-two minors divided by the previous pivot), which keeps
-entries in Z[phi] whenever the input rows are in Z[phi]; the division is exact
-in any integral domain, and in a field it is exact trivially.
+Matrices are lists of lists of FieldElement.  The exact kernel, `_eliminate`,
+first scales each row by a positive rational to coprime Z[phi] numerators
+(`field.primitive_numerators`) and then runs Bareiss forward elimination on
+the integer pairs (x, y) that stand for x + y*phi, with phi**2 = phi + 1.
+Each update is a two-by-two minor divided by the previous pivot w, computed
+as the minor times conj(w) floor-divided by the integer N(w) = w*conj(w) in
+each component; that division is exact (the argument is at `_eliminate`).
+Results become FieldElements only on output.  Scaling a row by a nonzero
+rational leaves the rank, the pivot columns and the nullspace unchanged;
+`determinant` divides the row scales out again.
 
 Over F_p, matrices are lists of lists of ints; `_eliminate_mod` reduces them
 one row at a time, and the modular determinant and row selection both read it.
@@ -11,51 +17,73 @@ one row at a time, and the modular determinant and row selection both read it.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .field import FieldElement, ONE, ZERO
+from .field import FieldElement, ONE, ZERO, primitive_numerators
 
 Matrix = List[List[FieldElement]]
+Pair = Tuple[int, int]  # x + y*phi in Z[phi]
 
 
-def _eliminate(
-        matrix: Sequence[Sequence[FieldElement]]) -> Tuple[Matrix, List[int], int]:
-    """Bareiss forward elimination: (echelon matrix, pivot columns, swap sign).
+def _eliminate(rows: List[List[Pair]]) -> Tuple[List[List[Pair]], List[int], int]:
+    """Bareiss forward elimination of Z[phi] rows, in place.
 
-    The sign is -1 when an odd number of row swaps was made, else 1.
+    Returns (echelon rows, pivot columns, swap sign); the sign is -1 when an
+    odd number of row swaps was made, else 1.
+
+    Exactness.  After the step on the k-th pivot, the entry of a lower row
+    in a later column is the (k+1)-minor of the input on the k pivot rows
+    and that row, and the k pivot columns and that column (Sylvester's
+    identity), so it lies in Z[phi].  The update num = p*a - f*b therefore
+    equals q*prev with q in Z[phi], so num*conj(prev) = q*N(prev) and both
+    of its integer components are multiples of N(prev), a nonzero integer:
+    the floor divisions are exact.
     """
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
     pivots: List[int] = []
-    prev = ONE
+    cx, cy, n = 1, 0, 1  # conj(prev) and N(prev); prev = 1 at the start
     sign = 1
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != (0, 0)), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             sign = -sign
-        p = m[r][c]
+        top = rows[r]
+        px, py = top[c]
         for i in range(r + 1, nrows):
-            factor = m[i][c]
+            row = rows[i]
+            fx, fy = row[c]
             for j in range(c + 1, ncols):
-                m[i][j] = (p * m[i][j] - factor * m[r][j]) / prev
-            m[i][c] = ZERO
-        prev = p
+                ax, ay = row[j]
+                bx, by = top[j]
+                # num = p*a - f*b, then (num * conj(prev)) // N(prev).
+                s, t = py * ay, fy * by
+                nx = px * ax + s - fx * bx - t
+                ny = px * ay + ax * py + s - fx * by - bx * fy - t
+                s = ny * cy
+                row[j] = ((nx * cx + s) // n, (nx * cy + cx * ny + s) // n)
+            row[c] = (0, 0)
+        cx, cy, n = px + py, -py, px * px + px * py - py * py
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots, sign
+    return rows, pivots, sign
 
 
 def row_echelon(matrix: Sequence[Sequence[FieldElement]]) -> Tuple[Matrix, List[int]]:
-    """Fraction-free row echelon form.  Returns (echelon matrix, pivot columns)."""
-    m, pivots, _ = _eliminate(matrix)
-    return m, pivots
+    """Fraction-free row echelon form.  Returns (echelon matrix, pivot columns).
+
+    The elimination runs on the rows scaled to coprime Z[phi] numerators,
+    so the entries lie in Z[phi], and each echelon row is a nonzero multiple
+    of the one the unscaled rows give.
+    """
+    m, pivots, _ = _eliminate([primitive_numerators(row) for row in matrix])
+    return [[FieldElement(x, y) for x, y in row] for row in m], pivots
 
 
 def rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
@@ -90,14 +118,47 @@ def nullspace(matrix: Sequence[Sequence[FieldElement]]) -> List[List[FieldElemen
 
 
 def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
-    """The bottom-right Bareiss entry, signed by the row swaps.
+    """The bottom-right Bareiss entry, signed by the row swaps, over the row scales.
 
-    It is the last pivot when the matrix is regular; otherwise the rows below
-    the rank are zero, so it is zero.
+    The entry is the determinant of the scaled rows: it is the last pivot
+    when the matrix is regular; otherwise the rows below the rank are zero,
+    so it is zero.  Row i was scaled by the positive rational s_i, so the
+    determinant of the input is that entry divided by the product of the s_i.
     """
-    m, _, sign = _eliminate(matrix)
-    d = m[-1][-1]
+    rows = [primitive_numerators(row) for row in matrix]
+    scale = ONE
+    for row, scaled in zip(matrix, rows):
+        j = next((j for j, e in enumerate(row) if not e.is_zero()), None)
+        if j is None:
+            return ZERO
+        scale = scale * (FieldElement(*scaled[j]) / row[j])
+    m, _, sign = _eliminate(rows)
+    d = FieldElement(*m[-1][-1]) / scale
     return d if sign > 0 else -d
+
+
+def first_missed_row(rows: Sequence[Sequence[Pair]],
+                     vectors: Sequence[Sequence[FieldElement]]) -> Optional[int]:
+    """The first row, for the first vector, that the vector does not kill.
+
+    Rows are Z[phi] pairs; each vector is scaled to its coprime Z[phi]
+    numerators, which kill the same rows, and the products are integer dot
+    products in Z[phi].  Returns None when every vector kills every row.
+    """
+    for vec in vectors:
+        terms = [(j, x, y) for j, (x, y) in enumerate(primitive_numerators(vec))
+                 if x or y]
+        for i, row in enumerate(rows):
+            # sum of (a + b phi)(x + y phi) = ax + by + (ay + bx + by) phi.
+            sx = sy = 0
+            for j, x, y in terms:
+                a, b = row[j]
+                t = b * y
+                sx += a * x + t
+                sy += a * y + b * x + t
+            if sx or sy:
+                return i
+    return None
 
 
 def _eliminate_mod(rows: Sequence[Sequence[int]], p: int) -> List[Tuple[int, int, int]]:

@@ -14,6 +14,7 @@ from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              try_quotient, vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _gcd_mod,
                              _split_primes, _PHI_ROOT, _PRIME)
+from test_linalg import reference_nullspace
 
 
 def _random_form(rng, nvars, degree, density=0.7) -> HomForm:
@@ -107,7 +108,11 @@ def test_vanishing_space_dimension_without_points():
 
 
 def _reference_vanishing_space(points, degree, nvars):
-    """Exact nullspace of every evaluation row, with x ** k per monomial."""
+    """Exact nullspace of every evaluation row, with x ** k per monomial.
+
+    The nullspace comes from the FieldElement Bareiss reference of
+    test_linalg.py, not from the kernel `vanishing_space` runs on.
+    """
     cols = monomials(degree, nvars)
     rows = []
     for p in points:
@@ -119,7 +124,7 @@ def _reference_vanishing_space(points, degree, nvars):
             row.append(term)
         rows.append(row)
     basis = []
-    for vec in linalg.nullspace(rows):
+    for vec in reference_nullspace(rows):
         lead = next(c for c in vec if not c.is_zero())
         basis.append(HomForm(nvars, degree,
                              {e: c / lead for e, c in zip(cols, vec)}))
@@ -364,6 +369,19 @@ def test_form_json_roundtrip():
     rng = random.Random(71)
     f = _random_form(rng, 3, 4)
     assert HomForm.from_json(f.to_json()) == f
+
+
+def test_equal_forms_hash_alike():
+    # Zero forms of different degrees are equal, so they must hash alike.
+    assert HomForm.zero(3, 5) == HomForm.zero(3, 2)
+    assert HomForm.zero(3, 5) in {HomForm.zero(3, 2)}
+    assert HomForm.zero(3, 2) not in {HomForm.zero(4, 2)}
+    rng = random.Random(79)
+    f = _random_form(rng, 3, 4)
+    g = HomForm.from_json(f.to_json())
+    assert g in {f} and hash(g) == hash(f)
+    assert f not in {f.scale(FieldElement(2))}
+    assert _var(0, 3) not in {_var(0, 3) * _var(0, 3)}
 
 
 def test_compose_linear_matches_substitution():

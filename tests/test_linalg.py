@@ -2,17 +2,30 @@
 the elimination kernel over F_p."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
 from h4geproci import linalg
-from h4geproci.field import FieldElement, ONE, ZERO
+from h4geproci.field import FieldElement, ONE, ZERO, primitive_numerators
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[FieldElement(rng.randint(lo, hi), rng.randint(lo, hi))
              for _ in range(cols)] for _ in range(rows)]
+
+
+def _rational_matrix(rng, rows, cols):
+    """Entries (p/q) + (r/s) phi with small denominators."""
+    return [[FieldElement(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                          Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _even_rows(m, k=FieldElement(6, 2)):
+    """Each row times k, so every row has integer content > 1."""
+    return [[x * k for x in row] for row in m]
 
 
 def _mat_mul(a, b):
@@ -44,6 +57,18 @@ def test_determinant_matches_permutation_expansion():
             for _ in range(30):
                 m = _random_matrix(rng, n, n, lo, hi)
                 assert linalg.determinant(m) == _permutation_determinant(m)
+                even = _even_rows(m)
+                assert linalg.determinant(even) == _permutation_determinant(even)
+    # Rows scaled by different rationals, and Q(phi) denominators.
+    rng = random.Random(4)
+    for n in (1, 2, 3, 4):
+        for _ in range(20):
+            m = _random_matrix(rng, n, n)
+            m = [[x * FieldElement(Fraction(2 * i + 2, 3)) for x in row]
+                 for i, row in enumerate(m)]
+            assert linalg.determinant(m) == _permutation_determinant(m)
+            m = _rational_matrix(rng, n, n)
+            assert linalg.determinant(m) == _permutation_determinant(m)
 
 
 def test_bareiss_keeps_integer_entries_integral():
@@ -54,6 +79,133 @@ def test_bareiss_keeps_integer_entries_integral():
         for row in echelon:
             for x in row:
                 assert x.a.denominator == 1 and x.b.denominator == 1
+
+
+def _reference_eliminate(matrix):
+    """Bareiss elimination in FieldElement arithmetic, on the unscaled rows.
+
+    An independent reference for `linalg`'s kernel on Z[phi] pairs: returns
+    (echelon matrix, pivot columns, swap sign).
+    """
+    m = [list(row) for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    prev = ONE
+    sign = 1
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        p = m[r][c]
+        for i in range(r + 1, nrows):
+            factor = m[i][c]
+            for j in range(c + 1, ncols):
+                m[i][j] = (p * m[i][j] - factor * m[r][j]) / prev
+            m[i][c] = ZERO
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots, sign
+
+
+def reference_nullspace(matrix):
+    """The nullspace basis of `linalg.nullspace`, from `_reference_eliminate`."""
+    ncols = len(matrix[0]) if matrix else 0
+    if not matrix:
+        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)]
+    echelon, pivots, _ = _reference_eliminate(matrix)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            s = sum((echelon[r][j] * v[j] for j in range(pc + 1, ncols)), ZERO)
+            v[pc] = -s / echelon[r][pc]
+        basis.append(v)
+    return basis
+
+
+def _reference_determinant(matrix):
+    m, _, sign = _reference_eliminate(matrix)
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
+
+
+def _kernel_cases(rng):
+    """Seeded matrices covering each way the row scaling can matter."""
+    for _ in range(12):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        yield _random_matrix(rng, rows, cols)
+        # Q(phi) denominators.
+        yield _rational_matrix(rng, rows, cols)
+        # Integer content > 1 in every row.
+        yield _even_rows(_random_matrix(rng, rows, cols))
+        # Zero rows, and zero leading entries that force row swaps.
+        m = _random_matrix(rng, rows, cols, 0, 1)
+        m.insert(rng.randint(0, rows), [ZERO] * cols)
+        yield m
+        m = _rational_matrix(rng, rows, cols)
+        for row in m[:max(1, rows // 2)]:
+            row[0] = ZERO
+        yield m
+        # Rank-deficient: repeated rows and rational combinations of rows.
+        m = _rational_matrix(rng, rows, cols)
+        k = FieldElement(Fraction(-3, 4), Fraction(1, 2))
+        yield m + [[x * k + y for x, y in zip(m[0], m[-1])], list(m[-1])]
+    for n in range(1, 6):
+        m = _rational_matrix(rng, n, n)
+        yield m
+        yield m[::-1]
+        yield _even_rows(m)
+        yield [m[-1]] + m[1:]
+
+
+def test_kernel_matches_the_field_element_reference():
+    rng = random.Random(31)
+    swapped = deficient = squares = 0
+    for m in _kernel_cases(rng):
+        ref_echelon, ref_pivots, ref_sign = _reference_eliminate(m)
+        echelon, pivots = linalg.row_echelon(m)
+        assert pivots == ref_pivots
+        assert linalg.rank(m) == len(ref_pivots)
+        # Each echelon row is the reference row times a nonzero scalar.
+        for row, ref in zip(echelon, ref_echelon):
+            assert [x.is_zero() for x in row] == [x.is_zero() for x in ref]
+            j = next((j for j, x in enumerate(ref) if not x.is_zero()), None)
+            if j is not None:
+                k = row[j] / ref[j]
+                assert row == [x * k for x in ref]
+        assert linalg.nullspace(m) == reference_nullspace(m)
+        if len(m) == len(m[0]):
+            assert linalg.determinant(m) == _reference_determinant(m)
+            squares += 1
+        swapped += ref_sign < 0
+        deficient += len(ref_pivots) < min(len(m), len(m[0]))
+    assert swapped > 10 and deficient > 10 and squares > 20
+
+
+def test_first_missed_row_is_an_exact_product_check():
+    rng = random.Random(37)
+    for m in _kernel_cases(rng):
+        rows = [primitive_numerators(row) for row in m]
+        basis = linalg.nullspace(m)
+        assert linalg.first_missed_row(rows, basis) is None
+        # A row that the first vector does not kill is found, first in order.
+        if basis:
+            v = basis[0]
+            fc = next(j for j, x in enumerate(v) if not x.is_zero())
+            extra = [ONE if j == fc else ZERO for j in range(len(v))]
+            extra = primitive_numerators(extra)
+            assert linalg.first_missed_row(rows + [extra], basis) == len(rows)
+            assert linalg.first_missed_row([extra] + rows, basis) == 0
+    assert linalg.first_missed_row([[(1, 2)]], []) is None
 
 
 def test_nullspace_vectors_annihilate_the_matrix():
@@ -102,11 +254,16 @@ def test_mat_mul_transpose_compatibility():
 
 def test_determinant_alternating_in_rows():
     rng = random.Random(19)
-    m = _random_matrix(rng, 3, 3)
-    swapped = [m[1], m[0], m[2]]
-    assert linalg.determinant(swapped) == -linalg.determinant(m)
-    degenerate = [m[0], m[0], m[2]]
-    assert linalg.determinant(degenerate).is_zero()
+    for m in (_random_matrix(rng, 3, 3), _rational_matrix(rng, 3, 3),
+              _even_rows(_random_matrix(rng, 3, 3))):
+        assert not linalg.determinant(m).is_zero()
+        swapped = [m[1], m[0], m[2]]
+        assert linalg.determinant(swapped) == -linalg.determinant(m)
+        degenerate = [m[0], m[0], m[2]]
+        assert linalg.determinant(degenerate).is_zero()
+        # Linear in each row: doubling one row doubles the determinant.
+        doubled = [m[0], [x * FieldElement(2) for x in m[1]], m[2]]
+        assert linalg.determinant(doubled) == linalg.determinant(m) * FieldElement(2)
 
 
 def _permutation_determinant_mod(m, p):
