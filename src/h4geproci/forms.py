@@ -3,9 +3,10 @@
 Forms are sparse maps from exponent tuples to FieldElement coefficients, in
 graded lexicographic order (first variable largest).  The module provides
 exact evaluation, products, interpolation through point sets by fraction-free
-nullspace computation, divisibility, gcd by primitive pseudo-remainder
-sequences, and a smoothness certificate for plane curves from chart-wise
-resultants modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.
+nullspace computation, divisibility by long division, gcd as the nullspace of
+a multiplication map, and a smoothness certificate for plane curves from
+chart-wise resultants modulo a degree-1 prime of Z[phi], sound over
+Q(phi)-bar.
 """
 
 from __future__ import annotations
@@ -185,10 +186,10 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
 
     Rows are point evaluations, columns the graded-lex monomials.  The basis
     is the exact nullspace of all rows: one vector per free column, with 1
-    in that column and 0 in the other free columns, scaled so its first
-    nonzero coefficient (in column order) is 1.  Only a row basis is
-    eliminated exactly; it is chosen modulo the split prime P = (p, phi - r)
-    of `_PRIME` and `_PHI_ROOT`.
+    in that column and 0 in the other free columns, made monic: its first
+    nonzero coefficient in column order, the graded-lex leading one, is 1.
+    Only a row basis is eliminated exactly; it is chosen modulo the split
+    prime P = (p, phi - r) of `_PRIME` and `_PHI_ROOT`.
 
     Soundness.  Scaling a row by a nonzero rational leaves the nullspace
     alone, so each row is scaled into Z[phi] once, and those numerators are
@@ -204,7 +205,9 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
     so it is the one the elimination of all rows gives.  A row that some
     basis vector does not kill (the rank dropped mod P) joins the chosen
     rows and the elimination runs again; each round raises the exact rank of
-    the chosen rows, so the loop ends.  When no row is independent mod P (no
+    the chosen rows, so the loop ends.  A missed row that is already chosen
+    means the exact kernel is wrong, and it raises ArithmeticError rather
+    than repeat the same round.  When no row is independent mod P (no
     points, or every row lies in P), N_S is the whole space and the same
     check applies.  The prime only picks rows and bounds the rank from
     below; it never turns a positive dimension into 0.
@@ -224,14 +227,10 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
         missed = linalg.first_missed_row(rows, kernel)
         if missed is None:
             break
+        if missed in chosen:
+            raise ArithmeticError(f"exact kernel misses its own row {missed}")
         chosen.append(missed)
-    basis = []
-    for vec in kernel:
-        lead = next(i for i, c in enumerate(vec) if not c.is_zero())
-        inv = vec[lead].inverse()
-        basis.append(HomForm(nvars, degree,
-                             {cols[j]: vec[j] * inv for j in range(len(cols))}))
-    return basis
+    return [HomForm(nvars, degree, dict(zip(cols, vec))).monic() for vec in kernel]
 
 
 def _evaluation_row(point: Sequence[FieldElement], degree: int, nvars: int,
@@ -260,7 +259,12 @@ def _evaluation_row(point: Sequence[FieldElement], degree: int, nvars: int,
 # ---------------------------------------------------------------------------
 
 def try_quotient(f: HomForm, g: HomForm) -> Optional[HomForm]:
-    """The exact quotient q with g = f*q, or None if f does not divide g."""
+    """The exact quotient q with g = f*q, or None if f does not divide g.
+
+    Long division under graded-lex, which on forms of one degree is the
+    lexicographic order: each step cancels the leading term of the remainder
+    and leaves only smaller terms, so the loop ends.
+    """
     if f.is_zero():
         raise ZeroDivisionError("division by the zero form")
     if g.is_zero():
@@ -269,9 +273,24 @@ def try_quotient(f: HomForm, g: HomForm) -> Optional[HomForm]:
         raise ValueError("forms have different numbers of variables")
     if g.degree < f.degree:
         return None
-    q = _poly_try_quotient(dict(g.coeffs), dict(f.coeffs))
-    if q is None:
-        return None
+    lead = max(f.coeffs)
+    inv = f.coeffs[lead].inverse()
+    q: Coeffs = {}
+    r = dict(g.coeffs)
+    while r:
+        top = max(r)
+        e = tuple(a - b for a, b in zip(top, lead))
+        if min(e) < 0:
+            return None
+        c = r[top] * inv
+        q[e] = c
+        for ef, cf in f.coeffs.items():
+            t = tuple(a + b for a, b in zip(e, ef))
+            v = r.get(t, ZERO) - c * cf
+            if v.is_zero():
+                r.pop(t, None)
+            else:
+                r[t] = v
     return HomForm(f.nvars, g.degree - f.degree, q)
 
 
@@ -282,9 +301,16 @@ def divides(f: HomForm, g: HomForm) -> bool:
 def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
     """A gcd of two homogeneous forms, normalized to leading coefficient 1.
 
-    Common powers of the last variable split off first; the remaining parts
-    dehomogenize in the last variable, so the work happens one variable down
-    via a primitive pseudo-remainder sequence.
+    Write a, b for nonzero f, g, of degrees m, n, with gcd h of degree e.
+    For k = min(m, n) down to 0, this takes the exact nullspace of
+    (u, v) -> u*a - v*b on the forms u, v of degrees n - k and m - k; the
+    first k with a nonzero kernel is e, and a/v is h up to a constant.
+
+    Soundness.  a/h and b/h are coprime, so u*a = v*b forces u*(a/h) =
+    v*(b/h) and hence (u, v) = t*(b/h, a/h) with t a form of degree e - k.
+    Such a t exists exactly when k <= e, so no larger k has a kernel, and at
+    k = e the kernel is spanned by one vector with t a nonzero constant:
+    v = t*a/h, and the exact quotient a/v is h/t.
     """
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd of two zero forms")
@@ -294,180 +320,21 @@ def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
         return f.monic()
     if f.nvars != g.nvars:
         raise ValueError("forms have different numbers of variables")
-    n = f.nvars
-    if n == 1:
-        return HomForm(1, min(f.degree, g.degree),
-                       {(min(f.degree, g.degree),): ONE})
-    kf = min(e[-1] for e in f.coeffs)
-    kg = min(e[-1] for e in g.coeffs)
-    pf = _dehomogenize_last(f)
-    pg = _dehomogenize_last(g)
-    h = _poly_gcd(pf, pg, n - 1)
-    hdeg = _poly_total_degree(h)
-    k = min(kf, kg)
-    coeffs: Coeffs = {}
-    for e, c in h.items():
-        coeffs[tuple(e) + (hdeg - sum(e) + k,)] = c
-    return HomForm(n, hdeg + k, coeffs).monic()
-
-
-def _dehomogenize_last(form: HomForm) -> "Poly":
-    """Set the last variable to 1; for homogeneous input this is lossless."""
-    return {tuple(e[:-1]): c for e, c in form.coeffs.items()}
-
-
-# ---------------------------------------------------------------------------
-# Internal sparse polynomial helpers (not necessarily homogeneous)
-# ---------------------------------------------------------------------------
-
-Poly = Dict[Exponents, FieldElement]
-
-
-def _poly_total_degree(p: Poly) -> int:
-    return max((sum(e) for e in p), default=0)
-
-
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = out.get(e, ZERO) + c1 * c2
-            if v.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = v
-    return out
-
-
-def _poly_sub(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        v = out.get(e, ZERO) - c
-        if v.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = v
-    return out
-
-
-def _poly_scale(p: Poly, k: FieldElement) -> Poly:
-    if k.is_zero():
-        return {}
-    return {e: c * k for e, c in p.items()}
-
-
-def _poly_try_quotient(g: Poly, f: Poly) -> Optional[Poly]:
-    """Quotient by a single divisor under graded-lex; None when not exact."""
-    lead_f = max(f, key=_grlex_key)
-    lf = f[lead_f]
-    q: Poly = {}
-    r = dict(g)
-    while r:
-        lead_r = max(r, key=_grlex_key)
-        e = tuple(a - b for a, b in zip(lead_r, lead_f))
-        if min(e) < 0:
-            return None
-        c = r[lead_r] / lf
-        q[e] = c
-        r = _poly_sub(r, _poly_mul({e: c}, f))
-    return q
-
-
-def _grlex_key(e: Exponents) -> Tuple[int, Exponents]:
-    return (sum(e), e)
-
-
-def _deg_in(p: Poly, var: int) -> int:
-    return max((e[var] for e in p), default=0)
-
-
-def _coeffs_in(p: Poly, var: int) -> Dict[int, Poly]:
-    """Split p by powers of one variable; coefficient polys drop that power."""
-    out: Dict[int, Poly] = {}
-    for e, c in p.items():
-        k = e[var]
-        e2 = list(e)
-        e2[var] = 0
-        out.setdefault(k, {})[tuple(e2)] = c
-    return out
-
-
-def _poly_gcd(p: Poly, q: Poly, n: int) -> Poly:
-    """Gcd over Q(phi)[x_1..x_n] via primitive PRS; result is normalized."""
-    if not p:
-        return _poly_normalize(q)
-    if not q:
-        return _poly_normalize(p)
-    var = n - 1
-    while var >= 0 and _deg_in(p, var) == 0 and _deg_in(q, var) == 0:
-        var -= 1
-    if var < 0:
-        return {tuple([0] * len(next(iter(p)))): ONE}
-    dp, dq = _deg_in(p, var), _deg_in(q, var)
-    if dp == 0 or dq == 0:
-        # One input misses the principal variable: it can only share the
-        # other's content.
-        flat, layered = (p, q) if dp == 0 else (q, p)
-        cont = _content(layered, var)
-        return _poly_gcd(flat, cont, n)
-    cont_p = _content(p, var)
-    cont_q = _content(q, var)
-    c = _poly_gcd(cont_p, cont_q, n)
-    a = _poly_exact_div(p, cont_p)
-    b = _poly_exact_div(q, cont_q)
-    if _deg_in(a, var) < _deg_in(b, var):
-        a, b = b, a
-    while True:
-        r = _prem(a, b, var)
-        if not r:
-            g = b
-            break
-        if _deg_in(r, var) == 0:
-            g = {tuple([0] * len(next(iter(p)))): ONE}
-            break
-        a, b = b, _poly_exact_div(r, _content(r, var))
-    g = _poly_exact_div(g, _content(g, var))
-    return _poly_normalize(_poly_mul(c, g))
-
-
-def _content(p: Poly, var: int) -> Poly:
-    n = len(next(iter(p)))
-    cont: Poly = {}
-    for coeff in _coeffs_in(p, var).values():
-        cont = _poly_gcd(cont, coeff, n) if cont else _poly_normalize(coeff)
-        if cont == {tuple([0] * n): ONE}:
-            break
-    return cont
-
-
-def _poly_exact_div(p: Poly, d: Poly) -> Poly:
-    q = _poly_try_quotient(p, d)
-    if q is None:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def _poly_normalize(p: Poly) -> Poly:
-    if not p:
-        return p
-    lead = max(p, key=_grlex_key)
-    return _poly_scale(p, p[lead].inverse())
-
-
-def _prem(a: Poly, b: Poly, var: int) -> Poly:
-    """Pseudo-remainder of a by b with respect to one variable."""
-    db = _deg_in(b, var)
-    lb = _coeffs_in(b, var)[db]
-    r = dict(a)
-    while r and _deg_in(r, var) >= db:
-        dr = _deg_in(r, var)
-        lr = _coeffs_in(r, var)[dr]
-        # r <- lb*r - lr*x^(dr-db)*b
-        mono = {tuple((dr - db) if i == var else 0
-                      for i in range(len(next(iter(r))))): ONE}
-        r = _poly_sub(_poly_mul(lb, r), _poly_mul(_poly_mul(lr, mono), b))
-    return r
+    nvars, m, n = f.nvars, f.degree, g.degree
+    neg_g = -g
+    for k in range(min(m, n), -1, -1):
+        ucols, vcols = monomials(n - k, nvars), monomials(m - k, nvars)
+        rows = {e: i for i, e in enumerate(monomials(m + n - k, nvars))}
+        matrix = [[ZERO] * (len(ucols) + len(vcols)) for _ in rows]
+        shifts = [(u, f) for u in ucols] + [(v, neg_g) for v in vcols]
+        for j, (shift, form) in enumerate(shifts):
+            for e, c in form.coeffs.items():
+                matrix[rows[tuple(a + b for a, b in zip(shift, e))]][j] = c
+        kernel = linalg.nullspace(matrix)
+        if kernel:
+            v = HomForm(nvars, m - k, dict(zip(vcols, kernel[0][len(ucols):])))
+            return try_quotient(v, f).monic()
+    raise AssertionError("unreachable: at k = 0, (b, a) is in the kernel")
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
 from test_linalg import reference_nullspace
 
 
-def _random_form(rng, nvars, degree, density=0.7) -> HomForm:
+def _random_form(rng, nvars, degree, density=0.7, rational=False) -> HomForm:
+    """Z[phi] coefficients, or Q(phi) ones with denominators when rational."""
     coeffs = {}
     for e in monomials(degree, nvars):
         if rng.random() < density:
-            coeffs[e] = FieldElement(rng.randint(-5, 5), rng.randint(-3, 3))
+            coeffs[e] = (_random_elem(rng) if rational else
+                         FieldElement(rng.randint(-5, 5), rng.randint(-3, 3)))
     return HomForm(nvars, degree, coeffs)
 
 
@@ -212,6 +214,23 @@ def test_full_rank_modulo_the_prime_skips_exact_elimination(monkeypatch):
     assert vanishing_space(pts, 1, 3) == []
 
 
+def test_kernel_missing_a_chosen_row_raises(monkeypatch):
+    calls = []
+
+    def wrong_nullspace(rows):
+        # e_0 does not kill the row of (1, 0, 0), which is chosen.
+        calls.append(len(rows))
+        if len(calls) > 3:
+            pytest.fail("vanishing_space keeps eliminating the same rows")
+        return [[ONE, ZERO, ZERO]]
+
+    monkeypatch.setattr(linalg, "nullspace", wrong_nullspace)
+    pts = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO)]
+    with pytest.raises(ArithmeticError, match="row 0"):
+        vanishing_space(pts, 1, 3)
+    assert calls == [2]
+
+
 def test_divisibility_roundtrip():
     rng = random.Random(61)
     for _ in range(25):
@@ -248,6 +267,42 @@ def test_gcd_normalization_and_edge_cases():
     assert gcd_forms(HomForm.zero(2, 3), x) == x.monic()
     with pytest.raises(ValueError):
         gcd_forms(HomForm.zero(2, 1), HomForm.zero(2, 1))
+
+
+def test_gcd_and_divides_match_sympy_over_q_sqrt5():
+    sympy = pytest.importorskip("sympy")
+    # Elements are built in the field directly: sympy expressions with
+    # sqrt(5) would make each Poly find minimal polynomials, about 20x slower.
+    field = sympy.QQ.algebraic_field(sympy.sqrt(5))
+    half = field.convert(sympy.QQ(1, 2))
+    phi = half + half * field.from_sympy(sympy.sqrt(5))
+    rng = random.Random(89)
+    cases, outcomes = 0, set()
+    for nvars in (2, 3):
+        gens = sympy.symbols(f"x0:{nvars}")
+
+        def poly(f):
+            return sympy.Poly.from_dict(
+                {e: field.convert(sympy.QQ(c.a.numerator, c.a.denominator))
+                 + field.convert(sympy.QQ(c.b.numerator, c.b.denominator)) * phi
+                 for e, c in f.coeffs.items()}, *gens, domain=field)
+
+        for trial in range(9):
+            rational = trial % 2 == 1
+            h, f, g = (_random_form(rng, nvars, rng.randint(lo, 2), rational=rational)
+                       for lo in (1, 0, 1))
+            if h.is_zero() or f.is_zero() or g.is_zero():
+                continue
+            a, b = f * h, g * h
+            got = gcd_forms(a, b)
+            # Both sides made monic under sympy's order: equal up to a constant.
+            assert poly(got).monic() == sympy.gcd(poly(a), poly(b)).monic()
+            for p, q in ((h, a), (f, a), (a, b), (got, b), (g, a)):
+                _, rem = poly(q).div(poly(p))
+                assert divides(p, q) == rem.is_zero
+                outcomes.add(rem.is_zero)
+            cases += 1
+    assert cases >= 12 and outcomes == {True, False}
 
 
 def test_univariate_gcd_known_cases():
@@ -308,6 +363,23 @@ def test_double_line_is_singular():
     x = _var(0, 3)
     report = plane_curve_is_smooth(x * x)
     assert not report.smooth
+
+
+def test_repeated_component_is_caught_by_the_partials_gcd():
+    x, y, z = (_var(i, 3) for i in range(3))
+    line = HomForm.linear([FieldElement(2), PHI, FieldElement(Fraction(-1, 3))])
+    other = HomForm.linear([ONE, FieldElement(-3), FieldElement(1, 1)])
+    conic = ((x * x).scale(PHI) + x * y
+             - (y * y).scale(FieldElement(Fraction(1, 2))) + (z * z).scale(FieldElement(3)))
+    for curve, witness in (
+            (line * line * other, "(1)*x + (1/2*phi)*y + (-1/6)*z"),
+            (conic * conic * other, "(1)*x^2 + (-1 + 1*phi)*x*y"
+             " + (1/2 - 1/2*phi)*y^2 + (-3 + 3*phi)*z^2")):
+        assert all(any(col) for col in zip(*curve.coeffs)), "a variable is missing"
+        report = plane_curve_is_smooth(curve)
+        assert report.smooth is False
+        assert report.reason == "partials share a component"
+        assert report.witness == witness
 
 
 def test_linear_form_is_smooth():
