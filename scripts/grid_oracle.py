@@ -6,10 +6,12 @@ point sets (bitmask backtracking), bucket them by their 25-point union, and
 inside each bucket test every unordered pair of families combinatorially
 (each cross pair of lines must share exactly one point) and geometrically
 (skewness within each family, a unique quadric through the union).  The
-quadric test is its own: the exact rank of the 25 x 10 matrix of the degree-2
-monomials at the 25 points, over all rows, must be 9.  The test suite imports
-`count_grids` and checks it against the clique-transversal search of
-`h4geproci.coverings.enumerate_grids`.
+geometric tests are its own, on FieldElement arithmetic, and share no
+predicate with the package: two lines are skew when the Pluecker pairing of
+their spanning points is nonzero, and the quadric is unique when the exact
+rank of the 25 x 10 matrix of the degree-2 monomials at the 25 points, over
+all rows, is 9.  The test suite imports `count_grids` and checks it against
+the clique-transversal search of `h4geproci.coverings.enumerate_grids`.
 """
 
 from __future__ import annotations
@@ -22,8 +24,40 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from h4geproci.config import H4Configuration, build_h4
-from h4geproci.linalg import rank
-from h4geproci.projective import lines_meet
+from h4geproci.field import ZERO
+
+
+def rank(rows) -> int:
+    """Exact rank by Gaussian elimination with field inverses."""
+    rows = [list(row) for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def pluecker(p, q) -> list:
+    """The minors p_i*q_j - p_j*q_i, in the order 01, 02, 03, 12, 13, 23."""
+    return [p[i] * q[j] - p[j] * q[i]
+            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+
+
+def lines_meet(line_a, line_b) -> bool:
+    """Two lines meet iff the Pluecker pairing of their coordinates is 0."""
+    a = pluecker(line_a.p.coords, line_a.q.coords)
+    b = pluecker(line_b.p.coords, line_b.q.coords)
+    pairing = (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
+               + a[3] * b[2] - a[4] * b[1] + a[5] * b[0])
+    return pairing == ZERO
 
 
 def has_unique_quadric(points) -> bool:

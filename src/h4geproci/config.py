@@ -16,8 +16,11 @@ from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
 
 from .field import ONE, PHI, PHI2, ZERO
 from .forms import HomForm, vanishing_space
-from .projective import (ProjLine, ProjPoint, ProjPlane, canonicalize,
-                         line_through, lines_meet)
+from .projective import (ProjLine, ProjPoint, ProjPlane, line_through,
+                         lines_meet, pluecker_pairs)
+# Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
+# function where another module imports it, and names this binding.
+from .projective import canonicalize  # noqa: F401
 
 # Coordinate tokens: 0, 1, -1, f = phi, F = phi^2, with sign prefixes.
 _TOKENS = {
@@ -115,19 +118,15 @@ class H4Configuration:
 def collinear_groups(points: Sequence[ProjPoint]) -> Dict[Tuple, List[int]]:
     """Group 0-based point indices by the line they span (pair scan).
 
-    Keys are canonical Pluecker tuples; each value lists every input point on
-    that line, so maximal collinear subsets fall out directly.
+    Keys are the lines' canonical Pluecker pairs (`pluecker_pairs`); each
+    value lists every input point on that line, so maximal collinear subsets
+    fall out directly.
     """
     groups: Dict[Tuple, set] = {}
-    n = len(points)
-    for i in range(n):
-        pi = points[i].coords
-        for j in range(i + 1, n):
-            pj = points[j].coords
-            pl = canonicalize([pi[a] * pj[b] - pi[b] * pj[a]
-                               for (a, b) in ((0, 1), (0, 2), (0, 3),
-                                              (1, 2), (1, 3), (2, 3))])
-            groups.setdefault(pl, set()).update((i, j))
+    pairs = [p.pairs for p in points]
+    for i, pi in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
+            groups.setdefault(pluecker_pairs(pi, pairs[j]), set()).update((i, j))
     return {k: sorted(v) for k, v in groups.items()}
 
 

@@ -78,60 +78,67 @@ def enumerate_coverings(cfg: H4Configuration) -> List[CoverCertificate]:
     return [CoverCertificate(c) for c in found]
 
 
+def _members(mask: int) -> List[int]:
+    """The set bits of a bitset, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
     """All unordered (5,5)-grids among the 72 lines, each fully verified.
 
     An L-family is a skew 5-clique of the stored meet relation ``cfg.meets``;
     its partners must meet all five L-lines, so cliques whose
     common-transversal pool drops below 5 are pruned early.
-    The unordered pair {L, M} is reported once, with min(L) < min(M).
+    The unordered pair {L, M} is reported once, with min(L) < min(M): the
+    transversal pool holds only lines above the first L-line from the first
+    step on, so each M-family found is already on the right side, and each
+    (L, M) is reached once.  Line sets are int bitsets, bit i for line i.
     """
-    idx = sorted(cfg.lines)
-    meets = cfg.meets
-
+    meets = {i: sum(1 << j for j in cfg.meets[i]) for i in cfg.lines}
     results: List[GridCertificate] = []
-    seen: Set[Tuple[Tuple[int, ...], Tuple[int, ...]]] = set()
 
-    def skew_cliques(pool: List[int], size: int) -> List[Tuple[int, ...]]:
+    def skew_cliques(pool: int, size: int) -> List[Tuple[int, ...]]:
         out: List[Tuple[int, ...]] = []
 
-        def grow(clique: List[int], rest: List[int]) -> None:
+        def grow(clique: List[int], rest: int) -> None:
             if len(clique) == size:
                 out.append(tuple(clique))
                 return
-            for k, cand in enumerate(rest):
-                if len(clique) + len(rest) - k < size:
+            for cand in _members(rest):
+                if len(clique) + rest.bit_count() < size:
                     break
+                rest &= rest - 1  # drop cand, the lowest line left
                 clique.append(cand)
-                grow(clique, [r for r in rest[k + 1:] if r not in meets[cand]])
+                grow(clique, rest & ~meets[cand])
                 clique.pop()
 
         grow([], pool)
         return out
 
-    def extend(clique: List[int], rest: List[int], trans: Set[int]) -> None:
-        if len(trans) < 5:
+    def extend(clique: List[int], rest: int, trans: int) -> None:
+        if trans.bit_count() < 5:
             return
         if len(clique) == 5:
-            for m_set in skew_cliques(sorted(trans), 5):
-                key = (tuple(clique), m_set)
-                if min(m_set) < clique[0]:
-                    continue  # the mirrored pair handles this grid
-                if key in seen:
-                    continue
-                seen.add(key)
+            for m_set in skew_cliques(trans, 5):
                 try:
                     results.append(verify_grid(cfg, tuple(clique), m_set))
                 except NotAGridError:
                     pass
             return
-        for k, cand in enumerate(rest):
+        for cand in _members(rest):
+            rest &= rest - 1
             clique.append(cand)
-            extend(clique,
-                   [r for r in rest[k + 1:] if r not in meets[cand]],
-                   trans & meets[cand])
+            extend(clique, rest & ~meets[cand], trans & meets[cand])
             clique.pop()
 
-    extend([], idx, set(idx))
+    everything = sum(1 << i for i in cfg.lines)
+    for first in sorted(cfg.lines):
+        above = everything >> (first + 1) << (first + 1)
+        extend([first], above & ~meets[first], above & meets[first])
     results.sort(key=lambda g: (g.l_lines, g.m_lines))
     return results

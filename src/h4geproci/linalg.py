@@ -86,10 +86,6 @@ def row_echelon(matrix: Sequence[Sequence[FieldElement]]) -> Tuple[Matrix, List[
     return [[FieldElement(x, y) for x, y in row] for row in m], pivots
 
 
-def rank(matrix: Sequence[Sequence[FieldElement]]) -> int:
-    return len(row_echelon(matrix)[1])
-
-
 def nullspace(matrix: Sequence[Sequence[FieldElement]]) -> List[List[FieldElement]]:
     """Basis of the right nullspace, one vector per free column, in column order.
 

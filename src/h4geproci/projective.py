@@ -1,57 +1,139 @@
 """Projective points, planes and lines in P^3 over Q(phi), with exact incidence.
 
-Every flat is stored in a canonical form: homogeneous coordinates are cleared
-to Z[phi], divided by their integer content, and sign-normalized so the first
-nonzero coordinate has a positive rational part (or, failing that, a positive
-phi part).  Equality and hashing are therefore componentwise.
+Every flat is stored in a canonical form: its homogeneous coordinates are
+scaled to coprime elements of Z[phi] whose first nonzero entry is a positive
+rational integer.  A flat keeps those numerators as integer pairs (x, y),
+meaning x + y*phi, in ``pairs``, next to the same values as FieldElements in
+``coords`` (``pluecker`` for a line).  Equality and hashing compare the
+pairs, and every incidence predicate is an exact integer computation on
+them, with phi**2 = phi + 1:
+
+* a point lies in a plane when the dot product of their pairs is zero;
+* two lines meet when the Pluecker pairing of their pairs is zero;
+* a point x lies on the line spanned by p and q, with Pluecker coordinates
+  L_ij = p_i*q_j - p_j*q_i, when the four sums
+  x_i*L_jk - x_j*L_ik + x_k*L_ij (i < j < k) are zero.
+
+Soundness of the last test: expanding along the first row, those sums are
+the four 3x3 minors of the matrix with rows x, p and q.  Since p and q are
+distinct points the matrix has rank at least 2, so its rank is 2, that is x
+lies on the line, exactly when every 3x3 minor vanishes.  The stored
+Pluecker pairs are a nonzero multiple of the L_ij, which scales each sum by
+that multiple and does not change which of them vanish.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from math import gcd
+from typing import Iterable, List, Sequence, Tuple
 
 from . import linalg
-from .field import FieldElement, ZERO, primitive_numerators
+from .field import FieldElement, primitive_numerators
+from .linalg import Pair
+
+# Pluecker coordinates are ordered by the index pairs ij below.
+_PLUECKER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+# The minors x_i*L_jk - x_j*L_ik + x_k*L_ij for i < j < k, as
+# (i, j, k, position of jk, position of ik, position of ij) in _PLUECKER.
+_MINORS = ((0, 1, 2, 3, 1, 0), (0, 1, 3, 4, 2, 0),
+           (0, 2, 3, 5, 2, 1), (1, 2, 3, 5, 4, 3))
 
 
 class DegenerateSpanError(ValueError):
     """Raised when asked for the flat spanned by coincident inputs."""
 
 
+def _canonical_pairs(pairs: Sequence[Pair]) -> Tuple[Pair, ...]:
+    """The canonical representative of a nonzero vector over Z[phi].
+
+    Multiplying by the conjugate of the first nonzero entry w turns that
+    entry into the rational integer N(w) = w*conj(w).  Dividing by the
+    integer content, signed like N(w), leaves coprime Z[phi] entries led by
+    a positive integer.  The result is the vector divided by w, times a
+    positive rational, and only one such multiple has coprime Z[phi]
+    entries, so every nonzero Q(phi) multiple of the vector has the same
+    canonical form.
+    """
+    lead = next((w for w in pairs if w != (0, 0)), None)
+    if lead is None:
+        raise ValueError("all coordinates are zero")
+    a, b = lead
+    ca, cb = a + b, -b  # conj(a + b phi) = (a + b) - b phi
+    # (x + y phi)(ca + cb phi) = x ca + y cb + (x cb + y (ca + cb)) phi,
+    # and ca + cb = a.
+    prods = [(x * ca + y * cb, x * cb + y * a) for x, y in pairs]
+    content = gcd(*[v for w in prods for v in w])
+    if a * a + a * b - b * b < 0:  # N(w), the new lead
+        content = -content
+    return tuple((x // content, y // content) for x, y in prods)
+
+
+def _elements(pairs: Iterable[Pair]) -> Tuple[FieldElement, ...]:
+    return tuple(FieldElement(x, y) for x, y in pairs)
+
+
+def _vanishes(terms: Iterable[Tuple[Pair, Pair]]) -> bool:
+    """True iff the sum of the Z[phi] products u*v over the (u, v) terms is 0."""
+    sx = sy = 0
+    for (a, b), (c, d) in terms:
+        # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi.
+        t = b * d
+        sx += a * c + t
+        sy += a * d + b * c + t
+    return sx == 0 and sy == 0
+
+
+def _neg(w: Pair) -> Pair:
+    return (-w[0], -w[1])
+
+
 def canonicalize(coords: Sequence[FieldElement]) -> Tuple[FieldElement, ...]:
     """Canonical representative of a nonzero homogeneous coordinate vector.
 
-    Dividing by the first nonzero coordinate removes every Q(phi) scalar
-    (including units like phi itself); clearing denominators then lands on
-    coprime Z[phi] coordinates whose first nonzero entry is a positive
+    The coordinates are cleared to Z[phi] numerators and put in the
+    canonical form of `_canonical_pairs`: coprime, led by a positive
     integer.  Representatives of the same projective flat always agree.
     """
-    if all(x.is_zero() for x in coords):
-        raise ValueError("all coordinates are zero")
-    lead = next(x for x in coords if not x.is_zero())
-    inv = lead.inverse()
-    return tuple(FieldElement(x, y)
-                 for x, y in primitive_numerators([c * inv for c in coords]))
+    return _elements(_canonical_pairs(primitive_numerators(coords)))
+
+
+def pluecker_pairs(p: Sequence[Pair], q: Sequence[Pair]) -> Tuple[Pair, ...]:
+    """Canonical Pluecker pairs of the line through two distinct points.
+
+    The points are given by their Z[phi] pairs; the coordinates are the
+    minors p_i*q_j - p_j*q_i in the order of `_PLUECKER`.
+    """
+    minors = []
+    for i, j in _PLUECKER:
+        (a, b), (c, d) = p[i], q[j]
+        (e, f), (g, h) = p[j], q[i]
+        s, t = b * d, f * h
+        minors.append((a * c + s - e * g - t,
+                       a * d + b * c + s - e * h - f * g - t))
+    return _canonical_pairs(minors)
 
 
 class _Flat:
     """Common machinery for points and planes (a canonical 4-vector)."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "pairs")
 
     def __init__(self, coords: Sequence[FieldElement]):
         if len(coords) != 4:
             raise ValueError("expected 4 homogeneous coordinates")
-        object.__setattr__(self, "coords", canonicalize(coords))
+        pairs = _canonical_pairs(primitive_numerators(coords))
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "coords", _elements(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.coords == other.coords
+        return type(self) is type(other) and self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.coords))
+        return hash((type(self).__name__, self.pairs))
 
     def __repr__(self) -> str:
         inner = " : ".join(str(x) for x in self.coords)
@@ -82,28 +164,25 @@ class ProjPlane(_Flat):
         return cls([x if isinstance(x, FieldElement) else FieldElement(x)
                     for x in coeffs])
 
-    def evaluate(self, p: ProjPoint) -> FieldElement:
-        return sum((c * x for c, x in zip(self.coords, p.coords)), ZERO)
-
     def contains(self, p: ProjPoint) -> bool:
-        return self.evaluate(p).is_zero()
+        return _vanishes(zip(self.pairs, p.pairs))
 
 
 class ProjLine:
     """A line of P^3: canonical Pluecker coordinates plus two spanning points.
 
-    Pluecker coordinates give O(1) meet/skew tests; the spanning points back
-    the rank-based membership and containment tests.
+    The Pluecker pairs decide the meet and point-on-line tests; the
+    spanning points back plane spans and the JSON form.
     """
 
-    __slots__ = ("pluecker", "p", "q")
+    __slots__ = ("pluecker", "pairs", "p", "q")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p == q:
             raise DegenerateSpanError("coincident points do not span a line")
-        pl = [p.coords[i] * q.coords[j] - p.coords[j] * q.coords[i]
-              for (i, j) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-        object.__setattr__(self, "pluecker", canonicalize(pl))
+        pairs = pluecker_pairs(p.pairs, q.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pluecker", _elements(pairs))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -111,17 +190,20 @@ class ProjLine:
         raise AttributeError("ProjLine is immutable")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ProjLine) and self.pluecker == other.pluecker
+        return isinstance(other, ProjLine) and self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash(("ProjLine", self.pluecker))
+        return hash(("ProjLine", self.pairs))
 
     def __repr__(self) -> str:
         return f"ProjLine({self.pluecker})"
 
     def contains(self, x: ProjPoint) -> bool:
-        m = [list(x.coords), list(self.p.coords), list(self.q.coords)]
-        return linalg.rank(m) == 2
+        """x lies on the line: the four minors of the module docstring vanish."""
+        xs, ls = x.pairs, self.pairs
+        return all(_vanishes(((xs[i], ls[jk]), (_neg(xs[j]), ls[ik]),
+                              (xs[k], ls[ij])))
+                   for i, j, k, jk, ik, ij in _MINORS)
 
     def to_json(self) -> dict:
         return {
@@ -139,17 +221,14 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     return ProjLine(p, q)
 
 
-def pluecker_pairing(l1: ProjLine, l2: ProjLine) -> FieldElement:
-    a, b = l1.pluecker, l2.pluecker
-    return (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
-            + a[5] * b[0] - a[4] * b[1] + a[3] * b[2])
-
-
 def lines_meet(l1: ProjLine, l2: ProjLine) -> bool:
-    """True iff the lines intersect (the Pluecker pairing vanishes)."""
+    """True iff the lines intersect: the Pluecker pairing
+    a01*b23 - a02*b13 + a03*b12 + a12*b03 - a13*b02 + a23*b01 is zero."""
     if l1 == l2:
         raise ValueError("lines_meet expects two distinct lines")
-    return pluecker_pairing(l1, l2).is_zero()
+    a, b = l1.pairs, l2.pairs
+    return _vanishes(((a[0], b[5]), (a[1], _neg(b[4])), (a[2], b[3]),
+                      (a[3], b[2]), (a[4], _neg(b[1])), (a[5], b[0])))
 
 
 def plane_through(*members) -> ProjPlane:

@@ -1,5 +1,6 @@
 """Exact covers of the point set and (5,5)-grid enumeration."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
 # Count confirmed by scripts/grid_oracle.py (disjoint-family bucketing, an
 # independent search); test_grid_oracle_agrees_with_enumeration reruns it.
 GRID_COUNT = 72
+
+ORACLE = Path(__file__).resolve().parent.parent / "scripts" / "grid_oracle.py"
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +74,7 @@ def test_grid_count_regression(grids):
 
 
 def test_grid_oracle_agrees_with_enumeration(cfg, grids):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "grid_oracle.py"
-    spec = importlib.util.spec_from_file_location("grid_oracle", path)
+    spec = importlib.util.spec_from_file_location("grid_oracle", ORACLE)
     oracle = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracle)
     _, count = oracle.count_grids(cfg)
@@ -81,6 +83,22 @@ def test_grid_oracle_agrees_with_enumeration(cfg, grids):
         pts = [cfg.points[i].coords for i in g.grid_points]
         assert oracle.has_unique_quadric(pts)
         assert all(g.quadric.vanishes_at(p) for p in pts)
+
+
+def test_grid_oracle_shares_no_predicate_with_the_package():
+    """The oracle imports neither the elimination kernel nor the incidence
+    predicates that the grid search rests on."""
+    banned = {"h4geproci.linalg", "h4geproci.projective"}
+    imported = set()
+    for node in ast.walk(ast.parse(ORACLE.read_text(), str(ORACLE))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}"
+                            for alias in node.names)
+    assert "h4geproci.config" in imported
+    assert not imported & banned, sorted(imported & banned)
 
 
 def test_both_printed_grids_are_found(grids):

@@ -2,14 +2,49 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from h4geproci import linalg
-from h4geproci.field import FieldElement, ONE, PHI, ZERO
+from h4geproci.field import (FieldElement, ONE, PHI, ZERO,
+                             primitive_numerators)
 from h4geproci.projective import (DegenerateSpanError, ProjLine, ProjMatrix,
-                                  ProjPoint, canonicalize, line_through,
-                                  lines_meet, plane_through, pluecker_pairing)
+                                  ProjPlane, ProjPoint, canonicalize,
+                                  line_through, lines_meet, plane_through)
+from test_linalg import reference_rank
+
+
+# FieldElement references for the predicates that run on Z[phi] pairs.
+
+def _reference_canonicalize(coords):
+    """Divide by the first nonzero coordinate, then clear to coprime Z[phi]."""
+    lead = next(x for x in coords if not x.is_zero())
+    inv = lead.inverse()
+    return tuple(FieldElement(x, y)
+                 for x, y in primitive_numerators([c * inv for c in coords]))
+
+
+def _reference_in_plane(plane, p):
+    return sum((c * x for c, x in zip(plane.coords, p.coords)), ZERO).is_zero()
+
+
+def _reference_pairing(l1, l2):
+    a, b = l1.pluecker, l2.pluecker
+    return (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
+            + a[5] * b[0] - a[4] * b[1] + a[3] * b[2])
+
+
+def _reference_on_line(line, x):
+    return reference_rank([list(x.coords), list(line.p.coords),
+                           list(line.q.coords)]) == 2
+
+
+def _reference_pluecker(p, q):
+    return _reference_canonicalize(
+        [p.coords[i] * q.coords[j] - p.coords[j] * q.coords[i]
+         for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))])
 
 
 def _random_point(rng) -> ProjPoint:
@@ -126,7 +161,7 @@ def test_skew_lines_report_nonzero_pairing():
     l1 = line_through(ProjPoint.of(1, 0, 0, 0), ProjPoint.of(0, 1, 0, 0))
     l2 = line_through(ProjPoint.of(0, 0, 1, 0), ProjPoint.of(0, 0, 0, 1))
     assert not lines_meet(l1, l2)
-    assert not pluecker_pairing(l1, l2).is_zero()
+    assert not _reference_pairing(l1, l2).is_zero()
     with pytest.raises(ValueError):
         _intersection_point(l1, l2)
 
@@ -177,3 +212,109 @@ def test_point_json_roundtrip():
     assert ProjPoint.from_json(p.to_json()) == p
     line = line_through(p, ProjPoint.of(1, 0, 0, 0))
     assert ProjLine.from_json(line.to_json()) == line
+
+
+def _random_element(rng, zero_weight=3):
+    """A small element of Q(phi), zero with odds 1 in zero_weight."""
+    if rng.randrange(zero_weight) == 0:
+        return ZERO
+    return FieldElement(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                        Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+
+
+def _random_vector(rng, n=4):
+    while True:
+        coords = [_random_element(rng) for _ in range(n)]
+        if any(not x.is_zero() for x in coords):
+            return coords
+
+
+SCALES = (-ONE, PHI, ONE / PHI, FieldElement(Fraction(-3, 7)),
+          FieldElement(Fraction(5, 2)), FieldElement(Fraction(2, 3), -1))
+
+
+def test_canonical_form_matches_the_inverse_reference():
+    """The pair canonical form is the divide-by-the-lead form, and no Q(phi)
+    multiple of the input moves it."""
+    rng = random.Random(53)
+    irrational_lead = negative_lead = leading_zero = 0
+    for _ in range(600):
+        coords = _random_vector(rng, rng.choice((3, 4, 6)))
+        canon = canonicalize(coords)
+        assert canon == _reference_canonicalize(coords)
+        for scale in SCALES:
+            assert canonicalize([x * scale for x in coords]) == canon
+        numerators = primitive_numerators(coords)
+        x, y = next(w for w in numerators if w != (0, 0))
+        irrational_lead += y != 0
+        negative_lead += x * x + x * y - y * y < 0
+        leading_zero += coords[0].is_zero()
+        if len(coords) == 4:
+            p = ProjPoint(coords)
+            assert p.coords == canon
+            assert p.pairs == tuple((e.a, e.b) for e in canon)
+            lead = next(w for w in p.pairs if w != (0, 0))
+            assert lead[0] > 0 and lead[1] == 0
+            assert gcd(*(v for w in p.pairs for v in w)) == 1
+    assert irrational_lead > 100 and negative_lead > 50 and leading_zero > 100
+
+
+def test_pair_predicates_match_the_references_on_the_configuration(cfg):
+    points = list(cfg.points.values())
+    for v in cfg.planes.values():
+        for p in points:
+            assert v.contains(p) == _reference_in_plane(v, p)
+    meeting = 0
+    for l1, l2 in combinations(cfg.lines.values(), 2):
+        meet = lines_meet(l1, l2)
+        assert meet == _reference_pairing(l1, l2).is_zero()
+        meeting += meet
+    assert meeting == 900
+    on = 0
+    for line in cfg.lines.values():
+        assert line.pluecker == _reference_pluecker(line.p, line.q)
+        for p in points:
+            inside = line.contains(p)
+            assert inside == _reference_on_line(line, p)
+            on += inside
+    assert on == 72 * 5
+
+
+def test_pair_predicates_match_the_references_on_random_flats():
+    """Random points, many with zero coordinates, and flats through them."""
+    rng = random.Random(59)
+    corners = [ProjPoint.of(*[int(i == j) for j in range(4)]) for i in range(4)]
+    counts = {"in_plane": 0, "off_plane": 0, "on_line": 0, "off_line": 0,
+              "meet": 0, "skew": 0}
+    for _ in range(150):
+        p, q, r = (ProjPoint(_random_vector(rng)) for _ in range(3))
+        a, b = _random_element(rng, 5), _random_element(rng, 5)
+        mix = [a * x + b * y for x, y in zip(p.coords, q.coords)]
+        others = [ProjPoint(_random_vector(rng)) for _ in range(3)] + corners
+        if any(not x.is_zero() for x in mix):
+            others.append(ProjPoint(mix))
+        if p != q:
+            line = line_through(p, q)
+            assert line.pluecker == _reference_pluecker(p, q)
+            for x in [p, q, r] + others:
+                inside = line.contains(x)
+                assert inside == _reference_on_line(line, x)
+                counts["on_line" if inside else "off_line"] += 1
+            lines = [line_through(x, y) for x, y in combinations([p, r] + others, 2)
+                     if x != y]
+            for other in lines:
+                if other != line:
+                    meet = lines_meet(line, other)
+                    assert meet == _reference_pairing(line, other).is_zero()
+                    counts["meet" if meet else "skew"] += 1
+        planes = [ProjPlane(_random_vector(rng))]
+        try:
+            planes.append(plane_through(p, q, r))
+        except DegenerateSpanError:
+            pass
+        for plane in planes:
+            for x in [p, q, r] + others:
+                inside = plane.contains(x)
+                assert inside == _reference_in_plane(plane, x)
+                counts["in_plane" if inside else "off_plane"] += 1
+    assert min(counts.values()) > 100, counts
