@@ -7,6 +7,8 @@ nullspace computation, divisibility by long division, gcd as the nullspace of
 a multiplication map, and a smoothness certificate for plane curves from
 chart-wise resultants modulo a degree-1 prime of Z[phi], sound over
 Q(phi)-bar.
+Evaluation rows are Z[phi] integer pairs (x, y) for x + y*phi, taken at the
+point's coprime numerators (`_evaluation_row`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .field import FieldElement, ONE, ZERO, primitive_numerators
+from .linalg import Pair, _dot
 
 Exponents = Tuple[int, ...]
 Coeffs = Dict[Exponents, FieldElement]
@@ -116,11 +119,22 @@ class HomForm:
             raise ValueError("forms have different degrees")
 
     def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        values = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
-        return sum((c * v for c, v in zip(self.coeffs.values(), values)), ZERO)
+        """The exact value: the form on the pair row, over lambda**d."""
+        row = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
+        value = sum((c * FieldElement(*w) for c, w in zip(self.coeffs.values(), row)),
+                    ZERO)
+        nums = primitive_numerators(point)  # lambda = 1 at the zero point
+        lam = next((FieldElement(*w) / x for x, w in zip(point, nums) if x), ONE)
+        return value / lam ** self.degree
 
     def vanishes_at(self, point: Sequence[FieldElement]) -> bool:
-        return self.evaluate(point).is_zero()
+        """One Z[phi] dot product of coprime coefficient pairs and the row.
+
+        The row is lambda**d times the monomials at the point, and the pairs
+        the coefficients times a positive rational, so the product is f(point)
+        times a nonzero rational: zero exactly when f(point) is."""
+        row = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
+        return _dot(primitive_numerators(self.coeffs.values()), row) == (0, 0)
 
     def partial(self, var: int) -> "HomForm":
         c: Coeffs = {}
@@ -141,12 +155,9 @@ class HomForm:
 
     def integral(self) -> "HomForm":
         """Scale to coprime Z[phi] coefficients (for reduction modulo a prime)."""
-        if self.is_zero():
-            return self
         pairs = primitive_numerators(self.coeffs.values())
         return HomForm(self.nvars, self.degree,
-                       {e: FieldElement(x, y)
-                        for e, (x, y) in zip(self.coeffs, pairs)})
+                       {e: FieldElement(*w) for e, w in zip(self.coeffs, pairs)})
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -191,9 +202,9 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
     Only a row basis is eliminated exactly; it is chosen modulo the split
     prime P = (p, phi - r) of `_PRIME` and `_PHI_ROOT`.
 
-    Soundness.  Scaling a row by a nonzero rational leaves the nullspace
-    alone, so each row is scaled into Z[phi] once, and those numerators are
-    sent to F_p by the ring map x + y*phi -> x + y*r.  A nonzero minor mod P
+    Soundness.  Each pair row of `_evaluation_row` is a nonzero rational
+    multiple of the point's row, which leaves the nullspace alone; the pairs
+    go to F_p by the ring map x + y*phi -> x + y*r.  A nonzero minor mod P
     is a nonzero minor over Q(phi), so the first rows independent mod P
     (`linalg.independent_rows_mod`) are independent over Q(phi), and the
     exact rank is at least their count; when that count is the number of
@@ -213,8 +224,7 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
     below; it never turns a positive dimension into 0.
     """
     cols = monomials(degree, nvars)
-    rows = [primitive_numerators(_evaluation_row(p, degree, nvars, cols))
-            for p in points]
+    rows = [_evaluation_row(p, degree, nvars, cols) for p in points]
     images = [[(x + y * _PHI_ROOT) % _PRIME for x, y in row] for row in rows]
     chosen = linalg.independent_rows_mod(images, _PRIME)
     if len(chosen) == len(cols):
@@ -222,8 +232,8 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
     while True:
         # With nothing chosen (no rows, or all rows zero mod P), start from
         # the whole space: the nullspace of one zero row.
-        kernel = linalg.nullspace([[FieldElement(x, y) for x, y in rows[i]]
-                                   for i in chosen] or [[ZERO] * len(cols)])
+        kernel = linalg.nullspace([rows[i] for i in chosen]
+                                  or [[(0, 0)] * len(cols)])
         missed = linalg.first_missed_row(rows, kernel)
         if missed is None:
             break
@@ -234,23 +244,33 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
 
 
 def _evaluation_row(point: Sequence[FieldElement], degree: int, nvars: int,
-                    cols: Iterable[Exponents]) -> List[FieldElement]:
-    """The monomials at a point, from a table of each coordinate's powers."""
+                    cols: Iterable[Exponents]) -> List[Pair]:
+    """The monomials at the point's coprime Z[phi] numerators, as pairs.
+
+    The point is scaled once by a positive rational lambda to its numerators
+    (`primitive_numerators`), with an integer table of each one's powers.
+    A monomial of degree d at lambda*point is lambda**d times its value at
+    the point, so the row is lambda**d times the point's row, with the same
+    nullspace, canonical monic basis and zero tests.
+    """
     if len(point) != nvars:
         raise ValueError("point dimension does not match variable count")
     powers = []
-    for x in point:
-        table = [ONE, x]
-        for _ in range(degree - 1):
-            table.append(table[-1] * x)
+    for x, y in primitive_numerators(point):
+        table = [(1, 0)]
+        for _ in range(degree):
+            # (a + b phi)(x + y phi) = ax + by + (ay + bx + by) phi.
+            a, b = table[-1]
+            table.append((a * x + b * y, a * y + b * x + b * y))
         powers.append(table)
     row = []
     for e in cols:
-        factors = [table[k] for table, k in zip(powers, e) if k]
-        term = factors[0] if factors else ONE
-        for f in factors[1:]:
-            term = term * f
-        row.append(term)
+        a, b = 1, 0
+        for table, k in zip(powers, e):
+            if k:
+                x, y = table[k]
+                a, b = a * x + b * y, a * y + b * x + b * y
+        row.append((a, b))
     return row
 
 
@@ -330,7 +350,7 @@ def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
         for j, (shift, form) in enumerate(shifts):
             for e, c in form.coeffs.items():
                 matrix[rows[tuple(a + b for a, b in zip(shift, e))]][j] = c
-        kernel = linalg.nullspace(matrix)
+        kernel = linalg.nullspace([primitive_numerators(row) for row in matrix])
         if kernel:
             v = HomForm(nvars, m - k, dict(zip(vcols, kernel[0][len(ucols):])))
             return try_quotient(v, f).monic()
@@ -447,9 +467,9 @@ def _split_primes() -> Iterator[Tuple[int, int]]:
             yield p, (1 + s) * pow(2, -1, p) % p
 
 
-# The first split prime and its phi root: P = (2147483659, phi - 1499939161).
-# `vanishing_space` chooses its rows modulo P.
-_PRIME, _PHI_ROOT = next(_split_primes())
+# The first split prime and its phi root, P = (p, phi - r), stored (a test
+# checks them against `_split_primes`).  `vanishing_space` works modulo P.
+_PRIME, _PHI_ROOT = 2147483659, 1499939161
 
 
 def _reduce(f: HomForm, p: int, r: int) -> ModForm:

@@ -5,7 +5,7 @@ not-half-grid refutation.
 Every check is exact.  A passing certificate is machine-checkable evidence:
 it embeds the forms, the dimension table and the per-condition checklist, so
 the artifact carries what an independent checker needs to re-verify each
-claim by evaluation.  That checker is not written yet (ROADMAP item 2).
+claim by evaluation.  That checker is not written yet (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -257,6 +257,11 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     a nonzero degree-(d-1) form vanishes at the images, its product with any
     linear form is a nonzero degree-d form vanishing there, so dim_d = 0
     forces dim_{d-1} = 0 and every lower dimension to be zero as well.
+
+    Each quintic is tested once per image by `HomForm.vanishes_at` (an
+    integer product, the value times a nonzero rational).  The decic q1*q2
+    vanishes at an image exactly when q1 or q2 does: Q(phi) has no zero
+    divisors.
     """
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in sorted(cfg.points)]
@@ -284,15 +289,12 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
                                   cfgmod.GRID1_EXTERNAL_LINE)
     quintic2 = build_quintic_cone(cfg, proj, grid2, anchor2,
                                   cfgmod.GRID2_EXTERNAL_LINE)
-    # Each quintic is evaluated once per image; the decic's value at an
-    # image is the product of the two, since (q1 q2)(p) = q1(p) q2(p).
-    at1 = {i: quintic1.evaluate(proj.images[i]) for i in cfg.points}
-    at2 = {i: quintic2.evaluate(proj.images[i]) for i in cfg.points}
-    checks["quintic1_on_z1"] = all(at1[i].is_zero() for i in z1)
-    checks["quintic2_on_z2"] = all(at2[i].is_zero() for i in z2)
+    on1 = {i: quintic1.vanishes_at(proj.images[i]) for i in cfg.points}
+    on2 = {i: quintic2.vanishes_at(proj.images[i]) for i in cfg.points}
+    checks["quintic1_on_z1"] = all(on1[i] for i in z1)
+    checks["quintic2_on_z2"] = all(on2[i] for i in z2)
     decic = quintic1 * quintic2
-    checks["decic_on_all"] = all((at1[i] * at2[i]).is_zero()
-                                 for i in cfg.points)
+    checks["decic_on_all"] = all(on1[i] or on2[i] for i in cfg.points)
     no_shared = not divides(sextic, decic)
     checks["no_shared_component"] = no_shared
     checks["bezout_count"] = sextic.degree * decic.degree == 60

@@ -1,15 +1,18 @@
 """Exact linear algebra over Q(phi), and one elimination kernel over F_p.
 
-Matrices are lists of lists of FieldElement.  The exact kernel, `_eliminate`,
-first scales each row by a positive rational to coprime Z[phi] numerators
-(`field.primitive_numerators`) and then runs Bareiss forward elimination on
-the integer pairs (x, y) that stand for x + y*phi, with phi**2 = phi + 1.
-Each update is a two-by-two minor divided by the previous pivot w, computed
-as the minor times conj(w) floor-divided by the integer N(w) = w*conj(w) in
-each component; that division is exact (the argument is at `_eliminate`).
-Results become FieldElements only on output.  Scaling a row by a nonzero
-rational leaves the rank, the pivot columns and the nullspace unchanged;
-`determinant` divides the row scales out again.
+The exact kernel, `_eliminate`, runs Bareiss forward elimination on rows of
+integer pairs (x, y) that stand for x + y*phi in Z[phi], with phi**2 =
+phi + 1.  Each update is a two-by-two minor divided by the previous pivot w,
+computed as the minor times conj(w) floor-divided by the integer N(w) =
+w*conj(w) in each component; that division is exact (the argument is at
+`_eliminate`).  `nullspace` takes Z[phi] pair rows, as interpolation, the
+gcd and plane spans produce them; `determinant` takes FieldElement rows,
+scales each by a positive rational to coprime Z[phi] numerators
+(`field.primitive_numerators`) and divides the scales out again.  Scaling
+a row by a nonzero rational leaves the rank, the pivot columns and the
+nullspace unchanged.  `_dot` is the one Z[phi] multiply-accumulate loop:
+kernel checks, form evaluation and the incidence predicates all use it.
+Results become FieldElements only on output.
 
 Over F_p, matrices are lists of lists of ints; `_eliminate_mod` reduces them
 one row at a time, and the modular determinant and row selection both read it.
@@ -75,40 +78,25 @@ def _eliminate(rows: List[List[Pair]]) -> Tuple[List[List[Pair]], List[int], int
     return rows, pivots, sign
 
 
-def row_echelon(matrix: Sequence[Sequence[FieldElement]]) -> Tuple[Matrix, List[int]]:
-    """Fraction-free row echelon form.  Returns (echelon matrix, pivot columns).
-
-    The elimination runs on the rows scaled to coprime Z[phi] numerators,
-    so the entries lie in Z[phi], and each echelon row is a nonzero multiple
-    of the one the unscaled rows give.
-    """
-    m, pivots, _ = _eliminate([primitive_numerators(row) for row in matrix])
-    return [[FieldElement(x, y) for x, y in row] for row in m], pivots
-
-
-def nullspace(matrix: Sequence[Sequence[FieldElement]]) -> List[List[FieldElement]]:
-    """Basis of the right nullspace, one vector per free column, in column order.
+def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[FieldElement]]:
+    """Basis of the right nullspace of Z[phi] rows, one vector per free column.
 
     Vector k has a 1 in its free column and 0 in every other free column, so
-    the output is deterministic and already echelonized.
+    the output is deterministic and already echelonized.  The input is not
+    modified, and scaling its rows by nonzero scalars changes nothing.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if nrows == 0:
-        return [[ONE if i == j else ZERO for i in range(ncols)] for j in range(ncols)]
-    echelon, pivots = row_echelon(matrix)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    ncols = len(rows[0]) if rows else 0
+    m, pivots, _ = _eliminate([list(row) for row in rows])
+    echelon = [[FieldElement(x, y) for x, y in row] for row in m[:len(pivots)]]
     basis: List[List[FieldElement]] = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[fc] = ONE
         for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = ZERO
-            for j in range(pc + 1, ncols):
-                if not v[j].is_zero() and not echelon[r][j].is_zero():
-                    s = s + echelon[r][j] * v[j]
-            v[pc] = -s / echelon[r][pc]
+            pc, row = pivots[r], echelon[r]
+            s = sum((row[j] * v[j] for j in range(pc + 1, ncols) if v[j] and row[j]),
+                    ZERO)
+            v[pc] = -s / row[pc]
         basis.append(v)
     return basis
 
@@ -133,26 +121,27 @@ def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
     return d if sign > 0 else -d
 
 
+def _dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
+    """The Z[phi] dot product sum u_i * v_i, as a pair."""
+    sx = sy = 0
+    for (a, b), (c, d) in zip(u, v):
+        # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi.
+        t = b * d
+        sx += a * c + t
+        sy += a * d + b * c + t
+    return sx, sy
+
+
 def first_missed_row(rows: Sequence[Sequence[Pair]],
                      vectors: Sequence[Sequence[FieldElement]]) -> Optional[int]:
     """The first row, for the first vector, that the vector does not kill.
 
-    Rows are Z[phi] pairs; each vector is scaled to its coprime Z[phi]
-    numerators, which kill the same rows, and the products are integer dot
-    products in Z[phi].  Returns None when every vector kills every row.
+    Each vector is scaled to its coprime Z[phi] numerators, which kill the
+    same rows, for integer dot products; None when every vector kills all.
     """
-    for vec in vectors:
-        terms = [(j, x, y) for j, (x, y) in enumerate(primitive_numerators(vec))
-                 if x or y]
+    for pairs in map(primitive_numerators, vectors):
         for i, row in enumerate(rows):
-            # sum of (a + b phi)(x + y phi) = ax + by + (ay + bx + by) phi.
-            sx = sy = 0
-            for j, x, y in terms:
-                a, b = row[j]
-                t = b * y
-                sx += a * x + t
-                sy += a * y + b * x + t
-            if sx or sy:
+            if _dot(row, pairs) != (0, 0):
                 return i
     return None
 

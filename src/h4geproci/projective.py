@@ -29,7 +29,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 from . import linalg
 from .field import FieldElement, primitive_numerators
-from .linalg import Pair
+from .linalg import Pair, _dot
 
 # Pluecker coordinates are ordered by the index pairs ij below.
 _PLUECKER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -71,17 +71,6 @@ def _canonical_pairs(pairs: Sequence[Pair]) -> Tuple[Pair, ...]:
 
 def _elements(pairs: Iterable[Pair]) -> Tuple[FieldElement, ...]:
     return tuple(FieldElement(x, y) for x, y in pairs)
-
-
-def _vanishes(terms: Iterable[Tuple[Pair, Pair]]) -> bool:
-    """True iff the sum of the Z[phi] products u*v over the (u, v) terms is 0."""
-    sx = sy = 0
-    for (a, b), (c, d) in terms:
-        # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi.
-        t = b * d
-        sx += a * c + t
-        sy += a * d + b * c + t
-    return sx == 0 and sy == 0
 
 
 def _neg(w: Pair) -> Pair:
@@ -165,7 +154,7 @@ class ProjPlane(_Flat):
                     for x in coeffs])
 
     def contains(self, p: ProjPoint) -> bool:
-        return _vanishes(zip(self.pairs, p.pairs))
+        return _dot(self.pairs, p.pairs) == (0, 0)
 
 
 class ProjLine:
@@ -201,8 +190,8 @@ class ProjLine:
     def contains(self, x: ProjPoint) -> bool:
         """x lies on the line: the four minors of the module docstring vanish."""
         xs, ls = x.pairs, self.pairs
-        return all(_vanishes(((xs[i], ls[jk]), (_neg(xs[j]), ls[ik]),
-                              (xs[k], ls[ij])))
+        return all(_dot((xs[i], _neg(xs[j]), xs[k]),
+                        (ls[jk], ls[ik], ls[ij])) == (0, 0)
                    for i, j, k, jk, ik, ij in _MINORS)
 
     def to_json(self) -> dict:
@@ -227,19 +216,18 @@ def lines_meet(l1: ProjLine, l2: ProjLine) -> bool:
     if l1 == l2:
         raise ValueError("lines_meet expects two distinct lines")
     a, b = l1.pairs, l2.pairs
-    return _vanishes(((a[0], b[5]), (a[1], _neg(b[4])), (a[2], b[3]),
-                      (a[3], b[2]), (a[4], _neg(b[1])), (a[5], b[0])))
+    return _dot(a, (b[5], _neg(b[4]), b[3], b[2], _neg(b[1]), b[0])) == (0, 0)
 
 
 def plane_through(*members) -> ProjPlane:
     """The plane spanned by three points, or by a line and a point."""
-    rows: List[List[FieldElement]] = []
+    rows: List[Tuple[Pair, ...]] = []
     for m in members:
         if isinstance(m, ProjPoint):
-            rows.append(list(m.coords))
+            rows.append(m.pairs)
         elif isinstance(m, ProjLine):
-            rows.append(list(m.p.coords))
-            rows.append(list(m.q.coords))
+            rows.append(m.p.pairs)
+            rows.append(m.q.pairs)
         else:
             raise TypeError(f"unsupported span member {type(m).__name__}")
     kernel = linalg.nullspace(rows)

@@ -1,0 +1,54 @@
+"""The certificate artifacts stay byte-identical from one change to the next.
+
+Each digest is the sha256 of the artifact's canonical JSON (sorted keys,
+separators "," and ":"), the rule the benchmark uses to compare artifacts.
+A change that alters any byte of these artifacts fails here; if the change
+is meant to alter them, record the new digests together with the reason.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from h4geproci import (build_h4, enumerate_grids, verify_geproci,
+                       verify_half_grid, verify_not_half_grid)
+
+PINNED = {
+    "enumerate_grids":
+        "ebdd3b3eb90d859467739600006121921ed1002b56e3e026a758f32fefa77a0b",
+    "verify_geproci seed 1":
+        "2f9028a6b391b5c7861a49685d355f264952a0c47af17dc7e832c74e1475377c",
+    "verify_half_grid z1 seed 1":
+        "2e3b9b0ddddef49a65281d02f6a90bead5f5fc590ec74761a1f117612f8021be",
+    "verify_half_grid z2 seed 1":
+        "2c701232ab33282086172b3a166fade4c4433d84b761dadcac000301aa9c0599",
+    "verify_not_half_grid seed 1":
+        "c673eea05f0ad28c0e7574ffd8c66e1cc4276d4d39da52fed8d249728de198e8",
+}
+
+ARTIFACTS = {
+    "enumerate_grids": lambda cfg: [g.to_json() for g in enumerate_grids(cfg)],
+    "verify_geproci seed 1": lambda cfg: verify_geproci(cfg, 1).to_json(),
+    "verify_half_grid z1 seed 1":
+        lambda cfg: verify_half_grid(cfg, 1, "z1").to_json(),
+    "verify_half_grid z2 seed 1":
+        lambda cfg: verify_half_grid(cfg, 1, "z2").to_json(),
+    "verify_not_half_grid seed 1":
+        lambda cfg: verify_not_half_grid(cfg, 1).to_json(),
+}
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def cfg():
+    return build_h4()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_artifact_digest_is_pinned(cfg, name):
+    assert _digest(ARTIFACTS[name](cfg)) == PINNED[name]

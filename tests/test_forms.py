@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 
@@ -12,8 +12,8 @@ from h4geproci.field import FieldElement, ONE, PHI, ZERO
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
                              try_quotient, vanishing_space, _chart_test,
-                             _compose_mod, _eliminant, _gcd_mod,
-                             _split_primes, _PHI_ROOT, _PRIME)
+                             _compose_mod, _eliminant, _evaluation_row,
+                             _gcd_mod, _split_primes, _PHI_ROOT, _PRIME)
 from test_linalg import reference_nullspace
 
 
@@ -91,6 +91,128 @@ def test_partial_derivatives_satisfy_euler_relation():
         pt = _random_proj_tuple(rng, 3)
         euler = sum((f.partial(i).evaluate(pt) * pt[i] for i in range(3)), ZERO)
         assert euler == f.evaluate(pt) * FieldElement(4)
+
+
+def _reference_evaluation_row(point, degree, nvars, cols):
+    """The monomials at the point itself, as FieldElements.
+
+    This is the FieldElement row the package computed before evaluation
+    moved onto Z[phi] pairs, kept as a reference.
+    """
+    if len(point) != nvars:
+        raise ValueError("point dimension does not match variable count")
+    powers = []
+    for x in point:
+        table = [ONE, x]
+        for _ in range(degree - 1):
+            table.append(table[-1] * x)
+        powers.append(table)
+    row = []
+    for e in cols:
+        factors = [table[k] for table, k in zip(powers, e) if k]
+        term = factors[0] if factors else ONE
+        for f in factors[1:]:
+            term = term * f
+        row.append(term)
+    return row
+
+
+def _evaluation_points(rng, nvars):
+    """Points with rational coordinates, integer content > 1 and zeros."""
+    yield tuple(_random_elem(rng) for _ in range(nvars))
+    yield tuple(FieldElement(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                for _ in range(nvars))
+    yield tuple(FieldElement(6 * rng.randint(-5, 5), 4 * rng.randint(-5, 5))
+                for _ in range(nvars))
+    yield tuple(FieldElement(Fraction(10, 3), Fraction(-4, 9)) * x
+                for x in _random_proj_tuple(rng, nvars))
+    pt = [_random_elem(rng) for _ in range(nvars)]
+    pt[rng.randrange(nvars)] = ZERO
+    yield tuple(pt)
+    yield tuple(ONE if i == 1 else ZERO for i in range(nvars))
+    yield (ZERO,) * nvars
+
+
+def _scale_of(row, ref):
+    """The k with row == k * ref entry by entry; ZERO for a zero reference."""
+    values = [FieldElement(x, y) for x, y in row]
+    j = next((j for j, r in enumerate(ref) if not r.is_zero()), None)
+    k = ZERO if j is None else values[j] / ref[j]
+    assert values == [k * r for r in ref]
+    return k
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_pair_rows_are_the_field_rows_times_lambda_to_the_degree(nvars):
+    rng = random.Random(97 + nvars)
+    seen = set()
+    for _ in range(6):
+        for pt in _evaluation_points(rng, nvars):
+            # Degree 1 gives lambda*point: coprime integer pairs, lambda a
+            # positive rational (zero only for the zero point).
+            linear = monomials(1, nvars)
+            numerators = _evaluation_row(pt, 1, nvars, linear)
+            lam = _scale_of(numerators, _reference_evaluation_row(pt, 1, nvars, linear))
+            if lam.is_zero():
+                assert all(x == y == 0 for x, y in numerators)
+            else:
+                assert lam.b == 0 and lam.a > 0
+                assert gcd(*(v for w in numerators for v in w)) == 1
+            for degree in range(0, 6):
+                cols = monomials(degree, nvars)
+                ref = _reference_evaluation_row(pt, degree, nvars, cols)
+                row = _evaluation_row(pt, degree, nvars, cols)
+                if degree == 0:
+                    assert row == [(1, 0)] and ref == [ONE]
+                elif lam.is_zero():
+                    assert row == [(0, 0)] * len(cols)
+                else:
+                    assert _scale_of(row, ref) == lam ** degree
+                # A sparse column set, in the form's order.
+                sub = cols[::2]
+                assert _evaluation_row(pt, degree, nvars, sub) == row[::2]
+            seen.add((lam.is_zero(), lam == ONE))
+    assert seen == {(True, False), (False, True), (False, False)}
+    with pytest.raises(ValueError):
+        _evaluation_row((ONE,) * (nvars - 1), 2, nvars, monomials(2, nvars))
+
+
+def _reference_value(f, pt):
+    ref = _reference_evaluation_row(pt, f.degree, f.nvars, f.coeffs)
+    return sum((c * v for c, v in zip(f.coeffs.values(), ref)), ZERO)
+
+
+def test_evaluate_and_vanishes_at_agree_with_the_field_reference():
+    rng = random.Random(101)
+    scales = (FieldElement(Fraction(-3, 5)), FieldElement(Fraction(7, 2), 1),
+              PHI, FieldElement(12))
+    outcomes = set()
+    for nvars in (2, 3, 4):
+        for _ in range(8):
+            for pt in _evaluation_points(rng, nvars):
+                for degree in (0, 1, 2, 4):
+                    f = _random_form(rng, nvars, degree,
+                                     rational=rng.random() < 0.5)
+                    j = next((j for j, x in enumerate(pt) if not x.is_zero()),
+                             None)
+                    forms = [f]
+                    if j is not None and degree:
+                        # f minus its value at pt times (x_j / pt_j)^d
+                        # vanishes at pt.
+                        e = tuple(degree if i == j else 0 for i in range(nvars))
+                        c = _reference_value(f, pt) / pt[j] ** degree
+                        forms.append(f - HomForm(nvars, degree, {e: c}))
+                    for g in forms:
+                        value = _reference_value(g, pt)
+                        assert g.evaluate(pt) == value
+                        assert g.vanishes_at(pt) == value.is_zero()
+                        for k in scales:
+                            moved = tuple(k * x for x in pt)
+                            assert g.vanishes_at(moved) == g.vanishes_at(pt)
+                            assert g.evaluate(moved) == value * k ** degree
+                        outcomes.add(value.is_zero())
+    assert outcomes == {True, False}
+    assert HomForm.zero(3, 2).vanishes_at((ONE, PHI, ZERO))
 
 
 def test_vanishing_space_basis_vanishes_at_inputs():
@@ -303,6 +425,10 @@ def test_gcd_and_divides_match_sympy_over_q_sqrt5():
                 outcomes.add(rem.is_zero)
             cases += 1
     assert cases >= 12 and outcomes == {True, False}
+
+
+def test_stored_split_prime_is_the_first_split_prime():
+    assert next(_split_primes()) == (_PRIME, _PHI_ROOT)
 
 
 def test_univariate_gcd_known_cases():

@@ -122,6 +122,27 @@ def test_geproci_certificate_passes(geproci_cert_seed1):
     assert len(cert.z1) == 30 and len(cert.z2) == 30
 
 
+def test_quintic_missing_its_half_fails_the_quintic_and_decic_checks(
+        cfg, monkeypatch):
+    # The first quintic plus x^5 misses the images of Z1, where the second
+    # quintic does not vanish either; the second one is left as it is.
+    build = geproci.build_quintic_cone
+    calls = []
+
+    def perturbed(*args):
+        quintic = build(*args)
+        calls.append(quintic)
+        if len(calls) == 1:
+            return quintic + HomForm(3, 5, {(5, 0, 0): ONE})
+        return quintic
+
+    monkeypatch.setattr(geproci, "build_quintic_cone", perturbed)
+    with pytest.raises(geproci.VerificationError) as err:
+        geproci.verify_geproci(cfg, 1)
+    assert len(calls) == 2
+    assert str(err.value).endswith("['quintic1_on_z1', 'decic_on_all']")
+
+
 def test_sextic_and_decic_share_no_component(geproci_cert_seed1):
     cert = geproci_cert_seed1
     decic = cert.quintic1 * cert.quintic2

@@ -28,6 +28,22 @@ def _even_rows(m, k=FieldElement(6, 2)):
     return [[x * k for x in row] for row in m]
 
 
+def _integer_pairs(m):
+    """The Z[phi] pairs of a matrix with integral entries, unscaled."""
+    pairs = []
+    for row in m:
+        assert all(x.a.denominator == 1 and x.b.denominator == 1 for x in row)
+        pairs.append([(int(x.a), int(x.b)) for x in row])
+    return pairs
+
+
+def _times(rows, k):
+    """Each Z[phi] pair times k = (a, b), that is a + b*phi."""
+    a, b = k
+    return [[(x * a + y * b, x * b + y * a + y * b) for x, y in row]
+            for row in rows]
+
+
 def _mat_mul(a, b):
     return [[sum((a[i][t] * b[t][j] for t in range(len(b))), ZERO)
              for j in range(len(b[0]))] for i in range(len(a))]
@@ -72,13 +88,19 @@ def test_determinant_matches_permutation_expansion():
 
 
 def test_bareiss_keeps_integer_entries_integral():
+    # On unscaled integral rows every Bareiss entry is a minor of the input,
+    # so the reference entries are integral and the pair kernel's floor
+    # divisions give each of them exactly.
     rng = random.Random(5)
     for _ in range(20):
         m = _random_matrix(rng, 4, 6)
-        echelon, _ = linalg.row_echelon(m)
-        for row in echelon:
-            for x in row:
-                assert x.a.denominator == 1 and x.b.denominator == 1
+        echelon, pivots, sign = linalg._eliminate(_integer_pairs(m))
+        ref, ref_pivots, ref_sign = _reference_eliminate(m)
+        assert (pivots, sign) == (ref_pivots, ref_sign)
+        for row, ref_row in zip(echelon, ref):
+            for (x, y), r in zip(row, ref_row):
+                assert r.a.denominator == 1 and r.b.denominator == 1
+                assert FieldElement(x, y) == r
 
 
 def _reference_eliminate(matrix):
@@ -177,8 +199,12 @@ def test_kernel_matches_the_field_element_reference():
     swapped = deficient = squares = 0
     for m in _kernel_cases(rng):
         ref_echelon, ref_pivots, ref_sign = _reference_eliminate(m)
-        echelon, pivots = linalg.row_echelon(m)
-        assert pivots == ref_pivots
+        rows = [primitive_numerators(row) for row in m]
+        scaled, pivots, sign = linalg._eliminate([list(row) for row in rows])
+        echelon = [[FieldElement(x, y) for x, y in row] for row in scaled]
+        # Rows scaled by positive rationals keep every zero pattern, so the
+        # same rows swap and the same columns pivot.
+        assert (pivots, sign) == (ref_pivots, ref_sign)
         # Each echelon row is the reference row times a nonzero scalar.
         for row, ref in zip(echelon, ref_echelon):
             assert [x.is_zero() for x in row] == [x.is_zero() for x in ref]
@@ -186,7 +212,11 @@ def test_kernel_matches_the_field_element_reference():
             if j is not None:
                 k = row[j] / ref[j]
                 assert row == [x * k for x in ref]
-        assert linalg.nullspace(m) == reference_nullspace(m)
+        basis = reference_nullspace(m)
+        assert linalg.nullspace(rows) == basis
+        assert rows == [primitive_numerators(row) for row in m]
+        # Any nonzero Z[phi] multiple of the rows has the same nullspace.
+        assert linalg.nullspace(_times(rows, (3, -2))) == basis
         if len(m) == len(m[0]):
             assert linalg.determinant(m) == _reference_determinant(m)
             squares += 1
@@ -199,7 +229,7 @@ def test_first_missed_row_is_an_exact_product_check():
     rng = random.Random(37)
     for m in _kernel_cases(rng):
         rows = [primitive_numerators(row) for row in m]
-        basis = linalg.nullspace(m)
+        basis = linalg.nullspace(rows)
         assert linalg.first_missed_row(rows, basis) is None
         # A row that the first vector does not kill is found, first in order.
         if basis:
@@ -217,7 +247,7 @@ def test_nullspace_vectors_annihilate_the_matrix():
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         m = _random_matrix(rng, rows, cols, -4, 4)
-        basis = linalg.nullspace(m)
+        basis = linalg.nullspace(_integer_pairs(m))
         assert reference_rank(m) + len(basis) == cols
         for v in basis:
             assert all(x.is_zero() for x in linalg.mat_vec(m, v))
@@ -226,8 +256,9 @@ def test_nullspace_vectors_annihilate_the_matrix():
 def test_nullspace_of_rank_deficient_matrix():
     row = [FieldElement(1), FieldElement(2), FieldElement(3)]
     m = [row, [x * FieldElement(2) for x in row]]
-    basis = linalg.nullspace(m)
+    basis = linalg.nullspace(_integer_pairs(m))
     assert len(basis) == 2
+    assert basis == reference_nullspace(m)
 
 
 def test_inverse_roundtrip_and_singular_detection():

@@ -68,7 +68,8 @@ def _random_proj_matrix(rng) -> ProjMatrix:
 def _intersection_point(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """The common point of two distinct lines, from the kernel of their spans."""
     cols = [l1.p.coords, l1.q.coords, l2.p.coords, l2.q.coords]
-    kernel = linalg.nullspace([[cols[c][r] for c in range(4)] for r in range(4)])
+    kernel = linalg.nullspace([primitive_numerators([cols[c][r] for c in range(4)])
+                               for r in range(4)])
     if len(kernel) != 1:
         raise ValueError("lines are skew")
     alpha, beta = kernel[0][0], kernel[0][1]
