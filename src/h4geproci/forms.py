@@ -38,7 +38,7 @@ def monomials(degree: int, nvars: int) -> List[Exponents]:
 class HomForm:
     """A homogeneous form; zero coefficients are never stored."""
 
-    __slots__ = ("nvars", "degree", "coeffs")
+    __slots__ = ("nvars", "degree", "coeffs", "_pairs")
 
     def __init__(self, nvars: int, degree: int, coeffs: Coeffs):
         clean = {}
@@ -53,6 +53,7 @@ class HomForm:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_pairs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("HomForm is immutable")
@@ -134,7 +135,14 @@ class HomForm:
         the coefficients times a positive rational, so the product is f(point)
         times a nonzero rational: zero exactly when f(point) is."""
         row = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
-        return _dot(primitive_numerators(self.coeffs.values()), row) == (0, 0)
+        return _dot(self.pairs(), row) == (0, 0)
+
+    def pairs(self) -> List[Pair]:
+        """The coefficients scaled to coprime Z[phi] pairs, computed once."""
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs",
+                               primitive_numerators(self.coeffs.values()))
+        return self._pairs
 
     def partial(self, var: int) -> "HomForm":
         c: Coeffs = {}
@@ -155,9 +163,8 @@ class HomForm:
 
     def integral(self) -> "HomForm":
         """Scale to coprime Z[phi] coefficients (for reduction modulo a prime)."""
-        pairs = primitive_numerators(self.coeffs.values())
         return HomForm(self.nvars, self.degree,
-                       {e: FieldElement(*w) for e, w in zip(self.coeffs, pairs)})
+                       {e: FieldElement(*w) for e, w in zip(self.coeffs, self.pairs())})
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -474,8 +481,7 @@ _PRIME, _PHI_ROOT = 2147483659, 1499939161
 
 def _reduce(f: HomForm, p: int, r: int) -> ModForm:
     """The image of a primitive integral form under Z[phi] -> F_p, phi -> r."""
-    pairs = primitive_numerators(f.coeffs.values())
-    out = ((e, (x + y * r) % p) for e, (x, y) in zip(f.coeffs, pairs))
+    out = ((e, (x + y * r) % p) for e, (x, y) in zip(f.coeffs, f.pairs()))
     return {e: v for e, v in out if v}
 
 

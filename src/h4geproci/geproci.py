@@ -122,7 +122,14 @@ class GridCertificate:
 
 def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
                 m_lines: Sequence[int]) -> GridCertificate:
-    """Check the grid conditions and interpolate the unique quadric."""
+    """Check the grid conditions; interpolate the quadric on a 3x3 subgrid.
+
+    Once the families are skew and meet in 25 distinct points, a quadric
+    through the 9 points l_i . m_j, i, j <= 3, meets l_1, l_2, l_3 each in
+    three distinct points, so it contains them; then it meets each m_j in
+    three distinct points, so it contains it and all 25 points.  So the
+    quadrics through the 9 are those through the 25: same space, same basis.
+    """
     l_lines, m_lines = tuple(l_lines), tuple(m_lines)
     if len(set(l_lines)) != 5 or len(set(m_lines)) != 5:
         raise NotAGridError("each family needs 5 distinct lines")
@@ -140,18 +147,19 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
     # their point lists share a point, and that point is where they meet:
     # the same pairs and points as a Pluecker meet test followed by a lookup
     # of the intersection point among the configuration points.
-    grid_points = set()
-    for li in l_lines:
-        for mj in m_lines:
+    grid_points, subgrid = set(), set()
+    for i, li in enumerate(l_lines):
+        for j, mj in enumerate(m_lines):
             shared = set(cfg.line_points[li]).intersection(cfg.line_points[mj])
             if not shared:
                 raise NotAGridError(
                     f"lines {li} and {mj} do not meet in a configuration point")
             grid_points |= shared
+            if i < 3 and j < 3:
+                subgrid |= shared
     if len(grid_points) != 25:
         raise NotAGridError(f"{len(grid_points)} intersection points, not 25")
-    basis = vanishing_space([cfg.points[i].coords for i in sorted(grid_points)],
-                            2, 4)
+    basis = vanishing_space([cfg.points[i].coords for i in sorted(subgrid)], 2, 4)
     if len(basis) != 1:
         raise NotAGridError(f"quadric space has dimension {len(basis)}, not 1")
     return GridCertificate(l_lines, m_lines, tuple(sorted(grid_points)),

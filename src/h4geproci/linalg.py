@@ -6,13 +6,14 @@ phi + 1.  Each update is a two-by-two minor divided by the previous pivot w,
 computed as the minor times conj(w) floor-divided by the integer N(w) =
 w*conj(w) in each component; that division is exact (the argument is at
 `_eliminate`).  `nullspace` takes Z[phi] pair rows, as interpolation, the
-gcd and plane spans produce them; `determinant` takes FieldElement rows,
-scales each by a positive rational to coprime Z[phi] numerators
-(`field.primitive_numerators`) and divides the scales out again.  Scaling
-a row by a nonzero rational leaves the rank, the pivot columns and the
-nullspace unchanged.  `_dot` is the one Z[phi] multiply-accumulate loop:
-kernel checks, form evaluation and the incidence predicates all use it.
-Results become FieldElements only on output.
+gcd and plane spans produce them, back-substitutes fraction-free on the
+pairs and divides each entry by the last pivot once, on output (the
+argument is there); `determinant` takes FieldElement rows, scales each by a
+positive rational to coprime Z[phi] numerators (`field.primitive_numerators`)
+and divides the scales out again.  Scaling a row by a nonzero rational
+leaves the rank, the pivot columns and the nullspace unchanged.  `_dot` is
+the one Z[phi] multiply-accumulate loop: kernel checks, back substitution,
+form evaluation and the incidence predicates all use it.
 
 Over F_p, matrices are lists of lists of ints; `_eliminate_mod` reduces them
 one row at a time, and the modular determinant and row selection both read it.
@@ -84,20 +85,30 @@ def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[FieldElement]]:
     Vector k has a 1 in its free column and 0 in every other free column, so
     the output is deterministic and already echelonized.  The input is not
     modified, and scaling its rows by nonzero scalars changes nothing.
+
+    Back substitution stays in Z[phi].  Let A be the first r (swapped) rows
+    on the r pivot columns; the other rows eliminate to zero, so the kernel
+    is that of these rows, and the last pivot D is det A.  With D in the
+    free column the pivot entries solve A x = -D a (a the free column), so
+    by Cramer's rule each, and so each step's quotient, is a minor of the
+    input: its division by the pivot p, s*conj(p) floor-divided by N(p), is
+    exact.  Dividing each entry by D at the end puts 1 in the free column.
     """
     ncols = len(rows[0]) if rows else 0
     m, pivots, _ = _eliminate([list(row) for row in rows])
-    echelon = [[FieldElement(x, y) for x, y in row] for row in m[:len(pivots)]]
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else (1, 0)
+    scale = FieldElement(*d)
     basis: List[List[FieldElement]] = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r in range(len(pivots) - 1, -1, -1):
-            pc, row = pivots[r], echelon[r]
-            s = sum((row[j] * v[j] for j in range(pc + 1, ncols) if v[j] and row[j]),
-                    ZERO)
-            v[pc] = -s / row[pc]
-        basis.append(v)
+        v = {fc: d}
+        for r in reversed(range(len(pivots))):
+            sx, sy = _dot([m[r][j] for j in v], v.values())
+            px, py = m[r][pivots[r]]
+            n, t = px * px + px * py - py * py, sy * py
+            v[pivots[r]] = ((t - sx * (px + py)) // n,
+                            (t + sx * py - sy * (px + py)) // n)
+        basis.append([FieldElement(*v[j]) / scale if j in v else ZERO
+                      for j in range(ncols)])
     return basis
 
 

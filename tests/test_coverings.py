@@ -10,6 +10,7 @@ from h4geproci import tables
 from h4geproci.config import GRID1_L, GRID1_M, GRID2_L, GRID2_M
 from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids, verify_covering)
+from h4geproci.forms import vanishing_space
 
 # Count confirmed by scripts/grid_oracle.py (disjoint-family bucketing, an
 # independent search); test_grid_oracle_agrees_with_enumeration reruns it.
@@ -111,6 +112,15 @@ def test_grids_have_unique_quadrics_and_25_points(grids):
     for g in grids:
         assert len(g.grid_points) == 25
         assert g.quadric.degree == 2
+
+
+def test_every_grid_quadric_is_the_quadric_through_all_25_points(cfg, grids):
+    """verify_grid interpolates on a 3x3 subgrid; the reference interpolates
+    through the whole grid and must give the same quadric."""
+    for g in grids:
+        points = [cfg.points[i].coords for i in g.grid_points]
+        assert vanishing_space(points, 2, 4) == [g.quadric]
+        assert all(g.quadric.vanishes_at(p) for p in points)
 
 
 def test_grid_pairs_are_unordered_and_distinct(grids):

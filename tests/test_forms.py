@@ -7,7 +7,7 @@ from math import comb, gcd, isqrt
 
 import pytest
 
-from h4geproci import linalg
+from h4geproci import forms, linalg
 from h4geproci.field import FieldElement, ONE, PHI, ZERO
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
@@ -213,6 +213,27 @@ def test_evaluate_and_vanishes_at_agree_with_the_field_reference():
                         outcomes.add(value.is_zero())
     assert outcomes == {True, False}
     assert HomForm.zero(3, 2).vanishes_at((ONE, PHI, ZERO))
+
+
+def test_coefficient_pairs_are_scaled_once_per_form(monkeypatch):
+    """k zero tests of one form scale each point once and the coefficients
+    once: k + 1 calls of primitive_numerators, not 2k."""
+    calls = []
+    scale = forms.primitive_numerators
+
+    def counting(elems):
+        calls.append(1)
+        return scale(elems)
+
+    monkeypatch.setattr(forms, "primitive_numerators", counting)
+    # x*y - phi*z^2 / 2 vanishes at (phi, 2, 2) and (1, 2 phi, 2), not at the rest.
+    two = FieldElement(2)
+    f = HomForm(3, 2, {(1, 1, 0): ONE, (0, 0, 2): -PHI / two})
+    points = [(PHI, two, two), (ONE, PHI, ZERO), (ONE, two * PHI, two),
+              (FieldElement(Fraction(1, 3)), ONE, ONE)]
+    assert [f.vanishes_at(p) for p in points] == [True, False, True, False]
+    assert len(calls) == len(points) + 1
+    assert f.pairs() == scale(f.coeffs.values())
 
 
 def test_vanishing_space_basis_vanishes_at_inputs():

@@ -65,6 +65,30 @@ def test_grid_points_lie_on_the_quadric(cfg, grid1):
         assert grid1.quadric.vanishes_at(cfg.points[i].coords)
 
 
+def test_grid_quadric_is_interpolated_on_the_3x3_subgrid(cfg, grid1,
+                                                        monkeypatch):
+    """verify_grid interpolates through l_i . m_j for i, j <= 3 only, in the
+    order the families are given, and any such subgrid gives the quadric."""
+    interpolate = geproci.vanishing_space
+    seen = []
+
+    def recording(points, degree, nvars):
+        seen.append(list(points))
+        return interpolate(seen[-1], degree, nvars)
+
+    monkeypatch.setattr(geproci, "vanishing_space", recording)
+    rotated = (GRID1_L[::-1], GRID1_M[1:] + GRID1_M[:1])
+    for l_lines, m_lines in ((GRID1_L, GRID1_M), rotated):
+        seen.clear()
+        grid = geproci.verify_grid(cfg, l_lines, m_lines)
+        subgrid = {p for li in l_lines[:3] for mj in m_lines[:3]
+                   for p in set(cfg.line_points[li]) & set(cfg.line_points[mj])}
+        assert len(subgrid) == 9
+        assert seen == [[cfg.points[i].coords for i in sorted(subgrid)]]
+        assert grid.quadric == grid1.quadric
+        assert grid.grid_points == grid1.grid_points
+
+
 def test_non_grid_inputs_are_rejected(cfg):
     with pytest.raises(geproci.NotAGridError):
         geproci.verify_grid(cfg, GRID1_L, GRID1_L)  # families share lines

@@ -225,6 +225,25 @@ def test_kernel_matches_the_field_element_reference():
     assert swapped > 10 and deficient > 10 and squares > 20
 
 
+def test_kernel_times_the_last_pivot_lies_in_z_phi():
+    """Cramer's rule: with the last Bareiss pivot D in the free column, every
+    entry of a kernel vector is a minor of the input rows, so D*v is in
+    Z[phi]^n; this is what makes the back substitution's divisions exact."""
+    def integral(x):
+        return x.a.denominator == x.b.denominator == 1
+
+    rng = random.Random(41)
+    fractional = 0
+    for m in _kernel_cases(rng):
+        rows = [primitive_numerators(row) for row in m]
+        echelon, pivots, _ = linalg._eliminate([list(row) for row in rows])
+        d = FieldElement(*echelon[len(pivots) - 1][pivots[-1]]) if pivots else ONE
+        for v in linalg.nullspace(rows):
+            assert all(integral(x * d) for x in v)
+            fractional += not all(map(integral, v))
+    assert fractional > 10
+
+
 def test_first_missed_row_is_an_exact_product_check():
     rng = random.Random(37)
     for m in _kernel_cases(rng):
