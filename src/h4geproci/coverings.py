@@ -93,7 +93,8 @@ def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
 
     An L-family is a skew 5-clique of the stored meet relation ``cfg.meets``;
     its partners must meet all five L-lines, so cliques whose
-    common-transversal pool drops below 5 are pruned early.
+    common-transversal pool drops below 5 are pruned early, as are cliques
+    with too few candidates left to reach five lines.
     The unordered pair {L, M} is reported once, with min(L) < min(M): the
     transversal pool holds only lines above the first L-line from the first
     step on, so each M-family found is already on the right side, and each
@@ -131,6 +132,8 @@ def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
                     pass
             return
         for cand in _members(rest):
+            if len(clique) + rest.bit_count() < 5:
+                break
             rest &= rest - 1
             clique.append(cand)
             extend(clique, rest & ~meets[cand], trans & meets[cand])

@@ -16,11 +16,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import config as cfgmod
 from .config import H4Configuration
-from .field import FieldElement, ONE, ZERO
+from .field import FieldElement, ONE
 from .forms import (HomForm, SmoothnessReport, divides, plane_curve_is_smooth,
                     vanishing_space)
-from .linalg import inverse, transpose
-from .projective import ProjMatrix, ProjPoint, canonicalize, plane_through
+from .projective import (ProjLine, ProjPoint, image_from, plane_image,
+                         plane_through)
 
 PlaneCoords = Tuple[FieldElement, FieldElement, FieldElement]
 
@@ -43,20 +43,20 @@ class RejectionBudgetExhausted(VerificationError):
 
 @dataclass(frozen=True)
 class Projection:
-    """A projection of P^3 from a verified-generic vertex onto P^2."""
+    """A projection of P^3 from a verified-generic vertex onto P^2, by the
+    minors of `projective.image_from` and `projective.plane_image`: a pushed
+    plane vanishes at the image of a point exactly when it contains the point."""
 
     vertex: ProjPoint
-    matrix: ProjMatrix  # sends the vertex to [0:0:0:1]
     images: Dict[int, PlaneCoords]  # configuration point index -> image
     checklist: Dict[str, bool]
 
-    def push_plane_through_vertex(self, members: Sequence) -> HomForm:
-        """Image of a plane through the vertex, as a linear form on P^2."""
-        plane = plane_through(*members, self.vertex)
-        moved = self.matrix.apply_plane(plane)
-        if not moved.coords[3].is_zero():
+    def push_line(self, line: ProjLine) -> HomForm:
+        """The plane spanned by the line and the vertex, as a linear form on P^2."""
+        plane = plane_through(line.p, line.q, self.vertex)
+        if not plane.contains(self.vertex):
             raise VerificationError("plane does not pass through the vertex")
-        return HomForm.linear(list(moved.coords[:3]))
+        return HomForm.linear(list(plane_image(self.vertex, plane)))
 
 
 def sample_generic_vertex(cfg: H4Configuration, seed: int,
@@ -83,23 +83,11 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int,
         checklist["off_quadric_q2"] = not q2.vanishes_at(vertex.coords)
         if not all(checklist.values()):
             continue
-        matrix = _vertex_to_origin(vertex)
-        images = {i: canonicalize(matrix.apply_point(cfg.points[i]).coords[:3])
-                  for i in cfg.points}
+        images = {i: image_from(vertex, cfg.points[i]) for i in cfg.points}
         checklist["images_distinct"] = len(set(images.values())) == 60
         if checklist["images_distinct"]:
-            return Projection(vertex, matrix, images, checklist)
+            return Projection(vertex, images, checklist)
     raise RejectionBudgetExhausted(f"no generic vertex in {budget} draws")
-
-
-def _vertex_to_origin(vertex: ProjPoint) -> ProjMatrix:
-    """An invertible change of coordinates sending the vertex to [0:0:0:1]."""
-    pivot = next(i for i in range(4) if not vertex.coords[i].is_zero())
-    cols = [[ONE if r == i else ZERO for r in range(4)]
-            for i in range(4) if i != pivot]
-    cols.append(list(vertex.coords))
-    n = transpose(cols)
-    return ProjMatrix(inverse(n))
 
 
 @dataclass(frozen=True)
@@ -200,7 +188,7 @@ def _product_of_line_images(cfg: H4Configuration, proj: Projection,
                             line_indices: Sequence[int]) -> HomForm:
     result = HomForm(3, 0, {(0, 0, 0): ONE})
     for i in line_indices:
-        result = result * proj.push_plane_through_vertex([cfg.lines[i]])
+        result = result * proj.push_line(cfg.lines[i])
     return result
 
 
@@ -390,8 +378,7 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     quintic = build_quintic_cone(cfg, proj, grid, anchor, ext)
     checks["quintic_on_subset"] = all(quintic.vanishes_at(proj.images[i])
                                       for i in points)
-    line_forms = [proj.push_plane_through_vertex([cfg.lines[i]])
-                  for i in cover]
+    line_forms = [proj.push_line(cfg.lines[i]) for i in cover]
     product = line_forms[0]
     for lf in line_forms[1:]:
         product = product * lf

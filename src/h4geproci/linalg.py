@@ -5,15 +5,16 @@ integer pairs (x, y) that stand for x + y*phi in Z[phi], with phi**2 =
 phi + 1.  Each update is a two-by-two minor divided by the previous pivot w,
 computed as the minor times conj(w) floor-divided by the integer N(w) =
 w*conj(w) in each component; that division is exact (the argument is at
-`_eliminate`).  `nullspace` takes Z[phi] pair rows, as interpolation, the
-gcd and plane spans produce them, back-substitutes fraction-free on the
-pairs and divides each entry by the last pivot once, on output (the
-argument is there); `determinant` takes FieldElement rows, scales each by a
-positive rational to coprime Z[phi] numerators (`field.primitive_numerators`)
-and divides the scales out again.  Scaling a row by a nonzero rational
-leaves the rank, the pivot columns and the nullspace unchanged.  `_dot` is
-the one Z[phi] multiply-accumulate loop: kernel checks, back substitution,
-form evaluation and the incidence predicates all use it.
+`_eliminate`).  `nullspace` takes Z[phi] pair rows, as interpolation and the
+gcd produce them, back-substitutes fraction-free on the pairs and divides
+each entry by the last pivot once, on output (the argument is there);
+`determinant` takes FieldElement rows, as the minors of plane spans come,
+scales each by a positive rational to coprime Z[phi] numerators
+(`field.primitive_numerators`) and divides the scales out again.  Scaling a
+row by a nonzero rational leaves the rank, the pivot columns and the
+nullspace unchanged.  `_dot` is the one Z[phi] multiply-accumulate loop:
+kernel checks, back substitution, form evaluation and the incidence
+predicates all use it.
 
 Over F_p, matrices are lists of lists of ints; `_eliminate_mod` reduces them
 one row at a time, and the modular determinant and row selection both read it.
@@ -25,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .field import FieldElement, ONE, ZERO, primitive_numerators
 
-Matrix = List[List[FieldElement]]
 Pair = Tuple[int, int]  # x + y*phi in Z[phi]
 
 
@@ -210,31 +210,3 @@ def determinant_mod(rows: Sequence[Sequence[int]], p: int) -> int:
         det = det * pivot % p
     return det % p
 
-
-def mat_vec(matrix: Sequence[Sequence[FieldElement]],
-            vec: Sequence[FieldElement]) -> List[FieldElement]:
-    return [sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in matrix]
-
-
-def transpose(matrix: Sequence[Sequence[FieldElement]]) -> Matrix:
-    return [list(col) for col in zip(*matrix)]
-
-
-def inverse(matrix: Sequence[Sequence[FieldElement]]) -> Matrix:
-    """Inverse of a square matrix by Gauss-Jordan; raises on singular input."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if not aug[i][c].is_zero()), None)
-        if pivot_row is None:
-            raise ZeroDivisionError("singular matrix")
-        if pivot_row != c:
-            aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        inv_p = aug[c][c].inverse()
-        aug[c] = [x * inv_p for x in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [aug[i][j] - f * aug[c][j] for j in range(2 * n)]
-    return [row[n:] for row in aug]

@@ -20,12 +20,15 @@ distinct points the matrix has rank at least 2, so its rank is 2, that is x
 lies on the line, exactly when every 3x3 minor vanishes.  The stored
 Pluecker pairs are a nonzero multiple of the L_ij, which scales each sum by
 that multiple and does not change which of them vanish.
+
+Plane spans and the projection from a vertex are closed-form minors; the
+arguments are at `plane_through`, `image_from` and `plane_image`.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from . import linalg
 from .field import FieldElement, primitive_numerators
@@ -148,11 +151,6 @@ class ProjPoint(_Flat):
 class ProjPlane(_Flat):
     """A plane {ax + by + cz + dw = 0}, stored by its canonical coefficients."""
 
-    @classmethod
-    def of(cls, *coeffs) -> "ProjPlane":
-        return cls([x if isinstance(x, FieldElement) else FieldElement(x)
-                    for x in coeffs])
-
     def contains(self, p: ProjPoint) -> bool:
         return _dot(self.pairs, p.pairs) == (0, 0)
 
@@ -219,51 +217,48 @@ def lines_meet(l1: ProjLine, l2: ProjLine) -> bool:
     return _dot(a, (b[5], _neg(b[4]), b[3], b[2], _neg(b[1]), b[0])) == (0, 0)
 
 
-def plane_through(*members) -> ProjPlane:
-    """The plane spanned by three points, or by a line and a point."""
-    rows: List[Tuple[Pair, ...]] = []
-    for m in members:
-        if isinstance(m, ProjPoint):
-            rows.append(m.pairs)
-        elif isinstance(m, ProjLine):
-            rows.append(m.p.pairs)
-            rows.append(m.q.pairs)
-        else:
-            raise TypeError(f"unsupported span member {type(m).__name__}")
-    kernel = linalg.nullspace(rows)
-    if len(kernel) != 1:
-        raise DegenerateSpanError("span does not determine a unique plane")
-    return ProjPlane(kernel[0])
+def plane_through(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> ProjPlane:
+    """The plane x -> det[p, q, r, x], whose x_i coefficient is (-1)**(i + 1)
+    times the minor of the rows p, q, r without column i.  It kills p, q and
+    r (repeated rows), and it is nonzero exactly when the rows have rank 3,
+    that is when they span a plane, whose equation is then this form."""
+    rows = [p.coords, q.coords, r.coords]
+    coeffs = [linalg.determinant([row[:i] + row[i + 1:] for row in rows])
+              for i in range(4)]
+    if all(c.is_zero() for c in coeffs):
+        raise DegenerateSpanError("the points do not span a plane")
+    return ProjPlane([c if i % 2 else -c for i, c in enumerate(coeffs)])
 
 
-class ProjMatrix:
-    """An invertible 4x4 change of coordinates on P^3."""
+def _pivot(vertex: ProjPoint) -> int:
+    return next(i for i, w in enumerate(vertex.pairs) if w != (0, 0))
 
-    __slots__ = ("rows", "_inv")
 
-    def __init__(self, rows: Sequence[Sequence[FieldElement]]):
-        rows = [[x if isinstance(x, FieldElement) else FieldElement(x) for x in r]
-                for r in rows]
-        if len(rows) != 4 or any(len(r) != 4 for r in rows):
-            raise ValueError("expected a 4x4 matrix")
-        if linalg.determinant(rows).is_zero():
-            raise ZeroDivisionError("singular coordinate change")
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in rows))
-        object.__setattr__(self, "_inv", None)
+def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[FieldElement, ...]:
+    """The image of x under projection from v onto P^2: with k the pivot
+    (first nonzero coordinate) of v, the canonical (v_k*x_i - v_i*x_k) for
+    i != k, which are Pluecker minors of the line vx, negated for i < k.
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjMatrix is immutable")
+    Soundness: e_i (i != k) and v form a basis (their determinant is
+    +-v_k != 0), and x = sum_{i != k} y_i*e_i + (x_k/v_k)*v with
+    y_i = x_i - v_i*x_k/v_k.  Projecting from v forgets the v-coordinate,
+    so the image is (y_i), which is the minors over v_k."""
+    k = _pivot(vertex)
+    minors = pluecker_pairs(vertex.pairs, x.pairs)
+    return _elements(_canonical_pairs(
+        [minors[_PLUECKER.index((k, i))] if k < i
+         else _neg(minors[_PLUECKER.index((i, k))])
+         for i in range(4) if i != k]))
 
-    def inverse(self) -> "ProjMatrix":
-        if self._inv is None:
-            object.__setattr__(self, "_inv",
-                               ProjMatrix(linalg.inverse([list(r) for r in self.rows])))
-        return self._inv
 
-    def apply_point(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint(linalg.mat_vec(self.rows, p.coords))
+def plane_image(vertex: ProjPoint, plane: ProjPlane) -> Tuple[FieldElement, ...]:
+    """The linear form that a plane H through v pushes down to: the
+    canonical (H_i) for i != k, k the pivot of v.
 
-    def apply_plane(self, v: ProjPlane) -> ProjPlane:
-        # Planes transform by the inverse transpose so incidence is preserved.
-        inv_t = linalg.transpose([list(r) for r in self.inverse().rows])
-        return ProjPlane(linalg.mat_vec(inv_t, v.coords))
+    With pi(x) the image before canonicalizing and H(v) = 0,
+    sum_{i != k} H_i*pi(x)_i = v_k*H(x) - x_k*H(v) = v_k*H(x), so the form
+    vanishes at the image of x exactly when H contains x.  It is nonzero,
+    since H = H_k*x_k would give H(v) = H_k*v_k != 0."""
+    k = _pivot(vertex)
+    return _elements(_canonical_pairs(
+        [w for i, w in enumerate(plane.pairs) if i != k]))

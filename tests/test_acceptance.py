@@ -19,7 +19,8 @@ from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M, GRID2_L,
 from h4geproci.coverings import enumerate_coverings, enumerate_grids
 from h4geproci.field import FieldElement, ONE, PHI
 from h4geproci.forms import HomForm, divides, vanishing_space
-from h4geproci.projective import ProjMatrix, canonicalize
+from h4geproci.projective import canonicalize
+from test_projective import CoordinateChange
 
 
 def _verdict(n: int, label: str) -> None:
@@ -164,7 +165,7 @@ def test_criterion_09_property_suites(cfg):
         rows = [[FieldElement(rng.randint(-5, 5)) for _ in range(4)]
                 for _ in range(4)]
         try:
-            m = ProjMatrix(rows)
+            m = CoordinateChange(rows)
         except ZeroDivisionError:
             continue
         moved_plane = m.apply_plane(plane)

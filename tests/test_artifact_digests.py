@@ -35,6 +35,14 @@ PINNED = {
         "c673eea05f0ad28c0e7574ffd8c66e1cc4276d4d39da52fed8d249728de198e8",
     "verify_not_half_grid seed 2":
         "c673eea05f0ad28c0e7574ffd8c66e1cc4276d4d39da52fed8d249728de198e8",
+    "verify_geproci seed 12345":
+        "5096bd84d3cee5b10bb5debce56fe4e60ba96786309e0ee25584728e5f36b58a",
+    "verify_half_grid z1 seed 12345":
+        "601b98710edd2510a1e8a54a0a255e2a702d421cab1c07fda6e3f09d19ea19e0",
+    "verify_half_grid z2 seed 12345":
+        "84e23a60eb83c8a07d57e1a58e0af1ea439446eeb822d4234ef0e05d9b8fac69",
+    "verify_not_half_grid seed 12345":
+        "c673eea05f0ad28c0e7574ffd8c66e1cc4276d4d39da52fed8d249728de198e8",
 }
 
 ARTIFACTS = {
@@ -55,6 +63,14 @@ ARTIFACTS = {
         lambda cfg: verify_not_half_grid(cfg, 1).to_json(),
     "verify_not_half_grid seed 2":
         lambda cfg: verify_not_half_grid(cfg, 2).to_json(),
+    "verify_geproci seed 12345":
+        lambda cfg: verify_geproci(cfg, 12345).to_json(),
+    "verify_half_grid z1 seed 12345":
+        lambda cfg: verify_half_grid(cfg, 12345, "z1").to_json(),
+    "verify_half_grid z2 seed 12345":
+        lambda cfg: verify_half_grid(cfg, 12345, "z2").to_json(),
+    "verify_not_half_grid seed 12345":
+        lambda cfg: verify_not_half_grid(cfg, 12345).to_json(),
 }
 
 

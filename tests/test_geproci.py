@@ -5,8 +5,12 @@ import pytest
 from h4geproci import geproci
 from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M, GRID2_L,
                               GRID2_M, z_partition)
-from h4geproci.field import FieldElement, ONE, PHI
+from h4geproci.field import FieldElement, ONE, PHI, ZERO
 from h4geproci.forms import HomForm, divides
+from h4geproci.projective import (ProjPoint, canonicalize, image_from,
+                                  plane_through)
+from test_linalg import reference_inverse
+from test_projective import CoordinateChange
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +108,7 @@ def test_non_grid_inputs_are_rejected(cfg):
 
 def _product_of_plane_images(cfg, projection, lines) -> HomForm:
     """The product of the images of the planes spanned by the vertex and each line."""
-    forms = [projection.push_plane_through_vertex([cfg.lines[i]]) for i in lines]
+    forms = [projection.push_line(cfg.lines[i]) for i in lines]
     product = forms[0]
     for f in forms[1:]:
         product = product * f
@@ -214,7 +218,70 @@ def test_refutation_correctly_fails_on_the_half_grid_z1(cfg):
 
 
 def test_push_plane_through_vertex_is_linear(cfg, projection):
-    form = projection.push_plane_through_vertex([cfg.lines[1]])
+    form = projection.push_line(cfg.lines[1])
     assert form.degree == 1 and form.nvars == 3
     for i in cfg.line_points[1]:
         assert form.vanishes_at(projection.images[i])
+
+
+def _reference_projection(vertex):
+    """The coordinate change that the projection by minors replaced.
+
+    M is the Gauss-Jordan inverse of the matrix with columns e_i (i != k)
+    and then the vertex, k its first nonzero coordinate; M sends the vertex
+    to [0:0:0:1].  A point's image is M x with the last coordinate dropped,
+    canonicalized; a plane through the vertex moves by the inverse transpose
+    of M, and its first three coordinates are the pushed linear form.
+    """
+    k = next(i for i, x in enumerate(vertex.coords) if not x.is_zero())
+    cols = [[ONE if r == i else ZERO for r in range(4)]
+            for i in range(4) if i != k]
+    cols.append(list(vertex.coords))
+    m = CoordinateChange(reference_inverse([list(row) for row in zip(*cols)]))
+
+    def image(x):
+        return canonicalize(m.apply_point(x).coords[:3])
+
+    def push(plane):
+        moved = m.apply_plane(plane)
+        assert moved.coords[3].is_zero()
+        return HomForm.linear(list(moved.coords[:3]))
+
+    return image, push
+
+
+# One vertex for each pivot k, the first nonzero coordinate.  The only
+# vertex with k = 3 is [0:0:0:1], which is configuration point 4.
+PIVOT_VERTICES = {
+    0: ProjPoint.of(3, -7, 11, FieldElement(2) + PHI),
+    1: ProjPoint.of(0, 5, -2, 9),
+    2: ProjPoint.of(0, 0, 4, -1),
+    3: ProjPoint.of(0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PIVOT_VERTICES))
+def test_projection_by_minors_matches_the_coordinate_change(cfg, k):
+    """Images and pushed planes equal those of the coordinate change, and a
+    pushed plane vanishes at an image exactly when the plane contains the
+    point, at every pivot of the vertex."""
+    v = PIVOT_VERTICES[k]
+    assert (v in cfg.points.values()) == (k == 3)
+    proj = geproci.Projection(v, {}, {})
+    image, push = _reference_projection(v)
+    points = [x for x in cfg.points.values() if x != v]
+    lines = [line for line in cfg.lines.values() if not line.contains(v)]
+    assert len(points) == (59 if k == 3 else 60)
+    assert len(lines) == (66 if k == 3 else 72)
+    images = [image_from(v, x) for x in points]
+    assert images == [image(x) for x in points]
+    incident = 0
+    for line in lines:
+        form = proj.push_line(line)
+        plane = plane_through(line.p, line.q, v)
+        assert form == push(plane)
+        for x, y in zip(points, images):
+            on = plane.contains(x)
+            assert form.vanishes_at(y) == on
+            incident += on
+    assert incident >= 5 * len(lines)

@@ -1,5 +1,6 @@
-"""Linear algebra: exact elimination, nullspaces, determinants, inverses, and
-the elimination kernel over F_p."""
+"""Linear algebra: exact elimination, nullspaces, determinants, and the
+elimination kernel over F_p.  Matrix products, the matrix action and a
+Gauss-Jordan inverse are test-local references."""
 
 import random
 from fractions import Fraction
@@ -47,6 +48,31 @@ def _times(rows, k):
 def _mat_mul(a, b):
     return [[sum((a[i][t] * b[t][j] for t in range(len(b))), ZERO)
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def mat_vec(matrix, vec):
+    """The matrix times a column vector, in FieldElement arithmetic."""
+    return [sum((row[j] * vec[j] for j in range(len(vec))), ZERO)
+            for row in matrix]
+
+
+def reference_inverse(matrix):
+    """Inverse of a square matrix by Gauss-Jordan; raises on singular input."""
+    n = len(matrix)
+    aug = [list(matrix[i]) + [ONE if j == i else ZERO for j in range(n)]
+           for i in range(n)]
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if not aug[i][c].is_zero()), None)
+        if pivot_row is None:
+            raise ZeroDivisionError("singular matrix")
+        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
+        inv_p = aug[c][c].inverse()
+        aug[c] = [x * inv_p for x in aug[c]]
+        for i in range(n):
+            if i != c and not aug[i][c].is_zero():
+                f = aug[i][c]
+                aug[i] = [aug[i][j] - f * aug[c][j] for j in range(2 * n)]
+    return [row[n:] for row in aug]
 
 
 def _permutation_determinant(m):
@@ -269,7 +295,7 @@ def test_nullspace_vectors_annihilate_the_matrix():
         basis = linalg.nullspace(_integer_pairs(m))
         assert reference_rank(m) + len(basis) == cols
         for v in basis:
-            assert all(x.is_zero() for x in linalg.mat_vec(m, v))
+            assert all(x.is_zero() for x in mat_vec(m, v))
 
 
 def test_nullspace_of_rank_deficient_matrix():
@@ -281,29 +307,32 @@ def test_nullspace_of_rank_deficient_matrix():
 
 
 def test_inverse_roundtrip_and_singular_detection():
+    """The reference inverse exists exactly when the determinant is nonzero,
+    and it inverts on both sides.  Entries in {0, 1, phi, 1 + phi} make
+    singular matrices common."""
     rng = random.Random(13)
-    done = 0
-    while done < 25:
-        m = _random_matrix(rng, 4, 4)
+    done = singular = 0
+    while done < 25 or singular < 5:
+        m = _random_matrix(rng, 4, 4, 0, 1)
         if linalg.determinant(m).is_zero():
             with pytest.raises(ZeroDivisionError):
-                linalg.inverse(m)
+                reference_inverse(m)
+            singular += 1
             continue
-        inv = linalg.inverse(m)
-        prod = _mat_mul(m, inv)
-        for i in range(4):
-            for j in range(4):
-                assert prod[i][j] == (ONE if i == j else ZERO)
+        inv = reference_inverse(m)
+        identity = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+        assert _mat_mul(m, inv) == identity == _mat_mul(inv, m)
         done += 1
 
 
-def test_mat_mul_transpose_compatibility():
+def test_determinant_is_multiplicative_and_transpose_invariant():
     rng = random.Random(17)
-    a = _random_matrix(rng, 3, 4)
-    b = _random_matrix(rng, 4, 2)
-    ab_t = linalg.transpose(_mat_mul(a, b))
-    bt_at = _mat_mul(linalg.transpose(b), linalg.transpose(a))
-    assert ab_t == bt_at
+    for n in (2, 3, 4):
+        for a, b in ((_random_matrix(rng, n, n), _rational_matrix(rng, n, n)),
+                     (_random_matrix(rng, n, n, 0, 1), _random_matrix(rng, n, n))):
+            det_a = linalg.determinant(a)
+            assert linalg.determinant(_mat_mul(a, b)) == det_a * linalg.determinant(b)
+            assert linalg.determinant([list(c) for c in zip(*a)]) == det_a
 
 
 def test_determinant_alternating_in_rows():
