@@ -244,24 +244,23 @@ def special_points_for_grid(
     of grid points collinear with X.  Returns the points with exactly 10 such
     pairs covering 20 distinct grid points, together with their pairings.
 
-    The pairs are read off the secant table: they are the 2-subsets of
-    (secant & grid) over the secants through X.  This finds the same pairs
-    as testing every triple X, A, B for collinearity.  A line through X and
-    a grid point A is the secant spanned by X and A, and the table lists
-    every configuration point on it, so B is collinear with X and A exactly
-    when B lies in that secant.  Each pair {A, B} is found once, on the one
-    secant through X and A.
+    One walk over the secant table hands the 2-subsets of (secant & grid) to
+    every X on the secant outside the grid: the same pairs as testing every
+    triple X, A, B for collinearity.  The line through X and a grid point A
+    is the secant they span, which lists every configuration point on it, so
+    B is collinear with X and A exactly when B lies in it.  Each pair {A, B}
+    is found once, on the one secant through X and A.
     """
     grid = set(grid_points)
     assert len(grid) == 25, "expected a 25-point grid"
-    out = []
-    for x in sorted(set(cfg.points) - grid):
-        pairs = [pair for s in cfg.secants if x in s
-                 for pair in combinations([a for a in s if a in grid], 2)]
-        covered = {i for pair in pairs for i in pair}
-        if len(pairs) == 10 and len(covered) == 20:
-            out.append((x, tuple(sorted(pairs))))
-    return out
+    pairs: Dict[int, List[Tuple[int, int]]] = {x: [] for x in set(cfg.points) - grid}
+    for s in cfg.secants:
+        on_grid = [a for a in s if a in grid]
+        if len(on_grid) > 1:
+            for x in set(s) - grid:
+                pairs[x] += combinations(on_grid, 2)
+    return [(x, tuple(sorted(ps))) for x, ps in sorted(pairs.items())
+            if len(ps) == 10 and len({i for pair in ps for i in pair}) == 20]
 
 
 def grid_point_indices(cfg: H4Configuration, line_indices: Iterable[int]) -> Tuple[int, ...]:

@@ -5,8 +5,8 @@ graded lexicographic order (first variable largest).  The module provides
 exact evaluation, products, interpolation through point sets by fraction-free
 nullspace computation, divisibility by long division, gcd as the nullspace of
 a multiplication map, and a smoothness certificate for plane curves from
-chart-wise resultants modulo a degree-1 prime of Z[phi], sound over
-Q(phi)-bar.
+chart-wise resultants, by Euclid's algorithm over F_p on formal degrees,
+modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.
 Evaluation rows are Z[phi] integer pairs (x, y) for x + y*phi, taken at the
 point's coprime numerators (`_evaluation_row`).
 """
@@ -413,8 +413,9 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
     forces an empty generic fibre: the curve is smooth over Q(phi)-bar.
     The reduction f mod P is checked to be nonzero.
 
-    "Not clean mod P" proves nothing: the next attempt takes the next prime
-    and a random integer coordinate change invertible mod p.  The only
+    Attempt 0 takes the stored first split prime (`_PRIME`, `_PHI_ROOT`).
+    "Not clean mod P" proves nothing: a retry searches for the next prime
+    and takes a random integer coordinate change invertible mod p.  The only
     singular verdicts are exact: a form missing a variable, and partials
     sharing a component (checked over Q(phi) before the first retry).  An
     exhausted budget raises SmoothnessIndeterminate, never a pass.  A pass
@@ -432,10 +433,10 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
             return SmoothnessReport(False, "form misses a variable",
                                     witness=f"singular at {pt}")
     rng = random.Random(seed)
-    primes = _split_primes()
+    primes = itertools.islice(_split_primes(), 1, None)  # after the stored one
     trail: List[str] = []
     for attempt in range(max_retries):
-        p, r = next(primes)
+        p, r = next(primes) if attempt else (_PRIME, _PHI_ROOT)
         if attempt == 1:
             # A clean first pass never reaches this; before retrying, rule
             # out the one obstruction no prime or coordinate change can fix.
@@ -540,31 +541,57 @@ def _chart_test(f: ModForm, p: int) -> Tuple[bool, List[str]]:
 def _eliminant(u: ChartPoly, v: ChartPoly, p: int) -> Optional[List[int]]:
     """Res_elim(u, v) in F_p[keep], low degree first; None if neither has elim.
 
-    Computed as Sylvester determinants at keep = 0, 1, ..., D followed by
-    interpolation; evaluation commutes with the determinant of the matrix
-    built on the formal degrees m, n in elim.  The coefficient of elim^j
-    in u has degree at most deg u - j in keep, which bounds the degree of
-    the resultant by D = n*deg u + m*deg v - m*n (at most the Bezout bound).
-    With m = n = 0 the resultant would be 1 without lying in the ideal of
-    (u, v), so that case is no certificate at all.
+    Horner's rule evaluates the coefficients of elim^j (keep-polynomials, top
+    first) at keep = 0, ..., D; there `_resultant_mod` runs Euclid on the
+    formal degrees m, n in elim, which commutes with evaluation, and
+    interpolation follows.  The coefficient of elim^j in u has degree at most
+    deg u - j in keep, which bounds the degree of the resultant by
+    D = n*deg u + m*deg v - m*n (at most the Bezout bound).  With m = n = 0
+    it would be 1 without lying in the ideal of (u, v): no certificate.
     """
-    m = max((j for _, j in u), default=0)
-    n = max((j for _, j in v), default=0)
+    m, n = (max((j for _, j in w), default=0) for w in (u, v))
     if m == n == 0:
         return None
-    du = max((i + j for i, j in u), default=0)
-    dv = max((i + j for i, j in v), default=0)
-    values = []
-    for x in range(n * du + m * dv - m * n + 1):
-        a, b = [0] * (m + 1), [0] * (n + 1)
-        for (i, j), c in u.items():
-            a[j] = (a[j] + c * pow(x, i, p)) % p
-        for (i, j), c in v.items():
-            b[j] = (b[j] + c * pow(x, i, p)) % p
-        rows = [[0] * k + a[::-1] + [0] * (n - 1 - k) for k in range(n)]
-        rows += [[0] * k + b[::-1] + [0] * (m - 1 - k) for k in range(m)]
-        values.append(linalg.determinant_mod(rows, p))
-    return _interpolate_mod(values, p)
+    du, dv = (max((i + j for i, j in w), default=0) for w in (u, v))
+    cu, cv = ([[w.get((i, j), 0) for i in range(d - j, -1, -1)] for j in range(k + 1)]
+              for w, d, k in ((u, du, m), (v, dv, n)))
+
+    def at(polys: List[List[int]], x: int) -> List[int]:  # Horner's rule
+        vals = []
+        for poly in polys:
+            acc = 0
+            for c in poly:
+                acc = acc * x + c
+            vals.append(acc % p)
+        return vals
+
+    return _interpolate_mod([_resultant_mod(at(cu, x), at(cv, x), p)
+                             for x in range(n * du + m * dv - m * n + 1)], p)
+
+
+def _resultant_mod(a: List[int], b: List[int], p: int) -> int:
+    """Res_{m,n}(a, b) over F_p: the Sylvester determinant on the formal
+    degrees m = len(a) - 1, n = len(b) - 1 (low degree first), by Euclid.
+    - a -> a - q*b, deg q <= m - n, adds b-rows to a-rows: Res is unchanged.
+    - First column: Res_{m,n}(a, b) = (-1)^n * b_n * Res_{m-1,n}(a, b) if
+      a_m = 0, = a_m * Res_{m,n-1}(a, b) if b_n = 0, and = 0 if both are 0.
+    - Res_{m,n}(a, b) = (-1)^(m*n) * Res_{n,m}(b, a), swapping row blocks.
+    Base cases: Res_{m,0} = b_0^m, and Res_{0,n} = a_0^n after a swap.
+    """
+    a, b, res = [c % p for c in a], [c % p for c in b], 1
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        if m < n:
+            res, a, b = (-res if m * n % 2 else res), b, a
+        elif not a[-1]:
+            res = res * (-b[-1] if n % 2 else b[-1]) % p
+            a.pop()
+        elif not b[-1]:
+            res = res * a[-1] % p
+            b.pop()
+        else:  # the loop then strips the zeros this leaves on top of a
+            _rem_mod(a, b, p)
+    return res * pow(b[0], len(a) - 1, p) % p
 
 
 def _interpolate_mod(values: List[int], p: int) -> List[int]:
@@ -589,15 +616,19 @@ def _gcd_mod(a: List[int], b: List[int], p: int) -> List[int]:
     """Monic gcd in F_p[x] by Euclid; coefficients from the constant term up."""
     a, b = _trim_mod([x % p for x in a]), _trim_mod([x % p for x in b])
     while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            k = a[-1] * inv % p
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - k * c) % p
-            _trim_mod(a)
-        a, b = b, a
-    return [x * pow(a[-1], -1, p) % p for x in a]  # [] when both are zero
+        _rem_mod(a, b, p)
+        a, b = b, _trim_mod(a)
+    inv = pow(a[-1], -1, p) if a else 0
+    return [x * inv % p for x in a]  # [] when both are zero
+
+
+def _rem_mod(a: List[int], b: List[int], p: int) -> None:
+    """a mod b in place (b[-1] != 0), keeping len(a): degrees >= deg b clear."""
+    inv, n = pow(b[-1], -1, p), len(b) - 1
+    for top in range(len(a) - 1, n - 1, -1):
+        k = a[top] * inv % p
+        for i, c in enumerate(b, top - n):
+            a[i] = (a[i] - k * c) % p
 
 
 def _trim_mod(poly: List[int]) -> List[int]:

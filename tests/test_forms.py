@@ -13,7 +13,8 @@ from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
                              try_quotient, vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _evaluation_row,
-                             _gcd_mod, _split_primes, _PHI_ROOT, _PRIME)
+                             _gcd_mod, _interpolate_mod, _partial_mod,
+                             _resultant_mod, _split_primes, _PHI_ROOT, _PRIME)
 from test_linalg import reference_nullspace
 
 
@@ -488,6 +489,76 @@ def test_eliminant_matches_sympy_resultant():
         assert _eliminant(u, v, p) in (want, [-c % p for c in want])
 
 
+def sylvester_rows(a, b):
+    """The Sylvester matrix on the formal degrees m = len(a) - 1 and
+    n = len(b) - 1: n shifted rows of a, then m of b, top coefficient first."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[0] * k + a[::-1] + [0] * (n - 1 - k) for k in range(n)]
+    return rows + [[0] * k + b[::-1] + [0] * (m - 1 - k) for k in range(m)]
+
+
+def reference_eliminant(u, v, p):
+    """Sylvester determinants at keep = 0, 1, ..., D, then interpolation."""
+    m = max((j for _, j in u), default=0)
+    n = max((j for _, j in v), default=0)
+    du = max((i + j for i, j in u), default=0)
+    dv = max((i + j for i, j in v), default=0)
+    values = []
+    for x in range(n * du + m * dv - m * n + 1):
+        a, b = [0] * (m + 1), [0] * (n + 1)
+        for (i, j), c in u.items():
+            a[j] = (a[j] + c * pow(x, i, p)) % p
+        for (i, j), c in v.items():
+            b[j] = (b[j] + c * pow(x, i, p)) % p
+        values.append(linalg.determinant_mod(sylvester_rows(a, b), p))
+    return _interpolate_mod(values, p)
+
+
+@pytest.mark.parametrize("p", [7, _PRIME])
+def test_resultant_matches_the_sylvester_determinant(p):
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(1500):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        a = [rng.randrange(p) for _ in range(m + 1)]
+        b = [rng.randrange(p) for _ in range(n + 1)]
+        # Zero the top za, zb formal coefficients; all of them gives the
+        # zero polynomial.
+        za, zb = rng.choice([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1),
+                             (m + 1, 0), (0, n + 1), (m + 1, n + 1)])
+        a[len(a) - min(za, len(a)):] = [0] * min(za, len(a))
+        b[len(b) - min(zb, len(b)):] = [0] * min(zb, len(b))
+        seen.add((a[-1] == 0, b[-1] == 0, not any(a), not any(b)))
+        got = _resultant_mod(a, b, p)
+        assert got == linalg.determinant_mod(sylvester_rows(a, b), p), (a, b)
+        assert 0 <= got < p
+    # Zero leading coefficients on one side and on both, and zero
+    # polynomials on either side.
+    assert {(True, False, False, False), (False, True, False, False),
+            (True, True, False, False), (True, False, True, False),
+            (False, True, False, True)} <= seen
+
+
+def test_seed1_chart_eliminants_match_the_sylvester_reference(geproci_cert_seed1):
+    blob = geproci_cert_seed1.to_json()
+    p, r = blob["sextic_smooth"]["prime"], blob["sextic_smooth"]["phi_root"]
+    f = HomForm.from_json(blob["sextic"]).integral()
+    fp = {e: int(c.a + c.b * r) % p for e, c in f.coeffs.items()}
+    if blob["sextic_smooth"]["coordinate_change"] is not None:
+        fp = _compose_mod(fp, blob["sextic_smooth"]["coordinate_change"], p)
+    checked = 0
+    for keep, elim in ((1, 2), (0, 2), (0, 1)):
+        def on_chart(g):
+            return {(e[keep], e[elim]): c for e, c in g.items()}
+
+        u = on_chart(_partial_mod(fp, keep, p))
+        for v in (on_chart(_partial_mod(fp, elim, p)), on_chart(fp)):
+            got = _eliminant(u, v, p)
+            assert got and got == reference_eliminant(u, v, p)
+            checked += 1
+    assert checked == 6
+
+
 def test_smooth_conic_certifies():
     conic = HomForm(3, 2, {(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE})
     report = plane_curve_is_smooth(conic)
@@ -555,6 +626,10 @@ def test_bad_first_prime_is_retried_never_believed():
         plane_curve_is_smooth(conic, max_retries=1)
     report = plane_curve_is_smooth(conic)
     assert report.smooth and report.prime != p0
+    # Attempt 0 skips the prime search; the retry still walks it.
+    primes = _split_primes()
+    next(primes)
+    assert report.prime == next(primes)[0]
     assert report.coordinate_change is not None
 
 
