@@ -214,7 +214,7 @@ def build_h4() -> H4Configuration:
     grid_quadrics = []
     for family in (GRID1_L, GRID2_L):
         grid = sorted({j for i in family for j in line_points[i]})
-        basis = vanishing_space([points[j].coords for j in grid], 2, 4)
+        basis = vanishing_space([points[j].pairs for j in grid], 2, 4)
         assert len(basis) == 1, \
             f"grid of lines {family} lies on {len(basis)} quadrics, not 1"
         grid_quadrics.append(basis[0])

@@ -229,8 +229,8 @@ def primitive_numerators(elems: Iterable[FieldElement]) -> List[Tuple[int, int]]
 
     Returns the pairs (x, y) of the scaled elements x + y*phi, in input
     order; the integer content gcd of all the x and y is 1, unless every
-    element is zero.  Canonical coordinates and integral forms read their
-    numerators through this, so no other module sees the representation.
+    element is zero.  Canonical coordinates and form coefficient pairs read
+    their numerators through this, so no other module sees the representation.
     """
     triples = [e._v for e in elems]
     scale = lcm(*(d for _, _, d in triples))

@@ -7,8 +7,8 @@ nullspace computation, divisibility by long division, gcd as the nullspace of
 a multiplication map, and a smoothness certificate for plane curves from
 chart-wise resultants, by Euclid's algorithm over F_p on formal degrees,
 modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.
-Evaluation rows are Z[phi] integer pairs (x, y) for x + y*phi, taken at the
-point's coprime numerators (`_evaluation_row`).
+Points, evaluation rows and kernel vectors are Z[phi] integer pairs (x, y)
+for x + y*phi; each interpolated form becomes FieldElement once, when built.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import isqrt
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .field import FieldElement, ONE, ZERO, primitive_numerators
+from .field import FieldElement, ZERO, primitive_numerators
 from .linalg import Pair, _dot
 
 Exponents = Tuple[int, ...]
@@ -119,20 +119,17 @@ class HomForm:
                 and not (self.is_zero() or other.is_zero()):
             raise ValueError("forms have different degrees")
 
-    def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        """The exact value: the form on the pair row, over lambda**d."""
+    def evaluate(self, point: Sequence[Pair]) -> FieldElement:
+        """The exact value at the point's Z[phi] pairs."""
         row = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
-        value = sum((c * FieldElement(*w) for c, w in zip(self.coeffs.values(), row)),
-                    ZERO)
-        nums = primitive_numerators(point)  # lambda = 1 at the zero point
-        lam = next((FieldElement(*w) / x for x, w in zip(point, nums) if x), ONE)
-        return value / lam ** self.degree
+        return sum((c * FieldElement(*w) for c, w in zip(self.coeffs.values(), row)),
+                   ZERO)
 
-    def vanishes_at(self, point: Sequence[FieldElement]) -> bool:
+    def vanishes_at(self, point: Sequence[Pair]) -> bool:
         """One Z[phi] dot product of coprime coefficient pairs and the row.
 
-        The row is lambda**d times the monomials at the point, and the pairs
-        the coefficients times a positive rational, so the product is f(point)
+        The row is the monomials at the point's pairs, and the pairs the
+        coefficients times a positive rational, so the product is f(point)
         times a nonzero rational: zero exactly when f(point) is."""
         row = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
         return _dot(self.pairs(), row) == (0, 0)
@@ -160,11 +157,6 @@ class HomForm:
             return self
         lead = max(self.coeffs)
         return self.scale(self.coeffs[lead].inverse())
-
-    def integral(self) -> "HomForm":
-        """Scale to coprime Z[phi] coefficients (for reduction modulo a prime)."""
-        return HomForm(self.nvars, self.degree,
-                       {e: FieldElement(*w) for e, w in zip(self.coeffs, self.pairs())})
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -198,29 +190,28 @@ class HomForm:
 # Interpolation
 # ---------------------------------------------------------------------------
 
-def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
+def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
                     nvars: int) -> List[HomForm]:
-    """Basis of the degree-d forms vanishing at every given point.
+    """Basis of the degree-d forms vanishing at every given point (Z[phi] pairs).
 
     Rows are point evaluations, columns the graded-lex monomials.  The basis
-    is the exact nullspace of all rows: one vector per free column, with 1
+    is the exact nullspace of all rows: one vector per free column, nonzero
     in that column and 0 in the other free columns, made monic: its first
     nonzero coefficient in column order, the graded-lex leading one, is 1.
     Only a row basis is eliminated exactly; it is chosen modulo the split
     prime P = (p, phi - r) of `_PRIME` and `_PHI_ROOT`.
 
-    Soundness.  Each pair row of `_evaluation_row` is a nonzero rational
-    multiple of the point's row, which leaves the nullspace alone; the pairs
-    go to F_p by the ring map x + y*phi -> x + y*r.  A nonzero minor mod P
-    is a nonzero minor over Q(phi), so the first rows independent mod P
+    Soundness.  The pair rows of `_evaluation_row` go to F_p by the ring map
+    x + y*phi -> x + y*r.  A nonzero minor mod P is a nonzero minor over
+    Q(phi), so the first rows independent mod P
     (`linalg.independent_rows_mod`) are independent over Q(phi), and the
     exact rank is at least their count; when that count is the number of
     monomials, the space is 0 and nothing is eliminated exactly.  Otherwise
     let N_S be the exact nullspace of the chosen rows and N that of all
     rows.  N_S contains N, and when every basis vector of N_S kills every
-    row (an exact dot product in Z[phi] with the scaled row,
-    `linalg.first_missed_row`), N_S = N; the basis above depends on N alone,
-    so it is the one the elimination of all rows gives.  A row that some
+    row (an exact Z[phi] dot product, `linalg.first_missed_row`), N_S = N;
+    the basis above depends on N alone, so it is the one the elimination of
+    all rows gives.  A row that some
     basis vector does not kill (the rank dropped mod P) joins the chosen
     rows and the elimination runs again; each round raises the exact rank of
     the chosen rows, so the loop ends.  A missed row that is already chosen
@@ -247,23 +238,19 @@ def vanishing_space(points: Iterable[Sequence[FieldElement]], degree: int,
         if missed in chosen:
             raise ArithmeticError(f"exact kernel misses its own row {missed}")
         chosen.append(missed)
-    return [HomForm(nvars, degree, dict(zip(cols, vec))).monic() for vec in kernel]
+    return [HomForm(nvars, degree,
+                    {c: FieldElement(*w) for c, w in zip(cols, vec)}).monic()
+            for vec in kernel]
 
 
-def _evaluation_row(point: Sequence[FieldElement], degree: int, nvars: int,
+def _evaluation_row(point: Sequence[Pair], degree: int, nvars: int,
                     cols: Iterable[Exponents]) -> List[Pair]:
-    """The monomials at the point's coprime Z[phi] numerators, as pairs.
-
-    The point is scaled once by a positive rational lambda to its numerators
-    (`primitive_numerators`), with an integer table of each one's powers.
-    A monomial of degree d at lambda*point is lambda**d times its value at
-    the point, so the row is lambda**d times the point's row, with the same
-    nullspace, canonical monic basis and zero tests.
-    """
+    """The monomials at a point of Z[phi] pairs, as pairs, from an integer
+    table of each coordinate's powers."""
     if len(point) != nvars:
         raise ValueError("point dimension does not match variable count")
     powers = []
-    for x, y in primitive_numerators(point):
+    for x, y in point:
         table = [(1, 0)]
         for _ in range(degree):
             # (a + b phi)(x + y phi) = ax + by + (ay + bx + by) phi.
@@ -337,7 +324,9 @@ def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
     v*(b/h) and hence (u, v) = t*(b/h, a/h) with t a form of degree e - k.
     Such a t exists exactly when k <= e, so no larger k has a kernel, and at
     k = e the kernel is spanned by one vector with t a nonzero constant:
-    v = t*a/h, and the exact quotient a/v is h/t.
+    v = t*a/h, and the exact quotient a/v is h/t.  The matrix holds the
+    pairs of a' = r*a and b' = s*b (`HomForm.pairs`; r, s > 0 rational), so
+    the argument runs on them: v is still a nonzero constant times a/h.
     """
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd of two zero forms")
@@ -352,14 +341,15 @@ def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
     for k in range(min(m, n), -1, -1):
         ucols, vcols = monomials(n - k, nvars), monomials(m - k, nvars)
         rows = {e: i for i, e in enumerate(monomials(m + n - k, nvars))}
-        matrix = [[ZERO] * (len(ucols) + len(vcols)) for _ in rows]
+        matrix = [[(0, 0)] * (len(ucols) + len(vcols)) for _ in rows]
         shifts = [(u, f) for u in ucols] + [(v, neg_g) for v in vcols]
         for j, (shift, form) in enumerate(shifts):
-            for e, c in form.coeffs.items():
-                matrix[rows[tuple(a + b for a, b in zip(shift, e))]][j] = c
-        kernel = linalg.nullspace([primitive_numerators(row) for row in matrix])
+            for e, w in zip(form.coeffs, form.pairs()):
+                matrix[rows[tuple(a + b for a, b in zip(shift, e))]][j] = w
+        kernel = linalg.nullspace(matrix)
         if kernel:
-            v = HomForm(nvars, m - k, dict(zip(vcols, kernel[0][len(ucols):])))
+            v = HomForm(nvars, m - k, {e: FieldElement(*w) for e, w
+                                       in zip(vcols, kernel[0][len(ucols):])})
             return try_quotient(v, f).monic()
     raise AssertionError("unreachable: at k = 0, (b, a) is in the kernel")
 
@@ -425,7 +415,6 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
         raise ValueError("expected a nonzero form in 3 variables")
     if f.degree == 1:
         return SmoothnessReport(True, "a line is smooth")
-    f = f.integral()
     partials = [f.partial(i) for i in range(3)]
     for i, p in enumerate(partials):
         if p.is_zero():
@@ -481,7 +470,7 @@ _PRIME, _PHI_ROOT = 2147483659, 1499939161
 
 
 def _reduce(f: HomForm, p: int, r: int) -> ModForm:
-    """The image of a primitive integral form under Z[phi] -> F_p, phi -> r."""
+    """The image of the coprime coefficient pairs under Z[phi] -> F_p, phi -> r."""
     out = ((e, (x + y * r) % p) for e, (x, y) in zip(f.coeffs, f.pairs()))
     return {e: v for e, v in out if v}
 
@@ -489,7 +478,7 @@ def _reduce(f: HomForm, p: int, r: int) -> ModForm:
 def _random_invertible_mod(rng: random.Random, p: int) -> Tuple[Tuple[int, ...], ...]:
     while True:
         m = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
-        if linalg.determinant_mod(m, p):
+        if len(linalg.independent_rows_mod(m, p)) == 3:
             return m
 
 

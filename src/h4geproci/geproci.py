@@ -16,13 +16,14 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from . import config as cfgmod
 from .config import H4Configuration
-from .field import FieldElement, ONE
+from .field import ONE
 from .forms import (HomForm, SmoothnessReport, divides, plane_curve_is_smooth,
                     vanishing_space)
+from .linalg import Pair
 from .projective import (ProjLine, ProjPoint, image_from, plane_image,
                          plane_through)
 
-PlaneCoords = Tuple[FieldElement, FieldElement, FieldElement]
+PlaneCoords = Tuple[Pair, Pair, Pair]  # canonical Z[phi] pairs
 
 
 class VerificationError(RuntimeError):
@@ -79,8 +80,8 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int,
             not cfg.planes[i].contains(vertex) for i in cfg.planes)
         checklist["off_all_lines"] = all(
             not cfg.lines[i].contains(vertex) for i in cfg.lines)
-        checklist["off_quadric_q1"] = not q1.vanishes_at(vertex.coords)
-        checklist["off_quadric_q2"] = not q2.vanishes_at(vertex.coords)
+        checklist["off_quadric_q1"] = not q1.vanishes_at(vertex.pairs)
+        checklist["off_quadric_q2"] = not q2.vanishes_at(vertex.pairs)
         if not all(checklist.values()):
             continue
         images = {i: image_from(vertex, cfg.points[i]) for i in cfg.points}
@@ -147,7 +148,7 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
                 subgrid |= shared
     if len(grid_points) != 25:
         raise NotAGridError(f"{len(grid_points)} intersection points, not 25")
-    basis = vanishing_space([cfg.points[i].coords for i in sorted(subgrid)], 2, 4)
+    basis = vanishing_space([cfg.points[i].pairs for i in sorted(subgrid)], 2, 4)
     if len(basis) != 1:
         raise NotAGridError(f"quadric space has dimension {len(basis)}, not 1")
     return GridCertificate(l_lines, m_lines, tuple(sorted(grid_points)),

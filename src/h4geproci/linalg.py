@@ -6,18 +6,17 @@ phi + 1.  Each update is a two-by-two minor divided by the previous pivot w,
 computed as the minor times conj(w) floor-divided by the integer N(w) =
 w*conj(w) in each component; that division is exact (the argument is at
 `_eliminate`).  `nullspace` takes Z[phi] pair rows, as interpolation and the
-gcd produce them, back-substitutes fraction-free on the pairs and divides
-each entry by the last pivot once, on output (the argument is there);
-`determinant` takes FieldElement rows, as the minors of plane spans come,
-scales each by a positive rational to coprime Z[phi] numerators
-(`field.primitive_numerators`) and divides the scales out again.  Scaling a
-row by a nonzero rational leaves the rank, the pivot columns and the
-nullspace unchanged.  `_dot` is the one Z[phi] multiply-accumulate loop:
-kernel checks, back substitution, form evaluation and the incidence
-predicates all use it.
+gcd produce them, back-substitutes fraction-free on the pairs and returns
+pair vectors (the argument is there); `determinant` takes FieldElement rows,
+as the minors of plane spans come, scales each by a positive rational to
+coprime Z[phi] numerators (`field.primitive_numerators`) and divides the
+scales out again.  Scaling a row by a nonzero rational leaves the rank, the
+pivot columns and the nullspace unchanged.  `_dot` is the one Z[phi]
+multiply-accumulate loop: kernel checks, back substitution, form evaluation
+and the incidence predicates all use it.
 
-Over F_p, matrices are lists of lists of ints; `_eliminate_mod` reduces them
-one row at a time, and the modular determinant and row selection both read it.
+Over F_p, matrices are lists of lists of ints; `independent_rows_mod`
+reduces them one row at a time and keeps the first independent rows.
 """
 
 from __future__ import annotations
@@ -79,11 +78,12 @@ def _eliminate(rows: List[List[Pair]]) -> Tuple[List[List[Pair]], List[int], int
     return rows, pivots, sign
 
 
-def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[FieldElement]]:
-    """Basis of the right nullspace of Z[phi] rows, one vector per free column.
+def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
+    """Basis of the right nullspace of Z[phi] rows, one pair vector per free
+    column: D times the vector with 1 in that column and 0 in the other free
+    columns, where D is the last Bareiss pivot (1 when nothing pivots).
 
-    Vector k has a 1 in its free column and 0 in every other free column, so
-    the output is deterministic and already echelonized.  The input is not
+    The vectors are deterministic and already echelonized.  The input is not
     modified, and scaling its rows by nonzero scalars changes nothing.
 
     Back substitution stays in Z[phi].  Let A be the first r (swapped) rows
@@ -92,13 +92,12 @@ def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[FieldElement]]:
     free column the pivot entries solve A x = -D a (a the free column), so
     by Cramer's rule each, and so each step's quotient, is a minor of the
     input: its division by the pivot p, s*conj(p) floor-divided by N(p), is
-    exact.  Dividing each entry by D at the end puts 1 in the free column.
+    exact.
     """
     ncols = len(rows[0]) if rows else 0
     m, pivots, _ = _eliminate([list(row) for row in rows])
     d = m[len(pivots) - 1][pivots[-1]] if pivots else (1, 0)
-    scale = FieldElement(*d)
-    basis: List[List[FieldElement]] = []
+    basis: List[List[Pair]] = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = {fc: d}
         for r in reversed(range(len(pivots))):
@@ -107,8 +106,7 @@ def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[FieldElement]]:
             n, t = px * px + px * py - py * py, sy * py
             v[pivots[r]] = ((t - sx * (px + py)) // n,
                             (t + sx * py - sy * (px + py)) // n)
-        basis.append([FieldElement(*v[j]) / scale if j in v else ZERO
-                      for j in range(ncols)])
+        basis.append([v.get(j, (0, 0)) for j in range(ncols)])
     return basis
 
 
@@ -144,29 +142,25 @@ def _dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
 
 
 def first_missed_row(rows: Sequence[Sequence[Pair]],
-                     vectors: Sequence[Sequence[FieldElement]]) -> Optional[int]:
-    """The first row, for the first vector, that the vector does not kill.
-
-    Each vector is scaled to its coprime Z[phi] numerators, which kill the
-    same rows, for integer dot products; None when every vector kills all.
-    """
-    for pairs in map(primitive_numerators, vectors):
+                     vectors: Sequence[Sequence[Pair]]) -> Optional[int]:
+    """The first row, for the first vector, that the vector does not kill:
+    an exact Z[phi] dot product of pairs; None when every vector kills all."""
+    for vec in vectors:
         for i, row in enumerate(rows):
-            if _dot(row, pairs) != (0, 0):
+            if _dot(row, vec) != (0, 0):
                 return i
     return None
 
 
-def _eliminate_mod(rows: Sequence[Sequence[int]], p: int) -> List[Tuple[int, int, int]]:
-    """Gaussian elimination over F_p, one row at a time, in input order.
+def independent_rows_mod(rows: Sequence[Sequence[int]], p: int) -> List[int]:
+    """Indices of the first rows independent mod p, in input order.
 
-    Each row is reduced by the rows kept before it and is kept when a nonzero
-    entry remains.  Returns (row index, pivot column, pivot) for each kept row,
-    the pivot being the row's first nonzero entry mod p after reduction.  The
-    kept rows are the first rows independent mod p, and their count is the
-    rank.  Entries may be any ints; the input is not modified.
+    Gaussian elimination over F_p, one row at a time: each row is reduced by
+    the rows kept before it and is kept when a nonzero entry remains, so the
+    number kept is the rank.  Entries may be any ints; the input is not
+    modified.
     """
-    kept: List[Tuple[int, int, int]] = []
+    kept: List[int] = []
     reducers: List[Tuple[int, int, Sequence[int]]] = []  # (column, 1/pivot, row)
     ncols = len(rows[0]) if rows else 0
     for i, row in enumerate(rows):
@@ -174,39 +168,11 @@ def _eliminate_mod(rows: Sequence[Sequence[int]], p: int) -> List[Tuple[int, int
             k = row[c] * inv % p
             if k:
                 row = [(x - k * y) % p for x, y in zip(row, kept_row)]
-        for c, x in enumerate(row):
-            if x % p:
-                break
-        else:
+        c = next((c for c, x in enumerate(row) if x % p), None)
+        if c is None:
             continue
-        pivot = row[c] % p
-        kept.append((i, c, pivot))
-        reducers.append((c, pow(pivot, -1, p), row))
+        kept.append(i)
+        reducers.append((c, pow(row[c] % p, -1, p), row))
         if len(kept) == ncols:
             break
     return kept
-
-
-def independent_rows_mod(rows: Sequence[Sequence[int]], p: int) -> List[int]:
-    """Indices of the first rows independent mod p, in input order."""
-    return [i for i, _, _ in _eliminate_mod(rows, p)]
-
-
-def determinant_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """The determinant over F_p of a square matrix, in range(p).
-
-    After `_eliminate_mod` the reduced rows, with their columns put in pivot
-    order, form an upper triangular matrix; the determinant is the product of
-    the pivots, signed by the parity of that column order.
-    """
-    kept = _eliminate_mod(rows, p)
-    if len(kept) < len(rows):
-        return 0
-    cols = [c for _, c, _ in kept]
-    det = 1
-    for i, (_, c, pivot) in enumerate(kept):
-        if sum(d < c for d in cols[i + 1:]) % 2:
-            det = -det
-        det = det * pivot % p
-    return det % p
-

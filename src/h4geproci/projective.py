@@ -234,10 +234,10 @@ def _pivot(vertex: ProjPoint) -> int:
     return next(i for i, w in enumerate(vertex.pairs) if w != (0, 0))
 
 
-def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[FieldElement, ...]:
+def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[Pair, ...]:
     """The image of x under projection from v onto P^2: with k the pivot
-    (first nonzero coordinate) of v, the canonical (v_k*x_i - v_i*x_k) for
-    i != k, which are Pluecker minors of the line vx, negated for i < k.
+    (first nonzero coordinate) of v, the canonical pairs (v_k*x_i - v_i*x_k)
+    for i != k, which are Pluecker minors of the line vx, negated for i < k.
 
     Soundness: e_i (i != k) and v form a basis (their determinant is
     +-v_k != 0), and x = sum_{i != k} y_i*e_i + (x_k/v_k)*v with
@@ -245,10 +245,9 @@ def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[FieldElement, ...]:
     so the image is (y_i), which is the minors over v_k."""
     k = _pivot(vertex)
     minors = pluecker_pairs(vertex.pairs, x.pairs)
-    return _elements(_canonical_pairs(
-        [minors[_PLUECKER.index((k, i))] if k < i
-         else _neg(minors[_PLUECKER.index((i, k))])
-         for i in range(4) if i != k]))
+    return _canonical_pairs([minors[_PLUECKER.index((k, i))] if k < i
+                             else _neg(minors[_PLUECKER.index((i, k))])
+                             for i in range(4) if i != k])
 
 
 def plane_image(vertex: ProjPoint, plane: ProjPlane) -> Tuple[FieldElement, ...]:

@@ -17,7 +17,7 @@ from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M, GRID2_L,
                               incidence_table_lines, incidence_table_planes,
                               special_points_for_grid, z_partition)
 from h4geproci.coverings import enumerate_coverings, enumerate_grids
-from h4geproci.field import FieldElement, ONE, PHI
+from h4geproci.field import FieldElement, ONE, PHI, primitive_numerators
 from h4geproci.forms import HomForm, divides, vanishing_space
 from h4geproci.projective import canonicalize
 from test_projective import CoordinateChange
@@ -66,7 +66,7 @@ def test_criterion_04_quadric_certificates(cfg):
         (2, 0, 0, 0): ONE, (1, 1, 0, 0): FieldElement(2),
         (0, 0, 2, 0): PHI, (0, 0, 0, 2): ONE - PHI}).monic()
     for l_fam, expected in ((GRID1_L, q1_expected), (GRID2_L, q2_expected)):
-        pts = [cfg.points[i].coords for i in grid_point_indices(cfg, l_fam)]
+        pts = [cfg.points[i].pairs for i in grid_point_indices(cfg, l_fam)]
         basis = vanishing_space(pts, 2, 4)
         assert len(basis) == 1
         assert basis[0].monic() == expected
@@ -173,7 +173,8 @@ def test_criterion_09_property_suites(cfg):
             assert moved_plane.contains(m.apply_point(p)) == was_incident
         trials += 1
 
-    sample = [tuple(FieldElement(rng.randint(-9, 9)) for _ in range(3))
+    sample = [primitive_numerators([FieldElement(rng.randint(-9, 9))
+                                    for _ in range(3)])
               for _ in range(6)]
     for f in vanishing_space(sample, 3, 3):
         for p in sample:

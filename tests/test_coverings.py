@@ -81,9 +81,10 @@ def test_grid_oracle_agrees_with_enumeration(cfg, grids):
     _, count = oracle.count_grids(cfg)
     assert count == GRID_COUNT == len(grids)
     for g in grids:
-        pts = [cfg.points[i].coords for i in g.grid_points]
-        assert oracle.has_unique_quadric(pts)
-        assert all(g.quadric.vanishes_at(p) for p in pts)
+        assert oracle.has_unique_quadric([cfg.points[i].coords
+                                          for i in g.grid_points])
+        assert all(g.quadric.vanishes_at(cfg.points[i].pairs)
+                   for i in g.grid_points)
 
 
 def test_grid_oracle_shares_no_predicate_with_the_package():
@@ -118,7 +119,7 @@ def test_every_grid_quadric_is_the_quadric_through_all_25_points(cfg, grids):
     """verify_grid interpolates on a 3x3 subgrid; the reference interpolates
     through the whole grid and must give the same quadric."""
     for g in grids:
-        points = [cfg.points[i].coords for i in g.grid_points]
+        points = [cfg.points[i].pairs for i in g.grid_points]
         assert vanishing_space(points, 2, 4) == [g.quadric]
         assert all(g.quadric.vanishes_at(p) for p in points)
 

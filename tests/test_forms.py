@@ -8,14 +8,14 @@ from math import comb, gcd, isqrt
 import pytest
 
 from h4geproci import forms, linalg
-from h4geproci.field import FieldElement, ONE, PHI, ZERO
+from h4geproci.field import FieldElement, ONE, PHI, ZERO, primitive_numerators
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
                              try_quotient, vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _evaluation_row,
                              _gcd_mod, _interpolate_mod, _partial_mod,
                              _resultant_mod, _split_primes, _PHI_ROOT, _PRIME)
-from test_linalg import reference_nullspace
+from test_linalg import _integer_pairs, determinant_mod, reference_nullspace
 
 
 def _random_form(rng, nvars, degree, density=0.7, rational=False) -> HomForm:
@@ -53,6 +53,11 @@ def _random_proj_tuple(rng, n):
             return t
 
 
+def _pairs_of(points):
+    """Each point scaled to its coprime Z[phi] pairs, as the package takes them."""
+    return [primitive_numerators(p) for p in points]
+
+
 def test_monomials_count_and_order():
     ms = monomials(3, 3)
     assert len(ms) == comb(5, 2)
@@ -65,18 +70,18 @@ def test_product_evaluates_to_product():
     for _ in range(30):
         f = _random_form(rng, 3, rng.randint(1, 3))
         g = _random_form(rng, 3, rng.randint(1, 3))
-        pt = _random_proj_tuple(rng, 3)
+        pt = _integer_pairs([_random_proj_tuple(rng, 3)])[0]
         assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
 
 
 def test_evaluate_matches_term_by_term_powers():
     rng = random.Random(57)
-    pt = (PHI, FieldElement(Fraction(-2, 3), 1), ZERO)
+    pt = primitive_numerators((PHI, FieldElement(Fraction(-2, 3), 1), ZERO))
     for degree in range(6):
         f = _random_form(rng, 3, degree)
         expected = ZERO
         for e, c in f.coeffs.items():
-            for x, k in zip(pt, e):
+            for x, k in zip((FieldElement(*w) for w in pt), e):
                 c = c * x ** k
             expected = expected + c
         assert f.evaluate(pt) == expected
@@ -89,8 +94,9 @@ def test_partial_derivatives_satisfy_euler_relation():
     rng = random.Random(53)
     for _ in range(20):
         f = _random_form(rng, 3, 4)
-        pt = _random_proj_tuple(rng, 3)
-        euler = sum((f.partial(i).evaluate(pt) * pt[i] for i in range(3)), ZERO)
+        pt = _integer_pairs([_random_proj_tuple(rng, 3)])[0]
+        euler = sum((f.partial(i).evaluate(pt) * FieldElement(*pt[i])
+                     for i in range(3)), ZERO)
         assert euler == f.evaluate(pt) * FieldElement(4)
 
 
@@ -149,10 +155,14 @@ def test_pair_rows_are_the_field_rows_times_lambda_to_the_degree(nvars):
     seen = set()
     for _ in range(6):
         for pt in _evaluation_points(rng, nvars):
-            # Degree 1 gives lambda*point: coprime integer pairs, lambda a
-            # positive rational (zero only for the zero point).
+            # The pairs are lambda*point: coprime integer pairs, lambda a
+            # positive rational (zero only for the zero point), and the
+            # degree-1 row is the pairs themselves.
+            pairs = primitive_numerators(pt)
+            same = [FieldElement(*w) for w in pairs]
             linear = monomials(1, nvars)
-            numerators = _evaluation_row(pt, 1, nvars, linear)
+            numerators = _evaluation_row(pairs, 1, nvars, linear)
+            assert numerators == pairs
             lam = _scale_of(numerators, _reference_evaluation_row(pt, 1, nvars, linear))
             if lam.is_zero():
                 assert all(x == y == 0 for x, y in numerators)
@@ -162,7 +172,10 @@ def test_pair_rows_are_the_field_rows_times_lambda_to_the_degree(nvars):
             for degree in range(0, 6):
                 cols = monomials(degree, nvars)
                 ref = _reference_evaluation_row(pt, degree, nvars, cols)
-                row = _evaluation_row(pt, degree, nvars, cols)
+                row = _evaluation_row(pairs, degree, nvars, cols)
+                # The pair row is the FieldElement row at the same point.
+                assert [FieldElement(*w) for w in row] == \
+                    _reference_evaluation_row(same, degree, nvars, cols)
                 if degree == 0:
                     assert row == [(1, 0)] and ref == [ONE]
                 elif lam.is_zero():
@@ -171,11 +184,11 @@ def test_pair_rows_are_the_field_rows_times_lambda_to_the_degree(nvars):
                     assert _scale_of(row, ref) == lam ** degree
                 # A sparse column set, in the form's order.
                 sub = cols[::2]
-                assert _evaluation_row(pt, degree, nvars, sub) == row[::2]
+                assert _evaluation_row(pairs, degree, nvars, sub) == row[::2]
             seen.add((lam.is_zero(), lam == ONE))
     assert seen == {(True, False), (False, True), (False, False)}
     with pytest.raises(ValueError):
-        _evaluation_row((ONE,) * (nvars - 1), 2, nvars, monomials(2, nvars))
+        _evaluation_row(((1, 0),) * (nvars - 1), 2, nvars, monomials(2, nvars))
 
 
 def _reference_value(f, pt):
@@ -191,6 +204,8 @@ def test_evaluate_and_vanishes_at_agree_with_the_field_reference():
     for nvars in (2, 3, 4):
         for _ in range(8):
             for pt in _evaluation_points(rng, nvars):
+                pairs = primitive_numerators(pt)
+                same = [FieldElement(*w) for w in pairs]
                 for degree in (0, 1, 2, 4):
                     f = _random_form(rng, nvars, degree,
                                      rational=rng.random() < 0.5)
@@ -204,21 +219,23 @@ def test_evaluate_and_vanishes_at_agree_with_the_field_reference():
                         c = _reference_value(f, pt) / pt[j] ** degree
                         forms.append(f - HomForm(nvars, degree, {e: c}))
                     for g in forms:
-                        value = _reference_value(g, pt)
-                        assert g.evaluate(pt) == value
-                        assert g.vanishes_at(pt) == value.is_zero()
+                        value = _reference_value(g, same)
+                        assert g.evaluate(pairs) == value
+                        assert g.vanishes_at(pairs) == value.is_zero()
                         for k in scales:
-                            moved = tuple(k * x for x in pt)
-                            assert g.vanishes_at(moved) == g.vanishes_at(pt)
-                            assert g.evaluate(moved) == value * k ** degree
+                            # moved is the pairs of mu*k*same, mu > 0 rational.
+                            moved = primitive_numerators([k * x for x in same])
+                            mu_k = _scale_of(moved, same)
+                            assert g.vanishes_at(moved) == g.vanishes_at(pairs)
+                            assert g.evaluate(moved) == value * mu_k ** degree
                         outcomes.add(value.is_zero())
     assert outcomes == {True, False}
-    assert HomForm.zero(3, 2).vanishes_at((ONE, PHI, ZERO))
+    assert HomForm.zero(3, 2).vanishes_at(((1, 0), (0, 1), (0, 0)))
 
 
 def test_coefficient_pairs_are_scaled_once_per_form(monkeypatch):
-    """k zero tests of one form scale each point once and the coefficients
-    once: k + 1 calls of primitive_numerators, not 2k."""
+    """k zero tests of one form at pair points scale the coefficients once
+    and no point: one call of primitive_numerators, not k."""
     calls = []
     scale = forms.primitive_numerators
 
@@ -230,17 +247,18 @@ def test_coefficient_pairs_are_scaled_once_per_form(monkeypatch):
     # x*y - phi*z^2 / 2 vanishes at (phi, 2, 2) and (1, 2 phi, 2), not at the rest.
     two = FieldElement(2)
     f = HomForm(3, 2, {(1, 1, 0): ONE, (0, 0, 2): -PHI / two})
-    points = [(PHI, two, two), (ONE, PHI, ZERO), (ONE, two * PHI, two),
-              (FieldElement(Fraction(1, 3)), ONE, ONE)]
+    points = _pairs_of([(PHI, two, two), (ONE, PHI, ZERO), (ONE, two * PHI, two),
+                        (FieldElement(Fraction(1, 3)), ONE, ONE)])
     assert [f.vanishes_at(p) for p in points] == [True, False, True, False]
-    assert len(calls) == len(points) + 1
+    assert len(calls) == 1
     assert f.pairs() == scale(f.coeffs.values())
 
 
 def test_vanishing_space_basis_vanishes_at_inputs():
     rng = random.Random(59)
     for _ in range(15):
-        pts = [_random_proj_tuple(rng, 3) for _ in range(rng.randint(1, 8))]
+        pts = _pairs_of([_random_proj_tuple(rng, 3)
+                         for _ in range(rng.randint(1, 8))])
         basis = vanishing_space(pts, 3, 3)
         assert basis, "degree-3 space through at most 8 points is nonempty"
         for f in basis:
@@ -309,7 +327,7 @@ def test_vanishing_space_matches_elimination_of_all_rows(nvars):
     seen = set()
     for pts in _point_sets(rng, nvars):
         for degree in (1, 2, 3):
-            basis = vanishing_space(pts, degree, nvars)
+            basis = vanishing_space(_pairs_of(pts), degree, nvars)
             assert basis == _reference_vanishing_space(pts, degree, nvars)
             seen.add(len(basis) == 0)
     assert seen == {True, False}
@@ -326,12 +344,12 @@ def test_rank_lost_modulo_the_prime_is_repaired(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", counting_nullspace)
     p = FieldElement(_PRIME)
     # Exact dimension 0, but (1, p) = (1, 0) mod P: the rank drops to 1.
-    assert vanishing_space([(ONE, ZERO), (ONE, p)], 1, 2) == []
+    assert vanishing_space(_pairs_of([(ONE, ZERO), (ONE, p)]), 1, 2) == []
     assert calls == [1, 2]
     # phi - r lies in P, so both points reduce to (1, 0, 0); only z survives.
     calls.clear()
     pts = [(ONE, ZERO, ZERO), (ONE, PHI - FieldElement(_PHI_ROOT), ZERO)]
-    basis = vanishing_space(pts, 1, 3)
+    basis = vanishing_space(_pairs_of(pts), 1, 3)
     assert basis == [_var(2, 3)]
     assert calls == [1, 2]
     monkeypatch.undo()
@@ -341,20 +359,22 @@ def test_rank_lost_modulo_the_prime_is_repaired(monkeypatch):
 def test_no_row_independent_modulo_the_prime():
     # Every row lies in P, so nothing is chosen; the exact rank is still 1.
     pts = [(PHI - FieldElement(_PHI_ROOT), ZERO)]
-    basis = vanishing_space(pts, 1, 2)
+    basis = vanishing_space(_pairs_of(pts), 1, 2)
     assert basis == [_var(1, 2)]
     assert basis == _reference_vanishing_space(pts, 1, 2)
     # The zero point imposes no condition, and neither does the empty set.
     for pts in ([(ZERO, ZERO, ZERO)], [(ZERO, ZERO, ZERO), (ZERO, ZERO, ZERO)]):
-        assert vanishing_space(pts, 2, 3) == _reference_vanishing_space(pts, 2, 3)
-        assert len(vanishing_space(pts, 2, 3)) == 6
+        assert (vanishing_space(_pairs_of(pts), 2, 3)
+                == _reference_vanishing_space(pts, 2, 3))
+        assert len(vanishing_space(_pairs_of(pts), 2, 3)) == 6
     assert vanishing_space([], 2, 3) == [HomForm(3, 2, {e: ONE})
                                          for e in monomials(2, 3)]
 
 
 def test_full_rank_modulo_the_prime_skips_exact_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", None)
-    pts = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)]
+    pts = [((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0)),
+           ((0, 0), (0, 0), (1, 0))]
     assert vanishing_space(pts, 1, 3) == []
 
 
@@ -366,10 +386,10 @@ def test_kernel_missing_a_chosen_row_raises(monkeypatch):
         calls.append(len(rows))
         if len(calls) > 3:
             pytest.fail("vanishing_space keeps eliminating the same rows")
-        return [[ONE, ZERO, ZERO]]
+        return [[(1, 0), (0, 0), (0, 0)]]
 
     monkeypatch.setattr(linalg, "nullspace", wrong_nullspace)
-    pts = [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO)]
+    pts = [((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0))]
     with pytest.raises(ArithmeticError, match="row 0"):
         vanishing_space(pts, 1, 3)
     assert calls == [2]
@@ -510,7 +530,7 @@ def reference_eliminant(u, v, p):
             a[j] = (a[j] + c * pow(x, i, p)) % p
         for (i, j), c in v.items():
             b[j] = (b[j] + c * pow(x, i, p)) % p
-        values.append(linalg.determinant_mod(sylvester_rows(a, b), p))
+        values.append(determinant_mod(sylvester_rows(a, b), p))
     return _interpolate_mod(values, p)
 
 
@@ -530,7 +550,7 @@ def test_resultant_matches_the_sylvester_determinant(p):
         b[len(b) - min(zb, len(b)):] = [0] * min(zb, len(b))
         seen.add((a[-1] == 0, b[-1] == 0, not any(a), not any(b)))
         got = _resultant_mod(a, b, p)
-        assert got == linalg.determinant_mod(sylvester_rows(a, b), p), (a, b)
+        assert got == determinant_mod(sylvester_rows(a, b), p), (a, b)
         assert 0 <= got < p
     # Zero leading coefficients on one side and on both, and zero
     # polynomials on either side.
@@ -542,8 +562,8 @@ def test_resultant_matches_the_sylvester_determinant(p):
 def test_seed1_chart_eliminants_match_the_sylvester_reference(geproci_cert_seed1):
     blob = geproci_cert_seed1.to_json()
     p, r = blob["sextic_smooth"]["prime"], blob["sextic_smooth"]["phi_root"]
-    f = HomForm.from_json(blob["sextic"]).integral()
-    fp = {e: int(c.a + c.b * r) % p for e, c in f.coeffs.items()}
+    f = HomForm.from_json(blob["sextic"])
+    fp = {e: (x + y * r) % p for e, (x, y) in zip(f.coeffs, f.pairs())}
     if blob["sextic_smooth"]["coordinate_change"] is not None:
         fp = _compose_mod(fp, blob["sextic_smooth"]["coordinate_change"], p)
     checked = 0
@@ -631,6 +651,7 @@ def test_bad_first_prime_is_retried_never_believed():
     next(primes)
     assert report.prime == next(primes)[0]
     assert report.coordinate_change is not None
+    assert determinant_mod(report.coordinate_change, report.prime) != 0
 
 
 def test_form_vanishing_mod_the_first_prime_is_skipped():
@@ -650,8 +671,8 @@ def test_smoothness_certificate_replays_from_json(geproci_cert_seed1):
     assert p > 5 and p % 5 in (1, 4)
     assert all(p % q for q in range(2, isqrt(p) + 1))
     assert (r * r - r - 1) % p == 0
-    f = HomForm.from_json(blob["sextic"]).integral()
-    fp = {e: int(c.a + c.b * r) % p for e, c in f.coeffs.items()}
+    f = HomForm.from_json(blob["sextic"])
+    fp = {e: (x + y * r) % p for e, (x, y) in zip(f.coeffs, f.pairs())}
     if smooth["coordinate_change"] is not None:
         fp = _compose_mod(fp, smooth["coordinate_change"], p)
     clean, trail = _chart_test(fp, p)
@@ -685,14 +706,5 @@ def test_compose_linear_matches_substitution():
     pt = _random_proj_tuple(rng, 3)
     mapped = tuple(sum((m[i][j] * pt[j] for j in range(3)), ZERO)
                    for i in range(3))
-    assert _compose_linear(f, m).evaluate(pt) == f.evaluate(mapped)
-
-
-def test_integral_scaling_preserves_the_projective_form():
-    f = HomForm(3, 2, {(2, 0, 0): FieldElement(Fraction(1, 6)),
-                       (0, 2, 0): FieldElement(Fraction(2, 3), Fraction(1, 2))})
-    g = f.integral()
-    denominators = {c.a.denominator for c in g.coeffs.values()}
-    denominators |= {c.b.denominator for c in g.coeffs.values()}
-    assert denominators == {1}
-    assert g.monic() == f.monic()
+    assert (_compose_linear(f, m).evaluate(_integer_pairs([pt])[0])
+            == f.evaluate(_integer_pairs([mapped])[0]))

@@ -1,6 +1,6 @@
 """Linear algebra: exact elimination, nullspaces, determinants, and the
-elimination kernel over F_p.  Matrix products, the matrix action and a
-Gauss-Jordan inverse are test-local references."""
+elimination kernel over F_p.  Matrix products, the matrix action, a
+Gauss-Jordan inverse and a determinant over F_p are test-local references."""
 
 import random
 from fractions import Fraction
@@ -181,6 +181,17 @@ def reference_nullspace(matrix):
     return basis
 
 
+def divided_by_free_entries(basis, matrix):
+    """`linalg.nullspace` pair vectors as FieldElements, each divided by its
+    entry in its free column, for comparison with `reference_nullspace`."""
+    ncols = len(matrix[0]) if matrix else 0
+    pivots = _reference_eliminate(matrix)[1] if matrix else []
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(basis) == len(free)
+    return [[FieldElement(*w) / FieldElement(*v[fc]) for w in v]
+            for fc, v in zip(free, basis)]
+
+
 def reference_rank(matrix):
     """The rank, as the number of pivots of `_reference_eliminate`."""
     return len(_reference_eliminate(matrix)[1]) if matrix else 0
@@ -239,10 +250,11 @@ def test_kernel_matches_the_field_element_reference():
                 k = row[j] / ref[j]
                 assert row == [x * k for x in ref]
         basis = reference_nullspace(m)
-        assert linalg.nullspace(rows) == basis
+        assert divided_by_free_entries(linalg.nullspace(rows), m) == basis
         assert rows == [primitive_numerators(row) for row in m]
         # Any nonzero Z[phi] multiple of the rows has the same nullspace.
-        assert linalg.nullspace(_times(rows, (3, -2))) == basis
+        assert divided_by_free_entries(linalg.nullspace(_times(rows, (3, -2))),
+                                       m) == basis
         if len(m) == len(m[0]):
             assert linalg.determinant(m) == _reference_determinant(m)
             squares += 1
@@ -254,7 +266,8 @@ def test_kernel_matches_the_field_element_reference():
 def test_kernel_times_the_last_pivot_lies_in_z_phi():
     """Cramer's rule: with the last Bareiss pivot D in the free column, every
     entry of a kernel vector is a minor of the input rows, so D*v is in
-    Z[phi]^n; this is what makes the back substitution's divisions exact."""
+    Z[phi]^n; this is what makes the back substitution's divisions exact,
+    and `nullspace` returns D*v, with D in the free column."""
     def integral(x):
         return x.a.denominator == x.b.denominator == 1
 
@@ -263,9 +276,13 @@ def test_kernel_times_the_last_pivot_lies_in_z_phi():
     for m in _kernel_cases(rng):
         rows = [primitive_numerators(row) for row in m]
         echelon, pivots, _ = linalg._eliminate([list(row) for row in rows])
-        d = FieldElement(*echelon[len(pivots) - 1][pivots[-1]]) if pivots else ONE
-        for v in linalg.nullspace(rows):
-            assert all(integral(x * d) for x in v)
+        d = echelon[len(pivots) - 1][pivots[-1]] if pivots else (1, 0)
+        free = [c for c in range(len(m[0])) if c not in pivots]
+        basis = linalg.nullspace(rows)
+        assert len(basis) == len(free)
+        for fc, u, v in zip(free, basis, reference_nullspace(m)):
+            assert u[fc] == d
+            assert [FieldElement(*w) for w in u] == [x * FieldElement(*d) for x in v]
             fractional += not all(map(integral, v))
     assert fractional > 10
 
@@ -279,9 +296,8 @@ def test_first_missed_row_is_an_exact_product_check():
         # A row that the first vector does not kill is found, first in order.
         if basis:
             v = basis[0]
-            fc = next(j for j, x in enumerate(v) if not x.is_zero())
-            extra = [ONE if j == fc else ZERO for j in range(len(v))]
-            extra = primitive_numerators(extra)
+            fc = next(j for j, x in enumerate(v) if x != (0, 0))
+            extra = [(1, 0) if j == fc else (0, 0) for j in range(len(v))]
             assert linalg.first_missed_row(rows + [extra], basis) == len(rows)
             assert linalg.first_missed_row([extra] + rows, basis) == 0
     assert linalg.first_missed_row([[(1, 2)]], []) is None
@@ -295,7 +311,7 @@ def test_nullspace_vectors_annihilate_the_matrix():
         basis = linalg.nullspace(_integer_pairs(m))
         assert reference_rank(m) + len(basis) == cols
         for v in basis:
-            assert all(x.is_zero() for x in mat_vec(m, v))
+            assert all(x.is_zero() for x in mat_vec(m, [FieldElement(*w) for w in v]))
 
 
 def test_nullspace_of_rank_deficient_matrix():
@@ -303,7 +319,54 @@ def test_nullspace_of_rank_deficient_matrix():
     m = [row, [x * FieldElement(2) for x in row]]
     basis = linalg.nullspace(_integer_pairs(m))
     assert len(basis) == 2
-    assert basis == reference_nullspace(m)
+    assert divided_by_free_entries(basis, m) == reference_nullspace(m)
+
+
+def _pair_product(a, b):
+    """The product of Z[phi] pair matrices."""
+    return [[linalg._dot(row, col) for col in zip(*b)] for row in a]
+
+
+def test_nullspace_matches_sympy_over_q_sqrt5():
+    """On random rank-deficient Z[phi] matrices, the pair vectors agree with
+    sympy's nullspace over Q(sqrt5): same dimension, killed by every row,
+    zero in the other free columns, and the same span."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    field = sympy.QQ.algebraic_field(sympy.sqrt(5))
+    half = field.convert(sympy.QQ(1, 2))
+    phi = half + half * field.from_sympy(sympy.sqrt(5))
+
+    def matrix(rows, ncols):
+        return DomainMatrix([[field.convert(x) + field.convert(y) * phi
+                              for x, y in row] for row in rows],
+                            (len(rows), ncols), field)
+
+    rng = random.Random(47)
+    dims = set()
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(2, 8)
+        rank = rng.randint(0, min(nrows, ncols) - 1)
+        pick = (0, 0, 1, -1, rng.randint(-9, 9))
+        left = [[(rng.choice(pick), rng.choice(pick)) for _ in range(rank)]
+                for _ in range(nrows)]
+        right = [[(rng.choice(pick), rng.choice(pick)) for _ in range(ncols)]
+                 for _ in range(rank)]
+        rows = (_pair_product(left, right) if rank
+                else [[(0, 0)] * ncols for _ in range(nrows)])
+        a = matrix(rows, ncols)
+        ours = linalg.nullspace(rows)
+        theirs = a.nullspace()
+        free = [c for c in range(ncols) if c not in a.rref()[1]]
+        assert len(ours) == theirs.shape[0] == len(free) > 0
+        basis = matrix(ours, ncols)
+        assert (a * basis.transpose()).is_zero_matrix
+        for fc, v in zip(free, ours):
+            assert [c for c in free if v[c] != (0, 0)] == [fc]
+        assert basis.rank() == len(ours)
+        assert DomainMatrix.vstack(basis, theirs).rank() == len(ours)
+        dims.add(len(ours))
+    assert len(dims) > 3
 
 
 def test_inverse_roundtrip_and_singular_detection():
@@ -349,6 +412,37 @@ def test_determinant_alternating_in_rows():
         assert linalg.determinant(doubled) == linalg.determinant(m) * FieldElement(2)
 
 
+def determinant_mod(rows, p):
+    """The determinant over F_p of a square matrix, in range(p).
+
+    Gaussian elimination one row at a time: each row is reduced by the rows
+    before it, and a row that reduces to zero makes the determinant 0.  The
+    reduced rows, with their columns put in pivot order, are upper
+    triangular, so the determinant is the product of the pivots, signed by
+    the parity of that column order.  The reference for the Sylvester
+    determinants in test_forms.py.
+    """
+    kept = []  # (pivot column, pivot)
+    reducers = []  # (pivot column, 1/pivot, reduced row)
+    for row in rows:
+        for c, inv, kept_row in reducers:
+            k = row[c] * inv % p
+            if k:
+                row = [(x - k * y) % p for x, y in zip(row, kept_row)]
+        c = next((c for c, x in enumerate(row) if x % p), None)
+        if c is None:
+            return 0
+        kept.append((c, row[c] % p))
+        reducers.append((c, pow(row[c] % p, -1, p), row))
+    cols = [c for c, _ in kept]
+    det = 1
+    for i, (c, pivot) in enumerate(kept):
+        if sum(d < c for d in cols[i + 1:]) % 2:
+            det = -det
+        det = det * pivot % p
+    return det % p
+
+
 def _permutation_determinant_mod(m, p):
     total = 0
     for perm in permutations(range(len(m))):
@@ -384,13 +478,13 @@ def test_determinant_mod_matches_permutation_expansion(p):
             m = [[rng.choice((0, 0, 1, -1, rng.randint(-10 ** 12, 10 ** 12)))
                   for _ in range(n)] for _ in range(n)]
             swaps += m[0][0] % p == 0
-            assert linalg.determinant_mod(m, p) == _permutation_determinant_mod(m, p)
+            assert determinant_mod(m, p) == _permutation_determinant_mod(m, p)
     assert swaps > 20
 
 
 def test_determinant_mod_leaves_its_input_alone():
     m = [[0, 1], [1, 0]]
-    assert linalg.determinant_mod(m, 7) == 6
+    assert determinant_mod(m, 7) == 6
     assert m == [[0, 1], [1, 0]]
 
 

@@ -90,7 +90,7 @@ def _intersection_point(l1: ProjLine, l2: ProjLine) -> ProjPoint:
                                for r in range(4)])
     if len(kernel) != 1:
         raise ValueError("lines are skew")
-    alpha, beta = kernel[0][0], kernel[0][1]
+    alpha, beta = FieldElement(*kernel[0][0]), FieldElement(*kernel[0][1])
     return ProjPoint([alpha * l1.p.coords[i] + beta * l1.q.coords[i]
                       for i in range(4)])
 
@@ -198,7 +198,8 @@ def test_plane_through_three_points_contains_them():
         for p in pts:
             assert v.contains(p)
         # The plane the deleted nullspace span gave.
-        assert v == ProjPlane(linalg.nullspace([p.pairs for p in pts])[0])
+        assert v == ProjPlane([FieldElement(*w) for w in
+                               linalg.nullspace([p.pairs for p in pts])[0]])
         done += 1
 
 
