@@ -14,10 +14,11 @@ from itertools import combinations
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple)
 
-from .field import ONE, PHI, PHI2, ZERO
-from .forms import HomForm, vanishing_space
+from . import linalg
+from .field import FieldElement, ONE, PHI, PHI2, ZERO
+from .forms import HomForm, _PHI_ROOT, _PRIME, _evaluation_row, monomials
 from .projective import (ProjLine, ProjPoint, ProjPlane, line_through,
-                         lines_meet, pluecker_pairs)
+                         lines_meet, pluecker_pairs, transversal_quadric)
 # Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
 # function where another module imports it, and names this binding.
 from .projective import canonicalize  # noqa: F401
@@ -70,9 +71,9 @@ class H4Configuration:
     questions about configuration points are lookups in this table.
 
     ``meets`` maps each five-point line to the other lines it meets, and
-    ``grid_quadrics`` holds the unique quadrics through the points of grid 1
-    and grid 2.  Like ``secants``, they are derived data and stay out of
-    ``to_json()``.
+    ``grid_quadrics`` holds the quadrics of grid 1 and grid 2 from
+    `grid_quadric`, which certifies every grid quadric.  Like ``secants``,
+    they are derived data and stay out of ``to_json()``.
     """
 
     points: Dict[int, ProjPoint]
@@ -210,19 +211,37 @@ def build_h4() -> H4Configuration:
             meets[i].add(j)
             meets[j].add(i)
 
-    # The unique quadric through the 25 points of each printed grid.
-    grid_quadrics = []
-    for family in (GRID1_L, GRID2_L):
-        grid = sorted({j for i in family for j in line_points[i]})
-        basis = vanishing_space([points[j].pairs for j in grid], 2, 4)
-        assert len(basis) == 1, \
-            f"grid of lines {family} lies on {len(basis)} quadrics, not 1"
-        grid_quadrics.append(basis[0])
-
+    grid_quadrics = tuple(grid_quadric(points, lines, line_points, ls, ms)
+                          for ls, ms in ((GRID1_L, GRID1_M), (GRID2_L, GRID2_M)))
     return H4Configuration(points, planes, lines, line_points, plane_points,
                            point_planes, point_lines, line_planes, plane_lines,
                            secants, {i: frozenset(s) for i, s in meets.items()},
-                           tuple(grid_quadrics))
+                           grid_quadrics)
+
+
+def grid_quadric(points: Dict, lines: Dict, line_points: Dict,
+                 l_lines: Sequence[int], m_lines: Sequence[int]) -> HomForm:
+    """The monic `transversal_quadric` Q of l_1, l_2, l_3, certified on the
+    rows of the quadratic monomials at the 9 points l_i . m_j, i, j <= 3.
+
+    Q is nonzero and kills every row (exact Z[phi] products), and the rows
+    are independent modulo the prime P of `vanishing_space`, so over Q(phi):
+    the quadrics through the 9 points are the multiples of Q, however Q was
+    found.  A failed check raises ArithmeticError (an unlucky prime or a
+    bug, not a verdict).  `geproci.verify_grid` extends Q to the grid.
+    """
+    cols = monomials(2, 4)
+    coeffs = transversal_quadric(*(lines[i] for i in l_lines[:3]))
+    rows = [_evaluation_row(points[p].pairs, 2, 4, cols) for li in l_lines[:3]
+            for mj in m_lines[:3] for p in set(line_points[li]) & set(line_points[mj])]
+    if all(w == (0, 0) for w in coeffs):
+        raise ArithmeticError("the transversal quadric is zero")
+    if linalg.first_missed_row(rows, [coeffs]) is not None:
+        raise ArithmeticError("the transversal quadric misses the subgrid")
+    images = [[(x + y * _PHI_ROOT) % _PRIME for x, y in r] for r in rows]
+    if len(linalg.independent_rows_mod(images, _PRIME)) != 9:
+        raise ArithmeticError("the subgrid rows are dependent mod P")
+    return HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, coeffs)}).monic()
 
 
 def incidence_table_planes(cfg: H4Configuration) -> Dict[int, Tuple[int, ...]]:

@@ -1,16 +1,16 @@
 """Exact covers of the 60 points by disjoint lines, and (5,5)-grid search.
 
 A covering partitions the point set into 12 of the 72 five-point lines.  The
-search is classic exact-cover backtracking: branch on the uncovered point
-with the fewest usable lines, so every solution appears exactly once and the
-output order is deterministic.  Grid enumeration walks skew 5-cliques in the
-line meet-graph, pruning on the pool of common transversals.
+search branches on the lowest uncovered point, so every solution appears
+exactly once and the output order is deterministic.  Grid enumeration walks
+skew 5-cliques in the line meet-graph, pruning on the pool of common
+transversals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from .config import H4Configuration
 from .geproci import GridCertificate, NotAGridError, verify_grid
@@ -32,48 +32,36 @@ class CoverCertificate:
 
 
 def verify_covering(cfg: H4Configuration, lines: Sequence[int]) -> bool:
-    """True iff the 12 lines' point sets are disjoint and cover every point."""
+    """True iff the 12 lines' point sets are disjoint and cover every point:
+    counted with repeats, twelve five-point lines carry 60 points, so
+    exactly when their union is all 60 points."""
     lines = list(lines)
-    if len(lines) != 12 or len(set(lines)) != 12:
+    if len(lines) != 12 or not set(lines) <= set(cfg.lines):
         return False
-    if any(i not in cfg.lines for i in lines):
-        return False
-    covered: Set[int] = set()
-    total = 0
-    for i in lines:
-        pts = cfg.line_points[i]
-        covered.update(pts)
-        total += len(pts)
-    return total == 60 and covered == set(cfg.points)
+    return {p for i in lines for p in cfg.line_points[i]} == set(cfg.points)
 
 
 def enumerate_coverings(cfg: H4Configuration) -> List[CoverCertificate]:
-    """All partitions of the points into 12 disjoint lines, sorted."""
-    line_sets: Dict[int, FrozenSet[int]] = {
-        i: frozenset(cfg.line_points[i]) for i in cfg.lines
-    }
-    point_lines: Dict[int, Tuple[int, ...]] = {
-        p: cfg.point_lines[p] for p in cfg.points
-    }
+    """All partitions of the points into 12 disjoint lines, sorted.
+
+    Point sets are int bitsets, bit p for point p.  The search branches on
+    the lines through the lowest uncovered point that lie in the uncovered
+    set; every covering has exactly one of them, so it is found once.
+    """
+    masks = {i: sum(1 << p for p in cfg.line_points[i]) for i in cfg.lines}
     found: List[Tuple[int, ...]] = []
 
-    def search(uncovered: FrozenSet[int], chosen: List[int]) -> None:
+    def search(uncovered: int, chosen: List[int]) -> None:
         if not uncovered:
             found.append(tuple(sorted(chosen)))
             return
-        branch: List[int] = None  # type: ignore[assignment]
-        for p in sorted(uncovered):
-            usable = [i for i in point_lines[p] if line_sets[i] <= uncovered]
-            if branch is None or len(usable) < len(branch):
-                branch = usable
-                if not usable:
-                    return
-        for i in branch:
-            chosen.append(i)
-            search(uncovered - line_sets[i], chosen)
-            chosen.pop()
+        for i in cfg.point_lines[(uncovered & -uncovered).bit_length() - 1]:
+            if masks[i] & uncovered == masks[i]:
+                chosen.append(i)
+                search(uncovered ^ masks[i], chosen)
+                chosen.pop()
 
-    search(frozenset(cfg.points), [])
+    search(sum(1 << p for p in cfg.points), [])
     found.sort()
     return [CoverCertificate(c) for c in found]
 

@@ -111,13 +111,16 @@ class GridCertificate:
 
 def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
                 m_lines: Sequence[int]) -> GridCertificate:
-    """Check the grid conditions; interpolate the quadric on a 3x3 subgrid.
+    """Check the grid conditions, then certify the quadric on the 3x3 subgrid.
 
     Once the families are skew and meet in 25 distinct points, a quadric
     through the 9 points l_i . m_j, i, j <= 3, meets l_1, l_2, l_3 each in
     three distinct points, so it contains them; then it meets each m_j in
     three distinct points, so it contains it and all 25 points.  So the
-    quadrics through the 9 are those through the 25: same space, same basis.
+    quadrics through the 9 are those through the 25: the multiples of the Q
+    that `config.grid_quadric` certifies, whatever formula found it.  Past
+    the combinatorial checks no non-grid is left, so a failed certificate
+    is indeterminate: it raises VerificationError, never NotAGridError.
     """
     l_lines, m_lines = tuple(l_lines), tuple(m_lines)
     if len(set(l_lines)) != 5 or len(set(m_lines)) != 5:
@@ -130,29 +133,26 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
                 if fam[j] in cfg.meets[fam[i]]:
                     raise NotAGridError(
                         f"{fam_name}-lines {fam[i]} and {fam[j]} are not skew")
-    # Two distinct lines share at most one point, and line_points lists every
-    # configuration point on a five-point line (these lines are maximal
-    # secants).  So l_i and m_j meet in a configuration point exactly when
-    # their point lists share a point, and that point is where they meet:
-    # the same pairs and points as a Pluecker meet test followed by a lookup
-    # of the intersection point among the configuration points.
-    grid_points, subgrid = set(), set()
-    for i, li in enumerate(l_lines):
-        for j, mj in enumerate(m_lines):
-            shared = set(cfg.line_points[li]).intersection(cfg.line_points[mj])
+    # Distinct lines share at most one point, and line_points lists every point
+    # of a five-point line: l_i and m_j meet at a configuration point iff they share one.
+    grid_points = set()
+    for li in l_lines:
+        l_set = set(cfg.line_points[li])
+        for mj in m_lines:
+            shared = l_set.intersection(cfg.line_points[mj])
             if not shared:
                 raise NotAGridError(
                     f"lines {li} and {mj} do not meet in a configuration point")
             grid_points |= shared
-            if i < 3 and j < 3:
-                subgrid |= shared
     if len(grid_points) != 25:
         raise NotAGridError(f"{len(grid_points)} intersection points, not 25")
-    basis = vanishing_space([cfg.points[i].pairs for i in sorted(subgrid)], 2, 4)
-    if len(basis) != 1:
-        raise NotAGridError(f"quadric space has dimension {len(basis)}, not 1")
+    try:
+        quadric = cfgmod.grid_quadric(cfg.points, cfg.lines, cfg.line_points,
+                                      l_lines, m_lines)
+    except ArithmeticError as exc:
+        raise VerificationError(f"grid quadric indeterminate: {exc}") from exc
     return GridCertificate(l_lines, m_lines, tuple(sorted(grid_points)),
-                           basis[0])
+                           quadric)
 
 
 def build_quintic_cone(cfg: H4Configuration, proj: Projection,

@@ -6,20 +6,19 @@ rational integer.  A flat keeps those numerators as integer pairs (x, y),
 meaning x + y*phi, in ``pairs``, next to the same values as FieldElements in
 ``coords`` (``pluecker`` for a line).  Equality and hashing compare the
 pairs, and every incidence predicate is an exact integer computation on
-them, with phi**2 = phi + 1:
+them, with phi**2 = phi + 1.  The line through p and q has Pluecker pairs
+L_ij = p_i*q_j - p_j*q_i, dual pairs (L_23, -L_13, L_12, L_03, -L_02, L_01)
+(`_dual`, the one sign table), and their antisymmetric matrices L and L*
+(`_matrix`): L*x is the plane through the line and x, L.pi its meet with pi.
 
 * a point lies in a plane when the dot product of their pairs is zero;
-* two lines meet when the Pluecker pairing of their pairs is zero;
-* a point x lies on the line spanned by p and q, with Pluecker coordinates
-  L_ij = p_i*q_j - p_j*q_i, when the four sums
-  x_i*L_jk - x_j*L_ik + x_k*L_ij (i < j < k) are zero.
+* two lines meet when one's pairs dotted with the other's dual give zero;
+* a point x lies on a line when L*x = 0.
 
-Soundness of the last test: expanding along the first row, those sums are
-the four 3x3 minors of the matrix with rows x, p and q.  Since p and q are
-distinct points the matrix has rank at least 2, so its rank is 2, that is x
-lies on the line, exactly when every 3x3 minor vanishes.  The stored
-Pluecker pairs are a nonzero multiple of the L_ij, which scales each sum by
-that multiple and does not change which of them vanish.
+Soundness of the last test: up to sign, the entries of L*x are the four
+3x3 minors x_i*L_jk - x_j*L_ik + x_k*L_ij (i < j < k) of the rows x, p, q.
+As p != q their rank is 2 or 3, and it is 2, that is x is on the line,
+exactly when all four vanish; scaling the stored pairs changes none of that.
 
 Plane spans and the projection from a vertex are closed-form minors; the
 arguments are at `plane_through`, `image_from` and `plane_image`.
@@ -28,7 +27,7 @@ arguments are at `plane_through`, `image_from` and `plane_image`.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from . import linalg
 from .field import FieldElement, primitive_numerators
@@ -36,11 +35,6 @@ from .linalg import Pair, _dot
 
 # Pluecker coordinates are ordered by the index pairs ij below.
 _PLUECKER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-# The minors x_i*L_jk - x_j*L_ik + x_k*L_ij for i < j < k, as
-# (i, j, k, position of jk, position of ik, position of ij) in _PLUECKER.
-_MINORS = ((0, 1, 2, 3, 1, 0), (0, 1, 3, 4, 2, 0),
-           (0, 2, 3, 5, 2, 1), (1, 2, 3, 5, 4, 3))
 
 
 class DegenerateSpanError(ValueError):
@@ -186,11 +180,9 @@ class ProjLine:
         return f"ProjLine({self.pluecker})"
 
     def contains(self, x: ProjPoint) -> bool:
-        """x lies on the line: the four minors of the module docstring vanish."""
-        xs, ls = x.pairs, self.pairs
-        return all(_dot((xs[i], _neg(xs[j]), xs[k]),
-                        (ls[jk], ls[ik], ls[ij])) == (0, 0)
-                   for i, j, k, jk, ik, ij in _MINORS)
+        """x lies on the line: L*x = 0, the minors of the module docstring."""
+        return all(_dot(row, x.pairs) == (0, 0)
+                   for row in _matrix(_dual(self.pairs)))
 
     def to_json(self) -> dict:
         return {
@@ -208,13 +200,41 @@ def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
     return ProjLine(p, q)
 
 
+def _dual(ls: Sequence[Pair]) -> Tuple[Pair, ...]:
+    """The dual Pluecker coordinates (l23, -l13, l12, l03, -l02, l01)."""
+    return (ls[5], _neg(ls[4]), ls[3], ls[2], _neg(ls[1]), ls[0])
+
+
+def _matrix(ls: Sequence[Pair]) -> List[List[Pair]]:
+    """The antisymmetric 4x4 matrix with entry l_ij at (i, j), i < j."""
+    l01, l02, l03, l12, l13, l23 = ls
+    n01, n02, n03, n12, n13, n23 = map(_neg, ls)
+    return [[(0, 0), l01, l02, l03], [n01, (0, 0), l12, l13],
+            [n02, n12, (0, 0), l23], [n03, n13, n23, (0, 0)]]
+
+
 def lines_meet(l1: ProjLine, l2: ProjLine) -> bool:
-    """True iff the lines intersect: the Pluecker pairing
-    a01*b23 - a02*b13 + a03*b12 + a12*b03 - a13*b02 + a23*b01 is zero."""
+    """True iff the lines intersect: the Pluecker pairing with the dual,
+    a01*b23 - a02*b13 + a03*b12 + a12*b03 - a13*b02 + a23*b01, is zero."""
     if l1 == l2:
         raise ValueError("lines_meet expects two distinct lines")
-    a, b = l1.pairs, l2.pairs
-    return _dot(a, (b[5], _neg(b[4]), b[3], b[2], _neg(b[1]), b[0])) == (0, 0)
+    return _dot(l1.pairs, _dual(l2.pairs)) == (0, 0)
+
+
+def transversal_quadric(l1: ProjLine, l2: ProjLine, l3: ProjLine) -> Tuple[Pair, ...]:
+    """The pairs of x -> x^T M x, M = L1* L2 L3*, on the x_i*x_j, i <= j in
+    lexicographic (graded-lex) order: M_ij + M_ji, or M_ii when i = j.
+
+    For skew lines this is the quadric of their common transversals: L3*x
+    is the plane of l3 and x, L2 sends it to the point y where l2 meets it,
+    and x lies in the plane L1*y of l1 and y when the line xy, which meets
+    l2 and l3, meets l1.  `config.grid_quadric` certifies what it returns.
+    """
+    m = _matrix(_dual(l1.pairs))
+    for factor in (_matrix(l2.pairs), _matrix(_dual(l3.pairs))):
+        m = [[_dot(row, col) for col in zip(*factor)] for row in m]
+    return tuple(m[i][i] if i == j else (m[i][j][0] + m[j][i][0], m[i][j][1] + m[j][i][1])
+                 for i in range(4) for j in range(i, 4))
 
 
 def plane_through(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> ProjPlane:
@@ -237,17 +257,15 @@ def _pivot(vertex: ProjPoint) -> int:
 def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[Pair, ...]:
     """The image of x under projection from v onto P^2: with k the pivot
     (first nonzero coordinate) of v, the canonical pairs (v_k*x_i - v_i*x_k)
-    for i != k, which are Pluecker minors of the line vx, negated for i < k.
+    for i != k: row k of the Pluecker matrix of the line vx.
 
     Soundness: e_i (i != k) and v form a basis (their determinant is
     +-v_k != 0), and x = sum_{i != k} y_i*e_i + (x_k/v_k)*v with
     y_i = x_i - v_i*x_k/v_k.  Projecting from v forgets the v-coordinate,
     so the image is (y_i), which is the minors over v_k."""
     k = _pivot(vertex)
-    minors = pluecker_pairs(vertex.pairs, x.pairs)
-    return _canonical_pairs([minors[_PLUECKER.index((k, i))] if k < i
-                             else _neg(minors[_PLUECKER.index((i, k))])
-                             for i in range(4) if i != k])
+    row = _matrix(pluecker_pairs(vertex.pairs, x.pairs))[k]
+    return _canonical_pairs(row[:k] + row[k + 1:])
 
 
 def plane_image(vertex: ProjPoint, plane: ProjPlane) -> Tuple[FieldElement, ...]:

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
-from h4geproci import tables
+from h4geproci import config, forms, tables
 from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M,
                               GRID2_EXTERNAL_LINE, GRID2_L, GRID2_M,
                               collinear_groups, grid_point_indices,
@@ -117,6 +117,16 @@ def test_grid_quadrics_match_printed_equations(cfg):
         (2, 0, 0, 0): ONE, (1, 1, 0, 0): FieldElement(2),
         (0, 0, 2, 0): PHI, (0, 0, 0, 2): ONE - PHI}).monic()
     assert cfg.grid_quadrics == (q1, q2)
+
+
+def test_build_h4_interpolates_no_grid_quadric(cfg, monkeypatch):
+    """Both quadrics come from config.grid_quadric, which interpolates nothing."""
+    def no_interpolation(*args):
+        raise AssertionError("build_h4 interpolated")
+
+    monkeypatch.setattr(forms, "vanishing_space", no_interpolation)
+    assert not hasattr(config, "vanishing_space")
+    assert config.build_h4().grid_quadrics == cfg.grid_quadrics
 
 
 def test_z_partition_matches_printed_halves(cfg):

@@ -116,8 +116,8 @@ def test_grids_have_unique_quadrics_and_25_points(grids):
 
 
 def test_every_grid_quadric_is_the_quadric_through_all_25_points(cfg, grids):
-    """verify_grid interpolates on a 3x3 subgrid; the reference interpolates
-    through the whole grid and must give the same quadric."""
+    """verify_grid certifies the quadric on a 3x3 subgrid; the reference
+    interpolates through the whole grid and must give the same quadric."""
     for g in grids:
         points = [cfg.points[i].pairs for i in g.grid_points]
         assert vanishing_space(points, 2, 4) == [g.quadric]

@@ -2,9 +2,10 @@
 
 import pytest
 
-from h4geproci import geproci
+from h4geproci import config, forms, geproci, linalg
 from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M, GRID2_L,
                               GRID2_M, z_partition)
+from h4geproci.coverings import enumerate_grids
 from h4geproci.field import FieldElement, ONE, PHI, ZERO, primitive_numerators
 from h4geproci.forms import HomForm, divides
 from h4geproci.projective import (ProjPoint, canonicalize, image_from,
@@ -69,28 +70,79 @@ def test_grid_points_lie_on_the_quadric(cfg, grid1):
         assert grid1.quadric.vanishes_at(cfg.points[i].pairs)
 
 
-def test_grid_quadric_is_interpolated_on_the_3x3_subgrid(cfg, grid1,
-                                                        monkeypatch):
-    """verify_grid interpolates through l_i . m_j for i, j <= 3 only, in the
-    order the families are given, and any such subgrid gives the quadric."""
-    interpolate = geproci.vanishing_space
-    seen = []
+def _subgrid(cfg, l_lines, m_lines):
+    """The 9 points l_i . m_j, i, j <= 3, in row-major order of the families."""
+    return [p for li in l_lines[:3] for mj in m_lines[:3]
+            for p in set(cfg.line_points[li]) & set(cfg.line_points[mj])]
 
-    def recording(points, degree, nvars):
-        seen.append(list(points))
-        return interpolate(seen[-1], degree, nvars)
 
-    monkeypatch.setattr(geproci, "vanishing_space", recording)
+def test_grid_quadric_is_certified_on_the_3x3_subgrid(cfg, grid1, monkeypatch):
+    """verify_grid interpolates nothing: the rank witness runs on the rows at
+    l_i . m_j for i, j <= 3, in the order the families are given, and the
+    certified quadric is the one interpolated through those 9 points."""
+    interpolate = forms.vanishing_space
+    independent = linalg.independent_rows_mod
+    witnessed = []
+
+    def no_interpolation(*args):
+        raise AssertionError("verify_grid interpolated")
+
+    def recording(rows, p):
+        witnessed.append([list(row) for row in rows])
+        return independent(rows, p)
+
+    monkeypatch.setattr(geproci, "vanishing_space", no_interpolation)
+    monkeypatch.setattr(forms, "vanishing_space", no_interpolation)
+    monkeypatch.setattr(linalg, "independent_rows_mod", recording)
+    cols = forms.monomials(2, 4)
     rotated = (GRID1_L[::-1], GRID1_M[1:] + GRID1_M[:1])
     for l_lines, m_lines in ((GRID1_L, GRID1_M), rotated):
-        seen.clear()
+        witnessed.clear()
         grid = geproci.verify_grid(cfg, l_lines, m_lines)
-        subgrid = {p for li in l_lines[:3] for mj in m_lines[:3]
-                   for p in set(cfg.line_points[li]) & set(cfg.line_points[mj])}
-        assert len(subgrid) == 9
-        assert seen == [[cfg.points[i].pairs for i in sorted(subgrid)]]
+        nine = [cfg.points[i].pairs for i in _subgrid(cfg, l_lines, m_lines)]
+        assert len(set(nine)) == 9
+        rows = [forms._evaluation_row(x, 2, 4, cols) for x in nine]
+        assert witnessed == [[[(a + b * forms._PHI_ROOT) % forms._PRIME
+                               for a, b in row] for row in rows]]
+        assert [grid.quadric] == interpolate(nine, 2, 4)
         assert grid.quadric == grid1.quadric
         assert grid.grid_points == grid1.grid_points
+
+
+def _assert_indeterminate(cfg, match):
+    """verify_grid raises a VerificationError that is not NotAGridError, and
+    enumerate_grids passes it on instead of dropping the grid."""
+    with pytest.raises(geproci.VerificationError, match=match) as info:
+        geproci.verify_grid(cfg, GRID1_L, GRID1_M)
+    assert not isinstance(info.value, geproci.NotAGridError)
+    with pytest.raises(geproci.VerificationError, match=match) as info:
+        enumerate_grids(cfg)
+    assert not isinstance(info.value, geproci.NotAGridError)
+
+
+def test_a_short_rank_witness_is_indeterminate(cfg, monkeypatch):
+    independent = linalg.independent_rows_mod
+    monkeypatch.setattr(linalg, "independent_rows_mod",
+                        lambda rows, p: independent(rows, p)[:8])
+    _assert_indeterminate(cfg, "dependent mod P")
+
+
+def test_a_quadric_missing_a_subgrid_point_is_indeterminate(cfg, monkeypatch):
+    transversal = config.transversal_quadric
+
+    def plus_w_squared(*lines):
+        pairs = list(transversal(*lines))
+        pairs[-1] = (pairs[-1][0] + 1, pairs[-1][1])
+        return tuple(pairs)
+
+    monkeypatch.setattr(config, "transversal_quadric", plus_w_squared)
+    _assert_indeterminate(cfg, "misses the subgrid")
+
+
+def test_a_zero_quadric_is_indeterminate(cfg, monkeypatch):
+    monkeypatch.setattr(config, "transversal_quadric",
+                        lambda *lines: ((0, 0),) * 10)
+    _assert_indeterminate(cfg, "is zero")
 
 
 def test_non_grid_inputs_are_rejected(cfg):

@@ -10,9 +10,12 @@ import pytest
 from h4geproci import linalg
 from h4geproci.field import (FieldElement, ONE, PHI, ZERO,
                              primitive_numerators)
+from h4geproci.forms import HomForm, monomials, vanishing_space
+from h4geproci.linalg import _dot
 from h4geproci.projective import (DegenerateSpanError, ProjLine, ProjPlane,
                                   ProjPoint, canonicalize, line_through,
-                                  lines_meet, plane_through)
+                                  lines_meet, plane_through,
+                                  transversal_quadric)
 from test_linalg import mat_vec, reference_inverse, reference_rank
 
 
@@ -334,3 +337,61 @@ def test_pair_predicates_match_the_references_on_random_flats():
                 assert inside == _reference_in_plane(plane, x)
                 counts["in_plane" if inside else "off_plane"] += 1
     assert min(counts.values()) > 100, counts
+
+
+def _hard_coded_pairing(a, b):
+    """The pairing on canonical pairs as lines_meet wrote it out before the
+    dual table: a01*b23 - a02*b13 + a03*b12 + a12*b03 - a13*b02 + a23*b01."""
+    neg = lambda w: (-w[0], -w[1])  # noqa: E731
+    return _dot(a, (b[5], neg(b[4]), b[3], b[2], neg(b[1]), b[0]))
+
+
+def test_lines_meet_matches_the_hard_coded_pairing_on_all_line_pairs(cfg):
+    lines = list(cfg.lines.values())
+    meeting = 0
+    for l1 in lines:
+        for l2 in lines:
+            if l1 is not l2:
+                meet = lines_meet(l1, l2)
+                assert meet == (_hard_coded_pairing(l1.pairs, l2.pairs) == (0, 0))
+                meeting += meet
+    assert meeting == 2 * 900
+
+
+def _small_point(rng) -> ProjPoint:
+    """Coordinates a + b*phi with a, b in -3..3, not all zero."""
+    while True:
+        coords = [FieldElement(rng.randint(-3, 3), rng.randint(-3, 3))
+                  for _ in range(4)]
+        if any(not x.is_zero() for x in coords):
+            return ProjPoint(coords)
+
+
+def _skew_triple(rng):
+    """Three pairwise skew lines, each with three of its points."""
+    while True:
+        spans = [(_small_point(rng), _small_point(rng)) for _ in range(3)]
+        if any(p == q for p, q in spans):
+            continue
+        lines = [ProjLine(p, q) for p, q in spans]
+        if any(a == b or lines_meet(a, b) for a, b in combinations(lines, 2)):
+            continue
+        on = [[p, q, ProjPoint([x + y for x, y in zip(p.coords, q.coords)])]
+              for p, q in spans]
+        return lines, on
+
+
+def test_transversal_quadric_is_the_quadric_of_three_skew_lines():
+    """Beyond H4: Q is nonzero, vanishes at three points of each line, and is
+    the one quadric through those nine points."""
+    rng = random.Random(16)
+    cols = monomials(2, 4)
+    for _ in range(40):
+        lines, on = _skew_triple(rng)
+        pairs = transversal_quadric(*lines)
+        assert any(w != (0, 0) for w in pairs)
+        q = HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, pairs)})
+        nine = [x.pairs for row in on for x in row]
+        assert len(set(nine)) == 9
+        assert all(q.vanishes_at(x) for x in nine)
+        assert vanishing_space(nine, 2, 4) == [q.monic()]
