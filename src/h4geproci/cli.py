@@ -205,7 +205,10 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
     covs = coverings_mod.enumerate_coverings(cfg)
     check("table3", "exactly 84 partitions of the points into 12 disjoint lines",
           len(covs) == 84 and {c.lines for c in covs} == set(tables.LINE_COVERS))
-    grids = coverings_mod.enumerate_grids(cfg)
+    try:
+        grids = coverings_mod.enumerate_grids(cfg)
+    except geproci_mod.VerificationError:  # an indeterminate grid certificate
+        grids = []
     pairs = {(g.l_lines, g.m_lines) for g in grids}
     check("grids", "both printed (5,5)-grids occur among all grids found",
           (tuple(GRID1_L), tuple(GRID1_M)) in pairs

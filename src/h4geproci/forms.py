@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -190,6 +190,22 @@ class HomForm:
 # Interpolation
 # ---------------------------------------------------------------------------
 
+def independent_evaluation_rows(points: Sequence[Sequence[Pair]], degree: int,
+                                nvars: int) -> List[int]:
+    """Indices of the first points (Z[phi] pairs) whose degree-d evaluation
+    rows are independent modulo P = (p, phi - r) of `_PRIME` and `_PHI_ROOT`.
+
+    Soundness.  x + y*phi -> (x + y*r) mod p is a ring map Z[phi] -> F_p, so
+    `_residue_row` is the residue of `_evaluation_row`, entry by entry.  A
+    nonzero minor mod P is one over Q(phi): the exact rank is at least the
+    count kept, and when that is the number of monomials no nonzero degree-d
+    form vanishes at the points.  A smaller count proves nothing on its own.
+    """
+    cols = monomials(degree, nvars)
+    return linalg.independent_rows_mod(
+        [_residue_row(p, degree, nvars, cols) for p in points], _PRIME)
+
+
 def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
                     nvars: int) -> List[HomForm]:
     """Basis of the degree-d forms vanishing at every given point (Z[phi] pairs).
@@ -199,14 +215,11 @@ def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
     in that column and 0 in the other free columns, made monic: its first
     nonzero coefficient in column order, the graded-lex leading one, is 1.
     Only a row basis is eliminated exactly; it is chosen modulo the split
-    prime P = (p, phi - r) of `_PRIME` and `_PHI_ROOT`.
+    prime P by `independent_evaluation_rows`.
 
-    Soundness.  The pair rows of `_evaluation_row` go to F_p by the ring map
-    x + y*phi -> x + y*r.  A nonzero minor mod P is a nonzero minor over
-    Q(phi), so the first rows independent mod P
-    (`linalg.independent_rows_mod`) are independent over Q(phi), and the
+    Soundness.  The rows chosen mod P are independent over Q(phi), so the
     exact rank is at least their count; when that count is the number of
-    monomials, the space is 0 and nothing is eliminated exactly.  Otherwise
+    monomials, the space is 0 and no exact row is built.  Otherwise
     let N_S be the exact nullspace of the chosen rows and N that of all
     rows.  N_S contains N, and when every basis vector of N_S kills every
     row (an exact Z[phi] dot product, `linalg.first_missed_row`), N_S = N;
@@ -222,11 +235,11 @@ def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
     below; it never turns a positive dimension into 0.
     """
     cols = monomials(degree, nvars)
-    rows = [_evaluation_row(p, degree, nvars, cols) for p in points]
-    images = [[(x + y * _PHI_ROOT) % _PRIME for x, y in row] for row in rows]
-    chosen = linalg.independent_rows_mod(images, _PRIME)
+    points = list(points)
+    chosen = independent_evaluation_rows(points, degree, nvars)
     if len(chosen) == len(cols):
         return []
+    rows = [_evaluation_row(p, degree, nvars, cols) for p in points]
     while True:
         # With nothing chosen (no rows, or all rows zero mod P), start from
         # the whole space: the nullspace of one zero row.
@@ -266,6 +279,22 @@ def _evaluation_row(point: Sequence[Pair], degree: int, nvars: int,
                 a, b = a * x + b * y, a * y + b * x + b * y
         row.append((a, b))
     return row
+
+
+def _residue_row(point: Sequence[Pair], degree: int, nvars: int,
+                 cols: Iterable[Exponents]) -> List[int]:
+    """The monomials at a point of Z[phi] pairs, mod P: each pair x + y*phi
+    goes to v = (x + y*r) mod p, then to a table of the powers of v in F_p,
+    and monomial e is the product of powers[i][e[i]] over the variables."""
+    if len(point) != nvars:
+        raise ValueError("point dimension does not match variable count")
+    powers = []
+    for x, y in point:
+        table, v = [1], (x + y * _PHI_ROOT) % _PRIME
+        for _ in range(degree):
+            table.append(table[-1] * v % _PRIME)
+        powers.append(table)
+    return [prod(map(list.__getitem__, powers, e)) % _PRIME for e in cols]
 
 
 # ---------------------------------------------------------------------------

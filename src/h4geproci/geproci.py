@@ -17,7 +17,8 @@ from typing import Dict, Optional, Sequence, Tuple
 from . import config as cfgmod
 from .config import H4Configuration
 from .field import ONE
-from .forms import (HomForm, SmoothnessReport, divides, plane_curve_is_smooth,
+from .forms import (HomForm, SmoothnessReport, divides,
+                    independent_evaluation_rows, plane_curve_is_smooth,
                     vanishing_space)
 from .linalg import Pair
 from .projective import (ProjLine, ProjPoint, image_from, plane_image,
@@ -250,7 +251,8 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     The dimension table lists dim_d, the dimension of the degree-d forms
     vanishing at the 60 images, for d = 1..6.  Degree 6 is interpolated,
     then each lower degree in turn while the dimension stays above zero; on
-    the configuration that is d = 6 and d = 5 only.  The table is exact: if
+    the configuration that is d = 6 and d = 5 only, and d = 5 is decided by
+    its rank mod P, with no exact row.  The table is exact: if
     a nonzero degree-(d-1) form vanishes at the images, its product with any
     linear form is a nonzero degree-d form vanishing there, so dim_d = 0
     forces dim_{d-1} = 0 and every lower dimension to be zero as well.
@@ -424,26 +426,30 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     """Refute the half-grid property for the full set (or test a subset).
 
     Steps: (1) the largest collinear subset has 5 points; (2) no curve of
-    degree below the smallest interpolating degree passes through the
-    projected points, which forces the CI degrees; (3) a half-grid of type
-    (a, b) needs a skew lines carrying N/a points each, impossible whenever
-    N/a exceeds the collinearity bound.  The refutation fails (correctly) on
-    a subset that is a half-grid.
+    degree below d* passes through the projected points, which forces the
+    CI degrees; (3) a half-grid of type (a, b) needs a skew lines carrying
+    N/a points each, impossible whenever N/a exceeds the collinearity bound.
+    The refutation fails (correctly) on a subset that is a half-grid.
+
+    Step (2) is a rank test mod P (`independent_evaluation_rows`); no form
+    is interpolated.  d* is the first degree whose rank mod P is not full.
+    Every dimension below d* is exactly 0 (a nonzero minor mod P is a
+    nonzero minor over Q(phi)), so d* is at most the least degree m of a
+    curve through the images, the types forced from d* include those forced
+    from m, and "refuted" needs every one of them excluded: an unlucky prime
+    can turn "refuted" into "not refuted", never the reverse.  The images
+    are minors, polynomial in the vertex, so dim_d = 0 is an open condition
+    on it, and a refutation at one vertex holds for a general vertex.
     """
     indices = sorted(subset) if subset is not None else sorted(cfg.points)
     n = len(indices)
     mc = cfg.max_collinear(indices)
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in indices]
-    dims = []
-    d = 1
-    while True:
-        dim = len(vanishing_space(images, d, 3))
-        if dim > 0:
-            break
-        dims.append(dim)
+    d = 1  # d*: no curve of lower degree passes through the images
+    while len(independent_evaluation_rows(images, d, 3)) == (d + 1) * (d + 2) // 2:
         d += 1
-    min_degree = d  # smallest degree with a curve through the images
+    min_degree = d
     forced = tuple((a, n // a) for a in range(min_degree, n + 1)
                    if n % a == 0 and n // a >= min_degree)
     details = [
@@ -464,5 +470,5 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
             details.append(
                 f"type ({a},{b}) needs {a} skew lines with {per_line} points"
                 f" each, but no line carries more than {mc}")
-    return RefutationReport(subset_name, mc, tuple(dims), forced, refuted,
+    return RefutationReport(subset_name, mc, (0,) * (d - 1), forced, refuted,
                             tuple(details))

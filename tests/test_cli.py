@@ -163,6 +163,19 @@ def test_report_single_seed(tmp_path):
         assert check["claim"]
 
 
+def test_report_records_an_indeterminate_grid_certificate(tmp_path, monkeypatch):
+    def indeterminate(cfg, l_lines, m_lines):
+        raise cli.geproci_mod.VerificationError("the subgrid rows are dependent mod P")
+
+    monkeypatch.setattr(cli.coverings_mod, "verify_grid", indeterminate)
+    out = tmp_path / "report.json"
+    assert _run(["report", "--out", str(out), "--seeds", "3"]) == 1
+    blob = json.loads(out.read_text())
+    _validator("report.schema.json").validate(blob)
+    assert blob["passed"] is False
+    assert [c["name"] for c in blob["checks"] if not c["passed"]] == ["grids"]
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["incidences", "--kind", "bogus"])

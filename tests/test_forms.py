@@ -14,7 +14,8 @@ from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              try_quotient, vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _evaluation_row,
                              _gcd_mod, _interpolate_mod, _partial_mod,
-                             _resultant_mod, _split_primes, _PHI_ROOT, _PRIME)
+                             _residue_row, _resultant_mod, _split_primes,
+                             _PHI_ROOT, _PRIME)
 from test_linalg import _integer_pairs, determinant_mod, reference_nullspace
 
 
@@ -189,6 +190,26 @@ def test_pair_rows_are_the_field_rows_times_lambda_to_the_degree(nvars):
     assert seen == {(True, False), (False, True), (False, False)}
     with pytest.raises(ValueError):
         _evaluation_row(((1, 0),) * (nvars - 1), 2, nvars, monomials(2, nvars))
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_residue_rows_are_the_exact_rows_mod_p(nvars):
+    """Reduction mod P is a ring map, so the F_p power-table row is the
+    residue of the exact pair row, entry by entry."""
+    rng = random.Random(131 + nvars)
+    big = 10 ** 12
+    for _ in range(6):
+        points = [primitive_numerators(pt) for pt in _evaluation_points(rng, nvars)]
+        points.append([(rng.randint(-big, big), rng.randint(-big, big))
+                       for _ in range(nvars)])
+        for pairs in points:
+            for degree in range(0, 7):
+                cols = monomials(degree, nvars)
+                exact = _evaluation_row(pairs, degree, nvars, cols)
+                assert _residue_row(pairs, degree, nvars, cols) == \
+                    [(x + y * _PHI_ROOT) % _PRIME for x, y in exact]
+    with pytest.raises(ValueError):
+        _residue_row(((1, 0),) * (nvars - 1), 2, nvars, monomials(2, nvars))
 
 
 def _reference_value(f, pt):

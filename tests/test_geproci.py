@@ -263,6 +263,42 @@ def test_full_set_is_not_a_half_grid(cfg):
     assert set(report.forced_degrees) == {(6, 10), (10, 6)}
 
 
+def test_refutation_runs_no_exact_kernel(cfg, monkeypatch):
+    expected = geproci.verify_not_half_grid(cfg, 1)
+
+    def exact(*args):
+        pytest.fail("the refutation ran an exact kernel computation")
+
+    monkeypatch.setattr(linalg, "nullspace", exact)
+    monkeypatch.setattr(linalg, "first_missed_row", exact)
+    assert geproci.verify_not_half_grid(cfg, 1) == expected
+
+
+def test_a_rank_short_mod_p_never_refutes(cfg, monkeypatch):
+    """An unlucky prime stops the ladder early: the forced types only grow,
+    so the verdict can only turn into "not refuted"."""
+    rank = forms.independent_evaluation_rows
+
+    def one_short_at_5(points, degree, nvars):
+        kept = rank(points, degree, nvars)
+        return kept[:-1] if degree == 5 else kept
+
+    monkeypatch.setattr(geproci, "independent_evaluation_rows", one_short_at_5)
+    report = geproci.verify_not_half_grid(cfg, 1)
+    assert report.low_degree_dims == (0, 0, 0, 0)
+    assert {(5, 12), (12, 5)} <= set(report.forced_degrees)
+    assert not report.refuted
+
+
+def test_full_rank_mod_p_builds_no_exact_row(projection, monkeypatch):
+    def exact(*args):
+        pytest.fail("an exact evaluation row was built")
+
+    monkeypatch.setattr(forms, "_evaluation_row", exact)
+    images = list(projection.images.values())
+    assert forms.vanishing_space(images, 5, 3) == []
+
+
 def test_refutation_correctly_fails_on_the_half_grid_z1(cfg):
     z1, _ = z_partition(cfg)
     report = geproci.verify_not_half_grid(cfg, 1, subset=z1, subset_name="Z1")
