@@ -2,11 +2,12 @@
 
 Forms are sparse maps from exponent tuples to FieldElement coefficients, in
 graded lexicographic order (first variable largest).  The module provides
-exact evaluation, products, interpolation through point sets by fraction-free
-nullspace computation, divisibility by long division, gcd as the nullspace of
-a multiplication map, and a smoothness certificate for plane curves from
-chart-wise resultants, by Euclid's algorithm over F_p on formal degrees,
-modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.
+exact evaluation, products, interpolation through point sets by a nullspace
+proposed modulo split primes and checked exactly, divisibility by long
+division, gcd as the nullspace of a multiplication map, and a smoothness
+certificate for plane curves from chart-wise resultants, by Euclid's
+algorithm over F_p on formal degrees, modulo a degree-1 prime of Z[phi],
+sound over Q(phi)-bar.
 Points, evaluation rows and kernel vectors are Z[phi] integer pairs (x, y)
 for x + y*phi; each interpolated form becomes FieldElement once, when built.
 """
@@ -16,12 +17,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import isqrt, prod
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from math import prod
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .field import FieldElement, ZERO, primitive_numerators
-from .linalg import Pair, _dot
+from .linalg import Pair, _dot, _split_primes
 
 Exponents = Tuple[int, ...]
 Coeffs = Dict[Exponents, FieldElement]
@@ -214,25 +215,27 @@ def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
     is the exact nullspace of all rows: one vector per free column, nonzero
     in that column and 0 in the other free columns, made monic: its first
     nonzero coefficient in column order, the graded-lex leading one, is 1.
-    Only a row basis is eliminated exactly; it is chosen modulo the split
-    prime P by `independent_evaluation_rows`.
+    A row basis is chosen modulo the split prime P by
+    `independent_evaluation_rows`, in reduced echelon form over F_p; only
+    those rows go to `linalg.nullspace`, which proposes their kernel modulo
+    further split primes and returns it once it checks exactly.
 
     Soundness.  The rows chosen mod P are independent over Q(phi), so the
     exact rank is at least their count; when that count is the number of
-    monomials, the space is 0 and no exact row is built.  Otherwise
-    let N_S be the exact nullspace of the chosen rows and N that of all
-    rows.  N_S contains N, and when every basis vector of N_S kills every
-    row (an exact Z[phi] dot product, `linalg.first_missed_row`), N_S = N;
-    the basis above depends on N alone, so it is the one the elimination of
-    all rows gives.  A row that some
-    basis vector does not kill (the rank dropped mod P) joins the chosen
-    rows and the elimination runs again; each round raises the exact rank of
-    the chosen rows, so the loop ends.  A missed row that is already chosen
-    means the exact kernel is wrong, and it raises ArithmeticError rather
-    than repeat the same round.  When no row is independent mod P (no
-    points, or every row lies in P), N_S is the whole space and the same
-    check applies.  The prime only picks rows and bounds the rank from
-    below; it never turns a positive dimension into 0.
+    monomials, the space is 0 and no exact row is built.  Otherwise let N_S
+    be the exact nullspace of the chosen rows and N that of all rows.  N_S
+    contains N, and when every basis vector of N_S kills every row (an exact
+    Z[phi] dot product, `linalg.first_missed_row`), N_S = N; the basis above
+    depends on N alone, so it is the one the elimination of all rows gives.
+    A row that some basis vector does not kill (the rank dropped mod P)
+    joins the chosen rows and the kernel is taken again; each round raises
+    the exact rank of the chosen rows, so the loop ends.  A missed row that
+    is already chosen means the exact kernel is wrong, and it raises
+    ArithmeticError rather than repeat the same round.  When no row is
+    independent mod P (no points, or every row lies in P), N_S is the whole
+    space and the same check applies.  The primes only pick rows, propose
+    kernels and bound the rank from below; they never turn a positive
+    dimension into 0.
     """
     cols = monomials(degree, nvars)
     points = list(points)
@@ -477,20 +480,6 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
                                     phi_root=r, coordinate_change=change)
     raise SmoothnessIndeterminate(
         f"no certificate after {max_retries} primes: {trail}")
-
-
-def _split_primes() -> Iterator[Tuple[int, int]]:
-    """Primes p > 2^31 with p = 11 or 19 (mod 20), each with its phi root.
-
-    p = +-1 (mod 5) makes 5 a square mod p, so x^2 - x - 1 splits; p = 3
-    (mod 4) makes s = 5^((p+1)/4) a square root of 5, and r = (1 + s)/2.
-    """
-    p = 2 ** 31
-    while True:
-        p += 1
-        if p % 20 in (11, 19) and all(p % q for q in range(3, isqrt(p) + 1, 2)):
-            s = pow(5, (p + 1) // 4, p)
-            yield p, (1 + s) * pow(2, -1, p) % p
 
 
 # The first split prime and its phi root, P = (p, phi - r), stored (a test

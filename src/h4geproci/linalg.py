@@ -1,27 +1,27 @@
 """Exact linear algebra over Q(phi), and one elimination kernel over F_p.
 
-The exact kernel, `_eliminate`, runs Bareiss forward elimination on rows of
-integer pairs (x, y) that stand for x + y*phi in Z[phi], with phi**2 =
-phi + 1.  Each update is a two-by-two minor divided by the previous pivot w,
-computed as the minor times conj(w) floor-divided by the integer N(w) =
-w*conj(w) in each component; that division is exact (the argument is at
-`_eliminate`).  `nullspace` takes Z[phi] pair rows, as interpolation and the
-gcd produce them, back-substitutes fraction-free on the pairs and returns
-pair vectors (the argument is there); `determinant` takes FieldElement rows,
-as the minors of plane spans come, scales each by a positive rational to
-coprime Z[phi] numerators (`field.primitive_numerators`) and divides the
-scales out again.  Scaling a row by a nonzero rational leaves the rank, the
-pivot columns and the nullspace unchanged.  `_dot` is the one Z[phi]
-multiply-accumulate loop: kernel checks, back substitution, form evaluation
-and the incidence predicates all use it.
+Exact rows hold integer pairs (x, y) that stand for x + y*phi in Z[phi],
+with phi**2 = phi + 1.  `determinant` scales FieldElement rows, as the
+minors of plane spans come, to coprime pairs (`field.primitive_numerators`)
+and runs Bareiss elimination on them (`_eliminate`, exact by the argument
+there).  `nullspace` takes pair rows, as interpolation and the gcd produce
+them: split primes propose the kernel, CRT and rational reconstruction lift
+it, and an exact check against every row certifies it.  `_dot` is the one
+Z[phi] multiply-accumulate loop: kernel checks, form evaluation and the
+incidence predicates all use it.
 
-Over F_p, matrices are lists of lists of ints; `independent_rows_mod`
-reduces them one row at a time and keeps the first independent rows.
+Over F_p, matrices are lists of lists of ints.  `_echelon_mod` brings them
+to reduced echelon form one row at a time, for `nullspace` and for
+`independent_rows_mod`, which keeps the first independent rows.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import itertools
+from fractions import Fraction
+from math import gcd, isqrt
+from operator import mul
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .field import FieldElement, ONE, ZERO, primitive_numerators
 
@@ -79,35 +79,109 @@ def _eliminate(rows: List[List[Pair]]) -> Tuple[List[List[Pair]], List[int], int
 
 
 def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
-    """Basis of the right nullspace of Z[phi] rows, one pair vector per free
-    column: D times the vector with 1 in that column and 0 in the other free
-    columns, where D is the last Bareiss pivot (1 when nothing pivots).
+    """Basis of the right nullspace N of Z[phi] rows, one pair vector per
+    free column g: the vector b_g with 1 at g, 0 at the other free columns
+    and 0 past g, scaled by a positive rational to coprime pairs.  The input
+    is not modified, and scaling its rows by nonzero scalars changes nothing.
 
-    The vectors are deterministic and already echelonized.  The input is not
-    modified, and scaling its rows by nonzero scalars changes nothing.
+    Split primes q propose the vectors: `_KERNEL_PRIME`, then `_split_primes`.
+    At both roots r and 1 - r of x^2 - x - 1 mod q, `_kernel_mod` gives the
+    pivot columns and the residues a, b of each entry x + y*phi of b_g, so
+    y = (a - b)/(2r - 1) and x = a - y*r.  Primes with one pivot set join by
+    CRT; a lexicographically smaller set (ncols appended) starts afresh, and
+    a larger set, or two roots that disagree, passes the prime over.  The
+    entries are rationally reconstructed (`_rational`), and the basis is
+    returned once every vector kills every row, exactly (`first_missed_row`).
 
-    Back substitution stays in Z[phi].  Let A be the first r (swapped) rows
-    on the r pivot columns; the other rows eliminate to zero, so the kernel
-    is that of these rows, and the last pivot D is det A.  With D in the
-    free column the pivot entries solve A x = -D a (a the free column), so
-    by Cramer's rule each, and so each step's quotient, is a minor of the
-    input: its division by the pivot p, s*conj(p) floor-divided by N(p), is
-    exact.
+    Soundness.  Once they pass the check, the b_g lie in N, and with 1 at g
+    and 0 at the other free columns they are independent.  Their number,
+    ncols minus the rank mod q, is at least dim N (a unit minor mod q is a
+    nonzero minor), so they span N.  No vector of N ends at a pivot column
+    over Q(phi), and b_g ends at g, so the free sets agree and each b_g is
+    the canonical vector.  An empty kernel mod q is an empty N.
+
+    Termination.  Let h be log2 of the Hadamard bound of the rows, with
+    |x + y*phi| <= |x| + 2|y| at either root.  The entries of b_g are ratios
+    of minors: their rational parts have numerators below 2^(2h+2) and
+    denominators at most 2^(2h), so reconstruction is right once the joined
+    primes pass 2^(4h+5).  A prime off the exact pivot set divides the norm
+    of a nonzero minor, at most 2^(2h).  So primes tried past 2^(6h+6)
+    without a basis mean a fault, and raise ArithmeticError.
     """
     ncols = len(rows[0]) if rows else 0
-    m, pivots, _ = _eliminate([list(row) for row in rows])
-    d = m[len(pivots) - 1][pivots[-1]] if pivots else (1, 0)
-    basis: List[List[Pair]] = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = {fc: d}
-        for r in reversed(range(len(pivots))):
-            sx, sy = _dot([m[r][j] for j in v], v.values())
-            px, py = m[r][pivots[r]]
-            n, t = px * px + px * py - py * py, sy * py
-            v[pivots[r]] = ((t - sx * (px + py)) // n,
-                            (t + sx * py - sy * (px + py)) // n)
-        basis.append([v.get(j, (0, 0)) for j in range(ncols)])
-    return basis
+    h = sum((sum((abs(x) + 2 * abs(y)) ** 2 for x, y in row).bit_length() + 1) // 2
+            for row in rows)
+    key, tried = None, 1
+    for q, r in itertools.chain([_KERNEL_PRIME], _split_primes()):
+        tried *= q
+        pivots, a = _kernel_mod(rows, q, r)
+        if len(pivots) == ncols:
+            return []
+        pivots_b, b = _kernel_mod(rows, q, 1 - r)
+        if pivots == pivots_b and (key is None or pivots + [ncols] <= key):
+            if pivots + [ncols] != key:
+                key, modulus, xs, ys = pivots + [ncols], 1, [0] * len(a), [0] * len(a)
+            inv, t = pow(2 * r - 1, -1, q), pow(modulus, -1, q)
+            y = [(u - v) * inv % q for u, v in zip(a, b)]
+            x = [(u - w * r) % q for u, w in zip(a, y)]
+            xs = [s + modulus * ((v - s) * t % q) for s, v in zip(xs, x)]
+            ys = [s + modulus * ((v - s) * t % q) for s, v in zip(ys, y)]
+            modulus *= q
+            lifted = [_rational(v, modulus) for v in xs + ys]
+            if None not in lifted:
+                # Taken in `_kernel_mod` order: by g, then by pivot c < g.
+                entries = map(FieldElement, lifted[:len(xs)], lifted[len(xs):])
+                basis = [primitive_numerators(
+                    ONE if j == g else next(entries) if j < g and j in pivots else ZERO
+                    for j in range(ncols)) for g in range(ncols) if g not in pivots]
+                if first_missed_row(rows, basis) is None:
+                    return basis
+        if tried.bit_length() > 6 * h + 6:
+            raise ArithmeticError("no certified nullspace from the primes tried")
+
+
+def _kernel_mod(rows: Sequence[Sequence[Pair]], q: int,
+                r: int) -> Tuple[List[int], List[int]]:
+    """The pivot columns, ascending, of Z[phi] rows at phi -> r mod q, and
+    the entries of the kernel vectors b_g at the pivots c < g, by free
+    column g, then by c."""
+    _, pivots, free = _echelon_mod([[(x + y * r) % q for x, y in row]
+                                    for row in rows], q)
+    at = {g: dict(zip(pivots, col)) for g, col in free.items()}
+    pivots.sort()
+    return pivots, [-at[g][c] % q for g in at for c in pivots if c < g]
+
+
+def _rational(a: int, m: int) -> Optional[Fraction]:
+    """The fraction n/d = a mod m with |n| and d at most sqrt(m/2), or None.
+    Euclid on (m, a) keeps r_i = t_i*a mod m; two such fractions congruent
+    mod m are equal, since |n*d' - n'*d| < m."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1) if abs(t1) <= bound and gcd(r1, t1) == 1 else None
+
+
+def _split_primes() -> Iterator[Tuple[int, int]]:
+    """Primes p > 2^31 with p = 11 or 19 (mod 20), each with its phi root.
+
+    p = +-1 (mod 5) makes 5 a square mod p, so x^2 - x - 1 splits; p = 3
+    (mod 4) makes s = 5^((p+1)/4) a square root of 5, and r = (1 + s)/2.
+    """
+    p = 2 ** 31
+    while True:
+        p += 1
+        if p % 20 in (11, 19) and all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            s = pow(5, (p + 1) // 4, p)
+            yield p, (1 + s) * pow(2, -1, p) % p
+
+
+# The first split prime above 2^192 and its phi root (a test checks both):
+# interpolation's primitive kernels have entries far below 2^96.
+_KERNEL_PRIME = (6277101735386680763835789423207666416102355444464034514319,
+                 652001895853900483615373065785549510930735095230139921053)
 
 
 def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
@@ -153,26 +227,39 @@ def first_missed_row(rows: Sequence[Sequence[Pair]],
 
 
 def independent_rows_mod(rows: Sequence[Sequence[int]], p: int) -> List[int]:
-    """Indices of the first rows independent mod p, in input order.
+    """Indices of the first rows independent mod p, in input order; their
+    number is the rank.  Entries may be any ints; the input is not modified."""
+    return _echelon_mod(rows, p)[0]
 
-    Gaussian elimination over F_p, one row at a time: each row is reduced by
-    the rows kept before it and is kept when a nonzero entry remains, so the
-    number kept is the rank.  Entries may be any ints; the input is not
-    modified.
+
+def _echelon_mod(rows: Sequence[Sequence[int]], p: int
+                 ) -> Tuple[List[int], List[int], Dict[int, List[int]]]:
+    """Reduced echelon form over F_p, one row at a time.  Returns the indices
+    of the first rows independent mod p, their pivot columns, and each free
+    column's entries in those rows.  A kept row is 1 at its pivot and 0 at
+    the others, so a new row reduces at free column j to row[j] -
+    sum_i row[pivots[i]] * free[j][i].  A nonzero there, first at c, keeps
+    the row, scaled to 1 at c and subtracted from the kept rows to clear c.
     """
     kept: List[int] = []
-    reducers: List[Tuple[int, int, Sequence[int]]] = []  # (column, 1/pivot, row)
-    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    free: Dict[int, List[int]] = {j: [] for j in range(len(rows[0]) if rows else 0)}
     for i, row in enumerate(rows):
-        for c, inv, kept_row in reducers:
-            k = row[c] * inv % p
-            if k:
-                row = [(x - k * y) % p for x, y in zip(row, kept_row)]
-        c = next((c for c, x in enumerate(row) if x % p), None)
-        if c is None:
-            continue
-        kept.append(i)
-        reducers.append((c, pow(row[c] % p, -1, p), row))
-        if len(kept) == ncols:
+        if not free:
             break
-    return kept
+        head = [row[c] for c in pivots]
+        rest = {j: (row[j] - sum(map(mul, head, col))) % p for j, col in free.items()}
+        for c, x in rest.items():
+            if x:
+                break
+        else:
+            continue
+        inv, top = pow(x, -1, p), free.pop(c)
+        for j, col in free.items():
+            u = rest[j] * inv % p
+            if u:
+                col[:] = [(v - t * u) % p for v, t in zip(col, top)]
+            col.append(u)
+        kept.append(i)
+        pivots.append(c)
+    return kept, pivots, free

@@ -14,8 +14,9 @@ from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              try_quotient, vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _evaluation_row,
                              _gcd_mod, _interpolate_mod, _partial_mod,
-                             _residue_row, _resultant_mod, _split_primes,
-                             _PHI_ROOT, _PRIME)
+                             _residue_row, _resultant_mod, _PHI_ROOT, _PRIME)
+from h4geproci.geproci import sample_generic_vertex
+from h4geproci.linalg import _split_primes
 from test_linalg import _integer_pairs, determinant_mod, reference_nullspace
 
 
@@ -414,6 +415,51 @@ def test_kernel_missing_a_chosen_row_raises(monkeypatch):
     with pytest.raises(ArithmeticError, match="row 0"):
         vanishing_space(pts, 1, 3)
     assert calls == [2]
+
+
+@pytest.fixture(scope="module")
+def seed1_images(cfg):
+    """The 60 images at vertex seed 1, and points 1-12 of them (dimensions
+    0, 0, 1, 4, 9, 16 at d = 1..6), each with the reference basis for
+    every d, from the FieldElement elimination of all rows."""
+    proj = sample_generic_vertex(cfg, 1)
+    sets = {"all": [proj.images[i] for i in sorted(cfg.points)],
+            "points 1-12": [proj.images[i] for i in range(1, 13)]}
+    return {name: (pts, {d: _reference_vanishing_space(
+        [tuple(FieldElement(*w) for w in p) for p in pts], d, 3) for d in range(1, 7)})
+        for name, pts in sets.items()}
+
+
+def test_vanishing_space_on_the_images_matches_the_reference(seed1_images,
+                                                             kernel_prime):
+    dims = {}
+    for name, (pts, reference) in seed1_images.items():
+        dims[name] = []
+        for d in range(1, 7):
+            basis = vanishing_space(pts, d, 3)
+            assert basis == reference[d]
+            dims[name].append(len(basis))
+    assert dims == {"all": [0, 0, 0, 0, 0, 1], "points 1-12": [0, 0, 1, 4, 9, 16]}
+    assert bool(kernel_prime) == (linalg._KERNEL_PRIME == (11, 4))
+
+
+def test_interpolation_and_gcd_need_no_bareiss(monkeypatch, seed1_images):
+    """With the exact elimination kernel disabled, the sextic and the gcds
+    of its partials come out as before: `nullspace` no longer uses it."""
+    def no_bareiss(rows):
+        raise AssertionError("Bareiss elimination called")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_bareiss)
+    pts, reference = seed1_images["all"]
+    [sextic] = vanishing_space(pts, 6, 3)
+    assert [sextic] == reference[6]
+    partials = [sextic.partial(i) for i in range(3)]
+    one = HomForm(3, 0, {(0, 0, 0): ONE})
+    assert gcd_forms(partials[0], partials[1]) == one
+    assert gcd_forms(gcd_forms(partials[0], partials[1]), partials[2]) == one
+    assert gcd_forms(sextic, sextic * partials[0]) == sextic
+    assert gcd_forms(partials[0] * partials[1], partials[1] * partials[2]) \
+        == partials[1].monic()
 
 
 def test_divisibility_roundtrip():

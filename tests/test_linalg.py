@@ -264,27 +264,95 @@ def test_kernel_matches_the_field_element_reference():
 
 
 def test_kernel_times_the_last_pivot_lies_in_z_phi():
-    """Cramer's rule: with the last Bareiss pivot D in the free column, every
-    entry of a kernel vector is a minor of the input rows, so D*v is in
-    Z[phi]^n; this is what makes the back substitution's divisions exact,
-    and `nullspace` returns D*v, with D in the free column."""
+    """Cramer's rule, on the Bareiss reference: with the last pivot D of
+    integral rows in the free column, every entry of a kernel vector is a
+    minor of the rows, so D*v is in Z[phi]^n though v often is not."""
     def integral(x):
         return x.a.denominator == x.b.denominator == 1
 
     rng = random.Random(41)
     fractional = 0
     for m in _kernel_cases(rng):
-        rows = [primitive_numerators(row) for row in m]
-        echelon, pivots, _ = linalg._eliminate([list(row) for row in rows])
-        d = echelon[len(pivots) - 1][pivots[-1]] if pivots else (1, 0)
-        free = [c for c in range(len(m[0])) if c not in pivots]
-        basis = linalg.nullspace(rows)
-        assert len(basis) == len(free)
-        for fc, u, v in zip(free, basis, reference_nullspace(m)):
-            assert u[fc] == d
-            assert [FieldElement(*w) for w in u] == [x * FieldElement(*d) for x in v]
+        m = [[FieldElement(*w) for w in primitive_numerators(row)] for row in m]
+        echelon, pivots, _ = _reference_eliminate(m)
+        d = echelon[len(pivots) - 1][pivots[-1]] if pivots else ONE
+        for v in reference_nullspace(m):
+            assert all(integral(x * d) for x in v)
             fractional += not all(map(integral, v))
     assert fractional > 10
+
+
+def test_kernel_vectors_are_the_reference_vectors_in_coprime_pairs(kernel_prime):
+    """Each vector is the reference one (1 in its free column, 0 in the
+    others) times a positive rational, in coprime Z[phi] pairs, whichever
+    primes proposed it."""
+    rng = random.Random(43)
+    for m in list(_kernel_cases(rng)) + [_random_matrix(rng, rng.randint(1, 5),
+                                                        rng.randint(1, 6), -99, 99)
+                                         for _ in range(40)]:
+        rows = [primitive_numerators(row) for row in m]
+        expected = [primitive_numerators(v) for v in reference_nullspace(m)]
+        assert linalg.nullspace(rows) == expected
+        assert linalg.nullspace(_times(rows, (3, -2))) == expected
+    assert bool(kernel_prime) == (linalg._KERNEL_PRIME == (11, 4))
+
+
+def test_kernel_prime_is_the_first_split_prime_above_2_to_the_192():
+    sympy = pytest.importorskip("sympy")
+    q, r = linalg._KERNEL_PRIME
+    assert sympy.isprime(q) and q % 20 in (11, 19)
+    assert (r * r - r - 1) % q == 0
+    assert not any(sympy.isprime(p) for p in range(2 ** 192, q) if p % 20 in (11, 19))
+
+
+def _wrong_first_coefficient(monkeypatch, rounds):
+    """Patch `linalg._rational` to return its first coefficient plus one,
+    for the first `rounds` moduli it is called with; returns those moduli."""
+    rational = linalg._rational
+    moduli = []
+
+    def wrong(a, m):
+        x = rational(a, m)
+        if x is not None and m not in moduli and len(moduli) < rounds:
+            moduli.append(m)
+            return x + 1
+        return x
+
+    monkeypatch.setattr(linalg, "_rational", wrong)
+    return moduli
+
+
+def test_a_wrong_reconstruction_is_never_returned(monkeypatch):
+    """A wrong coefficient fails the exact check, every time: `nullspace`
+    takes further primes or raises ArithmeticError once the primes tried
+    pass its bound, and never returns a wrong basis."""
+    moduli = _wrong_first_coefficient(monkeypatch, rounds=10 ** 6)
+    rng = random.Random(71)
+    raised = right = 0
+    for m in _kernel_cases(rng):
+        rows = [primitive_numerators(row) for row in m]
+        moduli.clear()
+        try:
+            basis = linalg.nullspace(rows)
+        except ArithmeticError:
+            raised += 1
+            continue
+        assert basis == [primitive_numerators(v) for v in reference_nullspace(m)]
+        right += 1
+    assert raised > 20 and right > 5
+
+
+def test_a_wrong_reconstruction_is_repaired_by_the_next_prime(monkeypatch):
+    """Rows with large minors: one wrong coefficient costs one more prime,
+    joined by CRT, and the basis is the reference one."""
+    rng = random.Random(73)
+    m = _random_matrix(rng, 6, 8, -10 ** 6, 10 ** 6)
+    m.append([x + y for x, y in zip(m[0], m[1])])
+    rows = [primitive_numerators(row) for row in m]
+    moduli = _wrong_first_coefficient(monkeypatch, rounds=1)
+    assert linalg.nullspace(rows) == [primitive_numerators(v)
+                                      for v in reference_nullspace(m)]
+    assert moduli == [linalg._KERNEL_PRIME[0]]
 
 
 def test_first_missed_row_is_an_exact_product_check():
@@ -503,3 +571,45 @@ def test_independent_rows_mod_are_the_first_independent_rows(p):
         for i in range(len(rows)):
             grows = _rank_mod(rows[:i + 1], p) > _rank_mod(rows[:i], p)
             assert (i in chosen) == grows
+
+
+def _reference_independent_rows_mod(rows, p):
+    """Row by row: each row is reduced by the rows kept before it, rebuilt
+    in full at each step, and is kept when a nonzero entry remains."""
+    kept, reducers = [], []  # reducers: (column, 1/pivot, reduced row)
+    for i, row in enumerate(rows):
+        for c, inv, kept_row in reducers:
+            k = row[c] * inv % p
+            if k:
+                row = [(x - k * y) % p for x, y in zip(row, kept_row)]
+        c = next((c for c, x in enumerate(row) if x % p), None)
+        if c is not None:
+            kept.append(i)
+            reducers.append((c, pow(row[c] % p, -1, p), row))
+    return kept
+
+
+@pytest.mark.parametrize("p", [7, 2147483659])
+def test_independent_rows_mod_matches_the_row_by_row_reference(p):
+    rng = random.Random(61 + p % 97)
+    seen = set()
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
+        rank = rng.randint(0, min(nrows, ncols))
+        left = [[rng.randint(-p, p) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.choice((0, 1, -1, rng.randint(-10 ** 12, 10 ** 12)))
+                  for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                if rank else [0] * ncols for row in left]
+        for _ in range(rng.randint(0, 2)):
+            if rows:
+                rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        before = [list(row) for row in rows]
+        kept = linalg.independent_rows_mod(rows, p)
+        assert rows == before
+        assert kept == _reference_independent_rows_mod(rows, p)
+        seen.add(("tall" if len(rows) > ncols else "wide" if len(rows) < ncols
+                  else "square", "rank 0" if not kept else
+                  "full" if len(kept) == min(len(rows), ncols) else "deficient"))
+    assert len(seen) == 9
