@@ -19,8 +19,7 @@ from . import coverings as coverings_mod
 from . import geproci as geproci_mod
 from . import tables
 from .config import (GRID1_L, GRID1_M, GRID2_L, GRID2_M, build_h4,
-                     format_line_table, format_plane_table,
-                     incidence_table_lines, incidence_table_planes)
+                     format_table, incidence_table_lines, incidence_table_planes)
 from .forms import SmoothnessIndeterminate
 
 EXIT_OK = 0
@@ -79,11 +78,11 @@ def cmd_incidences(kind: str, emit: str) -> int:
     if kind == "planes":
         computed = incidence_table_planes(cfg)
         expected = {i: tuple(sorted(v)) for i, v in tables.PLANE_POINTS.items()}
-        text = format_plane_table(computed)
+        text = format_table(computed, "V", ", ")
     else:
         computed = incidence_table_lines(cfg)
         expected = dict(tables.LINE_POINTS)
-        text = format_line_table(computed)
+        text = format_table(computed, "l", ",")
     if emit == "table":
         print(text)
     else:

@@ -9,16 +9,15 @@ configuration points each, and no line carries six.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
-                    Tuple)
+from itertools import combinations, combinations_with_replacement
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO
 from .forms import HomForm, _PHI_ROOT, _PRIME, _evaluation_row, monomials
-from .projective import (ProjLine, ProjPoint, ProjPlane, line_through,
-                         lines_meet, pluecker_pairs, transversal_quadric)
+from .projective import (ProjLine, ProjPoint, ProjPlane, image_from,
+                         line_through, lines_meet, transversal_quadric)
 # Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
 # function where another module imports it, and names this binding.
 from .projective import canonicalize  # noqa: F401
@@ -60,9 +59,11 @@ def _parse_points() -> List[ProjPoint]:
     return pts
 
 
-@dataclass(frozen=True)
-class H4Configuration:
+class H4Configuration(NamedTuple):
     """The full configuration: flats indexed 1-based, plus incidence maps.
+
+    ``point_planes`` is ``plane_points``: plane i is dual to point i, so
+    point j lies on plane i exactly when point i lies on plane j.
 
     ``secants`` lists every line spanned by two configuration points as the
     sorted tuple of all configuration points on it, in lexicographic order:
@@ -103,32 +104,37 @@ class H4Configuration:
         return max(len(members.intersection(s)) for s in self.secants)
 
     def to_json(self) -> dict:
-        return {
-            "points": {str(i): p.to_json() for i, p in self.points.items()},
-            "planes": {str(i): v.to_json() for i, v in self.planes.items()},
-            "lines": {str(i): l.to_json() for i, l in self.lines.items()},
-            "line_points": {str(i): list(s) for i, s in self.line_points.items()},
-            "plane_points": {str(i): list(s) for i, s in self.plane_points.items()},
-            "point_planes": {str(i): list(s) for i, s in self.point_planes.items()},
-            "point_lines": {str(i): list(s) for i, s in self.point_lines.items()},
-            "line_planes": {str(i): list(s) for i, s in self.line_planes.items()},
-            "plane_lines": {str(i): list(s) for i, s in self.plane_lines.items()},
-        }
+        """The flats and the six incidence tables; derived data stays out."""
+        blob = {name: {str(i): f.to_json() for i, f in getattr(self, name).items()}
+                for name in self._fields[:3]}
+        blob.update({name: {str(i): list(s) for i, s in getattr(self, name).items()}
+                     for name in self._fields[3:9]})
+        return blob
 
 
 def collinear_groups(points: Sequence[ProjPoint]) -> Dict[Tuple, List[int]]:
-    """Group 0-based point indices by the line they span (pair scan).
+    """Group 0-based point indices by the line they span.
 
-    Keys are the lines' canonical Pluecker pairs (`pluecker_pairs`); each
-    value lists every input point on that line, so maximal collinear subsets
-    fall out directly.
+    Each line is found from its lowest point i: the later points not yet
+    seen on a line through p_i are grouped by their image from p_i
+    (`image_from`).  Keys are (i, image); each value lists every input point
+    on that line in increasing order.  Projection from p_i is one-to-one on
+    the lines through p_i, so equal images mean the same line through p_i;
+    a point skipped at i is on a line a lower point found whole.  That is
+    one image per pair (i, j) whose line has no point below i.
     """
-    groups: Dict[Tuple, set] = {}
-    pairs = [p.pairs for p in points]
-    for i, pi in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            groups.setdefault(pluecker_pairs(pi, pairs[j]), set()).update((i, j))
-    return {k: sorted(v) for k, v in groups.items()}
+    groups: Dict[Tuple, List[int]] = {}
+    seen: List[set] = [set() for _ in points]
+    for i, p in enumerate(points):
+        through: Dict[Tuple, List[int]] = {}
+        for j in range(i + 1, len(points)):
+            if j not in seen[i]:
+                through.setdefault(image_from(p, points[j]), [i]).append(j)
+        for image, members in through.items():
+            groups[(i, image)] = members
+            for j in members[1:]:
+                seen[j].update(members)
+    return groups
 
 
 # The two (5,5)-grids and their external lines, by line index.
@@ -151,17 +157,18 @@ def build_h4() -> H4Configuration:
     assert len(set(points.values())) == 60, "points are not pairwise distinct"
     planes = {i: ProjPlane(points[i].coords) for i in points}
 
-    plane_points = {
-        i: tuple(j for j in points if planes[i].contains(points[j]))
-        for i in planes
-    }
+    # Plane i is dual to point i (the same canonical pairs) and the dot
+    # product is symmetric, so one exact product per unordered pair {i, j}
+    # decides both "P_j on V_i" and "P_i on V_j".
+    incident: Dict[int, set] = {i: set() for i in points}
+    for i, j in combinations_with_replacement(points, 2):
+        if planes[i].contains(points[j]):
+            incident[i].add(j)
+            incident[j].add(i)
+    plane_points = {i: tuple(sorted(row)) for i, row in incident.items()}
     for i, row in plane_points.items():
         assert len(row) == 15, f"plane {i} contains {len(row)} points, not 15"
-    point_planes = {
-        j: tuple(i for i in planes if j in plane_points[i]) for j in points
-    }
-    for j, row in point_planes.items():
-        assert len(row) == 15, f"point {j} lies on {len(row)} planes, not 15"
+    point_planes = plane_points
 
     # The secant table, and from it the five-reach lines: the maximal
     # collinear subsets of size 5, indexed by lexicographic order of their
@@ -175,11 +182,9 @@ def build_h4() -> H4Configuration:
     five_sets = [s for s in secants if len(s) == 5]
     assert len(five_sets) == 72, f"{len(five_sets)} five-point lines, not 72"
 
-    lines = {}
-    line_points = {}
-    for idx, members in enumerate(five_sets, start=1):
-        lines[idx] = line_through(points[members[0]], points[members[1]])
-        line_points[idx] = members
+    line_points = dict(enumerate(five_sets, start=1))
+    lines = {i: line_through(points[s[0]], points[s[1]])
+             for i, s in line_points.items()}
 
     point_lines = {
         j: tuple(i for i in lines if j in line_points[i]) for j in points
@@ -298,11 +303,7 @@ def z_partition(cfg: H4Configuration) -> Tuple[Tuple[int, ...], Tuple[int, ...]]
     return tuple(sorted(z1)), tuple(sorted(z2))
 
 
-def format_plane_table(table: Dict[int, Tuple[int, ...]]) -> str:
-    return "\n".join(f"V_{i}: " + ", ".join(map(str, table[i]))
-                     for i in sorted(table))
-
-
-def format_line_table(table: Dict[int, Tuple[int, ...]]) -> str:
-    return "\n".join(f"l_{i}: " + ",".join(map(str, table[i]))
+def format_table(table: Dict[int, Tuple[int, ...]], name: str, sep: str) -> str:
+    """One line per index i: name_i, then its row joined by sep."""
+    return "\n".join(f"{name}_{i}: " + sep.join(map(str, table[i]))
                      for i in sorted(table))

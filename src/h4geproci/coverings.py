@@ -9,23 +9,26 @@ transversals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .config import H4Configuration
 from .geproci import GridCertificate, NotAGridError, verify_grid
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
-    """Twelve line indices whose point sets partition {1..60}."""
-
+class _Cover(NamedTuple):
     lines: Tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "lines", tuple(sorted(self.lines)))
-        if len(self.lines) != 12 or len(set(self.lines)) != 12:
+
+class CoverCertificate(_Cover):
+    """Twelve line indices whose point sets partition {1..60}."""
+
+    __slots__ = ()
+
+    def __new__(cls, lines: Iterable[int]) -> "CoverCertificate":
+        lines = tuple(sorted(lines))
+        if len(lines) != 12 or len(set(lines)) != 12:
             raise ValueError("a covering needs 12 distinct line indices")
+        return super().__new__(cls, lines)
 
     def to_json(self) -> list:
         return list(self.lines)

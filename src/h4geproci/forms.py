@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import prod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import linalg
 from .field import FieldElement, ZERO, primitive_numerators
@@ -400,8 +400,7 @@ class SmoothnessIndeterminate(RuntimeError):
     """Raised when the retry budget ends without a certificate either way."""
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     smooth: bool
     reason: str
     witness: Optional[str] = None
@@ -409,6 +408,15 @@ class SmoothnessReport:
     prime: Optional[int] = None  # p of the certifying prime (p, phi - phi_root)
     phi_root: Optional[int] = None  # root of x^2 - x - 1 mod p; phi maps to it
     coordinate_change: Optional[Tuple[Tuple[int, ...], ...]] = None
+
+    def to_json(self) -> dict:
+        """Every field but the witness, with tuples as lists."""
+        change = self.coordinate_change
+        if change is not None:
+            change = [list(row) for row in change]
+        return {"smooth": self.smooth, "reason": self.reason,
+                "chart_trail": list(self.chart_trail), "prime": self.prime,
+                "phi_root": self.phi_root, "coordinate_change": change}
 
 
 def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,

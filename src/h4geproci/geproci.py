@@ -11,8 +11,9 @@ claim by evaluation.  That checker is not written yet (ROADMAP item 1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from itertools import combinations
+from math import prod
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import config as cfgmod
 from .config import H4Configuration
@@ -43,8 +44,7 @@ class RejectionBudgetExhausted(VerificationError):
     pass
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(NamedTuple):
     """A projection of P^3 from a verified-generic vertex onto P^2, by the
     minors of `projective.image_from` and `projective.plane_image`: a pushed
     plane vanishes at the image of a point exactly when it contains the point."""
@@ -92,8 +92,7 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int,
     raise RejectionBudgetExhausted(f"no generic vertex in {budget} draws")
 
 
-@dataclass(frozen=True)
-class GridCertificate:
+class GridCertificate(NamedTuple):
     """Evidence that two 5-line families form a (5,5)-grid on a quadric."""
 
     l_lines: Tuple[int, ...]
@@ -129,11 +128,9 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
     if set(l_lines) & set(m_lines):
         raise NotAGridError("families share a line")
     for fam_name, fam in (("L", l_lines), ("M", m_lines)):
-        for i in range(5):
-            for j in range(i + 1, 5):
-                if fam[j] in cfg.meets[fam[i]]:
-                    raise NotAGridError(
-                        f"{fam_name}-lines {fam[i]} and {fam[j]} are not skew")
+        for a, b in combinations(fam, 2):
+            if b in cfg.meets[a]:
+                raise NotAGridError(f"{fam_name}-lines {a} and {b} are not skew")
     # Distinct lines share at most one point, and line_points lists every point
     # of a five-point line: l_i and m_j meet at a configuration point iff they share one.
     grid_points = set()
@@ -188,14 +185,11 @@ def build_quintic_cone(cfg: H4Configuration, proj: Projection,
 
 def _product_of_line_images(cfg: H4Configuration, proj: Projection,
                             line_indices: Sequence[int]) -> HomForm:
-    result = HomForm(3, 0, {(0, 0, 0): ONE})
-    for i in line_indices:
-        result = result * proj.push_line(cfg.lines[i])
-    return result
+    return prod((proj.push_line(cfg.lines[i]) for i in line_indices),
+                start=HomForm(3, 0, {(0, 0, 0): ONE}))
 
 
-@dataclass(frozen=True)
-class GeprociCertificate:
+class GeprociCertificate(NamedTuple):
     """Evidence that the projected 60 points are a (6,10) complete intersection."""
 
     seed: int
@@ -222,17 +216,7 @@ class GeprociCertificate:
             "vertex": self.vertex.to_json(),
             "dimension_table": list(self.dimension_table),
             "sextic": self.sextic.to_json(),
-            "sextic_smooth": {
-                "smooth": self.sextic_smooth.smooth,
-                "reason": self.sextic_smooth.reason,
-                "chart_trail": list(self.sextic_smooth.chart_trail),
-                "prime": self.sextic_smooth.prime,
-                "phi_root": self.sextic_smooth.phi_root,
-                "coordinate_change": (
-                    None if self.sextic_smooth.coordinate_change is None
-                    else [list(row) for row in
-                          self.sextic_smooth.coordinate_change]),
-            },
+            "sextic_smooth": self.sextic_smooth.to_json(),
             "grid1": self.grid1.to_json(),
             "grid2": self.grid2.to_json(),
             "quintic1": self.quintic1.to_json(),
@@ -322,8 +306,7 @@ Z1_COVER_LINES = (1, 24, 25, 32, 37, 44)
 Z2_COVER_LINES = (7, 17, 51, 60, 65, 70)
 
 
-@dataclass(frozen=True)
-class HalfGridCertificate:
+class HalfGridCertificate(NamedTuple):
     """Evidence that one half of the configuration is a (6,5) half-grid."""
 
     subset_name: str
@@ -382,9 +365,7 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     checks["quintic_on_subset"] = all(quintic.vanishes_at(proj.images[i])
                                       for i in points)
     line_forms = [proj.push_line(cfg.lines[i]) for i in cover]
-    product = line_forms[0]
-    for lf in line_forms[1:]:
-        product = product * lf
+    product = prod(line_forms[1:], start=line_forms[0])
     checks["product_on_subset"] = all(product.vanishes_at(proj.images[i])
                                       for i in points)
     checks["no_line_in_quintic"] = all(not divides(lf, quintic)
@@ -398,8 +379,7 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     return cert
 
 
-@dataclass(frozen=True)
-class RefutationReport:
+class RefutationReport(NamedTuple):
     """Why a point set cannot be a half-grid of the forced CI type."""
 
     subset_name: str
@@ -440,8 +420,11 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     can turn "refuted" into "not refuted", never the reverse.  The images
     are minors, polynomial in the vertex, so dim_d = 0 is an open condition
     on it, and a refutation at one vertex holds for a general vertex.
+    A repeated or unknown point index raises ValueError before any work.
     """
     indices = sorted(subset) if subset is not None else sorted(cfg.points)
+    if len(set(indices)) != len(indices) or not set(indices) <= set(cfg.points):
+        raise ValueError(f"repeated or unknown point indices in {indices}")
     n = len(indices)
     mc = cfg.max_collinear(indices)
     proj = sample_generic_vertex(cfg, seed)

@@ -8,8 +8,9 @@ meaning x + y*phi, in ``pairs``, next to the same values as FieldElements in
 pairs, and every incidence predicate is an exact integer computation on
 them, with phi**2 = phi + 1.  The line through p and q has Pluecker pairs
 L_ij = p_i*q_j - p_j*q_i, dual pairs (L_23, -L_13, L_12, L_03, -L_02, L_01)
-(`_dual`, the one sign table), and their antisymmetric matrices L and L*
-(`_matrix`): L*x is the plane through the line and x, L.pi its meet with pi.
+(`_dual`, the one sign table; a line stores them as ``dual``), and their
+antisymmetric matrices L and L* (`_matrix`): L*x is the plane through the
+line and x, L.pi its meet with pi.
 
 * a point lies in a plane when the dot product of their pairs is zero;
 * two lines meet when one's pairs dotted with the other's dual give zero;
@@ -152,17 +153,18 @@ class ProjPlane(_Flat):
 class ProjLine:
     """A line of P^3: canonical Pluecker coordinates plus two spanning points.
 
-    The Pluecker pairs decide the meet and point-on-line tests; the
-    spanning points back plane spans and the JSON form.
+    The Pluecker pairs and their dual, both stored, decide the meet and
+    point-on-line tests; the spanning points back plane spans and JSON.
     """
 
-    __slots__ = ("pluecker", "pairs", "p", "q")
+    __slots__ = ("pluecker", "pairs", "dual", "p", "q")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p == q:
             raise DegenerateSpanError("coincident points do not span a line")
         pairs = pluecker_pairs(p.pairs, q.pairs)
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "dual", _dual(pairs))
         object.__setattr__(self, "pluecker", _elements(pairs))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -181,8 +183,7 @@ class ProjLine:
 
     def contains(self, x: ProjPoint) -> bool:
         """x lies on the line: L*x = 0, the minors of the module docstring."""
-        return all(_dot(row, x.pairs) == (0, 0)
-                   for row in _matrix(_dual(self.pairs)))
+        return all(_dot(row, x.pairs) == (0, 0) for row in _matrix(self.dual))
 
     def to_json(self) -> dict:
         return {
@@ -218,7 +219,7 @@ def lines_meet(l1: ProjLine, l2: ProjLine) -> bool:
     a01*b23 - a02*b13 + a03*b12 + a12*b03 - a13*b02 + a23*b01, is zero."""
     if l1 == l2:
         raise ValueError("lines_meet expects two distinct lines")
-    return _dot(l1.pairs, _dual(l2.pairs)) == (0, 0)
+    return _dot(l1.pairs, l2.dual) == (0, 0)
 
 
 def transversal_quadric(l1: ProjLine, l2: ProjLine, l3: ProjLine) -> Tuple[Pair, ...]:
@@ -230,8 +231,8 @@ def transversal_quadric(l1: ProjLine, l2: ProjLine, l3: ProjLine) -> Tuple[Pair,
     and x lies in the plane L1*y of l1 and y when the line xy, which meets
     l2 and l3, meets l1.  `config.grid_quadric` certifies what it returns.
     """
-    m = _matrix(_dual(l1.pairs))
-    for factor in (_matrix(l2.pairs), _matrix(_dual(l3.pairs))):
+    m = _matrix(l1.dual)
+    for factor in (_matrix(l2.pairs), _matrix(l3.dual)):
         m = [[_dot(row, col) for col in zip(*factor)] for row in m]
     return tuple(m[i][i] if i == j else (m[i][j][0] + m[j][i][0], m[i][j][1] + m[j][i][1])
                  for i in range(4) for j in range(i, 4))
@@ -256,16 +257,21 @@ def _pivot(vertex: ProjPoint) -> int:
 
 def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[Pair, ...]:
     """The image of x under projection from v onto P^2: with k the pivot
-    (first nonzero coordinate) of v, the canonical pairs (v_k*x_i - v_i*x_k)
-    for i != k: row k of the Pluecker matrix of the line vx.
+    (first nonzero coordinate) of v, the canonical pairs of the three minors
+    v_k*x_i - v_i*x_k, i != k (row k of the Pluecker matrix of the line vx).
 
     Soundness: e_i (i != k) and v form a basis (their determinant is
     +-v_k != 0), and x = sum_{i != k} y_i*e_i + (x_k/v_k)*v with
     y_i = x_i - v_i*x_k/v_k.  Projecting from v forgets the v-coordinate,
-    so the image is (y_i), which is the minors over v_k."""
+    so the image is (y_i), which is the minors over v_k.  The image is
+    defined for x != v, and two such points have the same image exactly
+    when they are collinear with v."""
     k = _pivot(vertex)
-    row = _matrix(pluecker_pairs(vertex.pairs, x.pairs))[k]
-    return _canonical_pairs(row[:k] + row[k + 1:])
+    (a, b), (c, d) = vertex.pairs[k], x.pairs[k]
+    return _canonical_pairs([(a * g + b * h - e * c - f * d,
+                              a * h + b * g + b * h - e * d - f * c - f * d)
+                             for i, ((e, f), (g, h))
+                             in enumerate(zip(vertex.pairs, x.pairs)) if i != k])
 
 
 def plane_image(vertex: ProjPoint, plane: ProjPlane) -> Tuple[FieldElement, ...]:

@@ -12,7 +12,8 @@ from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M,
                               special_points_for_grid, z_partition)
 from h4geproci.field import FieldElement, ONE, PHI
 from h4geproci.forms import HomForm
-from h4geproci.projective import line_through, lines_meet
+from h4geproci.projective import (image_from, line_through, lines_meet,
+                                  pluecker_pairs)
 
 
 def test_sixty_distinct_points_and_dual_planes(cfg):
@@ -66,16 +67,56 @@ def test_secant_table_invariants(cfg):
     assert "secants" not in cfg.to_json()
 
 
-def test_subset_collinearity_lookup_matches_pair_scan(cfg):
-    """The secant lookup agrees with a Pluecker pair scan of the subset."""
+def _pair_scan_groups(points):
+    """The groups of the pair scan that `collinear_groups` replaced: every
+    pair of points keyed by the canonical Pluecker pairs of its line (1770
+    pairs on the 60 points), as a sorted list of sorted index lists."""
+    groups = {}
+    pairs = [p.pairs for p in points]
+    for i, pi in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
+            groups.setdefault(pluecker_pairs(pi, pairs[j]), set()).update((i, j))
+    return sorted(sorted(v) for v in groups.values())
+
+
+def _subsets(cfg):
     z1, z2 = z_partition(cfg)
     rng = random.Random(20261018)
-    subsets = [z1, z2] + [rng.sample(sorted(cfg.points), k)
-                          for k in (2, 3, 8, 20, 45)]
-    for subset in subsets:
-        groups = collinear_groups([cfg.points[i] for i in subset])
-        assert cfg.max_collinear(subset) == \
-            max(len(v) for v in groups.values())
+    return [z1, z2] + [rng.sample(sorted(cfg.points), k)
+                       for k in (2, 3, 8, 20, 45)]
+
+
+def test_subset_collinearity_lookup_matches_pair_scan(cfg):
+    """The secant lookup agrees with a Pluecker pair scan of the subset."""
+    for subset in _subsets(cfg):
+        groups = _pair_scan_groups([cfg.points[i] for i in subset])
+        assert cfg.max_collinear(subset) == max(len(v) for v in groups)
+
+
+def test_collinear_groups_match_the_pair_scan(cfg):
+    """Grouping by the image from each line's lowest point finds the same
+    lines, with the same points, as the pair scan."""
+    for subset in [sorted(cfg.points)] + _subsets(cfg):
+        points = [cfg.points[i] for i in subset]
+        groups = collinear_groups(points)
+        assert all(key[0] == v[0] for key, v in groups.items())
+        assert sorted(groups.values()) == _pair_scan_groups(points)
+
+
+def test_build_h4_projects_each_pair_from_its_lines_lowest_point(monkeypatch):
+    """1770 pairs, less those that miss their line's lowest point: one on
+    each of the 200 three-point lines and six on each of the 72 five-point
+    lines."""
+    calls = []
+
+    def counting(vertex, x):
+        calls.append((vertex, x))
+        return image_from(vertex, x)
+
+    monkeypatch.setattr(config, "image_from", counting)
+    config.build_h4()
+    assert len(calls) == 1770 - 200 * 1 - 72 * 6 == 1138
+    assert len(set(calls)) == len(calls)
 
 
 def test_lines_lie_on_their_listed_points(cfg):

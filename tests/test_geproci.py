@@ -1,11 +1,18 @@
 """Projection certificates: grids, quadrics, pencils, and both pipelines."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from h4geproci import config, forms, geproci, linalg
+import h4geproci
+from h4geproci import config, forms, geproci, linalg, projective
 from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M, GRID2_L,
                               GRID2_M, z_partition)
-from h4geproci.coverings import enumerate_grids
+from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
+                                 enumerate_grids)
 from h4geproci.field import FieldElement, ONE, PHI, ZERO, primitive_numerators
 from h4geproci.forms import HomForm, divides
 from h4geproci.projective import (ProjPoint, canonicalize, image_from,
@@ -305,6 +312,32 @@ def test_refutation_correctly_fails_on_the_half_grid_z1(cfg):
     assert not report.refuted  # Z1 really is a half-grid
 
 
+@pytest.mark.parametrize("repeats", [6, 1])
+def test_refutation_rejects_repeated_indices(cfg, monkeypatch, repeats):
+    """Z1 plus some of its points again is no new set: counted with the
+    repeats, it read "refuted" over 36 points on a certified half-grid."""
+    z1, _ = z_partition(cfg)
+    _forbid_refutation_work(monkeypatch)
+    with pytest.raises(ValueError, match="repeated or unknown point indices"):
+        geproci.verify_not_half_grid(cfg, 1, subset=z1 + z1[:repeats])
+
+
+@pytest.mark.parametrize("bad", [0, 61, -1])
+def test_refutation_rejects_unknown_indices(cfg, monkeypatch, bad):
+    z1, _ = z_partition(cfg)
+    _forbid_refutation_work(monkeypatch)
+    with pytest.raises(ValueError, match="repeated or unknown point indices"):
+        geproci.verify_not_half_grid(cfg, 1, subset=z1[1:] + (bad,))
+
+
+def _forbid_refutation_work(monkeypatch):
+    def work(*args):
+        pytest.fail("the refutation started work on an invalid subset")
+
+    monkeypatch.setattr(geproci, "sample_generic_vertex", work)
+    monkeypatch.setattr(config.H4Configuration, "max_collinear", work)
+
+
 def test_push_plane_through_vertex_is_linear(cfg, projection):
     form = projection.push_line(cfg.lines[1])
     assert form.degree == 1 and form.nvars == 3
@@ -373,3 +406,55 @@ def test_projection_by_minors_matches_the_coordinate_change(cfg, k):
             assert form.vanishes_at(y) == on
             incident += on
     assert incident >= 5 * len(lines)
+
+
+def _pluecker_row_image(vertex, x):
+    """The image as `image_from` once computed it: row k of the Pluecker
+    matrix of the canonical pairs of the line vx, canonicalized again."""
+    k = next(i for i, w in enumerate(vertex.pairs) if w != (0, 0))
+    row = projective._matrix(projective.pluecker_pairs(vertex.pairs,
+                                                       x.pairs))[k]
+    return projective._canonical_pairs(row[:k] + row[k + 1:])
+
+
+@pytest.mark.parametrize("k", sorted(PIVOT_VERTICES))
+def test_image_from_matches_the_pluecker_row_formula(cfg, k):
+    vertices = [PIVOT_VERTICES[k]] + [v for v in cfg.points.values()
+                                      if projective._pivot(v) == k]
+    assert len(vertices) > 1
+    for v in vertices:
+        for x in cfg.points.values():
+            if x != v:
+                assert image_from(v, x) == _pluecker_row_image(v, x)
+
+
+RECORD_TYPES = (config.H4Configuration, CoverCertificate,
+                forms.SmoothnessReport, geproci.Projection,
+                geproci.GridCertificate, geproci.GeprociCertificate,
+                geproci.HalfGridCertificate, geproci.RefutationReport)
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    """Without site, the fresh interpreter loads only what the package
+    imports, and ``dataclasses`` is not among it."""
+    src = Path(h4geproci.__file__).resolve().parent.parent
+    code = ("import sys; before = 'dataclasses' in sys.modules; "
+            "import h4geproci; print(before, 'dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_records_are_immutable(cfg, geproci_cert_seed1):
+    records = [cfg, enumerate_coverings(cfg)[0],
+               geproci_cert_seed1.sextic_smooth,
+               geproci.sample_generic_vertex(cfg, 1),
+               geproci_cert_seed1.grid1, geproci_cert_seed1,
+               geproci.verify_half_grid(cfg, 1, "z1"),
+               geproci.verify_not_half_grid(cfg, 1)]
+    assert [type(r) for r in records] == list(RECORD_TYPES)
+    for record in records:
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
