@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Brute-force (5,5)-grid count, independent of the clique-transversal search.
+"""Brute-force (5,5)-grid count, independent of the lowest-line search.
 
 Strategy: enumerate all 5-subsets of the 72 lines with pairwise disjoint
 point sets (bitmask backtracking), bucket them by their 25-point union, and
@@ -11,7 +11,8 @@ predicate with the package: two lines are skew when the Pluecker pairing of
 their spanning points is nonzero, and the quadric is unique when the exact
 rank of the 25 x 10 matrix of the degree-2 monomials at the 25 points, over
 all rows, is 9.  The test suite imports `count_grids` and checks it against
-the clique-transversal search of `h4geproci.coverings.enumerate_grids`.
+`h4geproci.coverings.enumerate_grids`, which searches from each grid's
+lowest line.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
 
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO
-from .forms import HomForm, _PHI_ROOT, _PRIME, _evaluation_row, monomials
+from .forms import HomForm, _PHI_ROOT, _PRIME, monomials
 from .projective import (ProjLine, ProjPoint, ProjPlane, image_from,
                          line_through, lines_meet, transversal_quadric)
 # Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
@@ -237,8 +237,8 @@ def grid_quadric(points: Dict, lines: Dict, line_points: Dict,
     """
     cols = monomials(2, 4)
     coeffs = transversal_quadric(*(lines[i] for i in l_lines[:3]))
-    rows = [_evaluation_row(points[p].pairs, 2, 4, cols) for li in l_lines[:3]
-            for mj in m_lines[:3] for p in set(line_points[li]) & set(line_points[mj])]
+    rows = [_quadric_row(points[p].pairs) for li in l_lines[:3] for mj in m_lines[:3]
+            for p in set(line_points[li]) & set(line_points[mj])]
     if all(w == (0, 0) for w in coeffs):
         raise ArithmeticError("the transversal quadric is zero")
     if linalg.first_missed_row(rows, [coeffs]) is not None:
@@ -247,6 +247,13 @@ def grid_quadric(points: Dict, lines: Dict, line_points: Dict,
     if len(linalg.independent_rows_mod(images, _PRIME)) != 9:
         raise ArithmeticError("the subgrid rows are dependent mod P")
     return HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, coeffs)}).monic()
+
+
+def _quadric_row(point: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The quadratic monomials at a point of Z[phi] pairs, in the order of
+    `monomials(2, 4)`: the pair products x_i * x_j, i <= j."""
+    return [(a * c + b * d, a * d + b * c + b * d)
+            for (a, b), (c, d) in combinations_with_replacement(point, 2)]
 
 
 def incidence_table_planes(cfg: H4Configuration) -> Dict[int, Tuple[int, ...]]:

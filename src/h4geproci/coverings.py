@@ -2,9 +2,9 @@
 
 A covering partitions the point set into 12 of the 72 five-point lines.  The
 search branches on the lowest uncovered point, so every solution appears
-exactly once and the output order is deterministic.  Grid enumeration walks
-skew 5-cliques in the line meet-graph, pruning on the pool of common
-transversals.
+exactly once and the output order is deterministic.  A grid is found from
+its lowest line f: one line through each of f's five points, then a skew
+4-clique among their common transversals.
 """
 
 from __future__ import annotations
@@ -82,27 +82,29 @@ def _members(mask: int) -> List[int]:
 def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
     """All unordered (5,5)-grids among the 72 lines, each fully verified.
 
-    An L-family is a skew 5-clique of the stored meet relation ``cfg.meets``;
-    its partners must meet all five L-lines, so cliques whose
-    common-transversal pool drops below 5 are pruned early, as are cliques
-    with too few candidates left to reach five lines.
-    The unordered pair {L, M} is reported once, with min(L) < min(M): the
-    transversal pool holds only lines above the first L-line from the first
-    step on, so each M-family found is already on the right side, and each
-    (L, M) is reached once.  Line sets are int bitsets, bit i for line i.
+    Completeness.  Let f be the lowest of a grid's ten lines and L its
+    family.  The M-lines meet f in five distinct grid points, and f carries
+    exactly five configuration points (``cfg.line_points``), so M is one
+    line through each point of f (``cfg.point_lines``), above f and pairwise
+    skew.  The other four L-lines are a skew 4-clique among the common
+    transversals of M that lie above f and are skew to f.  The search
+    branches point by point along f on ``cfg.meets`` as int bitsets (bit i
+    for line i), pruning once fewer than 4 transversals are left, so each
+    grid is reached once, as (L, M) with min(L) < min(M).
     """
     meets = {i: sum(1 << j for j in cfg.meets[i]) for i in cfg.lines}
+    through = {p: sum(1 << i for i in cfg.point_lines[p]) for p in cfg.points}
     results: List[GridCertificate] = []
 
-    def skew_cliques(pool: int, size: int) -> List[Tuple[int, ...]]:
+    def skew_cliques(pool: int) -> List[Tuple[int, ...]]:
         out: List[Tuple[int, ...]] = []
 
         def grow(clique: List[int], rest: int) -> None:
-            if len(clique) == size:
+            if len(clique) == 4:
                 out.append(tuple(clique))
                 return
             for cand in _members(rest):
-                if len(clique) + rest.bit_count() < size:
+                if len(clique) + rest.bit_count() < 4:
                     break
                 rest &= rest - 1  # drop cand, the lowest line left
                 clique.append(cand)
@@ -112,27 +114,24 @@ def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
         grow([], pool)
         return out
 
-    def extend(clique: List[int], rest: int, trans: int) -> None:
-        if trans.bit_count() < 5:
+    def pick(f: int, m_lines: List[int], skew: int, trans: int) -> None:
+        if trans.bit_count() < 4:
             return
-        if len(clique) == 5:
-            for m_set in skew_cliques(trans, 5):
+        if len(m_lines) == 5:
+            for rest in skew_cliques(trans):
                 try:
-                    results.append(verify_grid(cfg, tuple(clique), m_set))
+                    results.append(verify_grid(cfg, (f,) + rest, sorted(m_lines)))
                 except NotAGridError:
                     pass
             return
-        for cand in _members(rest):
-            if len(clique) + rest.bit_count() < 5:
-                break
-            rest &= rest - 1
-            clique.append(cand)
-            extend(clique, rest & ~meets[cand], trans & meets[cand])
-            clique.pop()
+        for m in _members(skew & through[cfg.line_points[f][len(m_lines)]]):
+            m_lines.append(m)
+            pick(f, m_lines, skew & ~meets[m], trans & meets[m])
+            m_lines.pop()
 
     everything = sum(1 << i for i in cfg.lines)
-    for first in sorted(cfg.lines):
-        above = everything >> (first + 1) << (first + 1)
-        extend([first], above & ~meets[first], above & meets[first])
+    for f in sorted(cfg.lines):
+        above = everything >> (f + 1) << (f + 1)
+        pick(f, [], above, above & ~meets[f])
     results.sort(key=lambda g: (g.l_lines, g.m_lines))
     return results

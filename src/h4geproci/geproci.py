@@ -121,9 +121,13 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
     that `config.grid_quadric` certifies, whatever formula found it.  Past
     the combinatorial checks no non-grid is left, so a failed certificate
     is indeterminate: it raises VerificationError, never NotAGridError.
+    An unknown line index raises ValueError before any work.
     """
     l_lines, m_lines = tuple(l_lines), tuple(m_lines)
-    if len(set(l_lines)) != 5 or len(set(m_lines)) != 5:
+    unknown = sorted(set(l_lines + m_lines) - set(cfg.lines))
+    if unknown:
+        raise ValueError(f"unknown line indices {unknown}")
+    if any(len(fam) != 5 or len(set(fam)) != 5 for fam in (l_lines, m_lines)):
         raise NotAGridError("each family needs 5 distinct lines")
     if set(l_lines) & set(m_lines):
         raise NotAGridError("families share a line")

@@ -160,6 +160,14 @@ def test_grid_quadrics_match_printed_equations(cfg):
     assert cfg.grid_quadrics == (q1, q2)
 
 
+def test_quadric_rows_are_the_degree_2_evaluation_rows(cfg):
+    """grid_quadric's direct pair products are the power-table rows."""
+    cols = forms.monomials(2, 4)
+    for point in cfg.points.values():
+        assert config._quadric_row(point.pairs) == \
+            forms._evaluation_row(point.pairs, 2, 4, cols)
+
+
 def test_build_h4_interpolates_no_grid_quadric(cfg, monkeypatch):
     """Both quadrics come from config.grid_quadric, which interpolates nothing."""
     def no_interpolation(*args):

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from h4geproci import tables
+from h4geproci import coverings as coverings_mod, tables
 from h4geproci.config import GRID1_L, GRID1_M, GRID2_L, GRID2_M
 from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids, verify_covering)
 from h4geproci.forms import vanishing_space
+from h4geproci.geproci import NotAGridError, verify_grid
 
 # Count confirmed by scripts/grid_oracle.py (disjoint-family bucketing, an
 # independent search); test_grid_oracle_agrees_with_enumeration reruns it.
@@ -129,3 +130,66 @@ def test_grid_pairs_are_unordered_and_distinct(grids):
     assert len(keys) == len(grids)
     for g in grids:
         assert min(g.l_lines) < min(g.m_lines)
+
+
+def _l_first_grids(cfg):
+    """Reference: the earlier L-first search.  It grows skew 5-cliques L in
+    the meet relation while the pool of lines above min(L) meeting every
+    L-line keeps 5 members, then takes every skew 5-clique M of that pool."""
+    meets = {i: sum(1 << j for j in cfg.meets[i]) for i in cfg.lines}
+    found = []
+
+    def skew_cliques(pool, size, clique=()):
+        if len(clique) == size:
+            yield clique
+            return
+        for cand in coverings_mod._members(pool):
+            pool &= pool - 1
+            yield from skew_cliques(pool & ~meets[cand], size, clique + (cand,))
+
+    def extend(clique, rest, trans):
+        if trans.bit_count() < 5:
+            return
+        if len(clique) == 5:
+            for m_set in skew_cliques(trans, 5):
+                try:
+                    grid = verify_grid(cfg, clique, m_set)
+                except NotAGridError:
+                    continue
+                found.append((grid.l_lines, grid.m_lines))
+            return
+        for cand in coverings_mod._members(rest):
+            rest &= rest - 1
+            extend(clique + (cand,), rest & ~meets[cand], trans & meets[cand])
+
+    everything = sum(1 << i for i in cfg.lines)
+    for first in sorted(cfg.lines):
+        above = everything >> (first + 1) << (first + 1)
+        extend((first,), above & ~meets[first], above & meets[first])
+    return sorted(found)
+
+
+def test_grid_search_matches_the_l_first_search(cfg, grids):
+    assert [(g.l_lines, g.m_lines) for g in grids] == _l_first_grids(cfg)
+
+
+def test_m_lines_pass_one_through_each_point_of_the_lowest_line(cfg, grids):
+    for g in grids:
+        f = g.l_lines[0]
+        assert f == min(g.l_lines + g.m_lines)
+        on_f = [set(cfg.line_points[m]) & set(cfg.line_points[f])
+                for m in g.m_lines]
+        assert sorted(p for meet in on_f for p in meet) == \
+            sorted(cfg.line_points[f])
+
+
+def test_every_candidate_is_a_grid(cfg, monkeypatch):
+    """The search hands verify_grid the 72 grids and nothing else."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return verify_grid(*args)
+
+    monkeypatch.setattr(coverings_mod, "verify_grid", counting)
+    assert len(enumerate_grids(cfg)) == len(calls) == GRID_COUNT

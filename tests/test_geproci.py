@@ -165,6 +165,30 @@ def test_non_grid_inputs_are_rejected(cfg):
         geproci.verify_grid(cfg, GRID1_L, GRID2_M)
 
 
+@pytest.mark.parametrize("l_lines, m_lines", [
+    (GRID1_L + GRID1_L[:1], GRID1_M),  # six entries, five distinct
+    (GRID1_L, GRID1_M + GRID1_M[-1:]),
+    (GRID1_L + (7,), GRID1_M),  # six distinct lines
+    (GRID1_L, GRID1_M[:4]),
+])
+def test_a_family_needs_exactly_five_entries(cfg, l_lines, m_lines):
+    with pytest.raises(geproci.NotAGridError,
+                       match="each family needs 5 distinct lines"):
+        geproci.verify_grid(cfg, l_lines, m_lines)
+
+
+@pytest.mark.parametrize("bad", [0, 99, -1])
+def test_verify_grid_rejects_unknown_lines(cfg, monkeypatch, bad):
+    def work(*args):
+        pytest.fail("verify_grid started work on an unknown line")
+
+    monkeypatch.setattr(config, "grid_quadric", work)
+    for l_lines, m_lines in ((GRID1_L[:4] + (bad,), GRID1_M),
+                             (GRID1_L, (bad,) + GRID1_M[1:])):
+        with pytest.raises(ValueError, match=rf"unknown line indices \[{bad}\]"):
+            geproci.verify_grid(cfg, l_lines, m_lines)
+
+
 def _product_of_plane_images(cfg, projection, lines) -> HomForm:
     """The product of the images of the planes spanned by the vertex and each line."""
     forms = [projection.push_line(cfg.lines[i]) for i in lines]
