@@ -17,7 +17,7 @@ from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO
 from .forms import HomForm, _PHI_ROOT, _PRIME, monomials
 from .projective import (ProjLine, ProjPoint, ProjPlane, image_from,
-                         line_through, lines_meet, transversal_quadric)
+                         lines_meet, transversal_quadric)
 # Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
 # function where another module imports it, and names this binding.
 from .projective import canonicalize  # noqa: F401
@@ -183,7 +183,7 @@ def build_h4() -> H4Configuration:
     assert len(five_sets) == 72, f"{len(five_sets)} five-point lines, not 72"
 
     line_points = dict(enumerate(five_sets, start=1))
-    lines = {i: line_through(points[s[0]], points[s[1]])
+    lines = {i: ProjLine(points[s[0]], points[s[1]])
              for i, s in line_points.items()}
 
     point_lines = {

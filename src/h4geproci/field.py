@@ -5,10 +5,10 @@ An element is (x + y*phi)/d with Python ints x, y and d, where phi =
 normalized, d > 0 and gcd(x, y, d) = 1, so equal elements have equal triples
 and the type is hashable.  All operations are integer formulas and exact;
 nothing ever rounds.  `fractions.Fraction` appears only at the edges: the
-constructor, the `a`/`b` components, `norm()`, the hash of rational elements
-and JSON parsing.  This module is the only one that knows the triple; others
-clear denominators through `primitive_numerators` and read the Z[phi] pairs
-(x, y) it returns, as `linalg` does for exact elimination.
+constructor, the `a`/`b` components, `norm()` and the hash of rational
+elements.  This module is the only one that knows the triple; others clear
+denominators through `primitive_numerators` and read the Z[phi] pairs (x, y)
+it returns, as `linalg` does for kernel vectors.
 """
 
 from __future__ import annotations
@@ -163,15 +163,6 @@ class FieldElement:
 
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b)}
-
-    @classmethod
-    def from_json(cls, obj) -> "FieldElement":
-        """Parse {"a": "p/q", "b": "r/s"}; bare integers/strings also accepted."""
-        if isinstance(obj, dict):
-            return cls(Fraction(obj.get("a", 0)), Fraction(obj.get("b", 0)))
-        if isinstance(obj, (int, str)):
-            return cls(Fraction(obj))
-        raise ValueError(f"cannot parse FieldElement from {obj!r}")
 
 
 _new = object.__new__

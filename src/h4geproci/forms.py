@@ -29,11 +29,12 @@ Coeffs = Dict[Exponents, FieldElement]
 
 
 def monomials(degree: int, nvars: int) -> List[Exponents]:
-    """All exponent tuples of the given total degree, graded-lex order."""
-    out = [e for e in itertools.product(range(degree + 1), repeat=nvars)
-           if sum(e) == degree]
-    out.sort(reverse=True)
-    return out
+    """All exponent tuples of the given total degree, graded-lex order: the
+    sorted multisets of variables come in lexicographic order, and the
+    smaller of two has the larger exponent at the first variable where the
+    exponents differ."""
+    return [tuple(map(c.count, range(nvars)))
+            for c in itertools.combinations_with_replacement(range(nvars), degree)]
 
 
 class HomForm:
@@ -179,12 +180,6 @@ class HomForm:
             "terms": [{"exponents": list(e), "coeff": c.to_json()}
                       for e, c in sorted(self.coeffs.items(), reverse=True)],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HomForm":
-        return cls(obj["nvars"], obj["degree"],
-                   {tuple(t["exponents"]): FieldElement.from_json(t["coeff"])
-                    for t in obj["terms"]})
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +549,7 @@ def _chart_test(f: ModForm, p: int) -> Tuple[bool, List[str]]:
 
 
 def _eliminant(u: ChartPoly, v: ChartPoly, p: int) -> Optional[List[int]]:
-    """Res_elim(u, v) in F_p[keep], low degree first; None if neither has elim.
+    """Res_elim(u, v) in F_p[keep], low degree first, or None: no certificate.
 
     Horner's rule evaluates the coefficients of elim^j (keep-polynomials, top
     first) at keep = 0, ..., D; there `_resultant_mod` runs Euclid on the
@@ -563,11 +558,14 @@ def _eliminant(u: ChartPoly, v: ChartPoly, p: int) -> Optional[List[int]]:
     deg u - j in keep, which bounds the degree of the resultant by
     D = n*deg u + m*deg v - m*n (at most the Bezout bound).  With m = n = 0
     it would be 1 without lying in the ideal of (u, v): no certificate.
+    Nor is there one when D + 1 > p, as F_p has too few distinct nodes; the
+    chart then reads "not clean", and a retry takes a larger prime.
     """
     m, n = (max((j for _, j in w), default=0) for w in (u, v))
-    if m == n == 0:
-        return None
     du, dv = (max((i + j for i, j in w), default=0) for w in (u, v))
+    nodes = n * du + m * dv - m * n + 1
+    if m == n == 0 or nodes > p:
+        return None
     cu, cv = ([[w.get((i, j), 0) for i in range(d - j, -1, -1)] for j in range(k + 1)]
               for w, d, k in ((u, du, m), (v, dv, n)))
 
@@ -581,7 +579,7 @@ def _eliminant(u: ChartPoly, v: ChartPoly, p: int) -> Optional[List[int]]:
         return vals
 
     return _interpolate_mod([_resultant_mod(at(cu, x), at(cv, x), p)
-                             for x in range(n * du + m * dv - m * n + 1)], p)
+                             for x in range(nodes)], p)
 
 
 def _resultant_mod(a: List[int], b: List[int], p: int) -> int:

@@ -1,81 +1,31 @@
-"""Exact linear algebra over Q(phi), and one elimination kernel over F_p.
+"""Exact linear algebra over Q(phi), and the one elimination kernel, over F_p.
 
 Exact rows hold integer pairs (x, y) that stand for x + y*phi in Z[phi],
-with phi**2 = phi + 1.  `determinant` scales FieldElement rows, as the
-minors of plane spans come, to coprime pairs (`field.primitive_numerators`)
-and runs Bareiss elimination on them (`_eliminate`, exact by the argument
-there).  `nullspace` takes pair rows, as interpolation and the gcd produce
-them: split primes propose the kernel, CRT and rational reconstruction lift
-it, and an exact check against every row certifies it.  `_dot` is the one
-Z[phi] multiply-accumulate loop: kernel checks, form evaluation and the
-incidence predicates all use it.
+with phi**2 = phi + 1.  `nullspace` takes pair rows, as interpolation and
+the gcd produce them: split primes propose the kernel, CRT and rational
+reconstruction lift it, and an exact check against every row certifies it.
+`determinant` is Leibniz's formula on FieldElements, for the 3x3 minors of
+plane spans, so nothing here eliminates exactly.  `_dot` is the one Z[phi]
+multiply-accumulate loop: kernel checks, form evaluation and the incidence
+predicates all use it.
 
-Over F_p, matrices are lists of lists of ints.  `_echelon_mod` brings them
-to reduced echelon form one row at a time, for `nullspace` and for
-`independent_rows_mod`, which keeps the first independent rows.
+Over F_p, matrices are lists of lists of ints.  `_echelon_mod`, the only
+elimination, brings them to reduced echelon form one row at a time, for
+`nullspace` and for `independent_rows_mod`, which keeps the first
+independent rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .field import FieldElement, ONE, ZERO, primitive_numerators
 
 Pair = Tuple[int, int]  # x + y*phi in Z[phi]
-
-
-def _eliminate(rows: List[List[Pair]]) -> Tuple[List[List[Pair]], List[int], int]:
-    """Bareiss forward elimination of Z[phi] rows, in place.
-
-    Returns (echelon rows, pivot columns, swap sign); the sign is -1 when an
-    odd number of row swaps was made, else 1.
-
-    Exactness.  After the step on the k-th pivot, the entry of a lower row
-    in a later column is the (k+1)-minor of the input on the k pivot rows
-    and that row, and the k pivot columns and that column (Sylvester's
-    identity), so it lies in Z[phi].  The update num = p*a - f*b therefore
-    equals q*prev with q in Z[phi], so num*conj(prev) = q*N(prev) and both
-    of its integer components are multiples of N(prev), a nonzero integer:
-    the floor divisions are exact.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: List[int] = []
-    cx, cy, n = 1, 0, 1  # conj(prev) and N(prev); prev = 1 at the start
-    sign = 1
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != (0, 0)), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            sign = -sign
-        top = rows[r]
-        px, py = top[c]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            fx, fy = row[c]
-            for j in range(c + 1, ncols):
-                ax, ay = row[j]
-                bx, by = top[j]
-                # num = p*a - f*b, then (num * conj(prev)) // N(prev).
-                s, t = py * ay, fy * by
-                nx = px * ax + s - fx * bx - t
-                ny = px * ay + ax * py + s - fx * by - bx * fy - t
-                s = ny * cy
-                row[j] = ((nx * cx + s) // n, (nx * cy + cx * ny + s) // n)
-            row[c] = (0, 0)
-        cx, cy, n = px + py, -py, px * px + px * py - py * py
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots, sign
 
 
 def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
@@ -185,23 +135,16 @@ _KERNEL_PRIME = (6277101735386680763835789423207666416102355444464034514319,
 
 
 def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
-    """The bottom-right Bareiss entry, signed by the row swaps, over the row scales.
-
-    The entry is the determinant of the scaled rows: it is the last pivot
-    when the matrix is regular; otherwise the rows below the rank are zero,
-    so it is zero.  Row i was scaled by the positive rational s_i, so the
-    determinant of the input is that entry divided by the product of the s_i.
-    """
-    rows = [primitive_numerators(row) for row in matrix]
-    scale = ONE
-    for row, scaled in zip(matrix, rows):
-        j = next((j for j, e in enumerate(row) if not e.is_zero()), None)
-        if j is None:
-            return ZERO
-        scale = scale * (FieldElement(*scaled[j]) / row[j])
-    m, _, sign = _eliminate(rows)
-    d = FieldElement(*m[-1][-1]) / scale
-    return d if sign > 0 else -d
+    """Leibniz's formula: the sum over the permutations s of the products
+    m[i][s(i)], each signed by the parity of the inversions of s.  Its one
+    caller, `projective.plane_through`, passes 3x3 minors: six terms."""
+    total = ZERO
+    for perm in itertools.permutations(range(len(matrix))):
+        term = prod((row[j] for row, j in zip(matrix, perm)), start=ONE)
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            term = -term
+        total = total + term
+    return total
 
 
 def _dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:

@@ -129,10 +129,6 @@ class _Flat:
     def to_json(self) -> list:
         return [x.to_json() for x in self.coords]
 
-    @classmethod
-    def from_json(cls, obj) -> "_Flat":
-        return cls([FieldElement.from_json(x) for x in obj])
-
 
 class ProjPoint(_Flat):
     """A point of P^3 in canonical homogeneous coordinates."""
@@ -190,15 +186,6 @@ class ProjLine:
             "pluecker": [x.to_json() for x in self.pluecker],
             "span": [self.p.to_json(), self.q.to_json()],
         }
-
-    @classmethod
-    def from_json(cls, obj) -> "ProjLine":
-        return cls(ProjPoint.from_json(obj["span"][0]),
-                   ProjPoint.from_json(obj["span"][1]))
-
-
-def line_through(p: ProjPoint, q: ProjPoint) -> ProjLine:
-    return ProjLine(p, q)
 
 
 def _dual(ls: Sequence[Pair]) -> Tuple[Pair, ...]:

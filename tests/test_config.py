@@ -12,7 +12,7 @@ from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M,
                               special_points_for_grid, z_partition)
 from h4geproci.field import FieldElement, ONE, PHI
 from h4geproci.forms import HomForm
-from h4geproci.projective import (image_from, line_through, lines_meet,
+from h4geproci.projective import (ProjLine, image_from, lines_meet,
                                   pluecker_pairs)
 
 
@@ -228,8 +228,8 @@ def test_special_points_of_grid2(cfg):
         covered = {i for pair in pairing for i in pair}
         assert len(covered) == 20 and covered <= set(grid)
         for a, b in pairing:  # rank test, independent of the secant table
-            assert line_through(cfg.points[x],
-                                cfg.points[a]).contains(cfg.points[b])
+            assert ProjLine(cfg.points[x],
+                            cfg.points[a]).contains(cfg.points[b])
 
 
 def test_special_point_4_has_the_printed_pairing(cfg):

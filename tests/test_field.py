@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from h4geproci.field import (FieldElement, ONE, PHI, PHI2, ZERO,
                              primitive_numerators)
+from json_readers import field_element
 
 
 def _random_element(rng: random.Random) -> FieldElement:
@@ -102,13 +103,7 @@ def test_division_inverts_multiplication(x, y):
 @settings(max_examples=300, deadline=None)
 @given(_elements)
 def test_json_roundtrip(x):
-    assert FieldElement.from_json(x.to_json()) == x
-
-
-def test_json_accepts_bare_values():
-    assert FieldElement.from_json(3) == FieldElement(3)
-    assert FieldElement.from_json("5/2") == FieldElement(Fraction(5, 2))
-    assert FieldElement.from_json({"b": "1"}) == PHI
+    assert field_element(x.to_json()) == x
 
 
 def test_immutability_and_hash_consistency():

@@ -1,5 +1,6 @@
 """Polynomial algebra: interpolation, division, gcd, smoothness certificates."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -14,9 +15,11 @@ from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              try_quotient, vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _evaluation_row,
                              _gcd_mod, _interpolate_mod, _partial_mod,
-                             _residue_row, _resultant_mod, _PHI_ROOT, _PRIME)
+                             _reduce, _residue_row, _resultant_mod, _PHI_ROOT,
+                             _PRIME)
 from h4geproci.geproci import sample_generic_vertex
 from h4geproci.linalg import _split_primes
+from json_readers import hom_form
 from test_linalg import _integer_pairs, determinant_mod, reference_nullspace
 
 
@@ -60,11 +63,23 @@ def _pairs_of(points):
     return [primitive_numerators(p) for p in points]
 
 
+def _reference_monomials(degree, nvars):
+    """Every exponent tuple in range(degree + 1)^nvars of the given sum,
+    sorted in descending order."""
+    out = [e for e in itertools.product(range(degree + 1), repeat=nvars)
+           if sum(e) == degree]
+    out.sort(reverse=True)
+    return out
+
+
 def test_monomials_count_and_order():
     ms = monomials(3, 3)
     assert len(ms) == comb(5, 2)
     assert ms[0] == (3, 0, 0) and ms[-1] == (0, 0, 3)
     assert ms == sorted(ms, reverse=True)
+    for nvars in range(6):
+        for degree in range(9):
+            assert monomials(degree, nvars) == _reference_monomials(degree, nvars)
 
 
 def test_product_evaluates_to_product():
@@ -443,13 +458,9 @@ def test_vanishing_space_on_the_images_matches_the_reference(seed1_images,
     assert bool(kernel_prime) == (linalg._KERNEL_PRIME == (11, 4))
 
 
-def test_interpolation_and_gcd_need_no_bareiss(monkeypatch, seed1_images):
-    """With the exact elimination kernel disabled, the sextic and the gcds
-    of its partials come out as before: `nullspace` no longer uses it."""
-    def no_bareiss(rows):
-        raise AssertionError("Bareiss elimination called")
-
-    monkeypatch.setattr(linalg, "_eliminate", no_bareiss)
+def test_seed1_sextic_and_the_gcds_of_its_partials(seed1_images):
+    """The sextic is the reference one, its partials are coprime, and the
+    gcd recovers planted common factors."""
     pts, reference = seed1_images["all"]
     [sextic] = vanishing_space(pts, 6, 3)
     assert [sextic] == reference[6]
@@ -629,7 +640,7 @@ def test_resultant_matches_the_sylvester_determinant(p):
 def test_seed1_chart_eliminants_match_the_sylvester_reference(geproci_cert_seed1):
     blob = geproci_cert_seed1.to_json()
     p, r = blob["sextic_smooth"]["prime"], blob["sextic_smooth"]["phi_root"]
-    f = HomForm.from_json(blob["sextic"])
+    f = hom_form(blob["sextic"])
     fp = {e: (x + y * r) % p for e, (x, y) in zip(f.coeffs, f.pairs())}
     if blob["sextic_smooth"]["coordinate_change"] is not None:
         fp = _compose_mod(fp, blob["sextic_smooth"]["coordinate_change"], p)
@@ -738,7 +749,7 @@ def test_smoothness_certificate_replays_from_json(geproci_cert_seed1):
     assert p > 5 and p % 5 in (1, 4)
     assert all(p % q for q in range(2, isqrt(p) + 1))
     assert (r * r - r - 1) % p == 0
-    f = HomForm.from_json(blob["sextic"])
+    f = hom_form(blob["sextic"])
     fp = {e: (x + y * r) % p for e, (x, y) in zip(f.coeffs, f.pairs())}
     if smooth["coordinate_change"] is not None:
         fp = _compose_mod(fp, smooth["coordinate_change"], p)
@@ -747,10 +758,24 @@ def test_smoothness_certificate_replays_from_json(geproci_cert_seed1):
     assert all("clean (eliminant degrees" in step for step in trail)
 
 
+def test_a_prime_with_too_few_nodes_reads_not_clean(geproci_cert_seed1,
+                                                    monkeypatch):
+    """At p = 11 the sextic's eliminants need more interpolation nodes than
+    F_p has: no certificate, so the chart is not clean and a retry moves on
+    to a larger prime."""
+    sextic = geproci_cert_seed1.sextic
+    clean, trail = _chart_test(_reduce(sextic, 11, 4), 11)
+    assert (clean, trail) == (False, ["chart 0: degenerate eliminant"])
+    monkeypatch.setattr(forms, "_PRIME", 11)
+    monkeypatch.setattr(forms, "_PHI_ROOT", 4)
+    report = plane_curve_is_smooth(sextic)
+    assert report.smooth and report.reason == "certified on attempt 1"
+
+
 def test_form_json_roundtrip():
     rng = random.Random(71)
     f = _random_form(rng, 3, 4)
-    assert HomForm.from_json(f.to_json()) == f
+    assert hom_form(f.to_json()) == f
 
 
 def test_equal_forms_hash_alike():
@@ -760,7 +785,7 @@ def test_equal_forms_hash_alike():
     assert HomForm.zero(3, 2) not in {HomForm.zero(4, 2)}
     rng = random.Random(79)
     f = _random_form(rng, 3, 4)
-    g = HomForm.from_json(f.to_json())
+    g = hom_form(f.to_json())
     assert g in {f} and hash(g) == hash(f)
     assert f not in {f.scale(FieldElement(2))}
     assert _var(0, 3) not in {_var(0, 3) * _var(0, 3)}

@@ -13,9 +13,10 @@ from h4geproci.field import (FieldElement, ONE, PHI, ZERO,
 from h4geproci.forms import HomForm, monomials, vanishing_space
 from h4geproci.linalg import _dot
 from h4geproci.projective import (DegenerateSpanError, ProjLine, ProjPlane,
-                                  ProjPoint, canonicalize, line_through,
+                                  ProjPoint, canonicalize,
                                   lines_meet, plane_through,
                                   transversal_quadric)
+from json_readers import proj_line, proj_point
 from test_linalg import mat_vec, reference_inverse, reference_rank
 
 
@@ -133,7 +134,7 @@ def test_pluecker_relation_holds():
         p, q = _random_point(rng), _random_point(rng)
         if p == q:
             continue
-        pl = line_through(p, q).pluecker
+        pl = ProjLine(p, q).pluecker
         rel = pl[0] * pl[5] - pl[1] * pl[4] + pl[2] * pl[3]
         assert rel.is_zero()
 
@@ -144,12 +145,12 @@ def test_line_contains_its_spanning_points_and_combinations():
         p, q = _random_point(rng), _random_point(rng)
         if p == q:
             continue
-        line = line_through(p, q)
+        line = ProjLine(p, q)
         assert line.contains(p) and line.contains(q)
         mix = ProjPoint([p.coords[i] * FieldElement(2, 1) + q.coords[i]
                          for i in range(4)])
         assert line.contains(mix)
-        assert line_through(q, mix) == line
+        assert ProjLine(q, mix) == line
 
 
 def test_degenerate_spans_raise():
@@ -168,7 +169,7 @@ def test_meeting_lines_share_their_intersection_point():
         if len({a, b, c}) < 3:
             continue
         try:
-            l1, l2 = line_through(a, b), line_through(a, c)
+            l1, l2 = ProjLine(a, b), ProjLine(a, c)
         except DegenerateSpanError:
             continue
         if l1 == l2:
@@ -180,8 +181,8 @@ def test_meeting_lines_share_their_intersection_point():
 
 
 def test_skew_lines_report_nonzero_pairing():
-    l1 = line_through(ProjPoint.of(1, 0, 0, 0), ProjPoint.of(0, 1, 0, 0))
-    l2 = line_through(ProjPoint.of(0, 0, 1, 0), ProjPoint.of(0, 0, 0, 1))
+    l1 = ProjLine(ProjPoint.of(1, 0, 0, 0), ProjPoint.of(0, 1, 0, 0))
+    l2 = ProjLine(ProjPoint.of(0, 0, 1, 0), ProjPoint.of(0, 0, 0, 1))
     assert not lines_meet(l1, l2)
     assert not _reference_pairing(l1, l2).is_zero()
     with pytest.raises(ValueError):
@@ -211,7 +212,7 @@ def test_incidence_invariance_under_coordinate_changes():
     p = ProjPoint.of(1, 2, 3, 4)
     q = ProjPoint.of(0, 1, PHI, 1)
     r = ProjPoint.of(1, 0, 0, 1)
-    line = line_through(p, q)
+    line = ProjLine(p, q)
     plane = plane_through(p, q, r)
     off_plane = ProjPoint.of(1, 0, 0, 0)
     assert not plane.contains(off_plane)
@@ -228,9 +229,9 @@ def test_incidence_invariance_under_coordinate_changes():
 
 def test_point_json_roundtrip():
     p = ProjPoint.of(PHI, 0, FieldElement(Fraction(1, 2)), 1)
-    assert ProjPoint.from_json(p.to_json()) == p
-    line = line_through(p, ProjPoint.of(1, 0, 0, 0))
-    assert ProjLine.from_json(line.to_json()) == line
+    assert proj_point(p.to_json()) == p
+    line = ProjLine(p, ProjPoint.of(1, 0, 0, 0))
+    assert proj_line(line.to_json()) == line
 
 
 def _random_element(rng, zero_weight=3):
@@ -313,13 +314,13 @@ def test_pair_predicates_match_the_references_on_random_flats():
         if any(not x.is_zero() for x in mix):
             others.append(ProjPoint(mix))
         if p != q:
-            line = line_through(p, q)
+            line = ProjLine(p, q)
             assert line.pluecker == _reference_pluecker(p, q)
             for x in [p, q, r] + others:
                 inside = line.contains(x)
                 assert inside == _reference_on_line(line, x)
                 counts["on_line" if inside else "off_line"] += 1
-            lines = [line_through(x, y) for x, y in combinations([p, r] + others, 2)
+            lines = [ProjLine(x, y) for x, y in combinations([p, r] + others, 2)
                      if x != y]
             for other in lines:
                 if other != line:
