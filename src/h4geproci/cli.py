@@ -18,8 +18,8 @@ from typing import List, Optional, Sequence
 from . import coverings as coverings_mod
 from . import geproci as geproci_mod
 from . import tables
-from .config import (GRID1_L, GRID1_M, GRID2_L, GRID2_M, build_h4,
-                     format_table, incidence_table_lines, incidence_table_planes)
+from .config import (HALVES, build_h4, format_table, incidence_table_lines,
+                     incidence_table_planes)
 from .forms import SmoothnessIndeterminate
 
 EXIT_OK = 0
@@ -210,8 +210,7 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
         grids = []
     pairs = {(g.l_lines, g.m_lines) for g in grids}
     check("grids", "both printed (5,5)-grids occur among all grids found",
-          (tuple(GRID1_L), tuple(GRID1_M)) in pairs
-          and (tuple(GRID2_L), tuple(GRID2_M)) in pairs)
+          all((h.l_lines, h.m_lines) in pairs for h in HALVES))
 
     for s in seeds:
         try:
@@ -221,7 +220,7 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
             passed = False
         check(f"geproci-seed-{s}", "general projection is a (6,10) complete "
               "intersection", passed)
-    for subset in ("z1", "z2"):
+    for subset in (h.name for h in HALVES):
         for s in seeds[: max(1, min(3, len(seeds)))]:
             try:
                 hg = geproci_mod.verify_half_grid(cfg, s, subset)
@@ -292,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default="geproci-cert.json")
 
     h = vsub.add_parser("halfgrid")
-    h.add_argument("--subset", choices=("z1", "z2"), required=True)
+    h.add_argument("--subset", choices=[half.name for half in HALVES],
+                   required=True)
     h.add_argument("--seed", type=int, default=1)
     h.add_argument("--out", default="halfgrid-cert.json")
 

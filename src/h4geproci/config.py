@@ -15,7 +15,7 @@ from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
 
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO
-from .forms import HomForm, _PHI_ROOT, _PRIME, monomials
+from .forms import HomForm, monomials
 from .projective import (ProjLine, ProjPoint, ProjPlane, image_from,
                          lines_meet, transversal_quadric)
 # Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
@@ -72,7 +72,7 @@ class H4Configuration(NamedTuple):
     questions about configuration points are lookups in this table.
 
     ``meets`` maps each five-point line to the other lines it meets, and
-    ``grid_quadrics`` holds the quadrics of grid 1 and grid 2 from
+    ``grid_quadrics`` holds the quadrics of the grids of `HALVES` from
     `grid_quadric`, which certifies every grid quadric.  Like ``secants``,
     they are derived data and stay out of ``to_json()``.
     """
@@ -137,13 +137,20 @@ def collinear_groups(points: Sequence[ProjPoint]) -> Dict[Tuple, List[int]]:
     return groups
 
 
-# The two (5,5)-grids and their external lines, by line index.
-GRID1_L = (1, 25, 32, 37, 44)
-GRID1_M = (2, 26, 31, 38, 43)
-GRID1_EXTERNAL_LINE = 24
-GRID2_L = (7, 51, 60, 65, 70)
-GRID2_M = (8, 54, 58, 63, 71)
-GRID2_EXTERNAL_LINE = 17
+class Half(NamedTuple):
+    """A 30-point half: the (5,5)-grid of the L- and M-lines, by line index,
+    plus the five points of one external line.  Its cover by six skew lines
+    is the L-lines and the external line."""
+
+    name: str
+    l_lines: Tuple[int, ...]
+    m_lines: Tuple[int, ...]
+    external_line: int
+
+
+# The paper's split of the 60 points: z1, and z2 its complement.
+HALVES = (Half("z1", (1, 25, 32, 37, 44), (2, 26, 31, 38, 43), 24),
+          Half("z2", (7, 51, 60, 65, 70), (8, 54, 58, 63, 71), 17))
 
 
 def build_h4() -> H4Configuration:
@@ -216,8 +223,8 @@ def build_h4() -> H4Configuration:
             meets[i].add(j)
             meets[j].add(i)
 
-    grid_quadrics = tuple(grid_quadric(points, lines, line_points, ls, ms)
-                          for ls, ms in ((GRID1_L, GRID1_M), (GRID2_L, GRID2_M)))
+    grid_quadrics = tuple(grid_quadric(points, lines, line_points,
+                                       h.l_lines, h.m_lines) for h in HALVES)
     return H4Configuration(points, planes, lines, line_points, plane_points,
                            point_planes, point_lines, line_planes, plane_lines,
                            secants, {i: frozenset(s) for i, s in meets.items()},
@@ -243,8 +250,9 @@ def grid_quadric(points: Dict, lines: Dict, line_points: Dict,
         raise ArithmeticError("the transversal quadric is zero")
     if linalg.first_missed_row(rows, [coeffs]) is not None:
         raise ArithmeticError("the transversal quadric misses the subgrid")
-    images = [[(x + y * _PHI_ROOT) % _PRIME for x, y in r] for r in rows]
-    if len(linalg.independent_rows_mod(images, _PRIME)) != 9:
+    p, r = linalg._PRIME, linalg._PHI_ROOT
+    images = [[(x + y * r) % p for x, y in row] for row in rows]
+    if len(linalg.independent_rows_mod(images, p)) != 9:
         raise ArithmeticError("the subgrid rows are dependent mod P")
     return HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, coeffs)}).monic()
 
@@ -303,11 +311,10 @@ def grid_point_indices(cfg: H4Configuration, line_indices: Iterable[int]) -> Tup
 
 
 def z_partition(cfg: H4Configuration) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The half/half split: grid 1 plus its external line, and the rest."""
-    z1 = set(grid_point_indices(cfg, GRID1_L))
-    z1.update(cfg.line_points[GRID1_EXTERNAL_LINE])
-    z2 = set(cfg.points) - z1
-    return tuple(sorted(z1)), tuple(sorted(z2))
+    """The split: the first half's grid and external line, and the rest."""
+    half = HALVES[0]
+    z1 = grid_point_indices(cfg, half.l_lines + (half.external_line,))
+    return z1, tuple(sorted(set(cfg.points) - set(z1)))
 
 
 def format_table(table: Dict[int, Tuple[int, ...]], name: str, sep: str) -> str:

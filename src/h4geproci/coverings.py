@@ -9,7 +9,7 @@ its lowest line f: one line through each of f's five points, then a skew
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .config import H4Configuration
 from .geproci import GridCertificate, NotAGridError, verify_grid
@@ -32,16 +32,6 @@ class CoverCertificate(_Cover):
 
     def to_json(self) -> list:
         return list(self.lines)
-
-
-def verify_covering(cfg: H4Configuration, lines: Sequence[int]) -> bool:
-    """True iff the 12 lines' point sets are disjoint and cover every point:
-    counted with repeats, twelve five-point lines carry 60 points, so
-    exactly when their union is all 60 points."""
-    lines = list(lines)
-    if len(lines) != 12 or not set(lines) <= set(cfg.lines):
-        return False
-    return {p for i in lines for p in cfg.line_points[i]} == set(cfg.points)
 
 
 def enumerate_coverings(cfg: H4Configuration) -> List[CoverCertificate]:

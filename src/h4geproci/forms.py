@@ -22,7 +22,7 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
 
 from . import linalg
 from .field import FieldElement, ZERO, primitive_numerators
-from .linalg import Pair, _dot, _split_primes
+from .linalg import Pair, _dot
 
 Exponents = Tuple[int, ...]
 Coeffs = Dict[Exponents, FieldElement]
@@ -189,7 +189,7 @@ class HomForm:
 def independent_evaluation_rows(points: Sequence[Sequence[Pair]], degree: int,
                                 nvars: int) -> List[int]:
     """Indices of the first points (Z[phi] pairs) whose degree-d evaluation
-    rows are independent modulo P = (p, phi - r) of `_PRIME` and `_PHI_ROOT`.
+    rows are independent modulo P = (p, phi - r), `linalg._PRIME`/`_PHI_ROOT`.
 
     Soundness.  x + y*phi -> (x + y*r) mod p is a ring map Z[phi] -> F_p, so
     `_residue_row` is the residue of `_evaluation_row`, entry by entry.  A
@@ -199,7 +199,7 @@ def independent_evaluation_rows(points: Sequence[Sequence[Pair]], degree: int,
     """
     cols = monomials(degree, nvars)
     return linalg.independent_rows_mod(
-        [_residue_row(p, degree, nvars, cols) for p in points], _PRIME)
+        [_residue_row(p, degree, nvars, cols) for p in points], linalg._PRIME)
 
 
 def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
@@ -286,13 +286,14 @@ def _residue_row(point: Sequence[Pair], degree: int, nvars: int,
     and monomial e is the product of powers[i][e[i]] over the variables."""
     if len(point) != nvars:
         raise ValueError("point dimension does not match variable count")
+    p, r = linalg._PRIME, linalg._PHI_ROOT
     powers = []
     for x, y in point:
-        table, v = [1], (x + y * _PHI_ROOT) % _PRIME
+        table, v = [1], (x + y * r) % p
         for _ in range(degree):
-            table.append(table[-1] * v % _PRIME)
+            table.append(table[-1] * v % p)
         powers.append(table)
-    return [prod(map(list.__getitem__, powers, e)) % _PRIME for e in cols]
+    return [prod(map(list.__getitem__, powers, e)) % p for e in cols]
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +439,7 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
     forces an empty generic fibre: the curve is smooth over Q(phi)-bar.
     The reduction f mod P is checked to be nonzero.
 
-    Attempt 0 takes the stored first split prime (`_PRIME`, `_PHI_ROOT`).
+    Attempt 0 takes the stored first split prime (`linalg._PRIME`).
     "Not clean mod P" proves nothing: a retry searches for the next prime
     and takes a random integer coordinate change invertible mod p.  The only
     singular verdicts are exact: a form missing a variable, and partials
@@ -457,10 +458,10 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
             return SmoothnessReport(False, "form misses a variable",
                                     witness=f"singular at {pt}")
     rng = random.Random(seed)
-    primes = itertools.islice(_split_primes(), 1, None)  # after the stored one
+    primes = itertools.islice(linalg._split_primes(), 1, None)  # after the stored one
     trail: List[str] = []
     for attempt in range(max_retries):
-        p, r = next(primes) if attempt else (_PRIME, _PHI_ROOT)
+        p, r = next(primes) if attempt else (linalg._PRIME, linalg._PHI_ROOT)
         if attempt == 1:
             # A clean first pass never reaches this; before retrying, rule
             # out the one obstruction no prime or coordinate change can fix.
@@ -483,11 +484,6 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
                                     phi_root=r, coordinate_change=change)
     raise SmoothnessIndeterminate(
         f"no certificate after {max_retries} primes: {trail}")
-
-
-# The first split prime and its phi root, P = (p, phi - r), stored (a test
-# checks them against `_split_primes`).  `vanishing_space` works modulo P.
-_PRIME, _PHI_ROOT = 2147483659, 1499939161
 
 
 def _reduce(f: HomForm, p: int, r: int) -> ModForm:

@@ -44,6 +44,9 @@ class RejectionBudgetExhausted(VerificationError):
     pass
 
 
+VERTEX_DRAWS = 1000  # draws before `sample_generic_vertex` gives up
+
+
 class Projection(NamedTuple):
     """A projection of P^3 from a verified-generic vertex onto P^2, by the
     minors of `projective.image_from` and `projective.plane_image`: a pushed
@@ -61,17 +64,17 @@ class Projection(NamedTuple):
         return HomForm.linear(list(plane_image(self.vertex, plane)))
 
 
-def sample_generic_vertex(cfg: H4Configuration, seed: int,
-                          budget: int = 1000) -> Projection:
+def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
     """Draw a deterministic vertex and certify its genericity.
 
     Coordinates are drawn uniformly from [-100, 100]; a draw is rejected if
     the vertex lies on any configuration plane, any 5-reach line, either grid
     quadric, or if two configuration points project to the same image.
+    After VERTEX_DRAWS rejected draws it raises RejectionBudgetExhausted.
     """
     rng = random.Random(seed)
     q1, q2 = cfg.grid_quadrics
-    for _ in range(budget):
+    for _ in range(VERTEX_DRAWS):
         raw = [rng.randint(-100, 100) for _ in range(4)]
         if all(v == 0 for v in raw):
             continue
@@ -89,7 +92,25 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int,
         checklist["images_distinct"] = len(set(images.values())) == 60
         if checklist["images_distinct"]:
             return Projection(vertex, images, checklist)
-    raise RejectionBudgetExhausted(f"no generic vertex in {budget} draws")
+    raise RejectionBudgetExhausted(f"no generic vertex in {VERTEX_DRAWS} draws")
+
+
+def _record_json(record) -> dict:
+    """A certificate record as JSON: each field under its own name, nested
+    values through their own `to_json`, tuples as lists, and ``passed`` on
+    a record that carries a verdict."""
+    blob = {name: _json_value(getattr(record, name)) for name in record._fields}
+    if hasattr(record, "passed"):
+        blob["passed"] = record.passed
+    return blob
+
+
+def _json_value(value):
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return dict(value) if isinstance(value, dict) else value
 
 
 class GridCertificate(NamedTuple):
@@ -100,13 +121,7 @@ class GridCertificate(NamedTuple):
     grid_points: Tuple[int, ...]  # 25 configuration point indices
     quadric: HomForm
 
-    def to_json(self) -> dict:
-        return {
-            "l_lines": list(self.l_lines),
-            "m_lines": list(self.m_lines),
-            "grid_points": list(self.grid_points),
-            "quadric": self.quadric.to_json(),
-        }
+    to_json = _record_json
 
 
 def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
@@ -214,23 +229,7 @@ class GeprociCertificate(NamedTuple):
     def passed(self) -> bool:
         return all(self.checks.values())
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "vertex": self.vertex.to_json(),
-            "dimension_table": list(self.dimension_table),
-            "sextic": self.sextic.to_json(),
-            "sextic_smooth": self.sextic_smooth.to_json(),
-            "grid1": self.grid1.to_json(),
-            "grid2": self.grid2.to_json(),
-            "quintic1": self.quintic1.to_json(),
-            "quintic2": self.quintic2.to_json(),
-            "z1": list(self.z1),
-            "z2": list(self.z2),
-            "sextic_divides_decic": self.sextic_divides_decic,
-            "checks": dict(self.checks),
-            "passed": self.passed,
-        }
+    to_json = _record_json
 
 
 def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
@@ -267,15 +266,9 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     smooth = plane_curve_is_smooth(sextic, seed=seed)
     checks["sextic_smooth"] = smooth.smooth
 
-    grid1 = verify_grid(cfg, cfgmod.GRID1_L, cfgmod.GRID1_M)
-    grid2 = verify_grid(cfg, cfgmod.GRID2_L, cfgmod.GRID2_M)
+    (grid1, quintic1), (grid2, quintic2) = (_half_quintic(cfg, proj, half)
+                                            for half in cfgmod.HALVES)
     z1, z2 = cfgmod.z_partition(cfg)
-    anchor1 = _anchor_on(cfg, grid1, cfgmod.GRID1_EXTERNAL_LINE)
-    anchor2 = _anchor_on(cfg, grid2, cfgmod.GRID2_EXTERNAL_LINE)
-    quintic1 = build_quintic_cone(cfg, proj, grid1, anchor1,
-                                  cfgmod.GRID1_EXTERNAL_LINE)
-    quintic2 = build_quintic_cone(cfg, proj, grid2, anchor2,
-                                  cfgmod.GRID2_EXTERNAL_LINE)
     on1 = {i: quintic1.vanishes_at(proj.images[i]) for i in cfg.points}
     on2 = {i: quintic2.vanishes_at(proj.images[i]) for i in cfg.points}
     checks["quintic1_on_z1"] = all(on1[i] for i in z1)
@@ -294,29 +287,27 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     return cert
 
 
-def _anchor_on(cfg: H4Configuration, grid: GridCertificate,
-               external_line: int) -> int:
+def _half_quintic(cfg: H4Configuration, proj: Projection,
+                  half: cfgmod.Half) -> Tuple[GridCertificate, HomForm]:
+    """The half's grid certificate, and the member of the grid's quintic
+    pencil through the lowest special point on the half's external line."""
+    grid = verify_grid(cfg, half.l_lines, half.m_lines)
     specials = cfgmod.special_points_for_grid(cfg, grid.grid_points)
-    on_line = [x for x, _ in specials
-               if x in cfg.line_points[external_line]]
+    ext = half.external_line
+    on_line = [x for x, _ in specials if x in cfg.line_points[ext]]
     if len(on_line) != 5:
         raise VerificationError(
-            f"external line {external_line} does not carry 5 special points")
-    return min(on_line)
-
-
-# Covering line sets for the two halves (pairwise skew; each covers 30 points).
-Z1_COVER_LINES = (1, 24, 25, 32, 37, 44)
-Z2_COVER_LINES = (7, 17, 51, 60, 65, 70)
+            f"external line {ext} does not carry 5 special points")
+    return grid, build_quintic_cone(cfg, proj, grid, min(on_line), ext)
 
 
 class HalfGridCertificate(NamedTuple):
-    """Evidence that one half of the configuration is a (6,5) half-grid."""
+    """Evidence that one half of the configuration is a (5,6) half-grid."""
 
-    subset_name: str
+    subset: str  # the half's name
     seed: int
     vertex: ProjPoint
-    subset: Tuple[int, ...]
+    points: Tuple[int, ...]
     cover_lines: Tuple[int, ...]
     quintic: HomForm
     line_product: HomForm
@@ -326,34 +317,20 @@ class HalfGridCertificate(NamedTuple):
     def passed(self) -> bool:
         return all(self.checks.values())
 
-    def to_json(self) -> dict:
-        return {
-            "subset": self.subset_name,
-            "seed": self.seed,
-            "vertex": self.vertex.to_json(),
-            "points": list(self.subset),
-            "cover_lines": list(self.cover_lines),
-            "quintic": self.quintic.to_json(),
-            "line_product": self.line_product.to_json(),
-            "checks": dict(self.checks),
-            "passed": self.passed,
-        }
+    to_json = _record_json
 
 
 def verify_half_grid(cfg: H4Configuration, seed: int,
                      subset: str) -> HalfGridCertificate:
-    """Certify that Z1 or Z2 projects to a (5,6) complete intersection."""
-    z1, z2 = cfgmod.z_partition(cfg)
-    if subset == "z1":
-        points, cover = z1, Z1_COVER_LINES
-        grid_l, grid_m, ext = (cfgmod.GRID1_L, cfgmod.GRID1_M,
-                               cfgmod.GRID1_EXTERNAL_LINE)
-    elif subset == "z2":
-        points, cover = z2, Z2_COVER_LINES
-        grid_l, grid_m, ext = (cfgmod.GRID2_L, cfgmod.GRID2_M,
-                               cfgmod.GRID2_EXTERNAL_LINE)
-    else:
-        raise ValueError("subset must be 'z1' or 'z2'")
+    """Certify that a half of `config.HALVES`, by name, projects to a (5,6)
+    complete intersection.  Its points are its part of `config.z_partition`,
+    and its cover lines are its L-lines and its external line."""
+    names = [half.name for half in cfgmod.HALVES]
+    if subset not in names:
+        raise ValueError(f"subset must be one of {names}")
+    k = names.index(subset)
+    half, points = cfgmod.HALVES[k], cfgmod.z_partition(cfg)[k]
+    cover = tuple(sorted(half.l_lines + (half.external_line,)))
     checks: Dict[str, bool] = {}
     checks["cover_pairwise_skew"] = all(
         b not in cfg.meets[a] for i, a in enumerate(cover) for b in cover[i + 1:])
@@ -363,9 +340,7 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
         raise VerificationError(
             f"covering failure for {subset}: {checks}")
     proj = sample_generic_vertex(cfg, seed)
-    grid = verify_grid(cfg, grid_l, grid_m)
-    anchor = _anchor_on(cfg, grid, ext)
-    quintic = build_quintic_cone(cfg, proj, grid, anchor, ext)
+    _, quintic = _half_quintic(cfg, proj, half)
     checks["quintic_on_subset"] = all(quintic.vanishes_at(proj.images[i])
                                       for i in points)
     line_forms = [proj.push_line(cfg.lines[i]) for i in cover]
@@ -386,22 +361,14 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
 class RefutationReport(NamedTuple):
     """Why a point set cannot be a half-grid of the forced CI type."""
 
-    subset_name: str
+    subset: str  # the point set's name
     max_collinear: int
     low_degree_dims: Tuple[int, ...]
     forced_degrees: Tuple[Tuple[int, int], ...]
     refuted: bool
     details: Tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "subset": self.subset_name,
-            "max_collinear": self.max_collinear,
-            "low_degree_dims": list(self.low_degree_dims),
-            "forced_degrees": [list(t) for t in self.forced_degrees],
-            "refuted": self.refuted,
-            "details": list(self.details),
-        }
+    to_json = _record_json
 
 
 def verify_not_half_grid(cfg: H4Configuration, seed: int,
@@ -424,11 +391,13 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     can turn "refuted" into "not refuted", never the reverse.  The images
     are minors, polynomial in the vertex, so dim_d = 0 is an open condition
     on it, and a refutation at one vertex holds for a general vertex.
-    A repeated or unknown point index raises ValueError before any work.
+    An empty subset, or a repeated or unknown point index, raises
+    ValueError before any work: the empty set would be "refuted" vacuously.
     """
     indices = sorted(subset) if subset is not None else sorted(cfg.points)
-    if len(set(indices)) != len(indices) or not set(indices) <= set(cfg.points):
-        raise ValueError(f"repeated or unknown point indices in {indices}")
+    if not indices or len(set(indices)) != len(indices) \
+            or not set(indices) <= set(cfg.points):
+        raise ValueError(f"empty, repeated or unknown point indices in {indices}")
     n = len(indices)
     mc = cfg.max_collinear(indices)
     proj = sample_generic_vertex(cfg, seed)

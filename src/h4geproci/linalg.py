@@ -128,6 +128,11 @@ def _split_primes() -> Iterator[Tuple[int, int]]:
             yield p, (1 + s) * pow(2, -1, p) % p
 
 
+# The first split prime and its phi root, P = (p, phi - r) (a test checks
+# both against `_split_primes`).  The rank tests mod P and the first
+# smoothness attempt read them here at call time, so one patch moves all.
+_PRIME, _PHI_ROOT = 2147483659, 1499939161
+
 # The first split prime above 2^192 and its phi root (a test checks both):
 # interpolation's primitive kernels have entries far below 2^96.
 _KERNEL_PRIME = (6277101735386680763835789423207666416102355444464034514319,

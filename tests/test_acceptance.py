@@ -12,8 +12,7 @@ import time
 from fractions import Fraction
 
 from h4geproci import geproci, tables
-from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M, GRID2_L,
-                              GRID2_M, grid_point_indices,
+from h4geproci.config import (HALVES, grid_point_indices,
                               incidence_table_lines, incidence_table_planes,
                               special_points_for_grid, z_partition)
 from h4geproci.coverings import enumerate_coverings, enumerate_grids
@@ -65,8 +64,9 @@ def test_criterion_04_quadric_certificates(cfg):
     q2_expected = HomForm(4, 2, {
         (2, 0, 0, 0): ONE, (1, 1, 0, 0): FieldElement(2),
         (0, 0, 2, 0): PHI, (0, 0, 0, 2): ONE - PHI}).monic()
-    for l_fam, expected in ((GRID1_L, q1_expected), (GRID2_L, q2_expected)):
-        pts = [cfg.points[i].pairs for i in grid_point_indices(cfg, l_fam)]
+    for half, expected in zip(HALVES, (q1_expected, q2_expected)):
+        pts = [cfg.points[i].pairs
+               for i in grid_point_indices(cfg, half.l_lines)]
         basis = vanishing_space(pts, 2, 4)
         assert len(basis) == 1
         assert basis[0].monic() == expected
@@ -119,14 +119,15 @@ def test_criterion_07_not_half_grid_refutation(cfg):
 
 def test_criterion_08_special_point_structure(cfg):
     t0 = time.monotonic()
-    grid = grid_point_indices(cfg, GRID1_L)
+    half = HALVES[0]
+    grid = grid_point_indices(cfg, half.l_lines)
     specials = special_points_for_grid(cfg, grid)
     pairings = dict(specials)
     assert pairings.get(4) == ((5, 6), (7, 8), (13, 14), (15, 16), (29, 30),
                                (31, 32), (33, 34), (35, 36), (37, 38),
                                (41, 42))
     found = {x for x, _ in specials}
-    line24 = set(cfg.line_points[GRID1_EXTERNAL_LINE])
+    line24 = set(cfg.line_points[half.external_line])
     assert {4, 39, 40, 47, 48} <= found & line24
     assert time.monotonic() - t0 < 5.0
     # Stated claim: the five line-24 points are the only special points.
@@ -189,8 +190,7 @@ def test_criterion_10_grid_enumeration_regression(cfg):
     t0 = time.monotonic()
     grids = enumerate_grids(cfg)
     pairs = {(g.l_lines, g.m_lines) for g in grids}
-    assert (tuple(GRID1_L), tuple(GRID1_M)) in pairs
-    assert (tuple(GRID2_L), tuple(GRID2_M)) in pairs
+    assert all((h.l_lines, h.m_lines) in pairs for h in HALVES)
     assert len(grids) == 72  # frozen count from scripts/grid_oracle.py
     assert time.monotonic() - t0 < 7.0
     _verdict(10, "grid enumeration finds 72 grids, matching the oracle")

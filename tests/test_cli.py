@@ -7,7 +7,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from h4geproci import cli
+from h4geproci import cli, geproci
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -113,6 +113,20 @@ def test_verify_geproci_artifact(tmp_path):
     assert len(smooth["chart_trail"]) == 3
     assert all("clean (eliminant degrees" in s for s in smooth["chart_trail"])
     assert json.loads(json.dumps(blob)) == blob
+
+
+def test_an_exhausted_vertex_budget_fails_the_certificate(cfg, monkeypatch,
+                                                         tmp_path):
+    monkeypatch.setattr(geproci, "VERTEX_DRAWS", 0)
+    with pytest.raises(geproci.RejectionBudgetExhausted, match="in 0 draws"):
+        geproci.verify_geproci(cfg, 1)
+    out = tmp_path / "geproci-cert.json"
+    assert _run(["verify", "geproci", "--out", str(out)]) == 1
+    blob = json.loads(out.read_text())
+    _validator("geproci-cert.schema.json").validate(blob)
+    assert blob["passed"] is False
+    assert blob["certificates"] == [{
+        "seed": 1, "passed": False, "error": "no generic vertex in 0 draws"}]
 
 
 def test_verify_geproci_zero_trials_is_a_usage_error(tmp_path):

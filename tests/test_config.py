@@ -5,9 +5,7 @@ from collections import Counter
 from itertools import combinations
 
 from h4geproci import config, forms, tables
-from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M,
-                              GRID2_EXTERNAL_LINE, GRID2_L, GRID2_M,
-                              collinear_groups, grid_point_indices,
+from h4geproci.config import (HALVES, collinear_groups, grid_point_indices,
                               incidence_table_lines, incidence_table_planes,
                               special_points_for_grid, z_partition)
 from h4geproci.field import FieldElement, ONE, PHI
@@ -187,14 +185,13 @@ def test_z_partition_matches_printed_halves(cfg):
 
 
 def test_grid_families_are_skew_with_25_points(cfg):
-    for fam in (GRID1_L, GRID1_M, GRID2_L, GRID2_M):
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
+    for half in HALVES:
+        for fam in (half.l_lines, half.m_lines):
+            for a, b in combinations(fam, 2):
                 assert not lines_meet(cfg.lines[a], cfg.lines[b])
-    assert len(grid_point_indices(cfg, GRID1_L)) == 25
-    assert grid_point_indices(cfg, GRID1_L) == grid_point_indices(cfg, GRID1_M)
-    assert len(grid_point_indices(cfg, GRID2_L)) == 25
-    assert grid_point_indices(cfg, GRID2_L) == grid_point_indices(cfg, GRID2_M)
+        grid = grid_point_indices(cfg, half.l_lines)
+        assert len(grid) == 25
+        assert grid == grid_point_indices(cfg, half.m_lines)
 
 
 def test_special_points_of_grid1(cfg):
@@ -204,13 +201,14 @@ def test_special_points_of_grid1(cfg):
     the line-24 half, but the line-17 points satisfy the same condition, and
     P3 = [0:0:1:0] visibly lies on the secant through P5 and P7.
     """
-    grid = grid_point_indices(cfg, GRID1_L)
+    half1, half2 = HALVES
+    grid = grid_point_indices(cfg, half1.l_lines)
     specials = special_points_for_grid(cfg, grid)
     found = [x for x, _ in specials]
     assert found == [3, 4, 39, 40, 47, 48, 49, 50, 53, 54]
-    on_24 = [x for x in found if x in cfg.line_points[GRID1_EXTERNAL_LINE]]
+    on_24 = [x for x in found if x in cfg.line_points[half1.external_line]]
     assert on_24 == [4, 39, 40, 47, 48]
-    on_17 = [x for x in found if x in cfg.line_points[GRID2_EXTERNAL_LINE]]
+    on_17 = [x for x in found if x in cfg.line_points[half2.external_line]]
     assert on_17 == [3, 49, 50, 53, 54]
     for x, pairing in specials:
         assert len(pairing) == 10
@@ -220,7 +218,7 @@ def test_special_points_of_grid1(cfg):
 
 def test_special_points_of_grid2(cfg):
     """Grid 2 has the same ten special points as grid 1."""
-    grid = grid_point_indices(cfg, GRID2_L)
+    grid = grid_point_indices(cfg, HALVES[1].l_lines)
     specials = special_points_for_grid(cfg, grid)
     assert [x for x, _ in specials] == [3, 4, 39, 40, 47, 48, 49, 50, 53, 54]
     for x, pairing in specials:
@@ -233,7 +231,7 @@ def test_special_points_of_grid2(cfg):
 
 
 def test_special_point_4_has_the_printed_pairing(cfg):
-    grid = grid_point_indices(cfg, GRID1_L)
+    grid = grid_point_indices(cfg, HALVES[0].l_lines)
     pairing = dict(special_points_for_grid(cfg, grid))[4]
     assert pairing == ((5, 6), (7, 8), (13, 14), (15, 16), (29, 30), (31, 32),
                        (33, 34), (35, 36), (37, 38), (41, 42))

@@ -8,17 +8,16 @@ from math import comb, gcd, isqrt
 
 import pytest
 
-from h4geproci import forms, linalg
+from h4geproci import config, forms, linalg
 from h4geproci.field import FieldElement, ONE, PHI, ZERO, primitive_numerators
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
                              try_quotient, vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _evaluation_row,
                              _gcd_mod, _interpolate_mod, _partial_mod,
-                             _reduce, _residue_row, _resultant_mod, _PHI_ROOT,
-                             _PRIME)
+                             _reduce, _residue_row, _resultant_mod)
 from h4geproci.geproci import sample_generic_vertex
-from h4geproci.linalg import _split_primes
+from h4geproci.linalg import _PHI_ROOT, _PRIME, _split_primes
 from json_readers import hom_form
 from test_linalg import _integer_pairs, determinant_mod, reference_nullspace
 
@@ -547,6 +546,29 @@ def test_gcd_and_divides_match_sympy_over_q_sqrt5():
     assert cases >= 12 and outcomes == {True, False}
 
 
+def test_one_patch_moves_every_rank_test_to_another_prime(cfg, monkeypatch):
+    """`linalg._PRIME` and `_PHI_ROOT` are read at call time by both rank
+    tests: interpolation's row choice and the grid-quadric witness."""
+    independent = linalg.independent_rows_mod
+    moduli = []
+
+    def recording(rows, p):
+        moduli.append(p)
+        assert all(0 <= v < p for row in rows for v in row)
+        return independent(rows, p)
+
+    monkeypatch.setattr(linalg, "independent_rows_mod", recording)
+    monkeypatch.setattr(linalg, "_PRIME", 11)
+    monkeypatch.setattr(linalg, "_PHI_ROOT", 4)
+    images = [cfg.points[i].pairs for i in range(1, 11)]
+    assert forms.independent_evaluation_rows(images, 1, 4) == [0, 1, 2, 3]
+    half = config.HALVES[0]
+    quadric = config.grid_quadric(cfg.points, cfg.lines, cfg.line_points,
+                                  half.l_lines, half.m_lines)
+    assert quadric == cfg.grid_quadrics[0]
+    assert moduli == [11, 11]
+
+
 def test_stored_split_prime_is_the_first_split_prime():
     assert next(_split_primes()) == (_PRIME, _PHI_ROOT)
 
@@ -766,8 +788,8 @@ def test_a_prime_with_too_few_nodes_reads_not_clean(geproci_cert_seed1,
     sextic = geproci_cert_seed1.sextic
     clean, trail = _chart_test(_reduce(sextic, 11, 4), 11)
     assert (clean, trail) == (False, ["chart 0: degenerate eliminant"])
-    monkeypatch.setattr(forms, "_PRIME", 11)
-    monkeypatch.setattr(forms, "_PHI_ROOT", 4)
+    monkeypatch.setattr(linalg, "_PRIME", 11)
+    monkeypatch.setattr(linalg, "_PHI_ROOT", 4)
     report = plane_curve_is_smooth(sextic)
     assert report.smooth and report.reason == "certified on attempt 1"
 

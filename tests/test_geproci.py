@@ -9,8 +9,7 @@ import pytest
 
 import h4geproci
 from h4geproci import config, forms, geproci, linalg, projective
-from h4geproci.config import (GRID1_EXTERNAL_LINE, GRID1_L, GRID1_M, GRID2_L,
-                              GRID2_M, z_partition)
+from h4geproci.config import HALVES, z_partition
 from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids)
 from h4geproci.field import FieldElement, ONE, PHI, ZERO, primitive_numerators
@@ -20,6 +19,10 @@ from h4geproci.projective import (ProjPoint, canonicalize, image_from,
 from test_linalg import reference_inverse
 from test_projective import CoordinateChange
 
+# The paper's two halves: grid 1 with line 24, grid 2 with line 17.
+HALF1, HALF2 = HALVES
+L1, M1 = HALF1.l_lines, HALF1.m_lines
+
 
 @pytest.fixture(scope="module")
 def projection(cfg):
@@ -28,7 +31,7 @@ def projection(cfg):
 
 @pytest.fixture(scope="module")
 def grid1(cfg):
-    return geproci.verify_grid(cfg, GRID1_L, GRID1_M)
+    return geproci.verify_grid(cfg, L1, M1)
 
 
 def test_vertex_sampling_is_deterministic_and_certified(cfg, projection):
@@ -56,7 +59,7 @@ def test_grid1_quadric_matches_printed_equation(cfg, grid1):
 
 
 def test_grid2_quadric_matches_printed_equation(cfg):
-    grid2 = geproci.verify_grid(cfg, GRID2_L, GRID2_M)
+    grid2 = geproci.verify_grid(cfg, HALF2.l_lines, HALF2.m_lines)
     expected = HomForm(4, 2, {
         (2, 0, 0, 0): ONE,
         (1, 1, 0, 0): FieldElement(2),
@@ -69,7 +72,7 @@ def test_grid2_quadric_matches_printed_equation(cfg):
 def test_configuration_quadrics_agree_with_grid_certificates(cfg, grid1):
     q1, q2 = cfg.grid_quadrics
     assert q1 == grid1.quadric
-    assert q2 == geproci.verify_grid(cfg, GRID2_L, GRID2_M).quadric
+    assert q2 == geproci.verify_grid(cfg, HALF2.l_lines, HALF2.m_lines).quadric
 
 
 def test_grid_points_lie_on_the_quadric(cfg, grid1):
@@ -102,14 +105,14 @@ def test_grid_quadric_is_certified_on_the_3x3_subgrid(cfg, grid1, monkeypatch):
     monkeypatch.setattr(forms, "vanishing_space", no_interpolation)
     monkeypatch.setattr(linalg, "independent_rows_mod", recording)
     cols = forms.monomials(2, 4)
-    rotated = (GRID1_L[::-1], GRID1_M[1:] + GRID1_M[:1])
-    for l_lines, m_lines in ((GRID1_L, GRID1_M), rotated):
+    rotated = (L1[::-1], M1[1:] + M1[:1])
+    for l_lines, m_lines in ((L1, M1), rotated):
         witnessed.clear()
         grid = geproci.verify_grid(cfg, l_lines, m_lines)
         nine = [cfg.points[i].pairs for i in _subgrid(cfg, l_lines, m_lines)]
         assert len(set(nine)) == 9
         rows = [forms._evaluation_row(x, 2, 4, cols) for x in nine]
-        assert witnessed == [[[(a + b * forms._PHI_ROOT) % forms._PRIME
+        assert witnessed == [[[(a + b * linalg._PHI_ROOT) % linalg._PRIME
                                for a, b in row] for row in rows]]
         assert [grid.quadric] == interpolate(nine, 2, 4)
         assert grid.quadric == grid1.quadric
@@ -120,7 +123,7 @@ def _assert_indeterminate(cfg, match):
     """verify_grid raises a VerificationError that is not NotAGridError, and
     enumerate_grids passes it on instead of dropping the grid."""
     with pytest.raises(geproci.VerificationError, match=match) as info:
-        geproci.verify_grid(cfg, GRID1_L, GRID1_M)
+        geproci.verify_grid(cfg, L1, M1)
     assert not isinstance(info.value, geproci.NotAGridError)
     with pytest.raises(geproci.VerificationError, match=match) as info:
         enumerate_grids(cfg)
@@ -154,22 +157,22 @@ def test_a_zero_quadric_is_indeterminate(cfg, monkeypatch):
 
 def test_non_grid_inputs_are_rejected(cfg):
     with pytest.raises(geproci.NotAGridError):
-        geproci.verify_grid(cfg, GRID1_L, GRID1_L)  # families share lines
+        geproci.verify_grid(cfg, L1, L1)  # families share lines
     with pytest.raises(geproci.NotAGridError):
-        geproci.verify_grid(cfg, (1, 2, 3, 4, 5), GRID1_M)  # not skew
+        geproci.verify_grid(cfg, (1, 2, 3, 4, 5), M1)  # not skew
     with pytest.raises(geproci.NotAGridError):
-        geproci.verify_grid(cfg, GRID1_L[:4] + (GRID1_L[0],), GRID1_M)
+        geproci.verify_grid(cfg, L1[:4] + (L1[0],), M1)
     # Skew families from different grids: lines 1 and 8 share no point.
     with pytest.raises(geproci.NotAGridError,
                        match="lines 1 and 8 do not meet in a configuration"):
-        geproci.verify_grid(cfg, GRID1_L, GRID2_M)
+        geproci.verify_grid(cfg, L1, HALF2.m_lines)
 
 
 @pytest.mark.parametrize("l_lines, m_lines", [
-    (GRID1_L + GRID1_L[:1], GRID1_M),  # six entries, five distinct
-    (GRID1_L, GRID1_M + GRID1_M[-1:]),
-    (GRID1_L + (7,), GRID1_M),  # six distinct lines
-    (GRID1_L, GRID1_M[:4]),
+    (L1 + L1[:1], M1),  # six entries, five distinct
+    (L1, M1 + M1[-1:]),
+    (L1 + (7,), M1),  # six distinct lines
+    (L1, M1[:4]),
 ])
 def test_a_family_needs_exactly_five_entries(cfg, l_lines, m_lines):
     with pytest.raises(geproci.NotAGridError,
@@ -183,8 +186,8 @@ def test_verify_grid_rejects_unknown_lines(cfg, monkeypatch, bad):
         pytest.fail("verify_grid started work on an unknown line")
 
     monkeypatch.setattr(config, "grid_quadric", work)
-    for l_lines, m_lines in ((GRID1_L[:4] + (bad,), GRID1_M),
-                             (GRID1_L, (bad,) + GRID1_M[1:])):
+    for l_lines, m_lines in ((L1[:4] + (bad,), M1),
+                             (L1, (bad,) + M1[1:])):
         with pytest.raises(ValueError, match=rf"unknown line indices \[{bad}\]"):
             geproci.verify_grid(cfg, l_lines, m_lines)
 
@@ -210,7 +213,7 @@ def test_pencil_base_points_are_exactly_the_grid(cfg, projection, grid1):
 
 def test_quintic_cone_vanishes_on_its_half(cfg, projection, grid1):
     quintic = geproci.build_quintic_cone(cfg, projection, grid1, 4,
-                                         GRID1_EXTERNAL_LINE)
+                                         HALF1.external_line)
     z1, _ = z_partition(cfg)
     assert quintic.degree == 5
     for i in z1:
@@ -220,7 +223,7 @@ def test_quintic_cone_vanishes_on_its_half(cfg, projection, grid1):
 def test_quintic_cone_rejects_anchor_off_the_line(cfg, projection, grid1):
     with pytest.raises(geproci.VerificationError):
         geproci.build_quintic_cone(cfg, projection, grid1, 1,
-                                   GRID1_EXTERNAL_LINE)
+                                   HALF1.external_line)
 
 
 def test_geproci_certificate_passes(geproci_cert_seed1):
@@ -284,6 +287,29 @@ def test_half_grid_certificates_pass(cfg, subset):
 def test_half_grid_rejects_unknown_subset(cfg):
     with pytest.raises(ValueError):
         geproci.verify_half_grid(cfg, 1, "z3")
+
+
+def test_halves_are_the_printed_split(cfg):
+    """`config.HALVES` holds the paper's two halves, and each half-grid
+    certificate derives its cover from its L-lines and external line."""
+    assert HALVES == (
+        config.Half("z1", (1, 25, 32, 37, 44), (2, 26, 31, 38, 43), 24),
+        config.Half("z2", (7, 51, 60, 65, 70), (8, 54, 58, 63, 71), 17))
+    covers = [geproci.verify_half_grid(cfg, 1, h.name).cover_lines
+              for h in HALVES]
+    assert covers == [(1, 24, 25, 32, 37, 44), (7, 17, 51, 60, 65, 70)]
+
+
+def test_record_json_keys_are_the_field_names(cfg, geproci_cert_seed1):
+    """Every field of a certificate record is its JSON key, plus
+    ``passed`` on the records that carry a verdict."""
+    records = [geproci_cert_seed1, geproci_cert_seed1.grid1,
+               geproci.verify_half_grid(cfg, 1, "z1"),
+               geproci.verify_not_half_grid(cfg, 1)]
+    for record in records:
+        verdict = {"passed"} if hasattr(record, "passed") else set()
+        assert set(record.to_json()) == set(record._fields) | verdict
+    assert [hasattr(r, "passed") for r in records] == [True, False, True, False]
 
 
 def test_full_set_is_not_a_half_grid(cfg):
@@ -352,6 +378,13 @@ def test_refutation_rejects_unknown_indices(cfg, monkeypatch, bad):
     _forbid_refutation_work(monkeypatch)
     with pytest.raises(ValueError, match="repeated or unknown point indices"):
         geproci.verify_not_half_grid(cfg, 1, subset=z1[1:] + (bad,))
+
+
+def test_refutation_rejects_an_empty_subset(cfg, monkeypatch):
+    """The empty set has no type to exclude: it read "refuted" vacuously."""
+    _forbid_refutation_work(monkeypatch)
+    with pytest.raises(ValueError, match="empty, repeated or unknown"):
+        geproci.verify_not_half_grid(cfg, 1, subset=[])
 
 
 def _forbid_refutation_work(monkeypatch):

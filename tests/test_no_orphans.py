@@ -4,7 +4,9 @@ A definition that only tests call is capability the program does not have;
 the test keeps such helpers in the test modules instead.  A name counts as
 used when it appears in package code as a name, an attribute or an imported
 name, outside every definition of that name, so a recursive call or a call
-from a namesake method does not count; dunder methods are exempt.
+from a namesake method does not count; dunder methods are exempt.  The
+re-exports of `__init__.py` do not count either: a name the package only
+re-exports is used by its callers, not by the package.
 """
 
 import ast
@@ -38,6 +40,8 @@ def test_no_function_or_class_is_used_only_by_tests():
     defined = {}
     used = set()
     for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
         _scan(ast.parse(path.read_text(), str(path)), frozenset(), defined,
               used, path.name)
     orphans = {name: where for name, where in defined.items()
