@@ -25,6 +25,8 @@ from .forms import SmoothnessIndeterminate
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+# What a certificate raises instead of returning a failed verdict.
+NOT_CERTIFIED = (geproci_mod.VerificationError, SmoothnessIndeterminate)
 
 
 def _write_json(path: str, payload) -> bool:
@@ -101,17 +103,16 @@ def cmd_incidences(kind: str, emit: str) -> int:
 def cmd_coverings(count_only: bool, emit: str, out: Optional[str]) -> int:
     cfg = build_h4()
     covs = coverings_mod.enumerate_coverings(cfg)
+    payload = [c.to_json() for c in covs]
     if count_only:
         print(len(covs))
     elif emit == "table":
         for c in covs:
             print(",".join(map(str, c.lines)))
-    else:
-        payload = [c.to_json() for c in covs]
-        if not out:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        elif not _write_json(out, payload):
-            return EXIT_USAGE
+    elif not out:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    if out and not _write_json(out, payload):
+        return EXIT_USAGE
     expected = set(tables.LINE_COVERS)
     if len(covs) == 84 and {c.lines for c in covs} == expected:
         return EXIT_OK
@@ -127,10 +128,8 @@ def cmd_verify_geproci(seed: int, trials: int, out: str) -> int:
     ok = True
     for s in range(seed, seed + trials):
         try:
-            cert = geproci_mod.verify_geproci(cfg, s)
-            certs.append(cert.to_json())
-            ok = ok and cert.passed
-        except (geproci_mod.VerificationError, SmoothnessIndeterminate) as exc:
+            certs.append(geproci_mod.verify_geproci(cfg, s).to_json())
+        except NOT_CERTIFIED as exc:
             certs.append({"seed": s, "passed": False, "error": str(exc)})
             ok = False
     if not _write_json(out, {"command": "verify geproci",
@@ -147,7 +146,7 @@ def cmd_verify_halfgrid(subset: str, seed: int, out: str) -> int:
     cfg = build_h4()
     try:
         cert = geproci_mod.verify_half_grid(cfg, seed, subset)
-    except (geproci_mod.VerificationError, SmoothnessIndeterminate) as exc:
+    except NOT_CERTIFIED as exc:
         if not _write_json(out, {"command": "verify halfgrid",
                                  "subset": subset, "seed": seed,
                                  "passed": False, "error": str(exc)}):
@@ -155,11 +154,11 @@ def cmd_verify_halfgrid(subset: str, seed: int, out: str) -> int:
         print(f"halfgrid {subset}: FAIL ({exc})")
         return EXIT_FAIL
     if not _write_json(out, {"command": "verify halfgrid", "subset": subset,
-                             "seed": seed, "passed": cert.passed,
+                             "seed": seed, "passed": True,
                              "certificate": cert.to_json()}):
         return EXIT_USAGE
-    print(f"halfgrid {subset}: {'pass' if cert.passed else 'FAIL'} ({out})")
-    return EXIT_OK if cert.passed else EXIT_FAIL
+    print(f"halfgrid {subset}: pass ({out})")
+    return EXIT_OK
 
 
 def cmd_verify_not_halfgrid(seed: int, out: str) -> int:
@@ -214,18 +213,18 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
 
     for s in seeds:
         try:
-            cert = geproci_mod.verify_geproci(cfg, s)
-            passed = cert.passed
-        except (geproci_mod.VerificationError, SmoothnessIndeterminate):
+            geproci_mod.verify_geproci(cfg, s)
+            passed = True
+        except NOT_CERTIFIED:
             passed = False
         check(f"geproci-seed-{s}", "general projection is a (6,10) complete "
               "intersection", passed)
     for subset in (h.name for h in HALVES):
-        for s in seeds[: max(1, min(3, len(seeds)))]:
+        for s in seeds[:3]:
             try:
-                hg = geproci_mod.verify_half_grid(cfg, s, subset)
-                passed = hg.passed
-            except (geproci_mod.VerificationError, SmoothnessIndeterminate):
+                geproci_mod.verify_half_grid(cfg, s, subset)
+                passed = True
+            except NOT_CERTIFIED:
                 passed = False
             check(f"halfgrid-{subset}-seed-{s}",
                   f"the 30-point half {subset} projects to a (5,6) complete "
@@ -261,6 +260,8 @@ def _parse_seeds(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"bad seed list {text!r}")
     if not seeds:
         raise argparse.ArgumentTypeError("empty seed list")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"repeated seed in {text!r}")
     return seeds
 
 

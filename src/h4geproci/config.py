@@ -242,7 +242,6 @@ def grid_quadric(points: Dict, lines: Dict, line_points: Dict,
     found.  A failed check raises ArithmeticError (an unlucky prime or a
     bug, not a verdict).  `geproci.verify_grid` extends Q to the grid.
     """
-    cols = monomials(2, 4)
     coeffs = transversal_quadric(*(lines[i] for i in l_lines[:3]))
     rows = [_quadric_row(points[p].pairs) for li in l_lines[:3] for mj in m_lines[:3]
             for p in set(line_points[li]) & set(line_points[mj])]
@@ -254,7 +253,11 @@ def grid_quadric(points: Dict, lines: Dict, line_points: Dict,
     images = [[(x + y * r) % p for x, y in row] for row in rows]
     if len(linalg.independent_rows_mod(images, p)) != 9:
         raise ArithmeticError("the subgrid rows are dependent mod P")
-    return HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, coeffs)}).monic()
+    return HomForm(4, 2, {c: FieldElement(*w)
+                          for c, w in zip(_QUADRIC_MONOMIALS, coeffs)}).monic()
+
+
+_QUADRIC_MONOMIALS = tuple(monomials(2, 4))  # the order of `_quadric_row`
 
 
 def _quadric_row(point: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:

@@ -3,7 +3,7 @@ the degree-5 cone pencil, complete-intersection certificates, and the
 not-half-grid refutation.
 
 Every check is exact.  A passing certificate is machine-checkable evidence:
-it embeds the forms, the dimension table and the per-condition checklist, so
+it embeds the forms, the dimension table and the per-condition checks, so
 the artifact carries what an independent checker needs to re-verify each
 claim by evaluation.  That checker is not written yet (ROADMAP item 1).
 """
@@ -54,13 +54,11 @@ class Projection(NamedTuple):
 
     vertex: ProjPoint
     images: Dict[int, PlaneCoords]  # configuration point index -> image
-    checklist: Dict[str, bool]
 
     def push_line(self, line: ProjLine) -> HomForm:
-        """The plane spanned by the line and the vertex, as a linear form on P^2."""
+        """The plane spanned by the line and the vertex, as a linear form on
+        P^2.  `plane_through` kills its three rows, the vertex among them."""
         plane = plane_through(line.p, line.q, self.vertex)
-        if not plane.contains(self.vertex):
-            raise VerificationError("plane does not pass through the vertex")
         return HomForm.linear(list(plane_image(self.vertex, plane)))
 
 
@@ -68,8 +66,10 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
     """Draw a deterministic vertex and certify its genericity.
 
     Coordinates are drawn uniformly from [-100, 100]; a draw is rejected if
-    the vertex lies on any configuration plane, any 5-reach line, either grid
-    quadric, or if two configuration points project to the same image.
+    the vertex lies on any configuration plane or either grid quadric, or if
+    two configuration points project to the same image.  Such a vertex is
+    off every five-point line too: each line lies in 5 configuration planes
+    (`build_h4` asserts it), so a vertex on a line is on those planes.
     After VERTEX_DRAWS rejected draws it raises RejectionBudgetExhausted.
     """
     rng = random.Random(seed)
@@ -79,19 +79,12 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
         if all(v == 0 for v in raw):
             continue
         vertex = ProjPoint.of(*raw)
-        checklist = {}
-        checklist["off_all_planes"] = all(
-            not cfg.planes[i].contains(vertex) for i in cfg.planes)
-        checklist["off_all_lines"] = all(
-            not cfg.lines[i].contains(vertex) for i in cfg.lines)
-        checklist["off_quadric_q1"] = not q1.vanishes_at(vertex.pairs)
-        checklist["off_quadric_q2"] = not q2.vanishes_at(vertex.pairs)
-        if not all(checklist.values()):
+        if any(plane.contains(vertex) for plane in cfg.planes.values()) \
+                or q1.vanishes_at(vertex.pairs) or q2.vanishes_at(vertex.pairs):
             continue
         images = {i: image_from(vertex, cfg.points[i]) for i in cfg.points}
-        checklist["images_distinct"] = len(set(images.values())) == 60
-        if checklist["images_distinct"]:
-            return Projection(vertex, images, checklist)
+        if len(set(images.values())) == 60:
+            return Projection(vertex, images)
     raise RejectionBudgetExhausted(f"no generic vertex in {VERTEX_DRAWS} draws")
 
 
@@ -172,40 +165,15 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
                            quadric)
 
 
-def build_quintic_cone(cfg: H4Configuration, proj: Projection,
-                       grid: GridCertificate, anchor: int,
-                       external_line: int) -> HomForm:
-    """The member of the grid's degree-5 pencil vanishing at the anchor image.
-
-    The pencil is generated by the two products of five planes, each plane
-    spanned by a grid line and the vertex, pushed down to degree-5 forms on
-    P^2.  The returned form is checked to vanish at the 25 grid images, the
-    anchor, and every other configuration point on the external line.
-    """
-    if anchor not in cfg.line_points[external_line]:
-        raise VerificationError("anchor does not lie on the external line")
-    g = _product_of_line_images(cfg, proj, grid.l_lines)
-    h = _product_of_line_images(cfg, proj, grid.m_lines)
-    a = proj.images[anchor]
-    ga, ha = g.evaluate(a), h.evaluate(a)
-    if ga.is_zero() and ha.is_zero():
+def build_quintic_cone(g: HomForm, h: HomForm, point: PlaneCoords) -> HomForm:
+    """The monic member h(x)*g - g(x)*h of the pencil of g and h, which
+    vanishes at the image x.  If both generators vanish at x, every member
+    does, and it raises PencilDegenerateError."""
+    gx, hx = g.evaluate(point), h.evaluate(point)
+    if gx.is_zero() and hx.is_zero():
         raise PencilDegenerateError(
             "both pencil generators vanish at the anchor image; resample")
-    quintic = (g.scale(ha) - h.scale(ga)).monic()
-    for i in grid.grid_points:
-        if not quintic.vanishes_at(proj.images[i]):
-            raise VerificationError(f"pencil member misses grid point {i}")
-    for i in cfg.line_points[external_line]:
-        if not quintic.vanishes_at(proj.images[i]):
-            raise VerificationError(
-                f"pencil member misses external-line point {i}")
-    return quintic
-
-
-def _product_of_line_images(cfg: H4Configuration, proj: Projection,
-                            line_indices: Sequence[int]) -> HomForm:
-    return prod((proj.push_line(cfg.lines[i]) for i in line_indices),
-                start=HomForm(3, 0, {(0, 0, 0): ONE}))
+    return (g.scale(hx) - h.scale(gx)).monic()
 
 
 class GeprociCertificate(NamedTuple):
@@ -247,7 +215,7 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     Each quintic is tested once per image by `HomForm.vanishes_at` (an
     integer product, the value times a nonzero rational).  The decic q1*q2
     vanishes at an image exactly when q1 or q2 does: Q(phi) has no zero
-    divisors.
+    divisors.  It raises VerificationError unless every check passes.
     """
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in sorted(cfg.points)]
@@ -266,8 +234,8 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     smooth = plane_curve_is_smooth(sextic, seed=seed)
     checks["sextic_smooth"] = smooth.smooth
 
-    (grid1, quintic1), (grid2, quintic2) = (_half_quintic(cfg, proj, half)
-                                            for half in cfgmod.HALVES)
+    (grid1, quintic1, _), (grid2, quintic2, _) = (
+        _half_quintic(cfg, proj, half) for half in cfgmod.HALVES)
     z1, z2 = cfgmod.z_partition(cfg)
     on1 = {i: quintic1.vanishes_at(proj.images[i]) for i in cfg.points}
     on2 = {i: quintic2.vanishes_at(proj.images[i]) for i in cfg.points}
@@ -287,10 +255,11 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     return cert
 
 
-def _half_quintic(cfg: H4Configuration, proj: Projection,
-                  half: cfgmod.Half) -> Tuple[GridCertificate, HomForm]:
-    """The half's grid certificate, and the member of the grid's quintic
-    pencil through the lowest special point on the half's external line."""
+def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
+                  ) -> Tuple[GridCertificate, HomForm, Dict[int, HomForm]]:
+    """The half's grid certificate; the member of its quintic pencil, spanned
+    by the products of the pushed L- and M-lines, through the lowest special
+    point on the external line; and the pushed L-lines by line index."""
     grid = verify_grid(cfg, half.l_lines, half.m_lines)
     specials = cfgmod.special_points_for_grid(cfg, grid.grid_points)
     ext = half.external_line
@@ -298,7 +267,11 @@ def _half_quintic(cfg: H4Configuration, proj: Projection,
     if len(on_line) != 5:
         raise VerificationError(
             f"external line {ext} does not carry 5 special points")
-    return grid, build_quintic_cone(cfg, proj, grid, min(on_line), ext)
+    l_forms = {i: proj.push_line(cfg.lines[i]) for i in half.l_lines}
+    one = HomForm(3, 0, {(0, 0, 0): ONE})
+    g = prod(l_forms.values(), start=one)
+    h = prod((proj.push_line(cfg.lines[i]) for i in half.m_lines), start=one)
+    return grid, build_quintic_cone(g, h, proj.images[min(on_line)]), l_forms
 
 
 class HalfGridCertificate(NamedTuple):
@@ -324,7 +297,8 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
                      subset: str) -> HalfGridCertificate:
     """Certify that a half of `config.HALVES`, by name, projects to a (5,6)
     complete intersection.  Its points are its part of `config.z_partition`,
-    and its cover lines are its L-lines and its external line."""
+    and its cover lines are its L-lines and its external line.  It raises
+    VerificationError unless every check passes."""
     names = [half.name for half in cfgmod.HALVES]
     if subset not in names:
         raise ValueError(f"subset must be one of {names}")
@@ -334,23 +308,22 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     checks: Dict[str, bool] = {}
     checks["cover_pairwise_skew"] = all(
         b not in cfg.meets[a] for i, a in enumerate(cover) for b in cover[i + 1:])
-    covered = sorted({p for i in cover for p in cfg.line_points[i]})
-    checks["cover_is_exact"] = tuple(covered) == tuple(points)
+    checks["cover_is_exact"] = cfgmod.grid_point_indices(cfg, cover) == points
     if not (checks["cover_pairwise_skew"] and checks["cover_is_exact"]):
-        raise VerificationError(
-            f"covering failure for {subset}: {checks}")
+        raise VerificationError(f"covering failure for {subset}: {checks}")
     proj = sample_generic_vertex(cfg, seed)
-    _, quintic = _half_quintic(cfg, proj, half)
+    _, quintic, line_form = _half_quintic(cfg, proj, half)
     checks["quintic_on_subset"] = all(quintic.vanishes_at(proj.images[i])
                                       for i in points)
-    line_forms = [proj.push_line(cfg.lines[i]) for i in cover]
+    line_form[half.external_line] = proj.push_line(cfg.lines[half.external_line])
+    line_forms = [line_form[i] for i in cover]
     product = prod(line_forms[1:], start=line_forms[0])
     checks["product_on_subset"] = all(product.vanishes_at(proj.images[i])
                                       for i in points)
     checks["no_line_in_quintic"] = all(not divides(lf, quintic)
                                        for lf in line_forms)
     checks["bezout_count"] = quintic.degree * product.degree == 30
-    cert = HalfGridCertificate(subset, seed, proj.vertex, tuple(points),
+    cert = HalfGridCertificate(subset, seed, proj.vertex, points,
                                cover, quintic, product, checks)
     if not cert.passed:
         failed = [k for k, v in checks.items() if not v]

@@ -13,13 +13,7 @@ antisymmetric matrices L and L* (`_matrix`): L*x is the plane through the
 line and x, L.pi its meet with pi.
 
 * a point lies in a plane when the dot product of their pairs is zero;
-* two lines meet when one's pairs dotted with the other's dual give zero;
-* a point x lies on a line when L*x = 0.
-
-Soundness of the last test: up to sign, the entries of L*x are the four
-3x3 minors x_i*L_jk - x_j*L_ik + x_k*L_ij (i < j < k) of the rows x, p, q.
-As p != q their rank is 2 or 3, and it is 2, that is x is on the line,
-exactly when all four vanish; scaling the stored pairs changes none of that.
+* two lines meet when one's pairs dotted with the other's dual give zero.
 
 Plane spans and the projection from a vertex are closed-form minors; the
 arguments are at `plane_through`, `image_from` and `plane_image`.
@@ -149,8 +143,8 @@ class ProjPlane(_Flat):
 class ProjLine:
     """A line of P^3: canonical Pluecker coordinates plus two spanning points.
 
-    The Pluecker pairs and their dual, both stored, decide the meet and
-    point-on-line tests; the spanning points back plane spans and JSON.
+    The Pluecker pairs and their dual, both stored, decide the meet test;
+    the spanning points back plane spans and JSON.
     """
 
     __slots__ = ("pluecker", "pairs", "dual", "p", "q")
@@ -176,10 +170,6 @@ class ProjLine:
 
     def __repr__(self) -> str:
         return f"ProjLine({self.pluecker})"
-
-    def contains(self, x: ProjPoint) -> bool:
-        """x lies on the line: L*x = 0, the minors of the module docstring."""
-        return all(_dot(row, x.pairs) == (0, 0) for row in _matrix(self.dual))
 
     def to_json(self) -> dict:
         return {

@@ -70,6 +70,12 @@ def test_coverings_count_and_artifact(tmp_path, capsys):
     blob = json.loads(out.read_text())
     _validator("coverings.schema.json").validate(blob)
     assert len(blob) == 84
+    # --out writes the same artifact whatever the command prints.
+    for shown in (["--count-only"], ["--emit", "table"]):
+        again = tmp_path / "again.json"
+        assert _run(["coverings", *shown, "--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+        again.unlink()
 
 
 def test_coverings_table_layout(capsys):
@@ -196,4 +202,8 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["report", "--seeds", "x,y"])
+    assert exc.value.code == 2
+    # A repeated seed would run its certificates twice under one check name.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--seeds", "2,2"])
     assert exc.value.code == 2

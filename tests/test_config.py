@@ -12,6 +12,7 @@ from h4geproci.field import FieldElement, ONE, PHI
 from h4geproci.forms import HomForm
 from h4geproci.projective import (ProjLine, image_from, lines_meet,
                                   pluecker_pairs)
+from test_projective import on_line
 
 
 def test_sixty_distinct_points_and_dual_planes(cfg):
@@ -121,7 +122,7 @@ def test_lines_lie_on_their_listed_points(cfg):
     for i, members in cfg.line_points.items():
         line = cfg.lines[i]
         for j in members:
-            assert line.contains(cfg.points[j])
+            assert on_line(line, cfg.points[j])
 
 
 def test_meet_relation_matches_the_pluecker_test(cfg):
@@ -226,8 +227,8 @@ def test_special_points_of_grid2(cfg):
         covered = {i for pair in pairing for i in pair}
         assert len(covered) == 20 and covered <= set(grid)
         for a, b in pairing:  # rank test, independent of the secant table
-            assert ProjLine(cfg.points[x],
-                            cfg.points[a]).contains(cfg.points[b])
+            assert on_line(ProjLine(cfg.points[x], cfg.points[a]),
+                           cfg.points[b])
 
 
 def test_special_point_4_has_the_printed_pairing(cfg):

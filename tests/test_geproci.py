@@ -17,7 +17,7 @@ from h4geproci.forms import HomForm, divides
 from h4geproci.projective import (ProjPoint, canonicalize, image_from,
                                   plane_through)
 from test_linalg import reference_inverse
-from test_projective import CoordinateChange
+from test_projective import CoordinateChange, on_line
 
 # The paper's two halves: grid 1 with line 24, grid 2 with line 17.
 HALF1, HALF2 = HALVES
@@ -37,8 +37,13 @@ def grid1(cfg):
 def test_vertex_sampling_is_deterministic_and_certified(cfg, projection):
     again = geproci.sample_generic_vertex(cfg, 1)
     assert again.vertex == projection.vertex
-    assert all(projection.checklist.values())
-    assert len(set(projection.images.values())) == 60
+    for seed in (1, 2, 3):
+        proj = projection if seed == 1 else geproci.sample_generic_vertex(cfg, seed)
+        v = proj.vertex
+        assert not any(plane.contains(v) for plane in cfg.planes.values())
+        assert not any(on_line(line, v) for line in cfg.lines.values())
+        assert not any(q.vanishes_at(v.pairs) for q in cfg.grid_quadrics)
+        assert len(set(proj.images.values())) == 60
 
 
 def test_different_seeds_give_different_vertices(cfg, projection):
@@ -212,18 +217,24 @@ def test_pencil_base_points_are_exactly_the_grid(cfg, projection, grid1):
 
 
 def test_quintic_cone_vanishes_on_its_half(cfg, projection, grid1):
-    quintic = geproci.build_quintic_cone(cfg, projection, grid1, 4,
-                                         HALF1.external_line)
+    """The pencil member through point 4 of line 24 is the half's quintic,
+    and it vanishes at all 30 images of z1."""
+    g = _product_of_plane_images(cfg, projection, grid1.l_lines)
+    h = _product_of_plane_images(cfg, projection, grid1.m_lines)
+    quintic = geproci.build_quintic_cone(g, h, projection.images[4])
+    assert quintic == geproci._half_quintic(cfg, projection, HALF1)[1]
     z1, _ = z_partition(cfg)
     assert quintic.degree == 5
     for i in z1:
         assert quintic.vanishes_at(projection.images[i])
 
 
-def test_quintic_cone_rejects_anchor_off_the_line(cfg, projection, grid1):
-    with pytest.raises(geproci.VerificationError):
-        geproci.build_quintic_cone(cfg, projection, grid1, 1,
-                                   HALF1.external_line)
+def test_quintic_cone_rejects_a_base_point(cfg, projection, grid1):
+    """At a grid image both generators vanish, so every member does."""
+    g = _product_of_plane_images(cfg, projection, grid1.l_lines)
+    h = _product_of_plane_images(cfg, projection, grid1.m_lines)
+    with pytest.raises(geproci.PencilDegenerateError):
+        geproci.build_quintic_cone(g, h, projection.images[grid1.grid_points[0]])
 
 
 def test_geproci_certificate_passes(geproci_cert_seed1):
@@ -445,10 +456,10 @@ def test_projection_by_minors_matches_the_coordinate_change(cfg, k):
     point, at every pivot of the vertex."""
     v = PIVOT_VERTICES[k]
     assert (v in cfg.points.values()) == (k == 3)
-    proj = geproci.Projection(v, {}, {})
+    proj = geproci.Projection(v, {})
     image, push = _reference_projection(v)
     points = [x for x in cfg.points.values() if x != v]
-    lines = [line for line in cfg.lines.values() if not line.contains(v)]
+    lines = [line for line in cfg.lines.values() if not on_line(line, v)]
     assert len(points) == (59 if k == 3 else 60)
     assert len(lines) == (66 if k == 3 else 72)
     images = [image_from(v, x) for x in points]
