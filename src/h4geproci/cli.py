@@ -1,9 +1,12 @@
 """Command-line surface: build, emit tables, enumerate, verify, report.
 
 Exit codes: 0 when every requested check passes, 1 when a verification or
-table comparison fails (or smoothness stays indeterminate), 2 for usage or
-I/O errors.  All randomness is controlled by --seed, so identical
-invocations write identical artifacts.
+table comparison fails, 2 for usage or I/O errors.  A pipeline signals every
+outcome it cannot certify, indeterminate ones included, by raising
+`geproci.VerificationError`; a command records it in the artifact as a
+failed certificate and exits 1.  Each claim has one verdict function, which
+both its `verify` command and `report` call.  All randomness is controlled
+by --seed, so identical invocations write identical artifacts.
 """
 
 from __future__ import annotations
@@ -13,20 +16,18 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from . import coverings as coverings_mod
 from . import geproci as geproci_mod
 from . import tables
 from .config import (HALVES, build_h4, format_table, incidence_table_lines,
                      incidence_table_planes)
-from .forms import SmoothnessIndeterminate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-# What a certificate raises instead of returning a failed verdict.
-NOT_CERTIFIED = (geproci_mod.VerificationError, SmoothnessIndeterminate)
+Verdict = Tuple[bool, dict, str]  # passed, the artifact, a note for stdout
 
 
 def _write_json(path: str, payload) -> bool:
@@ -75,29 +76,37 @@ def cmd_build(out: str) -> int:
     return EXIT_OK
 
 
+def table_mismatches(computed, expected) -> List[str]:
+    """Where an incidence table differs from the paper's, one line each."""
+    got = {i: tuple(sorted(v)) for i, v in computed.items()}
+    want = {i: tuple(sorted(v)) for i, v in expected.items()}
+    return [f"mismatch at index {i}: computed {got.get(i)} "
+            f"!= expected {want.get(i)}"
+            for i in sorted(set(got) | set(want)) if got.get(i) != want.get(i)]
+
+
+def coverings_match(covs) -> bool:
+    """Whether the coverings found are exactly the paper's 84."""
+    return len(covs) == 84 and {c.lines for c in covs} == set(tables.LINE_COVERS)
+
+
 def cmd_incidences(kind: str, emit: str) -> int:
     cfg = build_h4()
     if kind == "planes":
-        computed = incidence_table_planes(cfg)
-        expected = {i: tuple(sorted(v)) for i, v in tables.PLANE_POINTS.items()}
+        computed, expected = incidence_table_planes(cfg), tables.PLANE_POINTS
         text = format_table(computed, "V", ", ")
     else:
-        computed = incidence_table_lines(cfg)
-        expected = dict(tables.LINE_POINTS)
+        computed, expected = incidence_table_lines(cfg), tables.LINE_POINTS
         text = format_table(computed, "l", ",")
     if emit == "table":
         print(text)
     else:
         print(json.dumps({str(i): list(v) for i, v in computed.items()},
                          indent=2, sort_keys=True))
-    normalized = {i: tuple(sorted(v)) for i, v in computed.items()}
-    if normalized == expected:
-        return EXIT_OK
-    for i in sorted(set(normalized) | set(expected)):
-        if normalized.get(i) != expected.get(i):
-            print(f"mismatch at index {i}: computed {normalized.get(i)} "
-                  f"!= expected {expected.get(i)}", file=sys.stderr)
-    return EXIT_FAIL
+    mismatches = table_mismatches(computed, expected)
+    for line in mismatches:
+        print(line, file=sys.stderr)
+    return EXIT_FAIL if mismatches else EXIT_OK
 
 
 def cmd_coverings(count_only: bool, emit: str, out: Optional[str]) -> int:
@@ -113,74 +122,58 @@ def cmd_coverings(count_only: bool, emit: str, out: Optional[str]) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
     if out and not _write_json(out, payload):
         return EXIT_USAGE
-    expected = set(tables.LINE_COVERS)
-    if len(covs) == 84 and {c.lines for c in covs} == expected:
+    if coverings_match(covs):
         return EXIT_OK
     print(f"covering mismatch: {len(covs)} found", file=sys.stderr)
     return EXIT_FAIL
 
 
-def cmd_verify_geproci(seed: int, trials: int, out: str) -> int:
-    if not _can_write(out):
-        return EXIT_USAGE
-    cfg = build_h4()
-    certs = []
-    ok = True
-    for s in range(seed, seed + trials):
-        try:
-            certs.append(geproci_mod.verify_geproci(cfg, s).to_json())
-        except NOT_CERTIFIED as exc:
-            certs.append({"seed": s, "passed": False, "error": str(exc)})
-            ok = False
-    if not _write_json(out, {"command": "verify geproci",
-                             "seeds": list(range(seed, seed + trials)),
-                             "passed": ok, "certificates": certs}):
-        return EXIT_USAGE
-    print(f"geproci: {'pass' if ok else 'FAIL'} ({trials} trial(s), {out})")
-    return EXIT_OK if ok else EXIT_FAIL
-
-
-def cmd_verify_halfgrid(subset: str, seed: int, out: str) -> int:
-    if not _can_write(out):
-        return EXIT_USAGE
-    cfg = build_h4()
+def _certify(record: dict, pipeline, *args):
+    """The pipeline's result and `record`, or None and `record` marked failed
+    with the reason the pipeline could not certify its claim."""
     try:
-        cert = geproci_mod.verify_half_grid(cfg, seed, subset)
-    except NOT_CERTIFIED as exc:
-        if not _write_json(out, {"command": "verify halfgrid",
-                                 "subset": subset, "seed": seed,
-                                 "passed": False, "error": str(exc)}):
-            return EXIT_USAGE
-        print(f"halfgrid {subset}: FAIL ({exc})")
-        return EXIT_FAIL
-    if not _write_json(out, {"command": "verify halfgrid", "subset": subset,
-                             "seed": seed, "passed": True,
-                             "certificate": cert.to_json()}):
-        return EXIT_USAGE
-    print(f"halfgrid {subset}: pass ({out})")
-    return EXIT_OK
-
-
-def cmd_verify_not_halfgrid(seed: int, out: str) -> int:
-    if not _can_write(out):
-        return EXIT_USAGE
-    cfg = build_h4()
-    try:
-        report = geproci_mod.verify_not_half_grid(cfg, seed)
+        return pipeline(*args), record
     except geproci_mod.VerificationError as exc:
-        if not _write_json(out, {"command": "verify not-halfgrid",
-                                 "seed": seed, "passed": False,
-                                 "error": str(exc)}):
-            return EXIT_USAGE
-        print(f"not-halfgrid: FAIL ({exc})")
-        return EXIT_FAIL
-    if not _write_json(out, {"command": "verify not-halfgrid", "seed": seed,
-                             "passed": report.refuted,
-                             "report": report.to_json()}):
+        return None, {**record, "passed": False, "error": str(exc)}
+
+
+def geproci_verdict(cfg, seeds: Sequence[int]) -> Verdict:
+    certs = []
+    for s in seeds:
+        cert, failed = _certify({"seed": s}, geproci_mod.verify_geproci, cfg, s)
+        certs.append(failed if cert is None else cert.to_json())
+    ok = all(c["passed"] for c in certs)
+    return ok, {"command": "verify geproci", "seeds": list(seeds),
+                "passed": ok, "certificates": certs}, f"{len(seeds)} trial(s)"
+
+
+def halfgrid_verdict(cfg, seed: int, subset: str) -> Verdict:
+    head = {"command": "verify halfgrid", "subset": subset, "seed": seed}
+    cert, failed = _certify(head, geproci_mod.verify_half_grid, cfg, seed, subset)
+    if cert is None:
+        return False, failed, failed["error"]
+    return True, {**head, "passed": True, "certificate": cert.to_json()}, ""
+
+
+def not_halfgrid_verdict(cfg, seed: int) -> Verdict:
+    head = {"command": "verify not-halfgrid", "seed": seed}
+    report, failed = _certify(head, geproci_mod.verify_not_half_grid, cfg, seed)
+    if report is None:
+        return False, failed, failed["error"]
+    payload = {**head, "passed": report.refuted, "report": report.to_json()}
+    return report.refuted, payload, f"max collinear {report.max_collinear}"
+
+
+def cmd_verify(out: str, name: str, verdict, *args) -> int:
+    """Probe --out, build the configuration, run one verdict, write its
+    artifact and print one line naming the outcome and the artifact."""
+    if not _can_write(out):
         return EXIT_USAGE
-    print(f"not-halfgrid: {'pass' if report.refuted else 'FAIL'} "
-          f"(max collinear {report.max_collinear}, {out})")
-    return EXIT_OK if report.refuted else EXIT_FAIL
+    ok, payload, note = verdict(build_h4(), *args)
+    if not _write_json(out, payload):
+        return EXIT_USAGE
+    print(f"{name}: {'pass' if ok else 'FAIL'} ({note + ', ' if note else ''}{out})")
+    return EXIT_OK if ok else EXIT_FAIL
 
 
 def cmd_report(out: str, seeds: Sequence[int]) -> int:
@@ -193,58 +186,33 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
     def check(name: str, claim: str, passed: bool) -> None:
         checks.append({"name": name, "claim": claim, "passed": bool(passed)})
 
-    planes = {i: tuple(sorted(v))
-              for i, v in incidence_table_planes(cfg).items()}
     check("table1", "each of the 60 dual planes contains exactly the "
           "15 listed points ((60_15) incidence)",
-          planes == {i: tuple(sorted(v)) for i, v in tables.PLANE_POINTS.items()})
+          not table_mismatches(incidence_table_planes(cfg), tables.PLANE_POINTS))
     check("table2", "the 72 five-point lines carry exactly the listed points",
-          incidence_table_lines(cfg) == dict(tables.LINE_POINTS))
-    covs = coverings_mod.enumerate_coverings(cfg)
+          not table_mismatches(incidence_table_lines(cfg), tables.LINE_POINTS))
     check("table3", "exactly 84 partitions of the points into 12 disjoint lines",
-          len(covs) == 84 and {c.lines for c in covs} == set(tables.LINE_COVERS))
-    try:
-        grids = coverings_mod.enumerate_grids(cfg)
-    except geproci_mod.VerificationError:  # an indeterminate grid certificate
-        grids = []
-    pairs = {(g.l_lines, g.m_lines) for g in grids}
+          coverings_match(coverings_mod.enumerate_coverings(cfg)))
+    grids, _ = _certify({}, coverings_mod.enumerate_grids, cfg)
+    pairs = {(g.l_lines, g.m_lines) for g in grids or ()}
     check("grids", "both printed (5,5)-grids occur among all grids found",
           all((h.l_lines, h.m_lines) in pairs for h in HALVES))
-
     for s in seeds:
-        try:
-            geproci_mod.verify_geproci(cfg, s)
-            passed = True
-        except NOT_CERTIFIED:
-            passed = False
         check(f"geproci-seed-{s}", "general projection is a (6,10) complete "
-              "intersection", passed)
+              "intersection", geproci_verdict(cfg, [s])[0])
     for subset in (h.name for h in HALVES):
         for s in seeds[:3]:
-            try:
-                geproci_mod.verify_half_grid(cfg, s, subset)
-                passed = True
-            except NOT_CERTIFIED:
-                passed = False
             check(f"halfgrid-{subset}-seed-{s}",
                   f"the 30-point half {subset} projects to a (5,6) complete "
-                  "intersection with 5 skew cover lines", passed)
-    try:
-        ref = geproci_mod.verify_not_half_grid(cfg, seeds[0])
-        passed = ref.refuted
-    except geproci_mod.VerificationError:
-        passed = False
+                  "intersection with 5 skew cover lines",
+                  halfgrid_verdict(cfg, s, subset)[0])
     check("not-halfgrid", "no family of skew lines can realize the full "
-          "60-point set as a half-grid (max collinear is 5)", passed)
+          "60-point set as a half-grid (max collinear is 5)",
+          not_halfgrid_verdict(cfg, seeds[0])[0])
 
     ok = all(c["passed"] for c in checks)
-    payload = {
-        "command": "report",
-        "seeds": list(seeds),
-        "wall_time_s": round(time.monotonic() - t_start, 3),
-        "checks": checks,
-        "passed": ok,
-    }
+    payload = {"command": "report", "seeds": list(seeds), "checks": checks,
+               "passed": ok, "wall_time_s": round(time.monotonic() - t_start, 3)}
     if not _write_json(out, payload):
         return EXIT_USAGE
     for c in checks:
@@ -318,10 +286,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_coverings(args.count_only, args.emit, args.out)
     if args.command == "verify":
         if args.pipeline == "geproci":
-            return cmd_verify_geproci(args.seed, args.trials, args.out)
+            seeds = range(args.seed, args.seed + args.trials)
+            return cmd_verify(args.out, "geproci", geproci_verdict, seeds)
         if args.pipeline == "halfgrid":
-            return cmd_verify_halfgrid(args.subset, args.seed, args.out)
-        return cmd_verify_not_halfgrid(args.seed, args.out)
+            return cmd_verify(args.out, f"halfgrid {args.subset}",
+                              halfgrid_verdict, args.seed, args.subset)
+        return cmd_verify(args.out, "not-halfgrid", not_halfgrid_verdict, args.seed)
     return cmd_report(args.out, args.seeds)
 
 

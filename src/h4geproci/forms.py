@@ -426,8 +426,8 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
     two variables called keep and elim, two resultants eliminate elim from
     (d_keep f, d_elim f) and from (d_keep f, f).  Each lies in the ideal of
     its pair, so it vanishes at the keep-coordinate of every common zero; a
-    constant gcd of the two nonzero eliminants therefore proves the chart
-    free of zeros of (f, d_keep f, d_elim f), a superset of its singular
+    nonzero resultant of the two nonzero eliminants therefore proves the
+    chart free of zeros of (f, d_keep f, d_elim f), a superset of its singular
     points.  Because f itself is in the system, the test does not use the
     Euler relation and stays sound when p divides the degree.  Three clean
     charts cover P^2, so the singular scheme of f mod P is empty.
@@ -523,7 +523,12 @@ def _partial_mod(f: ModForm, var: int, p: int) -> ModForm:
 
 
 def _chart_test(f: ModForm, p: int) -> Tuple[bool, List[str]]:
-    """The three-chart eliminant test; True when every chart is clean."""
+    """The three-chart eliminant test; True when every chart is clean.
+
+    `_interpolate_mod` returns the eliminants trimmed, so their formal degrees
+    are their true degrees, and their resultant is zero exactly when they
+    share a root over the closure of F_p.
+    """
     trail = []
     for chart, (keep, elim) in enumerate(((1, 2), (0, 2), (0, 1))):
         def on_chart(g: ModForm) -> ChartPoly:
@@ -535,9 +540,8 @@ def _chart_test(f: ModForm, p: int) -> Tuple[bool, List[str]]:
         if not r1 or not r2:
             trail.append(f"chart {chart}: degenerate eliminant")
             return False, trail
-        s = _gcd_mod(r1, r2, p)
-        if len(s) > 1:
-            trail.append(f"chart {chart}: eliminants share roots (deg {len(s) - 1})")
+        if _resultant_mod(r1, r2, p) == 0:
+            trail.append(f"chart {chart}: eliminants share a root")
             return False, trail
         trail.append(f"chart {chart}: clean (eliminant degrees "
                      f"{len(r1) - 1}, {len(r2) - 1})")
@@ -619,16 +623,6 @@ def _interpolate_mod(values: List[int], p: int) -> List[int]:
         poly = [(lo - i * hi) % p for lo, hi in zip([0] + poly, poly + [0])]
         poly[0] = (poly[0] + c[i]) % p
     return _trim_mod(poly)
-
-
-def _gcd_mod(a: List[int], b: List[int], p: int) -> List[int]:
-    """Monic gcd in F_p[x] by Euclid; coefficients from the constant term up."""
-    a, b = _trim_mod([x % p for x in a]), _trim_mod([x % p for x in b])
-    while b:
-        _rem_mod(a, b, p)
-        a, b = b, _trim_mod(a)
-    inv = pow(a[-1], -1, p) if a else 0
-    return [x * inv % p for x in a]  # [] when both are zero
 
 
 def _rem_mod(a: List[int], b: List[int], p: int) -> None:

@@ -18,9 +18,9 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from . import config as cfgmod
 from .config import H4Configuration
 from .field import ONE
-from .forms import (HomForm, SmoothnessReport, divides,
-                    independent_evaluation_rows, plane_curve_is_smooth,
-                    vanishing_space)
+from .forms import (HomForm, SmoothnessIndeterminate, SmoothnessReport,
+                    divides, independent_evaluation_rows,
+                    plane_curve_is_smooth, vanishing_space)
 from .linalg import Pair
 from .projective import (ProjLine, ProjPoint, image_from, plane_image,
                          plane_through)
@@ -215,24 +215,30 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     Each quintic is tested once per image by `HomForm.vanishes_at` (an
     integer product, the value times a nonzero rational).  The decic q1*q2
     vanishes at an image exactly when q1 or q2 does: Q(phi) has no zero
-    divisors.  It raises VerificationError unless every check passes.
+    divisors.  It raises VerificationError unless every check passes, and
+    for each indeterminate outcome too: an interpolation's ArithmeticError
+    (`linalg.nullspace` found no certified kernel) and a smoothness retry
+    budget spent (SmoothnessIndeterminate) both read "not certified".
     """
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in sorted(cfg.points)]
-    top = vanishing_space(images, 6, 3)
-    dim = {6: len(top)}
-    d = 6
-    while d > 1 and dim[d] > 0:
-        d -= 1
-        dim[d] = len(vanishing_space(images, d, 3))
+    try:
+        top = vanishing_space(images, 6, 3)
+        dim = {6: len(top)}
+        d = 6
+        while d > 1 and dim[d] > 0:
+            d -= 1
+            dim[d] = len(vanishing_space(images, d, 3))
+        if len(top) != 1:
+            raise VerificationError(
+                f"degree-6 space has dimension {len(top)}, not 1")
+        sextic = top[0]
+        smooth = plane_curve_is_smooth(sextic, seed=seed)
+    except (ArithmeticError, SmoothnessIndeterminate) as exc:
+        raise VerificationError(f"geproci certificate indeterminate: {exc}") from exc
     dims = tuple(dim.get(d, 0) for d in range(1, 7))
-    checks: Dict[str, bool] = {}
-    checks["dimension_table"] = dims == (0, 0, 0, 0, 0, 1)
-    if len(top) != 1:
-        raise VerificationError(f"degree-6 space has dimension {len(top)}, not 1")
-    sextic = top[0]
-    smooth = plane_curve_is_smooth(sextic, seed=seed)
-    checks["sextic_smooth"] = smooth.smooth
+    checks: Dict[str, bool] = {"dimension_table": dims == (0, 0, 0, 0, 0, 1),
+                               "sextic_smooth": smooth.smooth}
 
     (grid1, quintic1, _), (grid2, quintic2, _) = (
         _half_quintic(cfg, proj, half) for half in cfgmod.HALVES)

@@ -7,7 +7,8 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from h4geproci import cli, geproci
+from h4geproci import cli, geproci, linalg, tables
+from h4geproci.forms import SmoothnessIndeterminate
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -133,6 +134,80 @@ def test_an_exhausted_vertex_budget_fails_the_certificate(cfg, monkeypatch,
     assert blob["passed"] is False
     assert blob["certificates"] == [{
         "seed": 1, "passed": False, "error": "no generic vertex in 0 draws"}]
+
+
+@pytest.mark.parametrize("argv, schema", [
+    (["verify", "halfgrid", "--subset", "z1"], "halfgrid-cert.schema.json"),
+    (["verify", "not-halfgrid"], "refutation.schema.json"),
+])
+def test_an_exhausted_vertex_budget_fails_each_verify(argv, schema, monkeypatch,
+                                                      tmp_path):
+    monkeypatch.setattr(geproci, "VERTEX_DRAWS", 0)
+    out = tmp_path / "artifact.json"
+    assert _run(argv + ["--out", str(out)]) == 1
+    blob = json.loads(out.read_text())
+    _validator(schema).validate(blob)
+    assert blob["passed"] is False
+    assert blob["error"] == "no generic vertex in 0 draws"
+
+
+def test_a_refutation_that_does_not_refute_fails(cfg, monkeypatch, tmp_path):
+    report = geproci.verify_not_half_grid(cfg, 1)._replace(refuted=False)
+    monkeypatch.setattr(geproci, "verify_not_half_grid", lambda cfg, seed: report)
+    out = tmp_path / "refutation.json"
+    assert _run(["verify", "not-halfgrid", "--out", str(out)]) == 1
+    blob = json.loads(out.read_text())
+    _validator("refutation.schema.json").validate(blob)
+    assert blob["passed"] is False and blob["report"]["refuted"] is False
+
+
+def test_a_table_mismatch_fails_and_is_named(monkeypatch, capsys, tmp_path):
+    monkeypatch.setitem(tables.PLANE_POINTS, 1, tables.PLANE_POINTS[2])
+    assert _run(["incidences", "--kind", "planes"]) == 1
+    assert "mismatch at index 1:" in capsys.readouterr().err
+    covers = tables.LINE_COVERS
+    monkeypatch.setattr(tables, "LINE_COVERS", covers[1:2] + covers[1:])
+    assert _run(["coverings", "--count-only"]) == 1
+    assert "covering mismatch: 84 found" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert _run(["report", "--out", str(out), "--seeds", "1"]) == 1
+    blob = json.loads(out.read_text())
+    _validator("report.schema.json").validate(blob)
+    assert [c["name"] for c in blob["checks"] if not c["passed"]] == [
+        "table1", "table3"]
+
+
+def _raising(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+@pytest.mark.parametrize("module, name, exc", [
+    (linalg, "nullspace",
+     ArithmeticError("no certified nullspace from the primes tried")),
+    (geproci, "plane_curve_is_smooth",
+     SmoothnessIndeterminate("no certificate after 8 primes: []")),
+], ids=["interpolation", "smoothness"])
+def test_an_indeterminate_step_reads_not_certified(module, name, exc,
+                                                   monkeypatch, tmp_path):
+    """Interpolation and smoothness each have an outcome that is neither pass
+    nor fail; either one fails the certificate instead of ending the run."""
+    monkeypatch.setattr(module, name, _raising(exc))
+    out = tmp_path / "geproci-cert.json"
+    assert _run(["verify", "geproci", "--out", str(out)]) == 1
+    blob = json.loads(out.read_text())
+    _validator("geproci-cert.schema.json").validate(blob)
+    assert blob["passed"] is False
+    [cert] = blob["certificates"]
+    assert cert["passed"] is False
+    assert "indeterminate" in cert["error"] and str(exc) in cert["error"]
+    out = tmp_path / "report.json"
+    assert _run(["report", "--out", str(out), "--seeds", "1"]) == 1
+    blob = json.loads(out.read_text())
+    _validator("report.schema.json").validate(blob)
+    assert [c["name"] for c in blob["checks"] if not c["passed"]] == [
+        "geproci-seed-1"]
 
 
 def test_verify_geproci_zero_trials_is_a_usage_error(tmp_path):

@@ -14,8 +14,8 @@ from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
                              try_quotient, vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _evaluation_row,
-                             _gcd_mod, _interpolate_mod, _partial_mod,
-                             _reduce, _residue_row, _resultant_mod)
+                             _interpolate_mod, _partial_mod, _reduce,
+                             _residue_row, _resultant_mod)
 from h4geproci.geproci import sample_generic_vertex
 from h4geproci.linalg import _PHI_ROOT, _PRIME, _split_primes
 from json_readers import hom_form
@@ -573,17 +573,19 @@ def test_stored_split_prime_is_the_first_split_prime():
     assert next(_split_primes()) == (_PRIME, _PHI_ROOT)
 
 
-def test_univariate_gcd_known_cases():
+def test_univariate_resultant_known_cases():
+    """The chart test reads "the eliminants share a root" as a zero resultant."""
     p, r = next(_split_primes())
     x2_minus_1 = [p - 1, 0, 1]
     x_minus_1 = [p - 1, 1]
-    assert _gcd_mod(x2_minus_1, x_minus_1, p) == x_minus_1
-    assert _gcd_mod(x2_minus_1, [2, 1], p) == [1]
+    assert _resultant_mod(x2_minus_1, x_minus_1, p) == 0
+    # x + 2 takes the values 3 and 1 at the roots 1 and -1 of x^2 - 1
+    assert _resultant_mod(x2_minus_1, [2, 1], p) == 3
     # common factor with phi in it: (x - phi)(x + 1) and (x - phi)(x - 2),
     # with phi reduced to the prime's root r
     a = [-r, 1 - r, 1]
     b = [2 * r, -r - 2, 1]
-    assert _gcd_mod(a, b, p) == [-r % p, 1]
+    assert _resultant_mod(a, b, p) == 0
 
 
 def test_eliminant_matches_sympy_resultant():
