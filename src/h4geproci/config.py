@@ -10,14 +10,15 @@ configuration points each, and no line carries six.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+from operator import mul
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO
 from .forms import HomForm, monomials
-from .projective import (ProjLine, ProjPoint, ProjPlane, image_from,
-                         lines_meet, transversal_quadric)
+from .projective import (ProjLine, ProjPoint, ProjPlane, lines_meet,
+                         transversal_quadric)
 # Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
 # function where another module imports it, and names this binding.
 from .projective import canonicalize  # noqa: F401
@@ -98,10 +99,10 @@ class H4Configuration(NamedTuple):
         of |secant & subset| is the collinearity bound once the subset has
         two points; secants meeting it in fewer points never attain it.
         """
-        members = set(self.points if subset is None else subset)
-        if len(members) < 2:
-            return len(members)
-        return max(len(members.intersection(s)) for s in self.secants)
+        chosen = set(self.points if subset is None else subset)
+        if len(chosen) < 2:
+            return len(chosen)
+        return max(len(chosen.intersection(s)) for s in self.secants)
 
     def to_json(self) -> dict:
         """The flats and the six incidence tables; derived data stays out."""
@@ -112,29 +113,23 @@ class H4Configuration(NamedTuple):
         return blob
 
 
-def collinear_groups(points: Sequence[ProjPoint]) -> Dict[Tuple, List[int]]:
-    """Group 0-based point indices by the line they span.
+def members(mask: int) -> List[int]:
+    """The set bits of an int bitset, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Each line is found from its lowest point i: the later points not yet
-    seen on a line through p_i are grouped by their image from p_i
-    (`image_from`).  Keys are (i, image); each value lists every input point
-    on that line in increasing order.  Projection from p_i is one-to-one on
-    the lines through p_i, so equal images mean the same line through p_i;
-    a point skipped at i is on a line a lower point found whole.  That is
-    one image per pair (i, j) whose line has no point below i.
-    """
-    groups: Dict[Tuple, List[int]] = {}
-    seen: List[set] = [set() for _ in points]
-    for i, p in enumerate(points):
-        through: Dict[Tuple, List[int]] = {}
-        for j in range(i + 1, len(points)):
-            if j not in seen[i]:
-                through.setdefault(image_from(p, points[j]), [i]).append(j)
-        for image, members in through.items():
-            groups[(i, image)] = members
-            for j in members[1:]:
-                seen[j].update(members)
-    return groups
+
+def _inverse(table: Dict[int, Tuple[int, ...]], keys: Iterable[int]) -> Dict:
+    """Each key -> the indices, increasing, of the rows that list it."""
+    out: Dict[int, list] = {k: [] for k in keys}
+    for i, row in table.items():
+        for k in row:
+            out[k].append(i)
+    return {k: tuple(v) for k, v in out.items()}
 
 
 class Half(NamedTuple):
@@ -154,72 +149,85 @@ HALVES = (Half("z1", (1, 25, 32, 37, 44), (2, 26, 31, 38, 43), 24),
 
 
 def build_h4() -> H4Configuration:
-    """Construct the configuration and populate every incidence map.
+    """Construct the configuration; every incidence comes from the exact
+    plane table, which lists every configuration point of each plane.
 
-    Aborts with an AssertionError diagnostic if any structural count fails;
-    the construction itself is infallible.
+    Two points lie on 2, 3 or 5 of the planes (asserted: at least two), and
+    two planes meet in one line, so the points of the line p_i p_j are those
+    on the two lowest planes through both.  A line lies in the planes
+    through two of its points.  Lines through a common point meet.  For any
+    other pair, a Pluecker pairing w nonzero modulo P = (p, phi - r)
+    (`linalg._PRIME`, `_PHI_ROOT`, read at call time) proves them skew; only
+    a zero residue goes to the exact `lines_meet`.  Those pairings have
+    norms +-1, 4, 5, 16 and 80, and P | w gives p | N(w), so only a prime
+    over 2 or 5 sends one to 0; no split prime does.  A structural count
+    that fails raises AssertionError.
     """
-    pts = _parse_points()
-    points = {i + 1: p for i, p in enumerate(pts)}
+    points = {i + 1: p for i, p in enumerate(_parse_points())}
     assert len(set(points.values())) == 60, "points are not pairwise distinct"
     planes = {i: ProjPlane(points[i].coords) for i in points}
 
     # Plane i is dual to point i (the same canonical pairs) and the dot
     # product is symmetric, so one exact product per unordered pair {i, j}
-    # decides both "P_j on V_i" and "P_i on V_j".
-    incident: Dict[int, set] = {i: set() for i in points}
+    # decides both "P_j on V_i" and "P_i on V_j": bit j of masks[i].
+    masks = dict.fromkeys(points, 0)
     for i, j in combinations_with_replacement(points, 2):
         if planes[i].contains(points[j]):
-            incident[i].add(j)
-            incident[j].add(i)
-    plane_points = {i: tuple(sorted(row)) for i, row in incident.items()}
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    plane_points = {i: tuple(members(mask)) for i, mask in masks.items()}
     for i, row in plane_points.items():
         assert len(row) == 15, f"plane {i} contains {len(row)} points, not 15"
     point_planes = plane_points
 
-    # The secant table, and from it the five-reach lines: the maximal
-    # collinear subsets of size 5, indexed by lexicographic order of their
-    # sorted point-index sets.
-    secants = tuple(sorted(tuple(i + 1 for i in v)
-                           for v in collinear_groups(pts).values()))
+    # masks[i] is also the planes through point i.  Each secant is found
+    # from its lowest point i, skipping points seen on a line through p_i.
+    found = []
+    for i in points:
+        below, seen = (1 << i) - 1, 1 << i
+        for j in range(i + 1, len(points) + 1):
+            if seen >> j & 1:
+                continue
+            both = masks[i] & masks[j]
+            rest = both & (both - 1)  # all but the lowest plane through both
+            assert rest, f"points {i} and {j} share fewer than two planes"
+            line = masks[(both ^ rest).bit_length() - 1] \
+                & masks[(rest & -rest).bit_length() - 1]
+            seen |= line
+            if not line & below:
+                found.append(tuple(members(line)))
+    secants = tuple(sorted(found))
     n_pairs = sum(len(s) * (len(s) - 1) // 2 for s in secants)
     assert n_pairs == 1770, f"secants cover {n_pairs} point pairs, not 1770"
     top = max(len(s) for s in secants)
     assert top == 5, f"a line carries {top} points; expected max 5"
+    # The five-point lines, indexed in lexicographic order of their points.
     five_sets = [s for s in secants if len(s) == 5]
     assert len(five_sets) == 72, f"{len(five_sets)} five-point lines, not 72"
 
     line_points = dict(enumerate(five_sets, start=1))
     lines = {i: ProjLine(points[s[0]], points[s[1]])
              for i, s in line_points.items()}
-
-    point_lines = {
-        j: tuple(i for i in lines if j in line_points[i]) for j in points
-    }
+    point_lines = _inverse(line_points, points)
     for j, row in point_lines.items():
         assert len(row) == 6, f"point {j} lies on {len(row)} lines, not 6"
-    # A line lies in a plane exactly when two of its points do, and
-    # plane_points lists every configuration point of a plane, so a line
-    # lies in a plane exactly when its point set is in the plane's.
-    plane_sets = {v: set(row) for v, row in plane_points.items()}
-    line_planes = {
-        i: tuple(v for v in planes if plane_sets[v].issuperset(line_points[i]))
-        for i in lines
-    }
+    line_planes = {i: tuple(members(masks[s[0]] & masks[s[1]]))
+                   for i, s in line_points.items()}
     for i, row in line_planes.items():
         assert len(row) == 5, f"line {i} lies in {len(row)} planes, not 5"
-    plane_lines = {
-        v: tuple(i for i in lines if v in line_planes[i]) for v in planes
-    }
+    plane_lines = _inverse(line_planes, planes)
     for v, row in plane_lines.items():
         assert len(row) == 6, f"plane {v} contains {len(row)} lines, not 6"
 
-    # The meet relation.  Two lines through a common configuration point
-    # meet there; the Pluecker test decides every other pair.
-    meets = {i: set() for i in lines}
+    # The meet relation: shared points, then the pairings mod P (above).
+    meets = {i: {j for k in line_points[i] for j in point_lines[k]} - {i}
+             for i in lines}
+    p, r = linalg._PRIME, linalg._PHI_ROOT
+    mod = {i: [(x + y * r) % p for x, y in line.pairs] for i, line in lines.items()}
+    dual = {i: [(x + y * r) % p for x, y in line.dual] for i, line in lines.items()}
     for i, j in combinations(lines, 2):
-        if not set(line_points[i]).isdisjoint(line_points[j]) \
-                or lines_meet(lines[i], lines[j]):
+        if j not in meets[i] and not sum(map(mul, mod[i], dual[j])) % p \
+                and lines_meet(lines[i], lines[j]):
             meets[i].add(j)
             meets[j].add(i)
 
@@ -307,10 +315,7 @@ def special_points_for_grid(
 
 def grid_point_indices(cfg: H4Configuration, line_indices: Iterable[int]) -> Tuple[int, ...]:
     """Union of the configuration points on the given lines, sorted."""
-    s: set = set()
-    for i in line_indices:
-        s.update(cfg.line_points[i])
-    return tuple(sorted(s))
+    return tuple(sorted({p for i in line_indices for p in cfg.line_points[i]}))
 
 
 def z_partition(cfg: H4Configuration) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Tuple
 
-from .config import H4Configuration
+from .config import H4Configuration, members
 from .geproci import GridCertificate, NotAGridError, verify_grid
 
 
@@ -59,16 +59,6 @@ def enumerate_coverings(cfg: H4Configuration) -> List[CoverCertificate]:
     return [CoverCertificate(c) for c in found]
 
 
-def _members(mask: int) -> List[int]:
-    """The set bits of a bitset, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
     """All unordered (5,5)-grids among the 72 lines, each fully verified.
 
@@ -93,7 +83,7 @@ def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
             if len(clique) == 4:
                 out.append(tuple(clique))
                 return
-            for cand in _members(rest):
+            for cand in members(rest):
                 if len(clique) + rest.bit_count() < 4:
                     break
                 rest &= rest - 1  # drop cand, the lowest line left
@@ -114,7 +104,7 @@ def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
                 except NotAGridError:
                     pass
             return
-        for m in _members(skew & through[cfg.line_points[f][len(m_lines)]]):
+        for m in members(skew & through[cfg.line_points[f][len(m_lines)]]):
             m_lines.append(m)
             pick(f, m_lines, skew & ~meets[m], trans & meets[m])
             m_lines.pop()

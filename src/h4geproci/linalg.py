@@ -40,8 +40,9 @@ def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
     y = (a - b)/(2r - 1) and x = a - y*r.  Primes with one pivot set join by
     CRT; a lexicographically smaller set (ncols appended) starts afresh, and
     a larger set, or two roots that disagree, passes the prime over.  The
-    entries are rationally reconstructed (`_rational`), and the basis is
-    returned once every vector kills every row, exactly (`first_missed_row`).
+    entries are rationally reconstructed (`_rational`) in turn, up to the
+    first that fails, and the basis is returned once every vector kills
+    every row, exactly (`first_missed_row`).
 
     Soundness.  Once they pass the check, the b_g lie in N, and with 1 at g
     and 0 at the other free columns they are independent.  Their number,
@@ -77,7 +78,11 @@ def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
             xs = [s + modulus * ((v - s) * t % q) for s, v in zip(xs, x)]
             ys = [s + modulus * ((v - s) * t % q) for s, v in zip(ys, y)]
             modulus *= q
-            lifted = [_rational(v, modulus) for v in xs + ys]
+            lifted = []
+            for v in xs + ys:  # up to the first entry that does not lift
+                lifted.append(_rational(v, modulus))
+                if lifted[-1] is None:
+                    break
             if None not in lifted:
                 # Taken in `_kernel_mod` order: by g, then by pivot c < g.
                 entries = map(FieldElement, lifted[:len(xs)], lifted[len(xs):])

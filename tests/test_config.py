@@ -4,8 +4,8 @@ import random
 from collections import Counter
 from itertools import combinations
 
-from h4geproci import config, forms, tables
-from h4geproci.config import (HALVES, collinear_groups, grid_point_indices,
+from h4geproci import config, forms, linalg, tables
+from h4geproci.config import (HALVES, grid_point_indices,
                               incidence_table_lines, incidence_table_planes,
                               special_points_for_grid, z_partition)
 from h4geproci.field import FieldElement, ONE, PHI
@@ -45,6 +45,31 @@ def test_incidence_counts(cfg):
 def test_max_collinear_is_five(cfg):
     assert cfg.max_collinear() == 5
     assert cfg.max_collinear(cfg.points) == 5
+
+
+def collinear_groups(points):
+    """Group 0-based point indices by the line they span: the reference
+    that `config.build_h4`'s plane intersections must match.
+
+    Each line is found from its lowest point i: the later points not yet
+    seen on a line through p_i are grouped by their image from p_i
+    (`image_from`).  Keys are (i, image); each value lists every input point
+    on that line in increasing order.  Projection from p_i is one-to-one on
+    the lines through p_i, so equal images mean the same line through p_i;
+    a point skipped at i is on a line a lower point found whole.
+    """
+    groups = {}
+    seen = [set() for _ in points]
+    for i, p in enumerate(points):
+        through = {}
+        for j in range(i + 1, len(points)):
+            if j not in seen[i]:
+                through.setdefault(image_from(p, points[j]), [i]).append(j)
+        for image, members in through.items():
+            groups[(i, image)] = members
+            for j in members[1:]:
+                seen[j].update(members)
+    return groups
 
 
 def test_collinear_groups_on_small_sets(cfg):
@@ -102,20 +127,44 @@ def test_collinear_groups_match_the_pair_scan(cfg):
         assert sorted(groups.values()) == _pair_scan_groups(points)
 
 
-def test_build_h4_projects_each_pair_from_its_lines_lowest_point(monkeypatch):
-    """1770 pairs, less those that miss their line's lowest point: one on
-    each of the 200 three-point lines and six on each of the 72 five-point
-    lines."""
+def test_build_h4_secants_match_collinear_groups(cfg):
+    """The secants from plane intersections are the lines that grouping by
+    images finds, with the same points."""
+    groups = collinear_groups(list(cfg.points.values()))
+    assert list(cfg.secants) == sorted(tuple(i + 1 for i in v)
+                                       for v in groups.values())
+
+
+def _counting_exact_meets(monkeypatch):
     calls = []
 
-    def counting(vertex, x):
-        calls.append((vertex, x))
-        return image_from(vertex, x)
+    def counting(l1, l2):
+        calls.append((l1, l2))
+        return lines_meet(l1, l2)
 
-    monkeypatch.setattr(config, "image_from", counting)
-    config.build_h4()
-    assert len(calls) == 1770 - 200 * 1 - 72 * 6 == 1138
-    assert len(set(calls)) == len(calls)
+    monkeypatch.setattr(config, "lines_meet", counting)
+    return calls
+
+
+def test_build_h4_decides_every_skew_pair_mod_p(cfg, monkeypatch):
+    """At the stored prime every pairing of lines that share no point is a
+    nonzero residue, so the build makes no exact meet test."""
+    calls = _counting_exact_meets(monkeypatch)
+    assert config.build_h4() == cfg
+    assert calls == []
+
+
+def test_build_h4_at_a_prime_over_5_tests_zero_residues_exactly(cfg, monkeypatch):
+    """P = (5, phi - 3) has degree 1 but lies over 5: the 36 skew pairs
+    whose pairings have norm +-5 or +-80 read 0 there and go to the exact
+    test, and the configuration comes out the same."""
+    assert (3 * 3 - 3 - 1) % 5 == 0
+    monkeypatch.setattr(linalg, "_PRIME", 5)
+    monkeypatch.setattr(linalg, "_PHI_ROOT", 3)
+    calls = _counting_exact_meets(monkeypatch)
+    assert config.build_h4() == cfg
+    assert len(calls) == len(set(calls)) == 36
+    assert not any(lines_meet(l1, l2) for l1, l2 in calls)
 
 
 def test_lines_lie_on_their_listed_points(cfg):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from h4geproci import coverings as coverings_mod, tables
+from h4geproci import config, coverings as coverings_mod, tables
 from h4geproci.config import HALVES
 from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids)
@@ -152,7 +152,7 @@ def _l_first_grids(cfg):
         if len(clique) == size:
             yield clique
             return
-        for cand in coverings_mod._members(pool):
+        for cand in config.members(pool):
             pool &= pool - 1
             yield from skew_cliques(pool & ~meets[cand], size, clique + (cand,))
 
@@ -167,7 +167,7 @@ def _l_first_grids(cfg):
                     continue
                 found.append((grid.l_lines, grid.m_lines))
             return
-        for cand in coverings_mod._members(rest):
+        for cand in config.members(rest):
             rest &= rest - 1
             extend(clique + (cand,), rest & ~meets[cand], trans & meets[cand])
 

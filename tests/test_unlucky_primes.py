@@ -1,7 +1,8 @@
 """Every modular shortcut, run at small split primes where it can fail.
 
-Rank mod P decides zero dimensions and the grid-quadric witness, a split
-prime proposes each kernel, and smoothness is certified mod p.  Each
+Rank mod P decides zero dimensions and the grid-quadric witness, a residue
+mod P proves two of the 72 lines skew, a split prime proposes each kernel,
+and smoothness is certified mod p.  Each
 argument is sound for every prime, so at an unlucky one a pipeline must
 still give its baseline verdict, fall back to the safe side ("not
 refuted"), or raise a VerificationError that names an indeterminate
@@ -13,7 +14,7 @@ from math import isqrt
 
 import pytest
 
-from h4geproci import geproci, linalg
+from h4geproci import config, geproci, linalg
 from h4geproci.config import z_partition
 from h4geproci.coverings import enumerate_grids
 
@@ -87,6 +88,12 @@ def test_no_unlucky_prime_changes_a_verdict(p, cfg, unlucky, baselines,
         assert report is not None and not report.refuted
     report = _outcome(geproci.verify_not_half_grid, cfg, 1, z1, "z1")
     assert report is None or not report.refuted
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_no_unlucky_prime_changes_the_configuration(p, cfg, unlucky):
+    unlucky(p)
+    assert config.build_h4() == cfg
 
 
 @pytest.mark.parametrize("p", SPLIT_PRIMES)
