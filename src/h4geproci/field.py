@@ -7,8 +7,8 @@ and the type is hashable.  All operations are integer formulas and exact;
 nothing ever rounds.  `fractions.Fraction` appears only at the edges: the
 constructor, the `a`/`b` components, `norm()` and the hash of rational
 elements.  This module is the only one that knows the triple; others clear
-denominators through `primitive_numerators` and read the Z[phi] pairs (x, y)
-it returns, as `linalg` does for kernel vectors.
+denominators through `common_numerators` or `primitive_numerators` and read
+the Z[phi] pairs (x, y) they return, as `linalg` does for kernel vectors.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from math import gcd, lcm
 from typing import Iterable, List, Tuple, Union
 
 _RationalLike = Union[int, Fraction]
+Pair = Tuple[int, int]  # x + y*phi in Z[phi]
 
 
 class FieldElement:
@@ -215,17 +216,22 @@ def _coerce(x) -> FieldElement:
     raise TypeError(f"cannot coerce {type(x).__name__} into Q(phi)")
 
 
-def primitive_numerators(elems: Iterable[FieldElement]) -> List[Tuple[int, int]]:
+def common_numerators(elems: Iterable[FieldElement]) -> Tuple[List[Pair], int]:
+    """Pairs (x, y) over one denominator d, the lcm: each element is (x + y*phi)/d."""
+    triples = [e._v for e in elems]
+    scale = lcm(*(d for _, _, d in triples))
+    return [(x * (scale // d), y * (scale // d)) for x, y, d in triples], scale
+
+
+def primitive_numerators(elems: Iterable[FieldElement]) -> List[Pair]:
     """Scale the elements by one positive rational to coprime Z[phi] elements.
 
     Returns the pairs (x, y) of the scaled elements x + y*phi, in input
-    order; the integer content gcd of all the x and y is 1, unless every
-    element is zero.  Canonical coordinates and form coefficient pairs read
-    their numerators through this, so no other module sees the representation.
+    order: the common numerators over their integer content, which is then 1
+    unless every element is zero.  Canonical coordinates and form coefficient
+    pairs read their numerators through this; no other module sees the triple.
     """
-    triples = [e._v for e in elems]
-    scale = lcm(*(d for _, _, d in triples))
-    pairs = [(x * (scale // d), y * (scale // d)) for x, y, d in triples]
+    pairs, _ = common_numerators(elems)
     content = gcd(*(v for pair in pairs for v in pair))
     if content > 1:
         pairs = [(x // content, y // content) for x, y in pairs]

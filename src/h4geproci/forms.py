@@ -17,11 +17,12 @@ from __future__ import annotations
 import itertools
 import random
 from math import prod
+from operator import add
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import linalg
-from .field import FieldElement, ZERO, primitive_numerators
+from .field import FieldElement, ONE, ZERO, common_numerators, primitive_numerators
 from .linalg import Pair, _dot
 
 Exponents = Tuple[int, ...]
@@ -106,12 +107,17 @@ class HomForm:
                        {e: v * k for e, v in self.coeffs.items()})
 
     def __mul__(self, other: "HomForm") -> "HomForm":
+        """One Z[phi] convolution: a `_dot` of common numerators per monomial."""
         self._check_compatible(other, same_degree=False)
-        c: Coeffs = {}
-        for e1, v1 in self.coeffs.items():
-            for e2, v2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c[e] = c.get(e, ZERO) + v1 * v2
+        (u, du), (v, dv) = (common_numerators(f.coeffs.values()) for f in (self, other))
+        terms: Dict[Exponents, List[Tuple[Pair, Pair]]] = {}
+        for e1, a in zip(self.coeffs, u):
+            for e2, b in zip(other.coeffs, v):
+                terms.setdefault(tuple(map(add, e1, e2)), []).append((a, b))
+        c = {e: FieldElement(*_dot(*zip(*ab))) for e, ab in terms.items()}
+        if du * dv != 1:  # over the product of the denominators, normalized once
+            scale = ONE / (du * dv)
+            c = {e: w * scale for e, w in c.items()}
         return HomForm(self.nvars, self.degree + other.degree, c)
 
     def _check_compatible(self, other: "HomForm", same_degree: bool) -> None:
@@ -122,10 +128,10 @@ class HomForm:
             raise ValueError("forms have different degrees")
 
     def evaluate(self, point: Sequence[Pair]) -> FieldElement:
-        """The exact value at the point's Z[phi] pairs."""
+        """The exact value at the point's Z[phi] pairs, by one integer `_dot`."""
+        u, d = common_numerators(self.coeffs.values())
         row = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
-        return sum((c * FieldElement(*w) for c, w in zip(self.coeffs.values(), row)),
-                   ZERO)
+        return FieldElement(*_dot(u, row)) / d
 
     def vanishes_at(self, point: Sequence[Pair]) -> bool:
         """One Z[phi] dot product of coprime coefficient pairs and the row.

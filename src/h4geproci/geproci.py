@@ -205,28 +205,27 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
 
     The dimension table lists dim_d, the dimension of the degree-d forms
     vanishing at the 60 images, for d = 1..6.  Degree 6 is interpolated,
-    then each lower degree in turn while the dimension stays above zero; on
-    the configuration that is d = 6 and d = 5 only, and d = 5 is decided by
-    its rank mod P, with no exact row.  The table is exact: if
-    a nonzero degree-(d-1) form vanishes at the images, its product with any
-    linear form is a nonzero degree-d form vanishing there, so dim_d = 0
-    forces dim_{d-1} = 0 and every lower dimension to be zero as well.
+    then each lower degree in turn while dim_d >= 3, the number of
+    variables; on the configuration dim_6 = 1, so that is d = 6 alone.  The
+    table is exact: a nonzero degree-(d-1) form Q through the images gives
+    x*Q, y*Q and z*Q through them, independent as Q(phi)[x, y, z] has no zero
+    divisors, so dim_d < 3 forces dim_{d-1} = 0, and so on down.
 
-    Each quintic is tested once per image by `HomForm.vanishes_at` (an
-    integer product, the value times a nonzero rational).  The decic q1*q2
-    vanishes at an image exactly when q1 or q2 does: Q(phi) has no zero
-    divisors.  It raises VerificationError unless every check passes, and
-    for each indeterminate outcome too: an interpolation's ArithmeticError
-    (`linalg.nullspace` found no certified kernel) and a smoothness retry
-    budget spent (SmoothnessIndeterminate) both read "not certified".
+    Each quintic is tested by `HomForm.vanishes_at` (an integer product, the
+    value times a nonzero rational) on its own half only.  The decic q1*q2
+    vanishes where q1 or q2 does, and z1, z2 cover the points, so its check
+    reuses those tests and tests the other quintic only where one misses.
+    It raises VerificationError unless every check passes, and for each
+    indeterminate outcome too: an interpolation's ArithmeticError
+    (`linalg.nullspace` found no certified kernel) and a spent smoothness
+    retry budget (SmoothnessIndeterminate) both read "not certified".
     """
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in sorted(cfg.points)]
     try:
         top = vanishing_space(images, 6, 3)
-        dim = {6: len(top)}
-        d = 6
-        while d > 1 and dim[d] > 0:
+        dim, d = {6: len(top)}, 6
+        while d > 1 and dim[d] >= 3:
             d -= 1
             dim[d] = len(vanishing_space(images, d, 3))
         if len(top) != 1:
@@ -243,12 +242,13 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     (grid1, quintic1, _), (grid2, quintic2, _) = (
         _half_quintic(cfg, proj, half) for half in cfgmod.HALVES)
     z1, z2 = cfgmod.z_partition(cfg)
-    on1 = {i: quintic1.vanishes_at(proj.images[i]) for i in cfg.points}
-    on2 = {i: quintic2.vanishes_at(proj.images[i]) for i in cfg.points}
-    checks["quintic1_on_z1"] = all(on1[i] for i in z1)
-    checks["quintic2_on_z2"] = all(on2[i] for i in z2)
+    on1 = {i: quintic1.vanishes_at(proj.images[i]) for i in z1}
+    on2 = {i: quintic2.vanishes_at(proj.images[i]) for i in z2}
+    checks["quintic1_on_z1"], checks["quintic2_on_z2"] = all(on1.values()), all(on2.values())
     decic = quintic1 * quintic2
-    checks["decic_on_all"] = all(on1[i] or on2[i] for i in cfg.points)
+    checks["decic_on_all"] = all(
+        on1[i] or quintic2.vanishes_at(proj.images[i]) for i in z1) and all(
+        on2[i] or quintic1.vanishes_at(proj.images[i]) for i in z2)
     no_shared = not divides(sextic, decic)
     checks["no_shared_component"] = no_shared
     checks["bezout_count"] = sextic.degree * decic.degree == 60

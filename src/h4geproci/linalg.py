@@ -23,9 +23,7 @@ from math import gcd, isqrt, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .field import FieldElement, ONE, ZERO, primitive_numerators
-
-Pair = Tuple[int, int]  # x + y*phi in Z[phi]
+from .field import FieldElement, ONE, ZERO, Pair, primitive_numerators
 
 
 def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:

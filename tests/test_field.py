@@ -2,14 +2,14 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h4geproci.field import (FieldElement, ONE, PHI, PHI2, ZERO,
-                             primitive_numerators)
+                             common_numerators, primitive_numerators)
 from json_readers import field_element
 
 
@@ -203,6 +203,16 @@ def test_normal_form(x, y):
         assert ((x * y) / y)._v == x._v
         assert (x / y * y)._v == x._v
     assert (x - x)._v == ZERO._v == (0, 0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_elements, max_size=5))
+def test_common_numerators_are_the_elements_over_the_lcm(xs):
+    pairs, d = common_numerators(xs)
+    assert d == lcm(*(Fraction(x.a).denominator for x in xs),
+                    *(Fraction(x.b).denominator for x in xs))
+    assert [FieldElement(Fraction(a, d), Fraction(b, d))
+            for a, b in pairs] == xs
 
 
 @settings(max_examples=200, deadline=None)

@@ -90,6 +90,46 @@ def test_product_evaluates_to_product():
         assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
 
 
+def _reference_product(f, g):
+    """The product term by term, in FieldElement arithmetic."""
+    c = {}
+    for e1, v1 in f.coeffs.items():
+        for e2, v2 in g.coeffs.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c[e] = c.get(e, ZERO) + v1 * v2
+    return HomForm(f.nvars, f.degree + g.degree, c)
+
+
+def test_product_matches_the_field_reference():
+    """The convolution over the common denominators gives the reference's
+    coefficients, normalized, on rational and Z[phi] forms, the zero form,
+    constants, and a product whose cross terms cancel."""
+    rng = random.Random(67)
+    cases = [(_random_form(rng, nvars, rng.randint(0, 4), rational=True),
+              _random_form(rng, nvars, rng.randint(0, 4),
+                           rational=rng.random() < 0.5))
+             for nvars in (2, 3, 4) for _ in range(6)]
+    cubic = _random_form(rng, 3, 3, density=1.0, rational=True)
+    const = HomForm(3, 0, {(0, 0, 0): FieldElement(Fraction(-2, 3), 1)})
+    cases += [(HomForm.zero(3, 2), cubic), (cubic, HomForm.zero(3, 0)),
+              (const, cubic), (cubic, const), (const, const)]
+    half = FieldElement(Fraction(1, 2))
+    plus = HomForm.linear([half, PHI, ZERO])
+    minus = HomForm.linear([half, -PHI, ZERO])
+    cases.append((plus, minus))
+    for f, g in cases:
+        product = f * g
+        assert product == _reference_product(f, g)
+        assert product.degree == f.degree + g.degree
+        assert not any(c.is_zero() for c in product.coeffs.values())
+    # (x/2 + phi y)(x/2 - phi y) = x^2/4 - (1 + phi) y^2: no xy term is kept.
+    assert (plus * minus).coeffs == {(2, 0, 0): FieldElement(Fraction(1, 4)),
+                                     (0, 2, 0): -(ONE + PHI)}
+    assert (HomForm.zero(3, 2) * cubic).is_zero()
+    with pytest.raises(ValueError):
+        cubic * _var(0, 2)
+
+
 def test_evaluate_matches_term_by_term_powers():
     rng = random.Random(57)
     pt = primitive_numerators((PHI, FieldElement(Fraction(-2, 3), 1), ZERO))

@@ -247,25 +247,109 @@ def test_geproci_certificate_passes(geproci_cert_seed1):
     assert len(cert.z1) == 30 and len(cert.z2) == 30
 
 
-def test_quintic_missing_its_half_fails_the_quintic_and_decic_checks(
-        cfg, monkeypatch):
-    # The first quintic plus x^5 misses the images of Z1, where the second
-    # quintic does not vanish either; the second one is left as it is.
+def _assert_first_quintic_fails(cfg, monkeypatch, replace):
+    """With the first quintic replaced and the second left as it is, the
+    certificate fails exactly its quintic1_on_z1 and decic_on_all checks."""
     build = geproci.build_quintic_cone
     calls = []
 
     def perturbed(*args):
         quintic = build(*args)
         calls.append(quintic)
-        if len(calls) == 1:
-            return quintic + HomForm(3, 5, {(5, 0, 0): ONE})
-        return quintic
+        return replace(quintic) if len(calls) == 1 else quintic
 
     monkeypatch.setattr(geproci, "build_quintic_cone", perturbed)
     with pytest.raises(geproci.VerificationError) as err:
         geproci.verify_geproci(cfg, 1)
     assert len(calls) == 2
     assert str(err.value).endswith("['quintic1_on_z1', 'decic_on_all']")
+
+
+def test_quintic_missing_its_half_fails_the_quintic_and_decic_checks(
+        cfg, monkeypatch):
+    # The first quintic plus x^5 misses the images of Z1, where the second
+    # quintic does not vanish either.
+    _assert_first_quintic_fails(
+        cfg, monkeypatch, lambda q: q + HomForm(3, 5, {(5, 0, 0): ONE}))
+
+
+def _recording_ladder(monkeypatch, top=None):
+    """Record the degrees `verify_geproci` interpolates; with top, degree 6
+    returns it instead of the interpolated space."""
+    interpolate = geproci.vanishing_space
+    degrees = []
+
+    def recording(images, degree, nvars):
+        degrees.append(degree)
+        if degree == 6 and top is not None:
+            return top
+        return interpolate(images, degree, nvars)
+
+    monkeypatch.setattr(geproci, "vanishing_space", recording)
+    return degrees
+
+
+def test_the_ladder_stops_at_a_unique_sextic(cfg, geproci_cert_seed1,
+                                             monkeypatch):
+    """dim_6 = 1 < 3 forces dim_5 = 0: degree 6 is the only one interpolated."""
+    degrees = _recording_ladder(monkeypatch)
+    cert = geproci.verify_geproci(cfg, 1)
+    assert degrees == [6]
+    assert cert.dimension_table == (0, 0, 0, 0, 0, 1)
+    assert cert.to_json() == geproci_cert_seed1.to_json()
+
+
+def test_three_sextics_send_the_ladder_to_degree_5(cfg, geproci_cert_seed1,
+                                                   monkeypatch):
+    """Three independent sextics could be x*Q, y*Q, z*Q for a quintic Q,
+    so the bound dim_6 >= 3 asks for degree 5, and dim_5 = 0 ends it."""
+    sextic = geproci_cert_seed1.sextic
+    top = [sextic, HomForm(3, 6, {(6, 0, 0): ONE}),
+           HomForm(3, 6, {(0, 6, 0): ONE})]
+    degrees = _recording_ladder(monkeypatch, top)
+    with pytest.raises(geproci.VerificationError,
+                       match="degree-6 space has dimension 3, not 1"):
+        geproci.verify_geproci(cfg, 1)
+    assert degrees == [6, 5]
+
+
+def test_each_quintic_is_tested_on_its_own_half(cfg, monkeypatch):
+    """60 zero tests of a quintic, one per image on its own half, and the
+    vertex's two grid quadric tests: the decic reuses every quintic result."""
+    vanishes_at = HomForm.vanishes_at
+    degrees = []
+
+    def counting(self, point):
+        degrees.append(self.degree)
+        return vanishes_at(self, point)
+
+    monkeypatch.setattr(HomForm, "vanishes_at", counting)
+    assert geproci.verify_geproci(cfg, 1).passed
+    assert len(degrees) == 62
+    assert degrees.count(5) == 60 and degrees.count(2) == 2
+
+
+class _MissesOneImage(HomForm):
+    """A quintic whose zero test reads False at one image."""
+
+    __slots__ = ()
+    missed = None
+
+    def vanishes_at(self, point):
+        return point != self.missed and super().vanishes_at(point)
+
+
+def test_a_quintic_missing_one_image_fails_the_quintic_and_decic_checks(
+        cfg, geproci_cert_seed1, monkeypatch):
+    """The decic check tests the second quintic where the first one misses;
+    at the chosen z1 image it does not vanish, so the decic misses too."""
+    images = geproci.sample_generic_vertex(cfg, 1).images
+    quintic2 = geproci_cert_seed1.quintic2
+    missed = next(i for i in geproci_cert_seed1.z1
+                  if not quintic2.vanishes_at(images[i]))
+    monkeypatch.setattr(_MissesOneImage, "missed", images[missed])
+    _assert_first_quintic_fails(
+        cfg, monkeypatch, lambda q: _MissesOneImage(3, 5, q.coeffs))
 
 
 def test_sextic_and_decic_share_no_component(geproci_cert_seed1):
