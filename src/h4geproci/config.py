@@ -231,7 +231,7 @@ def build_h4() -> H4Configuration:
             meets[i].add(j)
             meets[j].add(i)
 
-    grid_quadrics = tuple(grid_quadric(points, lines, line_points,
+    grid_quadrics = tuple(grid_quadric(points, lines, line_points, meets,
                                        h.l_lines, h.m_lines) for h in HALVES)
     return H4Configuration(points, planes, lines, line_points, plane_points,
                            point_planes, point_lines, line_planes, plane_lines,
@@ -239,28 +239,33 @@ def build_h4() -> H4Configuration:
                            grid_quadrics)
 
 
-def grid_quadric(points: Dict, lines: Dict, line_points: Dict,
+def grid_quadric(points: Dict, lines: Dict, line_points: Dict, meets: Dict,
                  l_lines: Sequence[int], m_lines: Sequence[int]) -> HomForm:
-    """The monic `transversal_quadric` Q of l_1, l_2, l_3, certified on the
-    rows of the quadratic monomials at the 9 points l_i . m_j, i, j <= 3.
+    """The monic `transversal_quadric` Q of l_1, l_2, l_3: up to scale, the
+    one quadric through the 9 points l_i . m_j, i, j <= 3.
 
-    Q is nonzero and kills every row (exact Z[phi] products), and the rows
-    are independent modulo the prime P of `vanishing_space`, so over Q(phi):
-    the quadrics through the 9 points are the multiples of Q, however Q was
-    found.  A failed check raises ArithmeticError (an unlucky prime or a
-    bug, not a verdict).  `geproci.verify_grid` extends Q to the grid.
-    """
+    It checks the hypotheses on the exact tables, or raises ValueError: no
+    two of l_1, l_2, l_3 meet (``meets``), and the l_i . m_j are 9 distinct
+    points.  A quadric through them meets each l_i in three distinct points,
+    so contains it.  With l_1 = {x0 = x1 = 0}, l_2 = {x2 = x3 = 0} and l_3 =
+    {x0 = x2, x1 = x3}, it is then u^T B w, u = (x0, x1), w = (x2, x3), with
+    u^T B u = 0, so B is antisymmetric: c*(x0*x3 - x1*x2).  So a nonzero Q
+    that kills the 9 rows (exact Z[phi] products) spans those quadrics,
+    whatever formula found it, at no prime; a zero Q or a missed row raises
+    ArithmeticError (a bug)."""
+    if any(b in meets[a] for a, b in combinations(l_lines[:3], 2)):
+        raise ValueError(f"lines {list(l_lines[:3])} are not pairwise skew")
+    cells = [set(line_points[li]) & set(line_points[mj])
+             for li in l_lines[:3] for mj in m_lines[:3]]
+    nine = [p for cell in cells if len(cell) == 1 for p in cell]
+    if len(set(nine)) != 9:
+        raise ValueError("the 3x3 subgrid has not 9 distinct points")
     coeffs = transversal_quadric(*(lines[i] for i in l_lines[:3]))
-    rows = [_quadric_row(points[p].pairs) for li in l_lines[:3] for mj in m_lines[:3]
-            for p in set(line_points[li]) & set(line_points[mj])]
     if all(w == (0, 0) for w in coeffs):
         raise ArithmeticError("the transversal quadric is zero")
+    rows = [_quadric_row(points[p].pairs) for p in nine]
     if linalg.first_missed_row(rows, [coeffs]) is not None:
         raise ArithmeticError("the transversal quadric misses the subgrid")
-    p, r = linalg._PRIME, linalg._PHI_ROOT
-    images = [[(x + y * r) % p for x, y in row] for row in rows]
-    if len(linalg.independent_rows_mod(images, p)) != 9:
-        raise ArithmeticError("the subgrid rows are dependent mod P")
     return HomForm(4, 2, {c: FieldElement(*w)
                           for c, w in zip(_QUADRIC_MONOMIALS, coeffs)}).monic()
 

@@ -119,18 +119,13 @@ class GridCertificate(NamedTuple):
 
 def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
                 m_lines: Sequence[int]) -> GridCertificate:
-    """Check the grid conditions, then certify the quadric on the 3x3 subgrid.
-
-    Once the families are skew and meet in 25 distinct points, a quadric
-    through the 9 points l_i . m_j, i, j <= 3, meets l_1, l_2, l_3 each in
-    three distinct points, so it contains them; then it meets each m_j in
-    three distinct points, so it contains it and all 25 points.  So the
-    quadrics through the 9 are those through the 25: the multiples of the Q
-    that `config.grid_quadric` certifies, whatever formula found it.  Past
-    the combinatorial checks no non-grid is left, so a failed certificate
-    is indeterminate: it raises VerificationError, never NotAGridError.
-    An unknown line index raises ValueError before any work.
-    """
+    """Check the grid conditions; `config.grid_quadric` certifies Q on the
+    3x3 subgrid.  With the families skew and meeting in 25 distinct points,
+    a quadric through those 9 contains l_1, l_2, l_3, so meets each m_j in
+    three distinct points and contains it: Q is the grid's one quadric.  A
+    failed certificate past these checks is indeterminate: it raises
+    VerificationError, never NotAGridError.  An unknown line index raises
+    ValueError before any work."""
     l_lines, m_lines = tuple(l_lines), tuple(m_lines)
     unknown = sorted(set(l_lines + m_lines) - set(cfg.lines))
     if unknown:
@@ -158,7 +153,7 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
         raise NotAGridError(f"{len(grid_points)} intersection points, not 25")
     try:
         quadric = cfgmod.grid_quadric(cfg.points, cfg.lines, cfg.line_points,
-                                      l_lines, m_lines)
+                                      cfg.meets, l_lines, m_lines)
     except ArithmeticError as exc:
         raise VerificationError(f"grid quadric indeterminate: {exc}") from exc
     return GridCertificate(l_lines, m_lines, tuple(sorted(grid_points)),

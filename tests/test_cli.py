@@ -260,7 +260,8 @@ def test_report_single_seed(tmp_path):
 
 def test_report_records_an_indeterminate_grid_certificate(tmp_path, monkeypatch):
     def indeterminate(cfg, l_lines, m_lines):
-        raise cli.geproci_mod.VerificationError("the subgrid rows are dependent mod P")
+        raise cli.geproci_mod.VerificationError(
+            "grid quadric indeterminate: the transversal quadric misses the subgrid")
 
     monkeypatch.setattr(cli.coverings_mod, "verify_grid", indeterminate)
     out = tmp_path / "report.json"

@@ -587,8 +587,8 @@ def test_gcd_and_divides_match_sympy_over_q_sqrt5():
 
 
 def test_one_patch_moves_every_rank_test_to_another_prime(cfg, monkeypatch):
-    """`linalg._PRIME` and `_PHI_ROOT` are read at call time by both rank
-    tests: interpolation's row choice and the grid-quadric witness."""
+    """`linalg._PRIME` and `_PHI_ROOT` are read at call time by the rank
+    test of interpolation's row choice; the grid quadric reads no prime."""
     independent = linalg.independent_rows_mod
     moduli = []
 
@@ -604,9 +604,9 @@ def test_one_patch_moves_every_rank_test_to_another_prime(cfg, monkeypatch):
     assert forms.independent_evaluation_rows(images, 1, 4) == [0, 1, 2, 3]
     half = config.HALVES[0]
     quadric = config.grid_quadric(cfg.points, cfg.lines, cfg.line_points,
-                                  half.l_lines, half.m_lines)
+                                  cfg.meets, half.l_lines, half.m_lines)
     assert quadric == cfg.grid_quadrics[0]
-    assert moduli == [11, 11]
+    assert moduli == [11]
 
 
 def test_stored_split_prime_is_the_first_split_prime():

@@ -92,36 +92,32 @@ def _subgrid(cfg, l_lines, m_lines):
 
 
 def test_grid_quadric_is_certified_on_the_3x3_subgrid(cfg, grid1, monkeypatch):
-    """verify_grid interpolates nothing: the rank witness runs on the rows at
-    l_i . m_j for i, j <= 3, in the order the families are given, and the
-    certified quadric is the one interpolated through those 9 points."""
-    interpolate = forms.vanishing_space
-    independent = linalg.independent_rows_mod
-    witnessed = []
+    """verify_grid interpolates nothing and runs no rank test mod P, for
+    either order of the families and across the whole grid search, and the
+    certified quadric is the one interpolated through the 9 points
+    l_i . m_j, i, j <= 3."""
+    rotated = (L1[::-1], M1[1:] + M1[:1])
+    interpolated = {}
+    for l_lines, m_lines in ((L1, M1), rotated):
+        nine = [cfg.points[i].pairs for i in _subgrid(cfg, l_lines, m_lines)]
+        assert len(set(nine)) == 9
+        interpolated[l_lines] = forms.vanishing_space(nine, 2, 4)
+    ranked = []
 
     def no_interpolation(*args):
         raise AssertionError("verify_grid interpolated")
 
-    def recording(rows, p):
-        witnessed.append([list(row) for row in rows])
-        return independent(rows, p)
-
     monkeypatch.setattr(geproci, "vanishing_space", no_interpolation)
     monkeypatch.setattr(forms, "vanishing_space", no_interpolation)
-    monkeypatch.setattr(linalg, "independent_rows_mod", recording)
-    cols = forms.monomials(2, 4)
-    rotated = (L1[::-1], M1[1:] + M1[:1])
+    monkeypatch.setattr(linalg, "independent_rows_mod",
+                        lambda rows, p: ranked.append(p))
     for l_lines, m_lines in ((L1, M1), rotated):
-        witnessed.clear()
         grid = geproci.verify_grid(cfg, l_lines, m_lines)
-        nine = [cfg.points[i].pairs for i in _subgrid(cfg, l_lines, m_lines)]
-        assert len(set(nine)) == 9
-        rows = [forms._evaluation_row(x, 2, 4, cols) for x in nine]
-        assert witnessed == [[[(a + b * linalg._PHI_ROOT) % linalg._PRIME
-                               for a, b in row] for row in rows]]
-        assert [grid.quadric] == interpolate(nine, 2, 4)
+        assert [grid.quadric] == interpolated[l_lines]
         assert grid.quadric == grid1.quadric
         assert grid.grid_points == grid1.grid_points
+    assert len(enumerate_grids(cfg)) == 72
+    assert ranked == []
 
 
 def _assert_indeterminate(cfg, match):
@@ -135,11 +131,30 @@ def _assert_indeterminate(cfg, match):
     assert not isinstance(info.value, geproci.NotAGridError)
 
 
-def test_a_short_rank_witness_is_indeterminate(cfg, monkeypatch):
-    independent = linalg.independent_rows_mod
-    monkeypatch.setattr(linalg, "independent_rows_mod",
-                        lambda rows, p: independent(rows, p)[:8])
-    _assert_indeterminate(cfg, "dependent mod P")
+def _grid_quadric(cfg, l_lines, m_lines):
+    return config.grid_quadric(cfg.points, cfg.lines, cfg.line_points,
+                               cfg.meets, l_lines, m_lines)
+
+
+def test_a_triple_with_a_meeting_pair_is_a_caller_fault(cfg):
+    """grid_quadric checks that l_1, l_2, l_3 are pairwise skew itself."""
+    assert M1[0] in cfg.meets[L1[0]]
+    with pytest.raises(ValueError, match="not pairwise skew"):
+        _grid_quadric(cfg, L1[:2] + M1[:1], M1[1:])
+    assert _grid_quadric(cfg, L1, M1) == cfg.grid_quadrics[0]
+
+
+@pytest.mark.parametrize("m_lines", [
+    (8,) + M1[1:],  # lines 1 and 8 share no point
+    (L1[0], 12, 13),  # m_1 = l_1: 9 distinct points, 5 of them on l_1
+])
+def test_a_subgrid_with_a_missing_intersection_is_a_caller_fault(cfg, m_lines):
+    """Each l_i . m_j must be one configuration point, the 9 distinct."""
+    cells = [set(cfg.line_points[li]) & set(cfg.line_points[mj])
+             for li in L1[:3] for mj in m_lines]
+    assert not all(len(cell) == 1 for cell in cells)
+    with pytest.raises(ValueError, match="not 9 distinct points"):
+        _grid_quadric(cfg, L1, m_lines)
 
 
 def test_a_quadric_missing_a_subgrid_point_is_indeterminate(cfg, monkeypatch):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 import pytest
@@ -404,3 +404,21 @@ def test_transversal_quadric_is_the_quadric_of_three_skew_lines():
         assert len(set(nine)) == 9
         assert all(q.vanishes_at(x) for x in nine)
         assert vanishing_space(nine, 2, 4) == [q.monic()]
+
+
+def test_three_skew_h4_lines_lie_on_one_quadric(cfg):
+    """Known answer for the theorem of `config.grid_quadric`, apart from the
+    grid code: for the first 30 pairwise skew triples of the 72 lines, in
+    lexicographic order, the quadrics through the 15 points on the three
+    lines are exactly the multiples of their transversal quadric."""
+    cols = monomials(2, 4)
+    skew = (t for t in combinations(sorted(cfg.lines), 3)
+            if not any(b in cfg.meets[a] for a, b in combinations(t, 2)))
+    triples = list(islice(skew, 30))
+    assert len(triples) == 30
+    for triple in triples:
+        pairs = transversal_quadric(*(cfg.lines[i] for i in triple))
+        q = HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, pairs)})
+        fifteen = [cfg.points[p].pairs for i in triple for p in cfg.line_points[i]]
+        assert len(set(fifteen)) == 15
+        assert vanishing_space(fifteen, 2, 4) == [q.monic()]

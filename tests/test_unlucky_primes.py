@@ -1,13 +1,13 @@
 """Every modular shortcut, run at small split primes where it can fail.
 
-Rank mod P decides zero dimensions and the grid-quadric witness, a residue
-mod P proves two of the 72 lines skew, a split prime proposes each kernel,
-and smoothness is certified mod p.  Each
-argument is sound for every prime, so at an unlucky one a pipeline must
-still give its baseline verdict, fall back to the safe side ("not
-refuted"), or raise a VerificationError that names an indeterminate
-outcome.  A shortcut that turned "not certified mod p" into a verdict
-fails here.
+Rank mod P decides zero dimensions, a residue mod P proves two of the 72
+lines skew, a split prime proposes each kernel, and smoothness is
+certified mod p.  Each argument is sound for every prime, so at an unlucky
+one a pipeline must still give its baseline verdict, fall back to the safe
+side ("not refuted"), or raise a VerificationError that names an
+indeterminate outcome.  A shortcut that turned "not certified mod p" into a
+verdict fails here.  The grid quadrics depend on no prime: the
+three-skew-lines theorem of `config.grid_quadric` certifies them.
 """
 
 from math import isqrt
@@ -113,3 +113,15 @@ def grids(cfg):
 def test_unlucky_primes_find_the_same_grids(p, cfg, unlucky, grids):
     unlucky(p)
     assert enumerate_grids(cfg) == grids
+
+
+def test_no_prime_enters_the_grid_search(cfg, monkeypatch, grids):
+    """At P = (5, phi - 3), where skew pairs read 0, the grid search makes
+    no rank test and finds the same grids with the same quadrics."""
+    ranked = []
+    monkeypatch.setattr(linalg, "independent_rows_mod",
+                        lambda rows, p: ranked.append(p))
+    monkeypatch.setattr(linalg, "_PRIME", 5)
+    monkeypatch.setattr(linalg, "_PHI_ROOT", 3)
+    assert enumerate_grids(cfg) == grids
+    assert ranked == []
