@@ -1,10 +1,10 @@
 """The 60-point configuration in P^3, its dual planes, and all incidences.
 
-Coordinates live in Z[phi] with phi the golden ratio; phi^2 is expanded as
-1 + phi on the {1, phi} basis.  Plane i is dual to point i: for
-P_i = [a:b:c:d] the plane is {ax + by + cz + dw = 0}.  The configuration is a
-symmetric (60_15) point-plane structure carrying 72 lines with exactly five
-configuration points each, and no line carries six.
+Coordinates live in Z[phi] with phi the golden ratio, as `field` pairs.
+Plane i is dual to point i: for P_i = [a:b:c:d] the plane is
+{ax + by + cz + dw = 0}.  The configuration is a symmetric (60_15)
+point-plane structure carrying 72 lines with exactly five configuration
+points each, and no line carries six.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from . import linalg
-from .field import FieldElement, ONE, PHI, PHI2, ZERO
+from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, products, residues
 from .forms import HomForm, monomials
 from .projective import (ProjLine, ProjPoint, ProjPlane, lines_meet,
                          transversal_quadric)
@@ -223,8 +223,8 @@ def build_h4() -> H4Configuration:
     meets = {i: {j for k in line_points[i] for j in point_lines[k]} - {i}
              for i in lines}
     p, r = linalg._PRIME, linalg._PHI_ROOT
-    mod = {i: [(x + y * r) % p for x, y in line.pairs] for i, line in lines.items()}
-    dual = {i: [(x + y * r) % p for x, y in line.dual] for i, line in lines.items()}
+    mod = {i: residues(line.pairs, p, r) for i, line in lines.items()}
+    dual = {i: residues(line.dual, p, r) for i, line in lines.items()}
     for i, j in combinations(lines, 2):
         if j not in meets[i] and not sum(map(mul, mod[i], dual[j])) % p \
                 and lines_meet(lines[i], lines[j]):
@@ -273,11 +273,10 @@ def grid_quadric(points: Dict, lines: Dict, line_points: Dict, meets: Dict,
 _QUADRIC_MONOMIALS = tuple(monomials(2, 4))  # the order of `_quadric_row`
 
 
-def _quadric_row(point: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+def _quadric_row(point: Sequence[Pair]) -> List[Pair]:
     """The quadratic monomials at a point of Z[phi] pairs, in the order of
     `monomials(2, 4)`: the pair products x_i * x_j, i <= j."""
-    return [(a * c + b * d, a * d + b * c + b * d)
-            for (a, b), (c, d) in combinations_with_replacement(point, 2)]
+    return products(combinations_with_replacement(point, 2))
 
 
 def incidence_table_planes(cfg: H4Configuration) -> Dict[int, Tuple[int, ...]]:

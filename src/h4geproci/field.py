@@ -1,21 +1,25 @@
 """Exact arithmetic in the real quadratic field Q(sqrt5) on the basis {1, phi}.
 
 An element is (x + y*phi)/d with Python ints x, y and d, where phi =
-(1+sqrt5)/2 is the golden ratio, so phi**2 = phi + 1.  The triple is kept
-normalized, d > 0 and gcd(x, y, d) = 1, so equal elements have equal triples
-and the type is hashable.  All operations are integer formulas and exact;
-nothing ever rounds.  `fractions.Fraction` appears only at the edges: the
-constructor, the `a`/`b` components, `norm()` and the hash of rational
-elements.  This module is the only one that knows the triple; others clear
-denominators through `common_numerators` or `primitive_numerators` and read
-the Z[phi] pairs (x, y) they return, as `linalg` does for kernel vectors.
+(1+sqrt5)/2 is the golden ratio.  The triple is kept normalized, d > 0 and
+gcd(x, y, d) = 1, so equal elements have equal triples and the type is
+hashable.  All operations are integer formulas and exact; nothing ever
+rounds.  `fractions.Fraction` appears only at the edges: the constructor,
+the `a`/`b` components and the hash of rational elements.  This module is
+the only one that knows the triple; others clear denominators through
+`common_numerators` or `primitive_numerators` and read the Z[phi] pairs
+(x, y) they return.  It is also the only module that knows the ring Z[phi]:
+its rule phi**2 = phi + 1 on elements (`*`), on lists of factor pairs
+(`products`) and summed (`_dot`), the conjugate `conj`, the norm `norm` and
+the reduction `residues` modulo a degree-1 prime.  The pair kernels take a
+whole row or vector, so callers pay one call per row, not per product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 _RationalLike = Union[int, Fraction]
 Pair = Tuple[int, int]  # x + y*phi in Z[phi]
@@ -77,7 +81,7 @@ class FieldElement:
         return _raw(-x, -y, d)
 
     def __mul__(self, other) -> "FieldElement":
-        # (x1 + y1 phi)(x2 + y2 phi) with phi^2 = phi + 1.
+        # `products` on one pair of factors, inlined.
         x1, y1, d1 = self._v
         x2, y2, d2 = _coerce(other)._v
         yy = y1 * y2
@@ -86,12 +90,8 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the norm: 1/(x + y phi) = (x + y - y phi)/N."""
-        x, y, d = self._v
-        n = x * x + x * y - y * y
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(phi)")
-        return _make((x + y) * d, -y * d, n)
+        """Multiplicative inverse via the norm: 1/w = conj(w)/N(w)."""
+        return _divide(ONE, self)
 
     def __truediv__(self, other) -> "FieldElement":
         return _divide(self, _coerce(other))
@@ -110,18 +110,6 @@ class FieldElement:
             base = base * base
             k >>= 1
         return result
-
-    # -- Galois structure -----------------------------------------------
-
-    def conjugate(self) -> "FieldElement":
-        """Galois conjugate, sqrt5 -> -sqrt5, i.e. a + b phi -> (a+b) - b phi."""
-        x, y, d = self._v
-        return _raw(x + y, -y, d)
-
-    def norm(self) -> Fraction:
-        """Rational field norm N(a + b phi) = a^2 + ab - b^2."""
-        x, y, d = self._v
-        return Fraction(x * x + x * y - y * y, d * d)
 
     # -- predicates and hashing -----------------------------------------
 
@@ -197,12 +185,10 @@ def _divide(u: FieldElement, w: FieldElement) -> FieldElement:
     """
     x1, y1, d1 = u._v
     x2, y2, d2 = w._v
-    n = x2 * x2 + x2 * y2 - y2 * y2
+    n = norm((x2, y2))
     if n == 0:
         raise ZeroDivisionError("division by zero in Q(phi)")
-    # (x1 + y1 phi)((x2 + y2) - y2 phi), with phi^2 = phi + 1.
-    x = x1 * (x2 + y2) - y1 * y2
-    y = y1 * x2 - x1 * y2
+    [(x, y)] = products([((x1, y1), conj((x2, y2)))])
     if d2 != 1:
         x, y = x * d2, y * d2
     return _make(x, y, d1 * n)
@@ -236,6 +222,41 @@ def primitive_numerators(elems: Iterable[FieldElement]) -> List[Pair]:
     if content > 1:
         pairs = [(x // content, y // content) for x, y in pairs]
     return pairs
+
+
+def products(factor_pairs: Iterable[Tuple[Pair, Pair]]) -> List[Pair]:
+    """The Z[phi] product u*v of each pair of factors (u, v), in order:
+    (a + b*phi)(c + d*phi) = ac + bd + (ad + bc + bd)*phi."""
+    return [(a * c + b * d, a * d + b * c + b * d) for (a, b), (c, d) in factor_pairs]
+
+
+def _dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
+    """The Z[phi] dot product sum u_i * v_i: `products`, summed in one loop."""
+    sx = sy = 0
+    for (a, b), (c, d) in zip(u, v):
+        t = b * d
+        sx += a * c + t
+        sy += a * d + b * c + t
+    return sx, sy
+
+
+def conj(w: Pair) -> Pair:
+    """The Galois conjugate, sqrt5 -> -sqrt5: x + y*phi -> (x + y) - y*phi."""
+    x, y = w
+    return x + y, -y
+
+
+def norm(w: Pair) -> int:
+    """The norm N(w) = w * conj(w) = x^2 + xy - y^2 of w = x + y*phi."""
+    x, y = w
+    return x * x + x * y - y * y
+
+
+def residues(pairs: Iterable[Pair], p: int, r: int) -> List[int]:
+    """The images (x + y*r) mod p of the pairs x + y*phi: for r a root of
+    x^2 - x - 1 mod a prime p, the ring map Z[phi] -> F_p modulo (p, phi - r).
+    The other root is 1 - r, where each w has the residue of conj(w) at r."""
+    return [(x + y * r) % p for x, y in pairs]
 
 
 ZERO = FieldElement(0)

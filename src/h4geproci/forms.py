@@ -22,8 +22,8 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import linalg
-from .field import FieldElement, ONE, ZERO, common_numerators, primitive_numerators
-from .linalg import Pair, _dot
+from .field import (FieldElement, ONE, ZERO, Pair, _dot, common_numerators,
+                    primitive_numerators, products, residues)
 
 Exponents = Tuple[int, ...]
 Coeffs = Dict[Exponents, FieldElement]
@@ -197,7 +197,7 @@ def independent_evaluation_rows(points: Sequence[Sequence[Pair]], degree: int,
     """Indices of the first points (Z[phi] pairs) whose degree-d evaluation
     rows are independent modulo P = (p, phi - r), `linalg._PRIME`/`_PHI_ROOT`.
 
-    Soundness.  x + y*phi -> (x + y*r) mod p is a ring map Z[phi] -> F_p, so
+    Soundness.  `field.residues` is a ring map Z[phi] -> F_p, so
     `_residue_row` is the residue of `_evaluation_row`, entry by entry.  A
     nonzero minor mod P is one over Q(phi): the exact rank is at least the
     count kept, and when that is the number of monomials no nonzero degree-d
@@ -262,40 +262,32 @@ def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
 
 def _evaluation_row(point: Sequence[Pair], degree: int, nvars: int,
                     cols: Iterable[Exponents]) -> List[Pair]:
-    """The monomials at a point of Z[phi] pairs, as pairs, from an integer
-    table of each coordinate's powers."""
+    """The monomials at a point of Z[phi] pairs, as pairs: the powers of the
+    coordinates, one `products` call per degree, then each monomial as the
+    product of its variables' powers, one `products` call per variable."""
     if len(point) != nvars:
         raise ValueError("point dimension does not match variable count")
-    powers = []
-    for x, y in point:
-        table = [(1, 0)]
-        for _ in range(degree):
-            # (a + b phi)(x + y phi) = ax + by + (ay + bx + by) phi.
-            a, b = table[-1]
-            table.append((a * x + b * y, a * y + b * x + b * y))
-        powers.append(table)
-    row = []
-    for e in cols:
-        a, b = 1, 0
-        for table, k in zip(powers, e):
-            if k:
-                x, y = table[k]
-                a, b = a * x + b * y, a * y + b * x + b * y
-        row.append((a, b))
+    powers = [[(1, 0)] * nvars, point]  # powers[k][i] = x_i^k
+    for _ in range(degree - 1):
+        powers.append(products(zip(powers[-1], point)))
+    tables, exponents = zip(*powers), zip(*cols)  # both by variable
+    row = list(map(next(tables).__getitem__, next(exponents, ())))
+    for table, ks in zip(tables, exponents):
+        row = products(zip(row, map(table.__getitem__, ks)))
     return row
 
 
 def _residue_row(point: Sequence[Pair], degree: int, nvars: int,
                  cols: Iterable[Exponents]) -> List[int]:
-    """The monomials at a point of Z[phi] pairs, mod P: each pair x + y*phi
-    goes to v = (x + y*r) mod p, then to a table of the powers of v in F_p,
-    and monomial e is the product of powers[i][e[i]] over the variables."""
+    """The monomials at a point of Z[phi] pairs, mod P: the `residues` v of
+    the coordinates, a table of the powers of each v in F_p, and monomial e
+    as the product of powers[i][e[i]] over the variables."""
     if len(point) != nvars:
         raise ValueError("point dimension does not match variable count")
     p, r = linalg._PRIME, linalg._PHI_ROOT
     powers = []
-    for x, y in point:
-        table, v = [1], (x + y * r) % p
+    for v in residues(point, p, r):
+        table = [1]
         for _ in range(degree):
             table.append(table[-1] * v % p)
         powers.append(table)
@@ -494,8 +486,7 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
 
 def _reduce(f: HomForm, p: int, r: int) -> ModForm:
     """The image of the coprime coefficient pairs under Z[phi] -> F_p, phi -> r."""
-    out = ((e, (x + y * r) % p) for e, (x, y) in zip(f.coeffs, f.pairs()))
-    return {e: v for e, v in out if v}
+    return {e: v for e, v in zip(f.coeffs, residues(f.pairs(), p, r)) if v}
 
 
 def _random_invertible_mod(rng: random.Random, p: int) -> Tuple[Tuple[int, ...], ...]:

@@ -17,11 +17,10 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import config as cfgmod
 from .config import H4Configuration
-from .field import ONE
+from .field import ONE, Pair
 from .forms import (HomForm, SmoothnessIndeterminate, SmoothnessReport,
                     divides, independent_evaluation_rows,
                     plane_curve_is_smooth, vanishing_space)
-from .linalg import Pair
 from .projective import (ProjLine, ProjPoint, image_from, plane_image,
                          plane_through)
 

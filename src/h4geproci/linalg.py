@@ -1,13 +1,12 @@
 """Exact linear algebra over Q(phi), and the one elimination kernel, over F_p.
 
-Exact rows hold integer pairs (x, y) that stand for x + y*phi in Z[phi],
-with phi**2 = phi + 1.  `nullspace` takes pair rows, as interpolation and
-the gcd produce them: split primes propose the kernel, CRT and rational
-reconstruction lift it, and an exact check against every row certifies it.
-`determinant` is Leibniz's formula on FieldElements, for the 3x3 minors of
-plane spans, so nothing here eliminates exactly.  `_dot` is the one Z[phi]
-multiply-accumulate loop: kernel checks, form evaluation and the incidence
-predicates all use it.
+Exact rows hold integer pairs (x, y) that stand for x + y*phi in Z[phi];
+their arithmetic and their residues mod p are `field`'s.  `nullspace` takes
+pair rows, as interpolation and the gcd produce them: split primes propose
+the kernel, CRT and rational reconstruction lift it, and an exact check
+(`field._dot` against every row) certifies it.  `determinant` is Leibniz's
+formula on FieldElements, for the 3x3 minors of plane spans, so nothing
+here eliminates exactly.
 
 Over F_p, matrices are lists of lists of ints.  `_echelon_mod`, the only
 elimination, brings them to reduced echelon form one row at a time, for
@@ -23,7 +22,8 @@ from math import gcd, isqrt, prod
 from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .field import FieldElement, ONE, ZERO, Pair, primitive_numerators
+from .field import (FieldElement, ONE, ZERO, Pair, _dot, primitive_numerators,
+                    residues)
 
 
 def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
@@ -98,8 +98,7 @@ def _kernel_mod(rows: Sequence[Sequence[Pair]], q: int,
     """The pivot columns, ascending, of Z[phi] rows at phi -> r mod q, and
     the entries of the kernel vectors b_g at the pivots c < g, by free
     column g, then by c."""
-    _, pivots, free = _echelon_mod([[(x + y * r) % q for x, y in row]
-                                    for row in rows], q)
+    _, pivots, free = _echelon_mod([residues(row, q, r) for row in rows], q)
     at = {g: dict(zip(pivots, col)) for g, col in free.items()}
     pivots.sort()
     return pivots, [-at[g][c] % q for g in at for c in pivots if c < g]
@@ -153,17 +152,6 @@ def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
             term = -term
         total = total + term
     return total
-
-
-def _dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
-    """The Z[phi] dot product sum u_i * v_i, as a pair."""
-    sx = sy = 0
-    for (a, b), (c, d) in zip(u, v):
-        # (a + b phi)(c + d phi) = ac + bd + (ad + bc + bd) phi.
-        t = b * d
-        sx += a * c + t
-        sy += a * d + b * c + t
-    return sx, sy
 
 
 def first_missed_row(rows: Sequence[Sequence[Pair]],

@@ -6,11 +6,11 @@ rational integer.  A flat keeps those numerators as integer pairs (x, y),
 meaning x + y*phi, in ``pairs``, next to the same values as FieldElements in
 ``coords`` (``pluecker`` for a line).  Equality and hashing compare the
 pairs, and every incidence predicate is an exact integer computation on
-them, with phi**2 = phi + 1.  The line through p and q has Pluecker pairs
-L_ij = p_i*q_j - p_j*q_i, dual pairs (L_23, -L_13, L_12, L_03, -L_02, L_01)
-(`_dual`, the one sign table; a line stores them as ``dual``), and their
-antisymmetric matrices L and L* (`_matrix`): L*x is the plane through the
-line and x, L.pi its meet with pi.
+them by `field`'s Z[phi] kernels.  The line through p and q has Pluecker
+pairs L_ij = p_i*q_j - p_j*q_i (`_minors`), dual pairs (L_23, -L_13, L_12,
+L_03, -L_02, L_01) (`_dual`, the one sign table; a line stores them as
+``dual``), and their antisymmetric matrices L and L* (`_matrix`): L*x is
+the plane through the line and x, L.pi its meet with pi.
 
 * a point lies in a plane when the dot product of their pairs is zero;
 * two lines meet when one's pairs dotted with the other's dual give zero.
@@ -21,12 +21,13 @@ arguments are at `plane_through`, `image_from` and `plane_image`.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
 from . import linalg
-from .field import FieldElement, primitive_numerators
-from .linalg import Pair, _dot
+from .field import (FieldElement, Pair, _dot, conj, norm, primitive_numerators,
+                    products)
 
 # Pluecker coordinates are ordered by the index pairs ij below.
 _PLUECKER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -50,13 +51,9 @@ def _canonical_pairs(pairs: Sequence[Pair]) -> Tuple[Pair, ...]:
     lead = next((w for w in pairs if w != (0, 0)), None)
     if lead is None:
         raise ValueError("all coordinates are zero")
-    a, b = lead
-    ca, cb = a + b, -b  # conj(a + b phi) = (a + b) - b phi
-    # (x + y phi)(ca + cb phi) = x ca + y cb + (x cb + y (ca + cb)) phi,
-    # and ca + cb = a.
-    prods = [(x * ca + y * cb, x * cb + y * a) for x, y in pairs]
+    prods = products(zip(pairs, repeat(conj(lead))))
     content = gcd(*[v for w in prods for v in w])
-    if a * a + a * b - b * b < 0:  # N(w), the new lead
+    if norm(lead) < 0:  # N(w), the new lead
         content = -content
     return tuple((x // content, y // content) for x, y in prods)
 
@@ -79,20 +76,21 @@ def canonicalize(coords: Sequence[FieldElement]) -> Tuple[FieldElement, ...]:
     return _elements(_canonical_pairs(primitive_numerators(coords)))
 
 
+def _minors(p: Sequence[Pair], q: Sequence[Pair],
+            index_pairs: Sequence[Tuple[int, int]]) -> List[Pair]:
+    """The 2x2 minors p_i*q_j - p_j*q_i of the rows p, q, for each ij."""
+    plus = products((p[i], q[j]) for i, j in index_pairs)
+    minus = products((p[j], q[i]) for i, j in index_pairs)
+    return [(a - c, b - d) for (a, b), (c, d) in zip(plus, minus)]
+
+
 def pluecker_pairs(p: Sequence[Pair], q: Sequence[Pair]) -> Tuple[Pair, ...]:
     """Canonical Pluecker pairs of the line through two distinct points.
 
     The points are given by their Z[phi] pairs; the coordinates are the
     minors p_i*q_j - p_j*q_i in the order of `_PLUECKER`.
     """
-    minors = []
-    for i, j in _PLUECKER:
-        (a, b), (c, d) = p[i], q[j]
-        (e, f), (g, h) = p[j], q[i]
-        s, t = b * d, f * h
-        minors.append((a * c + s - e * g - t,
-                       a * d + b * c + s - e * h - f * g - t))
-    return _canonical_pairs(minors)
+    return _canonical_pairs(_minors(p, q, _PLUECKER))
 
 
 class _Flat:
@@ -244,11 +242,8 @@ def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[Pair, ...]:
     defined for x != v, and two such points have the same image exactly
     when they are collinear with v."""
     k = _pivot(vertex)
-    (a, b), (c, d) = vertex.pairs[k], x.pairs[k]
-    return _canonical_pairs([(a * g + b * h - e * c - f * d,
-                              a * h + b * g + b * h - e * d - f * c - f * d)
-                             for i, ((e, f), (g, h))
-                             in enumerate(zip(vertex.pairs, x.pairs)) if i != k])
+    return _canonical_pairs(_minors(vertex.pairs, x.pairs,
+                                    [(k, i) for i in range(4) if i != k]))
 
 
 def plane_image(vertex: ProjPoint, plane: ProjPlane) -> Tuple[FieldElement, ...]:

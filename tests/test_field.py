@@ -1,4 +1,5 @@
-"""Field axioms and serialization for Q(phi) elements."""
+"""Field axioms and serialization for Q(phi) elements, and the Z[phi]
+pair kernels: products, dot products, conjugate, norm and residues."""
 
 import random
 from fractions import Fraction
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h4geproci.field import (FieldElement, ONE, PHI, PHI2, ZERO,
-                             common_numerators, primitive_numerators)
+from h4geproci import linalg
+from h4geproci.field import (FieldElement, ONE, PHI, PHI2, ZERO, _dot,
+                             common_numerators, conj, norm,
+                             primitive_numerators, products, residues)
 from json_readers import field_element
 
 
@@ -18,10 +21,18 @@ def _random_element(rng: random.Random) -> FieldElement:
                         Fraction(rng.randint(-50, 50), rng.randint(1, 20)))
 
 
+def _numerator(x: FieldElement):
+    """The Z[phi] pair u and the integer d with x = u/d."""
+    [u], d = common_numerators([x])
+    return u, d
+
+
 def test_phi_satisfies_its_minimal_polynomial():
     assert PHI * PHI == PHI + ONE
     assert PHI2 == PHI + ONE
-    assert PHI.norm() == -1
+    assert products([((0, 1), (0, 1))]) == [(1, 1)]
+    assert norm((0, 1)) == -1
+    assert conj((0, 1)) == (1, -1)  # phi + conj(phi) = 1
     assert PHI.inverse() == PHI - ONE
 
 
@@ -45,17 +56,22 @@ def test_inverses_and_norm_multiplicativity():
         if not x.is_zero():
             assert x * x.inverse() == ONE
             assert (ONE / x) * x == ONE
-        assert (x * y).norm() == x.norm() * y.norm()
-        assert x * x.conjugate() == FieldElement(x.norm())
+        (u, _), (v, _) = _numerator(x), _numerator(y)
+        [uv] = products([(u, v)])
+        assert norm(uv) == norm(u) * norm(v)
+        assert products([(u, conj(u))]) == [(norm(u), 0)]
+        assert (norm(u) == 0) == x.is_zero()
 
 
 def test_conjugation_is_a_field_homomorphism():
     rng = random.Random(11)
     for _ in range(2_000):
-        x, y = _random_element(rng), _random_element(rng)
-        assert (x + y).conjugate() == x.conjugate() + y.conjugate()
-        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-        assert x.conjugate().conjugate() == x
+        (u, _), (v, _) = (_numerator(_random_element(rng)) for _ in range(2))
+        (a, b), (c, d) = conj(u), conj(v)
+        assert conj((u[0] + v[0], u[1] + v[1])) == (a + c, b + d)
+        [uv] = products([(u, v)])
+        assert products([(conj(u), conj(v))]) == [conj(uv)]
+        assert conj(conj(u)) == u
 
 
 def test_zero_has_no_inverse():
@@ -181,8 +197,13 @@ def test_agrees_with_fraction_pair_reference(p, q, k):
     _assert_agrees(x + y, rx + ry)
     _assert_agrees(x - y, rx - ry)
     _assert_agrees(x * y, rx * ry)
-    _assert_agrees(x.conjugate(), rx.conjugate())
-    assert x.norm() == rx.norm()
+    (u, v), d = common_numerators([x, y])
+    _assert_agrees(FieldElement(*conj(u)) / d, rx.conjugate())
+    assert Fraction(norm(u), d * d) == rx.norm()
+    [uv] = products([(u, v)])
+    _assert_agrees(FieldElement(*uv) / (d * d), rx * ry)
+    _assert_agrees(FieldElement(*_dot([u, u], [v, conj(u)])) / (d * d),
+                   rx * ry + rx * rx.conjugate())
     if not y.is_zero():
         _assert_agrees(x / y, rx / ry)
         _assert_agrees(y.inverse(), ry.inverse())
@@ -194,7 +215,7 @@ def test_agrees_with_fraction_pair_reference(p, q, k):
 @settings(max_examples=300, deadline=None)
 @given(_elements, _elements)
 def test_normal_form(x, y):
-    for z in (x, y, x + y, x - y, x * y, x.conjugate(), -x):
+    for z in (x, y, x + y, x - y, x * y, x.inverse() if x else x, -x):
         num, phi_num, den = z._v
         assert den > 0 and gcd(num, phi_num, den) == 1
         assert FieldElement(z.a, z.b)._v == z._v
@@ -228,3 +249,37 @@ def test_primitive_numerators_scale_by_one_positive_rational(xs):
     ratio = FieldElement(*pairs[lead]) / xs[lead]
     assert ratio.b == 0 and ratio.a > 0
     assert [FieldElement(*pair) for pair in pairs] == [x * ratio for x in xs]
+
+
+_integers = st.integers(min_value=-10**30, max_value=10**30)
+_zpairs = st.tuples(_integers, _integers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_zpairs, _zpairs), max_size=6))
+def test_products_and_dot_are_the_field_products(factors):
+    """`products` and `_dot` on Z[phi] pairs agree with FieldElement `*`."""
+    exact = [FieldElement(*u) * FieldElement(*v) for u, v in factors]
+    assert [FieldElement(*w) for w in products(factors)] == exact
+    us, vs = [u for u, _ in factors], [v for _, v in factors]
+    assert FieldElement(*_dot(us, vs)) == sum(exact, ZERO)
+
+
+@pytest.mark.parametrize("p, r", [(linalg._PRIME, linalg._PHI_ROOT),
+                                  linalg._KERNEL_PRIME],
+                         ids=["rank prime", "kernel prime"])
+@settings(max_examples=200, deadline=None)
+@given(u=_zpairs, v=_zpairs)
+def test_residues_are_a_ring_map(p, r, u, v):
+    """x + y*phi -> (x + y*r) mod p is a ring map at both stored primes,
+    and conj(w) at r is w at the other root 1 - r, as `nullspace`'s
+    two-root lift reads it."""
+    assert (r * r - r - 1) % p == 0
+    assert residues([(1, 0), (0, 1)], p, r) == [1, r % p]
+    ru, rv = residues([u, v], p, r)
+    [uv] = products([(u, v)])
+    assert residues([(u[0] + v[0], u[1] + v[1]), uv], p, r) == \
+        [(ru + rv) % p, ru * rv % p]
+    assert residues([conj(u)], p, r) == residues([u], p, 1 - r)
+    assert residues([(norm(u), 0)], p, r) == \
+        [ru * residues([u], p, 1 - r)[0] % p]

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 import pytest
 
 from h4geproci import linalg
-from h4geproci.field import FieldElement, ONE, ZERO, primitive_numerators
+from h4geproci.field import FieldElement, ONE, ZERO, _dot, primitive_numerators
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -365,7 +365,7 @@ def test_nullspace_of_rank_deficient_matrix():
 
 def _pair_product(a, b):
     """The product of Z[phi] pair matrices."""
-    return [[linalg._dot(row, col) for col in zip(*b)] for row in a]
+    return [[_dot(row, col) for col in zip(*b)] for row in a]
 
 
 def test_nullspace_matches_sympy_over_q_sqrt5():

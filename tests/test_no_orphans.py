@@ -14,10 +14,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "h4geproci"
 
-# FieldElement.conjugate and .norm: test_field.py checks the Galois structure
-# through them.
-ALLOWED = {"conjugate", "norm"}
-
 
 def _scan(node, enclosing, defined, used, where):
     """Record the definitions under node, and the names used there outside
@@ -45,5 +41,5 @@ def test_no_function_or_class_is_used_only_by_tests():
         _scan(ast.parse(path.read_text(), str(path)), frozenset(), defined,
               used, path.name)
     orphans = {name: where for name, where in defined.items()
-               if name not in used and name not in ALLOWED}
+               if name not in used}
     assert not orphans, f"defined but never used in src/: {orphans}"

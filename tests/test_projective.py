@@ -8,10 +8,9 @@ from math import gcd
 import pytest
 
 from h4geproci import linalg
-from h4geproci.field import (FieldElement, ONE, PHI, ZERO,
+from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot,
                              primitive_numerators)
 from h4geproci.forms import HomForm, monomials, vanishing_space
-from h4geproci.linalg import _dot
 from h4geproci.projective import (DegenerateSpanError, ProjLine, ProjPlane,
                                   ProjPoint, _matrix, canonicalize,
                                   lines_meet, plane_through,
