@@ -48,15 +48,20 @@ F f 1 0    | F f -1 0   | F -f 1 0   | F -f -1 0
 """
 
 
+def _expect(holds: bool, message: str) -> None:
+    if not holds:
+        raise AssertionError(message)
+
+
 def _parse_points() -> List[ProjPoint]:
     pts = []
     for chunk in _POINT_DATA.replace("\n", "|").split("|"):
         tokens = chunk.split()
         if not tokens:
             continue
-        assert len(tokens) == 4, tokens
+        _expect(len(tokens) == 4, f"bad point row {tokens}")
         pts.append(ProjPoint([_TOKENS[t] for t in tokens]))
-    assert len(pts) == 60
+    _expect(len(pts) == 60, f"{len(pts)} points, not 60")
     return pts
 
 
@@ -152,7 +157,7 @@ def build_h4() -> H4Configuration:
     """Construct the configuration; every incidence comes from the exact
     plane table, which lists every configuration point of each plane.
 
-    Two points lie on 2, 3 or 5 of the planes (asserted: at least two), and
+    Two points lie on 2, 3 or 5 of the planes (checked: at least two), and
     two planes meet in one line, so the points of the line p_i p_j are those
     on the two lowest planes through both.  A line lies in the planes
     through two of its points.  Lines through a common point meet.  For any
@@ -161,10 +166,10 @@ def build_h4() -> H4Configuration:
     a zero residue goes to the exact `lines_meet`.  Those pairings have
     norms +-1, 4, 5, 16 and 80, and P | w gives p | N(w), so only a prime
     over 2 or 5 sends one to 0; no split prime does.  A structural count
-    that fails raises AssertionError.
+    that fails raises AssertionError (`_expect`, kept under python -O).
     """
     points = {i + 1: p for i, p in enumerate(_parse_points())}
-    assert len(set(points.values())) == 60, "points are not pairwise distinct"
+    _expect(len(set(points.values())) == 60, "points are not pairwise distinct")
     planes = {i: ProjPlane(points[i].coords) for i in points}
 
     # Plane i is dual to point i (the same canonical pairs) and the dot
@@ -177,7 +182,7 @@ def build_h4() -> H4Configuration:
             masks[j] |= 1 << i
     plane_points = {i: tuple(members(mask)) for i, mask in masks.items()}
     for i, row in plane_points.items():
-        assert len(row) == 15, f"plane {i} contains {len(row)} points, not 15"
+        _expect(len(row) == 15, f"plane {i} contains {len(row)} points, not 15")
     point_planes = plane_points
 
     # masks[i] is also the planes through point i.  Each secant is found
@@ -190,7 +195,8 @@ def build_h4() -> H4Configuration:
                 continue
             both = masks[i] & masks[j]
             rest = both & (both - 1)  # all but the lowest plane through both
-            assert rest, f"points {i} and {j} share fewer than two planes"
+            if not rest:  # inline, unlike `_expect`: no message built per pair
+                raise AssertionError(f"points {i} and {j} share fewer than two planes")
             line = masks[(both ^ rest).bit_length() - 1] \
                 & masks[(rest & -rest).bit_length() - 1]
             seen |= line
@@ -198,26 +204,26 @@ def build_h4() -> H4Configuration:
                 found.append(tuple(members(line)))
     secants = tuple(sorted(found))
     n_pairs = sum(len(s) * (len(s) - 1) // 2 for s in secants)
-    assert n_pairs == 1770, f"secants cover {n_pairs} point pairs, not 1770"
+    _expect(n_pairs == 1770, f"secants cover {n_pairs} point pairs, not 1770")
     top = max(len(s) for s in secants)
-    assert top == 5, f"a line carries {top} points; expected max 5"
+    _expect(top == 5, f"a line carries {top} points; expected max 5")
     # The five-point lines, indexed in lexicographic order of their points.
     five_sets = [s for s in secants if len(s) == 5]
-    assert len(five_sets) == 72, f"{len(five_sets)} five-point lines, not 72"
+    _expect(len(five_sets) == 72, f"{len(five_sets)} five-point lines, not 72")
 
     line_points = dict(enumerate(five_sets, start=1))
     lines = {i: ProjLine(points[s[0]], points[s[1]])
              for i, s in line_points.items()}
     point_lines = _inverse(line_points, points)
     for j, row in point_lines.items():
-        assert len(row) == 6, f"point {j} lies on {len(row)} lines, not 6"
+        _expect(len(row) == 6, f"point {j} lies on {len(row)} lines, not 6")
     line_planes = {i: tuple(members(masks[s[0]] & masks[s[1]]))
                    for i, s in line_points.items()}
     for i, row in line_planes.items():
-        assert len(row) == 5, f"line {i} lies in {len(row)} planes, not 5"
+        _expect(len(row) == 5, f"line {i} lies in {len(row)} planes, not 5")
     plane_lines = _inverse(line_planes, planes)
     for v, row in plane_lines.items():
-        assert len(row) == 6, f"plane {v} contains {len(row)} lines, not 6"
+        _expect(len(row) == 6, f"plane {v} contains {len(row)} lines, not 6")
 
     # The meet relation: shared points, then the pairings mod P (above).
     meets = {i: {j for k in line_points[i] for j in point_lines[k]} - {i}
@@ -306,7 +312,8 @@ def special_points_for_grid(
     is found once, on the one secant through X and A.
     """
     grid = set(grid_points)
-    assert len(grid) == 25, "expected a 25-point grid"
+    if len(grid) != 25:
+        raise ValueError(f"expected a 25-point grid, got {len(grid)} points")
     pairs: Dict[int, List[Tuple[int, int]]] = {x: [] for x in set(cfg.points) - grid}
     for s in cfg.secants:
         on_grid = [a for a in s if a in grid]

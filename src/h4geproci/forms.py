@@ -202,10 +202,11 @@ def independent_evaluation_rows(points: Sequence[Sequence[Pair]], degree: int,
     nonzero minor mod P is one over Q(phi): the exact rank is at least the
     count kept, and when that is the number of monomials no nonzero degree-d
     form vanishes at the points.  A smaller count proves nothing on its own.
+    Rows go as a generator: at full rank none past the last pivot is built.
     """
     cols = monomials(degree, nvars)
     return linalg.independent_rows_mod(
-        [_residue_row(p, degree, nvars, cols) for p in points], linalg._PRIME)
+        (_residue_row(p, degree, nvars, cols) for p in points), linalg._PRIME)
 
 
 def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,

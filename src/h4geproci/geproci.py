@@ -68,7 +68,7 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
     the vertex lies on any configuration plane or either grid quadric, or if
     two configuration points project to the same image.  Such a vertex is
     off every five-point line too: each line lies in 5 configuration planes
-    (`build_h4` asserts it), so a vertex on a line is on those planes.
+    (`build_h4` checks it), so a vertex on a line is on those planes.
     After VERTEX_DRAWS rejected draws it raises RejectionBudgetExhausted.
     """
     rng = random.Random(seed)
@@ -298,7 +298,9 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     """Certify that a half of `config.HALVES`, by name, projects to a (5,6)
     complete intersection.  Its points are its part of `config.z_partition`,
     and its cover lines are its L-lines and its external line.  It raises
-    VerificationError unless every check passes."""
+    VerificationError unless every check passes.  The line product is tested
+    by its factors, each point's own cover line (`point_lines`) first: Q(phi)
+    has no zero divisors, so it vanishes exactly where one of them does."""
     names = [half.name for half in cfgmod.HALVES]
     if subset not in names:
         raise ValueError(f"subset must be one of {names}")
@@ -316,12 +318,13 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     checks["quintic_on_subset"] = all(quintic.vanishes_at(proj.images[i])
                                       for i in points)
     line_form[half.external_line] = proj.push_line(cfg.lines[half.external_line])
-    line_forms = [line_form[i] for i in cover]
-    product = prod(line_forms[1:], start=line_forms[0])
-    checks["product_on_subset"] = all(product.vanishes_at(proj.images[i])
-                                      for i in points)
+    product = prod((line_form[i] for i in cover[1:]), start=line_form[cover[0]])
+    checks["product_on_subset"] = all(
+        any(line_form[j].vanishes_at(proj.images[i])
+            for j in sorted(cover, key=lambda j: j not in cfg.point_lines[i]))
+        for i in points)
     checks["no_line_in_quintic"] = all(not divides(lf, quintic)
-                                       for lf in line_forms)
+                                       for lf in line_form.values())
     checks["bezout_count"] = quintic.degree * product.degree == 30
     cert = HalfGridCertificate(subset, seed, proj.vertex, points,
                                cover, quintic, product, checks)
@@ -355,15 +358,16 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     N/a points each, impossible whenever N/a exceeds the collinearity bound.
     The refutation fails (correctly) on a subset that is a half-grid.
 
-    Step (2) is a rank test mod P (`independent_evaluation_rows`); no form
-    is interpolated.  d* is the first degree whose rank mod P is not full.
-    Every dimension below d* is exactly 0 (a nonzero minor mod P is a
-    nonzero minor over Q(phi)), so d* is at most the least degree m of a
-    curve through the images, the types forced from d* include those forced
-    from m, and "refuted" needs every one of them excluded: an unlucky prime
-    can turn "refuted" into "not refuted", never the reverse.  The images
-    are minors, polynomial in the vertex, so dim_d = 0 is an open condition
-    on it, and a refutation at one vertex holds for a general vertex.
+    Step (2) is a rank test mod P (`independent_evaluation_rows`), which at a
+    full-rank degree builds the rows up to the last pivot only; no form is
+    interpolated.  d* is the first degree whose rank mod P is not full.  Every
+    dimension below d* is exactly 0 (a minor nonzero mod P is nonzero over
+    Q(phi)), so d* is at most the least degree m of a curve through the
+    images, the types forced from d* include those forced from m, and
+    "refuted" needs every one of them excluded: an unlucky prime can turn
+    "refuted" into "not refuted", never the reverse.  The images are minors,
+    polynomial in the vertex, so dim_d = 0 is an open condition on it, and a
+    refutation at one vertex holds for a general vertex.
     An empty subset, or a repeated or unknown point index, raises
     ValueError before any work: the empty set would be "refuted" vacuously.
     """

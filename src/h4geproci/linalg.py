@@ -8,10 +8,10 @@ the kernel, CRT and rational reconstruction lift it, and an exact check
 formula on FieldElements, for the 3x3 minors of plane spans, so nothing
 here eliminates exactly.
 
-Over F_p, matrices are lists of lists of ints.  `_echelon_mod`, the only
-elimination, brings them to reduced echelon form one row at a time, for
-`nullspace` and for `independent_rows_mod`, which keeps the first
-independent rows.
+Over F_p, rows are lists of ints.  `_echelon_mod`, the only elimination,
+brings them to reduced echelon form one row at a time, for `nullspace` and
+for `independent_rows_mod`, which keeps the first independent rows; both
+take any iterable of rows and stop reading it at the last possible pivot.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt, prod
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import (FieldElement, ONE, ZERO, Pair, _dot, primitive_numerators,
                     residues)
@@ -165,13 +165,13 @@ def first_missed_row(rows: Sequence[Sequence[Pair]],
     return None
 
 
-def independent_rows_mod(rows: Sequence[Sequence[int]], p: int) -> List[int]:
+def independent_rows_mod(rows: Iterable[Sequence[int]], p: int) -> List[int]:
     """Indices of the first rows independent mod p, in input order; their
-    number is the rank.  Entries may be any ints; the input is not modified."""
+    number is the rank.  Rows: any iterable of any ints, left unmodified."""
     return _echelon_mod(rows, p)[0]
 
 
-def _echelon_mod(rows: Sequence[Sequence[int]], p: int
+def _echelon_mod(rows: Iterable[Sequence[int]], p: int
                  ) -> Tuple[List[int], List[int], Dict[int, List[int]]]:
     """Reduced echelon form over F_p, one row at a time.  Returns the indices
     of the first rows independent mod p, their pivot columns, and each free
@@ -179,13 +179,14 @@ def _echelon_mod(rows: Sequence[Sequence[int]], p: int
     the others, so a new row reduces at free column j to row[j] -
     sum_i row[pivots[i]] * free[j][i].  A nonzero there, first at c, keeps
     the row, scaled to 1 at c and subtracted from the kept rows to clear c.
+    The first row sets the width; reading stops once ``free`` is empty.
     """
     kept: List[int] = []
     pivots: List[int] = []
-    free: Dict[int, List[int]] = {j: [] for j in range(len(rows[0]) if rows else 0)}
-    for i, row in enumerate(rows):
-        if not free:
-            break
+    rows = iter(rows)
+    first = next(rows, ())
+    free: Dict[int, List[int]] = {j: [] for j in range(len(first))}
+    for i, row in enumerate(itertools.chain([first], rows) if free else ()):
         head = [row[c] for c in pivots]
         rest = {j: (row[j] - sum(map(mul, head, col))) % p for j, col in free.items()}
         for c, x in rest.items():
@@ -201,4 +202,6 @@ def _echelon_mod(rows: Sequence[Sequence[int]], p: int
             col.append(u)
         kept.append(i)
         pivots.append(c)
+        if not free:
+            break
     return kept, pivots, free

@@ -1,8 +1,14 @@
 """The 60-point configuration: tables, counts, duality, special points."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
+
+import pytest
 
 from h4geproci import config, forms, linalg, tables
 from h4geproci.config import (HALVES, grid_point_indices,
@@ -278,6 +284,35 @@ def test_special_points_of_grid2(cfg):
         for a, b in pairing:  # rank test, independent of the secant table
             assert on_line(ProjLine(cfg.points[x], cfg.points[a]),
                            cfg.points[b])
+
+
+def test_special_points_need_a_25_point_grid(cfg):
+    with pytest.raises(ValueError, match="expected a 25-point grid"):
+        special_points_for_grid(cfg, range(1, 25))
+
+
+def test_checks_hold_under_python_O():
+    """`python -O` strips assert statements; the caller-input guard still
+    raises ValueError, and a malformed point table AssertionError."""
+    src = Path(config.__file__).resolve().parent.parent
+    code = ("import sys\n"
+            "from h4geproci import config\n"
+            "print(sys.flags.optimize)\n"
+            "cfg = config.build_h4()\n"
+            "try:\n"
+            "    config.special_points_for_grid(cfg, range(1, 25))\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n"
+            "config._POINT_DATA = config._POINT_DATA.replace('0 1 0 0', '0 1 0', 1)\n"
+            "try:\n"
+            "    config.build_h4()\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "1", "ValueError", "bad point row ['0', '1', '0']"]
 
 
 def test_special_point_4_has_the_printed_pairing(cfg):

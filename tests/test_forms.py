@@ -594,6 +594,7 @@ def test_one_patch_moves_every_rank_test_to_another_prime(cfg, monkeypatch):
 
     def recording(rows, p):
         moduli.append(p)
+        rows = list(rows)  # the rows may come as a generator
         assert all(0 <= v < p for row in rows for v in row)
         return independent(rows, p)
 

@@ -345,7 +345,7 @@ def test_each_quintic_is_tested_on_its_own_half(cfg, monkeypatch):
 
 
 class _MissesOneImage(HomForm):
-    """A quintic whose zero test reads False at one image."""
+    """A form whose zero test reads False at one image."""
 
     __slots__ = ()
     missed = None
@@ -394,6 +394,47 @@ def test_half_grid_certificates_pass(cfg, subset):
     assert cert.checks["bezout_count"]
 
 
+def test_half_grid_tests_the_line_product_by_its_factors(cfg, monkeypatch):
+    """The degree-6 line product is never evaluated: each image is tested
+    once, against its own cover line's linear form."""
+    evaluation_row = forms._evaluation_row
+    degrees = []
+
+    def recording(point, degree, nvars, cols):
+        degrees.append(degree)
+        return evaluation_row(point, degree, nvars, cols)
+
+    monkeypatch.setattr(forms, "_evaluation_row", recording)
+    for half in HALVES:
+        degrees.clear()
+        assert geproci.verify_half_grid(cfg, 1, half.name).passed
+        assert 6 not in degrees
+        assert degrees.count(1) == 30
+
+
+def test_a_cover_line_missing_one_image_fails_the_product_check(
+        cfg, monkeypatch):
+    """The pushed external line of z1 reads False at the image of one of
+    its points, where no other cover line vanishes: the product check, and
+    only it, fails."""
+    ext = HALF1.external_line
+    missed = geproci.sample_generic_vertex(cfg, 1).images[
+        cfg.line_points[ext][0]]
+    push_line = geproci.Projection.push_line
+
+    def patched(self, line):
+        form = push_line(self, line)
+        if line == cfg.lines[ext]:
+            return _MissesOneImage(3, 1, form.coeffs)
+        return form
+
+    monkeypatch.setattr(_MissesOneImage, "missed", missed)
+    monkeypatch.setattr(geproci.Projection, "push_line", patched)
+    with pytest.raises(geproci.VerificationError) as err:
+        geproci.verify_half_grid(cfg, 1, "z1")
+    assert str(err.value).endswith("['product_on_subset']")
+
+
 def test_half_grid_rejects_unknown_subset(cfg):
     with pytest.raises(ValueError):
         geproci.verify_half_grid(cfg, 1, "z3")
@@ -439,6 +480,25 @@ def test_refutation_runs_no_exact_kernel(cfg, monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", exact)
     monkeypatch.setattr(linalg, "first_missed_row", exact)
     assert geproci.verify_not_half_grid(cfg, 1) == expected
+
+
+def test_the_refutation_ladder_builds_rows_up_to_the_last_pivot(cfg,
+                                                                monkeypatch):
+    """At the full-rank degrees 1..5 the rank test stops at its last pivot
+    (rows 3, 6, 13, 16 and 21 of 60); degree 6 has rank 27 of 28 and reads
+    all 60 rows: 119 residue rows, where building every row took 360."""
+    expected = geproci.verify_not_half_grid(cfg, 1)
+    residue_row = forms._residue_row
+    degrees = []
+
+    def recording(point, degree, nvars, cols):
+        degrees.append(degree)
+        return residue_row(point, degree, nvars, cols)
+
+    monkeypatch.setattr(forms, "_residue_row", recording)
+    assert geproci.verify_not_half_grid(cfg, 1) == expected
+    assert [degrees.count(d) for d in range(1, 7)] == [3, 6, 13, 16, 21, 60]
+    assert len(degrees) == 119
 
 
 def test_a_rank_short_mod_p_never_refutes(cfg, monkeypatch):

@@ -562,22 +562,29 @@ def _reference_independent_rows_mod(rows, p):
     return kept
 
 
+def _low_rank_rows(rng, p):
+    """Up to 11 random rows of 1 to 9 columns, of random rank, with repeated
+    and zero rows inserted; returns the rows and the column count."""
+    nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
+    rank = rng.randint(0, min(nrows, ncols))
+    left = [[rng.randint(-p, p) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.choice((0, 1, -1, rng.randint(-10 ** 12, 10 ** 12)))
+              for _ in range(ncols)] for _ in range(rank)]
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            if rank else [0] * ncols for row in left]
+    for _ in range(rng.randint(0, 2)):
+        if rows:
+            rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+        rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+    return rows, ncols
+
+
 @pytest.mark.parametrize("p", [7, 2147483659])
 def test_independent_rows_mod_matches_the_row_by_row_reference(p):
     rng = random.Random(61 + p % 97)
     seen = set()
     for _ in range(300):
-        nrows, ncols = rng.randint(0, 9), rng.randint(1, 9)
-        rank = rng.randint(0, min(nrows, ncols))
-        left = [[rng.randint(-p, p) for _ in range(rank)] for _ in range(nrows)]
-        right = [[rng.choice((0, 1, -1, rng.randint(-10 ** 12, 10 ** 12)))
-                  for _ in range(ncols)] for _ in range(rank)]
-        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
-                if rank else [0] * ncols for row in left]
-        for _ in range(rng.randint(0, 2)):
-            if rows:
-                rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
-            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        rows, ncols = _low_rank_rows(rng, p)
         before = [list(row) for row in rows]
         kept = linalg.independent_rows_mod(rows, p)
         assert rows == before
@@ -586,3 +593,30 @@ def test_independent_rows_mod_matches_the_row_by_row_reference(p):
                   else "square", "rank 0" if not kept else
                   "full" if len(kept) == min(len(rows), ncols) else "deficient"))
     assert len(seen) == 9
+
+
+@pytest.mark.parametrize("p", [7, 2147483659])
+def test_independent_rows_mod_reads_a_generator_up_to_the_last_pivot(p):
+    """Rows from a generator give the indices the list gives, and at full
+    rank no row after the last pivot is pulled; below it, every row is."""
+    rng = random.Random(67 + p % 97)
+    full_ranks = 0
+    for _ in range(300):
+        rows, ncols = _low_rank_rows(rng, p)
+        pulled = []
+
+        def reading():
+            for i, row in enumerate(rows):
+                pulled.append(i)
+                yield row
+
+        kept = linalg.independent_rows_mod(reading(), p)
+        assert kept == linalg.independent_rows_mod(rows, p)
+        assert kept == _reference_independent_rows_mod(rows, p)
+        if len(kept) == ncols:
+            full_ranks += 1
+            assert pulled == list(range(kept[-1] + 1))
+        else:
+            assert pulled == list(range(len(rows)))
+    assert full_ranks
+    assert linalg.independent_rows_mod(iter([]), p) == []
