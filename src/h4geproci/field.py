@@ -10,9 +10,9 @@ the only one that knows the triple; others clear denominators through
 `common_numerators` or `primitive_numerators` and read the Z[phi] pairs
 (x, y) they return.  It is also the only module that knows the ring Z[phi]:
 its rule phi**2 = phi + 1 on elements (`*`), on lists of factor pairs
-(`products`) and summed (`_dot`), the conjugate `conj`, the norm `norm` and
-the reduction `residues` modulo a degree-1 prime.  The pair kernels take a
-whole row or vector, so callers pay one call per row, not per product.
+(`products`) and summed (`_dot`), the negation `_neg`, the conjugate `conj`,
+the norm `norm` and the reduction `residues` modulo a degree-1 prime.  Pair
+kernels take a whole row or vector: one call per row, not per product.
 """
 
 from __future__ import annotations
@@ -238,6 +238,10 @@ def _dot(u: Sequence[Pair], v: Sequence[Pair]) -> Pair:
         sx += a * c + t
         sy += a * d + b * c + t
     return sx, sy
+
+
+def _neg(w: Pair) -> Pair:
+    return (-w[0], -w[1])
 
 
 def conj(w: Pair) -> Pair:

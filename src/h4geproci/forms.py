@@ -3,11 +3,11 @@
 Forms are sparse maps from exponent tuples to FieldElement coefficients, in
 graded lexicographic order (first variable largest).  The module provides
 exact evaluation, products, interpolation through point sets by a nullspace
-proposed modulo split primes and checked exactly, divisibility by long
-division, gcd as the nullspace of a multiplication map, and a smoothness
-certificate for plane curves from chart-wise resultants, by Euclid's
-algorithm over F_p on formal degrees, modulo a degree-1 prime of Z[phi],
-sound over Q(phi)-bar.
+proposed modulo split primes and checked exactly, divisibility (by a line,
+by evaluation on it; otherwise by long division), gcd as the nullspace of a
+multiplication map, and a smoothness certificate for plane curves from
+chart-wise resultants, by Euclid's algorithm over F_p on formal degrees,
+modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.
 Points, evaluation rows and kernel vectors are Z[phi] integer pairs (x, y)
 for x + y*phi; each interpolated form becomes FieldElement once, when built.
 """
@@ -22,8 +22,8 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import linalg
-from .field import (FieldElement, ONE, ZERO, Pair, _dot, common_numerators,
-                    primitive_numerators, products, residues)
+from .field import (FieldElement, ONE, ZERO, Pair, _dot, _neg,
+                    common_numerators, primitive_numerators, products, residues)
 
 Exponents = Tuple[int, ...]
 Coeffs = Dict[Exponents, FieldElement]
@@ -336,6 +336,22 @@ def try_quotient(f: HomForm, g: HomForm) -> Optional[HomForm]:
 
 
 def divides(f: HomForm, g: HomForm) -> bool:
+    """Whether f divides g; by evaluation when f is linear in 3 variables.
+
+    Soundness.  With c f's coprime pairs, c_k the first nonzero one and i < j
+    the other indices, u = c_k*e_i - c_i*e_k and w = c_k*e_j - c_j*e_k are
+    independent zeros of f.  So g(u + t*w), t = 0..deg g, are the values of
+    the binary form g(s*u + t*w) of degree deg g at deg g + 1 distinct points,
+    all zero exactly when it is zero, that is when f | g (take f = x_k)."""
+    if f.degree == 1 and not (f.is_zero() or g.is_zero()) and f.nvars == g.nvars == 3:
+        by_var = dict(zip(f.coeffs, f.pairs()))
+        c = [by_var.get(e, (0, 0)) for e in monomials(1, 3)]
+        k = next(v for v in range(3) if c[v] != (0, 0))
+        i, j = (v for v in range(3) if v != k)
+        u, w = [(0, 0)] * 3, [(0, 0)] * 3
+        u[i], u[k], w[j], w[k] = c[k], _neg(c[i]), c[k], _neg(c[j])
+        return all(g.vanishes_at([(a + t * x, b + t * y) for (a, b), (x, y) in zip(u, w)])
+                   for t in range(g.degree + 1))
     return try_quotient(f, g) is not None
 
 

@@ -360,14 +360,17 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
 
     Step (2) is a rank test mod P (`independent_evaluation_rows`), which at a
     full-rank degree builds the rows up to the last pivot only; no form is
-    interpolated.  d* is the first degree whose rank mod P is not full.  Every
-    dimension below d* is exactly 0 (a minor nonzero mod P is nonzero over
-    Q(phi)), so d* is at most the least degree m of a curve through the
+    interpolated.  d* is the first degree d whose forced types (a, N/a), with
+    a, N/a >= d, step (3) all excludes, or else whose rank mod P is not full.
+    Every dimension below d* is exactly 0 (a minor nonzero mod P is nonzero
+    over Q(phi)), so d* is at most the least degree m of a curve through the
     images, the types forced from d* include those forced from m, and
     "refuted" needs every one of them excluded: an unlucky prime can turn
-    "refuted" into "not refuted", never the reverse.  The images are minors,
-    polynomial in the vertex, so dim_d = 0 is an open condition on it, and a
-    refutation at one vertex holds for a general vertex.
+    "refuted" into "not refuted", never the reverse.  Stopping at an excluded
+    d changes no verdict, as a longer ladder forces a subset of its types.
+    The images are minors, polynomial in the vertex, so dim_d = 0 is an open
+    condition on it, and a refutation at one vertex holds for a general
+    vertex.
     An empty subset, or a repeated or unknown point index, raises
     ValueError before any work: the empty set would be "refuted" vacuously.
     """
@@ -380,14 +383,15 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in indices]
     d = 1  # d*: no curve of lower degree passes through the images
-    while len(independent_evaluation_rows(images, d, 3)) == (d + 1) * (d + 2) // 2:
+    while True:
+        forced = tuple((a, n // a) for a in range(d, n + 1) if n % a == 0 and n // a >= d)
+        if all(min(t) > mc for t in forced) \
+                or len(independent_evaluation_rows(images, d, 3)) < (d + 1) * (d + 2) // 2:
+            break
         d += 1
-    min_degree = d
-    forced = tuple((a, n // a) for a in range(min_degree, n + 1)
-                   if n % a == 0 and n // a >= min_degree)
     details = [
         f"max collinear points: {mc}",
-        f"no plane curve of degree < {min_degree} passes through the"
+        f"no plane curve of degree < {d} passes through the"
         f" {n} projected points",
         f"possible CI types: {forced}",
     ]

@@ -26,8 +26,8 @@ from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
 from . import linalg
-from .field import (FieldElement, Pair, _dot, conj, norm, primitive_numerators,
-                    products)
+from .field import (FieldElement, Pair, _dot, _neg, conj, norm,
+                    primitive_numerators, products)
 
 # Pluecker coordinates are ordered by the index pairs ij below.
 _PLUECKER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -60,10 +60,6 @@ def _canonical_pairs(pairs: Sequence[Pair]) -> Tuple[Pair, ...]:
 
 def _elements(pairs: Iterable[Pair]) -> Tuple[FieldElement, ...]:
     return tuple(FieldElement(x, y) for x, y in pairs)
-
-
-def _neg(w: Pair) -> Pair:
-    return (-w[0], -w[1])
 
 
 def canonicalize(coords: Sequence[FieldElement]) -> Tuple[FieldElement, ...]:

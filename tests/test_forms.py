@@ -4,7 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
 
 import pytest
 
@@ -528,6 +528,56 @@ def test_divisibility_roundtrip():
     assert try_quotient(x + y, x * x) is None
 
 
+def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
+    """A line and a nonzero ternary form go to no long division, and the
+    verdict is `try_quotient`'s: on products l*q, on forms that l does not
+    divide, on constants, with the pivot at x, y or z, and with Z[phi] and
+    rational coefficients."""
+    quotient = forms.try_quotient
+
+    def no_division(f, g):
+        if f.degree == 1 and f.nvars == g.nvars == 3 \
+                and not (f.is_zero() or g.is_zero()):
+            pytest.fail("a linear divisor went to long division")
+        return quotient(f, g)
+
+    monkeypatch.setattr(forms, "try_quotient", no_division)
+    rng = random.Random(97)
+    seen = set()
+    for trial in range(90):
+        pivot, rational = trial % 3, trial % 2 == 1
+
+        def coeff():
+            if rational:
+                return _random_elem(rng)
+            return FieldElement(rng.randint(-3, 3), rng.randint(-2, 2))
+
+        lead = coeff()
+        if lead.is_zero():
+            continue
+        line = HomForm.linear([ZERO] * pivot + [lead]
+                              + [coeff() for _ in range(2 - pivot)])
+        q = _random_form(rng, 3, rng.randint(0, 4), rational=rational)
+        near = line * q + _random_form(rng, 3, q.degree + 1, density=0.2)
+        for g in (line * q, (line * q).scale(PHI), q, near,
+                  HomForm(3, 0, {(0, 0, 0): lead})):
+            got = divides(line, g)
+            assert got == (quotient(line, g) is not None)
+            seen.add((pivot, got))
+    assert seen == {(k, b) for k in range(3) for b in (True, False)}
+    # On z = 0 the points are (1, t, 0), t = 0..5: the product of y - t*x,
+    # t < 5, vanishes at all of them but the last.
+    x, y, z = (_var(i, 3) for i in range(3))
+    fan = prod((y - x.scale(FieldElement(t)) for t in range(5)),
+               start=HomForm(3, 0, {(0, 0, 0): ONE}))
+    assert not divides(z, fan) and divides(z, fan * z)
+    assert divides(_var(2, 3), HomForm.zero(3, 4))
+    with pytest.raises(ZeroDivisionError):
+        divides(HomForm.zero(3, 1), _var(0, 3))
+    with pytest.raises(ValueError):
+        divides(_var(0, 3), _var(0, 2))
+
+
 def test_gcd_of_products_recovers_common_factor():
     rng = random.Random(67)
     for _ in range(15):
@@ -583,6 +633,21 @@ def test_gcd_and_divides_match_sympy_over_q_sqrt5():
                 assert divides(p, q) == rem.is_zero
                 outcomes.add(rem.is_zero)
             cases += 1
+        if nvars == 3:  # linear divisors, decided by evaluation
+            line_rng, linear_outcomes = random.Random(91), set()
+            for trial in range(8):
+                rational = trial % 2 == 1
+                line, q = (_random_form(line_rng, 3, d, rational=rational)
+                           for d in (1, line_rng.randint(0, 3)))
+                if line.is_zero() or q.is_zero():
+                    continue
+                for g in (line * q, q,
+                          line * q + _random_form(line_rng, 3, q.degree + 1)):
+                    if not g.is_zero():
+                        _, rem = poly(g).div(poly(line))
+                        assert divides(line, g) == rem.is_zero
+                        linear_outcomes.add(rem.is_zero)
+            assert linear_outcomes == {True, False}
     assert cases >= 12 and outcomes == {True, False}
 
 

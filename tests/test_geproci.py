@@ -435,6 +435,30 @@ def test_a_cover_line_missing_one_image_fails_the_product_check(
     assert str(err.value).endswith("['product_on_subset']")
 
 
+def test_half_grid_makes_no_long_division(cfg, monkeypatch):
+    """`no_line_in_quintic` decides each cover line by evaluation."""
+    quotient = forms.try_quotient
+    calls = []
+
+    def counting(f, g):
+        calls.append((f.degree, g.degree))
+        return quotient(f, g)
+
+    monkeypatch.setattr(forms, "try_quotient", counting)
+    for half in HALVES:
+        assert geproci.verify_half_grid(cfg, 1, half.name).passed
+    assert calls == []
+
+
+def test_a_quintic_made_of_cover_lines_fails_the_line_check(cfg, monkeypatch):
+    """With the quintic patched to the product of its half's pushed L-lines,
+    every L-line divides it; it also misses the external line's images."""
+    monkeypatch.setattr(geproci, "build_quintic_cone", lambda g, h, point: g)
+    with pytest.raises(geproci.VerificationError) as err:
+        geproci.verify_half_grid(cfg, 1, "z1")
+    assert str(err.value).endswith("['quintic_on_subset', 'no_line_in_quintic']")
+
+
 def test_half_grid_rejects_unknown_subset(cfg):
     with pytest.raises(ValueError):
         geproci.verify_half_grid(cfg, 1, "z3")
@@ -485,8 +509,10 @@ def test_refutation_runs_no_exact_kernel(cfg, monkeypatch):
 def test_the_refutation_ladder_builds_rows_up_to_the_last_pivot(cfg,
                                                                 monkeypatch):
     """At the full-rank degrees 1..5 the rank test stops at its last pivot
-    (rows 3, 6, 13, 16 and 21 of 60); degree 6 has rank 27 of 28 and reads
-    all 60 rows: 119 residue rows, where building every row took 360."""
+    (rows 3, 6, 13, 16 and 21 of 60); at degree 6 the collinearity bound
+    excludes both forced types, (6, 10) and (10, 6), so no rank test runs:
+    59 residue rows, where reading all 60 at degree 6 took 119 and building
+    every row took 360."""
     expected = geproci.verify_not_half_grid(cfg, 1)
     residue_row = forms._residue_row
     degrees = []
@@ -497,8 +523,46 @@ def test_the_refutation_ladder_builds_rows_up_to_the_last_pivot(cfg,
 
     monkeypatch.setattr(forms, "_residue_row", recording)
     assert geproci.verify_not_half_grid(cfg, 1) == expected
-    assert [degrees.count(d) for d in range(1, 7)] == [3, 6, 13, 16, 21, 60]
-    assert len(degrees) == 119
+    assert [degrees.count(d) for d in range(1, 7)] == [3, 6, 13, 16, 21, 0]
+    assert len(degrees) == 59
+
+
+def _old_ladder_refuted(cfg, seed, indices):
+    """The ladder before it stopped at an excluded degree: it climbs until
+    the rank mod P drops, then excludes the types forced from there."""
+    images = [geproci.sample_generic_vertex(cfg, seed).images[i] for i in indices]
+    n, mc, d = len(indices), cfg.max_collinear(indices), 1
+    while len(forms.independent_evaluation_rows(images, d, 3)) == (d + 1) * (d + 2) // 2:
+        d += 1
+    forced = [(a, n // a) for a in range(d, n + 1) if n % a == 0 and n // a >= d]
+    return d, all(min(a, b) > mc for a, b in forced)
+
+
+def _refutation_subsets(cfg):
+    z1, _ = z_partition(cfg)
+    grid1 = geproci.verify_grid(cfg, L1, M1).grid_points
+    externals = cfg.line_points[HALF1.external_line] + cfg.line_points[HALF2.external_line]
+    return {"Z": tuple(sorted(cfg.points)), "Z1": z1,
+            "H4 minus line 1": tuple(sorted(set(cfg.points) - set(cfg.line_points[1]))),
+            "grid 1 and both external lines": tuple(sorted(set(grid1 + externals))),
+            "points 1-13": tuple(range(1, 14))}
+
+
+def test_stopping_at_an_excluded_degree_keeps_the_old_verdict(cfg):
+    """On H4, Z1, H4 minus a line, grid 1 with its two external lines and
+    13 points, the ladder that climbs until the rank drops gives the same
+    `refuted`.  The first four stop at the same degree; the 13 points, with
+    no divisor pair of 13 both at least 2, stop at d* = 2, where the old
+    ladder climbed to 4: no cubic passes through their images either."""
+    stops = []
+    for name, indices in _refutation_subsets(cfg).items():
+        report = geproci.verify_not_half_grid(cfg, 1, indices, name)
+        old_d, old_refuted = _old_ladder_refuted(cfg, 1, indices)
+        assert report.refuted == old_refuted, name
+        stops.append((len(indices), len(report.low_degree_dims) + 1, old_d,
+                      report.refuted))
+    assert stops == [(60, 6, 6, True), (30, 5, 5, False), (55, 6, 6, True),
+                     (35, 6, 6, True), (13, 2, 4, True)]
 
 
 def test_a_rank_short_mod_p_never_refutes(cfg, monkeypatch):
