@@ -15,7 +15,7 @@ from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from . import linalg
-from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, products, residues
+from .field import ONE, PHI, PHI2, ZERO, Pair, products, residues
 from .forms import HomForm, monomials
 from .projective import (ProjLine, ProjPoint, ProjPlane, lines_meet,
                          transversal_quadric)
@@ -272,8 +272,7 @@ def grid_quadric(points: Dict, lines: Dict, line_points: Dict, meets: Dict,
     rows = [_quadric_row(points[p].pairs) for p in nine]
     if linalg.first_missed_row(rows, [coeffs]) is not None:
         raise ArithmeticError("the transversal quadric misses the subgrid")
-    return HomForm(4, 2, {c: FieldElement(*w)
-                          for c, w in zip(_QUADRIC_MONOMIALS, coeffs)}).monic()
+    return HomForm.monic_from_pairs(4, 2, zip(_QUADRIC_MONOMIALS, coeffs))
 
 
 _QUADRIC_MONOMIALS = tuple(monomials(2, 4))  # the order of `_quadric_row`

@@ -7,8 +7,9 @@ hashable.  All operations are integer formulas and exact; nothing ever
 rounds.  `fractions.Fraction` appears only at the edges: the constructor,
 the `a`/`b` components and the hash of rational elements.  This module is
 the only one that knows the triple; others clear denominators through
-`common_numerators` or `primitive_numerators` and read the Z[phi] pairs
-(x, y) they return.  It is also the only module that knows the ring Z[phi]:
+`common_numerators` or `primitive_numerators`, read the Z[phi] pairs
+(x, y) they return, and put pairs back over a denominator through
+`from_numerators`.  It is also the only module that knows the ring Z[phi]:
 its rule phi**2 = phi + 1 on elements (`*`), on lists of factor pairs
 (`products`) and summed (`_dot`), the negation `_neg`, the conjugate `conj`,
 the norm `norm` and the reduction `residues` modulo a degree-1 prime.  Pair
@@ -207,6 +208,11 @@ def common_numerators(elems: Iterable[FieldElement]) -> Tuple[List[Pair], int]:
     triples = [e._v for e in elems]
     scale = lcm(*(d for _, _, d in triples))
     return [(x * (scale // d), y * (scale // d)) for x, y, d in triples], scale
+
+
+def from_numerators(pairs: Iterable[Pair], d: int) -> List[FieldElement]:
+    """The elements (x + y*phi)/d, d != 0, each normalized once."""
+    return [_make(x, y, d) for x, y in pairs]
 
 
 def primitive_numerators(elems: Iterable[FieldElement]) -> List[Pair]:

@@ -2,14 +2,15 @@
 
 Forms are sparse maps from exponent tuples to FieldElement coefficients, in
 graded lexicographic order (first variable largest).  The module provides
-exact evaluation, products, interpolation through point sets by a nullspace
+exact zero tests, products, interpolation through point sets by a nullspace
 proposed modulo split primes and checked exactly, divisibility (by a line,
 by evaluation on it; otherwise by long division), gcd as the nullspace of a
 multiplication map, and a smoothness certificate for plane curves from
 chart-wise resultants, by Euclid's algorithm over F_p on formal degrees,
 modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.
 Points, evaluation rows and kernel vectors are Z[phi] integer pairs (x, y)
-for x + y*phi; each interpolated form becomes FieldElement once, when built.
+for x + y*phi; each interpolated form is made monic on its pairs and becomes
+FieldElement once (`HomForm.monic_from_pairs`).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import linalg
-from .field import (FieldElement, ONE, ZERO, Pair, _dot, _neg,
-                    common_numerators, primitive_numerators, products, residues)
+from .field import (FieldElement, ZERO, Pair, _dot, _neg, common_numerators,
+                    conj, from_numerators, norm, primitive_numerators,
+                    products, residues)
 
 Exponents = Tuple[int, ...]
 Coeffs = Dict[Exponents, FieldElement]
@@ -73,6 +75,18 @@ class HomForm:
         return cls(n, 1, {tuple(1 if j == i else 0 for j in range(n)): c
                           for i, c in enumerate(coeffs)})
 
+    @classmethod
+    def monic_from_pairs(cls, nvars: int, degree: int,
+                         terms: Iterable[Tuple[Exponents, Pair]]) -> "HomForm":
+        """The form of the (exponents, Z[phi] pair) terms, zero pairs dropped,
+        times conj(lead)/N(lead): one `products` call, then one normalization
+        per coefficient.  Its graded-lex leading coefficient is 1; with no
+        nonzero pair it is the zero form."""
+        terms = {e: w for e, w in terms if w != (0, 0)}
+        lead = terms[max(terms)] if terms else (1, 0)
+        c = products((w, conj(lead)) for w in terms.values())
+        return cls(nvars, degree, dict(zip(terms, from_numerators(c, norm(lead)))))
+
     # -- basic algebra ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -88,59 +102,31 @@ class HomForm:
         # all degrees are equal, so the degree itself is not hashed.
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
-    def __add__(self, other: "HomForm") -> "HomForm":
-        self._check_compatible(other, same_degree=True)
-        c = dict(self.coeffs)
-        for e, v in other.coeffs.items():
-            c[e] = c.get(e, ZERO) + v
-        return HomForm(self.nvars, self.degree, c)
-
-    def __sub__(self, other: "HomForm") -> "HomForm":
-        return self + (-other)
-
     def __neg__(self) -> "HomForm":
         return HomForm(self.nvars, self.degree,
                        {e: -v for e, v in self.coeffs.items()})
 
-    def scale(self, k: FieldElement) -> "HomForm":
-        return HomForm(self.nvars, self.degree,
-                       {e: v * k for e, v in self.coeffs.items()})
-
     def __mul__(self, other: "HomForm") -> "HomForm":
         """One Z[phi] convolution: a `_dot` of common numerators per monomial."""
-        self._check_compatible(other, same_degree=False)
+        if self.nvars != other.nvars:
+            raise ValueError("forms have different numbers of variables")
         (u, du), (v, dv) = (common_numerators(f.coeffs.values()) for f in (self, other))
         terms: Dict[Exponents, List[Tuple[Pair, Pair]]] = {}
         for e1, a in zip(self.coeffs, u):
             for e2, b in zip(other.coeffs, v):
                 terms.setdefault(tuple(map(add, e1, e2)), []).append((a, b))
-        c = {e: FieldElement(*_dot(*zip(*ab))) for e, ab in terms.items()}
-        if du * dv != 1:  # over the product of the denominators, normalized once
-            scale = ONE / (du * dv)
-            c = {e: w * scale for e, w in c.items()}
-        return HomForm(self.nvars, self.degree + other.degree, c)
+        c = from_numerators([_dot(*zip(*ab)) for ab in terms.values()], du * dv)
+        return HomForm(self.nvars, self.degree + other.degree, dict(zip(terms, c)))
 
-    def _check_compatible(self, other: "HomForm", same_degree: bool) -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("forms have different numbers of variables")
-        if same_degree and self.degree != other.degree \
-                and not (self.is_zero() or other.is_zero()):
-            raise ValueError("forms have different degrees")
-
-    def evaluate(self, point: Sequence[Pair]) -> FieldElement:
-        """The exact value at the point's Z[phi] pairs, by one integer `_dot`."""
-        u, d = common_numerators(self.coeffs.values())
+    def value_at(self, point: Sequence[Pair]) -> Pair:
+        """f(point) times a positive rational: one Z[phi] dot product of the
+        coprime coefficient pairs (`pairs`) and the monomials at the point."""
         row = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
-        return FieldElement(*_dot(u, row)) / d
+        return _dot(self.pairs(), row)
 
     def vanishes_at(self, point: Sequence[Pair]) -> bool:
-        """One Z[phi] dot product of coprime coefficient pairs and the row.
-
-        The row is the monomials at the point's pairs, and the pairs the
-        coefficients times a positive rational, so the product is f(point)
-        times a nonzero rational: zero exactly when f(point) is."""
-        row = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
-        return _dot(self.pairs(), row) == (0, 0)
+        """Whether f(point) = 0: `value_at` is it times a nonzero rational."""
+        return self.value_at(point) == (0, 0)
 
     def pairs(self) -> List[Pair]:
         """The coefficients scaled to coprime Z[phi] pairs, computed once."""
@@ -161,10 +147,8 @@ class HomForm:
 
     def monic(self) -> "HomForm":
         """Scale so the graded-lex leading coefficient equals 1."""
-        if self.is_zero():
-            return self
-        lead = max(self.coeffs)
-        return self.scale(self.coeffs[lead].inverse())
+        u, _ = common_numerators(self.coeffs.values())
+        return HomForm.monic_from_pairs(self.nvars, self.degree, zip(self.coeffs, u))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -256,9 +240,7 @@ def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
         if missed in chosen:
             raise ArithmeticError(f"exact kernel misses its own row {missed}")
         chosen.append(missed)
-    return [HomForm(nvars, degree,
-                    {c: FieldElement(*w) for c, w in zip(cols, vec)}).monic()
-            for vec in kernel]
+    return [HomForm.monic_from_pairs(nvars, degree, zip(cols, vec)) for vec in kernel]
 
 
 def _evaluation_row(point: Sequence[Pair], degree: int, nvars: int,

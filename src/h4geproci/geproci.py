@@ -11,13 +11,15 @@ claim by evaluation.  That checker is not written yet (ROADMAP item 1).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from functools import reduce
 from itertools import combinations
-from math import prod
+from operator import mul
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import config as cfgmod
 from .config import H4Configuration
-from .field import ONE, Pair
+from .field import Pair, _dot, _neg
 from .forms import (HomForm, SmoothnessIndeterminate, SmoothnessReport,
                     divides, independent_evaluation_rows,
                     plane_curve_is_smooth, vanishing_space)
@@ -161,13 +163,22 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
 
 def build_quintic_cone(g: HomForm, h: HomForm, point: PlaneCoords) -> HomForm:
     """The monic member h(x)*g - g(x)*h of the pencil of g and h, which
-    vanishes at the image x.  If both generators vanish at x, every member
-    does, and it raises PencilDegenerateError."""
-    gx, hx = g.evaluate(point), h.evaluate(point)
-    if gx.is_zero() and hx.is_zero():
+    vanishes at the image x.  On the coprime pairs u = c*g and v = c'*h
+    (`HomForm.pairs`, c, c' > 0 rational), v(x)*u - u(x)*v is c*c' times it,
+    with the same monic form.  If both generators vanish at x, every member
+    does; if g and h are proportional, the member is zero.  Either raises
+    PencilDegenerateError."""
+    gx, hx = g.value_at(point), h.value_at(point)
+    if gx == hx == (0, 0):
         raise PencilDegenerateError(
             "both pencil generators vanish at the anchor image; resample")
-    return (g.scale(hx) - h.scale(gx)).monic()
+    u, v = dict(zip(g.coeffs, g.pairs())), dict(zip(h.coeffs, h.pairs()))
+    terms = ((e, _dot((hx, _neg(gx)), (u.get(e, (0, 0)), v.get(e, (0, 0)))))
+             for e in {**u, **v})
+    member = HomForm.monic_from_pairs(g.nvars, g.degree, terms)
+    if member.is_zero():
+        raise PencilDegenerateError("the pencil member h(x)*g - g(x)*h is zero")
+    return member
 
 
 class GeprociCertificate(NamedTuple):
@@ -233,7 +244,7 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     checks: Dict[str, bool] = {"dimension_table": dims == (0, 0, 0, 0, 0, 1),
                                "sextic_smooth": smooth.smooth}
 
-    (grid1, quintic1, _), (grid2, quintic2, _) = (
+    (grid1, quintic1, _, _), (grid2, quintic2, _, _) = (
         _half_quintic(cfg, proj, half) for half in cfgmod.HALVES)
     z1, z2 = cfgmod.z_partition(cfg)
     on1 = {i: quintic1.vanishes_at(proj.images[i]) for i in z1}
@@ -256,10 +267,11 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
 
 
 def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
-                  ) -> Tuple[GridCertificate, HomForm, Dict[int, HomForm]]:
+                  ) -> Tuple[GridCertificate, HomForm, Dict[int, HomForm], HomForm]:
     """The half's grid certificate; the member of its quintic pencil, spanned
-    by the products of the pushed L- and M-lines, through the lowest special
-    point on the external line; and the pushed L-lines by line index."""
+    by the products g, h of the pushed L- and M-lines (from their first
+    factors), through the lowest special point on the external line; the
+    pushed L-lines by line index; and g."""
     grid = verify_grid(cfg, half.l_lines, half.m_lines)
     specials = cfgmod.special_points_for_grid(cfg, grid.grid_points)
     ext = half.external_line
@@ -268,10 +280,9 @@ def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
         raise VerificationError(
             f"external line {ext} does not carry 5 special points")
     l_forms = {i: proj.push_line(cfg.lines[i]) for i in half.l_lines}
-    one = HomForm(3, 0, {(0, 0, 0): ONE})
-    g = prod(l_forms.values(), start=one)
-    h = prod((proj.push_line(cfg.lines[i]) for i in half.m_lines), start=one)
-    return grid, build_quintic_cone(g, h, proj.images[min(on_line)]), l_forms
+    g = reduce(mul, l_forms.values())
+    h = reduce(mul, (proj.push_line(cfg.lines[i]) for i in half.m_lines))
+    return grid, build_quintic_cone(g, h, proj.images[min(on_line)]), l_forms, g
 
 
 class HalfGridCertificate(NamedTuple):
@@ -298,9 +309,10 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     """Certify that a half of `config.HALVES`, by name, projects to a (5,6)
     complete intersection.  Its points are its part of `config.z_partition`,
     and its cover lines are its L-lines and its external line.  It raises
-    VerificationError unless every check passes.  The line product is tested
-    by its factors, each point's own cover line (`point_lines`) first: Q(phi)
-    has no zero divisors, so it vanishes exactly where one of them does."""
+    VerificationError unless every check passes.  The line product, g of
+    `_half_quintic` times the external line, is tested by its factors, each
+    point's own cover line (`point_lines`) first: Q(phi) has no zero
+    divisors, so it vanishes exactly where one of them does."""
     names = [half.name for half in cfgmod.HALVES]
     if subset not in names:
         raise ValueError(f"subset must be one of {names}")
@@ -314,11 +326,11 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     if not (checks["cover_pairwise_skew"] and checks["cover_is_exact"]):
         raise VerificationError(f"covering failure for {subset}: {checks}")
     proj = sample_generic_vertex(cfg, seed)
-    _, quintic, line_form = _half_quintic(cfg, proj, half)
+    _, quintic, line_form, g = _half_quintic(cfg, proj, half)
     checks["quintic_on_subset"] = all(quintic.vanishes_at(proj.images[i])
                                       for i in points)
     line_form[half.external_line] = proj.push_line(cfg.lines[half.external_line])
-    product = prod((line_form[i] for i in cover[1:]), start=line_form[cover[0]])
+    product = g * line_form[half.external_line]
     checks["product_on_subset"] = all(
         any(line_form[j].vanishes_at(proj.images[i])
             for j in sorted(cover, key=lambda j: j not in cfg.point_lines[i]))
@@ -362,6 +374,11 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     full-rank degree builds the rows up to the last pivot only; no form is
     interpolated.  d* is the first degree d whose forced types (a, N/a), with
     a, N/a >= d, step (3) all excludes, or else whose rank mod P is not full.
+    The first, e, is arithmetic: one past the largest min(a, N/a) within the
+    bound.  Full rank mod P at d forces it at every lower degree (a nonzero
+    Q of degree d - 1 through the residues gives x*Q of degree d), so one
+    rank test, at e - 1, gives d* = e; if it is short, a bisection finds the
+    first short degree.
     Every dimension below d* is exactly 0 (a minor nonzero mod P is nonzero
     over Q(phi)), so d* is at most the least degree m of a curve through the
     images, the types forced from d* include those forced from m, and
@@ -382,13 +399,14 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     mc = cfg.max_collinear(indices)
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in indices]
-    d = 1  # d*: no curve of lower degree passes through the images
-    while True:
-        forced = tuple((a, n // a) for a in range(d, n + 1) if n % a == 0 and n // a >= d)
-        if all(min(t) > mc for t in forced) \
-                or len(independent_evaluation_rows(images, d, 3)) < (d + 1) * (d + 2) // 2:
-            break
-        d += 1
+    types = [(a, n // a) for a in range(1, n + 1) if n % a == 0]
+
+    def short(d):
+        return len(independent_evaluation_rows(images, d, 3)) < (d + 1) * (d + 2) // 2
+
+    e = 1 + max(m for m in map(min, types) if m <= mc)  # (1, n) gives e >= 2
+    d = 1 + bisect_left(range(1, e - 1), True, key=short) if short(e - 1) else e
+    forced = tuple(t for t in types if min(t) >= d)
     details = [
         f"max collinear points: {mc}",
         f"no plane curve of degree < {d} passes through the"

@@ -9,7 +9,8 @@ from math import comb, gcd, isqrt, prod
 import pytest
 
 from h4geproci import config, forms, linalg
-from h4geproci.field import FieldElement, ONE, PHI, ZERO, primitive_numerators
+from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot,
+                             common_numerators, primitive_numerators)
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
                              try_quotient, vanishing_space, _chart_test,
@@ -36,6 +37,30 @@ def _var(i, nvars) -> HomForm:
     return HomForm.linear([ONE if j == i else ZERO for j in range(nvars)])
 
 
+def _evaluate(f: HomForm, point) -> FieldElement:
+    """The exact value at a point of Z[phi] pairs: the common numerators of
+    the coefficients dotted with `_evaluation_row`, over their denominator."""
+    u, d = common_numerators(f.coeffs.values())
+    row = _evaluation_row(point, f.degree, f.nvars, f.coeffs)
+    return FieldElement(*_dot(u, row)) / d
+
+
+def _scale(f: HomForm, k: FieldElement) -> HomForm:
+    return HomForm(f.nvars, f.degree, {e: v * k for e, v in f.coeffs.items()})
+
+
+def _add(*summands: HomForm) -> HomForm:
+    """The sum of forms of one degree (zero forms aside), term by term in
+    FieldElement arithmetic."""
+    c = {}
+    for f in summands:
+        for e, v in f.coeffs.items():
+            c[e] = c.get(e, ZERO) + v
+    degree = next((f.degree for f in summands if not f.is_zero()),
+                  summands[0].degree)
+    return HomForm(summands[0].nvars, degree, c)
+
+
 def _compose_linear(f: HomForm, matrix) -> HomForm:
     """Substitute x_i -> sum_j matrix[i][j] * x_j in f."""
     n = f.nvars
@@ -46,7 +71,7 @@ def _compose_linear(f: HomForm, matrix) -> HomForm:
         for i, k in enumerate(e):
             for _ in range(k):
                 term = term * lin[i]
-        result = result + term
+        result = _add(result, term)
     return result
 
 
@@ -87,7 +112,7 @@ def test_product_evaluates_to_product():
         f = _random_form(rng, 3, rng.randint(1, 3))
         g = _random_form(rng, 3, rng.randint(1, 3))
         pt = _integer_pairs([_random_proj_tuple(rng, 3)])[0]
-        assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
+        assert _evaluate(f * g, pt) == _evaluate(f, pt) * _evaluate(g, pt)
 
 
 def _reference_product(f, g):
@@ -130,6 +155,49 @@ def test_product_matches_the_field_reference():
         cubic * _var(0, 2)
 
 
+def _reference_monic(f: HomForm) -> HomForm:
+    """f over its graded-lex leading coefficient, in FieldElement arithmetic."""
+    return f if f.is_zero() else _scale(f, ONE / f.coeffs[max(f.coeffs)])
+
+
+def test_monic_from_pairs_matches_the_field_reference():
+    """One `products` call by conj(lead) over N(lead) gives the reference's
+    monic form: for leads of positive and negative norm, rational-only
+    terms, zero pairs (also at the top exponent) dropped, and no nonzero
+    pair giving the zero form of the stated degree."""
+    rng = random.Random(151)
+    cases = []
+    for nvars, degree in ((2, 3), (3, 2), (3, 5), (4, 2)):
+        cols = monomials(degree, nvars)
+        for _ in range(5):
+            cases.append([(e, (rng.randint(-9, 9), rng.randint(-9, 9))) for e in cols
+                          if rng.random() < 0.6])
+            cases.append([(e, (rng.randint(-9, 9), 0)) for e in cols])
+        cases.append([(cols[0], (0, 0)), (cols[1], (0, 1)), (cols[-1], (3, -2))])
+        cases.append([(cols[0], (1, 3))] + [(e, (0, 0)) for e in cols[1:]])
+        cases.append([(e, (0, 0)) for e in cols])
+        cases.append([])
+    norms = set()
+    for terms in cases:
+        nvars, degree = 3, 2
+        if terms:
+            nvars, degree = len(terms[0][0]), sum(terms[0][0])
+        got = HomForm.monic_from_pairs(nvars, degree, iter(terms))
+        reference = _reference_monic(HomForm(nvars, degree, {
+            e: FieldElement(*w) for e, w in terms}))
+        assert got == reference and got.degree == reference.degree
+        assert not any(c.is_zero() for c in got.coeffs.values())
+        live = [w for _, w in terms if w != (0, 0)]
+        if live:
+            assert got.coeffs[max(got.coeffs)] == ONE
+            lead = max((e, w) for e, w in terms if w != (0, 0))[1]
+            norms.add(lead[0] ** 2 + lead[0] * lead[1] - lead[1] ** 2 > 0)
+        else:
+            assert got.is_zero() and got == HomForm.zero(nvars, degree)
+    assert norms == {True, False}
+    assert HomForm.monic_from_pairs(3, 4, []).degree == 4
+
+
 def test_evaluate_matches_term_by_term_powers():
     rng = random.Random(57)
     pt = primitive_numerators((PHI, FieldElement(Fraction(-2, 3), 1), ZERO))
@@ -140,10 +208,10 @@ def test_evaluate_matches_term_by_term_powers():
             for x, k in zip((FieldElement(*w) for w in pt), e):
                 c = c * x ** k
             expected = expected + c
-        assert f.evaluate(pt) == expected
-    assert HomForm.zero(3, 2).evaluate(pt) == ZERO
+        assert _evaluate(f, pt) == expected
+    assert _evaluate(HomForm.zero(3, 2), pt) == ZERO
     with pytest.raises(ValueError):
-        _var(0, 3).evaluate(pt[:2])
+        _evaluate(_var(0, 3), pt[:2])
 
 
 def test_partial_derivatives_satisfy_euler_relation():
@@ -151,9 +219,9 @@ def test_partial_derivatives_satisfy_euler_relation():
     for _ in range(20):
         f = _random_form(rng, 3, 4)
         pt = _integer_pairs([_random_proj_tuple(rng, 3)])[0]
-        euler = sum((f.partial(i).evaluate(pt) * FieldElement(*pt[i])
+        euler = sum((_evaluate(f.partial(i), pt) * FieldElement(*pt[i])
                      for i in range(3)), ZERO)
-        assert euler == f.evaluate(pt) * FieldElement(4)
+        assert euler == _evaluate(f, pt) * FieldElement(4)
 
 
 def _reference_evaluation_row(point, degree, nvars, cols):
@@ -293,17 +361,17 @@ def test_evaluate_and_vanishes_at_agree_with_the_field_reference():
                         # vanishes at pt.
                         e = tuple(degree if i == j else 0 for i in range(nvars))
                         c = _reference_value(f, pt) / pt[j] ** degree
-                        forms.append(f - HomForm(nvars, degree, {e: c}))
+                        forms.append(_add(f, HomForm(nvars, degree, {e: -c})))
                     for g in forms:
                         value = _reference_value(g, same)
-                        assert g.evaluate(pairs) == value
+                        assert _evaluate(g, pairs) == value
                         assert g.vanishes_at(pairs) == value.is_zero()
                         for k in scales:
                             # moved is the pairs of mu*k*same, mu > 0 rational.
                             moved = primitive_numerators([k * x for x in same])
                             mu_k = _scale_of(moved, same)
                             assert g.vanishes_at(moved) == g.vanishes_at(pairs)
-                            assert g.evaluate(moved) == value * mu_k ** degree
+                            assert _evaluate(g, moved) == value * mu_k ** degree
                         outcomes.add(value.is_zero())
     assert outcomes == {True, False}
     assert HomForm.zero(3, 2).vanishes_at(((1, 0), (0, 1), (0, 0)))
@@ -525,7 +593,7 @@ def test_divisibility_roundtrip():
         assert q == g
     x, y = _var(0, 3), _var(1, 3)
     assert not divides(x, y)
-    assert try_quotient(x + y, x * x) is None
+    assert try_quotient(_add(x, y), x * x) is None
 
 
 def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
@@ -558,8 +626,8 @@ def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
         line = HomForm.linear([ZERO] * pivot + [lead]
                               + [coeff() for _ in range(2 - pivot)])
         q = _random_form(rng, 3, rng.randint(0, 4), rational=rational)
-        near = line * q + _random_form(rng, 3, q.degree + 1, density=0.2)
-        for g in (line * q, (line * q).scale(PHI), q, near,
+        near = _add(line * q, _random_form(rng, 3, q.degree + 1, density=0.2))
+        for g in (line * q, _scale(line * q, PHI), q, near,
                   HomForm(3, 0, {(0, 0, 0): lead})):
             got = divides(line, g)
             assert got == (quotient(line, g) is not None)
@@ -568,7 +636,7 @@ def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
     # On z = 0 the points are (1, t, 0), t = 0..5: the product of y - t*x,
     # t < 5, vanishes at all of them but the last.
     x, y, z = (_var(i, 3) for i in range(3))
-    fan = prod((y - x.scale(FieldElement(t)) for t in range(5)),
+    fan = prod((_add(y, _scale(x, FieldElement(-t))) for t in range(5)),
                start=HomForm(3, 0, {(0, 0, 0): ONE}))
     assert not divides(z, fan) and divides(z, fan * z)
     assert divides(_var(2, 3), HomForm.zero(3, 4))
@@ -642,7 +710,7 @@ def test_gcd_and_divides_match_sympy_over_q_sqrt5():
                 if line.is_zero() or q.is_zero():
                     continue
                 for g in (line * q, q,
-                          line * q + _random_form(line_rng, 3, q.degree + 1)):
+                          _add(line * q, _random_form(line_rng, 3, q.degree + 1))):
                     if not g.is_zero():
                         _, rem = poly(g).div(poly(line))
                         assert divides(line, g) == rem.is_zero
@@ -815,8 +883,8 @@ def test_repeated_component_is_caught_by_the_partials_gcd():
     x, y, z = (_var(i, 3) for i in range(3))
     line = HomForm.linear([FieldElement(2), PHI, FieldElement(Fraction(-1, 3))])
     other = HomForm.linear([ONE, FieldElement(-3), FieldElement(1, 1)])
-    conic = ((x * x).scale(PHI) + x * y
-             - (y * y).scale(FieldElement(Fraction(1, 2))) + (z * z).scale(FieldElement(3)))
+    conic = _add(_scale(x * x, PHI), x * y, _scale(y * y, FieldElement(Fraction(-1, 2))),
+                 _scale(z * z, FieldElement(3)))
     for curve, witness in (
             (line * line * other, "(1)*x + (1/2*phi)*y + (-1/6)*z"),
             (conic * conic * other, "(1)*x^2 + (-1 + 1*phi)*x*y"
@@ -917,7 +985,7 @@ def test_equal_forms_hash_alike():
     f = _random_form(rng, 3, 4)
     g = hom_form(f.to_json())
     assert g in {f} and hash(g) == hash(f)
-    assert f not in {f.scale(FieldElement(2))}
+    assert f not in {_scale(f, FieldElement(2))}
     assert _var(0, 3) not in {_var(0, 3) * _var(0, 3)}
 
 
@@ -928,5 +996,5 @@ def test_compose_linear_matches_substitution():
     pt = _random_proj_tuple(rng, 3)
     mapped = tuple(sum((m[i][j] * pt[j] for j in range(3)), ZERO)
                    for i in range(3))
-    assert (_compose_linear(f, m).evaluate(_integer_pairs([pt])[0])
-            == f.evaluate(_integer_pairs([mapped])[0]))
+    assert (_evaluate(_compose_linear(f, m), _integer_pairs([pt])[0])
+            == _evaluate(f, _integer_pairs([mapped])[0]))

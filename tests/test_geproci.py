@@ -1,8 +1,12 @@
 """Projection certificates: grids, quadrics, pencils, and both pipelines."""
 
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -12,10 +16,12 @@ from h4geproci import config, forms, geproci, linalg, projective
 from h4geproci.config import HALVES, z_partition
 from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids)
-from h4geproci.field import FieldElement, ONE, PHI, ZERO, primitive_numerators
+from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _neg,
+                             primitive_numerators)
 from h4geproci.forms import HomForm, divides
 from h4geproci.projective import (ProjPoint, canonicalize, image_from,
                                   plane_through)
+from test_forms import _add, _evaluate, _reference_monic, _scale
 from test_linalg import reference_inverse
 from test_projective import CoordinateChange, on_line
 
@@ -252,6 +258,75 @@ def test_quintic_cone_rejects_a_base_point(cfg, projection, grid1):
         geproci.build_quintic_cone(g, h, projection.images[grid1.grid_points[0]])
 
 
+def _random_linear(rng):
+    """A nonzero ternary linear form with Z[phi] or rational coefficients."""
+    while True:
+        coeffs = [FieldElement(Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))),
+                               rng.randint(-3, 3)) for _ in range(3)]
+        if any(coeffs):
+            return HomForm.linear(coeffs)
+
+
+def test_quintic_cone_matches_the_field_reference():
+    """On products of random linear forms, the member made on coprime
+    pairs is the old (h(x)*g - g(x)*h).monic(), computed in
+    FieldElement arithmetic; at a common zero of g and h it still raises."""
+    rng = random.Random(29)
+    for trial in range(12):
+        g, h = (reduce(mul, (_random_linear(rng) for _ in range(5)))
+                for _ in range(2))
+        point = primitive_numerators([FieldElement(rng.randint(-9, 9), rng.randint(-9, 9))
+                                      for _ in range(3)])
+        gx, hx = _evaluate(g, point), _evaluate(h, point)
+        if gx.is_zero() and hx.is_zero():
+            continue
+        expected = _reference_monic(_add(_scale(g, hx), _scale(h, -gx)))
+        assert geproci.build_quintic_cone(g, h, point) == expected
+        assert geproci.build_quintic_cone(g, h, point).vanishes_at(point)
+    line = _random_linear(rng)
+    g, h = (line * reduce(mul, (_random_linear(rng) for _ in range(4)))
+            for _ in range(2))
+    by_var = dict(zip(line.coeffs, line.pairs()))
+    a, b, c = (by_var.get(e, (0, 0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    # A zero of the common factor line: its pairs cross a coordinate vector.
+    zero = next(p for p in ([(0, 0), c, _neg(b)], [_neg(c), (0, 0), a],
+                            [b, _neg(a), (0, 0)]) if p != [(0, 0)] * 3)
+    assert line.vanishes_at(zero)
+    with pytest.raises(geproci.PencilDegenerateError, match="both"):
+        geproci.build_quintic_cone(g, h, zero)
+
+
+def test_proportional_generators_raise_on_the_zero_member(cfg, projection,
+                                                          grid1):
+    """With h = phi*g every member h(x)*g - g(x)*h is the zero form; the
+    cone names it rather than return it to fail a later check."""
+    g = _product_of_plane_images(cfg, projection, grid1.l_lines)
+    h = _scale(g, PHI)
+    with pytest.raises(geproci.PencilDegenerateError, match="is zero"):
+        geproci.build_quintic_cone(g, h, projection.images[4])
+    with pytest.raises(geproci.PencilDegenerateError, match="is zero"):
+        geproci.build_quintic_cone(g, g, projection.images[4])
+
+
+def test_half_grid_builds_each_product_once(cfg, monkeypatch):
+    """Per half, g and h are 4 products each from their first factors, and
+    the line product is g times the external line: 9 `HomForm.__mul__`
+    calls, where starting from the constant 1 and multiplying the cover
+    again took 15."""
+    multiply = HomForm.__mul__
+    calls = []
+
+    def counting(f, other):
+        calls.append((f.degree, other.degree))
+        return multiply(f, other)
+
+    monkeypatch.setattr(HomForm, "__mul__", counting)
+    for half in HALVES:
+        calls.clear()
+        assert geproci.verify_half_grid(cfg, 1, half.name).passed
+        assert sorted(calls) == sorted([(k, 1) for k in range(1, 5)] * 2 + [(5, 1)])
+
+
 def test_geproci_certificate_passes(geproci_cert_seed1):
     cert = geproci_cert_seed1
     assert cert.passed
@@ -285,7 +360,8 @@ def test_quintic_missing_its_half_fails_the_quintic_and_decic_checks(
     # The first quintic plus x^5 misses the images of Z1, where the second
     # quintic does not vanish either.
     _assert_first_quintic_fails(
-        cfg, monkeypatch, lambda q: q + HomForm(3, 5, {(5, 0, 0): ONE}))
+        cfg, monkeypatch,
+        lambda q: HomForm(3, 5, {**q.coeffs, (5, 0, 0): q.coeffs.get((5, 0, 0), ZERO) + ONE}))
 
 
 def _recording_ladder(monkeypatch, top=None):
@@ -508,34 +584,43 @@ def test_refutation_runs_no_exact_kernel(cfg, monkeypatch):
 
 def test_the_refutation_ladder_builds_rows_up_to_the_last_pivot(cfg,
                                                                 monkeypatch):
-    """At the full-rank degrees 1..5 the rank test stops at its last pivot
-    (rows 3, 6, 13, 16 and 21 of 60); at degree 6 the collinearity bound
-    excludes both forced types, (6, 10) and (10, 6), so no rank test runs:
-    59 residue rows, where reading all 60 at degree 6 took 119 and building
-    every row took 360."""
+    """At degree 6 the collinearity bound excludes both forced types, (6, 10)
+    and (10, 6), so one rank test runs, at degree 5, and stops at its last
+    pivot: 21 residue rows of 60, all at degree 5.  Testing every degree
+    1..5 took 59 rows (3, 6, 13, 16 and 21), and building every row 360."""
     expected = geproci.verify_not_half_grid(cfg, 1)
-    residue_row = forms._residue_row
-    degrees = []
+    residue_row, rank = forms._residue_row, geproci.independent_evaluation_rows
+    degrees, tests = [], []
 
     def recording(point, degree, nvars, cols):
         degrees.append(degree)
         return residue_row(point, degree, nvars, cols)
 
+    def counting(points, degree, nvars):
+        tests.append(degree)
+        return rank(points, degree, nvars)
+
     monkeypatch.setattr(forms, "_residue_row", recording)
+    monkeypatch.setattr(geproci, "independent_evaluation_rows", counting)
     assert geproci.verify_not_half_grid(cfg, 1) == expected
-    assert [degrees.count(d) for d in range(1, 7)] == [3, 6, 13, 16, 21, 0]
-    assert len(degrees) == 59
+    assert tests == [5]
+    assert degrees == [5] * 21
 
 
-def _old_ladder_refuted(cfg, seed, indices):
-    """The ladder before it stopped at an excluded degree: it climbs until
-    the rank mod P drops, then excludes the types forced from there."""
+def _old_ladder_refuted(cfg, seed, indices, stop_at_excluded=False):
+    """A ladder that runs the rank test mod P (`geproci`'s, patched or not)
+    at d = 1, 2, ... in turn until it is short, or, with stop_at_excluded,
+    until the collinearity bound excludes every type forced from d.  It
+    returns d, the types forced from d, and whether all are excluded."""
     images = [geproci.sample_generic_vertex(cfg, seed).images[i] for i in indices]
     n, mc, d = len(indices), cfg.max_collinear(indices), 1
-    while len(forms.independent_evaluation_rows(images, d, 3)) == (d + 1) * (d + 2) // 2:
+    while True:
+        forced = tuple((a, n // a) for a in range(d, n + 1) if n % a == 0 and n // a >= d)
+        excluded = all(min(a, b) > mc for a, b in forced)
+        if stop_at_excluded and excluded or len(geproci.independent_evaluation_rows(
+                images, d, 3)) < (d + 1) * (d + 2) // 2:
+            return d, forced, excluded
         d += 1
-    forced = [(a, n // a) for a in range(d, n + 1) if n % a == 0 and n // a >= d]
-    return d, all(min(a, b) > mc for a, b in forced)
 
 
 def _refutation_subsets(cfg):
@@ -557,12 +642,49 @@ def test_stopping_at_an_excluded_degree_keeps_the_old_verdict(cfg):
     stops = []
     for name, indices in _refutation_subsets(cfg).items():
         report = geproci.verify_not_half_grid(cfg, 1, indices, name)
-        old_d, old_refuted = _old_ladder_refuted(cfg, 1, indices)
+        old_d, _, old_refuted = _old_ladder_refuted(cfg, 1, indices)
         assert report.refuted == old_refuted, name
         stops.append((len(indices), len(report.low_degree_dims) + 1, old_d,
                       report.refuted))
     assert stops == [(60, 6, 6, True), (30, 5, 5, False), (55, 6, 6, True),
                      (35, 6, 6, True), (13, 2, 4, True)]
+
+
+@pytest.mark.parametrize("short_from", [None, 2, 5])
+def test_one_rank_test_gives_the_ladders_report(cfg, monkeypatch, short_from):
+    """The report is the one the ladder that tests each degree in turn and
+    stops at an excluded degree gives, also where the one rank test, at
+    e - 1, is short and a bisection finds d*: on Z1 and points 1-12, and
+    with the rank mod P short from degree 2 on, or from degree 5 on, as an
+    unlucky prime makes it (short at d stays short at every higher degree:
+    x*Q is a form of degree d + 1 through the residues)."""
+    if short_from is not None:
+        rank = forms.independent_evaluation_rows
+
+        def unlucky(points, degree, nvars):
+            kept = rank(points, degree, nvars)
+            return kept[:-1] if degree >= short_from else kept
+
+        monkeypatch.setattr(geproci, "independent_evaluation_rows", unlucky)
+    subsets = {**_refutation_subsets(cfg), "Z2": z_partition(cfg)[1],
+               "points 1-12": tuple(range(1, 13))}
+    stops = {}
+    for name, indices in subsets.items():
+        report = geproci.verify_not_half_grid(cfg, 1, indices, name)
+        d, forced, refuted = _old_ladder_refuted(cfg, 1, indices,
+                                                 stop_at_excluded=True)
+        assert report.low_degree_dims == (0,) * (d - 1), name
+        assert report.forced_degrees == forced, name
+        assert report.refuted == refuted, name
+        stops[name] = (d, refuted)
+    expected = {"Z": (6, True), "Z1": (5, False), "H4 minus line 1": (6, True),
+                "grid 1 and both external lines": (6, True),
+                "points 1-13": (2, True), "Z2": (5, False),
+                "points 1-12": (3, False)}
+    if short_from is not None:  # every d* past short_from drops to it
+        expected = {name: (d, r) if d <= short_from else (short_from, False)
+                    for name, (d, r) in expected.items()}
+    assert stops == expected
 
 
 def test_a_rank_short_mod_p_never_refutes(cfg, monkeypatch):
