@@ -15,7 +15,7 @@ from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from . import linalg
-from .field import ONE, PHI, PHI2, ZERO, Pair, products, residues
+from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, products, residues
 from .forms import HomForm, monomials
 from .projective import (ProjLine, ProjPoint, ProjPlane, lines_meet,
                          transversal_quadric)
@@ -25,8 +25,8 @@ from .projective import canonicalize  # noqa: F401
 
 # Coordinate tokens: 0, 1, -1, f = phi, F = phi^2, with sign prefixes.
 _TOKENS = {
-    "0": ZERO, "1": ONE, "-1": -ONE,
-    "f": PHI, "-f": -PHI, "F": PHI2, "-F": -PHI2,
+    "0": ZERO, "1": ONE, "-1": FieldElement(-1),
+    "f": PHI, "-f": FieldElement(0, -1), "F": PHI2, "-F": FieldElement(-1, -1),
 }
 
 _POINT_DATA = """

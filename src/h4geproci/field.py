@@ -3,17 +3,17 @@
 An element is (x + y*phi)/d with Python ints x, y and d, where phi =
 (1+sqrt5)/2 is the golden ratio.  The triple is kept normalized, d > 0 and
 gcd(x, y, d) = 1, so equal elements have equal triples and the type is
-hashable.  All operations are integer formulas and exact; nothing ever
-rounds.  `fractions.Fraction` appears only at the edges: the constructor,
-the `a`/`b` components and the hash of rational elements.  This module is
-the only one that knows the triple; others clear denominators through
-`common_numerators` or `primitive_numerators`, read the Z[phi] pairs
-(x, y) they return, and put pairs back over a denominator through
-`from_numerators`.  It is also the only module that knows the ring Z[phi]:
-its rule phi**2 = phi + 1 on elements (`*`), on lists of factor pairs
-(`products`) and summed (`_dot`), the negation `_neg`, the conjugate `conj`,
-the norm `norm` and the reduction `residues` modulo a degree-1 prime.  Pair
-kernels take a whole row or vector: one call per row, not per product.
+hashable.  All operations are exact integer formulas.  `fractions.Fraction`
+appears only at the edges: the constructor, `a`/`b` and the hash of
+rational elements.  Only this module knows the triple; others clear
+denominators through `common_numerators` or `primitive_numerators`, compute
+on the Z[phi] pairs (x, y) they return, and put pairs back over a
+denominator through `from_numerators`.  It is also the only module that
+knows the ring Z[phi]: its rule phi**2 = phi + 1 on elements (`*`), on
+lists of factor pairs (`products`) and summed (`_dot`), the negation `_neg`,
+the conjugate `conj`, the norm `norm` and the reduction `residues` modulo a
+degree-1 prime.  Outside this module only the plane span
+(`linalg.determinant`) runs the element operators; all else runs on pairs.
 """
 
 from __future__ import annotations
@@ -272,4 +272,4 @@ def residues(pairs: Iterable[Pair], p: int, r: int) -> List[int]:
 ZERO = FieldElement(0)
 ONE = FieldElement(1)
 PHI = FieldElement(0, 1)
-PHI2 = PHI * PHI  # 1 + phi
+PHI2 = FieldElement(1, 1)  # phi**2 = 1 + phi

@@ -7,28 +7,27 @@ proposed modulo split primes and checked exactly, divisibility (by a line,
 by evaluation on it; otherwise by long division), gcd as the nullspace of a
 multiplication map, and a smoothness certificate for plane curves from
 chart-wise resultants, by Euclid's algorithm over F_p on formal degrees,
-modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.
-Points, evaluation rows and kernel vectors are Z[phi] integer pairs (x, y)
-for x + y*phi; each interpolated form is made monic on its pairs and becomes
-FieldElement once (`HomForm.monic_from_pairs`).
+modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.  Points,
+evaluation rows, kernel vectors and the coefficients' common numerators are
+Z[phi] integer pairs (x, y) for x + y*phi.  Products, partials, quotients,
+gcds and monic forms run on them; no FieldElement operator runs here.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from math import prod
+from math import gcd, prod
 from operator import add
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import linalg
-from .field import (FieldElement, ZERO, Pair, _dot, _neg, common_numerators,
-                    conj, from_numerators, norm, primitive_numerators,
-                    products, residues)
+from .field import (FieldElement, Pair, _dot, _neg, common_numerators, conj,
+                    from_numerators, norm, primitive_numerators, products,
+                    residues)
 
 Exponents = Tuple[int, ...]
-Coeffs = Dict[Exponents, FieldElement]
 
 
 def monomials(degree: int, nvars: int) -> List[Exponents]:
@@ -45,7 +44,7 @@ class HomForm:
 
     __slots__ = ("nvars", "degree", "coeffs", "_pairs")
 
-    def __init__(self, nvars: int, degree: int, coeffs: Coeffs):
+    def __init__(self, nvars: int, degree: int, coeffs: Dict[Exponents, FieldElement]):
         clean = {}
         for e, c in coeffs.items():
             if not isinstance(c, FieldElement):
@@ -102,10 +101,6 @@ class HomForm:
         # all degrees are equal, so the degree itself is not hashed.
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
-    def __neg__(self) -> "HomForm":
-        return HomForm(self.nvars, self.degree,
-                       {e: -v for e, v in self.coeffs.items()})
-
     def __mul__(self, other: "HomForm") -> "HomForm":
         """One Z[phi] convolution: a `_dot` of common numerators per monomial."""
         if self.nvars != other.nvars:
@@ -136,14 +131,12 @@ class HomForm:
         return self._pairs
 
     def partial(self, var: int) -> "HomForm":
-        c: Coeffs = {}
-        for e, v in self.coeffs.items():
-            if e[var] == 0:
-                continue
-            e2 = list(e)
-            e2[var] -= 1
-            c[tuple(e2)] = v * e[var]
-        return HomForm(self.nvars, max(self.degree - 1, 0), c)
+        """d/dx_var: each common numerator times its exponent, over their denominator."""
+        u, d = common_numerators(self.coeffs.values())
+        terms = {e[:var] + (e[var] - 1,) + e[var + 1:]: (x * e[var], y * e[var])
+                 for e, (x, y) in zip(self.coeffs, u) if e[var]}
+        return HomForm(self.nvars, max(self.degree - 1, 0),
+                       dict(zip(terms, from_numerators(terms.values(), d))))
 
     def monic(self) -> "HomForm":
         """Scale so the graded-lex leading coefficient equals 1."""
@@ -286,7 +279,13 @@ def try_quotient(f: HomForm, g: HomForm) -> Optional[HomForm]:
 
     Long division under graded-lex, which on forms of one degree is the
     lexicographic order: each step cancels the leading term of the remainder
-    and leaves only smaller terms, so the loop ends.
+    and leaves only smaller terms, so the loop ends.  With u/d_f and v/d_g
+    the common numerators of f and g, and c the conjugate of u's leading
+    pair, it divides the Z[phi] pairs c*v by c*u, which leads with the
+    integer n = N(c).  Where n does not divide the leading pair, the
+    remainder R and the quotient Q so far are first multiplied by the least
+    positive integer after which it does; with S the product of those
+    factors, S*c*v = c*u*Q + R throughout, so at R = 0, q = d_f*Q/(S*d_g).
     """
     if f.is_zero():
         raise ZeroDivisionError("division by the zero form")
@@ -296,25 +295,28 @@ def try_quotient(f: HomForm, g: HomForm) -> Optional[HomForm]:
         raise ValueError("forms have different numbers of variables")
     if g.degree < f.degree:
         return None
-    lead = max(f.coeffs)
-    inv = f.coeffs[lead].inverse()
-    q: Coeffs = {}
-    r = dict(g.coeffs)
+    (u, d_f), (v, d_g) = (common_numerators(h.coeffs.values()) for h in (f, g))
+    lead, lc = max(zip(f.coeffs, u))
+    c, n, scale, q = conj(lc), norm(lc), 1, {}
+    div = dict(zip(f.coeffs, products((w, c) for w in u)))
+    r = dict(zip(g.coeffs, products((w, c) for w in v)))
     while r:
         top = max(r)
         e = tuple(a - b for a, b in zip(top, lead))
         if min(e) < 0:
             return None
-        c = r[top] * inv
-        q[e] = c
-        for ef, cf in f.coeffs.items():
-            t = tuple(a + b for a, b in zip(e, ef))
-            v = r.get(t, ZERO) - c * cf
-            if v.is_zero():
-                r.pop(t, None)
-            else:
-                r[t] = v
-    return HomForm(f.nvars, g.degree - f.degree, q)
+        s = abs(n) // gcd(n, *r[top])
+        if s > 1:
+            r, q = ({t: (s * x, s * y) for t, (x, y) in h.items()} for h in (r, q))
+            scale *= s
+        q[e] = (r[top][0] // n, r[top][1] // n)
+        for ef, (x, y) in zip(div, products((q[e], w) for w in div.values())):
+            t = tuple(map(add, e, ef))
+            a, b = r.pop(t, (0, 0))
+            if (a, b) != (x, y):
+                r[t] = (a - x, b - y)
+    return HomForm(f.nvars, g.degree - f.degree, dict(zip(q, from_numerators(
+        ((d_f * x, d_f * y) for x, y in q.values()), scale * d_g))))
 
 
 def divides(f: HomForm, g: HomForm) -> bool:
@@ -342,14 +344,14 @@ def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
 
     Write a, b for nonzero f, g, of degrees m, n, with gcd h of degree e.
     For k = min(m, n) down to 0, this takes the exact nullspace of
-    (u, v) -> u*a - v*b on the forms u, v of degrees n - k and m - k; the
+    (u, v) -> u*a + v*b on the forms u, v of degrees n - k and m - k; the
     first k with a nonzero kernel is e, and a/v is h up to a constant.
 
-    Soundness.  a/h and b/h are coprime, so u*a = v*b forces u*(a/h) =
-    v*(b/h) and hence (u, v) = t*(b/h, a/h) with t a form of degree e - k.
+    Soundness.  a/h and b/h are coprime, so u*a = -v*b forces u*(a/h) =
+    -v*(b/h) and hence (u, v) = t*(b/h, -a/h) with t a form of degree e - k.
     Such a t exists exactly when k <= e, so no larger k has a kernel, and at
     k = e the kernel is spanned by one vector with t a nonzero constant:
-    v = t*a/h, and the exact quotient a/v is h/t.  The matrix holds the
+    v = -t*a/h, and the exact quotient a/v is -h/t.  The matrix holds the
     pairs of a' = r*a and b' = s*b (`HomForm.pairs`; r, s > 0 rational), so
     the argument runs on them: v is still a nonzero constant times a/h.
     """
@@ -362,21 +364,19 @@ def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
     if f.nvars != g.nvars:
         raise ValueError("forms have different numbers of variables")
     nvars, m, n = f.nvars, f.degree, g.degree
-    neg_g = -g
     for k in range(min(m, n), -1, -1):
         ucols, vcols = monomials(n - k, nvars), monomials(m - k, nvars)
         rows = {e: i for i, e in enumerate(monomials(m + n - k, nvars))}
         matrix = [[(0, 0)] * (len(ucols) + len(vcols)) for _ in rows]
-        shifts = [(u, f) for u in ucols] + [(v, neg_g) for v in vcols]
+        shifts = [(u, f) for u in ucols] + [(v, g) for v in vcols]
         for j, (shift, form) in enumerate(shifts):
             for e, w in zip(form.coeffs, form.pairs()):
                 matrix[rows[tuple(a + b for a, b in zip(shift, e))]][j] = w
         kernel = linalg.nullspace(matrix)
         if kernel:
-            v = HomForm(nvars, m - k, {e: FieldElement(*w) for e, w
-                                       in zip(vcols, kernel[0][len(ucols):])})
-            return try_quotient(v, f).monic()
-    raise AssertionError("unreachable: at k = 0, (b, a) is in the kernel")
+            v = from_numerators(kernel[0][len(ucols):], 1)
+            return try_quotient(HomForm(nvars, m - k, dict(zip(vcols, v))), f).monic()
+    raise AssertionError("unreachable: at k = 0, (b, -a) is in the kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +387,8 @@ def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
 # maps (keep exponent, elim exponent) pairs to them.
 ModForm = Dict[Exponents, int]
 ChartPoly = Dict[Tuple[int, int], int]
+
+_MAX_RETRIES = 8  # primes that `plane_curve_is_smooth` tries before it gives up
 
 
 class SmoothnessIndeterminate(RuntimeError):
@@ -412,8 +414,7 @@ class SmoothnessReport(NamedTuple):
                 "phi_root": self.phi_root, "coordinate_change": change}
 
 
-def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
-                          seed: int = 0) -> SmoothnessReport:
+def plane_curve_is_smooth(f: HomForm, seed: int = 0) -> SmoothnessReport:
     """Certify that a plane curve has no singular point over the closure.
 
     The form is scaled to coprime Z[phi] coefficients and reduced modulo a
@@ -444,25 +445,24 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
     exhausted budget raises SmoothnessIndeterminate, never a pass.  A pass
     records p, r and the coordinate change, so it can be replayed.
     """
-    if f.nvars != 3 or f.is_zero():
-        raise ValueError("expected a nonzero form in 3 variables")
+    if f.nvars != 3 or f.is_zero() or f.degree < 1:
+        raise ValueError("expected a nonzero form of positive degree in 3 variables")
     if f.degree == 1:
         return SmoothnessReport(True, "a line is smooth")
-    partials = [f.partial(i) for i in range(3)]
-    for i, p in enumerate(partials):
-        if p.is_zero():
-            pt = ["[1:0:0]", "[0:1:0]", "[0:0:1]"][i]
+    for i, pt in enumerate(("[1:0:0]", "[0:1:0]", "[0:0:1]")):
+        if not any(e[i] for e in f.coeffs):
             return SmoothnessReport(False, "form misses a variable",
                                     witness=f"singular at {pt}")
     rng = random.Random(seed)
     primes = itertools.islice(linalg._split_primes(), 1, None)  # after the stored one
     trail: List[str] = []
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         p, r = next(primes) if attempt else (linalg._PRIME, linalg._PHI_ROOT)
         if attempt == 1:
             # A clean first pass never reaches this; before retrying, rule
             # out the one obstruction no prime or coordinate change can fix.
-            g = gcd_forms(gcd_forms(partials[0], partials[1]), partials[2])
+            d0, d1, d2 = (f.partial(i) for i in range(3))
+            g = gcd_forms(gcd_forms(d0, d1), d2)
             if g.degree > 0:
                 return SmoothnessReport(False, "partials share a component",
                                         witness=repr(g))
@@ -480,7 +480,7 @@ def plane_curve_is_smooth(f: HomForm, max_retries: int = 8,
                                     chart_trail=tuple(trail), prime=p,
                                     phi_root=r, coordinate_change=change)
     raise SmoothnessIndeterminate(
-        f"no certificate after {max_retries} primes: {trail}")
+        f"no certificate after {_MAX_RETRIES} primes: {trail}")
 
 
 def _reduce(f: HomForm, p: int, r: int) -> ModForm:

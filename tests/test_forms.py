@@ -10,7 +10,7 @@ import pytest
 
 from h4geproci import config, forms, linalg
 from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot,
-                             common_numerators, primitive_numerators)
+                             common_numerators, norm, primitive_numerators)
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
                              try_quotient, vanishing_space, _chart_test,
@@ -668,6 +668,114 @@ def test_gcd_normalization_and_edge_cases():
         gcd_forms(HomForm.zero(2, 1), HomForm.zero(2, 1))
 
 
+def _reference_partial(f: HomForm, var: int) -> HomForm:
+    """d/dx_var term by term in FieldElement arithmetic."""
+    c = {}
+    for e, v in f.coeffs.items():
+        if e[var] == 0:
+            continue
+        e2 = list(e)
+        e2[var] -= 1
+        c[tuple(e2)] = v * e[var]
+    return HomForm(f.nvars, max(f.degree - 1, 0), c)
+
+
+def _reference_try_quotient(f: HomForm, g: HomForm):
+    """Long division in FieldElement arithmetic, by the inverse of f's
+    leading coefficient; f nonzero, in as many variables as g."""
+    if g.is_zero():
+        return HomForm.zero(f.nvars, 0)
+    if g.degree < f.degree:
+        return None
+    lead = max(f.coeffs)
+    inv = f.coeffs[lead].inverse()
+    q = {}
+    r = dict(g.coeffs)
+    while r:
+        top = max(r)
+        e = tuple(a - b for a, b in zip(top, lead))
+        if min(e) < 0:
+            return None
+        c = r[top] * inv
+        q[e] = c
+        for ef, cf in f.coeffs.items():
+            t = tuple(a + b for a, b in zip(e, ef))
+            v = r.get(t, ZERO) - c * cf
+            if v.is_zero():
+                r.pop(t, None)
+            else:
+                r[t] = v
+    return HomForm(f.nvars, g.degree - f.degree, q)
+
+
+def _reference_gcd(f: HomForm, g: HomForm) -> HomForm:
+    """The multiplication-map gcd of two nonzero forms, with -g and the
+    quotient taken in FieldElement arithmetic."""
+    nvars, m, n = f.nvars, f.degree, g.degree
+    neg_g = _scale(g, -ONE)
+    for k in range(min(m, n), -1, -1):
+        ucols, vcols = monomials(n - k, nvars), monomials(m - k, nvars)
+        rows = {e: i for i, e in enumerate(monomials(m + n - k, nvars))}
+        matrix = [[(0, 0)] * (len(ucols) + len(vcols)) for _ in rows]
+        shifts = [(u, f) for u in ucols] + [(v, neg_g) for v in vcols]
+        for j, (shift, form) in enumerate(shifts):
+            for e, w in zip(form.coeffs, form.pairs()):
+                matrix[rows[tuple(a + b for a, b in zip(shift, e))]][j] = w
+        kernel = linalg.nullspace(matrix)
+        if kernel:
+            v = HomForm(nvars, m - k, {e: FieldElement(*w) for e, w
+                                       in zip(vcols, kernel[0][len(ucols):])})
+            return _reference_monic(_reference_try_quotient(v, f))
+    raise AssertionError("unreachable: at k = 0, (b, a) is in the kernel")
+
+
+def test_pair_kernels_match_the_field_references():
+    """`partial`, `try_quotient` and `gcd_forms` on common numerators give
+    the FieldElement references' forms: on random Z[phi] and rational forms
+    in 2 to 4 variables, on divisors whose leading pair has positive and
+    negative norm, on constant divisors, and on divisible and non-divisible
+    pairs."""
+    rng = random.Random(107)
+    norms, outcomes, gcd_degrees = set(), set(), set()
+    for trial in range(60):
+        nvars, rational = 2 + trial % 3, trial % 2 == 1
+        f = _random_form(rng, nvars, rng.randint(0, 3), rational=rational)
+        h = _random_form(rng, nvars, rng.randint(0, 2), rational=rational)
+        if f.is_zero() or h.is_zero():
+            continue
+        for form in (f, h, f * h):
+            for var in range(nvars):
+                got, ref = form.partial(var), _reference_partial(form, var)
+                assert got == ref and got.degree == ref.degree
+        lead = dict(zip(f.coeffs, f.pairs()))[max(f.coeffs)]
+        norms.add(norm(lead) > 0)
+        noise = _random_form(rng, nvars, f.degree + h.degree, density=0.2)
+        for g in (f * h, _add(f * h, noise), h, _scale(f * h, PHI),
+                  HomForm.zero(nvars, 2)):
+            got, ref = try_quotient(f, g), _reference_try_quotient(f, g)
+            assert got == ref
+            if got is not None:
+                assert got.degree == ref.degree and f * got == g
+            outcomes.add(got is not None)
+        if nvars < 4 and f.degree + h.degree <= 4:
+            k = _random_form(rng, nvars, rng.randint(0, 2), rational=rational)
+            if not k.is_zero():
+                got = gcd_forms(f * h, k * h)
+                assert got == _reference_gcd(f * h, k * h)
+                gcd_degrees.add(got.degree)
+    assert norms == {True, False} and outcomes == {True, False}
+    assert {0, 1, 2} <= gcd_degrees
+
+
+def test_smoothness_needs_a_curve():
+    """A nonzero constant cuts out no curve, so it has no singular point
+    to report; it is refused as the zero form is."""
+    for f in (HomForm(3, 0, {(0, 0, 0): ONE}), HomForm.zero(3, 2),
+              _var(0, 2) * _var(1, 2)):
+        with pytest.raises(ValueError, match="positive degree in 3 variables"):
+            plane_curve_is_smooth(f)
+
+
 def test_gcd_and_divides_match_sympy_over_q_sqrt5():
     sympy = pytest.importorskip("sympy")
     # Elements are built in the field directly: sympy expressions with
@@ -901,25 +1009,28 @@ def test_linear_form_is_smooth():
     assert plane_curve_is_smooth(f).smooth
 
 
-def test_nodal_cubic_never_certifies_smooth():
+def test_nodal_cubic_never_certifies_smooth(monkeypatch):
     # y^2 z = x^2 (x + z) has a node at [0:0:1]; an isolated singular point
     # is beyond the chart gcd certificate, so the verdict is indeterminate,
     # never a false pass.
     f = HomForm(3, 3, {(0, 2, 1): ONE, (3, 0, 0): -ONE, (2, 0, 1): -ONE})
+    monkeypatch.setattr(forms, "_MAX_RETRIES", 2)
     try:
-        report = plane_curve_is_smooth(f, max_retries=2)
+        report = plane_curve_is_smooth(f)
     except SmoothnessIndeterminate:
         return
     assert not report.smooth
 
 
-def test_bad_first_prime_is_retried_never_believed():
+def test_bad_first_prime_is_retried_never_believed(monkeypatch):
     # Smooth over Q(phi), but x^2 + y^2 modulo the first prime (p0, phi - r0).
     p0, r0 = next(_split_primes())
     conic = HomForm(3, 2, {(2, 0, 0): ONE, (0, 2, 0): ONE,
                            (0, 0, 2): PHI - FieldElement(r0)})
-    with pytest.raises(SmoothnessIndeterminate):
-        plane_curve_is_smooth(conic, max_retries=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(forms, "_MAX_RETRIES", 1)
+        with pytest.raises(SmoothnessIndeterminate):
+            plane_curve_is_smooth(conic)
     report = plane_curve_is_smooth(conic)
     assert report.smooth and report.prime != p0
     # Attempt 0 skips the prime search; the retry still walks it.
@@ -930,12 +1041,14 @@ def test_bad_first_prime_is_retried_never_believed():
     assert determinant_mod(report.coordinate_change, report.prime) != 0
 
 
-def test_form_vanishing_mod_the_first_prime_is_skipped():
+def test_form_vanishing_mod_the_first_prime_is_skipped(monkeypatch):
     p0, r0 = next(_split_primes())
     k = PHI - FieldElement(r0)
     f = HomForm(3, 2, {(2, 0, 0): k, (0, 2, 0): k, (0, 0, 2): k})
-    with pytest.raises(SmoothnessIndeterminate, match="vanishes"):
-        plane_curve_is_smooth(f, max_retries=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(forms, "_MAX_RETRIES", 1)
+        with pytest.raises(SmoothnessIndeterminate, match="vanishes"):
+            plane_curve_is_smooth(f)
     report = plane_curve_is_smooth(f)
     assert report.smooth and report.prime != p0
 

@@ -16,11 +16,11 @@ from h4geproci import config, forms, geproci, linalg, projective
 from h4geproci.config import HALVES, z_partition
 from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids)
-from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _neg,
-                             primitive_numerators)
-from h4geproci.forms import HomForm, divides
-from h4geproci.projective import (ProjPoint, canonicalize, image_from,
-                                  plane_through)
+from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot, _neg,
+                             from_numerators, primitive_numerators)
+from h4geproci.forms import HomForm, divides, plane_curve_is_smooth
+from h4geproci.projective import (ProjLine, ProjPlane, ProjPoint, canonicalize,
+                                  image_from, plane_through)
 from test_forms import _add, _evaluate, _reference_monic, _scale
 from test_linalg import reference_inverse
 from test_projective import CoordinateChange, on_line
@@ -390,10 +390,10 @@ def test_the_ladder_stops_at_a_unique_sextic(cfg, geproci_cert_seed1,
     assert cert.to_json() == geproci_cert_seed1.to_json()
 
 
-def test_three_sextics_send_the_ladder_to_degree_5(cfg, geproci_cert_seed1,
+def test_three_sextics_fail_without_a_lower_degree(cfg, geproci_cert_seed1,
                                                    monkeypatch):
-    """Three independent sextics could be x*Q, y*Q, z*Q for a quintic Q,
-    so the bound dim_6 >= 3 asks for degree 5, and dim_5 = 0 ends it."""
+    """Any dim_6 but 1 fails the certificate, so no lower degree is
+    interpolated, not even when three sextics could be x*Q, y*Q, z*Q."""
     sextic = geproci_cert_seed1.sextic
     top = [sextic, HomForm(3, 6, {(6, 0, 0): ONE}),
            HomForm(3, 6, {(0, 6, 0): ONE})]
@@ -401,7 +401,7 @@ def test_three_sextics_send_the_ladder_to_degree_5(cfg, geproci_cert_seed1,
     with pytest.raises(geproci.VerificationError,
                        match="degree-6 space has dimension 3, not 1"):
         geproci.verify_geproci(cfg, 1)
-    assert degrees == [6, 5]
+    assert degrees == [6]
 
 
 def test_each_quintic_is_tested_on_its_own_half(cfg, monkeypatch):
@@ -418,6 +418,56 @@ def test_each_quintic_is_tested_on_its_own_half(cfg, monkeypatch):
     assert geproci.verify_geproci(cfg, 1).passed
     assert len(degrees) == 62
     assert degrees.count(5) == 60 and degrees.count(2) == 2
+
+
+# The FieldElement arithmetic that perfbench/tracing.py times (FIELD_OPS).
+_FIELD_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                    "__rmul__", "inverse", "__truediv__", "__rtruediv__",
+                    "__pow__", "__neg__")
+
+
+def _span_by_dual_matrix(p, q, r):
+    """The plane through the line pq and r as L*r: each row of the line's
+    dual Pluecker matrix dotted with r's pairs."""
+    rows = projective._matrix(ProjLine(p, q).dual)
+    return ProjPlane(from_numerators([_dot(row, r.pairs) for row in rows], 1))
+
+
+def test_only_the_plane_span_runs_field_element_arithmetic(cfg, monkeypatch):
+    """With every FieldElement operator failing the test and the plane span
+    replaced by L*v on pairs, the configuration, the 72 grids, all four
+    verdicts at three seeds and the partials-gcd retry of the smoothness
+    certificate come out unchanged."""
+    line = HomForm.linear([FieldElement(2), PHI, FieldElement(Fraction(-1, 3))])
+    other = HomForm.linear([ONE, FieldElement(-3), FieldElement(1, 1)])
+    curve = line * line * other  # attempt 0 fails; attempt 1 finds the gcd
+
+    def artifacts(c):
+        out = [g.to_json() for g in enumerate_grids(c)]
+        for seed in (1, 2, 12345):
+            out += [geproci.verify_geproci(c, seed).to_json(),
+                    geproci.verify_not_half_grid(c, seed).to_json()]
+            out += [geproci.verify_half_grid(c, seed, h.name).to_json()
+                    for h in HALVES]
+        return out
+
+    expected, report = artifacts(cfg), plane_curve_is_smooth(curve)
+    assert report.reason == "partials share a component"
+
+    def failing(name):
+        def operator(*args):
+            pytest.fail(f"FieldElement.{name} ran outside the plane span")
+        return operator
+
+    for name in _FIELD_OPERATORS:
+        monkeypatch.setattr(FieldElement, name, failing(name))
+    monkeypatch.setattr(geproci, "plane_through", _span_by_dual_matrix)
+    with pytest.raises(pytest.fail.Exception, match="__mul__"):
+        ONE * PHI
+    patched_cfg = config.build_h4()
+    assert patched_cfg.to_json() == cfg.to_json()
+    assert artifacts(patched_cfg) == expected
+    assert plane_curve_is_smooth(curve) == report
 
 
 class _MissesOneImage(HomForm):
