@@ -27,7 +27,7 @@ Pair = Tuple[int, int]  # x + y*phi in Z[phi]
 
 
 class FieldElement:
-    """An element a + b*phi of Q(phi), immutable with value semantics."""
+    """a + b*phi for ints (bools too) or Fractions a, b; other types raise TypeError."""
 
     __slots__ = ("_v",)  # the normalized triple (x, y, d)
 
@@ -35,6 +35,9 @@ class FieldElement:
         if type(a) is int and type(b) is int:
             _set_v(self, (a, b, 1))
             return
+        for v in (a, b):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"cannot coerce {type(v).__name__} into Q(phi)")
         # With a = p/q and b = r/s reduced, gcd(x, y, d) = 1 already.
         a, b = Fraction(a), Fraction(b)
         d = lcm(a.denominator, b.denominator)
@@ -68,11 +71,7 @@ class FieldElement:
     __radd__ = __add__
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        x1, y1, d1 = self._v
-        x2, y2, d2 = _coerce(other)._v
-        if d1 == d2:
-            return _make(x1 - x2, y1 - y2, d1)
-        return _make(x1 * d2 - x2 * d1, y1 * d2 - y2 * d1, d1 * d2)
+        return self + -_coerce(other)
 
     def __rsub__(self, other) -> "FieldElement":
         return _coerce(other) - self
@@ -196,11 +195,7 @@ def _divide(u: FieldElement, w: FieldElement) -> FieldElement:
 
 
 def _coerce(x) -> FieldElement:
-    if isinstance(x, FieldElement):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return FieldElement(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} into Q(phi)")
+    return x if isinstance(x, FieldElement) else FieldElement(x)
 
 
 def common_numerators(elems: Iterable[FieldElement]) -> Tuple[List[Pair], int]:

@@ -11,6 +11,7 @@ modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.  Points,
 evaluation rows, kernel vectors and the coefficients' common numerators are
 Z[phi] integer pairs (x, y) for x + y*phi.  Products, partials, quotients,
 gcds and monic forms run on them; no FieldElement operator runs here.
+Every certificate record, here and in `geproci`, serializes by `_record_json`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import linalg
-from .field import (FieldElement, Pair, _dot, _neg, common_numerators, conj,
-                    from_numerators, norm, primitive_numerators, products,
-                    residues)
+from .field import (FieldElement, Pair, _coerce, _dot, _neg,
+                    common_numerators, conj, from_numerators, norm,
+                    primitive_numerators, products, residues)
 
 Exponents = Tuple[int, ...]
 
@@ -47,8 +48,7 @@ class HomForm:
     def __init__(self, nvars: int, degree: int, coeffs: Dict[Exponents, FieldElement]):
         clean = {}
         for e, c in coeffs.items():
-            if not isinstance(c, FieldElement):
-                c = FieldElement(c)
+            c = _coerce(c)
             if c.is_zero():
                 continue
             if len(e) != nvars or sum(e) != degree or min(e) < 0:
@@ -395,23 +395,33 @@ class SmoothnessIndeterminate(RuntimeError):
     """Raised when the retry budget ends without a certificate either way."""
 
 
+def _record_json(record) -> dict:
+    """A certificate record as JSON: each field under its own name, nested
+    values through their own `to_json`, tuples as lists, and ``passed`` on
+    a record that carries a verdict."""
+    blob = {name: _json_value(getattr(record, name)) for name in record._fields}
+    if hasattr(record, "passed"):
+        blob["passed"] = record.passed
+    return blob
+
+
+def _json_value(value):
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return dict(value) if isinstance(value, dict) else value
+
+
 class SmoothnessReport(NamedTuple):
     smooth: bool
-    reason: str
-    witness: Optional[str] = None
+    reason: str  # a singular verdict names its witness here
     chart_trail: Tuple[str, ...] = ()
     prime: Optional[int] = None  # p of the certifying prime (p, phi - phi_root)
     phi_root: Optional[int] = None  # root of x^2 - x - 1 mod p; phi maps to it
     coordinate_change: Optional[Tuple[Tuple[int, ...], ...]] = None
 
-    def to_json(self) -> dict:
-        """Every field but the witness, with tuples as lists."""
-        change = self.coordinate_change
-        if change is not None:
-            change = [list(row) for row in change]
-        return {"smooth": self.smooth, "reason": self.reason,
-                "chart_trail": list(self.chart_trail), "prime": self.prime,
-                "phi_root": self.phi_root, "coordinate_change": change}
+    to_json = _record_json
 
 
 def plane_curve_is_smooth(f: HomForm, seed: int = 0) -> SmoothnessReport:
@@ -451,8 +461,7 @@ def plane_curve_is_smooth(f: HomForm, seed: int = 0) -> SmoothnessReport:
         return SmoothnessReport(True, "a line is smooth")
     for i, pt in enumerate(("[1:0:0]", "[0:1:0]", "[0:0:1]")):
         if not any(e[i] for e in f.coeffs):
-            return SmoothnessReport(False, "form misses a variable",
-                                    witness=f"singular at {pt}")
+            return SmoothnessReport(False, f"form misses a variable: singular at {pt}")
     rng = random.Random(seed)
     primes = itertools.islice(linalg._split_primes(), 1, None)  # after the stored one
     trail: List[str] = []
@@ -464,8 +473,7 @@ def plane_curve_is_smooth(f: HomForm, seed: int = 0) -> SmoothnessReport:
             d0, d1, d2 = (f.partial(i) for i in range(3))
             g = gcd_forms(gcd_forms(d0, d1), d2)
             if g.degree > 0:
-                return SmoothnessReport(False, "partials share a component",
-                                        witness=repr(g))
+                return SmoothnessReport(False, f"partials share a component: {g!r}")
         fp = _reduce(f, p, r)
         if not fp:
             trail = [f"reduction vanishes mod {p}"]

@@ -21,7 +21,7 @@ from . import config as cfgmod
 from .config import H4Configuration
 from .field import Pair, _dot, _neg
 from .forms import (HomForm, SmoothnessIndeterminate, SmoothnessReport,
-                    divides, independent_evaluation_rows,
+                    _record_json, divides, independent_evaluation_rows,
                     plane_curve_is_smooth, vanishing_space)
 from .projective import (ProjLine, ProjPoint, image_from, plane_image,
                          plane_through)
@@ -89,22 +89,16 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
     raise RejectionBudgetExhausted(f"no generic vertex in {VERTEX_DRAWS} draws")
 
 
-def _record_json(record) -> dict:
-    """A certificate record as JSON: each field under its own name, nested
-    values through their own `to_json`, tuples as lists, and ``passed`` on
-    a record that carries a verdict."""
-    blob = {name: _json_value(getattr(record, name)) for name in record._fields}
-    if hasattr(record, "passed"):
-        blob["passed"] = record.passed
-    return blob
+def _all_checks_pass(cert) -> bool:
+    return all(cert.checks.values())
 
 
-def _json_value(value):
-    if hasattr(value, "to_json"):
-        return value.to_json()
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    return dict(value) if isinstance(value, dict) else value
+def _require_passed(kind: str, cert):
+    """The certificate, or VerificationError naming its failed checks."""
+    if not cert.passed:
+        failed = [k for k, v in cert.checks.items() if not v]
+        raise VerificationError(f"{kind} certificate failed: {failed}")
+    return cert
 
 
 class GridCertificate(NamedTuple):
@@ -198,10 +192,7 @@ class GeprociCertificate(NamedTuple):
     sextic_divides_decic: bool
     checks: Dict[str, bool]
 
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
+    passed = property(_all_checks_pass)
     to_json = _record_json
 
 
@@ -238,8 +229,8 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     dims = (0, 0, 0, 0, 0, 1)  # dim_6 = 1 and the x*Q argument above
     checks: Dict[str, bool] = {"dimension_table": True, "sextic_smooth": smooth.smooth}
 
-    (grid1, quintic1, _, _), (grid2, quintic2, _, _) = (
-        _half_quintic(cfg, proj, half) for half in cfgmod.HALVES)
+    grid1, grid2 = (verify_grid(cfg, h.l_lines, h.m_lines) for h in cfgmod.HALVES)
+    quintic1, quintic2 = (_half_quintic(cfg, proj, h)[0] for h in cfgmod.HALVES)
     z1, z2 = cfgmod.z_partition(cfg)
     on1 = {i: quintic1.vanishes_at(proj.images[i]) for i in z1}
     on2 = {i: quintic2.vanishes_at(proj.images[i]) for i in z2}
@@ -251,23 +242,19 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     no_shared = not divides(sextic, decic)
     checks["no_shared_component"] = no_shared
     checks["bezout_count"] = sextic.degree * decic.degree == 60
-    cert = GeprociCertificate(seed, proj.vertex, dims, sextic, smooth,
-                              grid1, grid2, quintic1, quintic2, z1, z2,
-                              not no_shared, checks)
-    if not cert.passed:
-        failed = [k for k, v in checks.items() if not v]
-        raise VerificationError(f"geproci certificate failed: {failed}")
-    return cert
+    return _require_passed("geproci", GeprociCertificate(
+        seed, proj.vertex, dims, sextic, smooth, grid1, grid2, quintic1,
+        quintic2, z1, z2, not no_shared, checks))
 
 
 def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
-                  ) -> Tuple[GridCertificate, HomForm, Dict[int, HomForm], HomForm]:
-    """The half's grid certificate; the member of its quintic pencil, spanned
-    by the products g, h of the pushed L- and M-lines (from their first
-    factors), through the lowest special point on the external line; the
-    pushed L-lines by line index; and g."""
-    grid = verify_grid(cfg, half.l_lines, half.m_lines)
-    specials = cfgmod.special_points_for_grid(cfg, grid.grid_points)
+                  ) -> Tuple[HomForm, Dict[int, HomForm], HomForm]:
+    """The member of the half's quintic pencil, spanned by the products g, h
+    of the pushed L- and M-lines (from their first factors), through the
+    lowest special point on the external line of the L-lines' grid (which no
+    verdict reads, so it is not certified); the pushed L-lines; and g."""
+    specials = cfgmod.special_points_for_grid(
+        cfg, cfgmod.grid_point_indices(cfg, half.l_lines))
     ext = half.external_line
     on_line = [x for x, _ in specials if x in cfg.line_points[ext]]
     if len(on_line) != 5:
@@ -276,7 +263,7 @@ def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
     l_forms = {i: proj.push_line(cfg.lines[i]) for i in half.l_lines}
     g = reduce(mul, l_forms.values())
     h = reduce(mul, (proj.push_line(cfg.lines[i]) for i in half.m_lines))
-    return grid, build_quintic_cone(g, h, proj.images[min(on_line)]), l_forms, g
+    return build_quintic_cone(g, h, proj.images[min(on_line)]), l_forms, g
 
 
 class HalfGridCertificate(NamedTuple):
@@ -291,10 +278,7 @@ class HalfGridCertificate(NamedTuple):
     line_product: HomForm
     checks: Dict[str, bool]
 
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
+    passed = property(_all_checks_pass)
     to_json = _record_json
 
 
@@ -320,7 +304,7 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     if not (checks["cover_pairwise_skew"] and checks["cover_is_exact"]):
         raise VerificationError(f"covering failure for {subset}: {checks}")
     proj = sample_generic_vertex(cfg, seed)
-    _, quintic, line_form, g = _half_quintic(cfg, proj, half)
+    quintic, line_form, g = _half_quintic(cfg, proj, half)
     checks["quintic_on_subset"] = all(quintic.vanishes_at(proj.images[i])
                                       for i in points)
     line_form[half.external_line] = proj.push_line(cfg.lines[half.external_line])
@@ -332,12 +316,8 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     checks["no_line_in_quintic"] = all(not divides(lf, quintic)
                                        for lf in line_form.values())
     checks["bezout_count"] = quintic.degree * product.degree == 30
-    cert = HalfGridCertificate(subset, seed, proj.vertex, points,
-                               cover, quintic, product, checks)
-    if not cert.passed:
-        failed = [k for k, v in checks.items() if not v]
-        raise VerificationError(f"half-grid certificate failed: {failed}")
-    return cert
+    return _require_passed("half-grid", HalfGridCertificate(
+        subset, seed, proj.vertex, points, cover, quintic, product, checks))
 
 
 class RefutationReport(NamedTuple):

@@ -26,7 +26,7 @@ from math import gcd
 from typing import Iterable, List, Sequence, Tuple
 
 from . import linalg
-from .field import (FieldElement, Pair, _dot, _neg, conj, norm,
+from .field import (FieldElement, Pair, _coerce, _dot, _neg, conj, norm,
                     primitive_numerators, products)
 
 # Pluecker coordinates are ordered by the index pairs ij below.
@@ -89,17 +89,10 @@ def pluecker_pairs(p: Sequence[Pair], q: Sequence[Pair]) -> Tuple[Pair, ...]:
     return _canonical_pairs(_minors(p, q, _PLUECKER))
 
 
-class _Flat:
-    """Common machinery for points and planes (a canonical 4-vector)."""
+class _Canonical:
+    """An immutable value: equal and hashed by its type and canonical ``pairs``."""
 
-    __slots__ = ("coords", "pairs")
-
-    def __init__(self, coords: Sequence[FieldElement]):
-        if len(coords) != 4:
-            raise ValueError("expected 4 homogeneous coordinates")
-        pairs = _canonical_pairs(primitive_numerators(coords))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "coords", _elements(pairs))
+    __slots__ = ("pairs",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -109,6 +102,19 @@ class _Flat:
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.pairs))
+
+
+class _Flat(_Canonical):
+    """Points and planes: a canonical 4-vector of elements, ints or Fractions."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: Sequence[FieldElement]):
+        if len(coords) != 4:
+            raise ValueError("expected 4 homogeneous coordinates")
+        pairs = _canonical_pairs(primitive_numerators(map(_coerce, coords)))
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "coords", _elements(pairs))
 
     def __repr__(self) -> str:
         inner = " : ".join(str(x) for x in self.coords)
@@ -123,8 +129,7 @@ class ProjPoint(_Flat):
 
     @classmethod
     def of(cls, *coords) -> "ProjPoint":
-        return cls([x if isinstance(x, FieldElement) else FieldElement(x)
-                    for x in coords])
+        return cls(coords)
 
 
 class ProjPlane(_Flat):
@@ -134,14 +139,14 @@ class ProjPlane(_Flat):
         return _dot(self.pairs, p.pairs) == (0, 0)
 
 
-class ProjLine:
+class ProjLine(_Canonical):
     """A line of P^3: canonical Pluecker coordinates plus two spanning points.
 
     The Pluecker pairs and their dual, both stored, decide the meet test;
     the spanning points back plane spans and JSON.
     """
 
-    __slots__ = ("pluecker", "pairs", "dual", "p", "q")
+    __slots__ = ("pluecker", "dual", "p", "q")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p == q:
@@ -152,15 +157,6 @@ class ProjLine:
         object.__setattr__(self, "pluecker", _elements(pairs))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjLine is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProjLine) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(("ProjLine", self.pairs))
 
     def __repr__(self) -> str:
         return f"ProjLine({self.pluecker})"

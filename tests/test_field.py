@@ -13,6 +13,8 @@ from h4geproci import linalg
 from h4geproci.field import (FieldElement, ONE, PHI, PHI2, ZERO, _dot,
                              common_numerators, conj, norm,
                              primitive_numerators, products, residues)
+from h4geproci.forms import HomForm
+from h4geproci.projective import ProjPoint
 from json_readers import field_element
 
 
@@ -96,6 +98,22 @@ def test_coercion_from_int_and_fraction():
     assert FieldElement(2) + 3 == FieldElement(5)
     assert 2 * PHI == PHI + PHI
     assert PHI - Fraction(1, 2) == FieldElement(Fraction(-1, 2), 1)
+
+
+def test_only_ints_and_fractions_enter_q_phi():
+    """Elements, form coefficients and point coordinates take one rule: an
+    int (a bool too) or a Fraction, never a float or a string, which would
+    enter Q(phi) rounded or parsed."""
+    for bad in (lambda: FieldElement(0.1), lambda: FieldElement(0, 0.5),
+                lambda: FieldElement("1/2", "3"), lambda: FieldElement(1) + 0.1,
+                lambda: FieldElement(1) - 0.1, lambda: 0.1 - FieldElement(1),
+                lambda: HomForm(3, 1, {(1, 0, 0): 0.5}),
+                lambda: ProjPoint.of(0.1, 1, 0, 0)):
+        with pytest.raises(TypeError, match="into Q\\(phi\\)"):
+            bad()
+    assert FieldElement(True, Fraction(2, 4)) == FieldElement(1, Fraction(1, 2))
+    assert ProjPoint([1, 0, 0, 0]) == ProjPoint.of(1, 0, 0, 0)
+    assert ProjPoint([2, Fraction(1, 2), ONE, PHI]) == ProjPoint.of(4, 1, 2, 2 * PHI)
 
 
 _rationals = st.fractions(min_value=-10**6, max_value=10**6,

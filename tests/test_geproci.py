@@ -243,7 +243,7 @@ def test_quintic_cone_vanishes_on_its_half(cfg, projection, grid1):
     g = _product_of_plane_images(cfg, projection, grid1.l_lines)
     h = _product_of_plane_images(cfg, projection, grid1.m_lines)
     quintic = geproci.build_quintic_cone(g, h, projection.images[4])
-    assert quintic == geproci._half_quintic(cfg, projection, HALF1)[1]
+    assert quintic == geproci._half_quintic(cfg, projection, HALF1)[0]
     z1, _ = z_partition(cfg)
     assert quintic.degree == 5
     for i in z1:
@@ -452,7 +452,8 @@ def test_only_the_plane_span_runs_field_element_arithmetic(cfg, monkeypatch):
         return out
 
     expected, report = artifacts(cfg), plane_curve_is_smooth(curve)
-    assert report.reason == "partials share a component"
+    assert report.reason == ("partials share a component:"
+                             " (1)*x + (1/2*phi)*y + (-1/6)*z")
 
     def failing(name):
         def operator(*args):
@@ -619,6 +620,27 @@ def test_full_set_is_not_a_half_grid(cfg):
     assert report.max_collinear == 5
     assert report.low_degree_dims == (0, 0, 0, 0, 0)
     assert set(report.forced_degrees) == {(6, 10), (10, 6)}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_only_the_geproci_certificate_builds_grid_certificates(cfg, seed,
+                                                               monkeypatch):
+    """A half-grid verdict reads no grid certificate, so it builds none; the
+    geproci certificate records two and builds each once."""
+    calls = []
+    verify_grid = geproci.verify_grid
+
+    def counting(*args):
+        calls.append(args[1:])
+        return verify_grid(*args)
+
+    monkeypatch.setattr(geproci, "verify_grid", counting)
+    for half in HALVES:
+        assert geproci.verify_half_grid(cfg, seed, half.name).passed
+    assert calls == []
+    cert = geproci.verify_geproci(cfg, seed)
+    assert calls == [(h.l_lines, h.m_lines) for h in HALVES]
+    assert [cert.grid1, cert.grid2] == [verify_grid(cfg, *c) for c in calls]
 
 
 def test_refutation_runs_no_exact_kernel(cfg, monkeypatch):

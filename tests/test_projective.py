@@ -160,6 +160,23 @@ def test_line_contains_its_spanning_points_and_combinations():
         assert ProjLine(q, mix) == line
 
 
+def test_points_planes_and_lines_are_values_of_their_type():
+    """Equal exactly when type and canonical pairs agree, hashed as (type
+    name, pairs), and immutable, whatever the representative."""
+    p, q = ProjPoint.of(1, 0, 0, 0), ProjPoint.of(0, 1, 0, 0)
+    values = [(p, ProjPoint.of(-3, 0, 0, 0)),
+              (ProjPlane(p.coords), ProjPlane([PHI, 0, 0, 0])),
+              (ProjLine(p, q),
+               ProjLine(ProjPoint.of(1, PHI, 0, 0), ProjPoint.of(2, 0, 0, 0)))]
+    for x, same in values:
+        assert x == same and x.pairs == same.pairs and x is not same
+        assert hash(x) == hash(same) == hash((type(x).__name__, x.pairs))
+        with pytest.raises(AttributeError,
+                           match=f"^{type(x).__name__} is immutable$"):
+            x.pairs = ()
+    assert values[0][0] != values[1][0] and len({x for x, _ in values}) == 3
+
+
 def test_degenerate_spans_raise():
     p = ProjPoint.of(1, 0, 0, 0)
     with pytest.raises(DegenerateSpanError):
