@@ -191,48 +191,18 @@ def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
     """Basis of the degree-d forms vanishing at every given point (Z[phi] pairs).
 
     Rows are point evaluations, columns the graded-lex monomials.  The basis
-    is the exact nullspace of all rows: one vector per free column, nonzero
-    in that column and 0 in the other free columns, made monic: its first
-    nonzero coefficient in column order, the graded-lex leading one, is 1.
-    A row basis is chosen modulo the split prime P by
-    `independent_evaluation_rows`, in reduced echelon form over F_p; only
-    those rows go to `linalg.nullspace`, which proposes their kernel modulo
-    further split primes and returns it once it checks exactly.
-
-    Soundness.  The rows chosen mod P are independent over Q(phi), so the
-    exact rank is at least their count; when that count is the number of
-    monomials, the space is 0 and no exact row is built.  Otherwise let N_S
-    be the exact nullspace of the chosen rows and N that of all rows.  N_S
-    contains N, and when every basis vector of N_S kills every row (an exact
-    Z[phi] dot product, `linalg.first_missed_row`), N_S = N; the basis above
-    depends on N alone, so it is the one the elimination of all rows gives.
-    A row that some basis vector does not kill (the rank dropped mod P)
-    joins the chosen rows and the kernel is taken again; each round raises
-    the exact rank of the chosen rows, so the loop ends.  A missed row that
-    is already chosen means the exact kernel is wrong, and it raises
-    ArithmeticError rather than repeat the same round.  When no row is
-    independent mod P (no points, or every row lies in P), N_S is the whole
-    space and the same check applies.  The primes only pick rows, propose
-    kernels and bound the rank from below; they never turn a positive
-    dimension into 0.
+    is the exact nullspace of all rows, `linalg.nullspace`: one vector per
+    free column, nonzero in that column and 0 in the other free columns,
+    made monic: its first nonzero coefficient in column order, the
+    graded-lex leading one, is 1.  Every exact row goes to `nullspace`,
+    whose first elimination picks the rows that the second reads, and which
+    returns its basis only once every vector kills every row, exactly; no
+    separate rank pass runs.  With no points the nullspace is that of one
+    zero row: the whole space.
     """
     cols = monomials(degree, nvars)
-    points = list(points)
-    chosen = independent_evaluation_rows(points, degree, nvars)
-    if len(chosen) == len(cols):
-        return []
     rows = [_evaluation_row(p, degree, nvars, cols) for p in points]
-    while True:
-        # With nothing chosen (no rows, or all rows zero mod P), start from
-        # the whole space: the nullspace of one zero row.
-        kernel = linalg.nullspace([rows[i] for i in chosen]
-                                  or [[(0, 0)] * len(cols)])
-        missed = linalg.first_missed_row(rows, kernel)
-        if missed is None:
-            break
-        if missed in chosen:
-            raise ArithmeticError(f"exact kernel misses its own row {missed}")
-        chosen.append(missed)
+    kernel = linalg.nullspace(rows or [[(0, 0)] * len(cols)])
     return [HomForm.monic_from_pairs(nvars, degree, zip(cols, vec)) for vec in kernel]
 
 

@@ -3,10 +3,11 @@
 Exact rows hold integer pairs (x, y) that stand for x + y*phi in Z[phi];
 their arithmetic and their residues mod p are `field`'s.  `nullspace` takes
 pair rows, as interpolation and the gcd produce them: split primes propose
-the kernel, CRT and rational reconstruction lift it, and an exact check
-(`field._dot` against every row) certifies it.  `determinant` is Leibniz's
-formula on FieldElements, for the 3x3 minors of plane spans, so nothing
-here eliminates exactly.
+the kernel, each in one elimination per root of x^2 - x - 1 (the first
+reads every row, the second only the rows the first kept), CRT and rational
+reconstruction lift it, and an exact check (`field._dot` against every row)
+certifies it.  `determinant` is Laplace expansion on FieldElements, for the
+3x3 minors of plane spans, so nothing here eliminates exactly.
 
 Over F_p, rows are lists of ints.  `_echelon_mod`, the only elimination,
 brings them to reduced echelon form one row at a time, for `nullspace` and
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -33,40 +34,45 @@ def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
     is not modified, and scaling its rows by nonzero scalars changes nothing.
 
     Split primes q propose the vectors: `_KERNEL_PRIME`, then `_split_primes`.
-    At both roots r and 1 - r of x^2 - x - 1 mod q, `_kernel_mod` gives the
-    pivot columns and the residues a, b of each entry x + y*phi of b_g, so
-    y = (a - b)/(2r - 1) and x = a - y*r.  Primes with one pivot set join by
-    CRT; a lexicographically smaller set (ncols appended) starts afresh, and
-    a larger set, or two roots that disagree, passes the prime over.  The
-    entries are rationally reconstructed (`_rational`) in turn, up to the
-    first that fails, and the basis is returned once every vector kills
-    every row, exactly (`first_missed_row`).
+    At the root r of x^2 - x - 1 mod q, `_kernel_mod` eliminates every row
+    and gives the pivot columns, the residues a of each entry x + y*phi of
+    b_g, and the rows it kept; at the other root 1 - r it eliminates only
+    those rows, for the residues b.  Then y = (a - b)/(2r - 1) and
+    x = a - y*r.  Primes with one pivot set join by CRT; a lexicographically
+    smaller set (ncols appended) starts afresh, and a larger set, or two
+    roots that disagree, passes the prime over.  The entries are rationally
+    reconstructed (`_rational`) in turn, up to the first that fails, and the
+    basis is returned once every vector kills every row, exactly
+    (`first_missed_row`).
 
     Soundness.  Once they pass the check, the b_g lie in N, and with 1 at g
     and 0 at the other free columns they are independent.  Their number,
-    ncols minus the rank mod q, is at least dim N (a unit minor mod q is a
-    nonzero minor), so they span N.  No vector of N ends at a pivot column
-    over Q(phi), and b_g ends at g, so the free sets agree and each b_g is
-    the canonical vector.  An empty kernel mod q is an empty N.
+    ncols minus the rank of all rows at r, is at least dim N (a unit minor
+    mod q is a nonzero minor), so they span N.  No vector of N ends at a
+    pivot column over Q(phi), and b_g ends at g, so the free sets agree and
+    each b_g is the canonical vector.  An empty kernel at r is an empty N.
+    A rank that drops at r leaves too many vectors to pass the check.
 
     Termination.  Let h be log2 of the Hadamard bound of the rows, with
     |x + y*phi| <= |x| + 2|y| at either root.  The entries of b_g are ratios
     of minors: their rational parts have numerators below 2^(2h+2) and
     denominators at most 2^(2h), so reconstruction is right once the joined
-    primes pass 2^(4h+5).  A prime off the exact pivot set divides the norm
-    of a nonzero minor, at most 2^(2h).  So primes tried past 2^(6h+6)
-    without a basis mean a fault, and raise ArithmeticError.
+    primes pass 2^(4h+5).  Let K* be the rows that elimination over Q(phi)
+    keeps, one at a time, and M* their minor on the exact pivot columns.
+    Where q does not divide N(M*), at most 2^(2h), M* is a unit at both
+    roots: the rows kept at r are K*, and at both roots they have the exact
+    pivots and the residues of the exact kernel.  So primes tried past
+    2^(6h+6) without a basis mean a fault, and raise ArithmeticError; h is
+    computed only once a prime has failed, since nothing else reads it.
     """
     ncols = len(rows[0]) if rows else 0
-    h = sum((sum((abs(x) + 2 * abs(y)) ** 2 for x, y in row).bit_length() + 1) // 2
-            for row in rows)
-    key, tried = None, 1
+    key, tried, h = None, 1, None
     for q, r in itertools.chain([_KERNEL_PRIME], _split_primes()):
         tried *= q
-        pivots, a = _kernel_mod(rows, q, r)
+        pivots, a, kept = _kernel_mod(rows, q, r)
         if len(pivots) == ncols:
             return []
-        pivots_b, b = _kernel_mod(rows, q, 1 - r)
+        pivots_b, b, _ = _kernel_mod([rows[i] for i in kept], q, 1 - r)
         if pivots == pivots_b and (key is None or pivots + [ncols] <= key):
             if pivots + [ncols] != key:
                 key, modulus, xs, ys = pivots + [ncols], 1, [0] * len(a), [0] * len(a)
@@ -89,19 +95,24 @@ def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
                     for j in range(ncols)) for g in range(ncols) if g not in pivots]
                 if first_missed_row(rows, basis) is None:
                     return basis
+        if h is None:
+            h = sum((sum((abs(x) + 2 * abs(y)) ** 2 for x, y in row).bit_length() + 1) // 2
+                    for row in rows)
         if tried.bit_length() > 6 * h + 6:
             raise ArithmeticError("no certified nullspace from the primes tried")
 
 
 def _kernel_mod(rows: Sequence[Sequence[Pair]], q: int,
-                r: int) -> Tuple[List[int], List[int]]:
-    """The pivot columns, ascending, of Z[phi] rows at phi -> r mod q, and
-    the entries of the kernel vectors b_g at the pivots c < g, by free
-    column g, then by c."""
-    _, pivots, free = _echelon_mod([residues(row, q, r) for row in rows], q)
+                r: int) -> Tuple[List[int], List[int], List[int]]:
+    """The pivot columns, ascending, of Z[phi] rows at phi -> r mod q; the
+    entries of the kernel vectors b_g at the pivots c < g, by free column g,
+    then by c; and the indices of the rows kept, which span the rest.
+    Residues are taken as the elimination reads them, so none is taken past
+    the last possible pivot."""
+    kept, pivots, free = _echelon_mod((residues(row, q, r) for row in rows), q)
     at = {g: dict(zip(pivots, col)) for g, col in free.items()}
     pivots.sort()
-    return pivots, [-at[g][c] % q for g in at for c in pivots if c < g]
+    return pivots, [-at[g][c] % q for g in at for c in pivots if c < g], kept
 
 
 def _rational(a: int, m: int) -> Optional[Fraction]:
@@ -142,16 +153,22 @@ _KERNEL_PRIME = (6277101735386680763835789423207666416102355444464034514319,
 
 
 def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
-    """Leibniz's formula: the sum over the permutations s of the products
-    m[i][s(i)], each signed by the parity of the inversions of s.  Its one
-    caller, `projective.plane_through`, passes 3x3 minors: six terms."""
-    total = ZERO
-    for perm in itertools.permutations(range(len(matrix))):
-        term = prod((row[j] for row, j in zip(matrix, perm)), start=ONE)
-        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
-            term = -term
-        total = total + term
-    return total
+    """Laplace expansion along the first row, skipping zero entries: the sum
+    over columns j of (-1)^j m[0][j] times the determinant of the minor
+    without row 0 and column j, expanded the same way.  A 0x0 matrix gives
+    ONE.  Its one caller, `projective.plane_through`, passes 3x3 minors: at
+    most nine products.  The recursion runs in a nested function, so one
+    determinant is one call of this one."""
+    def expand(i: int, cols: List[int]) -> FieldElement:
+        if len(cols) == 1:
+            return matrix[i][cols[0]]
+        total = ZERO
+        for k, j in enumerate(cols):
+            if not matrix[i][j].is_zero():
+                term = matrix[i][j] * expand(i + 1, cols[:k] + cols[k + 1:])
+                total = total + (-term if k % 2 else term)
+        return total
+    return expand(0, list(range(len(matrix)))) if matrix else ONE
 
 
 def first_missed_row(rows: Sequence[Sequence[Pair]],

@@ -20,7 +20,8 @@ from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
 from h4geproci.geproci import sample_generic_vertex
 from h4geproci.linalg import _PHI_ROOT, _PRIME, _split_primes
 from json_readers import hom_form
-from test_linalg import _integer_pairs, determinant_mod, reference_nullspace
+from test_linalg import (_integer_pairs, _wrong_first_coefficient,
+                         determinant_mod, reference_nullspace)
 
 
 def _random_form(rng, nvars, degree, density=0.7, rational=False) -> HomForm:
@@ -477,25 +478,36 @@ def test_vanishing_space_matches_elimination_of_all_rows(nvars):
     assert seen == {True, False}
 
 
-def test_rank_lost_modulo_the_prime_is_repaired(monkeypatch):
+def _counting_kernel_mod(monkeypatch):
+    """Wrap `linalg._kernel_mod`; returns the row counts it is called with."""
     calls = []
-    nullspace = linalg.nullspace
+    kernel_mod = linalg._kernel_mod
 
-    def counting_nullspace(rows):
+    def counting(rows, q, r):
         calls.append(len(rows))
-        return nullspace(rows)
+        return kernel_mod(rows, q, r)
 
-    monkeypatch.setattr(linalg, "nullspace", counting_nullspace)
-    p = FieldElement(_PRIME)
-    # Exact dimension 0, but (1, p) = (1, 0) mod P: the rank drops to 1.
-    assert vanishing_space(_pairs_of([(ONE, ZERO), (ONE, p)]), 1, 2) == []
-    assert calls == [1, 2]
-    # phi - r lies in P, so both points reduce to (1, 0, 0); only z survives.
+    monkeypatch.setattr(linalg, "_kernel_mod", counting)
+    return calls
+
+
+def test_rank_lost_at_the_first_root_is_repaired(monkeypatch, kernel_prime):
+    calls = _counting_kernel_mod(monkeypatch)
+    q, r = linalg._KERNEL_PRIME
+    # Exact dimension 0, but (1, q) = (1, 0) mod q: the rank drops to 1 at
+    # both roots, the kernel fails the exact check and a split prime decides.
+    assert vanishing_space(_pairs_of([(ONE, ZERO), (ONE, FieldElement(q))]), 1, 2) == []
+    assert calls == [2, 1, 2]
+    assert kernel_prime == [_PRIME]
+    # phi - r lies in (q, phi - r), so both points reduce to (1, 0, 0) at r;
+    # only z survives the exact check.
     calls.clear()
-    pts = [(ONE, ZERO, ZERO), (ONE, PHI - FieldElement(_PHI_ROOT), ZERO)]
+    kernel_prime.clear()
+    pts = [(ONE, ZERO, ZERO), (ONE, PHI - FieldElement(r), ZERO)]
     basis = vanishing_space(_pairs_of(pts), 1, 3)
     assert basis == [_var(2, 3)]
-    assert calls == [1, 2]
+    assert calls == [2, 1, 2, 2]
+    assert kernel_prime == [_PRIME]
     monkeypatch.undo()
     assert basis == _reference_vanishing_space(pts, 1, 3)
 
@@ -515,28 +527,17 @@ def test_no_row_independent_modulo_the_prime():
                                          for e in monomials(2, 3)]
 
 
-def test_full_rank_modulo_the_prime_skips_exact_elimination(monkeypatch):
-    monkeypatch.setattr(linalg, "nullspace", None)
+def test_full_rank_at_the_first_root_takes_one_elimination(monkeypatch):
+    calls = _counting_kernel_mod(monkeypatch)
+
+    def no_lift(a, m):
+        pytest.fail("a full-rank kernel was lifted")
+
+    monkeypatch.setattr(linalg, "_rational", no_lift)
     pts = [((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0)),
            ((0, 0), (0, 0), (1, 0))]
     assert vanishing_space(pts, 1, 3) == []
-
-
-def test_kernel_missing_a_chosen_row_raises(monkeypatch):
-    calls = []
-
-    def wrong_nullspace(rows):
-        # e_0 does not kill the row of (1, 0, 0), which is chosen.
-        calls.append(len(rows))
-        if len(calls) > 3:
-            pytest.fail("vanishing_space keeps eliminating the same rows")
-        return [[(1, 0), (0, 0), (0, 0)]]
-
-    monkeypatch.setattr(linalg, "nullspace", wrong_nullspace)
-    pts = [((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0))]
-    with pytest.raises(ArithmeticError, match="row 0"):
-        vanishing_space(pts, 1, 3)
-    assert calls == [2]
+    assert calls == [3]
 
 
 @pytest.fixture(scope="module")
@@ -563,6 +564,23 @@ def test_vanishing_space_on_the_images_matches_the_reference(seed1_images,
             dims[name].append(len(basis))
     assert dims == {"all": [0, 0, 0, 0, 0, 1], "points 1-12": [0, 0, 1, 4, 9, 16]}
     assert bool(kernel_prime) == (linalg._KERNEL_PRIME == (11, 4))
+
+
+@pytest.mark.parametrize("kernel_prime", ["stored"], indirect=True)
+@pytest.mark.parametrize("name, d", [("all", 6), ("points 1-12", 4)])
+def test_a_wrong_lift_in_interpolation_costs_one_more_prime(seed1_images,
+                                                            monkeypatch,
+                                                            kernel_prime, name, d):
+    """One wrong rational reconstruction at the kernel prime fails
+    `nullspace`'s exact check against every row; the next split prime,
+    joined by CRT, gives the reference basis."""
+    pts, reference = seed1_images[name]
+    assert vanishing_space(pts, d, 3) == reference[d]
+    assert kernel_prime == []
+    moduli = _wrong_first_coefficient(monkeypatch, rounds=1)
+    assert vanishing_space(pts, d, 3) == reference[d]
+    assert moduli == [linalg._KERNEL_PRIME[0]]
+    assert kernel_prime == [_PRIME]
 
 
 def test_seed1_sextic_and_the_gcds_of_its_partials(seed1_images):

@@ -21,7 +21,8 @@ from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot, _neg,
 from h4geproci.forms import HomForm, divides, plane_curve_is_smooth
 from h4geproci.projective import (ProjLine, ProjPlane, ProjPoint, canonicalize,
                                   image_from, plane_through)
-from test_forms import _add, _evaluate, _reference_monic, _scale
+from test_forms import (_add, _counting_kernel_mod, _evaluate,
+                        _reference_monic, _scale)
 from test_linalg import reference_inverse
 from test_projective import CoordinateChange, on_line
 
@@ -775,13 +776,16 @@ def test_a_rank_short_mod_p_never_refutes(cfg, monkeypatch):
     assert not report.refuted
 
 
-def test_full_rank_mod_p_builds_no_exact_row(projection, monkeypatch):
-    def exact(*args):
-        pytest.fail("an exact evaluation row was built")
-
-    monkeypatch.setattr(forms, "_evaluation_row", exact)
+def test_interpolation_eliminates_once_per_root(projection, monkeypatch):
+    """The sextic: every row at the first root, the 27 it keeps at the
+    second.  The quintics: full rank at the first root, one elimination."""
+    calls = _counting_kernel_mod(monkeypatch)
     images = list(projection.images.values())
+    assert len(forms.vanishing_space(images, 6, 3)) == 1
+    assert calls == [60, 27]
+    calls.clear()
     assert forms.vanishing_space(images, 5, 3) == []
+    assert calls == [60]
 
 
 def test_refutation_correctly_fails_on_the_half_grid_z1(cfg):
