@@ -3,10 +3,11 @@
 Exit codes: 0 when every requested check passes, 1 when a verification or
 table comparison fails, 2 for usage or I/O errors.  A pipeline signals every
 outcome it cannot certify, indeterminate ones included, by raising
-`geproci.VerificationError`; a command records it in the artifact as a
+`config.VerificationError`; a command records it in the artifact as a
 failed certificate and exits 1.  Each claim has one verdict function, which
 both its `verify` command and `report` call.  All randomness is controlled
-by --seed, so identical invocations write identical artifacts.
+by --seed, so identical invocations write identical artifacts, except for
+the measured `wall_time_s` of the report.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 from . import coverings as coverings_mod
 from . import geproci as geproci_mod
 from . import tables
-from .config import (HALVES, build_h4, format_table, incidence_table_lines,
-                     incidence_table_planes)
+from .config import (HALVES, VerificationError, build_h4, format_table,
+                     incidence_table_lines, incidence_table_planes)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -133,7 +134,7 @@ def _certify(record: dict, pipeline, *args):
     with the reason the pipeline could not certify its claim."""
     try:
         return pipeline(*args), record
-    except geproci_mod.VerificationError as exc:
+    except VerificationError as exc:
         return None, {**record, "passed": False, "error": str(exc)}
 
 

@@ -4,7 +4,8 @@ Coordinates live in Z[phi] with phi the golden ratio, as `field` pairs.
 Plane i is dual to point i: for P_i = [a:b:c:d] the plane is
 {ax + by + cz + dw = 0}.  The configuration is a symmetric (60_15)
 point-plane structure carrying 72 lines with exactly five configuration
-points each, and no line carries six.
+points each, and no line carries six.  `verify_grid` certifies every
+(5,5)-grid of those lines, the two of the paper's split once per build.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
 
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, products, residues
-from .forms import HomForm, monomials
+from .forms import HomForm, _record_json, monomials
 from .projective import (ProjLine, ProjPoint, ProjPlane, lines_meet,
                          transversal_quadric)
 # Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
@@ -78,9 +79,9 @@ class H4Configuration(NamedTuple):
     questions about configuration points are lookups in this table.
 
     ``meets`` maps each five-point line to the other lines it meets, and
-    ``grid_quadrics`` holds the quadrics of the grids of `HALVES` from
-    `grid_quadric`, which certifies every grid quadric.  Like ``secants``,
-    they are derived data and stay out of ``to_json()``.
+    ``grids`` holds the certificates of the grids of `HALVES` from
+    `verify_grid`, which certifies every grid.  Like ``secants``, they are
+    derived data and stay out of ``to_json()``.
     """
 
     points: Dict[int, ProjPoint]
@@ -94,7 +95,7 @@ class H4Configuration(NamedTuple):
     plane_lines: Dict[int, Tuple[int, ...]]
     secants: Tuple[Tuple[int, ...], ...]
     meets: Dict[int, FrozenSet[int]]
-    grid_quadrics: Tuple[HomForm, HomForm]
+    grids: Tuple[GridCertificate, GridCertificate]
 
     def max_collinear(self, subset: Optional[Iterable[int]] = None) -> int:
         """Largest number of collinear points in a subset (default: all).
@@ -237,42 +238,87 @@ def build_h4() -> H4Configuration:
             meets[i].add(j)
             meets[j].add(i)
 
-    grid_quadrics = tuple(grid_quadric(points, lines, line_points, meets,
-                                       h.l_lines, h.m_lines) for h in HALVES)
-    return H4Configuration(points, planes, lines, line_points, plane_points,
-                           point_planes, point_lines, line_planes, plane_lines,
-                           secants, {i: frozenset(s) for i, s in meets.items()},
-                           grid_quadrics)
+    cfg = H4Configuration(points, planes, lines, line_points, plane_points,
+                          point_planes, point_lines, line_planes, plane_lines,
+                          secants, {i: frozenset(s) for i, s in meets.items()}, ())
+    return cfg._replace(grids=tuple(verify_grid(cfg, h.l_lines, h.m_lines)
+                                    for h in HALVES))
 
 
-def grid_quadric(points: Dict, lines: Dict, line_points: Dict, meets: Dict,
-                 l_lines: Sequence[int], m_lines: Sequence[int]) -> HomForm:
-    """The monic `transversal_quadric` Q of l_1, l_2, l_3: up to scale, the
-    one quadric through the 9 points l_i . m_j, i, j <= 3.
+class VerificationError(RuntimeError):
+    """A structured verification failure; the message names the condition."""
 
-    It checks the hypotheses on the exact tables, or raises ValueError: no
-    two of l_1, l_2, l_3 meet (``meets``), and the l_i . m_j are 9 distinct
-    points.  A quadric through them meets each l_i in three distinct points,
-    so contains it.  With l_1 = {x0 = x1 = 0}, l_2 = {x2 = x3 = 0} and l_3 =
-    {x0 = x2, x1 = x3}, it is then u^T B w, u = (x0, x1), w = (x2, x3), with
-    u^T B u = 0, so B is antisymmetric: c*(x0*x3 - x1*x2).  So a nonzero Q
-    that kills the 9 rows (exact Z[phi] products) spans those quadrics,
-    whatever formula found it, at no prime; a zero Q or a missed row raises
-    ArithmeticError (a bug)."""
-    if any(b in meets[a] for a, b in combinations(l_lines[:3], 2)):
-        raise ValueError(f"lines {list(l_lines[:3])} are not pairwise skew")
-    cells = [set(line_points[li]) & set(line_points[mj])
-             for li in l_lines[:3] for mj in m_lines[:3]]
-    nine = [p for cell in cells if len(cell) == 1 for p in cell]
-    if len(set(nine)) != 9:
-        raise ValueError("the 3x3 subgrid has not 9 distinct points")
-    coeffs = transversal_quadric(*(lines[i] for i in l_lines[:3]))
+
+class NotAGridError(VerificationError):
+    pass
+
+
+class GridCertificate(NamedTuple):
+    """Evidence that two 5-line families form a (5,5)-grid on a quadric."""
+
+    l_lines: Tuple[int, ...]
+    m_lines: Tuple[int, ...]
+    grid_points: Tuple[int, ...]  # 25 configuration point indices
+    quadric: HomForm
+
+    to_json = _record_json
+
+
+def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
+                m_lines: Sequence[int]) -> GridCertificate:
+    """Check the grid conditions on the exact tables, then certify its
+    quadric Q, the monic `transversal_quadric` of l_1, l_2, l_3, on the 9
+    points l_i . m_j, i, j <= 3, at no prime.
+
+    An unknown line index raises ValueError before any work, and any other
+    failed condition NotAGridError.  Its family-skew (``meets``) and 25
+    distinct points checks make l_1, l_2, l_3 pairwise skew and the 9
+    points distinct, the hypotheses of the theorem that follows.  A quadric
+    through the 9 meets each l_i in three distinct points, so contains it.
+    With l_1 = {x0 = x1 = 0}, l_2 = {x2 = x3 = 0} and l_3 = {x0 = x2, x1 =
+    x3}, it is then u^T B w, u = (x0, x1), w = (x2, x3), with u^T B u = 0,
+    so B is antisymmetric: c*(x0*x3 - x1*x2).  So a nonzero Q that kills the
+    9 rows (exact Z[phi] products) spans those quadrics, whatever formula
+    found it.  It meets each m_j in three distinct points on l_1, l_2, l_3,
+    so contains it: Q is the grid's one quadric.  A zero Q or a missed row
+    is a bug, not "not a grid": it raises VerificationError, never
+    NotAGridError."""
+    l_lines, m_lines = tuple(l_lines), tuple(m_lines)
+    unknown = sorted(set(l_lines + m_lines) - set(cfg.lines))
+    if unknown:
+        raise ValueError(f"unknown line indices {unknown}")
+    if any(len(fam) != 5 or len(set(fam)) != 5 for fam in (l_lines, m_lines)):
+        raise NotAGridError("each family needs 5 distinct lines")
+    if set(l_lines) & set(m_lines):
+        raise NotAGridError("families share a line")
+    for fam_name, fam in (("L", l_lines), ("M", m_lines)):
+        for a, b in combinations(fam, 2):
+            if b in cfg.meets[a]:
+                raise NotAGridError(f"{fam_name}-lines {a} and {b} are not skew")
+    # Distinct lines share at most one point, and line_points lists every point
+    # of a five-point line: l_i and m_j meet at a configuration point iff they share one.
+    cells = []  # l_i . m_j in row-major order
+    for li in l_lines:
+        l_set = set(cfg.line_points[li])
+        for mj in m_lines:
+            shared = l_set.intersection(cfg.line_points[mj])
+            if not shared:
+                raise NotAGridError(
+                    f"lines {li} and {mj} do not meet in a configuration point")
+            cells += shared
+    if len(set(cells)) != 25:
+        raise NotAGridError(f"{len(set(cells))} intersection points, not 25")
+    coeffs = transversal_quadric(*(cfg.lines[i] for i in l_lines[:3]))
     if all(w == (0, 0) for w in coeffs):
-        raise ArithmeticError("the transversal quadric is zero")
-    rows = [_quadric_row(points[p].pairs) for p in nine]
+        raise VerificationError(
+            "grid quadric indeterminate: the transversal quadric is zero")
+    rows = [_quadric_row(cfg.points[cells[5 * i + j]].pairs)
+            for i in range(3) for j in range(3)]
     if linalg.first_missed_row(rows, [coeffs]) is not None:
-        raise ArithmeticError("the transversal quadric misses the subgrid")
-    return HomForm.monic_from_pairs(4, 2, zip(_QUADRIC_MONOMIALS, coeffs))
+        raise VerificationError("grid quadric indeterminate: "
+                                "the transversal quadric misses the subgrid")
+    quadric = HomForm.monic_from_pairs(4, 2, zip(_QUADRIC_MONOMIALS, coeffs))
+    return GridCertificate(l_lines, m_lines, tuple(sorted(cells)), quadric)
 
 
 _QUADRIC_MONOMIALS = tuple(monomials(2, 4))  # the order of `_quadric_row`

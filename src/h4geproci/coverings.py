@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Tuple
 
-from .config import H4Configuration, members
-from .geproci import GridCertificate, NotAGridError, verify_grid
+from .config import (GridCertificate, H4Configuration, NotAGridError,
+                     members, verify_grid)
 
 
 class _Cover(NamedTuple):

@@ -11,7 +11,8 @@ modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.  Points,
 evaluation rows, kernel vectors and the coefficients' common numerators are
 Z[phi] integer pairs (x, y) for x + y*phi.  Products, partials, quotients,
 gcds and monic forms run on them; no FieldElement operator runs here.
-Every certificate record, here and in `geproci`, serializes by `_record_json`.
+Every certificate record, here, in `config` and in `geproci`, serializes by
+`_record_json`.
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ class HomForm:
     def __init__(self, nvars: int, degree: int, coeffs: Dict[Exponents, FieldElement]):
         clean = {}
         for e, c in coeffs.items():
-            c = _coerce(c)
-            if c.is_zero():
-                continue
             if len(e) != nvars or sum(e) != degree or min(e) < 0:
                 raise ValueError(f"bad exponent tuple {e} for degree {degree}")
-            clean[tuple(e)] = c
+            c = _coerce(c)
+            if not c.is_zero():
+                clean[tuple(e)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)

@@ -1,6 +1,6 @@
-"""Verification pipeline: generic projection, grid and quadric certificates,
-the degree-5 cone pencil, complete-intersection certificates, and the
-not-half-grid refutation.
+"""Verification pipeline: generic projection, the degree-5 cone pencil,
+complete-intersection certificates (recording `config`'s grid
+certificates), and the not-half-grid refutation.
 
 Every check is exact.  A passing certificate is machine-checkable evidence:
 it embeds the forms, the dimension table and the per-condition checks, so
@@ -13,12 +13,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from functools import reduce
-from itertools import combinations
 from operator import mul
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import config as cfgmod
-from .config import H4Configuration
+from .config import GridCertificate, H4Configuration, VerificationError
 from .field import Pair, _dot, _neg
 from .forms import (HomForm, SmoothnessIndeterminate, SmoothnessReport,
                     _record_json, divides, independent_evaluation_rows,
@@ -27,14 +26,6 @@ from .projective import (ProjLine, ProjPoint, image_from, plane_image,
                          plane_through)
 
 PlaneCoords = Tuple[Pair, Pair, Pair]  # canonical Z[phi] pairs
-
-
-class VerificationError(RuntimeError):
-    """A structured verification failure; the message names the condition."""
-
-
-class NotAGridError(VerificationError):
-    pass
 
 
 class PencilDegenerateError(VerificationError):
@@ -74,7 +65,7 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
     After VERTEX_DRAWS rejected draws it raises RejectionBudgetExhausted.
     """
     rng = random.Random(seed)
-    q1, q2 = cfg.grid_quadrics
+    q1, q2 = (grid.quadric for grid in cfg.grids)
     for _ in range(VERTEX_DRAWS):
         raw = [rng.randint(-100, 100) for _ in range(4)]
         if all(v == 0 for v in raw):
@@ -99,60 +90,6 @@ def _require_passed(kind: str, cert):
         failed = [k for k, v in cert.checks.items() if not v]
         raise VerificationError(f"{kind} certificate failed: {failed}")
     return cert
-
-
-class GridCertificate(NamedTuple):
-    """Evidence that two 5-line families form a (5,5)-grid on a quadric."""
-
-    l_lines: Tuple[int, ...]
-    m_lines: Tuple[int, ...]
-    grid_points: Tuple[int, ...]  # 25 configuration point indices
-    quadric: HomForm
-
-    to_json = _record_json
-
-
-def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
-                m_lines: Sequence[int]) -> GridCertificate:
-    """Check the grid conditions; `config.grid_quadric` certifies Q on the
-    3x3 subgrid.  With the families skew and meeting in 25 distinct points,
-    a quadric through those 9 contains l_1, l_2, l_3, so meets each m_j in
-    three distinct points and contains it: Q is the grid's one quadric.  A
-    failed certificate past these checks is indeterminate: it raises
-    VerificationError, never NotAGridError.  An unknown line index raises
-    ValueError before any work."""
-    l_lines, m_lines = tuple(l_lines), tuple(m_lines)
-    unknown = sorted(set(l_lines + m_lines) - set(cfg.lines))
-    if unknown:
-        raise ValueError(f"unknown line indices {unknown}")
-    if any(len(fam) != 5 or len(set(fam)) != 5 for fam in (l_lines, m_lines)):
-        raise NotAGridError("each family needs 5 distinct lines")
-    if set(l_lines) & set(m_lines):
-        raise NotAGridError("families share a line")
-    for fam_name, fam in (("L", l_lines), ("M", m_lines)):
-        for a, b in combinations(fam, 2):
-            if b in cfg.meets[a]:
-                raise NotAGridError(f"{fam_name}-lines {a} and {b} are not skew")
-    # Distinct lines share at most one point, and line_points lists every point
-    # of a five-point line: l_i and m_j meet at a configuration point iff they share one.
-    grid_points = set()
-    for li in l_lines:
-        l_set = set(cfg.line_points[li])
-        for mj in m_lines:
-            shared = l_set.intersection(cfg.line_points[mj])
-            if not shared:
-                raise NotAGridError(
-                    f"lines {li} and {mj} do not meet in a configuration point")
-            grid_points |= shared
-    if len(grid_points) != 25:
-        raise NotAGridError(f"{len(grid_points)} intersection points, not 25")
-    try:
-        quadric = cfgmod.grid_quadric(cfg.points, cfg.lines, cfg.line_points,
-                                      cfg.meets, l_lines, m_lines)
-    except ArithmeticError as exc:
-        raise VerificationError(f"grid quadric indeterminate: {exc}") from exc
-    return GridCertificate(l_lines, m_lines, tuple(sorted(grid_points)),
-                           quadric)
 
 
 def build_quintic_cone(g: HomForm, h: HomForm, point: PlaneCoords) -> HomForm:
@@ -210,6 +147,7 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     value times a nonzero rational) on its own half only.  The decic q1*q2
     vanishes where q1 or q2 does, and z1, z2 cover the points, so its check
     reuses those tests and tests the other quintic only where one misses.
+    The two grid certificates are those `build_h4` made (``cfg.grids``).
     It raises VerificationError unless every check passes, and for each
     indeterminate outcome too: an interpolation's ArithmeticError
     (`linalg.nullspace` found no certified kernel) and a spent smoothness
@@ -229,7 +167,6 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     dims = (0, 0, 0, 0, 0, 1)  # dim_6 = 1 and the x*Q argument above
     checks: Dict[str, bool] = {"dimension_table": True, "sextic_smooth": smooth.smooth}
 
-    grid1, grid2 = (verify_grid(cfg, h.l_lines, h.m_lines) for h in cfgmod.HALVES)
     quintic1, quintic2 = (_half_quintic(cfg, proj, h)[0] for h in cfgmod.HALVES)
     z1, z2 = cfgmod.z_partition(cfg)
     on1 = {i: quintic1.vanishes_at(proj.images[i]) for i in z1}
@@ -243,7 +180,7 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     checks["no_shared_component"] = no_shared
     checks["bezout_count"] = sextic.degree * decic.degree == 60
     return _require_passed("geproci", GeprociCertificate(
-        seed, proj.vertex, dims, sextic, smooth, grid1, grid2, quintic1,
+        seed, proj.vertex, dims, sextic, smooth, *cfg.grids, quintic1,
         quintic2, z1, z2, not no_shared, checks))
 
 

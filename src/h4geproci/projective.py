@@ -196,7 +196,7 @@ def transversal_quadric(l1: ProjLine, l2: ProjLine, l3: ProjLine) -> Tuple[Pair,
     For skew lines this is the quadric of their common transversals: L3*x
     is the plane of l3 and x, L2 sends it to the point y where l2 meets it,
     and x lies in the plane L1*y of l1 and y when the line xy, which meets
-    l2 and l3, meets l1.  `config.grid_quadric` certifies what it returns.
+    l2 and l3, meets l1.  `config.verify_grid` certifies what it returns.
     """
     m = _matrix(l1.dual)
     for factor in (_matrix(l2.pairs), _matrix(l3.dual)):

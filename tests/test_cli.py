@@ -7,7 +7,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from h4geproci import cli, geproci, linalg, tables
+from h4geproci import cli, config, geproci, linalg, tables
 from h4geproci.forms import SmoothnessIndeterminate
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -40,6 +40,27 @@ def test_build_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert _run(["build", "--out", str(a)]) == 0
     assert _run(["build", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "geproci"],
+    ["verify", "halfgrid", "--subset", "z1"],
+    ["verify", "not-halfgrid"],
+    ["report", "--seeds", "1"],
+])
+def test_verify_and_report_are_deterministic(tmp_path, argv):
+    """Two identical runs write the same bytes; the report's measured
+    ``wall_time_s`` is the one field left out of the comparison."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert _run(argv + ["--out", str(a)]) == 0
+    assert _run(argv + ["--out", str(b)]) == 0
+    if argv[0] == "report":
+        blobs = [json.loads(path.read_text()) for path in (a, b)]
+        for blob in blobs:
+            assert isinstance(blob.pop("wall_time_s"), float)
+        assert blobs[0] == blobs[1]
+        return
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -260,7 +281,7 @@ def test_report_single_seed(tmp_path):
 
 def test_report_records_an_indeterminate_grid_certificate(tmp_path, monkeypatch):
     def indeterminate(cfg, l_lines, m_lines):
-        raise cli.geproci_mod.VerificationError(
+        raise config.VerificationError(
             "grid quadric indeterminate: the transversal quadric misses the subgrid")
 
     monkeypatch.setattr(cli.coverings_mod, "verify_grid", indeterminate)

@@ -94,7 +94,7 @@ def test_secant_table_invariants(cfg):
     assert [s for s in cfg.secants if len(s) == 5] == \
         list(cfg.line_points.values())
     assert list(cfg.secants) == sorted(cfg.secants)
-    assert "secants" not in cfg.to_json()
+    assert "secants" not in cfg.to_json() and "grids" not in cfg.to_json()
 
 
 def _pair_scan_groups(points):
@@ -211,11 +211,11 @@ def test_grid_quadrics_match_printed_equations(cfg):
     q2 = HomForm(4, 2, {
         (2, 0, 0, 0): ONE, (1, 1, 0, 0): FieldElement(2),
         (0, 0, 2, 0): PHI, (0, 0, 0, 2): ONE - PHI}).monic()
-    assert cfg.grid_quadrics == (q1, q2)
+    assert tuple(g.quadric for g in cfg.grids) == (q1, q2)
 
 
 def test_quadric_rows_are_the_degree_2_evaluation_rows(cfg):
-    """grid_quadric's direct pair products are the power-table rows."""
+    """verify_grid's direct pair products are the power-table rows."""
     cols = forms.monomials(2, 4)
     for point in cfg.points.values():
         assert config._quadric_row(point.pairs) == \
@@ -223,13 +223,13 @@ def test_quadric_rows_are_the_degree_2_evaluation_rows(cfg):
 
 
 def test_build_h4_interpolates_no_grid_quadric(cfg, monkeypatch):
-    """Both quadrics come from config.grid_quadric, which interpolates nothing."""
+    """Both quadrics come from config.verify_grid, which interpolates nothing."""
     def no_interpolation(*args):
         raise AssertionError("build_h4 interpolated")
 
     monkeypatch.setattr(forms, "vanishing_space", no_interpolation)
     assert not hasattr(config, "vanishing_space")
-    assert config.build_h4().grid_quadrics == cfg.grid_quadrics
+    assert config.build_h4().grids == cfg.grids
 
 
 def test_z_partition_matches_printed_halves(cfg):

@@ -2,16 +2,16 @@
 
 import ast
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from h4geproci import config, coverings as coverings_mod, tables
-from h4geproci.config import HALVES
+from h4geproci.config import HALVES, NotAGridError, verify_grid
 from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids)
 from h4geproci.forms import vanishing_space
-from h4geproci.geproci import NotAGridError, verify_grid
 
 # Count confirmed by scripts/grid_oracle.py (disjoint-family bucketing, an
 # independent search); test_grid_oracle_agrees_with_enumeration reruns it.
@@ -132,6 +132,17 @@ def test_every_grid_quadric_is_the_quadric_through_all_25_points(cfg, grids):
         points = [cfg.points[i].pairs for i in g.grid_points]
         assert vanishing_space(points, 2, 4) == [g.quadric]
         assert all(g.quadric.vanishes_at(p) for p in points)
+
+
+def test_configuration_grids_are_the_enumerated_halves_grids(cfg, grids):
+    """`build_h4` records the same grid certificates, byte for byte in JSON,
+    as the search finds for the two families of each half."""
+    found = {(g.l_lines, g.m_lines): g for g in grids}
+    assert len(cfg.grids) == len(HALVES)
+    for half, grid in zip(HALVES, cfg.grids):
+        twin = found[(half.l_lines, half.m_lines)]
+        assert json.dumps(grid.to_json(), sort_keys=True).encode() == \
+            json.dumps(twin.to_json(), sort_keys=True).encode()
 
 
 def test_grid_pairs_are_unordered_and_distinct(grids):

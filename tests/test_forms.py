@@ -156,6 +156,15 @@ def test_product_matches_the_field_reference():
         cubic * _var(0, 2)
 
 
+@pytest.mark.parametrize("exponents", [(7,), (1, 1, 1)])
+@pytest.mark.parametrize("coefficient", [0, 1])
+def test_a_bad_exponent_tuple_raises_whatever_its_coefficient(exponents,
+                                                              coefficient):
+    """A wrong length or a wrong degree raises, a zero coefficient too."""
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        HomForm(3, 1, {exponents: coefficient})
+
+
 def _reference_monic(f: HomForm) -> HomForm:
     """f over its graded-lex leading coefficient, in FieldElement arithmetic."""
     return f if f.is_zero() else _scale(f, ONE / f.coeffs[max(f.coeffs)])
@@ -863,9 +872,8 @@ def test_one_patch_moves_every_rank_test_to_another_prime(cfg, monkeypatch):
     images = [cfg.points[i].pairs for i in range(1, 11)]
     assert forms.independent_evaluation_rows(images, 1, 4) == [0, 1, 2, 3]
     half = config.HALVES[0]
-    quadric = config.grid_quadric(cfg.points, cfg.lines, cfg.line_points,
-                                  cfg.meets, half.l_lines, half.m_lines)
-    assert quadric == cfg.grid_quadrics[0]
+    grid = config.verify_grid(cfg, half.l_lines, half.m_lines)
+    assert grid == cfg.grids[0]
     assert moduli == [11]
 
 

@@ -38,7 +38,7 @@ def projection(cfg):
 
 @pytest.fixture(scope="module")
 def grid1(cfg):
-    return geproci.verify_grid(cfg, L1, M1)
+    return config.verify_grid(cfg, L1, M1)
 
 
 def test_vertex_sampling_is_deterministic_and_certified(cfg, projection):
@@ -49,7 +49,7 @@ def test_vertex_sampling_is_deterministic_and_certified(cfg, projection):
         v = proj.vertex
         assert not any(plane.contains(v) for plane in cfg.planes.values())
         assert not any(on_line(line, v) for line in cfg.lines.values())
-        assert not any(q.vanishes_at(v.pairs) for q in cfg.grid_quadrics)
+        assert not any(g.quadric.vanishes_at(v.pairs) for g in cfg.grids)
         assert len(set(proj.images.values())) == 60
 
 
@@ -71,7 +71,7 @@ def test_grid1_quadric_matches_printed_equation(cfg, grid1):
 
 
 def test_grid2_quadric_matches_printed_equation(cfg):
-    grid2 = geproci.verify_grid(cfg, HALF2.l_lines, HALF2.m_lines)
+    grid2 = config.verify_grid(cfg, HALF2.l_lines, HALF2.m_lines)
     expected = HomForm(4, 2, {
         (2, 0, 0, 0): ONE,
         (1, 1, 0, 0): FieldElement(2),
@@ -82,9 +82,10 @@ def test_grid2_quadric_matches_printed_equation(cfg):
 
 
 def test_configuration_quadrics_agree_with_grid_certificates(cfg, grid1):
-    q1, q2 = cfg.grid_quadrics
-    assert q1 == grid1.quadric
-    assert q2 == geproci.verify_grid(cfg, HALF2.l_lines, HALF2.m_lines).quadric
+    g1, g2 = cfg.grids
+    assert g1.quadric == grid1.quadric and g1 == grid1
+    grid2 = config.verify_grid(cfg, HALF2.l_lines, HALF2.m_lines)
+    assert g2.quadric == grid2.quadric and g2 == grid2
 
 
 def test_grid_points_lie_on_the_quadric(cfg, grid1):
@@ -119,7 +120,7 @@ def test_grid_quadric_is_certified_on_the_3x3_subgrid(cfg, grid1, monkeypatch):
     monkeypatch.setattr(linalg, "independent_rows_mod",
                         lambda rows, p: ranked.append(p))
     for l_lines, m_lines in ((L1, M1), rotated):
-        grid = geproci.verify_grid(cfg, l_lines, m_lines)
+        grid = config.verify_grid(cfg, l_lines, m_lines)
         assert [grid.quadric] == interpolated[l_lines]
         assert grid.quadric == grid1.quadric
         assert grid.grid_points == grid1.grid_points
@@ -130,38 +131,47 @@ def test_grid_quadric_is_certified_on_the_3x3_subgrid(cfg, grid1, monkeypatch):
 def _assert_indeterminate(cfg, match):
     """verify_grid raises a VerificationError that is not NotAGridError, and
     enumerate_grids passes it on instead of dropping the grid."""
-    with pytest.raises(geproci.VerificationError, match=match) as info:
-        geproci.verify_grid(cfg, L1, M1)
-    assert not isinstance(info.value, geproci.NotAGridError)
-    with pytest.raises(geproci.VerificationError, match=match) as info:
+    with pytest.raises(config.VerificationError, match=match) as info:
+        config.verify_grid(cfg, L1, M1)
+    assert not isinstance(info.value, config.NotAGridError)
+    with pytest.raises(config.VerificationError, match=match) as info:
         enumerate_grids(cfg)
-    assert not isinstance(info.value, geproci.NotAGridError)
+    assert not isinstance(info.value, config.NotAGridError)
 
 
-def _grid_quadric(cfg, l_lines, m_lines):
-    return config.grid_quadric(cfg.points, cfg.lines, cfg.line_points,
-                               cfg.meets, l_lines, m_lines)
+@pytest.fixture
+def no_quadric(monkeypatch):
+    """Fail any quadric work: the exact tables must settle the case first."""
+    def work(*args):
+        pytest.fail("verify_grid built a quadric")
+
+    monkeypatch.setattr(config, "transversal_quadric", work)
+    monkeypatch.setattr(config, "_quadric_row", work)
 
 
-def test_a_triple_with_a_meeting_pair_is_a_caller_fault(cfg):
-    """grid_quadric checks that l_1, l_2, l_3 are pairwise skew itself."""
+def test_a_triple_with_a_meeting_pair_is_not_a_grid(cfg, no_quadric):
+    """The family-skew check keeps l_1, l_2, l_3 pairwise skew, for the
+    three-skew-lines theorem, before any quadric is built."""
     assert M1[0] in cfg.meets[L1[0]]
-    with pytest.raises(ValueError, match="not pairwise skew"):
-        _grid_quadric(cfg, L1[:2] + M1[:1], M1[1:])
-    assert _grid_quadric(cfg, L1, M1) == cfg.grid_quadrics[0]
+    with pytest.raises(config.NotAGridError,
+                       match=rf"L-lines {L1[0]} and {M1[0]} are not skew"):
+        config.verify_grid(cfg, L1[:2] + M1[:1] + L1[3:], L1[2:3] + M1[1:])
 
 
-@pytest.mark.parametrize("m_lines", [
-    (8,) + M1[1:],  # lines 1 and 8 share no point
-    (L1[0], 12, 13),  # m_1 = l_1: 9 distinct points, 5 of them on l_1
-])
-def test_a_subgrid_with_a_missing_intersection_is_a_caller_fault(cfg, m_lines):
-    """Each l_i . m_j must be one configuration point, the 9 distinct."""
+@pytest.mark.parametrize("m_lines, match", [
+    ((8,) + M1[1:], "lines 1 and 8 do not meet"),  # they share no point
+    # m_1 = l_1: 9 distinct points, 5 of them on l_1
+    ((L1[0], 12, 13) + M1[3:], "families share a line"),
+], ids=["missing", "shared"])
+def test_a_subgrid_with_a_missing_intersection_is_not_a_grid(
+        cfg, no_quadric, m_lines, match):
+    """Each l_i . m_j, i, j <= 3, must be one configuration point, the 9
+    distinct, before any quadric is built."""
     cells = [set(cfg.line_points[li]) & set(cfg.line_points[mj])
-             for li in L1[:3] for mj in m_lines]
+             for li in L1[:3] for mj in m_lines[:3]]
     assert not all(len(cell) == 1 for cell in cells)
-    with pytest.raises(ValueError, match="not 9 distinct points"):
-        _grid_quadric(cfg, L1, m_lines)
+    with pytest.raises(config.NotAGridError, match=match):
+        config.verify_grid(cfg, L1, m_lines)
 
 
 def test_a_quadric_missing_a_subgrid_point_is_indeterminate(cfg, monkeypatch):
@@ -183,16 +193,16 @@ def test_a_zero_quadric_is_indeterminate(cfg, monkeypatch):
 
 
 def test_non_grid_inputs_are_rejected(cfg):
-    with pytest.raises(geproci.NotAGridError):
-        geproci.verify_grid(cfg, L1, L1)  # families share lines
-    with pytest.raises(geproci.NotAGridError):
-        geproci.verify_grid(cfg, (1, 2, 3, 4, 5), M1)  # not skew
-    with pytest.raises(geproci.NotAGridError):
-        geproci.verify_grid(cfg, L1[:4] + (L1[0],), M1)
+    with pytest.raises(config.NotAGridError):
+        config.verify_grid(cfg, L1, L1)  # families share lines
+    with pytest.raises(config.NotAGridError):
+        config.verify_grid(cfg, (1, 2, 3, 4, 5), M1)  # not skew
+    with pytest.raises(config.NotAGridError):
+        config.verify_grid(cfg, L1[:4] + (L1[0],), M1)
     # Skew families from different grids: lines 1 and 8 share no point.
-    with pytest.raises(geproci.NotAGridError,
+    with pytest.raises(config.NotAGridError,
                        match="lines 1 and 8 do not meet in a configuration"):
-        geproci.verify_grid(cfg, L1, HALF2.m_lines)
+        config.verify_grid(cfg, L1, HALF2.m_lines)
 
 
 @pytest.mark.parametrize("l_lines, m_lines", [
@@ -202,21 +212,17 @@ def test_non_grid_inputs_are_rejected(cfg):
     (L1, M1[:4]),
 ])
 def test_a_family_needs_exactly_five_entries(cfg, l_lines, m_lines):
-    with pytest.raises(geproci.NotAGridError,
+    with pytest.raises(config.NotAGridError,
                        match="each family needs 5 distinct lines"):
-        geproci.verify_grid(cfg, l_lines, m_lines)
+        config.verify_grid(cfg, l_lines, m_lines)
 
 
 @pytest.mark.parametrize("bad", [0, 99, -1])
-def test_verify_grid_rejects_unknown_lines(cfg, monkeypatch, bad):
-    def work(*args):
-        pytest.fail("verify_grid started work on an unknown line")
-
-    monkeypatch.setattr(config, "grid_quadric", work)
+def test_verify_grid_rejects_unknown_lines(cfg, no_quadric, bad):
     for l_lines, m_lines in ((L1[:4] + (bad,), M1),
                              (L1, (bad,) + M1[1:])):
         with pytest.raises(ValueError, match=rf"unknown line indices \[{bad}\]"):
-            geproci.verify_grid(cfg, l_lines, m_lines)
+            config.verify_grid(cfg, l_lines, m_lines)
 
 
 def _product_of_plane_images(cfg, projection, lines) -> HomForm:
@@ -350,7 +356,7 @@ def _assert_first_quintic_fails(cfg, monkeypatch, replace):
         return replace(quintic) if len(calls) == 1 else quintic
 
     monkeypatch.setattr(geproci, "build_quintic_cone", perturbed)
-    with pytest.raises(geproci.VerificationError) as err:
+    with pytest.raises(config.VerificationError) as err:
         geproci.verify_geproci(cfg, 1)
     assert len(calls) == 2
     assert str(err.value).endswith("['quintic1_on_z1', 'decic_on_all']")
@@ -399,7 +405,7 @@ def test_three_sextics_fail_without_a_lower_degree(cfg, geproci_cert_seed1,
     top = [sextic, HomForm(3, 6, {(6, 0, 0): ONE}),
            HomForm(3, 6, {(0, 6, 0): ONE})]
     degrees = _recording_ladder(monkeypatch, top)
-    with pytest.raises(geproci.VerificationError,
+    with pytest.raises(config.VerificationError,
                        match="degree-6 space has dimension 3, not 1"):
         geproci.verify_geproci(cfg, 1)
     assert degrees == [6]
@@ -558,7 +564,7 @@ def test_a_cover_line_missing_one_image_fails_the_product_check(
 
     monkeypatch.setattr(_MissesOneImage, "missed", missed)
     monkeypatch.setattr(geproci.Projection, "push_line", patched)
-    with pytest.raises(geproci.VerificationError) as err:
+    with pytest.raises(config.VerificationError) as err:
         geproci.verify_half_grid(cfg, 1, "z1")
     assert str(err.value).endswith("['product_on_subset']")
 
@@ -582,7 +588,7 @@ def test_a_quintic_made_of_cover_lines_fails_the_line_check(cfg, monkeypatch):
     """With the quintic patched to the product of its half's pushed L-lines,
     every L-line divides it; it also misses the external line's images."""
     monkeypatch.setattr(geproci, "build_quintic_cone", lambda g, h, point: g)
-    with pytest.raises(geproci.VerificationError) as err:
+    with pytest.raises(config.VerificationError) as err:
         geproci.verify_half_grid(cfg, 1, "z1")
     assert str(err.value).endswith("['quintic_on_subset', 'no_line_in_quintic']")
 
@@ -626,22 +632,28 @@ def test_full_set_is_not_a_half_grid(cfg):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_only_the_geproci_certificate_builds_grid_certificates(cfg, seed,
                                                                monkeypatch):
-    """A half-grid verdict reads no grid certificate, so it builds none; the
-    geproci certificate records two and builds each once."""
+    """`build_h4` certifies the two grids of HALVES, each once.  No verdict
+    certifies a grid; only the geproci certificate records them, and it
+    records the configuration's own certificates."""
     calls = []
-    verify_grid = geproci.verify_grid
+    verify_grid = config.verify_grid
 
     def counting(*args):
         calls.append(args[1:])
         return verify_grid(*args)
 
-    monkeypatch.setattr(geproci, "verify_grid", counting)
-    for half in HALVES:
-        assert geproci.verify_half_grid(cfg, seed, half.name).passed
-    assert calls == []
-    cert = geproci.verify_geproci(cfg, seed)
+    monkeypatch.setattr(config, "verify_grid", counting)
+    built = config.build_h4()
     assert calls == [(h.l_lines, h.m_lines) for h in HALVES]
-    assert [cert.grid1, cert.grid2] == [verify_grid(cfg, *c) for c in calls]
+    assert built.grids == cfg.grids
+    calls.clear()
+    assert not hasattr(geproci, "verify_grid")
+    for half in HALVES:
+        assert geproci.verify_half_grid(built, seed, half.name).passed
+    assert geproci.verify_not_half_grid(built, seed).refuted
+    cert = geproci.verify_geproci(built, seed)
+    assert calls == []
+    assert cert.grid1 is built.grids[0] and cert.grid2 is built.grids[1]
 
 
 def test_refutation_runs_no_exact_kernel(cfg, monkeypatch):
@@ -698,7 +710,7 @@ def _old_ladder_refuted(cfg, seed, indices, stop_at_excluded=False):
 
 def _refutation_subsets(cfg):
     z1, _ = z_partition(cfg)
-    grid1 = geproci.verify_grid(cfg, L1, M1).grid_points
+    grid1 = config.verify_grid(cfg, L1, M1).grid_points
     externals = cfg.line_points[HALF1.external_line] + cfg.line_points[HALF2.external_line]
     return {"Z": tuple(sorted(cfg.points)), "Z1": z1,
             "H4 minus line 1": tuple(sorted(set(cfg.points) - set(cfg.line_points[1]))),
@@ -919,7 +931,7 @@ def test_image_from_matches_the_pluecker_row_formula(cfg, k):
 
 RECORD_TYPES = (config.H4Configuration, CoverCertificate,
                 forms.SmoothnessReport, geproci.Projection,
-                geproci.GridCertificate, geproci.GeprociCertificate,
+                config.GridCertificate, geproci.GeprociCertificate,
                 geproci.HalfGridCertificate, geproci.RefutationReport)
 
 

@@ -423,7 +423,7 @@ def test_transversal_quadric_is_the_quadric_of_three_skew_lines():
 
 
 def test_three_skew_h4_lines_lie_on_one_quadric(cfg):
-    """Known answer for the theorem of `config.grid_quadric`, apart from the
+    """Known answer for the theorem of `config.verify_grid`, apart from the
     grid code: for the first 30 pairwise skew triples of the 72 lines, in
     lexicographic order, the quadrics through the 15 points on the three
     lines are exactly the multiples of their transversal quadric."""

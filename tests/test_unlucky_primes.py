@@ -7,7 +7,7 @@ one a pipeline must still give its baseline verdict, fall back to the safe
 side ("not refuted"), or raise a VerificationError that names an
 indeterminate outcome.  A shortcut that turned "not certified mod p" into a
 verdict fails here.  The grid quadrics depend on no prime: the
-three-skew-lines theorem of `config.grid_quadric` certifies them.
+three-skew-lines theorem of `config.verify_grid` certifies them.
 """
 
 from math import isqrt
@@ -55,7 +55,7 @@ def _outcome(call, *args):
     that names an indeterminate outcome; any other exception propagates."""
     try:
         return call(*args)
-    except geproci.VerificationError as exc:
+    except config.VerificationError as exc:
         assert "indeterminate" in str(exc), exc
         return None
 
