@@ -4,13 +4,14 @@ Forms are sparse maps from exponent tuples to FieldElement coefficients, in
 graded lexicographic order (first variable largest).  The module provides
 exact zero tests, products, interpolation through point sets by a nullspace
 proposed modulo split primes and checked exactly, divisibility (by a line,
-by evaluation on it; otherwise by long division), gcd as the nullspace of a
-multiplication map, and a smoothness certificate for plane curves from
-chart-wise resultants, by Euclid's algorithm over F_p on formal degrees,
-modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.  Points,
-evaluation rows, kernel vectors and the coefficients' common numerators are
-Z[phi] integer pairs (x, y) for x + y*phi.  Products, partials, quotients,
-gcds and monic forms run on them; no FieldElement operator runs here.
+by evaluation on it) and gcds as nullspaces of multiplication maps, and a
+smoothness certificate for plane curves from chart-wise resultants, by
+Euclid's algorithm over F_p on formal degrees, modulo a degree-1 prime of
+Z[phi], sound over Q(phi)-bar.  Every exact elimination here is
+`linalg.nullspace`.  Points, evaluation rows, kernel vectors and the
+coefficients' common numerators are Z[phi] integer pairs (x, y) for
+x + y*phi.  Products, partials, gcds and monic forms run on them; no
+FieldElement operator runs here.
 Every certificate record, here, in `config` and in `geproci`, serializes by
 `_record_json`.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import gcd, prod
+from math import prod
 from operator import add
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
@@ -63,10 +64,6 @@ class HomForm:
         raise AttributeError("HomForm is immutable")
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int, degree: int) -> "HomForm":
-        return cls(nvars, degree, {})
 
     @classmethod
     def linear(cls, coeffs: Sequence[FieldElement]) -> "HomForm":
@@ -241,63 +238,46 @@ def _residue_row(point: Sequence[Pair], degree: int, nvars: int,
 
 
 # ---------------------------------------------------------------------------
-# Divisibility
+# Divisibility and gcd, as kernels of multiplication maps
 # ---------------------------------------------------------------------------
 
-def try_quotient(f: HomForm, g: HomForm) -> Optional[HomForm]:
-    """The exact quotient q with g = f*q, or None if f does not divide g.
-
-    Long division under graded-lex, which on forms of one degree is the
-    lexicographic order: each step cancels the leading term of the remainder
-    and leaves only smaller terms, so the loop ends.  With u/d_f and v/d_g
-    the common numerators of f and g, and c the conjugate of u's leading
-    pair, it divides the Z[phi] pairs c*v by c*u, which leads with the
-    integer n = N(c).  Where n does not divide the leading pair, the
-    remainder R and the quotient Q so far are first multiplied by the least
-    positive integer after which it does; with S the product of those
-    factors, S*c*v = c*u*Q + R throughout, so at R = 0, q = d_f*Q/(S*d_g).
-    """
-    if f.is_zero():
-        raise ZeroDivisionError("division by the zero form")
-    if g.is_zero():
-        return HomForm.zero(f.nvars, 0)
-    if f.nvars != g.nvars:
-        raise ValueError("forms have different numbers of variables")
-    if g.degree < f.degree:
-        return None
-    (u, d_f), (v, d_g) = (common_numerators(h.coeffs.values()) for h in (f, g))
-    lead, lc = max(zip(f.coeffs, u))
-    c, n, scale, q = conj(lc), norm(lc), 1, {}
-    div = dict(zip(f.coeffs, products((w, c) for w in u)))
-    r = dict(zip(g.coeffs, products((w, c) for w in v)))
-    while r:
-        top = max(r)
-        e = tuple(a - b for a, b in zip(top, lead))
-        if min(e) < 0:
-            return None
-        s = abs(n) // gcd(n, *r[top])
-        if s > 1:
-            r, q = ({t: (s * x, s * y) for t, (x, y) in h.items()} for h in (r, q))
-            scale *= s
-        q[e] = (r[top][0] // n, r[top][1] // n)
-        for ef, (x, y) in zip(div, products((q[e], w) for w in div.values())):
-            t = tuple(map(add, e, ef))
-            a, b = r.pop(t, (0, 0))
-            if (a, b) != (x, y):
-                r[t] = (a - x, b - y)
-    return HomForm(f.nvars, g.degree - f.degree, dict(zip(q, from_numerators(
-        ((d_f * x, d_f * y) for x, y in q.values()), scale * d_g))))
+def _multiples(blocks: Sequence[HomForm], degree: int, nvars: int) -> List[List[Pair]]:
+    """The matrix of (u_1, ..., u_k) -> u_1*f_1 + ... + u_k*f_k, u_i of
+    degree `degree` - deg f_i: a row per monomial of that degree, then per
+    block f_i a column per monomial of u_i, holding f_i's `pairs` shifted."""
+    rows = {e: i for i, e in enumerate(monomials(degree, nvars))}
+    cols = [(s, f) for f in blocks for s in monomials(degree - f.degree, nvars)]
+    matrix = [[(0, 0)] * len(cols) for _ in rows]
+    for j, (shift, f) in enumerate(cols):
+        for e, w in zip(f.coeffs, f.pairs()):
+            matrix[rows[tuple(map(add, shift, e))]][j] = w
+    return matrix
 
 
 def divides(f: HomForm, g: HomForm) -> bool:
-    """Whether f divides g; by evaluation when f is linear in 3 variables.
+    """Whether f divides g: by evaluation when f is linear in 3 variables,
+    else by the kernel of (q, s) -> q*f' + s*g' on the pairs f', g' of f, g
+    (`_multiples`), q of degree deg g - deg f and s a constant.
 
-    Soundness.  With c f's coprime pairs, c_k the first nonzero one and i < j
-    the other indices, u = c_k*e_i - c_i*e_k and w = c_k*e_j - c_j*e_k are
-    independent zeros of f.  So g(u + t*w), t = 0..deg g, are the values of
-    the binary form g(s*u + t*w) of degree deg g at deg g + 1 distinct points,
-    all zero exactly when it is zero, that is when f | g (take f = x_k)."""
-    if f.degree == 1 and not (f.is_zero() or g.is_zero()) and f.nvars == g.nvars == 3:
+    Soundness of the evaluation.  With c f's coprime pairs, c_k the first
+    nonzero one and i < j the other indices, u = c_k*e_i - c_i*e_k and
+    w = c_k*e_j - c_j*e_k are independent zeros of f.  So g(u + t*w),
+    t = 0..deg g, are the values of the binary form g(s*u + t*w) of degree
+    deg g at deg g + 1 distinct points, all zero exactly when it is zero,
+    that is when f | g (take f = x_k).
+
+    Soundness of the kernel.  A nonzero kernel vector has s != 0: with
+    s = 0, q*f' = 0 forces q = 0, as Q(phi)[x] has no zero divisors.  So
+    g' = -(q/s)*f', and f | g.  Conversely g = f*q0 puts a nonzero multiple
+    of (q0, -1) in the kernel.  An uncertified kernel raises ArithmeticError.
+    """
+    if f.nvars != g.nvars:
+        raise ValueError("forms have different numbers of variables")
+    if f.is_zero():
+        raise ZeroDivisionError("division by the zero form")
+    if g.is_zero():
+        return True
+    if f.degree == 1 and f.nvars == 3:
         by_var = dict(zip(f.coeffs, f.pairs()))
         c = [by_var.get(e, (0, 0)) for e in monomials(1, 3)]
         k = next(v for v in range(3) if c[v] != (0, 0))
@@ -306,7 +286,8 @@ def divides(f: HomForm, g: HomForm) -> bool:
         u[i], u[k], w[j], w[k] = c[k], _neg(c[i]), c[k], _neg(c[j])
         return all(g.vanishes_at([(a + t * x, b + t * y) for (a, b), (x, y) in zip(u, w)])
                    for t in range(g.degree + 1))
-    return try_quotient(f, g) is not None
+    return g.degree >= f.degree and bool(
+        linalg.nullspace(_multiples([f, g], g.degree, f.nvars)))
 
 
 def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
@@ -315,37 +296,33 @@ def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
     Write a, b for nonzero f, g, of degrees m, n, with gcd h of degree e.
     For k = min(m, n) down to 0, this takes the exact nullspace of
     (u, v) -> u*a + v*b on the forms u, v of degrees n - k and m - k; the
-    first k with a nonzero kernel is e, and a/v is h up to a constant.
+    first k with a nonzero kernel is e.  Then h is w of the kernel of
+    (w, s) -> v*w + s*a, w of degree e and s a constant.
 
     Soundness.  a/h and b/h are coprime, so u*a = -v*b forces u*(a/h) =
     -v*(b/h) and hence (u, v) = t*(b/h, -a/h) with t a form of degree e - k.
     Such a t exists exactly when k <= e, so no larger k has a kernel, and at
     k = e the kernel is spanned by one vector with t a nonzero constant:
-    v = -t*a/h, and the exact quotient a/v is -h/t.  The matrix holds the
-    pairs of a' = r*a and b' = s*b (`HomForm.pairs`; r, s > 0 rational), so
-    the argument runs on them: v is still a nonzero constant times a/h.
+    v = c*a/h, c != 0.  Then v*w = -s*a reads c*w = -s*h: the second kernel
+    is one-dimensional, spanned by (-h/c, 1), and w is h up to a constant.
+    The matrices hold the pairs of a' = r*a and b' = r'*b (`_multiples`;
+    r, r' > 0 rational), so the argument runs on them unchanged.
     """
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd of two zero forms")
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
     if f.nvars != g.nvars:
         raise ValueError("forms have different numbers of variables")
+    if f.is_zero() and g.is_zero():
+        raise ValueError("gcd of two zero forms")
+    if f.is_zero() or g.is_zero():
+        return (g if f.is_zero() else f).monic()
     nvars, m, n = f.nvars, f.degree, g.degree
     for k in range(min(m, n), -1, -1):
-        ucols, vcols = monomials(n - k, nvars), monomials(m - k, nvars)
-        rows = {e: i for i, e in enumerate(monomials(m + n - k, nvars))}
-        matrix = [[(0, 0)] * (len(ucols) + len(vcols)) for _ in rows]
-        shifts = [(u, f) for u in ucols] + [(v, g) for v in vcols]
-        for j, (shift, form) in enumerate(shifts):
-            for e, w in zip(form.coeffs, form.pairs()):
-                matrix[rows[tuple(a + b for a, b in zip(shift, e))]][j] = w
-        kernel = linalg.nullspace(matrix)
+        kernel = linalg.nullspace(_multiples([f, g], m + n - k, nvars))
         if kernel:
-            v = from_numerators(kernel[0][len(ucols):], 1)
-            return try_quotient(HomForm(nvars, m - k, dict(zip(vcols, v))), f).monic()
+            vcols = monomials(m - k, nvars)  # the last columns
+            v = HomForm(nvars, m - k, dict(zip(vcols, from_numerators(
+                kernel[0][-len(vcols):], 1))))
+            [w] = linalg.nullspace(_multiples([v, f], m, nvars))
+            return HomForm.monic_from_pairs(nvars, k, zip(monomials(k, nvars), w[:-1]))
     raise AssertionError("unreachable: at k = 0, (b, -a) is in the kernel")
 
 

@@ -152,6 +152,13 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     indeterminate outcome too: an interpolation's ArithmeticError
     (`linalg.nullspace` found no certified kernel) and a spent smoothness
     retry budget (SmoothnessIndeterminate) both read "not certified".
+
+    No shared component follows from smoothness, with no division: a smooth
+    curve over Q(phi)-bar is reduced and irreducible, as two components meet
+    (Bezout) and a common point, like any point of a multiple component, is
+    singular.  So the sextic is prime in the UFD Q(phi)[x, y, z]; dividing
+    q1*q2, it would divide a nonzero quintic (`build_quintic_cone` refuses
+    the zero member), which its degree forbids.  A singular one fails both.
     """
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in sorted(cfg.points)]
@@ -172,16 +179,14 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     on1 = {i: quintic1.vanishes_at(proj.images[i]) for i in z1}
     on2 = {i: quintic2.vanishes_at(proj.images[i]) for i in z2}
     checks["quintic1_on_z1"], checks["quintic2_on_z2"] = all(on1.values()), all(on2.values())
-    decic = quintic1 * quintic2
     checks["decic_on_all"] = all(
         on1[i] or quintic2.vanishes_at(proj.images[i]) for i in z1) and all(
         on2[i] or quintic1.vanishes_at(proj.images[i]) for i in z2)
-    no_shared = not divides(sextic, decic)
-    checks["no_shared_component"] = no_shared
-    checks["bezout_count"] = sextic.degree * decic.degree == 60
+    checks["no_shared_component"] = smooth.smooth
+    checks["bezout_count"] = sextic.degree * (quintic1.degree + quintic2.degree) == 60
     return _require_passed("geproci", GeprociCertificate(
         seed, proj.vertex, dims, sextic, smooth, *cfg.grids, quintic1,
-        quintic2, z1, z2, not no_shared, checks))
+        quintic2, z1, z2, not smooth.smooth, checks))
 
 
 def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half

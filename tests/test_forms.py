@@ -13,7 +13,7 @@ from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot,
                              common_numerators, norm, primitive_numerators)
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              gcd_forms, monomials, plane_curve_is_smooth,
-                             try_quotient, vanishing_space, _chart_test,
+                             vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _evaluation_row,
                              _interpolate_mod, _partial_mod, _reduce,
                              _residue_row, _resultant_mod)
@@ -66,7 +66,7 @@ def _compose_linear(f: HomForm, matrix) -> HomForm:
     """Substitute x_i -> sum_j matrix[i][j] * x_j in f."""
     n = f.nvars
     lin = [HomForm.linear(list(row)) for row in matrix]
-    result = HomForm.zero(n, f.degree)
+    result = HomForm(n, f.degree, {})
     for e, c in f.coeffs.items():
         term = HomForm(n, 0, {(0,) * n: c})
         for i, k in enumerate(e):
@@ -137,7 +137,7 @@ def test_product_matches_the_field_reference():
              for nvars in (2, 3, 4) for _ in range(6)]
     cubic = _random_form(rng, 3, 3, density=1.0, rational=True)
     const = HomForm(3, 0, {(0, 0, 0): FieldElement(Fraction(-2, 3), 1)})
-    cases += [(HomForm.zero(3, 2), cubic), (cubic, HomForm.zero(3, 0)),
+    cases += [(HomForm(3, 2, {}), cubic), (cubic, HomForm(3, 0, {})),
               (const, cubic), (cubic, const), (const, const)]
     half = FieldElement(Fraction(1, 2))
     plus = HomForm.linear([half, PHI, ZERO])
@@ -151,7 +151,7 @@ def test_product_matches_the_field_reference():
     # (x/2 + phi y)(x/2 - phi y) = x^2/4 - (1 + phi) y^2: no xy term is kept.
     assert (plus * minus).coeffs == {(2, 0, 0): FieldElement(Fraction(1, 4)),
                                      (0, 2, 0): -(ONE + PHI)}
-    assert (HomForm.zero(3, 2) * cubic).is_zero()
+    assert (HomForm(3, 2, {}) * cubic).is_zero()
     with pytest.raises(ValueError):
         cubic * _var(0, 2)
 
@@ -203,7 +203,7 @@ def test_monic_from_pairs_matches_the_field_reference():
             lead = max((e, w) for e, w in terms if w != (0, 0))[1]
             norms.add(lead[0] ** 2 + lead[0] * lead[1] - lead[1] ** 2 > 0)
         else:
-            assert got.is_zero() and got == HomForm.zero(nvars, degree)
+            assert got.is_zero() and got == HomForm(nvars, degree, {})
     assert norms == {True, False}
     assert HomForm.monic_from_pairs(3, 4, []).degree == 4
 
@@ -219,7 +219,7 @@ def test_evaluate_matches_term_by_term_powers():
                 c = c * x ** k
             expected = expected + c
         assert _evaluate(f, pt) == expected
-    assert _evaluate(HomForm.zero(3, 2), pt) == ZERO
+    assert _evaluate(HomForm(3, 2, {}), pt) == ZERO
     with pytest.raises(ValueError):
         _evaluate(_var(0, 3), pt[:2])
 
@@ -384,7 +384,7 @@ def test_evaluate_and_vanishes_at_agree_with_the_field_reference():
                             assert _evaluate(g, moved) == value * mu_k ** degree
                         outcomes.add(value.is_zero())
     assert outcomes == {True, False}
-    assert HomForm.zero(3, 2).vanishes_at(((1, 0), (0, 1), (0, 0)))
+    assert HomForm(3, 2, {}).vanishes_at(((1, 0), (0, 1), (0, 0)))
 
 
 def test_coefficient_pairs_are_scaled_once_per_form(monkeypatch):
@@ -616,27 +616,22 @@ def test_divisibility_roundtrip():
             continue
         prod = f * g
         assert divides(f, prod)
-        q = try_quotient(f, prod)
-        assert q == g
     x, y = _var(0, 3), _var(1, 3)
     assert not divides(x, y)
-    assert try_quotient(_add(x, y), x * x) is None
+    assert not divides(_add(x, y), x * x)
+    assert not divides(x * y, x * x * x)
 
 
 def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
-    """A line and a nonzero ternary form go to no long division, and the
-    verdict is `try_quotient`'s: on products l*q, on forms that l does not
-    divide, on constants, with the pivot at x, y or z, and with Z[phi] and
-    rational coefficients."""
-    quotient = forms.try_quotient
+    """A line and a nonzero ternary form reach no `linalg.nullspace`, and
+    the verdict is the reference long division's: on products l*q, on forms
+    that l does not divide, on constants, with the pivot at x, y or z, and
+    with Z[phi] and rational coefficients."""
+    def no_kernel(rows):
+        pytest.fail("a linear divisor went to a nullspace")
 
-    def no_division(f, g):
-        if f.degree == 1 and f.nvars == g.nvars == 3 \
-                and not (f.is_zero() or g.is_zero()):
-            pytest.fail("a linear divisor went to long division")
-        return quotient(f, g)
-
-    monkeypatch.setattr(forms, "try_quotient", no_division)
+    monkeypatch.setattr(linalg, "nullspace", no_kernel)
+    quotient = _reference_try_quotient
     rng = random.Random(97)
     seen = set()
     for trial in range(90):
@@ -666,9 +661,9 @@ def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
     fan = prod((_add(y, _scale(x, FieldElement(-t))) for t in range(5)),
                start=HomForm(3, 0, {(0, 0, 0): ONE}))
     assert not divides(z, fan) and divides(z, fan * z)
-    assert divides(_var(2, 3), HomForm.zero(3, 4))
+    assert divides(_var(2, 3), HomForm(3, 4, {}))
     with pytest.raises(ZeroDivisionError):
-        divides(HomForm.zero(3, 1), _var(0, 3))
+        divides(HomForm(3, 1, {}), _var(0, 3))
     with pytest.raises(ValueError):
         divides(_var(0, 3), _var(0, 2))
 
@@ -690,9 +685,22 @@ def test_gcd_normalization_and_edge_cases():
     x, y = _var(0, 2), _var(1, 2)
     g = gcd_forms(x * x * y, x * y * y)
     assert g == (x * y).monic()
-    assert gcd_forms(HomForm.zero(2, 3), x) == x.monic()
+    assert gcd_forms(HomForm(2, 3, {}), x) == x.monic()
     with pytest.raises(ValueError):
-        gcd_forms(HomForm.zero(2, 1), HomForm.zero(2, 1))
+        gcd_forms(HomForm(2, 1, {}), HomForm(2, 1, {}))
+
+
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_forms_in_different_numbers_of_variables_raise_even_when_zero(
+        zero_first):
+    """`divides` and `gcd_forms` compare the variable counts before any
+    zero-form shortcut: a zero form in 2 variables against a form in 3 is
+    a caller fault, as for two nonzero forms."""
+    zero, x = HomForm(2, 3, {}), _var(0, 3)
+    pair = (zero, x) if zero_first else (x, zero)
+    for call in (divides, gcd_forms):
+        with pytest.raises(ValueError, match="different numbers of variables"):
+            call(*pair)
 
 
 def _reference_partial(f: HomForm, var: int) -> HomForm:
@@ -711,7 +719,7 @@ def _reference_try_quotient(f: HomForm, g: HomForm):
     """Long division in FieldElement arithmetic, by the inverse of f's
     leading coefficient; f nonzero, in as many variables as g."""
     if g.is_zero():
-        return HomForm.zero(f.nvars, 0)
+        return HomForm(f.nvars, 0, {})
     if g.degree < f.degree:
         return None
     lead = max(f.coeffs)
@@ -757,11 +765,11 @@ def _reference_gcd(f: HomForm, g: HomForm) -> HomForm:
 
 
 def test_pair_kernels_match_the_field_references():
-    """`partial`, `try_quotient` and `gcd_forms` on common numerators give
-    the FieldElement references' forms: on random Z[phi] and rational forms
-    in 2 to 4 variables, on divisors whose leading pair has positive and
-    negative norm, on constant divisors, and on divisible and non-divisible
-    pairs."""
+    """`partial`, `divides` and `gcd_forms` on pairs agree with the
+    FieldElement references (long division for `divides`): on random Z[phi]
+    and rational forms in 2 to 4 variables, on divisors whose leading pair
+    has positive and negative norm, on constant divisors, and on divisible
+    and non-divisible pairs."""
     rng = random.Random(107)
     norms, outcomes, gcd_degrees = set(), set(), set()
     for trial in range(60):
@@ -778,12 +786,12 @@ def test_pair_kernels_match_the_field_references():
         norms.add(norm(lead) > 0)
         noise = _random_form(rng, nvars, f.degree + h.degree, density=0.2)
         for g in (f * h, _add(f * h, noise), h, _scale(f * h, PHI),
-                  HomForm.zero(nvars, 2)):
-            got, ref = try_quotient(f, g), _reference_try_quotient(f, g)
-            assert got == ref
-            if got is not None:
-                assert got.degree == ref.degree and f * got == g
-            outcomes.add(got is not None)
+                  HomForm(nvars, 2, {})):
+            got, ref = divides(f, g), _reference_try_quotient(f, g)
+            assert got == (ref is not None)
+            if got:
+                assert f * ref == g
+            outcomes.add(got)
         if nvars < 4 and f.degree + h.degree <= 4:
             k = _random_form(rng, nvars, rng.randint(0, 2), rational=rational)
             if not k.is_zero():
@@ -797,7 +805,7 @@ def test_pair_kernels_match_the_field_references():
 def test_smoothness_needs_a_curve():
     """A nonzero constant cuts out no curve, so it has no singular point
     to report; it is refused as the zero form is."""
-    for f in (HomForm(3, 0, {(0, 0, 0): ONE}), HomForm.zero(3, 2),
+    for f in (HomForm(3, 0, {(0, 0, 0): ONE}), HomForm(3, 2, {}),
               _var(0, 2) * _var(1, 2)):
         with pytest.raises(ValueError, match="positive degree in 3 variables"):
             plane_curve_is_smooth(f)
@@ -1116,9 +1124,9 @@ def test_form_json_roundtrip():
 
 def test_equal_forms_hash_alike():
     # Zero forms of different degrees are equal, so they must hash alike.
-    assert HomForm.zero(3, 5) == HomForm.zero(3, 2)
-    assert HomForm.zero(3, 5) in {HomForm.zero(3, 2)}
-    assert HomForm.zero(3, 2) not in {HomForm.zero(4, 2)}
+    assert HomForm(3, 5, {}) == HomForm(3, 2, {})
+    assert HomForm(3, 5, {}) in {HomForm(3, 2, {})}
+    assert HomForm(3, 2, {}) not in {HomForm(4, 2, {})}
     rng = random.Random(79)
     f = _random_form(rng, 3, 4)
     g = hom_form(f.to_json())

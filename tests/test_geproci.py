@@ -1,5 +1,6 @@
 """Projection certificates: grids, quadrics, pencils, and both pipelines."""
 
+import json
 import os
 import random
 import subprocess
@@ -18,7 +19,8 @@ from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids)
 from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot, _neg,
                              from_numerators, primitive_numerators)
-from h4geproci.forms import HomForm, divides, plane_curve_is_smooth
+from h4geproci.forms import (HomForm, SmoothnessReport, divides,
+                             plane_curve_is_smooth)
 from h4geproci.projective import (ProjLine, ProjPlane, ProjPoint, canonicalize,
                                   image_from, plane_through)
 from test_forms import (_add, _counting_kernel_mod, _evaluate,
@@ -509,6 +511,34 @@ def test_sextic_and_decic_share_no_component(geproci_cert_seed1):
     assert cert.sextic.degree * decic.degree == 60
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_no_shared_component_is_derived_from_smoothness(cfg, seed, monkeypatch):
+    """`verify_geproci` calls no `divides`, and its certificate is byte for
+    byte the one that the division kernel gives: `sextic_divides_decic` and
+    `no_shared_component` read what `forms.divides` finds on q1*q2."""
+    def no_division(f, g):
+        pytest.fail("verify_geproci called divides")
+
+    monkeypatch.setattr(geproci, "divides", no_division)
+    cert = geproci.verify_geproci(cfg, seed)
+    shared = divides(cert.sextic, cert.quintic1 * cert.quintic2)
+    by_division = cert._replace(sextic_divides_decic=shared, checks={
+        **cert.checks, "no_shared_component": not shared})
+    assert not shared
+    assert json.dumps(cert.to_json(), sort_keys=True) \
+        == json.dumps(by_division.to_json(), sort_keys=True)
+
+
+def test_a_singular_sextic_fails_the_component_check_too(cfg, monkeypatch):
+    """Without smoothness nothing proves the sextic irreducible, so a
+    singular report fails both checks that it supports."""
+    monkeypatch.setattr(geproci, "plane_curve_is_smooth",
+                        lambda f, seed=0: SmoothnessReport(False, "patched"))
+    with pytest.raises(config.VerificationError) as err:
+        geproci.verify_geproci(cfg, 1)
+    assert str(err.value).endswith("['sextic_smooth', 'no_shared_component']")
+
+
 def test_geproci_certificate_json_shape(geproci_cert_seed1):
     blob = geproci_cert_seed1.to_json()
     assert blob["passed"] is True
@@ -569,16 +599,17 @@ def test_a_cover_line_missing_one_image_fails_the_product_check(
     assert str(err.value).endswith("['product_on_subset']")
 
 
-def test_half_grid_makes_no_long_division(cfg, monkeypatch):
-    """`no_line_in_quintic` decides each cover line by evaluation."""
-    quotient = forms.try_quotient
+def test_half_grid_makes_no_nullspace_call(cfg, monkeypatch):
+    """`no_line_in_quintic` decides each cover line by evaluation: neither
+    half-grid verdict reaches an exact elimination."""
+    kernel = linalg.nullspace
     calls = []
 
-    def counting(f, g):
-        calls.append((f.degree, g.degree))
-        return quotient(f, g)
+    def counting(rows):
+        calls.append(len(rows))
+        return kernel(rows)
 
-    monkeypatch.setattr(forms, "try_quotient", counting)
+    monkeypatch.setattr(linalg, "nullspace", counting)
     for half in HALVES:
         assert geproci.verify_half_grid(cfg, 1, half.name).passed
     assert calls == []
