@@ -4,19 +4,19 @@ Coordinates live in Z[phi] with phi the golden ratio, as `field` pairs.
 Plane i is dual to point i: for P_i = [a:b:c:d] the plane is
 {ax + by + cz + dw = 0}.  The configuration is a symmetric (60_15)
 point-plane structure carrying 72 lines with exactly five configuration
-points each, and no line carries six.  `verify_grid` certifies every
-(5,5)-grid of those lines, the two of the paper's split once per build.
+points each, and no line carries six.  All of it is proved exactly, with
+no prime, and so is every (5,5)-grid of those lines that `verify_grid`
+certifies, the two of the paper's split once per build.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
-from operator import mul
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from . import linalg
-from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, products, residues
+from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, products
 from .forms import HomForm, _record_json, monomials
 from .projective import (ProjLine, ProjPoint, ProjPlane, lines_meet,
                          transversal_quadric)
@@ -100,12 +100,12 @@ class H4Configuration(NamedTuple):
     def max_collinear(self, subset: Optional[Iterable[int]] = None) -> int:
         """Largest number of collinear points in a subset (default: all).
 
-        Any two points of the subset span a secant, and the secant lists
-        every configuration point on that line, so the maximum over secants
-        of |secant & subset| is the collinearity bound once the subset has
-        two points; secants meeting it in fewer points never attain it.
+        Any two points of the subset span a secant, which lists every
+        configuration point on that line, so the maximum over secants of
+        |secant & subset| is the collinearity bound once the subset has two
+        points.  An index that is not a configuration point raises ValueError.
         """
-        chosen = set(self.points if subset is None else subset)
+        chosen = _known_points(self, self.points if subset is None else subset)
         if len(chosen) < 2:
             return len(chosen)
         return max(len(chosen.intersection(s)) for s in self.secants)
@@ -117,6 +117,13 @@ class H4Configuration(NamedTuple):
         blob.update({name: {str(i): list(s) for i, s in getattr(self, name).items()}
                      for name in self._fields[3:9]})
         return blob
+
+
+def _known_points(cfg: H4Configuration, indices: Iterable[int]) -> set:
+    chosen = set(indices)
+    if not chosen <= cfg.points.keys():
+        raise ValueError(f"unknown point indices {sorted(chosen - cfg.points.keys())}")
+    return chosen
 
 
 def members(mask: int) -> List[int]:
@@ -161,13 +168,9 @@ def build_h4() -> H4Configuration:
     Two points lie on 2, 3 or 5 of the planes (checked: at least two), and
     two planes meet in one line, so the points of the line p_i p_j are those
     on the two lowest planes through both.  A line lies in the planes
-    through two of its points.  Lines through a common point meet.  For any
-    other pair, a Pluecker pairing w nonzero modulo P = (p, phi - r)
-    (`linalg._PRIME`, `_PHI_ROOT`, read at call time) proves them skew; only
-    a zero residue goes to the exact `lines_meet`.  Those pairings have
-    norms +-1, 4, 5, 16 and 80, and P | w gives p | N(w), so only a prime
-    over 2 or 5 sends one to 0; no split prime does.  A structural count
-    that fails raises AssertionError (`_expect`, kept under python -O).
+    through two of its points.  Lines through a common point meet, and any
+    other two exactly when their Pluecker pairing is 0 (`lines_meet`).  A
+    failed structural count raises AssertionError (`_expect`, kept under -O).
     """
     points = {i + 1: p for i, p in enumerate(_parse_points())}
     _expect(len(set(points.values())) == 60, "points are not pairwise distinct")
@@ -226,15 +229,11 @@ def build_h4() -> H4Configuration:
     for v, row in plane_lines.items():
         _expect(len(row) == 6, f"plane {v} contains {len(row)} lines, not 6")
 
-    # The meet relation: shared points, then the pairings mod P (above).
+    # The meet relation: shared points, then the exact pairing (above).
     meets = {i: {j for k in line_points[i] for j in point_lines[k]} - {i}
              for i in lines}
-    p, r = linalg._PRIME, linalg._PHI_ROOT
-    mod = {i: residues(line.pairs, p, r) for i, line in lines.items()}
-    dual = {i: residues(line.dual, p, r) for i, line in lines.items()}
     for i, j in combinations(lines, 2):
-        if j not in meets[i] and not sum(map(mul, mod[i], dual[j])) % p \
-                and lines_meet(lines[i], lines[j]):
+        if j not in meets[i] and lines_meet(lines[i], lines[j]):
             meets[i].add(j)
             meets[j].add(i)
 
@@ -356,7 +355,7 @@ def special_points_for_grid(
     B is collinear with X and A exactly when B lies in it.  Each pair {A, B}
     is found once, on the one secant through X and A.
     """
-    grid = set(grid_points)
+    grid = _known_points(cfg, grid_points)
     if len(grid) != 25:
         raise ValueError(f"expected a 25-point grid, got {len(grid)} points")
     pairs: Dict[int, List[Tuple[int, int]]] = {x: [] for x in set(cfg.points) - grid}

@@ -86,6 +86,15 @@ def test_collinear_groups_on_small_sets(cfg):
     assert sum(1 for v in groups.values() if len(v) == 5) == 72
 
 
+def test_max_collinear_rejects_unknown_point_indices(cfg):
+    """Indices that are not configuration points used to be counted as
+    points on no secant: [998, 999] gave 0, [1, 2, 999] gave 2."""
+    with pytest.raises(ValueError, match=r"unknown point indices \[998, 999\]"):
+        cfg.max_collinear([998, 999])
+    with pytest.raises(ValueError, match=r"unknown point indices \[999\]"):
+        cfg.max_collinear([1, 2, 999])
+
+
 def test_secant_table_invariants(cfg):
     assert len(cfg.secants) == 722
     assert Counter(len(s) for s in cfg.secants) == {2: 450, 3: 200, 5: 72}
@@ -141,36 +150,21 @@ def test_build_h4_secants_match_collinear_groups(cfg):
                                        for v in groups.values())
 
 
-def _counting_exact_meets(monkeypatch):
-    calls = []
+def test_build_h4_reads_no_prime_and_tests_each_skew_pair_exactly(cfg, monkeypatch):
+    """Each of the 1,656 pairs that share no point takes one exact meet
+    test, none of them meets, and the build does no arithmetic with the
+    rank prime: any would raise TypeError on these stand-ins."""
+    monkeypatch.setattr(linalg, "_PRIME", object())
+    monkeypatch.setattr(linalg, "_PHI_ROOT", object())
+    verdicts = []
 
     def counting(l1, l2):
-        calls.append((l1, l2))
-        return lines_meet(l1, l2)
+        verdicts.append(lines_meet(l1, l2))
+        return verdicts[-1]
 
     monkeypatch.setattr(config, "lines_meet", counting)
-    return calls
-
-
-def test_build_h4_decides_every_skew_pair_mod_p(cfg, monkeypatch):
-    """At the stored prime every pairing of lines that share no point is a
-    nonzero residue, so the build makes no exact meet test."""
-    calls = _counting_exact_meets(monkeypatch)
     assert config.build_h4() == cfg
-    assert calls == []
-
-
-def test_build_h4_at_a_prime_over_5_tests_zero_residues_exactly(cfg, monkeypatch):
-    """P = (5, phi - 3) has degree 1 but lies over 5: the 36 skew pairs
-    whose pairings have norm +-5 or +-80 read 0 there and go to the exact
-    test, and the configuration comes out the same."""
-    assert (3 * 3 - 3 - 1) % 5 == 0
-    monkeypatch.setattr(linalg, "_PRIME", 5)
-    monkeypatch.setattr(linalg, "_PHI_ROOT", 3)
-    calls = _counting_exact_meets(monkeypatch)
-    assert config.build_h4() == cfg
-    assert len(calls) == len(set(calls)) == 36
-    assert not any(lines_meet(l1, l2) for l1, l2 in calls)
+    assert len(verdicts) == 1656 and not any(verdicts)
 
 
 def test_lines_lie_on_their_listed_points(cfg):
@@ -289,6 +283,8 @@ def test_special_points_of_grid2(cfg):
 def test_special_points_need_a_25_point_grid(cfg):
     with pytest.raises(ValueError, match="expected a 25-point grid"):
         special_points_for_grid(cfg, range(1, 25))
+    with pytest.raises(ValueError, match="unknown point indices"):
+        special_points_for_grid(cfg, range(100, 125))
 
 
 def test_checks_hold_under_python_O():

@@ -1,13 +1,13 @@
 """Every modular shortcut, run at small split primes where it can fail.
 
-Rank mod P decides zero dimensions, a residue mod P proves two of the 72
-lines skew, a split prime proposes each kernel, and smoothness is
-certified mod p.  Each argument is sound for every prime, so at an unlucky
-one a pipeline must still give its baseline verdict, fall back to the safe
-side ("not refuted"), or raise a VerificationError that names an
-indeterminate outcome.  A shortcut that turned "not certified mod p" into a
-verdict fails here.  The grid quadrics depend on no prime: the
-three-skew-lines theorem of `config.verify_grid` certifies them.
+Rank mod P decides zero dimensions, a split prime proposes each kernel,
+and smoothness is certified mod p.  Each argument is sound for every prime,
+so at an unlucky one a pipeline must still give its baseline verdict, fall
+back to the safe side ("not refuted"), or raise a VerificationError that
+names an indeterminate outcome.  A shortcut that turned "not certified mod
+p" into a verdict fails here.  The configuration depends on no prime:
+`config.build_h4` decides every meet of the 72 lines exactly, and the
+three-skew-lines theorem of `config.verify_grid` certifies the grid quadrics.
 """
 
 from math import isqrt
