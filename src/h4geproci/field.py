@@ -12,7 +12,7 @@ denominator through `from_numerators`.  It is also the only module that
 knows the ring Z[phi]: its rule phi**2 = phi + 1 on elements (`*`), on
 lists of factor pairs (`products`) and summed (`_dot`), the negation `_neg`,
 the conjugate `conj`, the norm `norm` and the reduction `residues` modulo a
-degree-1 prime.  Outside this module only the plane span
+degree-1 prime.  Outside this module only the pushed line
 (`linalg.determinant`) runs the element operators; all else runs on pairs.
 """
 

@@ -99,16 +99,7 @@ class HomForm:
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
     def __mul__(self, other: "HomForm") -> "HomForm":
-        """One Z[phi] convolution: a `_dot` of common numerators per monomial."""
-        if self.nvars != other.nvars:
-            raise ValueError("forms have different numbers of variables")
-        (u, du), (v, dv) = (common_numerators(f.coeffs.values()) for f in (self, other))
-        terms: Dict[Exponents, List[Tuple[Pair, Pair]]] = {}
-        for e1, a in zip(self.coeffs, u):
-            for e2, b in zip(other.coeffs, v):
-                terms.setdefault(tuple(map(add, e1, e2)), []).append((a, b))
-        c = from_numerators([_dot(*zip(*ab)) for ab in terms.values()], du * dv)
-        return HomForm(self.nvars, self.degree + other.degree, dict(zip(terms, c)))
+        return multiply((self, other))
 
     def value_at(self, point: Sequence[Pair]) -> Pair:
         """f(point) times a positive rational: one Z[phi] dot product of the
@@ -162,11 +153,29 @@ class HomForm:
         }
 
 
+def multiply(factors: Sequence[HomForm]) -> HomForm:
+    """The product of one or more forms, the one convolution: common
+    numerators per factor (`field.common_numerators`), one `_dot` per
+    monomial and factor, then one normalization over their denominators."""
+    if len({f.nvars for f in factors}) != 1:
+        raise ValueError("forms have different numbers of variables")
+    nums = [common_numerators(f.coeffs.values()) for f in factors]
+    terms = dict(zip(factors[0].coeffs, nums[0][0]))
+    for f, (u, _) in zip(factors[1:], nums[1:]):
+        grouped: Dict[Exponents, List[Tuple[Pair, Pair]]] = {}
+        for (e1, a), (e2, b) in itertools.product(terms.items(), zip(f.coeffs, u)):
+            grouped.setdefault(tuple(map(add, e1, e2)), []).append((a, b))
+        terms = {e: w for e, ab in grouped.items() if (w := _dot(*zip(*ab))) != (0, 0)}
+    den = prod(d for _, d in nums)
+    return HomForm(factors[0].nvars, sum(f.degree for f in factors),
+                   dict(zip(terms, from_numerators(terms.values(), den))))
+
+
 # ---------------------------------------------------------------------------
 # Interpolation
 # ---------------------------------------------------------------------------
 
-def independent_evaluation_rows(points: Sequence[Sequence[Pair]], degree: int,
+def independent_evaluation_rows(points: Iterable[Sequence[Pair]], degree: int,
                                 nvars: int) -> List[int]:
     """Indices of the first points (Z[phi] pairs) whose degree-d evaluation
     rows are independent modulo P = (p, phi - r), `linalg._PRIME`/`_PHI_ROOT`.

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from functools import reduce
-from operator import mul
+from collections.abc import Mapping
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import config as cfgmod
@@ -21,9 +20,8 @@ from .config import GridCertificate, H4Configuration, VerificationError
 from .field import Pair, _dot, _neg
 from .forms import (HomForm, SmoothnessIndeterminate, SmoothnessReport,
                     _record_json, divides, independent_evaluation_rows,
-                    plane_curve_is_smooth, vanishing_space)
-from .projective import (ProjLine, ProjPoint, image_from, plane_image,
-                         plane_through)
+                    multiply, plane_curve_is_smooth, vanishing_space)
+from .projective import ProjLine, ProjPoint, image_from, line_image
 
 PlaneCoords = Tuple[Pair, Pair, Pair]  # canonical Z[phi] pairs
 
@@ -39,44 +37,55 @@ class RejectionBudgetExhausted(VerificationError):
 VERTEX_DRAWS = 1000  # draws before `sample_generic_vertex` gives up
 
 
+class _Images(Mapping):
+    """Point index -> image, read-only, each by `image_from` on first read."""
+
+    def __init__(self, vertex: ProjPoint, points: Dict[int, ProjPoint]):
+        self._vertex, self._points, self._known = vertex, points, {}
+
+    def __getitem__(self, i: int) -> PlaneCoords:
+        if i not in self._known:
+            self._known[i] = image_from(self._vertex, self._points[i])
+        return self._known[i]
+
+    def __iter__(self):
+        return iter(self._points)
+
+    def __len__(self) -> int:
+        return len(self._points)
+
+
 class Projection(NamedTuple):
     """A projection of P^3 from a verified-generic vertex onto P^2, by the
-    minors of `projective.image_from` and `projective.plane_image`: a pushed
-    plane vanishes at the image of a point exactly when it contains the point."""
+    minors of `projective.image_from` and `projective.line_image`."""
 
     vertex: ProjPoint
-    images: Dict[int, PlaneCoords]  # configuration point index -> image
+    images: Mapping  # configuration point index -> image
 
     def push_line(self, line: ProjLine) -> HomForm:
-        """The plane spanned by the line and the vertex, as a linear form on
-        P^2.  `plane_through` kills its three rows, the vertex among them."""
-        plane = plane_through(line.p, line.q, self.vertex)
-        return HomForm.linear(list(plane_image(self.vertex, plane)))
+        """The line's image, a linear form on P^2, by `line_image`."""
+        return HomForm.linear(line_image(self.vertex, line))
 
 
 def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
     """Draw a deterministic vertex and certify its genericity.
 
     Coordinates are drawn uniformly from [-100, 100]; a draw is rejected if
-    the vertex lies on any configuration plane or either grid quadric, or if
-    two configuration points project to the same image.  Such a vertex is
-    off every five-point line too: each line lies in 5 configuration planes
-    (`build_h4` checks it), so a vertex on a line is on those planes.
+    the vertex lies on any configuration plane or either grid quadric.  Any
+    two configuration points lie in two of the 60 planes (`build_h4` asserts
+    it), which meet in their line, so such a vertex is off every such line:
+    the 60 images are distinct (`image_from`), and none is computed here.
     After VERTEX_DRAWS rejected draws it raises RejectionBudgetExhausted.
     """
     rng = random.Random(seed)
-    q1, q2 = (grid.quadric for grid in cfg.grids)
     for _ in range(VERTEX_DRAWS):
         raw = [rng.randint(-100, 100) for _ in range(4)]
         if all(v == 0 for v in raw):
             continue
         vertex = ProjPoint.of(*raw)
-        if any(plane.contains(vertex) for plane in cfg.planes.values()) \
-                or q1.vanishes_at(vertex.pairs) or q2.vanishes_at(vertex.pairs):
-            continue
-        images = {i: image_from(vertex, cfg.points[i]) for i in cfg.points}
-        if len(set(images.values())) == 60:
-            return Projection(vertex, images)
+        if not (any(plane.contains(vertex) for plane in cfg.planes.values())
+                or any(g.quadric.vanishes_at(vertex.pairs) for g in cfg.grids)):
+            return Projection(vertex, _Images(vertex, cfg.points))
     raise RejectionBudgetExhausted(f"no generic vertex in {VERTEX_DRAWS} draws")
 
 
@@ -192,7 +201,7 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
 def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
                   ) -> Tuple[HomForm, Dict[int, HomForm], HomForm]:
     """The member of the half's quintic pencil, spanned by the products g, h
-    of the pushed L- and M-lines (from their first factors), through the
+    of the pushed L- and M-lines (one `multiply` each), through the
     lowest special point on the external line of the L-lines' grid (which no
     verdict reads, so it is not certified); the pushed L-lines; and g."""
     specials = cfgmod.special_points_for_grid(
@@ -203,8 +212,8 @@ def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
         raise VerificationError(
             f"external line {ext} does not carry 5 special points")
     l_forms = {i: proj.push_line(cfg.lines[i]) for i in half.l_lines}
-    g = reduce(mul, l_forms.values())
-    h = reduce(mul, (proj.push_line(cfg.lines[i]) for i in half.m_lines))
+    g = multiply(list(l_forms.values()))
+    h = multiply([proj.push_line(cfg.lines[i]) for i in half.m_lines])
     return build_quintic_cone(g, h, proj.images[min(on_line)]), l_forms, g
 
 
@@ -250,7 +259,7 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     checks["quintic_on_subset"] = all(quintic.vanishes_at(proj.images[i])
                                       for i in points)
     line_form[half.external_line] = proj.push_line(cfg.lines[half.external_line])
-    product = g * line_form[half.external_line]
+    product = multiply((g, line_form[half.external_line]))
     checks["product_on_subset"] = all(
         any(line_form[j].vanishes_at(proj.images[i])
             for j in sorted(cover, key=lambda j: j not in cfg.point_lines[i]))
@@ -287,8 +296,8 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     The refutation fails (correctly) on a subset that is a half-grid.
 
     Step (2) is a rank test mod P (`independent_evaluation_rows`), which at a
-    full-rank degree builds the rows up to the last pivot only; no form is
-    interpolated.  d* is the first degree d whose forced types (a, N/a), with
+    full-rank degree reads images and rows up to the last pivot only; no form
+    is interpolated.  d* is the first degree d whose forced types (a, N/a), with
     a, N/a >= d, step (3) all excludes, or else whose rank mod P is not full.
     The first, e, is arithmetic: one past the largest min(a, N/a) within the
     bound.  Full rank mod P at d forces it at every lower degree (a nonzero
@@ -314,10 +323,10 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     n = len(indices)
     mc = cfg.max_collinear(indices)
     proj = sample_generic_vertex(cfg, seed)
-    images = [proj.images[i] for i in indices]
     types = [(a, n // a) for a in range(1, n + 1) if n % a == 0]
 
     def short(d):
+        images = (proj.images[i] for i in indices)
         return len(independent_evaluation_rows(images, d, 3)) < (d + 1) * (d + 2) // 2
 
     e = 1 + max(m for m in map(min, types) if m <= mc)  # (1, n) gives e >= 2

@@ -15,8 +15,8 @@ the plane through the line and x, L.pi its meet with pi.
 * a point lies in a plane when the dot product of their pairs is zero;
 * two lines meet when one's pairs dotted with the other's dual give zero.
 
-Plane spans and the projection from a vertex are closed-form minors; the
-arguments are at `plane_through`, `image_from` and `plane_image`.
+The projection from a vertex is closed-form minors, of points and of lines;
+the arguments are at `image_from` and `line_image`.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class ProjLine(_Canonical):
     """A line of P^3: canonical Pluecker coordinates plus two spanning points.
 
     The Pluecker pairs and their dual, both stored, decide the meet test;
-    the spanning points back plane spans and JSON.
+    the spanning points back pushed lines and JSON.
     """
 
     __slots__ = ("pluecker", "dual", "p", "q")
@@ -205,19 +205,6 @@ def transversal_quadric(l1: ProjLine, l2: ProjLine, l3: ProjLine) -> Tuple[Pair,
                  for i in range(4) for j in range(i, 4))
 
 
-def plane_through(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> ProjPlane:
-    """The plane x -> det[p, q, r, x], whose x_i coefficient is (-1)**(i + 1)
-    times the minor of the rows p, q, r without column i.  It kills p, q and
-    r (repeated rows), and it is nonzero exactly when the rows have rank 3,
-    that is when they span a plane, whose equation is then this form."""
-    rows = [p.coords, q.coords, r.coords]
-    coeffs = [linalg.determinant([row[:i] + row[i + 1:] for row in rows])
-              for i in range(4)]
-    if all(c.is_zero() for c in coeffs):
-        raise DegenerateSpanError("the points do not span a plane")
-    return ProjPlane([c if i % 2 else -c for i, c in enumerate(coeffs)])
-
-
 def _pivot(vertex: ProjPoint) -> int:
     return next(i for i, w in enumerate(vertex.pairs) if w != (0, 0))
 
@@ -238,14 +225,19 @@ def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[Pair, ...]:
                                     [(k, i) for i in range(4) if i != k]))
 
 
-def plane_image(vertex: ProjPoint, plane: ProjPlane) -> Tuple[FieldElement, ...]:
-    """The linear form that a plane H through v pushes down to: the
-    canonical (H_i) for i != k, k the pivot of v.
-
-    With pi(x) the image before canonicalizing and H(v) = 0,
-    sum_{i != k} H_i*pi(x)_i = v_k*H(x) - x_k*H(v) = v_k*H(x), so the form
-    vanishes at the image of x exactly when H contains x.  It is nonzero,
-    since H = H_k*x_k would give H(v) = H_k*v_k != 0."""
+def line_image(vertex: ProjPoint, line: ProjLine) -> Tuple[FieldElement, ...]:
+    """The image of the line pq: the canonical H_i, i != k (k the pivot of
+    v), of H: x -> det[p, q, v, x], each (-1)**(i + 1) times the minor of p,
+    q, v without column i.  H kills p, q, v, so at the image pi(x) of
+    `image_from`, before canonicalizing, sum_{i != k} H_i*pi(x)_i = v_k*H(x):
+    zero exactly when H contains x.  If the kept minors vanish, 0 = H(v) =
+    H_k*v_k makes H = 0, so v is on the line: DegenerateSpanError."""
     k = _pivot(vertex)
-    return _elements(_canonical_pairs(
-        [w for i, w in enumerate(plane.pairs) if i != k]))
+    rows = (line.p.coords, line.q.coords, vertex.coords)
+    cols = [i for i in range(4) if i != k]
+    minors = primitive_numerators(
+        linalg.determinant([row[:i] + row[i + 1:] for row in rows]) for i in cols)
+    if all(w == (0, 0) for w in minors):
+        raise DegenerateSpanError("the vertex lies on the line")
+    return _elements(_canonical_pairs([w if i % 2 else _neg(w)
+                                       for i, w in zip(cols, minors)]))

@@ -21,12 +21,12 @@ from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot, _neg,
                              from_numerators, primitive_numerators)
 from h4geproci.forms import (HomForm, SmoothnessReport, divides,
                              plane_curve_is_smooth)
-from h4geproci.projective import (ProjLine, ProjPlane, ProjPoint, canonicalize,
-                                  image_from, plane_through)
+from h4geproci.projective import (DegenerateSpanError, ProjPoint, canonicalize,
+                                  image_from)
 from test_forms import (_add, _counting_kernel_mod, _evaluate,
                         _reference_monic, _scale)
 from test_linalg import reference_inverse
-from test_projective import CoordinateChange, on_line
+from test_projective import CoordinateChange, on_line, plane_image, plane_through
 
 # The paper's two halves: grid 1 with line 24, grid 2 with line 17.
 HALF1, HALF2 = HALVES
@@ -58,6 +58,84 @@ def test_vertex_sampling_is_deterministic_and_certified(cfg, projection):
 def test_different_seeds_give_different_vertices(cfg, projection):
     other = geproci.sample_generic_vertex(cfg, 2)
     assert other.vertex != projection.vertex
+
+
+def _sampler_with_image_rejection(cfg, seed):
+    """The vertex and the 60 images as the sampler once drew them: it also
+    rejected a vertex where two configuration points share an image."""
+    rng = random.Random(seed)
+    for _ in range(geproci.VERTEX_DRAWS):
+        raw = [rng.randint(-100, 100) for _ in range(4)]
+        if all(v == 0 for v in raw):
+            continue
+        vertex = ProjPoint.of(*raw)
+        if any(plane.contains(vertex) for plane in cfg.planes.values()) \
+                or any(g.quadric.vanishes_at(vertex.pairs) for g in cfg.grids):
+            continue
+        images = {i: image_from(vertex, cfg.points[i]) for i in cfg.points}
+        if len(set(images.values())) == 60:
+            return vertex, images
+
+
+def test_sampling_draws_the_vertex_that_the_image_rejection_drew(cfg):
+    """Off the planes, a vertex is off every line through two points, so the
+    distinct-images rejection never fires: seeds 1-200 draw the same vertex
+    with and without it, with the same images."""
+    for seed in range(1, 201):
+        vertex, images = _sampler_with_image_rejection(cfg, seed)
+        proj = geproci.sample_generic_vertex(cfg, seed)
+        assert proj.vertex == vertex
+        if seed <= 3:
+            assert dict(proj.images) == images
+
+
+def _counting_images(monkeypatch):
+    """The points whose image `geproci` computes, in call order."""
+    image_from_ = geproci.image_from
+    calls = []
+
+    def counting(vertex, x):
+        calls.append(x)
+        return image_from_(vertex, x)
+
+    monkeypatch.setattr(geproci, "image_from", counting)
+    return calls
+
+
+def test_images_are_computed_on_first_read(cfg, monkeypatch):
+    """Sampling computes no image; an index read again computes nothing; the
+    images are those of `image_from`, and the mapping is read-only."""
+    calls = _counting_images(monkeypatch)
+    proj = geproci.sample_generic_vertex(cfg, 1)
+    assert calls == [] and len(proj.images) == 60
+    assert list(proj.images) == sorted(cfg.points)
+    first = proj.images[7]
+    assert proj.images[7] is first and calls == [cfg.points[7]]
+    assert first == image_from(proj.vertex, cfg.points[7])
+    with pytest.raises(TypeError):
+        proj.images[7] = first
+    assert list(proj.images.values()) == [image_from(proj.vertex, x)
+                                          for x in cfg.points.values()]
+    assert len(calls) == 60
+    assert dict(proj.images)[7] is proj.images[7] is first
+    assert len(calls) == 60
+
+
+def test_each_verdict_computes_only_the_images_it_reads(cfg, monkeypatch):
+    """A half-grid certificate reads its 30 points; the refutation's rank
+    test stops at its 21st row; the geproci certificate reads all 60."""
+    calls = _counting_images(monkeypatch)
+    for half in HALVES:
+        calls.clear()
+        assert geproci.verify_half_grid(cfg, 1, half.name).passed
+        assert len(calls) == len(set(calls)) == 30
+    for seed in (1, 2, 3, 12345):
+        calls.clear()
+        assert geproci.verify_not_half_grid(cfg, seed).refuted
+        assert len(calls) == len(set(calls)) == 21
+    calls.clear()
+    assert geproci.verify_geproci(cfg, 1).passed
+    assert len(calls) == len(set(calls)) == 60
 
 
 def test_grid1_quadric_matches_printed_equation(cfg, grid1):
@@ -318,22 +396,43 @@ def test_proportional_generators_raise_on_the_zero_member(cfg, projection,
 
 
 def test_half_grid_builds_each_product_once(cfg, monkeypatch):
-    """Per half, g and h are 4 products each from their first factors, and
-    the line product is g times the external line: 9 `HomForm.__mul__`
-    calls, where starting from the constant 1 and multiplying the cover
-    again took 15."""
-    multiply = HomForm.__mul__
+    """Per half, g and h are one product of their five pushed lines each,
+    and the line product is one more, of g and the external line: three
+    `forms.multiply` calls, with 5, 5 and 2 factors, and no other product
+    (`HomForm.__mul__` calls it too)."""
+    multiply = forms.multiply
     calls = []
 
-    def counting(f, other):
-        calls.append((f.degree, other.degree))
-        return multiply(f, other)
+    def counting(factors):
+        calls.append(tuple(f.degree for f in factors))
+        return multiply(factors)
 
-    monkeypatch.setattr(HomForm, "__mul__", counting)
+    monkeypatch.setattr(forms, "multiply", counting)
+    monkeypatch.setattr(geproci, "multiply", counting)
     for half in HALVES:
         calls.clear()
         assert geproci.verify_half_grid(cfg, 1, half.name).passed
-        assert sorted(calls) == sorted([(k, 1) for k in range(1, 5)] * 2 + [(5, 1)])
+        assert sorted(calls) == [(1,) * 5, (1,) * 5, (5, 1)]
+
+
+def test_one_product_of_many_factors_is_the_chain_of_pair_products():
+    """`forms.multiply` normalizes once; the chain of `*` normalizes at every
+    step.  Both give the same form, coefficient for coefficient, on random
+    factors with rational and Z[phi] coefficients, whose value at a point is
+    the product of the factors' values (FieldElement evaluation), and a
+    zero factor gives the zero form of the summed degree."""
+    rng = random.Random(31)
+    for n in (1, 2, 3, 5, 6):
+        factors = [_random_linear(rng) for _ in range(n)]
+        got = forms.multiply(factors)
+        assert got == reduce(mul, factors) and got.degree == n
+        point = primitive_numerators([FieldElement(rng.randint(-9, 9), rng.randint(-9, 9))
+                                      for _ in range(3)])
+        assert _evaluate(got, point) == reduce(mul, (_evaluate(f, point) for f in factors))
+    zero = forms.multiply([_random_linear(rng), HomForm(3, 2, {})])
+    assert zero.is_zero() and zero.degree == 3
+    with pytest.raises(ValueError, match="different numbers of variables"):
+        forms.multiply([_random_linear(rng), HomForm(4, 1, {})])
 
 
 def test_geproci_certificate_passes(geproci_cert_seed1):
@@ -435,15 +534,18 @@ _FIELD_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                     "__pow__", "__neg__")
 
 
-def _span_by_dual_matrix(p, q, r):
-    """The plane through the line pq and r as L*r: each row of the line's
-    dual Pluecker matrix dotted with r's pairs."""
-    rows = projective._matrix(ProjLine(p, q).dual)
-    return ProjPlane(from_numerators([_dot(row, r.pairs) for row in rows], 1))
+def _push_by_dual_matrix(self, line):
+    """The image of a line as L*v on pairs: each row of the line's dual
+    Pluecker matrix dotted with the vertex's pairs, the pivot's dropped,
+    canonical."""
+    k = projective._pivot(self.vertex)
+    plane = [_dot(row, self.vertex.pairs) for row in projective._matrix(line.dual)]
+    pairs = projective._canonical_pairs(plane[:k] + plane[k + 1:])
+    return HomForm.linear(from_numerators(pairs, 1))
 
 
-def test_only_the_plane_span_runs_field_element_arithmetic(cfg, monkeypatch):
-    """With every FieldElement operator failing the test and the plane span
+def test_only_push_line_runs_field_element_arithmetic(cfg, monkeypatch):
+    """With every FieldElement operator failing the test and `push_line`
     replaced by L*v on pairs, the configuration, the 72 grids, all four
     verdicts at three seeds and the partials-gcd retry of the smoothness
     certificate come out unchanged."""
@@ -466,12 +568,12 @@ def test_only_the_plane_span_runs_field_element_arithmetic(cfg, monkeypatch):
 
     def failing(name):
         def operator(*args):
-            pytest.fail(f"FieldElement.{name} ran outside the plane span")
+            pytest.fail(f"FieldElement.{name} ran outside push_line")
         return operator
 
     for name in _FIELD_OPERATORS:
         monkeypatch.setattr(FieldElement, name, failing(name))
-    monkeypatch.setattr(geproci, "plane_through", _span_by_dual_matrix)
+    monkeypatch.setattr(geproci.Projection, "push_line", _push_by_dual_matrix)
     with pytest.raises(pytest.fail.Exception, match="__mul__"):
         ONE * PHI
     patched_cfg = config.build_h4()
@@ -877,6 +979,35 @@ def test_push_plane_through_vertex_is_linear(cfg, projection):
         assert form.vanishes_at(projection.images[i])
 
 
+def _reference_push(vertex, line):
+    """The image of a line through the plane of the line and the vertex
+    (`test_projective.plane_through`), pushed down (`plane_image`)."""
+    plane = plane_through(line.p, line.q, vertex)
+    return HomForm.linear(list(plane_image(vertex, plane)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 12345])
+def test_push_line_matches_the_plane_span_reference(cfg, seed):
+    """Three minors, canonicalized once, give the form of all four minors
+    canonicalized as a plane and again as its image, on all 72 lines."""
+    proj = geproci.sample_generic_vertex(cfg, seed)
+    for line in cfg.lines.values():
+        assert proj.push_line(line) == _reference_push(proj.vertex, line)
+
+
+def test_a_vertex_on_the_line_raises(cfg):
+    """A vertex on line 1, a configuration point or not, spans no plane
+    with it: all three kept minors vanish."""
+    line = cfg.lines[1]
+    between = ProjPoint([a + b for a, b in zip(line.p.coords, line.q.coords)])
+    for v in [cfg.points[i] for i in cfg.line_points[1]] + [between]:
+        assert on_line(line, v)
+        with pytest.raises(DegenerateSpanError):
+            geproci.Projection(v, {}).push_line(line)
+        with pytest.raises(DegenerateSpanError):
+            _reference_push(v, line)
+
+
 def _reference_projection(vertex):
     """The coordinate change that the projection by minors replaced.
 
@@ -929,10 +1060,14 @@ def test_projection_by_minors_matches_the_coordinate_change(cfg, k):
     images = [image_from(v, x) for x in points]
     assert images == [tuple(primitive_numerators(image(x))) for x in points]
     incident = 0
+    for line in cfg.lines.values():
+        if line not in lines:
+            with pytest.raises(DegenerateSpanError):
+                proj.push_line(line)
     for line in lines:
         form = proj.push_line(line)
         plane = plane_through(line.p, line.q, v)
-        assert form == push(plane)
+        assert form == push(plane) == _reference_push(v, line)
         for x, y in zip(points, images):
             on = plane.contains(x)
             assert form.vanishes_at(y) == on

@@ -13,10 +13,10 @@ from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot,
 from h4geproci.forms import HomForm, monomials, vanishing_space
 from h4geproci.projective import (DegenerateSpanError, ProjLine, ProjPlane,
                                   ProjPoint, _matrix, canonicalize,
-                                  lines_meet, plane_through,
-                                  transversal_quadric)
+                                  lines_meet, transversal_quadric)
 from json_readers import proj_line, proj_point
-from test_linalg import mat_vec, reference_inverse, reference_rank
+from test_linalg import (_permutation_determinant, mat_vec, reference_inverse,
+                         reference_rank)
 
 
 # FieldElement references for the predicates that run on Z[phi] pairs.
@@ -37,6 +37,27 @@ def _reference_pairing(l1, l2):
     a, b = l1.pluecker, l2.pluecker
     return (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
             + a[5] * b[0] - a[4] * b[1] + a[3] * b[2])
+
+
+def plane_through(p, q, r):
+    """The plane x -> det[p, q, r, x]: its x_i coefficient is (-1)**(i + 1)
+    times the minor of the rows p, q, r without column i, here by
+    permutation expansion.  It kills p, q and r (repeated rows), and it is
+    zero exactly when the rows have rank below 3."""
+    rows = [p.coords, q.coords, r.coords]
+    coeffs = [_permutation_determinant([row[:i] + row[i + 1:] for row in rows])
+              for i in range(4)]
+    if all(c.is_zero() for c in coeffs):
+        raise DegenerateSpanError("the points do not span a plane")
+    return ProjPlane([c if i % 2 else -c for i, c in enumerate(coeffs)])
+
+
+def plane_image(vertex, plane):
+    """The linear form that a plane through the vertex pushes down to: its
+    canonical coefficients other than the k-th, k the first nonzero
+    coordinate of the vertex."""
+    k = next(i for i, x in enumerate(vertex.coords) if not x.is_zero())
+    return canonicalize([c for i, c in enumerate(plane.coords) if i != k])
 
 
 def on_line(line, x):
