@@ -70,16 +70,17 @@ class Projection(NamedTuple):
 def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
     """Draw a deterministic vertex and certify its genericity.
 
-    Coordinates are drawn uniformly from [-100, 100]; a draw is rejected if
-    the vertex lies on any configuration plane or either grid quadric.  Any
-    two configuration points lie in two of the 60 planes (`build_h4` asserts
-    it), which meet in their line, so such a vertex is off every such line:
-    the 60 images are distinct (`image_from`), and none is computed here.
-    After VERTEX_DRAWS rejected draws it raises RejectionBudgetExhausted.
+    Coordinates are drawn uniformly from [-3, 3]; a draw is rejected if the
+    vertex lies on any configuration plane or either grid quadric, which
+    leaves 192 projective vertices in the box.  Any two configuration points
+    lie in two of the 60 planes (`build_h4` asserts it), which meet in their
+    line, so such a vertex is off every such line: the 60 images are
+    distinct (`image_from`), and none is computed here.  After VERTEX_DRAWS
+    rejected draws it raises RejectionBudgetExhausted.
     """
     rng = random.Random(seed)
     for _ in range(VERTEX_DRAWS):
-        raw = [rng.randint(-100, 100) for _ in range(4)]
+        raw = [rng.randint(-3, 3) for _ in range(4)]
         if all(v == 0 for v in raw):
             continue
         vertex = ProjPoint.of(*raw)
@@ -135,7 +136,6 @@ class GeprociCertificate(NamedTuple):
     quintic2: HomForm
     z1: Tuple[int, ...]
     z2: Tuple[int, ...]
-    sextic_divides_decic: bool
     checks: Dict[str, bool]
 
     passed = property(_all_checks_pass)
@@ -153,21 +153,21 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     no zero divisors, so dim_d < 3 forces dim_{d-1} = 0, and so on down.
 
     Each quintic is tested by `HomForm.vanishes_at` (an integer product, the
-    value times a nonzero rational) on its own half only.  The decic q1*q2
-    vanishes where q1 or q2 does, and z1, z2 cover the points, so its check
-    reuses those tests and tests the other quintic only where one misses.
+    value times a nonzero rational) on its own half, and the decic q1*q2
+    vanishes where either does.  `bezout_count` asks for 6*10 distinct
+    images of z1 and z2: sextic and decic then meet there only, once each.
     The two grid certificates are those `build_h4` made (``cfg.grids``).
     It raises VerificationError unless every check passes, and for each
     indeterminate outcome too: an interpolation's ArithmeticError
     (`linalg.nullspace` found no certified kernel) and a spent smoothness
     retry budget (SmoothnessIndeterminate) both read "not certified".
 
-    No shared component follows from smoothness, with no division: a smooth
-    curve over Q(phi)-bar is reduced and irreducible, as two components meet
-    (Bezout) and a common point, like any point of a multiple component, is
-    singular.  So the sextic is prime in the UFD Q(phi)[x, y, z]; dividing
-    q1*q2, it would divide a nonzero quintic (`build_quintic_cone` refuses
-    the zero member), which its degree forbids.  A singular one fails both.
+    `sextic_smooth` also proves that the two share no component, with no
+    division: a smooth curve over Q(phi)-bar is reduced and irreducible, as
+    two components meet (Bezout) and a common point, like any point of a
+    multiple component, is singular.  So the sextic is prime in the UFD
+    Q(phi)[x, y, z]; dividing q1*q2, it would divide a nonzero quintic
+    (`build_quintic_cone` refuses the zero member), which its degree forbids.
     """
     proj = sample_generic_vertex(cfg, seed)
     images = [proj.images[i] for i in sorted(cfg.points)]
@@ -181,21 +181,17 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     except (ArithmeticError, SmoothnessIndeterminate) as exc:
         raise VerificationError(f"geproci certificate indeterminate: {exc}") from exc
     dims = (0, 0, 0, 0, 0, 1)  # dim_6 = 1 and the x*Q argument above
-    checks: Dict[str, bool] = {"dimension_table": True, "sextic_smooth": smooth.smooth}
-
     quintic1, quintic2 = (_half_quintic(cfg, proj, h)[0] for h in cfgmod.HALVES)
     z1, z2 = cfgmod.z_partition(cfg)
-    on1 = {i: quintic1.vanishes_at(proj.images[i]) for i in z1}
-    on2 = {i: quintic2.vanishes_at(proj.images[i]) for i in z2}
-    checks["quintic1_on_z1"], checks["quintic2_on_z2"] = all(on1.values()), all(on2.values())
-    checks["decic_on_all"] = all(
-        on1[i] or quintic2.vanishes_at(proj.images[i]) for i in z1) and all(
-        on2[i] or quintic1.vanishes_at(proj.images[i]) for i in z2)
-    checks["no_shared_component"] = smooth.smooth
-    checks["bezout_count"] = sextic.degree * (quintic1.degree + quintic2.degree) == 60
+    checks = {
+        "sextic_smooth": smooth.smooth,
+        "quintic1_on_z1": all(quintic1.vanishes_at(proj.images[i]) for i in z1),
+        "quintic2_on_z2": all(quintic2.vanishes_at(proj.images[i]) for i in z2),
+        "bezout_count": len({proj.images[i] for i in z1 + z2})
+        == sextic.degree * (quintic1.degree + quintic2.degree)}
     return _require_passed("geproci", GeprociCertificate(
         seed, proj.vertex, dims, sextic, smooth, *cfg.grids, quintic1,
-        quintic2, z1, z2, not smooth.smooth, checks))
+        quintic2, z1, z2, checks))
 
 
 def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
@@ -241,18 +237,18 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     VerificationError unless every check passes.  The line product, g of
     `_half_quintic` times the external line, is tested by its factors, each
     point's own cover line (`point_lines`) first: Q(phi) has no zero
-    divisors, so it vanishes exactly where one of them does."""
+    divisors, so it vanishes exactly where one of them does.  With no cover
+    line dividing the quintic, `bezout_count` asks for 5*6 distinct images."""
     names = [half.name for half in cfgmod.HALVES]
     if subset not in names:
         raise ValueError(f"subset must be one of {names}")
     k = names.index(subset)
     half, points = cfgmod.HALVES[k], cfgmod.z_partition(cfg)[k]
     cover = tuple(sorted(half.l_lines + (half.external_line,)))
-    checks: Dict[str, bool] = {}
-    checks["cover_pairwise_skew"] = all(
-        b not in cfg.meets[a] for i, a in enumerate(cover) for b in cover[i + 1:])
-    checks["cover_is_exact"] = cfgmod.grid_point_indices(cfg, cover) == points
-    if not (checks["cover_pairwise_skew"] and checks["cover_is_exact"]):
+    checks = {"cover_pairwise_skew": all(b not in cfg.meets[a] for i, a in
+                                         enumerate(cover) for b in cover[i + 1:]),
+              "cover_is_exact": cfgmod.grid_point_indices(cfg, cover) == points}
+    if not all(checks.values()):
         raise VerificationError(f"covering failure for {subset}: {checks}")
     proj = sample_generic_vertex(cfg, seed)
     quintic, line_form, g = _half_quintic(cfg, proj, half)
@@ -266,7 +262,8 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
         for i in points)
     checks["no_line_in_quintic"] = all(not divides(lf, quintic)
                                        for lf in line_form.values())
-    checks["bezout_count"] = quintic.degree * product.degree == 30
+    checks["bezout_count"] = (len({proj.images[i] for i in points})
+                              == quintic.degree * product.degree)
     return _require_passed("half-grid", HalfGridCertificate(
         subset, seed, proj.vertex, points, cover, quintic, product, checks))
 
@@ -286,7 +283,7 @@ class RefutationReport(NamedTuple):
 
 def verify_not_half_grid(cfg: H4Configuration, seed: int,
                          subset: Optional[Sequence[int]] = None,
-                         subset_name: str = "Z") -> RefutationReport:
+                         subset_name: Optional[str] = None) -> RefutationReport:
     """Refute the half-grid property for the full set (or test a subset).
 
     Steps: (1) the largest collinear subset has 5 points; (2) no curve of
@@ -313,13 +310,15 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
     The images are minors, polynomial in the vertex, so dim_d = 0 is an open
     condition on it, and a refutation at one vertex holds for a general
     vertex.
-    An empty subset, or a repeated or unknown point index, raises
-    ValueError before any work: the empty set would be "refuted" vacuously.
+    An empty subset, a repeated or unknown point index, or a subset without
+    a name ("Z" is the full set's) raises ValueError before any work.
     """
     indices = sorted(subset) if subset is not None else sorted(cfg.points)
     if not indices or len(set(indices)) != len(indices) \
             or not set(indices) <= set(cfg.points):
         raise ValueError(f"empty, repeated or unknown point indices in {indices}")
+    if subset is not None and not subset_name:
+        raise ValueError("a subset needs a name: 'Z' names the full set")
     n = len(indices)
     mc = cfg.max_collinear(indices)
     proj = sample_generic_vertex(cfg, seed)
@@ -350,5 +349,5 @@ def verify_not_half_grid(cfg: H4Configuration, seed: int,
             details.append(
                 f"type ({a},{b}) needs {a} skew lines with {per_line} points"
                 f" each, but no line carries more than {mc}")
-    return RefutationReport(subset_name, mc, (0,) * (d - 1), forced, refuted,
-                            tuple(details))
+    return RefutationReport(subset_name or "Z", mc, (0,) * (d - 1), forced,
+                            refuted, tuple(details))

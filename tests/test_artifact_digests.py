@@ -20,27 +20,27 @@ PINNED = {
     "enumerate_grids":
         "ebdd3b3eb90d859467739600006121921ed1002b56e3e026a758f32fefa77a0b",
     "verify_geproci seed 1":
-        "2f9028a6b391b5c7861a49685d355f264952a0c47af17dc7e832c74e1475377c",
+        "481641c7fccc314ee516dedd1497a648c4bce98100c700f1b19ed980359259d9",
     "verify_geproci seed 2":
-        "eee074fdc6b257347a5b7a26a1f5c28cdf39569eb4e09a30cf01dbee91b6823a",
+        "edfe5786cb0c9aa90783fb3ad342ed830bd041ee162b387ba23004ebc33d4c38",
     "verify_half_grid z1 seed 1":
-        "2e3b9b0ddddef49a65281d02f6a90bead5f5fc590ec74761a1f117612f8021be",
+        "f9c30611bf6fb206c2c967de02479a4a1cbc122034b4c240a8bcf4ee98ab8835",
     "verify_half_grid z1 seed 2":
-        "65dd81aa1e9db1ad330df3f8a18a792925e34520675eea7d86a457c17f08f910",
+        "6679773d6f8584b7ef0bcf7669e39834c408437ad016354a4d4c4b60c6cd5cb2",
     "verify_half_grid z2 seed 1":
-        "2c701232ab33282086172b3a166fade4c4433d84b761dadcac000301aa9c0599",
+        "f94feca6b32606cd1f9561ff9f4273489223f006c038e239c8c0219544b2c731",
     "verify_half_grid z2 seed 2":
-        "9f4ebe9f95c40f1c54c1bde0438bcd6f77064aca694330b34b4b510734ca63c4",
+        "1f3bd63bef2797c300af0a7756e0446abfabe520f17ecf1aa14bdbffda0d2cc6",
     "verify_not_half_grid seed 1":
         "c673eea05f0ad28c0e7574ffd8c66e1cc4276d4d39da52fed8d249728de198e8",
     "verify_not_half_grid seed 2":
         "c673eea05f0ad28c0e7574ffd8c66e1cc4276d4d39da52fed8d249728de198e8",
     "verify_geproci seed 12345":
-        "5096bd84d3cee5b10bb5debce56fe4e60ba96786309e0ee25584728e5f36b58a",
+        "9fc55d159b35506005715e66678ec0c30fe3c1787c88fb51fde4e7525d34f572",
     "verify_half_grid z1 seed 12345":
-        "601b98710edd2510a1e8a54a0a255e2a702d421cab1c07fda6e3f09d19ea19e0",
+        "4aa1ca49510ffb7727d4e71f542be82d029695c37b4beaefeabe327b23535d63",
     "verify_half_grid z2 seed 12345":
-        "84e23a60eb83c8a07d57e1a58e0af1ea439446eeb822d4234ef0e05d9b8fac69",
+        "ed78dfeec140d9c5e4c1645a0255b8941caed79c8ea693da262a176378524cc7",
     "verify_not_half_grid seed 12345":
         "c673eea05f0ad28c0e7574ffd8c66e1cc4276d4d39da52fed8d249728de198e8",
 }

@@ -143,6 +143,31 @@ def test_verify_geproci_artifact(tmp_path):
     assert json.loads(json.dumps(blob)) == blob
 
 
+@pytest.mark.parametrize("argv, schema, path", [
+    (["verify", "geproci"], "geproci-cert.schema.json", ("certificates", 0)),
+    (["verify", "halfgrid", "--subset", "z2"], "halfgrid-cert.schema.json",
+     ("certificate",)),
+])
+def test_the_schema_names_every_check(tmp_path, argv, schema, path):
+    """The schema lists each check: the artifact passes, and a dropped,
+    renamed or added check fails it."""
+    out = tmp_path / "artifact.json"
+    assert _run(argv + ["--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    validator = _validator(schema)
+    validator.validate(blob)
+    cert = blob
+    for key in path:
+        cert = cert[key]
+    checks = cert["checks"]
+    first = next(iter(checks))
+    dropped = {k: v for k, v in checks.items() if k != first}
+    for changed in (dropped, {**dropped, first + "_renamed": checks[first]},
+                    {**checks, "dimension_table": True}):
+        cert["checks"] = changed
+        assert not validator.is_valid(blob), changed
+
+
 def test_an_exhausted_vertex_budget_fails_the_certificate(cfg, monkeypatch,
                                                          tmp_path):
     monkeypatch.setattr(geproci, "VERTEX_DRAWS", 0)

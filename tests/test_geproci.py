@@ -1,6 +1,6 @@
 """Projection certificates: grids, quadrics, pencils, and both pipelines."""
 
-import json
+import itertools
 import os
 import random
 import subprocess
@@ -65,7 +65,7 @@ def _sampler_with_image_rejection(cfg, seed):
     rejected a vertex where two configuration points share an image."""
     rng = random.Random(seed)
     for _ in range(geproci.VERTEX_DRAWS):
-        raw = [rng.randint(-100, 100) for _ in range(4)]
+        raw = [rng.randint(-3, 3) for _ in range(4)]
         if all(v == 0 for v in raw):
             continue
         vertex = ProjPoint.of(*raw)
@@ -75,6 +75,25 @@ def _sampler_with_image_rejection(cfg, seed):
         images = {i: image_from(vertex, cfg.points[i]) for i in cfg.points}
         if len(set(images.values())) == 60:
             return vertex, images
+
+
+def _admissible_vertices(cfg):
+    """Every projective vertex with coordinates in [-3, 3] that is off the
+    60 planes and both grid quadrics."""
+    box = {ProjPoint.of(*raw)
+           for raw in itertools.product(range(-3, 4), repeat=4) if any(raw)}
+    return {v for v in box
+            if not any(plane.contains(v) for plane in cfg.planes.values())
+            and not any(g.quadric.vanishes_at(v.pairs) for g in cfg.grids)}
+
+
+def test_the_sampler_box_holds_192_vertices(cfg):
+    """The sampler's whole range: 192 admissible vertices, from which seeds
+    1-5 draw five distinct ones."""
+    box = _admissible_vertices(cfg)
+    assert len(box) == 192
+    drawn = {geproci.sample_generic_vertex(cfg, seed).vertex for seed in range(1, 6)}
+    assert len(drawn) == 5 and drawn <= box
 
 
 def test_sampling_draws_the_vertex_that_the_image_rejection_drew(cfg):
@@ -441,34 +460,31 @@ def test_geproci_certificate_passes(geproci_cert_seed1):
     assert cert.dimension_table == (0, 0, 0, 0, 0, 1)
     assert cert.sextic.degree == 6
     assert cert.sextic_smooth.smooth
-    assert not cert.sextic_divides_decic
     assert len(cert.z1) == 30 and len(cert.z2) == 30
 
 
-def _assert_first_quintic_fails(cfg, monkeypatch, replace):
-    """With the first quintic replaced and the second left as it is, the
-    certificate fails exactly its quintic1_on_z1 and decic_on_all checks."""
+def _assert_quintic_fails(cfg, monkeypatch, k, replace):
+    """With quintic k (1 or 2) replaced and the other left as it is, the
+    certificate fails exactly its check of quintic k on its own half."""
     build = geproci.build_quintic_cone
     calls = []
 
     def perturbed(*args):
         quintic = build(*args)
         calls.append(quintic)
-        return replace(quintic) if len(calls) == 1 else quintic
+        return replace(quintic) if len(calls) == k else quintic
 
     monkeypatch.setattr(geproci, "build_quintic_cone", perturbed)
     with pytest.raises(config.VerificationError) as err:
         geproci.verify_geproci(cfg, 1)
     assert len(calls) == 2
-    assert str(err.value).endswith("['quintic1_on_z1', 'decic_on_all']")
+    assert str(err.value).endswith(f"['quintic{k}_on_z{k}']")
 
 
-def test_quintic_missing_its_half_fails_the_quintic_and_decic_checks(
-        cfg, monkeypatch):
-    # The first quintic plus x^5 misses the images of Z1, where the second
-    # quintic does not vanish either.
-    _assert_first_quintic_fails(
-        cfg, monkeypatch,
+def test_quintic_missing_its_half_fails_the_quintic_check(cfg, monkeypatch):
+    # The first quintic plus x^5 misses the images of Z1.
+    _assert_quintic_fails(
+        cfg, monkeypatch, 1,
         lambda q: HomForm(3, 5, {**q.coeffs, (5, 0, 0): q.coeffs.get((5, 0, 0), ZERO) + ONE}))
 
 
@@ -514,7 +530,7 @@ def test_three_sextics_fail_without_a_lower_degree(cfg, geproci_cert_seed1,
 
 def test_each_quintic_is_tested_on_its_own_half(cfg, monkeypatch):
     """60 zero tests of a quintic, one per image on its own half, and the
-    vertex's two grid quadric tests: the decic reuses every quintic result."""
+    vertex's two grid quadric tests: the decic is tested by its factors."""
     vanishes_at = HomForm.vanishes_at
     degrees = []
 
@@ -592,17 +608,15 @@ class _MissesOneImage(HomForm):
         return point != self.missed and super().vanishes_at(point)
 
 
-def test_a_quintic_missing_one_image_fails_the_quintic_and_decic_checks(
+def test_a_quintic_missing_one_image_fails_the_quintic_check(
         cfg, geproci_cert_seed1, monkeypatch):
-    """The decic check tests the second quintic where the first one misses;
-    at the chosen z1 image it does not vanish, so the decic misses too."""
+    """The second quintic, missing the image of the last point of z2 only,
+    fails its check."""
     images = geproci.sample_generic_vertex(cfg, 1).images
-    quintic2 = geproci_cert_seed1.quintic2
-    missed = next(i for i in geproci_cert_seed1.z1
-                  if not quintic2.vanishes_at(images[i]))
-    monkeypatch.setattr(_MissesOneImage, "missed", images[missed])
-    _assert_first_quintic_fails(
-        cfg, monkeypatch, lambda q: _MissesOneImage(3, 5, q.coeffs))
+    monkeypatch.setattr(_MissesOneImage, "missed",
+                        images[geproci_cert_seed1.z2[-1]])
+    _assert_quintic_fails(
+        cfg, monkeypatch, 2, lambda q: _MissesOneImage(3, 5, q.coeffs))
 
 
 def test_sextic_and_decic_share_no_component(geproci_cert_seed1):
@@ -615,30 +629,85 @@ def test_sextic_and_decic_share_no_component(geproci_cert_seed1):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_no_shared_component_is_derived_from_smoothness(cfg, seed, monkeypatch):
-    """`verify_geproci` calls no `divides`, and its certificate is byte for
-    byte the one that the division kernel gives: `sextic_divides_decic` and
-    `no_shared_component` read what `forms.divides` finds on q1*q2."""
+    """`verify_geproci` calls no `divides`; the smooth sextic it certifies
+    does not divide q1*q2, as the division kernel confirms."""
     def no_division(f, g):
         pytest.fail("verify_geproci called divides")
 
     monkeypatch.setattr(geproci, "divides", no_division)
     cert = geproci.verify_geproci(cfg, seed)
-    shared = divides(cert.sextic, cert.quintic1 * cert.quintic2)
-    by_division = cert._replace(sextic_divides_decic=shared, checks={
-        **cert.checks, "no_shared_component": not shared})
-    assert not shared
-    assert json.dumps(cert.to_json(), sort_keys=True) \
-        == json.dumps(by_division.to_json(), sort_keys=True)
+    assert cert.checks["sextic_smooth"]
+    assert not divides(cert.sextic, cert.quintic1 * cert.quintic2)
 
 
-def test_a_singular_sextic_fails_the_component_check_too(cfg, monkeypatch):
-    """Without smoothness nothing proves the sextic irreducible, so a
-    singular report fails both checks that it supports."""
+def test_a_singular_sextic_fails_the_smoothness_check(cfg, monkeypatch):
+    """Without smoothness nothing proves the sextic irreducible: a singular
+    report fails the one check that carries both facts."""
     monkeypatch.setattr(geproci, "plane_curve_is_smooth",
                         lambda f, seed=0: SmoothnessReport(False, "patched"))
     with pytest.raises(config.VerificationError) as err:
         geproci.verify_geproci(cfg, 1)
-    assert str(err.value).endswith("['sextic_smooth', 'no_shared_component']")
+    assert str(err.value).endswith("['sextic_smooth']")
+
+
+def _on_secant(cfg, i, j):
+    """The vertex P_i + 2*P_j, on the secant of points i and j, which then
+    share an image."""
+    return ProjPoint.of(*(a + 2 * b for a, b in zip(cfg.points[i].coords,
+                                                   cfg.points[j].coords)))
+
+
+def _sample_at(monkeypatch, vertex):
+    monkeypatch.setattr(geproci, "sample_generic_vertex", lambda cfg, seed:
+                        geproci.Projection(vertex, geproci._Images(vertex, cfg.points)))
+
+
+@pytest.mark.parametrize("i, j", [(1, 5), (1, 2)])
+def test_a_vertex_on_a_secant_fails_the_bezout_count(cfg, monkeypatch, i, j):
+    """Points i and j share no configuration line, so only the vertex
+    P_i + 2*P_j sends them to one image, and 59 distinct images read False
+    against 6*10.  The sextic through them is singular there, so smoothness
+    is patched to pass, which leaves the count the only failing check."""
+    assert not any({i, j} <= set(pts) for pts in cfg.line_points.values())
+    _sample_at(monkeypatch, _on_secant(cfg, i, j))
+    monkeypatch.setattr(geproci, "plane_curve_is_smooth",
+                        lambda f, seed=0: SmoothnessReport(True, "patched"))
+    with pytest.raises(config.VerificationError) as err:
+        geproci.verify_geproci(cfg, 1)
+    assert str(err.value).endswith("['bezout_count']")
+
+
+def test_a_vertex_on_a_secant_fails_the_half_grid_bezout_count(cfg,
+                                                               monkeypatch):
+    """Points 1 and 5 of z1 share an image from a vertex on their secant:
+    29 distinct images against 5*6, so the count reads False.  The vertex
+    also lies in planes 20 and 22, whose ten z1 points each project onto
+    the pushed cover line 25 or 1, so the quintic contains both lines."""
+    vertex = _on_secant(cfg, 1, 5)
+    assert [i for i, plane in cfg.planes.items() if plane.contains(vertex)
+            and {1, 25} & set(cfg.plane_lines[i])] == [20, 22]
+    _sample_at(monkeypatch, vertex)
+    with pytest.raises(config.VerificationError) as err:
+        geproci.verify_half_grid(cfg, 1, "z1")
+    assert str(err.value).endswith("['no_line_in_quintic', 'bezout_count']")
+
+
+@pytest.mark.parametrize("l_lines, external, failed", [
+    # An M-line meets four L-lines, and the six lines cover 26 points.
+    ((8, 51, 60, 65, 70), 17, {"cover_pairwise_skew", "cover_is_exact"}),
+    # z1's external line is skew to z2's lines, but its points are in z1.
+    ((7, 51, 60, 65, 70), 24, {"cover_is_exact"}),
+])
+def test_a_swapped_cover_line_fails_the_cover_checks(cfg, monkeypatch, l_lines,
+                                                     external, failed):
+    """z2 with one cover line swapped: the cover checks read False before
+    any vertex is drawn."""
+    half = HALF2._replace(l_lines=l_lines, external_line=external)
+    monkeypatch.setattr(config, "HALVES", (HALF1, half))
+    with pytest.raises(config.VerificationError, match="covering failure") as err:
+        geproci.verify_half_grid(cfg, 1, "z2")
+    for name in ("cover_pairwise_skew", "cover_is_exact"):
+        assert f"'{name}': {name not in failed}" in str(err.value)
 
 
 def test_geproci_certificate_json_shape(geproci_cert_seed1):
@@ -646,9 +715,7 @@ def test_geproci_certificate_json_shape(geproci_cert_seed1):
     assert blob["passed"] is True
     assert blob["dimension_table"] == [0, 0, 0, 0, 0, 1]
     assert set(blob["checks"]) == {
-        "dimension_table", "sextic_smooth", "quintic1_on_z1",
-        "quintic2_on_z2", "decic_on_all", "no_shared_component",
-        "bezout_count"}
+        "sextic_smooth", "quintic1_on_z1", "quintic2_on_z2", "bezout_count"}
 
 
 @pytest.mark.parametrize("subset", ["z1", "z2"])
@@ -962,6 +1029,15 @@ def test_refutation_rejects_an_empty_subset(cfg, monkeypatch):
     _forbid_refutation_work(monkeypatch)
     with pytest.raises(ValueError, match="empty, repeated or unknown"):
         geproci.verify_not_half_grid(cfg, 1, subset=[])
+
+
+def test_refutation_rejects_a_subset_without_a_name(cfg, monkeypatch):
+    """"Z" names the full set: z1 without a name read "Z: not refuted"."""
+    z1, _ = z_partition(cfg)
+    _forbid_refutation_work(monkeypatch)
+    for name in (None, ""):
+        with pytest.raises(ValueError, match="a subset needs a name"):
+            geproci.verify_not_half_grid(cfg, 1, z1, name)
 
 
 def _forbid_refutation_work(monkeypatch):

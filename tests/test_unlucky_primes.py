@@ -60,11 +60,18 @@ def _outcome(call, *args):
         return None
 
 
+# Twenty points whose images at vertex seed 1 lie on no quartic: "refuted",
+# as no type (a, 20/a) has a, 20/a >= 5.  Rank is lost mod 11 in degree 4.
+UNLUCKY_AT_11 = (3, 4, 6, 8, 9, 15, 26, 28, 36, 37, 38, 41, 49, 50, 52, 53,
+                 55, 56, 57, 59)
+
+
 @pytest.fixture(scope="module")
 def baselines(cfg):
     z1 = z_partition(cfg)[0]
     return (geproci.verify_half_grid(cfg, 1, "z1"),
-            geproci.verify_not_half_grid(cfg, 1), z1)
+            geproci.verify_not_half_grid(cfg, 1), z1,
+            geproci.verify_not_half_grid(cfg, 1, UNLUCKY_AT_11, "twenty"))
 
 
 def _without_smoothness(cert):
@@ -76,7 +83,7 @@ def _without_smoothness(cert):
 @pytest.mark.parametrize("p", SPLIT_PRIMES)
 def test_no_unlucky_prime_changes_a_verdict(p, cfg, unlucky, baselines,
                                             geproci_cert_seed1):
-    half_grid, refutation, z1 = baselines
+    half_grid, refutation, z1, twenty = baselines
     unlucky(p)
     cert = _outcome(geproci.verify_geproci, cfg, 1)
     assert cert is None or (_without_smoothness(cert)
@@ -84,10 +91,15 @@ def test_no_unlucky_prime_changes_a_verdict(p, cfg, unlucky, baselines,
     assert _outcome(geproci.verify_half_grid, cfg, 1, "z1") in (None, half_grid)
     report = _outcome(geproci.verify_not_half_grid, cfg, 1)
     assert report is None or report == refutation or not report.refuted
-    if p == 11:  # rank is lost mod 11 in degree 5: d* = 5, the safe side
-        assert report is not None and not report.refuted
     report = _outcome(geproci.verify_not_half_grid, cfg, 1, z1, "z1")
     assert report is None or not report.refuted
+    assert twenty.refuted and twenty.forced_degrees == ()
+    report = _outcome(geproci.verify_not_half_grid, cfg, 1, UNLUCKY_AT_11,
+                      "twenty")
+    assert report is None or report == twenty or not report.refuted
+    if p == 11:  # d* = 4 forces (5, 4), which mc = 4 does not exclude: the safe side
+        assert report is not None and not report.refuted
+        assert report.forced_degrees == ((4, 5), (5, 4))
 
 
 @pytest.mark.parametrize("p", SPLIT_PRIMES)
