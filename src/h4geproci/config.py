@@ -374,9 +374,10 @@ def grid_point_indices(cfg: H4Configuration, line_indices: Iterable[int]) -> Tup
 
 
 def z_partition(cfg: H4Configuration) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The split: the first half's grid and external line, and the rest."""
+    """The split: the points of the first half's M-lines and external line
+    (not of its cover, which is checked against them), and the rest."""
     half = HALVES[0]
-    z1 = grid_point_indices(cfg, half.l_lines + (half.external_line,))
+    z1 = grid_point_indices(cfg, half.m_lines + (half.external_line,))
     return z1, tuple(sorted(set(cfg.points) - set(z1)))
 
 

@@ -33,16 +33,16 @@ def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
     and 0 past g, scaled by a positive rational to coprime pairs.  The input
     is not modified, and scaling its rows by nonzero scalars changes nothing.
 
-    Split primes q propose the vectors: `_KERNEL_PRIME`, then `_split_primes`.
-    At the root r of x^2 - x - 1 mod q, `_kernel_mod` eliminates every row
-    and gives the pivot columns, the residues a of each entry x + y*phi of
-    b_g, and the rows it kept; at the other root 1 - r it eliminates only
-    those rows, for the residues b.  Then y = (a - b)/(2r - 1) and
-    x = a - y*r.  Primes with one pivot set join by CRT; a lexicographically
-    smaller set (ncols appended) starts afresh, and a larger set, or two
-    roots that disagree, passes the prime over.  The entries are rationally
-    reconstructed (`_rational`) in turn, up to the first that fails, and the
-    basis is returned once every vector kills every row, exactly
+    Split primes q propose the vectors: `_KERNEL_PRIME`, below 2^60, then
+    `_split_primes`.  At the root r of x^2 - x - 1 mod q, `_kernel_mod`
+    eliminates every row and gives the pivot columns, the residues a of each
+    entry x + y*phi of b_g, and the rows it kept; at the other root 1 - r it
+    eliminates only those rows, for the residues b.  Then y = (a - b)/(2r - 1)
+    and x = a - y*r.  Primes with one pivot set join by CRT; a
+    lexicographically smaller set (ncols appended) starts afresh, and a larger
+    set, or two roots that disagree, passes the prime over.  The entries are
+    rationally reconstructed (`_rational`) in turn, up to the first that fails,
+    and the basis is returned once every vector kills every row, exactly
     (`first_missed_row`).
 
     Soundness.  Once they pass the check, the b_g lie in N, and with 1 at g
@@ -146,10 +146,10 @@ def _split_primes() -> Iterator[Tuple[int, int]]:
 # smoothness attempt read them here at call time, so one patch moves all.
 _PRIME, _PHI_ROOT = 2147483659, 1499939161
 
-# The first split prime above 2^192 and its phi root (a test checks both):
-# interpolation's primitive kernels have entries far below 2^96.
-_KERNEL_PRIME = (6277101735386680763835789423207666416102355444464034514319,
-                 652001895853900483615373065785549510930735095230139921053)
+# The last split prime below 2^60 and its phi root (a test checks both): the
+# sextic kernels at all 192 admissible vertices need a modulus of at most
+# 2^35 (a test sweeps them), so it lifts them alone.
+_KERNEL_PRIME = (1152921504606846719, 237181952041926287)
 
 
 def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:

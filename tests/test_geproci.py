@@ -25,7 +25,7 @@ from h4geproci.projective import (DegenerateSpanError, ProjPoint, canonicalize,
                                   image_from)
 from test_forms import (_add, _counting_kernel_mod, _evaluate,
                         _reference_monic, _scale)
-from test_linalg import reference_inverse
+from test_linalg import lift_need, reference_inverse
 from test_projective import CoordinateChange, on_line, plane_image, plane_through
 
 # The paper's two halves: grid 1 with line 24, grid 2 with line 17.
@@ -94,6 +94,28 @@ def test_the_sampler_box_holds_192_vertices(cfg):
     assert len(box) == 192
     drawn = {geproci.sample_generic_vertex(cfg, seed).vertex for seed in range(1, 6)}
     assert len(drawn) == 5 and drawn <= box
+
+
+@pytest.mark.parametrize("kernel_prime", ["stored"], indirect=True)
+def test_every_admissible_sextic_lifts_at_the_kernel_prime_alone(cfg, monkeypatch,
+                                                                 kernel_prime):
+    """The size of `linalg._KERNEL_PRIME`: at each of the 192 vertices the
+    sampler can draw, the sextic through the 60 images is unique, its
+    kernel vector (1 in its free column) needs a modulus of at most 2^35
+    to reconstruct, and the stored prime lifts it with no further prime."""
+    kernels = []
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace",
+                        lambda rows: kernels.append(nullspace(rows)) or kernels[-1])
+    needs = []
+    for vertex in _admissible_vertices(cfg):
+        images = geproci._Images(vertex, cfg.points)
+        assert len(forms.vanishing_space(images.values(), 6, 3)) == 1
+        [v] = kernels.pop()
+        g = max(j for j, w in enumerate(v) if w != (0, 0))
+        needs.append(lift_need([[FieldElement(*w) / FieldElement(*v[g]) for w in v]]))
+    assert len(needs) == 192 and kernel_prime == []
+    assert 2 * max(needs) ** 2 <= 2 ** 35 < linalg._KERNEL_PRIME[0]
 
 
 def test_sampling_draws_the_vertex_that_the_image_rejection_drew(cfg):
@@ -662,12 +684,28 @@ def _sample_at(monkeypatch, vertex):
                         geproci.Projection(vertex, geproci._Images(vertex, cfg.points)))
 
 
+def test_a_sextic_singular_at_a_shared_image_reads_indeterminate(cfg):
+    """From a vertex on the secant of points 1 and 5, which also carries
+    point 12, the three share an image, and the sextic through the 58
+    distinct images is singular there: every partial vanishes.  An isolated
+    singular point makes the chart eliminants share a root at every prime,
+    so the certificate reads "indeterminate", never smooth."""
+    images = geproci._Images(_on_secant(cfg, 1, 5), cfg.points)
+    assert len(set(images.values())) == 58
+    [sextic] = forms.vanishing_space(set(images.values()), 6, 3)
+    assert images[1] == images[5] == images[12]
+    assert all(sextic.partial(k).vanishes_at(images[1]) for k in range(3))
+    with pytest.raises(forms.SmoothnessIndeterminate, match="eliminants share a root"):
+        plane_curve_is_smooth(sextic)
+
+
 @pytest.mark.parametrize("i, j", [(1, 5), (1, 2)])
 def test_a_vertex_on_a_secant_fails_the_bezout_count(cfg, monkeypatch, i, j):
     """Points i and j share no configuration line, so only the vertex
-    P_i + 2*P_j sends them to one image, and 59 distinct images read False
-    against 6*10.  The sextic through them is singular there, so smoothness
-    is patched to pass, which leaves the count the only failing check."""
+    P_i + 2*P_j sends them to one image, and 59 distinct images (58 for
+    points 1 and 5, whose secant also carries point 12) read False against
+    6*10.  The sextic through them is singular there, so smoothness is
+    patched to pass, which leaves the count the only failing check."""
     assert not any({i, j} <= set(pts) for pts in cfg.line_points.values())
     _sample_at(monkeypatch, _on_secant(cfg, i, j))
     monkeypatch.setattr(geproci, "plane_curve_is_smooth",
@@ -697,15 +735,20 @@ def test_a_vertex_on_a_secant_fails_the_half_grid_bezout_count(cfg,
     ((8, 51, 60, 65, 70), 17, {"cover_pairwise_skew", "cover_is_exact"}),
     # z1's external line is skew to z2's lines, but its points are in z1.
     ((7, 51, 60, 65, 70), 24, {"cover_is_exact"}),
+    # z1 with L-line 1 swapped for z2's L-line 7, skew to the rest: z1, read
+    # from its M-lines, does not move with its cover.
+    ((7, 25, 32, 37, 44), 24, {"cover_is_exact"}),
 ])
 def test_a_swapped_cover_line_fails_the_cover_checks(cfg, monkeypatch, l_lines,
                                                      external, failed):
-    """z2 with one cover line swapped: the cover checks read False before
-    any vertex is drawn."""
-    half = HALF2._replace(l_lines=l_lines, external_line=external)
-    monkeypatch.setattr(config, "HALVES", (HALF1, half))
+    """A half, the one sharing the most L-lines, with one cover line
+    swapped: the cover checks read False before any vertex is drawn."""
+    k = max((0, 1), key=lambda k: len(set(HALVES[k].l_lines) & set(l_lines)))
+    halves = list(HALVES)
+    halves[k] = HALVES[k]._replace(l_lines=l_lines, external_line=external)
+    monkeypatch.setattr(config, "HALVES", tuple(halves))
     with pytest.raises(config.VerificationError, match="covering failure") as err:
-        geproci.verify_half_grid(cfg, 1, "z2")
+        geproci.verify_half_grid(cfg, 1, HALVES[k].name)
     for name in ("cover_pairwise_skew", "cover_is_exact"):
         assert f"'{name}': {name not in failed}" in str(err.value)
 

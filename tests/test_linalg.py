@@ -6,6 +6,7 @@ F_p are test-local references."""
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import isqrt
 
 import pytest
 
@@ -255,38 +256,61 @@ def test_kernel_times_the_last_pivot_lies_in_z_phi():
     assert fractional > 10
 
 
+def lift_need(vectors):
+    """The least bound B with |n|, d <= B for every rational part n/d of
+    every entry of the reference vectors: reconstruction from a modulus m
+    gets them all exactly when B <= isqrt(m // 2)."""
+    return max((max(abs(c.numerator), c.denominator)
+                for v in vectors for x in v for c in (x.a, x.b)), default=0)
+
+
 def test_kernel_vectors_are_the_reference_vectors_in_coprime_pairs(kernel_prime):
     """Each vector is the reference one (1 in its free column, 0 in the
     others) times a positive rational, in coprime Z[phi] pairs, whichever
-    primes proposed it."""
+    primes proposed it.  At the stored prime q a further prime is drawn
+    exactly when the reference vectors need a modulus above q; at 11, which
+    divides many minors, also when 11 is unlucky."""
+    q = linalg._KERNEL_PRIME[0]
     rng = random.Random(43)
+    beyond = 0
     for m in list(_kernel_cases(rng)) + [_random_matrix(rng, rng.randint(1, 5),
                                                         rng.randint(1, 6), -99, 99)
                                          for _ in range(40)]:
         rows = [primitive_numerators(row) for row in m]
-        expected = [primitive_numerators(v) for v in reference_nullspace(m)]
-        assert linalg.nullspace(rows) == expected
-        assert linalg.nullspace(_times(rows, (3, -2))) == expected
-    assert bool(kernel_prime) == (linalg._KERNEL_PRIME == (11, 4))
+        reference = reference_nullspace(m)
+        expected = [primitive_numerators(v) for v in reference]
+        needs_more = lift_need(reference) > isqrt(q // 2)
+        beyond += needs_more
+        for scaled in (rows, _times(rows, (3, -2))):
+            kernel_prime.clear()
+            assert linalg.nullspace(scaled) == expected
+            if q == 11:
+                assert bool(kernel_prime) >= needs_more
+            else:
+                assert bool(kernel_prime) == needs_more
+    assert beyond > 5
 
 
-def test_kernel_prime_is_the_first_split_prime_above_2_to_the_192():
+def test_kernel_prime_is_the_last_split_prime_below_2_to_the_60():
     sympy = pytest.importorskip("sympy")
     q, r = linalg._KERNEL_PRIME
+    assert 2 ** 59 < q < 2 ** 60
     assert sympy.isprime(q) and q % 20 in (11, 19)
     assert (r * r - r - 1) % q == 0
-    assert not any(sympy.isprime(p) for p in range(2 ** 192, q) if p % 20 in (11, 19))
+    assert not any(sympy.isprime(p) for p in range(q + 1, 2 ** 60) if p % 20 in (11, 19))
 
 
-def _wrong_first_coefficient(monkeypatch, rounds):
+def _wrong_first_coefficient(monkeypatch, rounds, from_modulus=0):
     """Patch `linalg._rational` to return its first coefficient plus one,
-    for the first `rounds` moduli it is called with; returns those moduli."""
+    for the first `rounds` moduli from `from_modulus` up that it is called
+    with; returns those moduli."""
     rational = linalg._rational
     moduli = []
 
     def wrong(a, m):
         x = rational(a, m)
-        if x is not None and m not in moduli and len(moduli) < rounds:
+        if (x is not None and m >= from_modulus and m not in moduli
+                and len(moduli) < rounds):
             moduli.append(m)
             return x + 1
         return x
@@ -316,16 +340,38 @@ def test_a_wrong_reconstruction_is_never_returned(monkeypatch):
 
 
 def test_a_wrong_reconstruction_is_repaired_by_the_next_prime(monkeypatch):
-    """Rows with large minors: one wrong coefficient costs one more prime,
-    joined by CRT, and the basis is the reference one."""
+    """Rows with large minors, whose kernel the stored prime alone cannot
+    lift: a wrong coefficient at the modulus where the lift first holds
+    costs exactly one more prime, joined by CRT, and the basis is the
+    reference one.  (At a smaller modulus the first coefficient is often
+    reconstructed to a wrong fraction anyway, so a wrong one there costs
+    nothing.)"""
     rng = random.Random(73)
     m = _random_matrix(rng, 6, 8, -10 ** 6, 10 ** 6)
     m.append([x + y for x, y in zip(m[0], m[1])])
     rows = [primitive_numerators(row) for row in m]
-    moduli = _wrong_first_coefficient(monkeypatch, rounds=1)
-    assert linalg.nullspace(rows) == [primitive_numerators(v)
-                                      for v in reference_nullspace(m)]
-    assert moduli == [linalg._KERNEL_PRIME[0]]
+    expected = [primitive_numerators(v) for v in reference_nullspace(m)]
+    drawn = []
+    split_primes = linalg._split_primes
+
+    def counting():
+        for q, r in split_primes():
+            drawn.append(q)
+            yield q, r
+
+    rational, tried = linalg._rational, []
+    monkeypatch.setattr(linalg, "_split_primes", counting)
+    monkeypatch.setattr(linalg, "_rational", lambda a, m: tried.append(m) or rational(a, m))
+    assert linalg.nullspace(rows) == expected
+    lifted_at = tried[-1]
+    assert drawn and lifted_at > linalg._KERNEL_PRIME[0]
+    monkeypatch.setattr(linalg, "_rational", rational)
+    without = len(drawn)
+    drawn.clear()
+    moduli = _wrong_first_coefficient(monkeypatch, rounds=1, from_modulus=lifted_at)
+    assert linalg.nullspace(rows) == expected
+    assert moduli == [lifted_at]
+    assert len(drawn) == without + 1
 
 
 def test_first_missed_row_is_an_exact_product_check():
