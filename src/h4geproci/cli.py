@@ -23,7 +23,8 @@ from . import coverings as coverings_mod
 from . import geproci as geproci_mod
 from . import tables
 from .config import (HALVES, VerificationError, build_h4, format_table,
-                     incidence_table_lines, incidence_table_planes)
+                     grid_point_indices, incidence_table_lines,
+                     incidence_table_planes, special_points_for_grid)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -198,6 +199,12 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
     pairs = {(g.l_lines, g.m_lines) for g in grids or ()}
     check("grids", "both printed (5,5)-grids occur among all grids found",
           all((h.l_lines, h.m_lines) in pairs for h in HALVES))
+    external = {x for h in HALVES for x in cfg.line_points[h.external_line]}
+    check("special-points", "the special points of each printed grid are "
+          "the ten points of the two external lines",
+          all({x for x, _ in special_points_for_grid(
+              cfg, grid_point_indices(cfg, h.l_lines))} == external
+              for h in HALVES))
     for s in seeds:
         check(f"geproci-seed-{s}", "general projection is a (6,10) complete "
               "intersection", geproci_verdict(cfg, [s])[0])

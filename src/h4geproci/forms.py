@@ -3,14 +3,13 @@
 Forms are sparse maps from exponent tuples to FieldElement coefficients, in
 graded lexicographic order (first variable largest).  The module provides
 exact zero tests, products, interpolation through point sets by a nullspace
-proposed modulo split primes and checked exactly, divisibility (by a line,
-by evaluation on it) and gcds as nullspaces of multiplication maps, and a
-smoothness certificate for plane curves from chart-wise resultants, by
-Euclid's algorithm over F_p on formal degrees, modulo a degree-1 prime of
-Z[phi], sound over Q(phi)-bar.  Every exact elimination here is
-`linalg.nullspace`.  Points, evaluation rows, kernel vectors and the
-coefficients' common numerators are Z[phi] integer pairs (x, y) for
-x + y*phi.  Products, partials, gcds and monic forms run on them; no
+proposed modulo split primes and checked exactly, divisibility by a line
+(by evaluation on it), and a smoothness certificate for plane curves from
+chart-wise resultants, by Euclid's algorithm over F_p on formal degrees,
+modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.  Every exact
+elimination here is `linalg.nullspace`.  Points, evaluation rows, kernel
+vectors and the coefficients' common numerators are Z[phi] integer pairs
+(x, y) for x + y*phi.  Products and monic forms run on them; no
 FieldElement operator runs here.
 Every certificate record, here, in `config` and in `geproci`, serializes by
 `_record_json`.
@@ -117,19 +116,6 @@ class HomForm:
             object.__setattr__(self, "_pairs",
                                primitive_numerators(self.coeffs.values()))
         return self._pairs
-
-    def partial(self, var: int) -> "HomForm":
-        """d/dx_var: each common numerator times its exponent, over their denominator."""
-        u, d = common_numerators(self.coeffs.values())
-        terms = {e[:var] + (e[var] - 1,) + e[var + 1:]: (x * e[var], y * e[var])
-                 for e, (x, y) in zip(self.coeffs, u) if e[var]}
-        return HomForm(self.nvars, max(self.degree - 1, 0),
-                       dict(zip(terms, from_numerators(terms.values(), d))))
-
-    def monic(self) -> "HomForm":
-        """Scale so the graded-lex leading coefficient equals 1."""
-        u, _ = common_numerators(self.coeffs.values())
-        return HomForm.monic_from_pairs(self.nvars, self.degree, zip(self.coeffs, u))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -247,92 +233,34 @@ def _residue_row(point: Sequence[Pair], degree: int, nvars: int,
 
 
 # ---------------------------------------------------------------------------
-# Divisibility and gcd, as kernels of multiplication maps
+# Divisibility by a line
 # ---------------------------------------------------------------------------
 
-def _multiples(blocks: Sequence[HomForm], degree: int, nvars: int) -> List[List[Pair]]:
-    """The matrix of (u_1, ..., u_k) -> u_1*f_1 + ... + u_k*f_k, u_i of
-    degree `degree` - deg f_i: a row per monomial of that degree, then per
-    block f_i a column per monomial of u_i, holding f_i's `pairs` shifted."""
-    rows = {e: i for i, e in enumerate(monomials(degree, nvars))}
-    cols = [(s, f) for f in blocks for s in monomials(degree - f.degree, nvars)]
-    matrix = [[(0, 0)] * len(cols) for _ in rows]
-    for j, (shift, f) in enumerate(cols):
-        for e, w in zip(f.coeffs, f.pairs()):
-            matrix[rows[tuple(map(add, shift, e))]][j] = w
-    return matrix
-
-
 def divides(f: HomForm, g: HomForm) -> bool:
-    """Whether f divides g: by evaluation when f is linear in 3 variables,
-    else by the kernel of (q, s) -> q*f' + s*g' on the pairs f', g' of f, g
-    (`_multiples`), q of degree deg g - deg f and s a constant.
+    """Whether f divides g, by evaluation on the line f = 0: f must be
+    linear in 3 variables, and any other divisor raises ValueError.
 
-    Soundness of the evaluation.  With c f's coprime pairs, c_k the first
-    nonzero one and i < j the other indices, u = c_k*e_i - c_i*e_k and
-    w = c_k*e_j - c_j*e_k are independent zeros of f.  So g(u + t*w),
-    t = 0..deg g, are the values of the binary form g(s*u + t*w) of degree
-    deg g at deg g + 1 distinct points, all zero exactly when it is zero,
-    that is when f | g (take f = x_k).
-
-    Soundness of the kernel.  A nonzero kernel vector has s != 0: with
-    s = 0, q*f' = 0 forces q = 0, as Q(phi)[x] has no zero divisors.  So
-    g' = -(q/s)*f', and f | g.  Conversely g = f*q0 puts a nonzero multiple
-    of (q0, -1) in the kernel.  An uncertified kernel raises ArithmeticError.
+    Soundness.  With c f's coprime pairs, c_k the first nonzero one and
+    i < j the other indices, u = c_k*e_i - c_i*e_k and w = c_k*e_j - c_j*e_k
+    are independent zeros of f.  So g(u + t*w), t = 0..deg g, are the values
+    of the binary form g(s*u + t*w) of degree deg g at deg g + 1 distinct
+    points, all zero exactly when it is zero, that is when f | g (take
+    f = x_k).
     """
     if f.nvars != g.nvars:
         raise ValueError("forms have different numbers of variables")
     if f.is_zero():
         raise ZeroDivisionError("division by the zero form")
-    if g.is_zero():
-        return True
-    if f.degree == 1 and f.nvars == 3:
-        by_var = dict(zip(f.coeffs, f.pairs()))
-        c = [by_var.get(e, (0, 0)) for e in monomials(1, 3)]
-        k = next(v for v in range(3) if c[v] != (0, 0))
-        i, j = (v for v in range(3) if v != k)
-        u, w = [(0, 0)] * 3, [(0, 0)] * 3
-        u[i], u[k], w[j], w[k] = c[k], _neg(c[i]), c[k], _neg(c[j])
-        return all(g.vanishes_at([(a + t * x, b + t * y) for (a, b), (x, y) in zip(u, w)])
-                   for t in range(g.degree + 1))
-    return g.degree >= f.degree and bool(
-        linalg.nullspace(_multiples([f, g], g.degree, f.nvars)))
-
-
-def gcd_forms(f: HomForm, g: HomForm) -> HomForm:
-    """A gcd of two homogeneous forms, normalized to leading coefficient 1.
-
-    Write a, b for nonzero f, g, of degrees m, n, with gcd h of degree e.
-    For k = min(m, n) down to 0, this takes the exact nullspace of
-    (u, v) -> u*a + v*b on the forms u, v of degrees n - k and m - k; the
-    first k with a nonzero kernel is e.  Then h is w of the kernel of
-    (w, s) -> v*w + s*a, w of degree e and s a constant.
-
-    Soundness.  a/h and b/h are coprime, so u*a = -v*b forces u*(a/h) =
-    -v*(b/h) and hence (u, v) = t*(b/h, -a/h) with t a form of degree e - k.
-    Such a t exists exactly when k <= e, so no larger k has a kernel, and at
-    k = e the kernel is spanned by one vector with t a nonzero constant:
-    v = c*a/h, c != 0.  Then v*w = -s*a reads c*w = -s*h: the second kernel
-    is one-dimensional, spanned by (-h/c, 1), and w is h up to a constant.
-    The matrices hold the pairs of a' = r*a and b' = r'*b (`_multiples`;
-    r, r' > 0 rational), so the argument runs on them unchanged.
-    """
-    if f.nvars != g.nvars:
-        raise ValueError("forms have different numbers of variables")
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd of two zero forms")
-    if f.is_zero() or g.is_zero():
-        return (g if f.is_zero() else f).monic()
-    nvars, m, n = f.nvars, f.degree, g.degree
-    for k in range(min(m, n), -1, -1):
-        kernel = linalg.nullspace(_multiples([f, g], m + n - k, nvars))
-        if kernel:
-            vcols = monomials(m - k, nvars)  # the last columns
-            v = HomForm(nvars, m - k, dict(zip(vcols, from_numerators(
-                kernel[0][-len(vcols):], 1))))
-            [w] = linalg.nullspace(_multiples([v, f], m, nvars))
-            return HomForm.monic_from_pairs(nvars, k, zip(monomials(k, nvars), w[:-1]))
-    raise AssertionError("unreachable: at k = 0, (b, -a) is in the kernel")
+    if f.degree != 1 or f.nvars != 3:
+        raise ValueError("the divisor must be a linear form in 3 variables")
+    by_var = dict(zip(f.coeffs, f.pairs()))
+    c = [by_var.get(e, (0, 0)) for e in monomials(1, 3)]
+    k = next(v for v in range(3) if c[v] != (0, 0))
+    i, j = (v for v in range(3) if v != k)
+    u, w = [(0, 0)] * 3, [(0, 0)] * 3
+    u[i], u[k], w[j], w[k] = c[k], _neg(c[i]), c[k], _neg(c[j])
+    return all(g.vanishes_at([(a + t * x, b + t * y) for (a, b), (x, y) in zip(u, w)])
+               for t in range(g.degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +334,10 @@ def plane_curve_is_smooth(f: HomForm, seed: int = 0) -> SmoothnessReport:
     Attempt 0 takes the stored first split prime (`linalg._PRIME`).
     "Not clean mod P" proves nothing: a retry searches for the next prime
     and takes a random integer coordinate change invertible mod p.  The only
-    singular verdicts are exact: a form missing a variable, and partials
-    sharing a component (checked over Q(phi) before the first retry).  An
-    exhausted budget raises SmoothnessIndeterminate, never a pass.  A pass
-    records p, r and the coordinate change, so it can be replayed.
+    singular verdict is exact: a form missing a variable.  Any other singular
+    curve, a non-reduced one too, exhausts the budget and raises
+    SmoothnessIndeterminate, never a pass.  A pass records p, r and the
+    coordinate change, so it can be replayed.
     """
     if f.nvars != 3 or f.is_zero() or f.degree < 1:
         raise ValueError("expected a nonzero form of positive degree in 3 variables")
@@ -423,13 +351,6 @@ def plane_curve_is_smooth(f: HomForm, seed: int = 0) -> SmoothnessReport:
     trail: List[str] = []
     for attempt in range(_MAX_RETRIES):
         p, r = next(primes) if attempt else (linalg._PRIME, linalg._PHI_ROOT)
-        if attempt == 1:
-            # A clean first pass never reaches this; before retrying, rule
-            # out the one obstruction no prime or coordinate change can fix.
-            d0, d1, d2 = (f.partial(i) for i in range(3))
-            g = gcd_forms(gcd_forms(d0, d1), d2)
-            if g.degree > 0:
-                return SmoothnessReport(False, f"partials share a component: {g!r}")
         fp = _reduce(f, p, r)
         if not fp:
             trail = [f"reduction vanishes mod {p}"]

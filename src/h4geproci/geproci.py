@@ -197,20 +197,13 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
 def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
                   ) -> Tuple[HomForm, Dict[int, HomForm], HomForm]:
     """The member of the half's quintic pencil, spanned by the products g, h
-    of the pushed L- and M-lines (one `multiply` each), through the
-    lowest special point on the external line of the L-lines' grid (which no
-    verdict reads, so it is not certified); the pushed L-lines; and g."""
-    specials = cfgmod.special_points_for_grid(
-        cfg, cfgmod.grid_point_indices(cfg, half.l_lines))
-    ext = half.external_line
-    on_line = [x for x, _ in specials if x in cfg.line_points[ext]]
-    if len(on_line) != 5:
-        raise VerificationError(
-            f"external line {ext} does not carry 5 special points")
+    of the pushed L- and M-lines (one `multiply` each), through the image of
+    the lowest point on the half's external line; the pushed L-lines; and g."""
     l_forms = {i: proj.push_line(cfg.lines[i]) for i in half.l_lines}
     g = multiply(list(l_forms.values()))
     h = multiply([proj.push_line(cfg.lines[i]) for i in half.m_lines])
-    return build_quintic_cone(g, h, proj.images[min(on_line)]), l_forms, g
+    anchor = proj.images[min(cfg.line_points[half.external_line])]
+    return build_quintic_cone(g, h, anchor), l_forms, g
 
 
 class HalfGridCertificate(NamedTuple):

@@ -297,11 +297,41 @@ def test_report_single_seed(tmp_path):
     _validator("report.schema.json").validate(blob)
     assert blob["passed"] is True
     names = {c["name"] for c in blob["checks"]}
-    assert {"table1", "table2", "table3", "grids", "geproci-seed-3",
-            "halfgrid-z1-seed-3", "halfgrid-z2-seed-3",
+    assert {"table1", "table2", "table3", "grids", "special-points",
+            "geproci-seed-3", "halfgrid-z1-seed-3", "halfgrid-z2-seed-3",
             "not-halfgrid"} <= names
     for check in blob["checks"]:
         assert check["claim"]
+
+
+def test_no_verify_command_reads_the_special_points(monkeypatch, tmp_path):
+    """The special points are the report's own check: with
+    `config.special_points_for_grid` failing the test, every verify command
+    still passes."""
+    def must_not_run(*args, **kwargs):
+        pytest.fail("a verify command read the special points")
+
+    monkeypatch.setattr(config, "special_points_for_grid", must_not_run)
+    for argv in (["verify", "geproci"], ["verify", "halfgrid", "--subset", "z1"],
+                 ["verify", "halfgrid", "--subset", "z2"],
+                 ["verify", "not-halfgrid"]):
+        out = tmp_path / "artifact.json"
+        assert _run(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["passed"] is True
+
+
+def test_five_special_points_fail_the_special_points_check(monkeypatch,
+                                                          tmp_path):
+    """The check can read False: with only the special points on line 24,
+    the five that criterion 8 states, it is the one failing check."""
+    found = cli.special_points_for_grid
+    monkeypatch.setattr(cli, "special_points_for_grid", lambda cfg, grid: [
+        s for s in found(cfg, grid) if s[0] in cfg.line_points[24]])
+    out = tmp_path / "report.json"
+    assert _run(["report", "--out", str(out), "--seeds", "1"]) == 1
+    blob = json.loads(out.read_text())
+    assert [c["name"] for c in blob["checks"] if not c["passed"]] == [
+        "special-points"]
 
 
 def test_report_records_an_indeterminate_grid_certificate(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from h4geproci.field import FieldElement, ONE, PHI
 from h4geproci.forms import HomForm
 from h4geproci.projective import (ProjLine, image_from, lines_meet,
                                   pluecker_pairs)
+from form_references import monic
 from test_projective import on_line
 
 
@@ -199,12 +200,12 @@ def test_line_planes_match_exact_containment(cfg):
 
 def test_grid_quadrics_match_printed_equations(cfg):
     # The equations of criterion 4, scaled so the leading coefficient is 1.
-    q1 = HomForm(4, 2, {
+    q1 = monic(HomForm(4, 2, {
         (1, 1, 0, 0): FieldElement(2), (0, 2, 0, 0): -ONE,
-        (0, 0, 2, 0): PHI - ONE, (0, 0, 0, 2): -PHI}).monic()
-    q2 = HomForm(4, 2, {
+        (0, 0, 2, 0): PHI - ONE, (0, 0, 0, 2): -PHI}))
+    q2 = monic(HomForm(4, 2, {
         (2, 0, 0, 0): ONE, (1, 1, 0, 0): FieldElement(2),
-        (0, 0, 2, 0): PHI, (0, 0, 0, 2): ONE - PHI}).monic()
+        (0, 0, 2, 0): PHI, (0, 0, 0, 2): ONE - PHI}))
     assert tuple(g.quadric for g in cfg.grids) == (q1, q2)
 
 

@@ -1,4 +1,4 @@
-"""Polynomial algebra: interpolation, division, gcd, smoothness certificates."""
+"""Polynomial algebra: interpolation, division by a line, smoothness certificates."""
 
 import itertools
 import json
@@ -12,13 +12,14 @@ from h4geproci import config, forms, linalg
 from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot,
                              common_numerators, norm, primitive_numerators)
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
-                             gcd_forms, monomials, plane_curve_is_smooth,
+                             monomials, plane_curve_is_smooth,
                              vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _evaluation_row,
                              _interpolate_mod, _partial_mod, _reduce,
                              _residue_row, _resultant_mod)
 from h4geproci.geproci import sample_generic_vertex
 from h4geproci.linalg import _PHI_ROOT, _PRIME, _split_primes
+from form_references import reference_quotient
 from json_readers import hom_form
 from test_linalg import (_integer_pairs, _wrong_first_coefficient,
                          determinant_mod, reference_nullspace)
@@ -222,16 +223,6 @@ def test_evaluate_matches_term_by_term_powers():
     assert _evaluate(HomForm(3, 2, {}), pt) == ZERO
     with pytest.raises(ValueError):
         _evaluate(_var(0, 3), pt[:2])
-
-
-def test_partial_derivatives_satisfy_euler_relation():
-    rng = random.Random(53)
-    for _ in range(20):
-        f = _random_form(rng, 3, 4)
-        pt = _integer_pairs([_random_proj_tuple(rng, 3)])[0]
-        euler = sum((_evaluate(f.partial(i), pt) * FieldElement(*pt[i])
-                     for i in range(3)), ZERO)
-        assert euler == _evaluate(f, pt) * FieldElement(4)
 
 
 def _reference_evaluation_row(point, degree, nvars, cols):
@@ -592,25 +583,10 @@ def test_a_wrong_lift_in_interpolation_costs_one_more_prime(seed1_images,
     assert kernel_prime == [_PRIME]
 
 
-def test_seed1_sextic_and_the_gcds_of_its_partials(seed1_images):
-    """The sextic is the reference one, its partials are coprime, and the
-    gcd recovers planted common factors."""
-    pts, reference = seed1_images["all"]
-    [sextic] = vanishing_space(pts, 6, 3)
-    assert [sextic] == reference[6]
-    partials = [sextic.partial(i) for i in range(3)]
-    one = HomForm(3, 0, {(0, 0, 0): ONE})
-    assert gcd_forms(partials[0], partials[1]) == one
-    assert gcd_forms(gcd_forms(partials[0], partials[1]), partials[2]) == one
-    assert gcd_forms(sextic, sextic * partials[0]) == sextic
-    assert gcd_forms(partials[0] * partials[1], partials[1] * partials[2]) \
-        == partials[1].monic()
-
-
 def test_divisibility_roundtrip():
     rng = random.Random(61)
     for _ in range(25):
-        f = _random_form(rng, 3, rng.randint(1, 2))
+        f = _random_form(rng, 3, 1)
         g = _random_form(rng, 3, rng.randint(1, 3))
         if f.is_zero() or g.is_zero():
             continue
@@ -619,7 +595,19 @@ def test_divisibility_roundtrip():
     x, y = _var(0, 3), _var(1, 3)
     assert not divides(x, y)
     assert not divides(_add(x, y), x * x)
-    assert not divides(x * y, x * x * x)
+
+
+def test_a_divisor_that_is_not_a_ternary_line_raises():
+    """`divides` decides only a linear divisor in 3 variables; a form of
+    another degree, or a line in other than 3 variables, raises, also
+    against the zero form."""
+    x, y = _var(0, 3), _var(1, 3)
+    for f, g in ((x * y, x * x * y), (x * x, x * x), (_add(x, y) * x, HomForm(3, 4, {})),
+                 (HomForm(3, 0, {(0, 0, 0): PHI}), x),
+                 (_var(0, 2), _var(0, 2) * _var(1, 2)),
+                 (_var(0, 4), _var(0, 4) * _var(3, 4))):
+        with pytest.raises(ValueError, match="linear form in 3 variables"):
+            divides(f, g)
 
 
 def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
@@ -631,7 +619,7 @@ def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
         pytest.fail("a linear divisor went to a nullspace")
 
     monkeypatch.setattr(linalg, "nullspace", no_kernel)
-    quotient = _reference_try_quotient
+    quotient = reference_quotient
     rng = random.Random(97)
     seen = set()
     for trial in range(90):
@@ -668,138 +656,41 @@ def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
         divides(_var(0, 3), _var(0, 2))
 
 
-def test_gcd_of_products_recovers_common_factor():
-    rng = random.Random(67)
-    for _ in range(15):
-        h = _random_form(rng, 3, 1)
-        f = _random_form(rng, 3, 2)
-        g = _random_form(rng, 3, 2)
-        if h.is_zero() or f.is_zero() or g.is_zero():
-            continue
-        d = gcd_forms(f * h, g * h)
-        assert divides(h, d)
-        assert divides(d, f * h) and divides(d, g * h)
-
-
-def test_gcd_normalization_and_edge_cases():
-    x, y = _var(0, 2), _var(1, 2)
-    g = gcd_forms(x * x * y, x * y * y)
-    assert g == (x * y).monic()
-    assert gcd_forms(HomForm(2, 3, {}), x) == x.monic()
-    with pytest.raises(ValueError):
-        gcd_forms(HomForm(2, 1, {}), HomForm(2, 1, {}))
-
-
 @pytest.mark.parametrize("zero_first", [True, False])
 def test_forms_in_different_numbers_of_variables_raise_even_when_zero(
         zero_first):
-    """`divides` and `gcd_forms` compare the variable counts before any
-    zero-form shortcut: a zero form in 2 variables against a form in 3 is
-    a caller fault, as for two nonzero forms."""
+    """`divides` compares the variable counts before any zero-form
+    shortcut: a zero form in 2 variables against a form in 3 is a caller
+    fault, as for two nonzero forms."""
     zero, x = HomForm(2, 3, {}), _var(0, 3)
     pair = (zero, x) if zero_first else (x, zero)
-    for call in (divides, gcd_forms):
-        with pytest.raises(ValueError, match="different numbers of variables"):
-            call(*pair)
-
-
-def _reference_partial(f: HomForm, var: int) -> HomForm:
-    """d/dx_var term by term in FieldElement arithmetic."""
-    c = {}
-    for e, v in f.coeffs.items():
-        if e[var] == 0:
-            continue
-        e2 = list(e)
-        e2[var] -= 1
-        c[tuple(e2)] = v * e[var]
-    return HomForm(f.nvars, max(f.degree - 1, 0), c)
-
-
-def _reference_try_quotient(f: HomForm, g: HomForm):
-    """Long division in FieldElement arithmetic, by the inverse of f's
-    leading coefficient; f nonzero, in as many variables as g."""
-    if g.is_zero():
-        return HomForm(f.nvars, 0, {})
-    if g.degree < f.degree:
-        return None
-    lead = max(f.coeffs)
-    inv = f.coeffs[lead].inverse()
-    q = {}
-    r = dict(g.coeffs)
-    while r:
-        top = max(r)
-        e = tuple(a - b for a, b in zip(top, lead))
-        if min(e) < 0:
-            return None
-        c = r[top] * inv
-        q[e] = c
-        for ef, cf in f.coeffs.items():
-            t = tuple(a + b for a, b in zip(e, ef))
-            v = r.get(t, ZERO) - c * cf
-            if v.is_zero():
-                r.pop(t, None)
-            else:
-                r[t] = v
-    return HomForm(f.nvars, g.degree - f.degree, q)
-
-
-def _reference_gcd(f: HomForm, g: HomForm) -> HomForm:
-    """The multiplication-map gcd of two nonzero forms, with -g and the
-    quotient taken in FieldElement arithmetic."""
-    nvars, m, n = f.nvars, f.degree, g.degree
-    neg_g = _scale(g, -ONE)
-    for k in range(min(m, n), -1, -1):
-        ucols, vcols = monomials(n - k, nvars), monomials(m - k, nvars)
-        rows = {e: i for i, e in enumerate(monomials(m + n - k, nvars))}
-        matrix = [[(0, 0)] * (len(ucols) + len(vcols)) for _ in rows]
-        shifts = [(u, f) for u in ucols] + [(v, neg_g) for v in vcols]
-        for j, (shift, form) in enumerate(shifts):
-            for e, w in zip(form.coeffs, form.pairs()):
-                matrix[rows[tuple(a + b for a, b in zip(shift, e))]][j] = w
-        kernel = linalg.nullspace(matrix)
-        if kernel:
-            v = HomForm(nvars, m - k, {e: FieldElement(*w) for e, w
-                                       in zip(vcols, kernel[0][len(ucols):])})
-            return _reference_monic(_reference_try_quotient(v, f))
-    raise AssertionError("unreachable: at k = 0, (b, a) is in the kernel")
+    with pytest.raises(ValueError, match="different numbers of variables"):
+        divides(*pair)
 
 
 def test_pair_kernels_match_the_field_references():
-    """`partial`, `divides` and `gcd_forms` on pairs agree with the
-    FieldElement references (long division for `divides`): on random Z[phi]
-    and rational forms in 2 to 4 variables, on divisors whose leading pair
-    has positive and negative norm, on constant divisors, and on divisible
-    and non-divisible pairs."""
+    """`divides` on pairs agrees with the FieldElement long division: on
+    random Z[phi] and rational lines, whose leading pair has positive and
+    negative norm, against divisible and non-divisible forms."""
     rng = random.Random(107)
-    norms, outcomes, gcd_degrees = set(), set(), set()
+    norms, outcomes = set(), set()
     for trial in range(60):
-        nvars, rational = 2 + trial % 3, trial % 2 == 1
-        f = _random_form(rng, nvars, rng.randint(0, 3), rational=rational)
-        h = _random_form(rng, nvars, rng.randint(0, 2), rational=rational)
+        rational = trial % 2 == 1
+        f = _random_form(rng, 3, 1, rational=rational)
+        h = _random_form(rng, 3, rng.randint(0, 3), rational=rational)
         if f.is_zero() or h.is_zero():
             continue
-        for form in (f, h, f * h):
-            for var in range(nvars):
-                got, ref = form.partial(var), _reference_partial(form, var)
-                assert got == ref and got.degree == ref.degree
         lead = dict(zip(f.coeffs, f.pairs()))[max(f.coeffs)]
         norms.add(norm(lead) > 0)
-        noise = _random_form(rng, nvars, f.degree + h.degree, density=0.2)
+        noise = _random_form(rng, 3, f.degree + h.degree, density=0.2)
         for g in (f * h, _add(f * h, noise), h, _scale(f * h, PHI),
-                  HomForm(nvars, 2, {})):
-            got, ref = divides(f, g), _reference_try_quotient(f, g)
+                  HomForm(3, 2, {})):
+            got, ref = divides(f, g), reference_quotient(f, g)
             assert got == (ref is not None)
             if got:
                 assert f * ref == g
             outcomes.add(got)
-        if nvars < 4 and f.degree + h.degree <= 4:
-            k = _random_form(rng, nvars, rng.randint(0, 2), rational=rational)
-            if not k.is_zero():
-                got = gcd_forms(f * h, k * h)
-                assert got == _reference_gcd(f * h, k * h)
-                gcd_degrees.add(got.degree)
     assert norms == {True, False} and outcomes == {True, False}
-    assert {0, 1, 2} <= gcd_degrees
 
 
 def test_smoothness_needs_a_curve():
@@ -812,54 +703,35 @@ def test_smoothness_needs_a_curve():
 
 
 def test_gcd_and_divides_match_sympy_over_q_sqrt5():
+    """`divides` by a line agrees with sympy's division over Q(sqrt 5)."""
     sympy = pytest.importorskip("sympy")
     # Elements are built in the field directly: sympy expressions with
     # sqrt(5) would make each Poly find minimal polynomials, about 20x slower.
     field = sympy.QQ.algebraic_field(sympy.sqrt(5))
     half = field.convert(sympy.QQ(1, 2))
     phi = half + half * field.from_sympy(sympy.sqrt(5))
-    rng = random.Random(89)
-    cases, outcomes = 0, set()
-    for nvars in (2, 3):
-        gens = sympy.symbols(f"x0:{nvars}")
+    gens = sympy.symbols("x0:3")
 
-        def poly(f):
-            return sympy.Poly.from_dict(
-                {e: field.convert(sympy.QQ(c.a.numerator, c.a.denominator))
-                 + field.convert(sympy.QQ(c.b.numerator, c.b.denominator)) * phi
-                 for e, c in f.coeffs.items()}, *gens, domain=field)
+    def poly(f):
+        return sympy.Poly.from_dict(
+            {e: field.convert(sympy.QQ(c.a.numerator, c.a.denominator))
+             + field.convert(sympy.QQ(c.b.numerator, c.b.denominator)) * phi
+             for e, c in f.coeffs.items()}, *gens, domain=field)
 
-        for trial in range(9):
-            rational = trial % 2 == 1
-            h, f, g = (_random_form(rng, nvars, rng.randint(lo, 2), rational=rational)
-                       for lo in (1, 0, 1))
-            if h.is_zero() or f.is_zero() or g.is_zero():
-                continue
-            a, b = f * h, g * h
-            got = gcd_forms(a, b)
-            # Both sides made monic under sympy's order: equal up to a constant.
-            assert poly(got).monic() == sympy.gcd(poly(a), poly(b)).monic()
-            for p, q in ((h, a), (f, a), (a, b), (got, b), (g, a)):
-                _, rem = poly(q).div(poly(p))
-                assert divides(p, q) == rem.is_zero
-                outcomes.add(rem.is_zero)
-            cases += 1
-        if nvars == 3:  # linear divisors, decided by evaluation
-            line_rng, linear_outcomes = random.Random(91), set()
-            for trial in range(8):
-                rational = trial % 2 == 1
-                line, q = (_random_form(line_rng, 3, d, rational=rational)
-                           for d in (1, line_rng.randint(0, 3)))
-                if line.is_zero() or q.is_zero():
-                    continue
-                for g in (line * q, q,
-                          _add(line * q, _random_form(line_rng, 3, q.degree + 1))):
-                    if not g.is_zero():
-                        _, rem = poly(g).div(poly(line))
-                        assert divides(line, g) == rem.is_zero
-                        linear_outcomes.add(rem.is_zero)
-            assert linear_outcomes == {True, False}
-    assert cases >= 12 and outcomes == {True, False}
+    line_rng, linear_outcomes = random.Random(91), set()
+    for trial in range(8):
+        rational = trial % 2 == 1
+        line, q = (_random_form(line_rng, 3, d, rational=rational)
+                   for d in (1, line_rng.randint(0, 3)))
+        if line.is_zero() or q.is_zero():
+            continue
+        for g in (line * q, q,
+                  _add(line * q, _random_form(line_rng, 3, q.degree + 1))):
+            if not g.is_zero():
+                _, rem = poly(g).div(poly(line))
+                assert divides(line, g) == rem.is_zero
+                linear_outcomes.add(rem.is_zero)
+    assert linear_outcomes == {True, False}
 
 
 def test_one_patch_moves_every_rank_test_to_another_prime(cfg, monkeypatch):
@@ -1022,19 +894,19 @@ def test_double_line_is_singular():
 
 
 def test_repeated_component_is_caught_by_the_partials_gcd():
+    """A curve with a repeated component is singular along it, at every
+    prime: the certificate spends its budget and reads "indeterminate",
+    never smooth."""
     x, y, z = (_var(i, 3) for i in range(3))
     line = HomForm.linear([FieldElement(2), PHI, FieldElement(Fraction(-1, 3))])
     other = HomForm.linear([ONE, FieldElement(-3), FieldElement(1, 1)])
     conic = _add(_scale(x * x, PHI), x * y, _scale(y * y, FieldElement(Fraction(-1, 2))),
                  _scale(z * z, FieldElement(3)))
-    for curve, witness in (
-            (line * line * other, "(1)*x + (1/2*phi)*y + (-1/6)*z"),
-            (conic * conic * other, "(1)*x^2 + (-1 + 1*phi)*x*y"
-             " + (1/2 - 1/2*phi)*y^2 + (-3 + 3*phi)*z^2")):
+    for curve in (line * line * other, conic * conic * other):
         assert all(any(col) for col in zip(*curve.coeffs)), "a variable is missing"
-        report = plane_curve_is_smooth(curve)
-        assert report.smooth is False
-        assert report.reason == f"partials share a component: {witness}"
+        with pytest.raises(SmoothnessIndeterminate,
+                           match=f"no certificate after {forms._MAX_RETRIES} primes"):
+            plane_curve_is_smooth(curve)
 
 
 def test_linear_form_is_smooth():

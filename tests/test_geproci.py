@@ -19,10 +19,11 @@ from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids)
 from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot, _neg,
                              from_numerators, primitive_numerators)
-from h4geproci.forms import (HomForm, SmoothnessReport, divides,
-                             plane_curve_is_smooth)
+from h4geproci.forms import (HomForm, SmoothnessIndeterminate,
+                             SmoothnessReport, plane_curve_is_smooth)
 from h4geproci.projective import (DegenerateSpanError, ProjPoint, canonicalize,
                                   image_from)
+from form_references import monic, reference_partial, reference_quotient
 from test_forms import (_add, _counting_kernel_mod, _evaluate,
                         _reference_monic, _scale)
 from test_linalg import lift_need, reference_inverse
@@ -187,7 +188,7 @@ def test_grid1_quadric_matches_printed_equation(cfg, grid1):
         (0, 0, 2, 0): PHI - ONE,
         (0, 0, 0, 2): -PHI,
     })
-    assert grid1.quadric == expected.monic()
+    assert grid1.quadric == monic(expected)
     assert len(grid1.grid_points) == 25
 
 
@@ -199,7 +200,7 @@ def test_grid2_quadric_matches_printed_equation(cfg):
         (0, 0, 2, 0): PHI,
         (0, 0, 0, 2): ONE - PHI,
     })
-    assert grid2.quadric == expected.monic()
+    assert grid2.quadric == monic(expected)
 
 
 def test_configuration_quadrics_agree_with_grid_certificates(cfg, grid1):
@@ -585,11 +586,11 @@ def _push_by_dual_matrix(self, line):
 def test_only_push_line_runs_field_element_arithmetic(cfg, monkeypatch):
     """With every FieldElement operator failing the test and `push_line`
     replaced by L*v on pairs, the configuration, the 72 grids, all four
-    verdicts at three seeds and the partials-gcd retry of the smoothness
-    certificate come out unchanged."""
+    verdicts at three seeds and the retries of the smoothness certificate
+    up to "indeterminate" come out unchanged."""
     line = HomForm.linear([FieldElement(2), PHI, FieldElement(Fraction(-1, 3))])
     other = HomForm.linear([ONE, FieldElement(-3), FieldElement(1, 1)])
-    curve = line * line * other  # attempt 0 fails; attempt 1 finds the gcd
+    curve = line * line * other  # no attempt is clean: every retry runs
 
     def artifacts(c):
         out = [g.to_json() for g in enumerate_grids(c)]
@@ -600,9 +601,9 @@ def test_only_push_line_runs_field_element_arithmetic(cfg, monkeypatch):
                     for h in HALVES]
         return out
 
-    expected, report = artifacts(cfg), plane_curve_is_smooth(curve)
-    assert report.reason == ("partials share a component:"
-                             " (1)*x + (1/2*phi)*y + (-1/6)*z")
+    expected = artifacts(cfg)
+    with pytest.raises(SmoothnessIndeterminate) as before:
+        plane_curve_is_smooth(curve)
 
     def failing(name):
         def operator(*args):
@@ -617,7 +618,9 @@ def test_only_push_line_runs_field_element_arithmetic(cfg, monkeypatch):
     patched_cfg = config.build_h4()
     assert patched_cfg.to_json() == cfg.to_json()
     assert artifacts(patched_cfg) == expected
-    assert plane_curve_is_smooth(curve) == report
+    with pytest.raises(SmoothnessIndeterminate) as after:
+        plane_curve_is_smooth(curve)
+    assert str(after.value) == str(before.value)
 
 
 class _MissesOneImage(HomForm):
@@ -645,21 +648,21 @@ def test_sextic_and_decic_share_no_component(geproci_cert_seed1):
     cert = geproci_cert_seed1
     decic = cert.quintic1 * cert.quintic2
     assert decic.degree == 10
-    assert not divides(cert.sextic, decic)
+    assert reference_quotient(cert.sextic, decic) is None
     assert cert.sextic.degree * decic.degree == 60
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_no_shared_component_is_derived_from_smoothness(cfg, seed, monkeypatch):
     """`verify_geproci` calls no `divides`; the smooth sextic it certifies
-    does not divide q1*q2, as the division kernel confirms."""
+    does not divide q1*q2, as long division confirms."""
     def no_division(f, g):
         pytest.fail("verify_geproci called divides")
 
     monkeypatch.setattr(geproci, "divides", no_division)
     cert = geproci.verify_geproci(cfg, seed)
     assert cert.checks["sextic_smooth"]
-    assert not divides(cert.sextic, cert.quintic1 * cert.quintic2)
+    assert reference_quotient(cert.sextic, cert.quintic1 * cert.quintic2) is None
 
 
 def test_a_singular_sextic_fails_the_smoothness_check(cfg, monkeypatch):
@@ -694,7 +697,7 @@ def test_a_sextic_singular_at_a_shared_image_reads_indeterminate(cfg):
     assert len(set(images.values())) == 58
     [sextic] = forms.vanishing_space(set(images.values()), 6, 3)
     assert images[1] == images[5] == images[12]
-    assert all(sextic.partial(k).vanishes_at(images[1]) for k in range(3))
+    assert all(reference_partial(sextic, k).vanishes_at(images[1]) for k in range(3))
     with pytest.raises(forms.SmoothnessIndeterminate, match="eliminants share a root"):
         plane_curve_is_smooth(sextic)
 

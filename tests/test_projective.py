@@ -14,6 +14,7 @@ from h4geproci.forms import HomForm, monomials, vanishing_space
 from h4geproci.projective import (DegenerateSpanError, ProjLine, ProjPlane,
                                   ProjPoint, _matrix, canonicalize,
                                   lines_meet, transversal_quadric)
+from form_references import monic
 from json_readers import proj_line, proj_point
 from test_linalg import (_permutation_determinant, mat_vec, reference_inverse,
                          reference_rank)
@@ -440,7 +441,7 @@ def test_transversal_quadric_is_the_quadric_of_three_skew_lines():
         nine = [x.pairs for row in on for x in row]
         assert len(set(nine)) == 9
         assert all(q.vanishes_at(x) for x in nine)
-        assert vanishing_space(nine, 2, 4) == [q.monic()]
+        assert vanishing_space(nine, 2, 4) == [monic(q)]
 
 
 def test_three_skew_h4_lines_lie_on_one_quadric(cfg):
@@ -458,4 +459,4 @@ def test_three_skew_h4_lines_lie_on_one_quadric(cfg):
         q = HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, pairs)})
         fifteen = [cfg.points[p].pairs for i in triple for p in cfg.line_points[i]]
         assert len(set(fifteen)) == 15
-        assert vanishing_space(fifteen, 2, 4) == [q.monic()]
+        assert vanishing_space(fifteen, 2, 4) == [monic(q)]
