@@ -185,8 +185,10 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
     cfg = build_h4()
     checks: List[dict] = []
 
-    def check(name: str, claim: str, passed: bool) -> None:
+    def check(name: str, claim: str, passed: bool, error: Optional[str] = None) -> None:
         checks.append({"name": name, "claim": claim, "passed": bool(passed)})
+        if error and not passed:
+            checks[-1]["error"] = error
 
     check("table1", "each of the 60 dual planes contains exactly the "
           "15 listed points ((60_15) incidence)",
@@ -195,28 +197,28 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
           not table_mismatches(incidence_table_lines(cfg), tables.LINE_POINTS))
     check("table3", "exactly 84 partitions of the points into 12 disjoint lines",
           coverings_match(coverings_mod.enumerate_coverings(cfg)))
-    grids, _ = _certify({}, coverings_mod.enumerate_grids, cfg)
+    grids, record = _certify({}, coverings_mod.enumerate_grids, cfg)
     pairs = {(g.l_lines, g.m_lines) for g in grids or ()}
     check("grids", "both printed (5,5)-grids occur among all grids found",
-          all((h.l_lines, h.m_lines) in pairs for h in HALVES))
+          all((h.l_lines, h.m_lines) in pairs for h in HALVES), record.get("error"))
     external = {x for h in HALVES for x in cfg.line_points[h.external_line]}
     check("special-points", "the special points of each printed grid are "
           "the ten points of the two external lines",
           all({x for x, _ in special_points_for_grid(
               cfg, grid_point_indices(cfg, h.l_lines))} == external
               for h in HALVES))
-    for s in seeds:
+    for s, cert in zip(seeds, geproci_verdict(cfg, seeds)[1]["certificates"]):
         check(f"geproci-seed-{s}", "general projection is a (6,10) complete "
-              "intersection", geproci_verdict(cfg, [s])[0])
+              "intersection", cert["passed"], cert.get("error"))
     for subset in (h.name for h in HALVES):
         for s in seeds[:3]:
+            ok, _, note = halfgrid_verdict(cfg, s, subset)
             check(f"halfgrid-{subset}-seed-{s}",
                   f"the 30-point half {subset} projects to a (5,6) complete "
-                  "intersection with 5 skew cover lines",
-                  halfgrid_verdict(cfg, s, subset)[0])
+                  "intersection with 5 skew cover lines", ok, note)
+    ok, _, note = not_halfgrid_verdict(cfg, seeds[0])
     check("not-halfgrid", "no family of skew lines can realize the full "
-          "60-point set as a half-grid (max collinear is 5)",
-          not_halfgrid_verdict(cfg, seeds[0])[0])
+          "60-point set as a half-grid (max collinear is 5)", ok, note)
 
     ok = all(c["passed"] for c in checks)
     payload = {"command": "report", "seeds": list(seeds), "checks": checks,

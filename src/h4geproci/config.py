@@ -11,15 +11,14 @@ certifies, the two of the paper's split once per build.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, repeat
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from . import linalg
-from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, products
+from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, _dot, _neg, products
 from .forms import HomForm, _record_json, monomials
-from .projective import (ProjLine, ProjPoint, ProjPlane, lines_meet,
-                         transversal_quadric)
+from .projective import ProjLine, ProjPoint, ProjPlane, lines_meet
 # Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
 # function where another module imports it, and names this binding.
 from .projective import canonicalize  # noqa: F401
@@ -78,8 +77,9 @@ class H4Configuration(NamedTuple):
     cover each of the C(60, 2) = 1770 pairs exactly once.  Collinearity
     questions about configuration points are lookups in this table.
 
-    ``meets`` maps each five-point line to the other lines it meets, and
-    ``grids`` holds the certificates of the grids of `HALVES` from
+    ``meets`` maps each five-point line to the other lines it meets,
+    ``quadric_rows`` each point to its x_i*x_j, i <= j (`_QUADRIC_MONOMIALS`),
+    and ``grids`` holds the certificates of the grids of `HALVES` from
     `verify_grid`, which certifies every grid.  Like ``secants``, they are
     derived data and stay out of ``to_json()``.
     """
@@ -95,6 +95,7 @@ class H4Configuration(NamedTuple):
     plane_lines: Dict[int, Tuple[int, ...]]
     secants: Tuple[Tuple[int, ...], ...]
     meets: Dict[int, FrozenSet[int]]
+    quadric_rows: Dict[int, List[Pair]]
     grids: Tuple[GridCertificate, GridCertificate]
 
     def max_collinear(self, subset: Optional[Iterable[int]] = None) -> int:
@@ -239,7 +240,9 @@ def build_h4() -> H4Configuration:
 
     cfg = H4Configuration(points, planes, lines, line_points, plane_points,
                           point_planes, point_lines, line_planes, plane_lines,
-                          secants, {i: frozenset(s) for i, s in meets.items()}, ())
+                          secants, {i: frozenset(s) for i, s in meets.items()},
+                          {i: products(combinations_with_replacement(p.pairs, 2))
+                           for i, p in points.items()}, ())
     return cfg._replace(grids=tuple(verify_grid(cfg, h.l_lines, h.m_lines)
                                     for h in HALVES))
 
@@ -266,8 +269,8 @@ class GridCertificate(NamedTuple):
 def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
                 m_lines: Sequence[int]) -> GridCertificate:
     """Check the grid conditions on the exact tables, then certify its
-    quadric Q, the monic `transversal_quadric` of l_1, l_2, l_3, on the 9
-    points l_i . m_j, i, j <= 3, at no prime.
+    quadric Q, the monic `_pencil_quadric`, on the 9 points l_i . m_j,
+    i, j <= 3, by their rows in ``quadric_rows``, at no prime.
 
     An unknown line index raises ValueError before any work, and any other
     failed condition NotAGridError.  Its family-skew (``meets``) and 25
@@ -279,9 +282,9 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
     so B is antisymmetric: c*(x0*x3 - x1*x2).  So a nonzero Q that kills the
     9 rows (exact Z[phi] products) spans those quadrics, whatever formula
     found it.  It meets each m_j in three distinct points on l_1, l_2, l_3,
-    so contains it: Q is the grid's one quadric.  A zero Q or a missed row
-    is a bug, not "not a grid": it raises VerificationError, never
-    NotAGridError."""
+    so contains it: Q is the grid's one quadric.  A zero Q, a missed row or
+    a meeting pair in no common plane is a bug, not "not a grid": it raises
+    VerificationError, never NotAGridError."""
     l_lines, m_lines = tuple(l_lines), tuple(m_lines)
     unknown = sorted(set(l_lines + m_lines) - set(cfg.lines))
     if unknown:
@@ -307,26 +310,46 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
             cells += shared
     if len(set(cells)) != 25:
         raise NotAGridError(f"{len(set(cells))} intersection points, not 25")
-    coeffs = transversal_quadric(*(cfg.lines[i] for i in l_lines[:3]))
+    coeffs = _pencil_quadric(cfg, l_lines, m_lines, cells[5 * 2 + 2])
     if all(w == (0, 0) for w in coeffs):
-        raise VerificationError(
-            "grid quadric indeterminate: the transversal quadric is zero")
-    rows = [_quadric_row(cfg.points[cells[5 * i + j]].pairs)
-            for i in range(3) for j in range(3)]
+        raise VerificationError("grid quadric indeterminate: the pencil quadric is zero")
+    rows = [cfg.quadric_rows[cells[5 * i + j]] for i in range(3) for j in range(3)]
     if linalg.first_missed_row(rows, [coeffs]) is not None:
         raise VerificationError("grid quadric indeterminate: "
-                                "the transversal quadric misses the subgrid")
+                                "the pencil quadric misses the subgrid")
     quadric = HomForm.monic_from_pairs(4, 2, zip(_QUADRIC_MONOMIALS, coeffs))
     return GridCertificate(l_lines, m_lines, tuple(sorted(cells)), quadric)
 
 
-_QUADRIC_MONOMIALS = tuple(monomials(2, 4))  # the order of `_quadric_row`
+def _pencil_quadric(cfg: H4Configuration, l_lines: Sequence[int],
+                    m_lines: Sequence[int], x0: int) -> List[Pair]:
+    """The pairs, in the order of `_QUADRIC_MONOMIALS`, of the member Q =
+    (C*D)(x0)*A*B - (A*B)(x0)*C*D through x0 = l_3 . m_3 of the pencil of
+    the skew quadrilateral l_1 m_1 l_2 m_2: A, B, C, D are the one plane of
+    `line_planes` through l_1 and m_1, l_2 and m_2, l_1 and m_2, l_2 and m_1,
+    so A*B and C*D vanish on l_1, l_2, m_1, m_2.  Each holds m_1 or m_2,
+    which l_3 meets away from x0, so one holding x0 would hold l_3, meeting
+    its l_1 or l_2.  So both scalars are nonzero, and Q = 0 would put two
+    skew lines of one family in one plane ({A, B} = {C, D}): Q != 0.  Two
+    of the lines in no one common plane raise VerificationError."""
+    (l1, l2), (m1, m2) = l_lines[:2], m_lines[:2]
+    planes = []
+    for i, j in ((l1, m1), (l2, m2), (l1, m2), (l2, m1)):
+        common = set(cfg.line_planes[i]).intersection(cfg.line_planes[j])
+        if len(common) != 1:
+            raise VerificationError(f"grid quadric indeterminate: lines {i} "
+                                    f"and {j} share {len(common)} planes, not 1")
+        planes.append(cfg.planes[common.pop()].pairs)
+    a, b, c, d = planes
+    x = cfg.points[x0].pairs
+    ab, cd = products([(_dot(a, x), _dot(b, x)), (_dot(c, x), _dot(d, x))])
+    a, c = products(zip(repeat(cd), a)), products(zip(repeat(_neg(ab)), c))
+    return [_dot((a[i], a[j], c[i], c[j]), (b[j], b[i], d[j], d[i])) if i < j
+            else _dot((a[i], c[i]), (b[i], d[i]))
+            for i, j in combinations_with_replacement(range(4), 2)]
 
 
-def _quadric_row(point: Sequence[Pair]) -> List[Pair]:
-    """The quadratic monomials at a point of Z[phi] pairs, in the order of
-    `monomials(2, 4)`: the pair products x_i * x_j, i <= j."""
-    return products(combinations_with_replacement(point, 2))
+_QUADRIC_MONOMIALS = tuple(monomials(2, 4))  # the order of ``quadric_rows``
 
 
 def incidence_table_planes(cfg: H4Configuration) -> Dict[int, Tuple[int, ...]]:

@@ -2,9 +2,9 @@
 
 Exact rows hold integer pairs (x, y) that stand for x + y*phi in Z[phi];
 their arithmetic and their residues mod p are `field`'s.  `nullspace` takes
-pair rows, as interpolation and the gcd produce them: split primes propose
-the kernel, each in one elimination per root of x^2 - x - 1 (the first
-reads every row, the second only the rows the first kept), CRT and rational
+pair rows, as interpolation produces them: split primes propose the
+kernel, each in one elimination per root of x^2 - x - 1 (the first reads
+every row, the second only the rows the first kept), CRT and rational
 reconstruction lift it, and an exact check (`field._dot` against every row)
 certifies it.  `determinant` is Laplace expansion on FieldElements, for the
 3x3 minors of pushed lines, so nothing here eliminates exactly.

@@ -7,10 +7,9 @@ meaning x + y*phi, in ``pairs``, next to the same values as FieldElements in
 ``coords`` (``pluecker`` for a line).  Equality and hashing compare the
 pairs, and every incidence predicate is an exact integer computation on
 them by `field`'s Z[phi] kernels.  The line through p and q has Pluecker
-pairs L_ij = p_i*q_j - p_j*q_i (`_minors`), dual pairs (L_23, -L_13, L_12,
-L_03, -L_02, L_01) (`_dual`, the one sign table; a line stores them as
-``dual``), and their antisymmetric matrices L and L* (`_matrix`): L*x is
-the plane through the line and x, L.pi its meet with pi.
+pairs L_ij = p_i*q_j - p_j*q_i (`_minors`) and dual pairs (L_23, -L_13,
+L_12, L_03, -L_02, L_01) (`_dual`, the one sign table; a line stores them
+as ``dual``).
 
 * a point lies in a plane when the dot product of their pairs is zero;
 * two lines meet when one's pairs dotted with the other's dual give zero.
@@ -173,36 +172,12 @@ def _dual(ls: Sequence[Pair]) -> Tuple[Pair, ...]:
     return (ls[5], _neg(ls[4]), ls[3], ls[2], _neg(ls[1]), ls[0])
 
 
-def _matrix(ls: Sequence[Pair]) -> List[List[Pair]]:
-    """The antisymmetric 4x4 matrix with entry l_ij at (i, j), i < j."""
-    l01, l02, l03, l12, l13, l23 = ls
-    n01, n02, n03, n12, n13, n23 = map(_neg, ls)
-    return [[(0, 0), l01, l02, l03], [n01, (0, 0), l12, l13],
-            [n02, n12, (0, 0), l23], [n03, n13, n23, (0, 0)]]
-
-
 def lines_meet(l1: ProjLine, l2: ProjLine) -> bool:
     """True iff the lines intersect: the Pluecker pairing with the dual,
     a01*b23 - a02*b13 + a03*b12 + a12*b03 - a13*b02 + a23*b01, is zero."""
     if l1 == l2:
         raise ValueError("lines_meet expects two distinct lines")
     return _dot(l1.pairs, l2.dual) == (0, 0)
-
-
-def transversal_quadric(l1: ProjLine, l2: ProjLine, l3: ProjLine) -> Tuple[Pair, ...]:
-    """The pairs of x -> x^T M x, M = L1* L2 L3*, on the x_i*x_j, i <= j in
-    lexicographic (graded-lex) order: M_ij + M_ji, or M_ii when i = j.
-
-    For skew lines this is the quadric of their common transversals: L3*x
-    is the plane of l3 and x, L2 sends it to the point y where l2 meets it,
-    and x lies in the plane L1*y of l1 and y when the line xy, which meets
-    l2 and l3, meets l1.  `config.verify_grid` certifies what it returns.
-    """
-    m = _matrix(l1.dual)
-    for factor in (_matrix(l2.pairs), _matrix(l3.dual)):
-        m = [[_dot(row, col) for col in zip(*factor)] for row in m]
-    return tuple(m[i][i] if i == j else (m[i][j][0] + m[j][i][0], m[i][j][1] + m[j][i][1])
-                 for i in range(4) for j in range(i, 4))
 
 
 def _pivot(vertex: ProjPoint) -> int:

@@ -197,6 +197,23 @@ def test_an_exhausted_vertex_budget_fails_each_verify(argv, schema, monkeypatch,
     assert blob["error"] == "no generic vertex in 0 draws"
 
 
+def test_report_records_why_each_verdict_failed(monkeypatch, tmp_path):
+    """Each failed verdict check carries its pipeline's reason, and the
+    schema accepts a reason only on a failed check."""
+    monkeypatch.setattr(geproci, "VERTEX_DRAWS", 0)
+    out = tmp_path / "report.json"
+    assert _run(["report", "--out", str(out), "--seeds", "1"]) == 1
+    blob = json.loads(out.read_text())
+    validator = _validator("report.schema.json")
+    validator.validate(blob)
+    assert {c["name"]: c["error"] for c in blob["checks"] if not c["passed"]} == \
+        dict.fromkeys(["geproci-seed-1", "halfgrid-z1-seed-1",
+                       "halfgrid-z2-seed-1", "not-halfgrid"],
+                      "no generic vertex in 0 draws")
+    assert not validator.is_valid({**blob, "checks": [
+        {**c, "passed": True} for c in blob["checks"]]})
+
+
 def test_a_refutation_that_does_not_refute_fails(cfg, monkeypatch, tmp_path):
     report = geproci.verify_not_half_grid(cfg, 1)._replace(refuted=False)
     monkeypatch.setattr(geproci, "verify_not_half_grid", lambda cfg, seed: report)
@@ -252,8 +269,8 @@ def test_an_indeterminate_step_reads_not_certified(module, name, exc,
     assert _run(["report", "--out", str(out), "--seeds", "1"]) == 1
     blob = json.loads(out.read_text())
     _validator("report.schema.json").validate(blob)
-    assert [c["name"] for c in blob["checks"] if not c["passed"]] == [
-        "geproci-seed-1"]
+    [failed] = [c for c in blob["checks"] if not c["passed"]]
+    assert failed["name"] == "geproci-seed-1" and str(exc) in failed["error"]
 
 
 def test_verify_geproci_zero_trials_is_a_usage_error(tmp_path):
@@ -296,6 +313,7 @@ def test_report_single_seed(tmp_path):
     blob = json.loads(out.read_text())
     _validator("report.schema.json").validate(blob)
     assert blob["passed"] is True
+    assert all(c.keys() == {"name", "claim", "passed"} for c in blob["checks"])
     names = {c["name"] for c in blob["checks"]}
     assert {"table1", "table2", "table3", "grids", "special-points",
             "geproci-seed-3", "halfgrid-z1-seed-3", "halfgrid-z2-seed-3",
@@ -335,9 +353,10 @@ def test_five_special_points_fail_the_special_points_check(monkeypatch,
 
 
 def test_report_records_an_indeterminate_grid_certificate(tmp_path, monkeypatch):
+    message = "grid quadric indeterminate: the pencil quadric misses the subgrid"
+
     def indeterminate(cfg, l_lines, m_lines):
-        raise config.VerificationError(
-            "grid quadric indeterminate: the transversal quadric misses the subgrid")
+        raise config.VerificationError(message)
 
     monkeypatch.setattr(cli.coverings_mod, "verify_grid", indeterminate)
     out = tmp_path / "report.json"
@@ -345,7 +364,8 @@ def test_report_records_an_indeterminate_grid_certificate(tmp_path, monkeypatch)
     blob = json.loads(out.read_text())
     _validator("report.schema.json").validate(blob)
     assert blob["passed"] is False
-    assert [c["name"] for c in blob["checks"] if not c["passed"]] == ["grids"]
+    assert [(c["name"], c["error"]) for c in blob["checks"]
+            if not c["passed"]] == [("grids", message)]
 
 
 def test_usage_errors_exit_2():

@@ -210,11 +210,14 @@ def test_grid_quadrics_match_printed_equations(cfg):
 
 
 def test_quadric_rows_are_the_degree_2_evaluation_rows(cfg):
-    """verify_grid's direct pair products are the power-table rows."""
+    """The rows verify_grid looks up, one per point, are the power-table
+    rows on `_QUADRIC_MONOMIALS`, and stay out of the JSON."""
     cols = forms.monomials(2, 4)
-    for point in cfg.points.values():
-        assert config._quadric_row(point.pairs) == \
-            forms._evaluation_row(point.pairs, 2, 4, cols)
+    assert list(config._QUADRIC_MONOMIALS) == cols
+    assert cfg.quadric_rows.keys() == cfg.points.keys()
+    for i, point in cfg.points.items():
+        assert cfg.quadric_rows[i] == forms._evaluation_row(point.pairs, 2, 4, cols)
+    assert "quadric_rows" not in cfg.to_json()
 
 
 def test_build_h4_interpolates_no_grid_quadric(cfg, monkeypatch):

@@ -702,7 +702,7 @@ def test_smoothness_needs_a_curve():
             plane_curve_is_smooth(f)
 
 
-def test_gcd_and_divides_match_sympy_over_q_sqrt5():
+def test_divides_matches_sympy_over_q_sqrt5():
     """`divides` by a line agrees with sympy's division over Q(sqrt 5)."""
     sympy = pytest.importorskip("sympy")
     # Elements are built in the field directly: sympy expressions with

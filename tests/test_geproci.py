@@ -27,7 +27,8 @@ from form_references import monic, reference_partial, reference_quotient
 from test_forms import (_add, _counting_kernel_mod, _evaluate,
                         _reference_monic, _scale)
 from test_linalg import lift_need, reference_inverse
-from test_projective import CoordinateChange, on_line, plane_image, plane_through
+from test_projective import (CoordinateChange, on_line, plane_image,
+                             plane_through, pluecker_matrix)
 
 # The paper's two halves: grid 1 with line 24, grid 2 with line 17.
 HALF1, HALF2 = HALVES
@@ -267,8 +268,8 @@ def no_quadric(monkeypatch):
     def work(*args):
         pytest.fail("verify_grid built a quadric")
 
-    monkeypatch.setattr(config, "transversal_quadric", work)
-    monkeypatch.setattr(config, "_quadric_row", work)
+    monkeypatch.setattr(config, "_pencil_quadric", work)
+    monkeypatch.setattr(linalg, "first_missed_row", work)
 
 
 def test_a_triple_with_a_meeting_pair_is_not_a_grid(cfg, no_quadric):
@@ -297,21 +298,52 @@ def test_a_subgrid_with_a_missing_intersection_is_not_a_grid(
 
 
 def test_a_quadric_missing_a_subgrid_point_is_indeterminate(cfg, monkeypatch):
-    transversal = config.transversal_quadric
+    pencil = config._pencil_quadric
 
-    def plus_w_squared(*lines):
-        pairs = list(transversal(*lines))
+    def plus_w_squared(*args):
+        pairs = list(pencil(*args))
         pairs[-1] = (pairs[-1][0] + 1, pairs[-1][1])
-        return tuple(pairs)
+        return pairs
 
-    monkeypatch.setattr(config, "transversal_quadric", plus_w_squared)
+    monkeypatch.setattr(config, "_pencil_quadric", plus_w_squared)
     _assert_indeterminate(cfg, "misses the subgrid")
 
 
 def test_a_zero_quadric_is_indeterminate(cfg, monkeypatch):
-    monkeypatch.setattr(config, "transversal_quadric",
-                        lambda *lines: ((0, 0),) * 10)
+    monkeypatch.setattr(config, "_pencil_quadric",
+                        lambda *args: [(0, 0)] * 10)
     _assert_indeterminate(cfg, "is zero")
+
+
+def test_a_meeting_pair_in_no_common_plane_is_indeterminate(cfg):
+    """The pencil reads the plane of each meeting pair from ``line_planes``;
+    a table that leaves l_1 and m_1 in no common plane is a bug, not "not a
+    grid", in verify_grid and in the grid search."""
+    common = set(cfg.line_planes[L1[0]]) & set(cfg.line_planes[M1[0]])
+    assert len(common) == 1
+    line_planes = {**cfg.line_planes, M1[0]: tuple(
+        v for v in cfg.line_planes[M1[0]] if v not in common)}
+    _assert_indeterminate(cfg._replace(line_planes=line_planes),
+                          "share 0 planes, not 1")
+
+
+def test_every_grid_pencil_quadric_is_the_quadric_of_three_lines(cfg):
+    """For each of the 72 grids, in both orders of its families, the pencil
+    member of the quadrilateral l_1 m_1 l_2 m_2 through l_3 . m_3 spans the
+    quadrics through the 15 points of l_1, l_2 and l_3: the oracle of
+    `test_three_skew_h4_lines_lie_on_one_quadric`, apart from the pencil."""
+    cols = forms.monomials(2, 4)
+    grids = enumerate_grids(cfg)
+    assert len(grids) == 72
+    for g in grids:
+        for l_lines, m_lines in ((g.l_lines, g.m_lines), (g.m_lines, g.l_lines)):
+            x0 = _subgrid(cfg, l_lines, m_lines)[8]
+            pairs = config._pencil_quadric(cfg, l_lines, m_lines, x0)
+            q = HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, pairs)})
+            fifteen = [cfg.points[p].pairs
+                       for i in l_lines[:3] for p in cfg.line_points[i]]
+            assert len(set(fifteen)) == 15
+            assert forms.vanishing_space(fifteen, 2, 4) == [monic(q)] == [g.quadric]
 
 
 def test_non_grid_inputs_are_rejected(cfg):
@@ -578,7 +610,7 @@ def _push_by_dual_matrix(self, line):
     Pluecker matrix dotted with the vertex's pairs, the pivot's dropped,
     canonical."""
     k = projective._pivot(self.vertex)
-    plane = [_dot(row, self.vertex.pairs) for row in projective._matrix(line.dual)]
+    plane = [_dot(row, self.vertex.pairs) for row in pluecker_matrix(line.dual)]
     pairs = projective._canonical_pairs(plane[:k] + plane[k + 1:])
     return HomForm.linear(from_numerators(pairs, 1))
 
@@ -1201,8 +1233,7 @@ def _pluecker_row_image(vertex, x):
     """The image as `image_from` once computed it: row k of the Pluecker
     matrix of the canonical pairs of the line vx, canonicalized again."""
     k = next(i for i, w in enumerate(vertex.pairs) if w != (0, 0))
-    row = projective._matrix(projective.pluecker_pairs(vertex.pairs,
-                                                       x.pairs))[k]
+    row = pluecker_matrix(projective.pluecker_pairs(vertex.pairs, x.pairs))[k]
     return projective._canonical_pairs(row[:k] + row[k + 1:])
 
 

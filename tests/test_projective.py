@@ -8,12 +8,11 @@ from math import gcd
 import pytest
 
 from h4geproci import linalg
-from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot,
+from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot, _neg,
                              primitive_numerators)
 from h4geproci.forms import HomForm, monomials, vanishing_space
 from h4geproci.projective import (DegenerateSpanError, ProjLine, ProjPlane,
-                                  ProjPoint, _matrix, canonicalize,
-                                  lines_meet, transversal_quadric)
+                                  ProjPoint, canonicalize, lines_meet)
 from form_references import monic
 from json_readers import proj_line, proj_point
 from test_linalg import (_permutation_determinant, mat_vec, reference_inverse,
@@ -61,12 +60,37 @@ def plane_image(vertex, plane):
     return canonicalize([c for i, c in enumerate(plane.coords) if i != k])
 
 
+def pluecker_matrix(ls):
+    """The antisymmetric 4x4 matrix with entry l_ij at (i, j), i < j, of six
+    Pluecker (or dual) pairs: for a line's dual pairs, L*x is the plane
+    through the line and x, and for its pairs, L.pi is its meet with pi."""
+    l01, l02, l03, l12, l13, l23 = ls
+    n01, n02, n03, n12, n13, n23 = map(_neg, ls)
+    return [[(0, 0), l01, l02, l03], [n01, (0, 0), l12, l13],
+            [n02, n12, (0, 0), l23], [n03, n13, n23, (0, 0)]]
+
+
 def on_line(line, x):
     """x lies on the line: L*x = 0, with L* the Pluecker matrix of the dual
     pairs.  Up to sign, the entries of L*x are the four 3x3 minors
     x_i*L_jk - x_j*L_ik + x_k*L_ij (i < j < k) of the rows x, p, q; as p != q
     their rank is 2 or 3, and it is 2 exactly when all four vanish."""
-    return all(_dot(row, x.pairs) == (0, 0) for row in _matrix(line.dual))
+    return all(_dot(row, x.pairs) == (0, 0) for row in pluecker_matrix(line.dual))
+
+
+def transversal_quadric(l1, l2, l3):
+    """The pairs of x -> x^T M x, M = L1* L2 L3*, on the x_i*x_j, i <= j in
+    graded-lex order: M_ij + M_ji, or M_ii when i = j.
+
+    For skew lines this is the quadric of their common transversals: L3*x
+    is the plane of l3 and x, L2 sends it to the point y where l2 meets it,
+    and x lies in the plane L1*y of l1 and y when the line xy, which meets
+    l2 and l3, meets l1."""
+    m = pluecker_matrix(l1.dual)
+    for factor in (pluecker_matrix(l2.pairs), pluecker_matrix(l3.dual)):
+        m = [[_dot(row, col) for col in zip(*factor)] for row in m]
+    return tuple(m[i][i] if i == j else (m[i][j][0] + m[j][i][0], m[i][j][1] + m[j][i][1])
+                 for i in range(4) for j in range(i, 4))
 
 
 def _reference_on_line(line, x):
@@ -429,8 +453,8 @@ def _skew_triple(rng):
 
 
 def test_transversal_quadric_is_the_quadric_of_three_skew_lines():
-    """Beyond H4: Q is nonzero, vanishes at three points of each line, and is
-    the one quadric through those nine points."""
+    """Beyond H4, for the reference formula: Q is nonzero, vanishes at three
+    points of each line, and is the one quadric through those nine points."""
     rng = random.Random(16)
     cols = monomials(2, 4)
     for _ in range(40):
@@ -448,7 +472,8 @@ def test_three_skew_h4_lines_lie_on_one_quadric(cfg):
     """Known answer for the theorem of `config.verify_grid`, apart from the
     grid code: for the first 30 pairwise skew triples of the 72 lines, in
     lexicographic order, the quadrics through the 15 points on the three
-    lines are exactly the multiples of their transversal quadric."""
+    lines are exactly the multiples of their transversal quadric (the
+    reference formula above)."""
     cols = monomials(2, 4)
     skew = (t for t in combinations(sorted(cfg.lines), 3)
             if not any(b in cfg.meets[a] for a, b in combinations(t, 2)))
