@@ -12,8 +12,7 @@ certifies, the two of the paper's split once per build.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, repeat
-from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, _dot, _neg, products
@@ -77,8 +76,10 @@ class H4Configuration(NamedTuple):
     cover each of the C(60, 2) = 1770 pairs exactly once.  Collinearity
     questions about configuration points are lookups in this table.
 
-    ``meets`` maps each five-point line to the other lines it meets,
-    ``quadric_rows`` each point to its x_i*x_j, i <= j (`_QUADRIC_MONOMIALS`),
+    ``meets`` maps each five-point line to {each line it meets: the
+    configuration point they share}; `build_h4` proves every other pair
+    skew.  ``quadric_rows`` maps each point to its x_i*x_j, i <= j
+    (`_QUADRIC_MONOMIALS`),
     and ``grids`` holds the certificates of the grids of `HALVES` from
     `verify_grid`, which certifies every grid.  Like ``secants``, they are
     derived data and stay out of ``to_json()``.
@@ -94,7 +95,7 @@ class H4Configuration(NamedTuple):
     line_planes: Dict[int, Tuple[int, ...]]
     plane_lines: Dict[int, Tuple[int, ...]]
     secants: Tuple[Tuple[int, ...], ...]
-    meets: Dict[int, FrozenSet[int]]
+    meets: Dict[int, Dict[int, int]]
     quadric_rows: Dict[int, List[Pair]]
     grids: Tuple[GridCertificate, GridCertificate]
 
@@ -169,9 +170,20 @@ def build_h4() -> H4Configuration:
     Two points lie on 2, 3 or 5 of the planes (checked: at least two), and
     two planes meet in one line, so the points of the line p_i p_j are those
     on the two lowest planes through both.  A line lies in the planes
-    through two of its points.  Lines through a common point meet, and any
-    other two exactly when their Pluecker pairing is 0 (`lines_meet`).  A
-    failed structural count raises AssertionError (`_expect`, kept under -O).
+    through two of its points.  A failed structural count raises
+    AssertionError (`_expect`, kept under -O).
+
+    Two lines through a common point meet there, and ``meets`` records it
+    from ``point_lines``.  Every other pair i, j is proved skew.  Say a
+    point k of j lies on a plane V through i, and no plane of
+    ``line_planes`` holds both lines.  k is off i, since ``line_points``
+    lists every configuration point of i.  If i and j met, their plane
+    would hold i and k, so it would be V, the one plane through i and k,
+    and V would hold j: a plane of ``line_planes`` holding both.  Each pair
+    this bit test leaves takes one exact Pluecker pairing (`lines_meet`); on
+    H4 these are the 36 pairs in which the points of each line are the
+    duals of the other's planes.  A pair whose pairing is 0 meets outside
+    the configuration and raises AssertionError, inline so -O keeps it.
     """
     points = {i + 1: p for i, p in enumerate(_parse_points())}
     _expect(len(set(points.values())) == 60, "points are not pairwise distinct")
@@ -230,17 +242,28 @@ def build_h4() -> H4Configuration:
     for v, row in plane_lines.items():
         _expect(len(row) == 6, f"plane {v} contains {len(row)} lines, not 6")
 
-    # The meet relation: shared points, then the exact pairing (above).
-    meets = {i: {j for k in line_points[i] for j in point_lines[k]} - {i}
-             for i in lines}
+    # The meet table from the shared points; every other pair is skew by
+    # the plane table or, failing that, by the exact pairing (above).
+    meets: Dict[int, Dict[int, int]] = {i: {} for i in lines}
+    for k, row in point_lines.items():
+        for i, j in combinations(row, 2):
+            meets[i][j] = meets[j][i] = k
+    on_points = {i: sum(1 << k for k in s) for i, s in line_points.items()}
+    in_planes = {i: sum(1 << v for v in s) for i, s in line_planes.items()}
+    reach = dict.fromkeys(lines, 0)  # the points on the planes through line i
+    for i, row in line_planes.items():
+        for v in row:
+            reach[i] |= masks[v]
     for i, j in combinations(lines, 2):
-        if j not in meets[i] and lines_meet(lines[i], lines[j]):
-            meets[i].add(j)
-            meets[j].add(i)
+        if j in meets[i] or (on_points[j] & reach[i]
+                             and not in_planes[i] & in_planes[j]):
+            continue
+        if lines_meet(lines[i], lines[j]):
+            raise AssertionError(f"lines {i} and {j} meet outside the configuration")
 
     cfg = H4Configuration(points, planes, lines, line_points, plane_points,
                           point_planes, point_lines, line_planes, plane_lines,
-                          secants, {i: frozenset(s) for i, s in meets.items()},
+                          secants, meets,
                           {i: products(combinations_with_replacement(p.pairs, 2))
                            for i, p in points.items()}, ())
     return cfg._replace(grids=tuple(verify_grid(cfg, h.l_lines, h.m_lines)
@@ -297,17 +320,14 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
         for a, b in combinations(fam, 2):
             if b in cfg.meets[a]:
                 raise NotAGridError(f"{fam_name}-lines {a} and {b} are not skew")
-    # Distinct lines share at most one point, and line_points lists every point
-    # of a five-point line: l_i and m_j meet at a configuration point iff they share one.
-    cells = []  # l_i . m_j in row-major order
+    cells = []  # l_i . m_j in row-major order, looked up in ``meets``
     for li in l_lines:
-        l_set = set(cfg.line_points[li])
+        row = cfg.meets[li]
         for mj in m_lines:
-            shared = l_set.intersection(cfg.line_points[mj])
-            if not shared:
+            if mj not in row:
                 raise NotAGridError(
                     f"lines {li} and {mj} do not meet in a configuration point")
-            cells += shared
+            cells.append(row[mj])
     if len(set(cells)) != 25:
         raise NotAGridError(f"{len(set(cells))} intersection points, not 25")
     coeffs = _pencil_quadric(cfg, l_lines, m_lines, cells[5 * 2 + 2])

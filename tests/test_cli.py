@@ -224,6 +224,30 @@ def test_a_refutation_that_does_not_refute_fails(cfg, monkeypatch, tmp_path):
     assert blob["passed"] is False and blob["report"]["refuted"] is False
 
 
+def test_a_report_records_why_the_refutation_did_not_refute(cfg, monkeypatch,
+                                                            tmp_path):
+    """A refutation that does not refute records its "not excluded" details
+    as the check's error, or "not refuted" when it has none; never the
+    stdout note."""
+    report = geproci.verify_not_half_grid(cfg, 1)._replace(refuted=False)
+    monkeypatch.setattr(geproci, "verify_not_half_grid", lambda cfg, seed: report)
+    out = tmp_path / "report.json"
+
+    def failed():
+        assert _run(["report", "--out", str(out), "--seeds", "1"]) == 1
+        blob = json.loads(out.read_text())
+        _validator("report.schema.json").validate(blob)
+        return {c["name"]: c["error"] for c in blob["checks"] if not c["passed"]}
+
+    assert failed() == {"not-halfgrid": "not refuted"}
+    kept = ("type (5,12) would need 5 skew lines with 12 points each; "
+            "12 <= 12, so not excluded",
+            "type (12,5) would need 12 skew lines with 5 points each; "
+            "5 <= 12, so not excluded")
+    report = report._replace(details=report.details + kept)
+    assert failed() == {"not-halfgrid": "; ".join(kept)}
+
+
 def test_a_table_mismatch_fails_and_is_named(monkeypatch, capsys, tmp_path):
     monkeypatch.setitem(tables.PLANE_POINTS, 1, tables.PLANE_POINTS[2])
     assert _run(["incidences", "--kind", "planes"]) == 1

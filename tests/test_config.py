@@ -19,7 +19,7 @@ from h4geproci.forms import HomForm
 from h4geproci.projective import (ProjLine, image_from, lines_meet,
                                   pluecker_pairs)
 from form_references import monic
-from test_projective import on_line
+from test_projective import _reference_pluecker, on_line
 
 
 def test_sixty_distinct_points_and_dual_planes(cfg):
@@ -152,20 +152,38 @@ def test_build_h4_secants_match_collinear_groups(cfg):
 
 
 def test_build_h4_reads_no_prime_and_tests_each_skew_pair_exactly(cfg, monkeypatch):
-    """Each of the 1,656 pairs that share no point takes one exact meet
-    test, none of them meets, and the build does no arithmetic with the
-    rank prime: any would raise TypeError on these stand-ins."""
+    """Of the 1,656 pairs that share no point, the plane table proves 1,620
+    skew.  Each of the other 36, two lines whose points are the duals of
+    each other's planes, takes one exact meet test, none of them meets, and
+    the build does no arithmetic with the rank prime: any would raise
+    TypeError on these stand-ins."""
     monkeypatch.setattr(linalg, "_PRIME", object())
     monkeypatch.setattr(linalg, "_PHI_ROOT", object())
-    verdicts = []
+    index = {line: i for i, line in cfg.lines.items()}
+    calls = []
 
     def counting(l1, l2):
-        verdicts.append(lines_meet(l1, l2))
-        return verdicts[-1]
+        calls.append((index[l1], index[l2], lines_meet(l1, l2)))
+        return calls[-1][2]
 
     monkeypatch.setattr(config, "lines_meet", counting)
     assert config.build_h4() == cfg
-    assert len(verdicts) == 1656 and not any(verdicts)
+    assert len({frozenset((a, b)) for a, b, _ in calls}) == len(calls) == 36
+    for a, b, meet in calls:
+        assert not meet
+        assert cfg.line_points[a] == cfg.line_planes[b]
+        assert cfg.line_points[b] == cfg.line_planes[a]
+
+
+def test_a_pair_that_meets_outside_the_configuration_fails_the_build(cfg, monkeypatch):
+    """A pairing that reads 0 on a pair with no common point raises, naming
+    the first such pair; the raise is inline, so -O keeps it."""
+    a, b = min((a, b) for a in cfg.lines for b in cfg.lines
+               if a < b and cfg.line_points[b] == cfg.line_planes[a])
+    monkeypatch.setattr(config, "lines_meet", lambda l1, l2: True)
+    with pytest.raises(AssertionError,
+                       match=f"^lines {a} and {b} meet outside the configuration$"):
+        config.build_h4()
 
 
 def test_lines_lie_on_their_listed_points(cfg):
@@ -175,18 +193,36 @@ def test_lines_lie_on_their_listed_points(cfg):
             assert on_line(line, cfg.points[j])
 
 
-def test_meet_relation_matches_the_pluecker_test(cfg):
-    """The stored relation against an exact test on all 2556 pairs.
+def _laplace_pairing(x, y):
+    """det[p, q, r, s] for the lines pq and rs, expanded along its first two
+    rows: their 2x2 minors x = p^q and y = r^s, paired as
+    x01*y23 - x02*y13 + x03*y12 + x12*y03 - x13*y02 + x23*y01."""
+    return (x[0] * y[5] - x[1] * y[4] + x[2] * y[3]
+            + x[3] * y[2] - x[4] * y[1] + x[5] * y[0])
 
-    It also equals "shares a point in line_points": no two of the 72 lines
-    meet outside the configuration.
+
+def test_meet_relation_matches_the_pluecker_test(cfg):
+    """The stored table against a test-local exact test on all 2556 pairs:
+    the determinant of the four spanning points, from FieldElement minors
+    (`_reference_pluecker`), with no package predicate.
+
+    A meeting pair's entry, the same both ways, is the one point their
+    line_points share: no two of the 72 lines meet outside the configuration.
     """
+    minors = {i: _reference_pluecker(line.p, line.q)
+              for i, line in cfg.lines.items()}
     pairs = list(combinations(sorted(cfg.lines), 2))
     assert len(pairs) == 2556
+    meeting = 0
     for a, b in pairs:
-        meet = lines_meet(cfg.lines[a], cfg.lines[b])
+        meet = _laplace_pairing(minors[a], minors[b]).is_zero()
         assert (b in cfg.meets[a]) == (a in cfg.meets[b]) == meet
-        assert meet == bool(set(cfg.line_points[a]) & set(cfg.line_points[b]))
+        shared = set(cfg.line_points[a]) & set(cfg.line_points[b])
+        assert shared == ({cfg.meets[a][b]} if meet else set())
+        if meet:
+            assert cfg.meets[a][b] == cfg.meets[b][a]
+        meeting += meet
+    assert meeting == 900
     assert all(i not in cfg.meets[i] for i in cfg.lines)
     assert set(cfg.meets) == set(cfg.lines)
 
