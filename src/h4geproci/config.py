@@ -77,12 +77,11 @@ class H4Configuration(NamedTuple):
     questions about configuration points are lookups in this table.
 
     ``meets`` maps each five-point line to {each line it meets: the
-    configuration point they share}; `build_h4` proves every other pair
+    configuration point they share}; `_prove_skew` proves every other pair
     skew.  ``quadric_rows`` maps each point to its x_i*x_j, i <= j
-    (`_QUADRIC_MONOMIALS`),
-    and ``grids`` holds the certificates of the grids of `HALVES` from
-    `verify_grid`, which certifies every grid.  Like ``secants``, they are
-    derived data and stay out of ``to_json()``.
+    (`_QUADRIC_MONOMIALS`), and ``grids`` holds the certificates of the
+    grids of `HALVES` from `verify_grid`, which certifies every grid.  Like
+    ``secants``, they are derived data and stay out of ``to_json()``.
     """
 
     points: Dict[int, ProjPoint]
@@ -171,20 +170,9 @@ def build_h4() -> H4Configuration:
     two planes meet in one line, so the points of the line p_i p_j are those
     on the two lowest planes through both.  A line lies in the planes
     through two of its points.  A failed structural count raises
-    AssertionError (`_expect`, kept under -O).
-
-    Two lines through a common point meet there, and ``meets`` records it
-    from ``point_lines``.  Every other pair i, j is proved skew.  Say a
-    point k of j lies on a plane V through i, and no plane of
-    ``line_planes`` holds both lines.  k is off i, since ``line_points``
-    lists every configuration point of i.  If i and j met, their plane
-    would hold i and k, so it would be V, the one plane through i and k,
-    and V would hold j: a plane of ``line_planes`` holding both.  Each pair
-    this bit test leaves takes one exact Pluecker pairing (`lines_meet`); on
-    H4 these are the 36 pairs in which the points of each line are the
-    duals of the other's planes.  A pair whose pairing is 0 meets outside
-    the configuration and raises AssertionError, inline so -O keeps it.
-    """
+    AssertionError (`_expect`, kept under -O).  Two lines through a common
+    point meet there, and ``meets`` records it from ``point_lines``;
+    `_prove_skew` proves every other pair skew."""
     points = {i + 1: p for i, p in enumerate(_parse_points())}
     _expect(len(set(points.values())) == 60, "points are not pairwise distinct")
     planes = {i: ProjPlane(points[i].coords) for i in points}
@@ -242,16 +230,38 @@ def build_h4() -> H4Configuration:
     for v, row in plane_lines.items():
         _expect(len(row) == 6, f"plane {v} contains {len(row)} lines, not 6")
 
-    # The meet table from the shared points; every other pair is skew by
-    # the plane table or, failing that, by the exact pairing (above).
     meets: Dict[int, Dict[int, int]] = {i: {} for i in lines}
     for k, row in point_lines.items():
         for i, j in combinations(row, 2):
             meets[i][j] = meets[j][i] = k
-    on_points = {i: sum(1 << k for k in s) for i, s in line_points.items()}
-    in_planes = {i: sum(1 << v for v in s) for i, s in line_planes.items()}
+
+    cfg = H4Configuration(points, planes, lines, line_points, plane_points,
+                          point_planes, point_lines, line_planes, plane_lines,
+                          secants, meets,
+                          {i: products(combinations_with_replacement(p.pairs, 2))
+                           for i, p in points.items()}, ())
+    _prove_skew(cfg, masks)
+    return cfg._replace(grids=tuple(verify_grid(cfg, h.l_lines, h.m_lines)
+                                    for h in HALVES))
+
+
+def _prove_skew(cfg: H4Configuration, masks: Dict[int, int]) -> None:
+    """Prove skew each pair of lines i, j that ``meets`` does not list, from
+    the tables and ``masks``, each plane's points as a bitset.  Say a point
+    k of j lies on a plane V through i, and no plane of ``line_planes``
+    holds both lines.  k is off i, since ``line_points`` lists every
+    configuration point of i.  If i and j met, their plane would hold i and
+    k, so it would be V, the one plane through i and k, and V would hold j:
+    a plane of ``line_planes`` holding both.  Each pair this bit test leaves
+    takes one exact Pluecker pairing (`lines_meet`); on H4 these are the 36
+    pairs in which the points of each line are the duals of the other's
+    planes.  A pair whose pairing is 0 meets outside the configuration and
+    raises AssertionError, inline so -O keeps it."""
+    lines, meets = cfg.lines, cfg.meets
+    on_points = {i: sum(1 << k for k in s) for i, s in cfg.line_points.items()}
+    in_planes = {i: sum(1 << v for v in s) for i, s in cfg.line_planes.items()}
     reach = dict.fromkeys(lines, 0)  # the points on the planes through line i
-    for i, row in line_planes.items():
+    for i, row in cfg.line_planes.items():
         for v in row:
             reach[i] |= masks[v]
     for i, j in combinations(lines, 2):
@@ -260,14 +270,6 @@ def build_h4() -> H4Configuration:
             continue
         if lines_meet(lines[i], lines[j]):
             raise AssertionError(f"lines {i} and {j} meet outside the configuration")
-
-    cfg = H4Configuration(points, planes, lines, line_points, plane_points,
-                          point_planes, point_lines, line_planes, plane_lines,
-                          secants, meets,
-                          {i: products(combinations_with_replacement(p.pairs, 2))
-                           for i, p in points.items()}, ())
-    return cfg._replace(grids=tuple(verify_grid(cfg, h.l_lines, h.m_lines)
-                                    for h in HALVES))
 
 
 class VerificationError(RuntimeError):

@@ -116,9 +116,9 @@ def _kernel_mod(rows: Sequence[Sequence[Pair]], q: int,
 
 
 def _rational(a: int, m: int) -> Optional[Fraction]:
-    """The fraction n/d = a mod m with |n| and d at most sqrt(m/2), or None.
-    Euclid on (m, a) keeps r_i = t_i*a mod m; two such fractions congruent
-    mod m are equal, since |n*d' - n'*d| < m."""
+    """The fraction n/d = a mod m with |n|, d <= sqrt(m/2), or None (Wang,
+    Guy and Davenport, 1982).  Euclid on (m, a) keeps r_i = t_i*a mod m; two
+    such fractions congruent mod m are equal, since |n*d' - n'*d| < m."""
     bound = isqrt(m // 2)
     r0, r1, t0, t1 = m, a % m, 0, 1
     while r1 > bound:

@@ -214,7 +214,10 @@ def test_report_records_why_each_verdict_failed(monkeypatch, tmp_path):
         {**c, "passed": True} for c in blob["checks"]]})
 
 
-def test_a_refutation_that_does_not_refute_fails(cfg, monkeypatch, tmp_path):
+def test_a_refutation_that_does_not_refute_fails(cfg, monkeypatch, capsys,
+                                                tmp_path):
+    """It fails, and its stdout line gives the reason: the "not excluded"
+    details, or "not refuted" when it has none."""
     report = geproci.verify_not_half_grid(cfg, 1)._replace(refuted=False)
     monkeypatch.setattr(geproci, "verify_not_half_grid", lambda cfg, seed: report)
     out = tmp_path / "refutation.json"
@@ -222,6 +225,12 @@ def test_a_refutation_that_does_not_refute_fails(cfg, monkeypatch, tmp_path):
     blob = json.loads(out.read_text())
     _validator("refutation.schema.json").validate(blob)
     assert blob["passed"] is False and blob["report"]["refuted"] is False
+    assert capsys.readouterr().out == f"not-halfgrid: FAIL (not refuted, {out})\n"
+    kept = ("type (5,12) would need 5 skew lines with 12 points each; "
+            "12 <= 12, so not excluded",)
+    report = report._replace(details=report.details + kept)
+    assert _run(["verify", "not-halfgrid", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == f"not-halfgrid: FAIL ({kept[0]}, {out})\n"
 
 
 def test_a_report_records_why_the_refutation_did_not_refute(cfg, monkeypatch,

@@ -186,6 +186,25 @@ def test_a_pair_that_meets_outside_the_configuration_fails_the_build(cfg, monkey
         config.build_h4()
 
 
+def test_a_pair_in_a_common_plane_is_not_taken_for_skew(cfg, monkeypatch):
+    """The plane-table proof skips a pair only when no plane of
+    ``line_planes`` holds both lines.  Give a pair it settles a common
+    plane, and the pair goes to the exact pairing, which here reads 0."""
+    masks = {v: sum(1 << k for k in row) for v, row in cfg.plane_points.items()}
+    a, b = min((a, b) for a, b in combinations(cfg.lines, 2)
+               if b not in cfg.meets[a]
+               and any(k in cfg.plane_points[v] for v in cfg.line_planes[a]
+                       for k in cfg.line_points[b]))
+    config._prove_skew(cfg, masks)
+    pair = {cfg.lines[a], cfg.lines[b]}
+    monkeypatch.setattr(config, "lines_meet", lambda l1, l2: {l1, l2} == pair)
+    config._prove_skew(cfg, masks)
+    doctored = {**cfg.line_planes, b: cfg.line_planes[b] + cfg.line_planes[a][:1]}
+    with pytest.raises(AssertionError,
+                       match=f"^lines {a} and {b} meet outside the configuration$"):
+        config._prove_skew(cfg._replace(line_planes=doctored), masks)
+
+
 def test_lines_lie_on_their_listed_points(cfg):
     for i, members in cfg.line_points.items():
         line = cfg.lines[i]
