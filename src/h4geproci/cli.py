@@ -43,26 +43,6 @@ def _write_json(path: str, payload) -> bool:
     return True
 
 
-def _can_write(path: str) -> bool:
-    """Probe the artifact path before a long computation; False if unwritable.
-
-    Opening in append mode leaves an existing file as it is, and a file the
-    probe creates is removed again, so the artifact itself is still written
-    only by _write_json.
-    """
-    target = Path(path)
-    existed = target.exists()
-    try:
-        with target.open("a"):
-            pass
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    if not existed:
-        target.unlink()
-    return True
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -168,10 +148,8 @@ def not_halfgrid_verdict(cfg, seed: int) -> Verdict:
 
 
 def cmd_verify(out: str, name: str, verdict, *args) -> int:
-    """Probe --out, build the configuration, run one verdict, write its
-    artifact and print one line naming the outcome and the artifact."""
-    if not _can_write(out):
-        return EXIT_USAGE
+    """Build the configuration, run one verdict, write its artifact and
+    print one line naming the outcome and the artifact."""
     ok, payload, note = verdict(build_h4(), *args)
     if not _write_json(out, payload):
         return EXIT_USAGE
@@ -180,8 +158,6 @@ def cmd_verify(out: str, name: str, verdict, *args) -> int:
 
 
 def cmd_report(out: str, seeds: Sequence[int]) -> int:
-    if not _can_write(out):
-        return EXIT_USAGE
     t_start = time.monotonic()
     cfg = build_h4()
     checks: List[dict] = []
@@ -216,7 +192,7 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
             ok, _, note = halfgrid_verdict(cfg, s, subset)
             check(f"halfgrid-{subset}-seed-{s}",
                   f"the 30-point half {subset} projects to a (5,6) complete "
-                  "intersection with 5 skew cover lines", ok, note)
+                  "intersection with 6 skew cover lines", ok, note)
     ok, _, note = not_halfgrid_verdict(cfg, seeds[0])
     check("not-halfgrid", "no family of skew lines can realize the full "
           "60-point set as a half-grid (max collinear is 5)", ok, note)

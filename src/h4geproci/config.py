@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, _dot, _neg, products
 from .forms import HomForm, _record_json, monomials
-from .projective import ProjLine, ProjPoint, ProjPlane, lines_meet
+from .projective import ProjLine, ProjPoint, ProjPlane
 # Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
 # function where another module imports it, and names this binding.
 from .projective import canonicalize  # noqa: F401
@@ -252,24 +252,29 @@ def _prove_skew(cfg: H4Configuration, masks: Dict[int, int]) -> None:
     holds both lines.  k is off i, since ``line_points`` lists every
     configuration point of i.  If i and j met, their plane would hold i and
     k, so it would be V, the one plane through i and k, and V would hold j:
-    a plane of ``line_planes`` holding both.  Each pair this bit test leaves
-    takes one exact Pluecker pairing (`lines_meet`); on H4 these are the 36
-    pairs in which the points of each line are the duals of the other's
-    planes.  A pair whose pairing is 0 meets outside the configuration and
-    raises AssertionError, inline so -O keeps it."""
-    lines, meets = cfg.lines, cfg.meets
+    a plane of ``line_planes`` holding both.
+
+    A pair this bit test leaves is skew when j lies in the planes dual to
+    the points of i (``line_planes[j] == line_points[i]``; on H4 these are
+    36 pairs, each polar both ways).  With <x, y> = sum x_k*y_k, plane k is
+    {x : <x, P_k> = 0}, so j lies in the orthogonal complement of the span
+    U_i of the points of i: j is the polar line of i.  A common point x
+    would lie in U_i and be orthogonal to it, so <x, x> = 0.  But Q(phi)
+    lies in R, where <x, x> is a sum of squares, zero only at x = 0.  Any
+    other pair the test leaves raises AssertionError, inline so -O keeps
+    it."""
     on_points = {i: sum(1 << k for k in s) for i, s in cfg.line_points.items()}
     in_planes = {i: sum(1 << v for v in s) for i, s in cfg.line_planes.items()}
-    reach = dict.fromkeys(lines, 0)  # the points on the planes through line i
+    reach = dict.fromkeys(cfg.lines, 0)  # the points on the planes through line i
     for i, row in cfg.line_planes.items():
         for v in row:
             reach[i] |= masks[v]
-    for i, j in combinations(lines, 2):
-        if j in meets[i] or (on_points[j] & reach[i]
-                             and not in_planes[i] & in_planes[j]):
+    for i, j in combinations(cfg.lines, 2):
+        if j in cfg.meets[i] or (on_points[j] & reach[i]
+                                 and not in_planes[i] & in_planes[j]):
             continue
-        if lines_meet(lines[i], lines[j]):
-            raise AssertionError(f"lines {i} and {j} meet outside the configuration")
+        if cfg.line_planes[j] != cfg.line_points[i]:
+            raise AssertionError(f"lines {i} and {j} are not proved skew")
 
 
 class VerificationError(RuntimeError):

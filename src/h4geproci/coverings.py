@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, NamedTuple, Tuple
 
-from .config import (GridCertificate, H4Configuration, NotAGridError,
-                     members, verify_grid)
+from .config import GridCertificate, H4Configuration, members, verify_grid
 
 
 class _Cover(NamedTuple):
@@ -71,6 +70,15 @@ def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
     branches point by point along f on ``cfg.meets`` as int bitsets (bit i
     for line i), pruning once fewer than 4 transversals are left, so each
     grid is reached once, as (L, M) with min(L) < min(M).
+
+    Soundness.  Every candidate satisfies each combinatorial condition of
+    `verify_grid` by construction.  The M-lines are one line above f through
+    each point of f, pairwise skew.  The L-lines are f and a skew 4-clique
+    of transversals of M, each skew to f; each meets every M-line, which no
+    M-line does, so the families share no line.  Every cell l . m is a
+    ``meets`` entry, and two equal cells would be one point on two lines of
+    one family, which would then meet.  So a NotAGridError here is a bug,
+    and it propagates like any VerificationError.
     """
     meets = {i: sum(1 << j for j in cfg.meets[i]) for i in cfg.lines}
     through = {p: sum(1 << i for i in cfg.point_lines[p]) for p in cfg.points}
@@ -99,10 +107,7 @@ def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
             return
         if len(m_lines) == 5:
             for rest in skew_cliques(trans):
-                try:
-                    results.append(verify_grid(cfg, (f,) + rest, sorted(m_lines)))
-                except NotAGridError:
-                    pass
+                results.append(verify_grid(cfg, (f,) + rest, sorted(m_lines)))
             return
         for m in members(skew & through[cfg.line_points[f][len(m_lines)]]):
             m_lines.append(m)

@@ -26,14 +26,6 @@ from .projective import ProjLine, ProjPoint, image_from, line_image
 PlaneCoords = Tuple[Pair, Pair, Pair]  # canonical Z[phi] pairs
 
 
-class PencilDegenerateError(VerificationError):
-    pass
-
-
-class RejectionBudgetExhausted(VerificationError):
-    pass
-
-
 VERTEX_DRAWS = 1000  # draws before `sample_generic_vertex` gives up
 
 
@@ -76,7 +68,7 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
     lie in two of the 60 planes (`build_h4` asserts it), which meet in their
     line, so such a vertex is off every such line: the 60 images are
     distinct (`image_from`), and none is computed here.  After VERTEX_DRAWS
-    rejected draws it raises RejectionBudgetExhausted.
+    rejected draws it raises VerificationError.
     """
     rng = random.Random(seed)
     for _ in range(VERTEX_DRAWS):
@@ -87,7 +79,7 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
         if not (any(plane.contains(vertex) for plane in cfg.planes.values())
                 or any(g.quadric.vanishes_at(vertex.pairs) for g in cfg.grids)):
             return Projection(vertex, _Images(vertex, cfg.points))
-    raise RejectionBudgetExhausted(f"no generic vertex in {VERTEX_DRAWS} draws")
+    raise VerificationError(f"no generic vertex in {VERTEX_DRAWS} draws")
 
 
 def _all_checks_pass(cert) -> bool:
@@ -108,17 +100,17 @@ def build_quintic_cone(g: HomForm, h: HomForm, point: PlaneCoords) -> HomForm:
     (`HomForm.pairs`, c, c' > 0 rational), v(x)*u - u(x)*v is c*c' times it,
     with the same monic form.  If both generators vanish at x, every member
     does; if g and h are proportional, the member is zero.  Either raises
-    PencilDegenerateError."""
+    VerificationError."""
     gx, hx = g.value_at(point), h.value_at(point)
     if gx == hx == (0, 0):
-        raise PencilDegenerateError(
+        raise VerificationError(
             "both pencil generators vanish at the anchor image; resample")
     u, v = dict(zip(g.coeffs, g.pairs())), dict(zip(h.coeffs, h.pairs()))
     terms = ((e, _dot((hx, _neg(gx)), (u.get(e, (0, 0)), v.get(e, (0, 0)))))
              for e in {**u, **v})
     member = HomForm.monic_from_pairs(g.nvars, g.degree, terms)
     if member.is_zero():
-        raise PencilDegenerateError("the pencil member h(x)*g - g(x)*h is zero")
+        raise VerificationError("the pencil member h(x)*g - g(x)*h is zero")
     return member
 
 

@@ -5,14 +5,9 @@ scaled to coprime elements of Z[phi] whose first nonzero entry is a positive
 rational integer.  A flat keeps those numerators as integer pairs (x, y),
 meaning x + y*phi, in ``pairs``, next to the same values as FieldElements in
 ``coords`` (``pluecker`` for a line).  Equality and hashing compare the
-pairs, and every incidence predicate is an exact integer computation on
-them by `field`'s Z[phi] kernels.  The line through p and q has Pluecker
-pairs L_ij = p_i*q_j - p_j*q_i (`_minors`) and dual pairs (L_23, -L_13,
-L_12, L_03, -L_02, L_01) (`_dual`, the one sign table; a line stores them
-as ``dual``).
-
-* a point lies in a plane when the dot product of their pairs is zero;
-* two lines meet when one's pairs dotted with the other's dual give zero.
+pairs, and a point lies in a plane when the dot product of their pairs is
+zero, an exact integer computation by `field`'s Z[phi] kernels.  The line
+through p and q has Pluecker pairs L_ij = p_i*q_j - p_j*q_i (`_minors`).
 
 The projection from a vertex is closed-form minors, of points and of lines;
 the arguments are at `image_from` and `line_image`.
@@ -141,18 +136,17 @@ class ProjPlane(_Flat):
 class ProjLine(_Canonical):
     """A line of P^3: canonical Pluecker coordinates plus two spanning points.
 
-    The Pluecker pairs and their dual, both stored, decide the meet test;
-    the spanning points back pushed lines and JSON.
+    The Pluecker pairs identify the line; the spanning points back pushed
+    lines and JSON.
     """
 
-    __slots__ = ("pluecker", "dual", "p", "q")
+    __slots__ = ("pluecker", "p", "q")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p == q:
             raise DegenerateSpanError("coincident points do not span a line")
         pairs = pluecker_pairs(p.pairs, q.pairs)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "dual", _dual(pairs))
         object.__setattr__(self, "pluecker", _elements(pairs))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -165,19 +159,6 @@ class ProjLine(_Canonical):
             "pluecker": [x.to_json() for x in self.pluecker],
             "span": [self.p.to_json(), self.q.to_json()],
         }
-
-
-def _dual(ls: Sequence[Pair]) -> Tuple[Pair, ...]:
-    """The dual Pluecker coordinates (l23, -l13, l12, l03, -l02, l01)."""
-    return (ls[5], _neg(ls[4]), ls[3], ls[2], _neg(ls[1]), ls[0])
-
-
-def lines_meet(l1: ProjLine, l2: ProjLine) -> bool:
-    """True iff the lines intersect: the Pluecker pairing with the dual,
-    a01*b23 - a02*b13 + a03*b12 + a12*b03 - a13*b02 + a23*b01, is zero."""
-    if l1 == l2:
-        raise ValueError("lines_meet expects two distinct lines")
-    return _dot(l1.pairs, l2.dual) == (0, 0)
 
 
 def _pivot(vertex: ProjPoint) -> int:

@@ -171,7 +171,7 @@ def test_the_schema_names_every_check(tmp_path, argv, schema, path):
 def test_an_exhausted_vertex_budget_fails_the_certificate(cfg, monkeypatch,
                                                          tmp_path):
     monkeypatch.setattr(geproci, "VERTEX_DRAWS", 0)
-    with pytest.raises(geproci.RejectionBudgetExhausted, match="in 0 draws"):
+    with pytest.raises(config.VerificationError, match="in 0 draws"):
         geproci.verify_geproci(cfg, 1)
     out = tmp_path / "geproci-cert.json"
     assert _run(["verify", "geproci", "--out", str(out)]) == 1
@@ -314,30 +314,17 @@ def test_verify_geproci_zero_trials_is_a_usage_error(tmp_path):
     assert not out.exists()
 
 
-def test_verify_unwritable_path_exits_2(tmp_path, monkeypatch):
-    def must_not_run(*args, **kwargs):
-        pytest.fail("computation started although --out is unwritable")
-
-    monkeypatch.setattr(cli, "build_h4", must_not_run)
-    for name in ("verify_geproci", "verify_half_grid", "verify_not_half_grid"):
-        monkeypatch.setattr(cli.geproci_mod, name, must_not_run)
+def test_verify_unwritable_path_exits_2(tmp_path, capsys):
+    """An --out in a missing directory is reported after the run, by the
+    one write, with exit code 2, and nothing is created."""
     missing_dir = tmp_path / "nope"
+    out = missing_dir / "artifact.json"
     for argv in (["verify", "geproci"], ["verify", "halfgrid", "--subset", "z1"],
-                 ["verify", "not-halfgrid"], ["report"]):
-        out = missing_dir / "artifact.json"
+                 ["verify", "not-halfgrid"], ["report", "--seeds", "1"]):
         assert _run(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
     assert not missing_dir.exists()
-
-
-def test_write_probe_leaves_files_as_they_were(tmp_path):
-    fresh = tmp_path / "fresh.json"
-    assert cli._can_write(str(fresh))
-    assert not fresh.exists()
-    kept = tmp_path / "kept.json"
-    kept.write_text("{}\n")
-    assert cli._can_write(str(kept))
-    assert kept.read_text() == "{}\n"
-    assert not cli._can_write(str(tmp_path))  # a directory is not a file
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_single_seed(tmp_path):
@@ -399,6 +386,40 @@ def test_report_records_an_indeterminate_grid_certificate(tmp_path, monkeypatch)
     assert blob["passed"] is False
     assert [(c["name"], c["error"]) for c in blob["checks"]
             if not c["passed"]] == [("grids", message)]
+
+
+def test_a_non_grid_candidate_fails_the_grid_search_and_the_grids_check(
+        cfg, tmp_path, monkeypatch):
+    """The search proposes only grids, so it has no handler for a candidate
+    that `verify_grid` rejects: the NotAGridError propagates, and the report
+    records it as the failed ``grids`` check's error."""
+    message = "lines 1 and 2 do not meet in a configuration point"
+
+    def not_a_grid(cfg, l_lines, m_lines):
+        raise config.NotAGridError(message)
+
+    monkeypatch.setattr(cli.coverings_mod, "verify_grid", not_a_grid)
+    with pytest.raises(config.NotAGridError, match=f"^{message}$"):
+        cli.coverings_mod.enumerate_grids(cfg)
+    out = tmp_path / "report.json"
+    assert _run(["report", "--out", str(out), "--seeds", "1"]) == 1
+    blob = json.loads(out.read_text())
+    _validator("report.schema.json").validate(blob)
+    assert [(c["name"], c["error"]) for c in blob["checks"]
+            if not c["passed"]] == [("grids", message)]
+
+
+def test_each_half_grid_claim_counts_the_certified_cover_lines(cfg, tmp_path):
+    """The number of skew cover lines a half-grid claim states is the number
+    its certificate lists: the five L-lines and the external line."""
+    out = tmp_path / "report.json"
+    assert _run(["report", "--out", str(out), "--seeds", "1"]) == 0
+    claims = {c["name"]: c["claim"] for c in json.loads(out.read_text())["checks"]}
+    for half in config.HALVES:
+        cert = geproci.verify_half_grid(cfg, 1, half.name)
+        claim = claims[f"halfgrid-{half.name}-seed-1"]
+        assert f" with {len(cert.cover_lines)} skew cover lines" in claim
+        assert len(cert.cover_lines) == 6
 
 
 def test_usage_errors_exit_2():

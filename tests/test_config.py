@@ -16,10 +16,9 @@ from h4geproci.config import (HALVES, grid_point_indices,
                               special_points_for_grid, z_partition)
 from h4geproci.field import FieldElement, ONE, PHI
 from h4geproci.forms import HomForm
-from h4geproci.projective import (ProjLine, image_from, lines_meet,
-                                  pluecker_pairs)
+from h4geproci.projective import ProjLine, image_from, pluecker_pairs
 from form_references import monic
-from test_projective import _reference_pluecker, on_line
+from test_projective import _reference_pairing, _reference_pluecker, on_line
 
 
 def test_sixty_distinct_points_and_dual_planes(cfg):
@@ -151,57 +150,88 @@ def test_build_h4_secants_match_collinear_groups(cfg):
                                        for v in groups.values())
 
 
+def _leftover_pairs(cfg):
+    """The pairs that share no point and that the plane table does not prove
+    skew: no point of the second lies on a plane through the first, or a
+    plane of ``line_planes`` holds both."""
+    def bit_proved(a, b):
+        return (any(k in cfg.plane_points[v] for v in cfg.line_planes[a]
+                    for k in cfg.line_points[b])
+                and not set(cfg.line_planes[a]) & set(cfg.line_planes[b]))
+
+    return [(a, b) for a, b in combinations(cfg.lines, 2)
+            if b not in cfg.meets[a] and not bit_proved(a, b)]
+
+
+def _plane_masks(cfg):
+    return {v: sum(1 << k for k in row) for v, row in cfg.plane_points.items()}
+
+
+class _Recording(dict):
+    """A table that logs each key read by subscript, in order."""
+
+    def __init__(self, table, log):
+        super().__init__(table)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.append(key)
+        return super().__getitem__(key)
+
+
 def test_build_h4_reads_no_prime_and_tests_each_skew_pair_exactly(cfg, monkeypatch):
     """Of the 1,656 pairs that share no point, the plane table proves 1,620
-    skew.  Each of the other 36, two lines whose points are the duals of
-    each other's planes, takes one exact meet test, none of them meets, and
-    the build does no arithmetic with the rank prime: any would raise
-    TypeError on these stand-ins."""
+    skew.  Exactly the other 36 reach the polar comparison, which reads
+    ``line_points`` and ``line_planes`` by subscript, and each is a polar
+    pair both ways: the points of each line are the duals of the other's
+    planes.  No polar pair meets (the test-local Pluecker pairing), and the
+    build does no arithmetic with the rank prime: any would raise TypeError
+    on these stand-ins."""
     monkeypatch.setattr(linalg, "_PRIME", object())
     monkeypatch.setattr(linalg, "_PHI_ROOT", object())
-    index = {line: i for i, line in cfg.lines.items()}
-    calls = []
-
-    def counting(l1, l2):
-        calls.append((index[l1], index[l2], lines_meet(l1, l2)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(config, "lines_meet", counting)
     assert config.build_h4() == cfg
-    assert len({frozenset((a, b)) for a, b, _ in calls}) == len(calls) == 36
-    for a, b, meet in calls:
-        assert not meet
+    assert sum(b not in cfg.meets[a] for a, b in combinations(cfg.lines, 2)) == 1656
+    on, planes = [], []
+    config._prove_skew(cfg._replace(line_points=_Recording(cfg.line_points, on),
+                                    line_planes=_Recording(cfg.line_planes, planes)),
+                       _plane_masks(cfg))
+    reached = list(zip(on, planes))
+    assert len(on) == len(planes) == len(set(reached)) == 36
+    assert reached == _leftover_pairs(cfg)
+    for a, b in reached:
         assert cfg.line_points[a] == cfg.line_planes[b]
         assert cfg.line_points[b] == cfg.line_planes[a]
+        assert not _reference_pairing(cfg.lines[a], cfg.lines[b]).is_zero()
 
 
-def test_a_pair_that_meets_outside_the_configuration_fails_the_build(cfg, monkeypatch):
-    """A pairing that reads 0 on a pair with no common point raises, naming
-    the first such pair; the raise is inline, so -O keeps it."""
-    a, b = min((a, b) for a in cfg.lines for b in cfg.lines
-               if a < b and cfg.line_points[b] == cfg.line_planes[a])
-    monkeypatch.setattr(config, "lines_meet", lambda l1, l2: True)
+def test_a_pair_that_meets_outside_the_configuration_fails_the_build(cfg):
+    """A leftover pair that is not polar is not proved skew: with the planes
+    of the lower leftover pair's second line doctored (and so no longer the
+    duals of the first line's points), the proof raises, naming the pair;
+    the raise is inline, so -O keeps it."""
+    a, b = min(_leftover_pairs(cfg))
+    masks = _plane_masks(cfg)
+    config._prove_skew(cfg, masks)
+    row = cfg.line_planes[b]
+    outside = min(set(cfg.planes) - set(row))
+    doctored = {**cfg.line_planes, b: row[:-1] + (outside,)}
     with pytest.raises(AssertionError,
-                       match=f"^lines {a} and {b} meet outside the configuration$"):
-        config.build_h4()
+                       match=f"^lines {a} and {b} are not proved skew$"):
+        config._prove_skew(cfg._replace(line_planes=doctored), masks)
 
 
-def test_a_pair_in_a_common_plane_is_not_taken_for_skew(cfg, monkeypatch):
+def test_a_pair_in_a_common_plane_is_not_taken_for_skew(cfg):
     """The plane-table proof skips a pair only when no plane of
     ``line_planes`` holds both lines.  Give a pair it settles a common
-    plane, and the pair goes to the exact pairing, which here reads 0."""
-    masks = {v: sum(1 << k for k in row) for v, row in cfg.plane_points.items()}
+    plane, and the pair, not polar, raises."""
+    masks = _plane_masks(cfg)
+    leftover = set(_leftover_pairs(cfg))
     a, b = min((a, b) for a, b in combinations(cfg.lines, 2)
-               if b not in cfg.meets[a]
-               and any(k in cfg.plane_points[v] for v in cfg.line_planes[a]
-                       for k in cfg.line_points[b]))
-    config._prove_skew(cfg, masks)
-    pair = {cfg.lines[a], cfg.lines[b]}
-    monkeypatch.setattr(config, "lines_meet", lambda l1, l2: {l1, l2} == pair)
+               if b not in cfg.meets[a] and (a, b) not in leftover)
     config._prove_skew(cfg, masks)
     doctored = {**cfg.line_planes, b: cfg.line_planes[b] + cfg.line_planes[a][:1]}
     with pytest.raises(AssertionError,
-                       match=f"^lines {a} and {b} meet outside the configuration$"):
+                       match=f"^lines {a} and {b} are not proved skew$"):
         config._prove_skew(cfg._replace(line_planes=doctored), masks)
 
 
@@ -297,7 +327,7 @@ def test_grid_families_are_skew_with_25_points(cfg):
     for half in HALVES:
         for fam in (half.l_lines, half.m_lines):
             for a, b in combinations(fam, 2):
-                assert not lines_meet(cfg.lines[a], cfg.lines[b])
+                assert not _reference_pairing(cfg.lines[a], cfg.lines[b]).is_zero()
         grid = grid_point_indices(cfg, half.l_lines)
         assert len(grid) == 25
         assert grid == grid_point_indices(cfg, half.m_lines)

@@ -12,7 +12,7 @@ from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot, _neg,
                              primitive_numerators)
 from h4geproci.forms import HomForm, monomials, vanishing_space
 from h4geproci.projective import (DegenerateSpanError, ProjLine, ProjPlane,
-                                  ProjPoint, canonicalize, lines_meet)
+                                  ProjPoint, canonicalize)
 from form_references import monic
 from json_readers import proj_line, proj_point
 from test_linalg import (_permutation_determinant, mat_vec, reference_inverse,
@@ -60,6 +60,12 @@ def plane_image(vertex, plane):
     return canonicalize([c for i, c in enumerate(plane.coords) if i != k])
 
 
+def dual_pairs(ls):
+    """The dual Pluecker pairs (l23, -l13, l12, l03, -l02, l01) of a line's
+    pairs: its Pluecker coordinates as the meet of two planes."""
+    return (ls[5], _neg(ls[4]), ls[3], ls[2], _neg(ls[1]), ls[0])
+
+
 def pluecker_matrix(ls):
     """The antisymmetric 4x4 matrix with entry l_ij at (i, j), i < j, of six
     Pluecker (or dual) pairs: for a line's dual pairs, L*x is the plane
@@ -75,7 +81,8 @@ def on_line(line, x):
     pairs.  Up to sign, the entries of L*x are the four 3x3 minors
     x_i*L_jk - x_j*L_ik + x_k*L_ij (i < j < k) of the rows x, p, q; as p != q
     their rank is 2 or 3, and it is 2 exactly when all four vanish."""
-    return all(_dot(row, x.pairs) == (0, 0) for row in pluecker_matrix(line.dual))
+    return all(_dot(row, x.pairs) == (0, 0)
+               for row in pluecker_matrix(dual_pairs(line.pairs)))
 
 
 def transversal_quadric(l1, l2, l3):
@@ -86,8 +93,9 @@ def transversal_quadric(l1, l2, l3):
     is the plane of l3 and x, L2 sends it to the point y where l2 meets it,
     and x lies in the plane L1*y of l1 and y when the line xy, which meets
     l2 and l3, meets l1."""
-    m = pluecker_matrix(l1.dual)
-    for factor in (pluecker_matrix(l2.pairs), pluecker_matrix(l3.dual)):
+    m = pluecker_matrix(dual_pairs(l1.pairs))
+    for factor in (pluecker_matrix(l2.pairs),
+                   pluecker_matrix(dual_pairs(l3.pairs))):
         m = [[_dot(row, col) for col in zip(*factor)] for row in m]
     return tuple(m[i][i] if i == j else (m[i][j][0] + m[j][i][0], m[i][j][1] + m[j][i][1])
                  for i in range(4) for j in range(i, 4))
@@ -138,18 +146,6 @@ def _random_coordinate_change(rng) -> CoordinateChange:
             return CoordinateChange(rows)
         except ZeroDivisionError:
             continue
-
-
-def _intersection_point(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    """The common point of two distinct lines, from the kernel of their spans."""
-    cols = [l1.p.coords, l1.q.coords, l2.p.coords, l2.q.coords]
-    kernel = linalg.nullspace([primitive_numerators([cols[c][r] for c in range(4)])
-                               for r in range(4)])
-    if len(kernel) != 1:
-        raise ValueError("lines are skew")
-    alpha, beta = FieldElement(*kernel[0][0]), FieldElement(*kernel[0][1])
-    return ProjPoint([alpha * l1.p.coords[i] + beta * l1.q.coords[i]
-                      for i in range(4)])
 
 
 def test_canonicalize_is_idempotent_and_scale_invariant():
@@ -229,34 +225,6 @@ def test_degenerate_spans_raise():
         ProjLine(p, ProjPoint([x * FieldElement(3) for x in p.coords]))
     with pytest.raises(DegenerateSpanError):
         plane_through(p, p, ProjPoint.of(0, 1, 0, 0))
-
-
-def test_meeting_lines_share_their_intersection_point():
-    rng = random.Random(37)
-    found = 0
-    while found < 30:
-        a, b, c = (_random_point(rng) for _ in range(3))
-        if len({a, b, c}) < 3:
-            continue
-        try:
-            l1, l2 = ProjLine(a, b), ProjLine(a, c)
-        except DegenerateSpanError:
-            continue
-        if l1 == l2:
-            continue
-        assert lines_meet(l1, l2)
-        x = _intersection_point(l1, l2)
-        assert x == a
-        found += 1
-
-
-def test_skew_lines_report_nonzero_pairing():
-    l1 = ProjLine(ProjPoint.of(1, 0, 0, 0), ProjPoint.of(0, 1, 0, 0))
-    l2 = ProjLine(ProjPoint.of(0, 0, 1, 0), ProjPoint.of(0, 0, 0, 1))
-    assert not lines_meet(l1, l2)
-    assert not _reference_pairing(l1, l2).is_zero()
-    with pytest.raises(ValueError):
-        _intersection_point(l1, l2)
 
 
 def test_plane_through_three_points_contains_them():
@@ -355,8 +323,8 @@ def test_pair_predicates_match_the_references_on_the_configuration(cfg):
         for p in points:
             assert v.contains(p) == _reference_in_plane(v, p)
     meeting = 0
-    for l1, l2 in combinations(cfg.lines.values(), 2):
-        meet = lines_meet(l1, l2)
+    for (a, l1), (b, l2) in combinations(cfg.lines.items(), 2):
+        meet = b in cfg.meets[a]
         assert meet == _reference_pairing(l1, l2).is_zero()
         meeting += meet
     assert meeting == 900
@@ -374,8 +342,7 @@ def test_pair_predicates_match_the_references_on_random_flats():
     """Random points, many with zero coordinates, and flats through them."""
     rng = random.Random(59)
     corners = [ProjPoint.of(*[int(i == j) for j in range(4)]) for i in range(4)]
-    counts = {"in_plane": 0, "off_plane": 0, "on_line": 0, "off_line": 0,
-              "meet": 0, "skew": 0}
+    counts = {"in_plane": 0, "off_plane": 0, "on_line": 0, "off_line": 0}
     for _ in range(150):
         p, q, r = (ProjPoint(_random_vector(rng)) for _ in range(3))
         a, b = _random_element(rng, 5), _random_element(rng, 5)
@@ -390,13 +357,6 @@ def test_pair_predicates_match_the_references_on_random_flats():
                 inside = on_line(line, x)
                 assert inside == _reference_on_line(line, x)
                 counts["on_line" if inside else "off_line"] += 1
-            lines = [ProjLine(x, y) for x, y in combinations([p, r] + others, 2)
-                     if x != y]
-            for other in lines:
-                if other != line:
-                    meet = lines_meet(line, other)
-                    assert meet == _reference_pairing(line, other).is_zero()
-                    counts["meet" if meet else "skew"] += 1
         planes = [ProjPlane(_random_vector(rng))]
         try:
             planes.append(plane_through(p, q, r))
@@ -408,25 +368,6 @@ def test_pair_predicates_match_the_references_on_random_flats():
                 assert inside == _reference_in_plane(plane, x)
                 counts["in_plane" if inside else "off_plane"] += 1
     assert min(counts.values()) > 100, counts
-
-
-def _hard_coded_pairing(a, b):
-    """The pairing on canonical pairs as lines_meet wrote it out before the
-    dual table: a01*b23 - a02*b13 + a03*b12 + a12*b03 - a13*b02 + a23*b01."""
-    neg = lambda w: (-w[0], -w[1])  # noqa: E731
-    return _dot(a, (b[5], neg(b[4]), b[3], b[2], neg(b[1]), b[0]))
-
-
-def test_lines_meet_matches_the_hard_coded_pairing_on_all_line_pairs(cfg):
-    lines = list(cfg.lines.values())
-    meeting = 0
-    for l1 in lines:
-        for l2 in lines:
-            if l1 is not l2:
-                meet = lines_meet(l1, l2)
-                assert meet == (_hard_coded_pairing(l1.pairs, l2.pairs) == (0, 0))
-                meeting += meet
-    assert meeting == 2 * 900
 
 
 def _small_point(rng) -> ProjPoint:
@@ -445,7 +386,8 @@ def _skew_triple(rng):
         if any(p == q for p, q in spans):
             continue
         lines = [ProjLine(p, q) for p, q in spans]
-        if any(a == b or lines_meet(a, b) for a, b in combinations(lines, 2)):
+        if any(a == b or _reference_pairing(a, b).is_zero()
+               for a, b in combinations(lines, 2)):
             continue
         on = [[p, q, ProjPoint([x + y for x, y in zip(p.coords, q.coords)])]
               for p, q in spans]
