@@ -6,13 +6,13 @@ point sets (bitmask backtracking), bucket them by their 25-point union, and
 inside each bucket test every unordered pair of families combinatorially
 (each cross pair of lines must share exactly one point) and geometrically
 (skewness within each family, a unique quadric through the union).  The
-geometric tests are its own, on FieldElement arithmetic, and share no
-predicate with the package: two lines are skew when the Pluecker pairing of
-their spanning points is nonzero, and the quadric is unique when the exact
-rank of the 25 x 10 matrix of the degree-2 monomials at the 25 points, over
-all rows, is 9.  The test suite imports `count_grids` and checks it against
-`h4geproci.coverings.enumerate_grids`, which searches from each grid's
-lowest line.
+geometric tests are its own, on FieldElement arithmetic from the points'
+pairs, and share no predicate with the package: two lines are skew when the
+Pluecker pairing of their spanning points is nonzero, and the quadric is
+unique when the exact rank of the 25 x 10 matrix of the degree-2 monomials
+at the 25 points, over all rows, is 9.  The test suite imports
+`count_grids` and checks it against `h4geproci.coverings.enumerate_grids`,
+which searches from each grid's lowest line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from h4geproci.config import H4Configuration, build_h4
-from h4geproci.field import ZERO
+from h4geproci.field import ZERO, FieldElement
 
 
 def rank(rows) -> int:
@@ -46,6 +46,11 @@ def rank(rows) -> int:
     return r
 
 
+def coords(point) -> list:
+    """A configuration point's canonical Z[phi] pairs as FieldElements."""
+    return [FieldElement(x, y) for x, y in point.pairs]
+
+
 def pluecker(p, q) -> list:
     """The minors p_i*q_j - p_j*q_i, in the order 01, 02, 03, 12, 13, 23."""
     return [p[i] * q[j] - p[j] * q[i]
@@ -54,8 +59,8 @@ def pluecker(p, q) -> list:
 
 def lines_meet(line_a, line_b) -> bool:
     """Two lines meet iff the Pluecker pairing of their coordinates is 0."""
-    a = pluecker(line_a.p.coords, line_a.q.coords)
-    b = pluecker(line_b.p.coords, line_b.q.coords)
+    a = pluecker(coords(line_a.p), coords(line_a.q))
+    b = pluecker(coords(line_b.p), coords(line_b.q))
     pairing = (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
                + a[3] * b[2] - a[4] * b[1] + a[5] * b[0])
     return pairing == ZERO
@@ -107,7 +112,7 @@ def count_grids(cfg: H4Configuration) -> tuple[int, int]:
                 continue
             if not (skew_family(fa) and skew_family(fb)):
                 continue
-            union = [cfg.points[p + 1].coords
+            union = [coords(cfg.points[p + 1])
                      for p in range(60) if union_mask >> p & 1]
             if not has_unique_quadric(union):
                 continue

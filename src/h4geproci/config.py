@@ -1,6 +1,8 @@
 """The 60-point configuration in P^3, its dual planes, and all incidences.
 
-Coordinates live in Z[phi] with phi the golden ratio, as `field` pairs.
+Coordinates live in Z[phi] with phi the golden ratio, as `field` pairs;
+the printed tokens below are parsed as FieldElements and enter as
+canonical pairs (`projective.canonicalize`).
 Plane i is dual to point i: for P_i = [a:b:c:d] the plane is
 {ax + by + cz + dw = 0}.  The configuration is a symmetric (60_15)
 point-plane structure carrying 72 lines with exactly five configuration
@@ -17,10 +19,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, _dot, _neg, products
 from .forms import HomForm, _record_json, monomials
-from .projective import ProjLine, ProjPoint, ProjPlane
-# Re-exported: perfbench/test_perfbench.py checks that its tracer wraps a
-# function where another module imports it, and names this binding.
-from .projective import canonicalize  # noqa: F401
+from .projective import ProjLine, ProjPoint, ProjPlane, canonicalize
 
 # Coordinate tokens: 0, 1, -1, f = phi, F = phi^2, with sign prefixes.
 _TOKENS = {
@@ -59,7 +58,7 @@ def _parse_points() -> List[ProjPoint]:
         if not tokens:
             continue
         _expect(len(tokens) == 4, f"bad point row {tokens}")
-        pts.append(ProjPoint([_TOKENS[t] for t in tokens]))
+        pts.append(ProjPoint(canonicalize([_TOKENS[t] for t in tokens])))
     _expect(len(pts) == 60, f"{len(pts)} points, not 60")
     return pts
 
@@ -175,7 +174,7 @@ def build_h4() -> H4Configuration:
     `_prove_skew` proves every other pair skew."""
     points = {i + 1: p for i, p in enumerate(_parse_points())}
     _expect(len(set(points.values())) == 60, "points are not pairwise distinct")
-    planes = {i: ProjPlane(points[i].coords) for i in points}
+    planes = {i: ProjPlane(points[i].pairs) for i in points}
 
     # Plane i is dual to point i (the same canonical pairs) and the dot
     # product is symmetric, so one exact product per unordered pair {i, j}

@@ -1,19 +1,19 @@
 """Exact arithmetic in the real quadratic field Q(sqrt5) on the basis {1, phi}.
 
-An element is (x + y*phi)/d with Python ints x, y and d, where phi =
-(1+sqrt5)/2 is the golden ratio.  The triple is kept normalized, d > 0 and
-gcd(x, y, d) = 1, so equal elements have equal triples and the type is
-hashable.  All operations are exact integer formulas.  `fractions.Fraction`
-appears only at the edges: the constructor, `a`/`b` and the hash of
-rational elements.  Only this module knows the triple; others clear
-denominators through `common_numerators` or `primitive_numerators`, compute
-on the Z[phi] pairs (x, y) they return, and put pairs back over a
-denominator through `from_numerators`.  It is also the only module that
-knows the ring Z[phi]: its rule phi**2 = phi + 1 on elements (`*`), on
-lists of factor pairs (`products`) and summed (`_dot`), the negation `_neg`,
-the conjugate `conj`, the norm `norm` and the reduction `residues` modulo a
-degree-1 prime.  Outside this module only the pushed line
-(`linalg.determinant`) runs the element operators; all else runs on pairs.
+phi = (1+sqrt5)/2 is the golden ratio.  The package computes on the ring
+Z[phi] of integer pairs (x, y), meaning x + y*phi: its rule phi**2 = phi + 1
+on lists of factor pairs (`products`) and summed (`_dot`), the negation
+`_neg`, the conjugate `conj`, the norm `norm` and the reduction `residues`
+modulo a degree-1 prime.  A flat keeps coprime pairs, and a form keeps pairs
+over one positive integer denominator; `primitive_numerators` scales
+rational pairs to coprime ones, and `json_pair` writes a pair over its
+denominator as JSON.
+
+`FieldElement` is the field element (x + y*phi)/d as a normalized triple,
+d > 0 and gcd(x, y, d) = 1, so equal elements have equal triples and the
+type is hashable.  Its operations are exact integer formulas.  It enters at
+the input edge, the coordinate tokens that `config` parses, and the pushed
+line (`linalg.determinant`) is the one verdict step that runs its operators.
 """
 
 from __future__ import annotations
@@ -151,7 +151,8 @@ class FieldElement:
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b)}
+        x, y, d = self._v
+        return json_pair((x, y), d)
 
 
 _new = object.__new__
@@ -198,31 +199,25 @@ def _coerce(x) -> FieldElement:
     return x if isinstance(x, FieldElement) else FieldElement(x)
 
 
-def common_numerators(elems: Iterable[FieldElement]) -> Tuple[List[Pair], int]:
-    """Pairs (x, y) over one denominator d, the lcm: each element is (x + y*phi)/d."""
-    triples = [e._v for e in elems]
-    scale = lcm(*(d for _, _, d in triples))
-    return [(x * (scale // d), y * (scale // d)) for x, y, d in triples], scale
-
-
-def from_numerators(pairs: Iterable[Pair], d: int) -> List[FieldElement]:
-    """The elements (x + y*phi)/d, d != 0, each normalized once."""
-    return [_make(x, y, d) for x, y in pairs]
-
-
-def primitive_numerators(elems: Iterable[FieldElement]) -> List[Pair]:
-    """Scale the elements by one positive rational to coprime Z[phi] elements.
-
-    Returns the pairs (x, y) of the scaled elements x + y*phi, in input
-    order: the common numerators over their integer content, which is then 1
-    unless every element is zero.  Canonical coordinates and form coefficient
-    pairs read their numerators through this; no other module sees the triple.
-    """
-    pairs, _ = common_numerators(elems)
+def primitive_numerators(values: Iterable[Tuple[_RationalLike, _RationalLike]]
+                         ) -> List[Pair]:
+    """Scale the elements a + b*phi, given as rational pairs (a, b), by one
+    positive rational to coprime Z[phi] pairs, in input order: the pairs over
+    the lcm of the denominators, divided by their integer content, which is
+    then 1 unless every element is zero."""
+    values = list(values)
+    scale = lcm(*(v.denominator for w in values for v in w))
+    pairs = [(a.numerator * (scale // a.denominator),
+              b.numerator * (scale // b.denominator)) for a, b in values]
     content = gcd(*(v for pair in pairs for v in pair))
     if content > 1:
         pairs = [(x // content, y // content) for x, y in pairs]
     return pairs
+
+
+def json_pair(w: Pair, d: int = 1) -> dict:
+    """(x + y*phi)/d, d > 0, as JSON: {"a": x/d, "b": y/d}, each in lowest terms."""
+    return {"a": str(Fraction(w[0], d)), "b": str(Fraction(w[1], d))}
 
 
 def products(factor_pairs: Iterable[Tuple[Pair, Pair]]) -> List[Pair]:

@@ -1,16 +1,16 @@
 """Homogeneous polynomial algebra over Q(phi).
 
-Forms are sparse maps from exponent tuples to FieldElement coefficients, in
-graded lexicographic order (first variable largest).  The module provides
+A form keeps its coefficients as Z[phi] numerators, integer pairs (x, y) for
+x + y*phi, over one positive integer denominator, in graded lexicographic
+order of the exponents (first variable largest).  The module provides
 exact zero tests, products, interpolation through point sets by a nullspace
 proposed modulo split primes and checked exactly, divisibility by a line
 (by evaluation on it), and a smoothness certificate for plane curves from
 chart-wise resultants, by Euclid's algorithm over F_p on formal degrees,
 modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.  Every exact
 elimination here is `linalg.nullspace`.  Points, evaluation rows, kernel
-vectors and the coefficients' common numerators are Z[phi] integer pairs
-(x, y) for x + y*phi.  Products and monic forms run on them; no
-FieldElement operator runs here.
+vectors and coefficients are all Z[phi] pairs, and no FieldElement is made
+or operated on here.
 Every certificate record, here, in `config` and in `geproci`, serializes by
 `_record_json`.
 """
@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import prod
+from math import gcd, prod
 from operator import add
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import linalg
-from .field import (FieldElement, Pair, _coerce, _dot, _neg,
-                    common_numerators, conj, from_numerators, norm,
-                    primitive_numerators, products, residues)
+from .field import Pair, _dot, _neg, conj, json_pair, norm, products, residues
 
 Exponents = Tuple[int, ...]
 
@@ -42,91 +40,78 @@ def monomials(degree: int, nvars: int) -> List[Exponents]:
 
 
 class HomForm:
-    """A homogeneous form; zero coefficients are never stored."""
+    """A homogeneous form: the Z[phi] numerators ``terms`` of its nonzero
+    coefficients, by exponent tuple, over one integer ``den`` > 0, reduced
+    so that gcd(every x, every y, den) = 1.  Each form has one such
+    representation, so equality compares it."""
 
-    __slots__ = ("nvars", "degree", "coeffs", "_pairs")
+    __slots__ = ("nvars", "degree", "terms", "den")
 
-    def __init__(self, nvars: int, degree: int, coeffs: Dict[Exponents, FieldElement]):
+    def __init__(self, nvars: int, degree: int, terms: Dict[Exponents, Pair],
+                 den: int = 1):
         clean = {}
-        for e, c in coeffs.items():
+        for e, w in terms.items():
             if len(e) != nvars or sum(e) != degree or min(e) < 0:
                 raise ValueError(f"bad exponent tuple {e} for degree {degree}")
-            c = _coerce(c)
-            if not c.is_zero():
-                clean[tuple(e)] = c
+            if w != (0, 0):
+                clean[tuple(e)] = w
+        if den == 0:
+            raise ZeroDivisionError("a form over the denominator 0")
+        g = gcd(den, *(v for w in clean.values() for v in w))
+        if den < 0:
+            g = -g
+        if g != 1:
+            clean = {e: (x // g, y // g) for e, (x, y) in clean.items()}
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_pairs", None)
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError("HomForm is immutable")
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def linear(cls, coeffs: Sequence[FieldElement]) -> "HomForm":
-        n = len(coeffs)
-        return cls(n, 1, {tuple(1 if j == i else 0 for j in range(n)): c
-                          for i, c in enumerate(coeffs)})
 
     @classmethod
     def monic_from_pairs(cls, nvars: int, degree: int,
                          terms: Iterable[Tuple[Exponents, Pair]]) -> "HomForm":
         """The form of the (exponents, Z[phi] pair) terms, zero pairs dropped,
-        times conj(lead)/N(lead): one `products` call, then one normalization
-        per coefficient.  Its graded-lex leading coefficient is 1; with no
-        nonzero pair it is the zero form."""
+        times conj(lead)/N(lead): one `products` call over the denominator
+        N(lead).  Its graded-lex leading coefficient is 1; with no nonzero
+        pair it is the zero form."""
         terms = {e: w for e, w in terms if w != (0, 0)}
         lead = terms[max(terms)] if terms else (1, 0)
         c = products((w, conj(lead)) for w in terms.values())
-        return cls(nvars, degree, dict(zip(terms, from_numerators(c, norm(lead)))))
+        return cls(nvars, degree, dict(zip(terms, c)), norm(lead))
 
     # -- basic algebra ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, HomForm) and self.nvars == other.nvars
-                and self.coeffs == other.coeffs
+                and self.terms == other.terms and self.den == other.den
                 and (self.degree == other.degree or self.is_zero() and other.is_zero()))
 
     def __hash__(self) -> int:
         # The exponents fix the degree of a nonzero form, and zero forms of
         # all degrees are equal, so the degree itself is not hashed.
-        return hash((self.nvars, frozenset(self.coeffs.items())))
+        return hash((self.nvars, self.den, frozenset(self.terms.items())))
 
     def __mul__(self, other: "HomForm") -> "HomForm":
         return multiply((self, other))
 
     def value_at(self, point: Sequence[Pair]) -> Pair:
-        """f(point) times a positive rational: one Z[phi] dot product of the
-        coprime coefficient pairs (`pairs`) and the monomials at the point."""
-        row = _evaluation_row(point, self.degree, self.nvars, self.coeffs)
-        return _dot(self.pairs(), row)
+        """f(point) times the positive integer ``den``: one Z[phi] dot product
+        of the numerators and the monomials at the point."""
+        row = _evaluation_row(point, self.degree, self.nvars, self.terms)
+        return _dot(self.terms.values(), row)
 
     def vanishes_at(self, point: Sequence[Pair]) -> bool:
-        """Whether f(point) = 0: `value_at` is it times a nonzero rational."""
+        """Whether f(point) = 0: `value_at` is it times a nonzero integer."""
         return self.value_at(point) == (0, 0)
 
-    def pairs(self) -> List[Pair]:
-        """The coefficients scaled to coprime Z[phi] pairs, computed once."""
-        if self._pairs is None:
-            object.__setattr__(self, "_pairs",
-                               primitive_numerators(self.coeffs.values()))
-        return self._pairs
-
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "HomForm(0)"
-        names = "xyzw"[: self.nvars] if self.nvars <= 4 else None
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            mono = "*".join(f"{names[i]}^{k}" if k > 1 else names[i]
-                            for i, k in enumerate(e) if k) or "1"
-            parts.append(f"({self.coeffs[e]})*{mono}")
-        return " + ".join(parts)
+        return f"HomForm({self.nvars}, {self.degree}, {self.terms}, {self.den})"
 
     # -- serialization ---------------------------------------------------
 
@@ -134,27 +119,25 @@ class HomForm:
         return {
             "nvars": self.nvars,
             "degree": self.degree,
-            "terms": [{"exponents": list(e), "coeff": c.to_json()}
-                      for e, c in sorted(self.coeffs.items(), reverse=True)],
+            "terms": [{"exponents": list(e), "coeff": json_pair(w, self.den)}
+                      for e, w in sorted(self.terms.items(), reverse=True)],
         }
 
 
 def multiply(factors: Sequence[HomForm]) -> HomForm:
-    """The product of one or more forms, the one convolution: common
-    numerators per factor (`field.common_numerators`), one `_dot` per
-    monomial and factor, then one normalization over their denominators."""
+    """The product of one or more forms, the one convolution: one `_dot` per
+    monomial and factor on the numerators, over the product of the
+    denominators, reduced once."""
     if len({f.nvars for f in factors}) != 1:
         raise ValueError("forms have different numbers of variables")
-    nums = [common_numerators(f.coeffs.values()) for f in factors]
-    terms = dict(zip(factors[0].coeffs, nums[0][0]))
-    for f, (u, _) in zip(factors[1:], nums[1:]):
+    terms = factors[0].terms
+    for f in factors[1:]:
         grouped: Dict[Exponents, List[Tuple[Pair, Pair]]] = {}
-        for (e1, a), (e2, b) in itertools.product(terms.items(), zip(f.coeffs, u)):
+        for (e1, a), (e2, b) in itertools.product(terms.items(), f.terms.items()):
             grouped.setdefault(tuple(map(add, e1, e2)), []).append((a, b))
-        terms = {e: w for e, ab in grouped.items() if (w := _dot(*zip(*ab))) != (0, 0)}
-    den = prod(d for _, d in nums)
-    return HomForm(factors[0].nvars, sum(f.degree for f in factors),
-                   dict(zip(terms, from_numerators(terms.values(), den))))
+        terms = {e: _dot(*zip(*ab)) for e, ab in grouped.items()}
+    return HomForm(factors[0].nvars, sum(f.degree for f in factors), terms,
+                   prod(f.den for f in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +223,7 @@ def divides(f: HomForm, g: HomForm) -> bool:
     """Whether f divides g, by evaluation on the line f = 0: f must be
     linear in 3 variables, and any other divisor raises ValueError.
 
-    Soundness.  With c f's coprime pairs, c_k the first nonzero one and
+    Soundness.  With c f's numerators, c_k the first nonzero one and
     i < j the other indices, u = c_k*e_i - c_i*e_k and w = c_k*e_j - c_j*e_k
     are independent zeros of f.  So g(u + t*w), t = 0..deg g, are the values
     of the binary form g(s*u + t*w) of degree deg g at deg g + 1 distinct
@@ -253,8 +236,7 @@ def divides(f: HomForm, g: HomForm) -> bool:
         raise ZeroDivisionError("division by the zero form")
     if f.degree != 1 or f.nvars != 3:
         raise ValueError("the divisor must be a linear form in 3 variables")
-    by_var = dict(zip(f.coeffs, f.pairs()))
-    c = [by_var.get(e, (0, 0)) for e in monomials(1, 3)]
+    c = [f.terms.get(e, (0, 0)) for e in monomials(1, 3)]
     k = next(v for v in range(3) if c[v] != (0, 0))
     i, j = (v for v in range(3) if v != k)
     u, w = [(0, 0)] * 3, [(0, 0)] * 3
@@ -311,12 +293,13 @@ class SmoothnessReport(NamedTuple):
 def plane_curve_is_smooth(f: HomForm, seed: int = 0) -> SmoothnessReport:
     """Certify that a plane curve has no singular point over the closure.
 
-    The form is scaled to coprime Z[phi] coefficients and reduced modulo a
-    degree-1 prime P = (p, phi - r) of Z[phi], where p > 5, p = +-1 (mod 5)
-    and r is a root of x^2 - x - 1 mod p; the reduction a + b*phi -> a + b*r
-    is a ring map onto F_p.  On each affine chart x_c = 1, with the other
-    two variables called keep and elim, two resultants eliminate elim from
-    (d_keep f, d_elim f) and from (d_keep f, f).  Each lies in the ideal of
+    The form's Z[phi] numerators, the form times its integer ``den``, are
+    reduced modulo a degree-1 prime P = (p, phi - r) of Z[phi], where p > 5,
+    p = +-1 (mod 5) and r is a root of x^2 - x - 1 mod p; the reduction
+    a + b*phi -> a + b*r is a ring map onto F_p.  On each affine chart
+    x_c = 1, with the other two variables called keep and elim, two
+    resultants eliminate elim from (d_keep f, d_elim f) and from
+    (d_keep f, f).  Each lies in the ideal of
     its pair, so it vanishes at the keep-coordinate of every common zero; a
     nonzero resultant of the two nonzero eliminants therefore proves the
     chart free of zeros of (f, d_keep f, d_elim f), a superset of its singular
@@ -344,7 +327,7 @@ def plane_curve_is_smooth(f: HomForm, seed: int = 0) -> SmoothnessReport:
     if f.degree == 1:
         return SmoothnessReport(True, "a line is smooth")
     for i, pt in enumerate(("[1:0:0]", "[0:1:0]", "[0:0:1]")):
-        if not any(e[i] for e in f.coeffs):
+        if not any(e[i] for e in f.terms):
             return SmoothnessReport(False, f"form misses a variable: singular at {pt}")
     rng = random.Random(seed)
     primes = itertools.islice(linalg._split_primes(), 1, None)  # after the stored one
@@ -369,8 +352,8 @@ def plane_curve_is_smooth(f: HomForm, seed: int = 0) -> SmoothnessReport:
 
 
 def _reduce(f: HomForm, p: int, r: int) -> ModForm:
-    """The image of the coprime coefficient pairs under Z[phi] -> F_p, phi -> r."""
-    return {e: v for e, v in zip(f.coeffs, residues(f.pairs(), p, r)) if v}
+    """The image of the numerators under Z[phi] -> F_p, phi -> r."""
+    return {e: v for e, v in zip(f.terms, residues(f.terms.values(), p, r)) if v}
 
 
 def _random_invertible_mod(rng: random.Random, p: int) -> Tuple[Tuple[int, ...], ...]:

@@ -20,7 +20,8 @@ from .config import GridCertificate, H4Configuration, VerificationError
 from .field import Pair, _dot, _neg
 from .forms import (HomForm, SmoothnessIndeterminate, SmoothnessReport,
                     _record_json, divides, independent_evaluation_rows,
-                    multiply, plane_curve_is_smooth, vanishing_space)
+                    monomials, multiply, plane_curve_is_smooth,
+                    vanishing_space)
 from .projective import ProjLine, ProjPoint, image_from, line_image
 
 PlaneCoords = Tuple[Pair, Pair, Pair]  # canonical Z[phi] pairs
@@ -56,7 +57,8 @@ class Projection(NamedTuple):
 
     def push_line(self, line: ProjLine) -> HomForm:
         """The line's image, a linear form on P^2, by `line_image`."""
-        return HomForm.linear(line_image(self.vertex, line))
+        return HomForm(3, 1, dict(zip(monomials(1, 3),
+                                      line_image(self.vertex, line))))
 
 
 def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
@@ -96,16 +98,16 @@ def _require_passed(kind: str, cert):
 
 def build_quintic_cone(g: HomForm, h: HomForm, point: PlaneCoords) -> HomForm:
     """The monic member h(x)*g - g(x)*h of the pencil of g and h, which
-    vanishes at the image x.  On the coprime pairs u = c*g and v = c'*h
-    (`HomForm.pairs`, c, c' > 0 rational), v(x)*u - u(x)*v is c*c' times it,
-    with the same monic form.  If both generators vanish at x, every member
-    does; if g and h are proportional, the member is zero.  Either raises
-    VerificationError."""
+    vanishes at the image x.  On the numerators u = c*g and v = c'*h
+    (``terms``, with c and c' the forms' positive integer ``den``),
+    v(x)*u - u(x)*v is c*c' times it, with the same monic form.  If both
+    generators vanish at x, every member does; if g and h are proportional,
+    the member is zero.  Either raises VerificationError."""
     gx, hx = g.value_at(point), h.value_at(point)
     if gx == hx == (0, 0):
         raise VerificationError(
             "both pencil generators vanish at the anchor image; resample")
-    u, v = dict(zip(g.coeffs, g.pairs())), dict(zip(h.coeffs, h.pairs()))
+    u, v = g.terms, h.terms
     terms = ((e, _dot((hx, _neg(gx)), (u.get(e, (0, 0)), v.get(e, (0, 0)))))
              for e in {**u, **v})
     member = HomForm.monic_from_pairs(g.nvars, g.degree, terms)

@@ -89,10 +89,11 @@ def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
                     break
             if None not in lifted:
                 # Taken in `_kernel_mod` order: by g, then by pivot c < g.
-                entries = map(FieldElement, lifted[:len(xs)], lifted[len(xs):])
+                entries = zip(lifted[:len(xs)], lifted[len(xs):])
                 basis = [primitive_numerators(
-                    ONE if j == g else next(entries) if j < g and j in pivots else ZERO
-                    for j in range(ncols)) for g in range(ncols) if g not in pivots]
+                    (1, 0) if j == g else next(entries) if j < g and j in pivots
+                    else (0, 0) for j in range(ncols))
+                    for g in range(ncols) if g not in pivots]
                 if first_missed_row(rows, basis) is None:
                     return basis
         if h is None:

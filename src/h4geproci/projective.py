@@ -1,13 +1,13 @@
 """Projective points, planes and lines in P^3 over Q(phi), with exact incidence.
 
-Every flat is stored in a canonical form: its homogeneous coordinates are
-scaled to coprime elements of Z[phi] whose first nonzero entry is a positive
-rational integer.  A flat keeps those numerators as integer pairs (x, y),
-meaning x + y*phi, in ``pairs``, next to the same values as FieldElements in
-``coords`` (``pluecker`` for a line).  Equality and hashing compare the
-pairs, and a point lies in a plane when the dot product of their pairs is
-zero, an exact integer computation by `field`'s Z[phi] kernels.  The line
+Every flat is stored in a canonical form, and only in it: its homogeneous
+coordinates scaled to coprime elements of Z[phi] whose first nonzero entry
+is a positive rational integer, kept as the integer pairs (x, y), meaning
+x + y*phi, in ``pairs`` (`_canonical_pairs`).  Equality and hashing compare
+the pairs, and a point lies in a plane when the dot product of their pairs
+is zero, an exact integer computation by `field`'s Z[phi] kernels.  The line
 through p and q has Pluecker pairs L_ij = p_i*q_j - p_j*q_i (`_minors`).
+Coordinates given as FieldElements enter through `canonicalize`.
 
 The projection from a vertex is closed-form minors, of points and of lines;
 the arguments are at `image_from` and `line_image`.
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalg
-from .field import (FieldElement, Pair, _coerce, _dot, _neg, conj, norm,
+from .field import (FieldElement, Pair, _dot, _neg, conj, json_pair, norm,
                     primitive_numerators, products)
 
 # Pluecker coordinates are ordered by the index pairs ij below.
@@ -52,18 +52,12 @@ def _canonical_pairs(pairs: Sequence[Pair]) -> Tuple[Pair, ...]:
     return tuple((x // content, y // content) for x, y in prods)
 
 
-def _elements(pairs: Iterable[Pair]) -> Tuple[FieldElement, ...]:
-    return tuple(FieldElement(x, y) for x, y in pairs)
-
-
-def canonicalize(coords: Sequence[FieldElement]) -> Tuple[FieldElement, ...]:
-    """Canonical representative of a nonzero homogeneous coordinate vector.
-
-    The coordinates are cleared to Z[phi] numerators and put in the
-    canonical form of `_canonical_pairs`: coprime, led by a positive
-    integer.  Representatives of the same projective flat always agree.
-    """
-    return _elements(_canonical_pairs(primitive_numerators(coords)))
+def canonicalize(coords: Sequence[FieldElement]) -> Tuple[Pair, ...]:
+    """The canonical pairs of a nonzero homogeneous coordinate vector given
+    as FieldElements, where parsed coordinates enter: cleared to Z[phi]
+    numerators and put in the form of `_canonical_pairs`.  Representatives
+    of the same projective flat always agree."""
+    return _canonical_pairs(primitive_numerators((c.a, c.b) for c in coords))
 
 
 def _minors(p: Sequence[Pair], q: Sequence[Pair],
@@ -99,31 +93,29 @@ class _Canonical:
 
 
 class _Flat(_Canonical):
-    """Points and planes: a canonical 4-vector of elements, ints or Fractions."""
+    """Points and planes: the canonical pairs of a nonzero Z[phi] 4-vector."""
 
-    __slots__ = ("coords",)
+    __slots__ = ()
 
-    def __init__(self, coords: Sequence[FieldElement]):
-        if len(coords) != 4:
+    def __init__(self, pairs: Sequence[Pair]):
+        if len(pairs) != 4:
             raise ValueError("expected 4 homogeneous coordinates")
-        pairs = _canonical_pairs(primitive_numerators(map(_coerce, coords)))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "coords", _elements(pairs))
+        object.__setattr__(self, "pairs", _canonical_pairs(pairs))
 
     def __repr__(self) -> str:
-        inner = " : ".join(str(x) for x in self.coords)
-        return f"{type(self).__name__}[{inner}]"
+        return f"{type(self).__name__}({self.pairs})"
 
     def to_json(self) -> list:
-        return [x.to_json() for x in self.coords]
+        return [json_pair(w) for w in self.pairs]
 
 
 class ProjPoint(_Flat):
     """A point of P^3 in canonical homogeneous coordinates."""
 
     @classmethod
-    def of(cls, *coords) -> "ProjPoint":
-        return cls(coords)
+    def of(cls, *coords: int) -> "ProjPoint":
+        """The point with these integer coordinates."""
+        return cls([(v, 0) for v in coords])
 
 
 class ProjPlane(_Flat):
@@ -134,29 +126,27 @@ class ProjPlane(_Flat):
 
 
 class ProjLine(_Canonical):
-    """A line of P^3: canonical Pluecker coordinates plus two spanning points.
+    """A line of P^3: canonical Pluecker pairs plus two spanning points.
 
     The Pluecker pairs identify the line; the spanning points back pushed
     lines and JSON.
     """
 
-    __slots__ = ("pluecker", "p", "q")
+    __slots__ = ("p", "q")
 
     def __init__(self, p: ProjPoint, q: ProjPoint):
         if p == q:
             raise DegenerateSpanError("coincident points do not span a line")
-        pairs = pluecker_pairs(p.pairs, q.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "pluecker", _elements(pairs))
+        object.__setattr__(self, "pairs", pluecker_pairs(p.pairs, q.pairs))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
     def __repr__(self) -> str:
-        return f"ProjLine({self.pluecker})"
+        return f"ProjLine({self.pairs})"
 
     def to_json(self) -> dict:
         return {
-            "pluecker": [x.to_json() for x in self.pluecker],
+            "pluecker": [json_pair(w) for w in self.pairs],
             "span": [self.p.to_json(), self.q.to_json()],
         }
 
@@ -181,19 +171,24 @@ def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[Pair, ...]:
                                     [(k, i) for i in range(4) if i != k]))
 
 
-def line_image(vertex: ProjPoint, line: ProjLine) -> Tuple[FieldElement, ...]:
+def line_image(vertex: ProjPoint, line: ProjLine) -> Tuple[Pair, ...]:
     """The image of the line pq: the canonical H_i, i != k (k the pivot of
     v), of H: x -> det[p, q, v, x], each (-1)**(i + 1) times the minor of p,
     q, v without column i.  H kills p, q, v, so at the image pi(x) of
     `image_from`, before canonicalizing, sum_{i != k} H_i*pi(x)_i = v_k*H(x):
     zero exactly when H contains x.  If the kept minors vanish, 0 = H(v) =
-    H_k*v_k makes H = 0, so v is on the line: DegenerateSpanError."""
+    H_k*v_k makes H = 0, so v is on the line: DegenerateSpanError.
+
+    The minors alone are `linalg.determinant` on FieldElement rows, built
+    here from the pairs; it is the one determinant the package takes, and
+    the one verdict step that runs FieldElement arithmetic."""
     k = _pivot(vertex)
-    rows = (line.p.coords, line.q.coords, vertex.coords)
+    rows = [[FieldElement(x, y) for x, y in flat.pairs]
+            for flat in (line.p, line.q, vertex)]
     cols = [i for i in range(4) if i != k]
-    minors = primitive_numerators(
-        linalg.determinant([row[:i] + row[i + 1:] for row in rows]) for i in cols)
+    minors = [linalg.determinant([row[:i] + row[i + 1:] for row in rows])
+              for i in cols]
+    minors = primitive_numerators((m.a, m.b) for m in minors)
     if all(w == (0, 0) for w in minors):
         raise DegenerateSpanError("the vertex lies on the line")
-    return _elements(_canonical_pairs([w if i % 2 else _neg(w)
-                                       for i, w in zip(cols, minors)]))
+    return _canonical_pairs([w if i % 2 else _neg(w) for i, w in zip(cols, minors)])

@@ -5,23 +5,24 @@ them."""
 
 from h4geproci.field import ZERO
 from h4geproci.forms import HomForm
+from elements import coefficients, form
 
 
 def monic(f: HomForm) -> HomForm:
     """f scaled so its graded-lex leading coefficient is 1."""
-    return HomForm.monic_from_pairs(f.nvars, f.degree, zip(f.coeffs, f.pairs()))
+    return HomForm.monic_from_pairs(f.nvars, f.degree, f.terms.items())
 
 
 def reference_partial(f: HomForm, var: int) -> HomForm:
     """d/dx_var term by term in FieldElement arithmetic."""
     c = {}
-    for e, v in f.coeffs.items():
+    for e, v in coefficients(f).items():
         if e[var] == 0:
             continue
         e2 = list(e)
         e2[var] -= 1
         c[tuple(e2)] = v * e[var]
-    return HomForm(f.nvars, max(f.degree - 1, 0), c)
+    return form(f.nvars, max(f.degree - 1, 0), c)
 
 
 def reference_quotient(f: HomForm, g: HomForm):
@@ -32,10 +33,11 @@ def reference_quotient(f: HomForm, g: HomForm):
         return HomForm(f.nvars, 0, {})
     if g.degree < f.degree:
         return None
-    lead = max(f.coeffs)
-    inv = f.coeffs[lead].inverse()
+    fc = coefficients(f)
+    lead = max(fc)
+    inv = fc[lead].inverse()
     q = {}
-    r = dict(g.coeffs)
+    r = coefficients(g)
     while r:
         top = max(r)
         e = tuple(a - b for a, b in zip(top, lead))
@@ -43,11 +45,11 @@ def reference_quotient(f: HomForm, g: HomForm):
             return None
         c = r[top] * inv
         q[e] = c
-        for ef, cf in f.coeffs.items():
+        for ef, cf in fc.items():
             t = tuple(a + b for a, b in zip(e, ef))
             v = r.get(t, ZERO) - c * cf
             if v.is_zero():
                 r.pop(t, None)
             else:
                 r[t] = v
-    return HomForm(f.nvars, g.degree - f.degree, q)
+    return form(f.nvars, g.degree - f.degree, q)

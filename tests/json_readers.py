@@ -6,8 +6,8 @@ certificate replay read them here."""
 from fractions import Fraction
 
 from h4geproci.field import FieldElement
-from h4geproci.forms import HomForm
-from h4geproci.projective import ProjLine, ProjPoint
+from h4geproci.projective import ProjLine
+from elements import form, point
 
 
 def field_element(obj):
@@ -16,7 +16,7 @@ def field_element(obj):
 
 
 def proj_point(obj):
-    return ProjPoint([field_element(x) for x in obj])
+    return point(*map(field_element, obj))
 
 
 def proj_line(obj):
@@ -25,6 +25,6 @@ def proj_line(obj):
 
 
 def hom_form(obj):
-    return HomForm(obj["nvars"], obj["degree"],
-                   {tuple(t["exponents"]): field_element(t["coeff"])
-                    for t in obj["terms"]})
+    return form(obj["nvars"], obj["degree"],
+                {tuple(t["exponents"]): field_element(t["coeff"])
+                 for t in obj["terms"]})

@@ -16,9 +16,10 @@ from h4geproci.config import (HALVES, grid_point_indices,
                               incidence_table_lines, incidence_table_planes,
                               special_points_for_grid, z_partition)
 from h4geproci.coverings import enumerate_coverings, enumerate_grids
-from h4geproci.field import FieldElement, ONE, PHI, primitive_numerators
-from h4geproci.forms import HomForm, vanishing_space
+from h4geproci.field import FieldElement, ONE, PHI
+from h4geproci.forms import vanishing_space
 from h4geproci.projective import canonicalize
+from elements import elements, form, pairs_of
 from form_references import monic, reference_quotient
 from test_projective import CoordinateChange
 
@@ -59,10 +60,10 @@ def test_criterion_03_covering_table(cfg):
 
 def test_criterion_04_quadric_certificates(cfg):
     t0 = time.monotonic()
-    q1_expected = monic(HomForm(4, 2, {
+    q1_expected = monic(form(4, 2, {
         (1, 1, 0, 0): FieldElement(2), (0, 2, 0, 0): -ONE,
         (0, 0, 2, 0): PHI - ONE, (0, 0, 0, 2): -PHI}))
-    q2_expected = monic(HomForm(4, 2, {
+    q2_expected = monic(form(4, 2, {
         (2, 0, 0, 0): ONE, (1, 1, 0, 0): FieldElement(2),
         (0, 0, 2, 0): PHI, (0, 0, 0, 2): ONE - PHI}))
     for half, expected in zip(HALVES, (q1_expected, q2_expected)):
@@ -157,7 +158,7 @@ def test_criterion_09_property_suites(cfg):
         if all(c.is_zero() for c in coords):
             continue
         canon = canonicalize(coords)
-        assert canonicalize(canon) == canon
+        assert canonicalize(elements(canon)) == canon
 
     pts = [cfg.points[i] for i in (1, 5, 33, 60)]
     plane = cfg.planes[2]
@@ -175,8 +176,7 @@ def test_criterion_09_property_suites(cfg):
             assert moved_plane.contains(m.apply_point(p)) == was_incident
         trials += 1
 
-    sample = [primitive_numerators([FieldElement(rng.randint(-9, 9))
-                                    for _ in range(3)])
+    sample = [pairs_of([FieldElement(rng.randint(-9, 9)) for _ in range(3)])
               for _ in range(6)]
     for f in vanishing_space(sample, 3, 3):
         for p in sample:

@@ -15,6 +15,8 @@ from h4geproci import (build_h4, enumerate_coverings, enumerate_grids,
                        verify_geproci, verify_half_grid, verify_not_half_grid)
 
 PINNED = {
+    "build_h4":
+        "28b213a65c76df8db8f092ec1284b685ff72c3c5beb3ed3898868dad51d9b490",
     "enumerate_coverings":
         "34e01543edebb35fb0e66f16ddee8098e8fbe8b32923dae0b32341c43941a982",
     "enumerate_grids":
@@ -46,6 +48,7 @@ PINNED = {
 }
 
 ARTIFACTS = {
+    "build_h4": lambda cfg: cfg.to_json(),
     "enumerate_coverings":
         lambda cfg: [c.to_json() for c in enumerate_coverings(cfg)],
     "enumerate_grids": lambda cfg: [g.to_json() for g in enumerate_grids(cfg)],

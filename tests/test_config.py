@@ -15,8 +15,8 @@ from h4geproci.config import (HALVES, grid_point_indices,
                               incidence_table_lines, incidence_table_planes,
                               special_points_for_grid, z_partition)
 from h4geproci.field import FieldElement, ONE, PHI
-from h4geproci.forms import HomForm
 from h4geproci.projective import ProjLine, image_from, pluecker_pairs
+from elements import elements, form
 from form_references import monic
 from test_projective import _reference_pairing, _reference_pluecker, on_line
 
@@ -25,7 +25,7 @@ def test_sixty_distinct_points_and_dual_planes(cfg):
     assert len(cfg.points) == 60 and len(cfg.planes) == 60
     assert len(set(cfg.points.values())) == 60
     for i in cfg.points:
-        assert cfg.planes[i].coords == cfg.points[i].coords
+        assert cfg.planes[i].pairs == cfg.points[i].pairs
 
 
 def test_plane_table_matches_fixture(cfg):
@@ -258,7 +258,7 @@ def test_meet_relation_matches_the_pluecker_test(cfg):
     A meeting pair's entry, the same both ways, is the one point their
     line_points share: no two of the 72 lines meet outside the configuration.
     """
-    minors = {i: _reference_pluecker(line.p, line.q)
+    minors = {i: elements(_reference_pluecker(line.p, line.q))
               for i, line in cfg.lines.items()}
     pairs = list(combinations(sorted(cfg.lines), 2))
     assert len(pairs) == 2556
@@ -285,10 +285,10 @@ def test_line_planes_match_exact_containment(cfg):
 
 def test_grid_quadrics_match_printed_equations(cfg):
     # The equations of criterion 4, scaled so the leading coefficient is 1.
-    q1 = monic(HomForm(4, 2, {
+    q1 = monic(form(4, 2, {
         (1, 1, 0, 0): FieldElement(2), (0, 2, 0, 0): -ONE,
         (0, 0, 2, 0): PHI - ONE, (0, 0, 0, 2): -PHI}))
-    q2 = monic(HomForm(4, 2, {
+    q2 = monic(form(4, 2, {
         (2, 0, 0, 0): ONE, (1, 1, 0, 0): FieldElement(2),
         (0, 0, 2, 0): PHI, (0, 0, 0, 2): ONE - PHI}))
     assert tuple(g.quadric for g in cfg.grids) == (q1, q2)

@@ -92,7 +92,7 @@ def test_grid_oracle_agrees_with_enumeration(cfg, grids):
     _, count = oracle.count_grids(cfg)
     assert count == GRID_COUNT == len(grids)
     for g in grids:
-        assert oracle.has_unique_quadric([cfg.points[i].coords
+        assert oracle.has_unique_quadric([oracle.coords(cfg.points[i])
                                           for i in g.grid_points])
         assert all(g.quadric.vanishes_at(cfg.points[i].pairs)
                    for i in g.grid_points)

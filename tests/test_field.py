@@ -11,16 +11,23 @@ from hypothesis import strategies as st
 
 from h4geproci import linalg
 from h4geproci.field import (FieldElement, ONE, PHI, PHI2, ZERO, _dot,
-                             common_numerators, conj, norm,
-                             primitive_numerators, products, residues)
+                             conj, json_pair, norm, primitive_numerators,
+                             products, residues)
 from h4geproci.forms import HomForm
-from h4geproci.projective import ProjPoint
+from h4geproci.projective import ProjPoint, canonicalize
+from elements import point
 from json_readers import field_element
 
 
 def _random_element(rng: random.Random) -> FieldElement:
     return FieldElement(Fraction(rng.randint(-50, 50), rng.randint(1, 20)),
                         Fraction(rng.randint(-50, 50), rng.randint(1, 20)))
+
+
+def common_numerators(xs):
+    """Pairs (x, y) over one denominator d, the lcm: each element is (x + y*phi)/d."""
+    d = lcm(*(v.denominator for x in xs for v in (x.a, x.b)))
+    return [(int(x.a * d), int(x.b * d)) for x in xs], d
 
 
 def _numerator(x: FieldElement):
@@ -101,19 +108,25 @@ def test_coercion_from_int_and_fraction():
 
 
 def test_only_ints_and_fractions_enter_q_phi():
-    """Elements, form coefficients and point coordinates take one rule: an
-    int (a bool too) or a Fraction, never a float or a string, which would
-    enter Q(phi) rounded or parsed."""
+    """Elements take one rule: an int (a bool too) or a Fraction, never a
+    float or a string, which would enter Q(phi) rounded or parsed.  Form
+    numerators and point pairs take ints only, and a coordinate vector of
+    elements enters by its canonical pairs."""
     for bad in (lambda: FieldElement(0.1), lambda: FieldElement(0, 0.5),
                 lambda: FieldElement("1/2", "3"), lambda: FieldElement(1) + 0.1,
-                lambda: FieldElement(1) - 0.1, lambda: 0.1 - FieldElement(1),
-                lambda: HomForm(3, 1, {(1, 0, 0): 0.5}),
-                lambda: ProjPoint.of(0.1, 1, 0, 0)):
+                lambda: FieldElement(1) - 0.1, lambda: 0.1 - FieldElement(1)):
         with pytest.raises(TypeError, match="into Q\\(phi\\)"):
             bad()
+    for bad in (lambda: HomForm(3, 1, {(1, 0, 0): (0.5, 0)}),
+                lambda: HomForm(3, 1, {(1, 0, 0): (Fraction(1, 2), 0)}),
+                lambda: ProjPoint.of(0.1, 1, 0, 0),
+                lambda: ProjPoint.of(Fraction(1, 2), 1, 0, 0)):
+        with pytest.raises(TypeError):
+            bad()
     assert FieldElement(True, Fraction(2, 4)) == FieldElement(1, Fraction(1, 2))
-    assert ProjPoint([1, 0, 0, 0]) == ProjPoint.of(1, 0, 0, 0)
-    assert ProjPoint([2, Fraction(1, 2), ONE, PHI]) == ProjPoint.of(4, 1, 2, 2 * PHI)
+    assert ProjPoint([(1, 0), (0, 0), (0, 0), (0, 0)]) == ProjPoint.of(1, 0, 0, 0)
+    assert point(2, Fraction(1, 2), ONE, PHI) == point(4, 1, 2, 2 * PHI)
+    assert ProjPoint(canonicalize([ONE, PHI, ZERO, ZERO])) == point(1, PHI, 0, 0)
 
 
 _rationals = st.fractions(min_value=-10**6, max_value=10**6,
@@ -245,19 +258,19 @@ def test_normal_form(x, y):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_elements, max_size=5))
-def test_common_numerators_are_the_elements_over_the_lcm(xs):
-    pairs, d = common_numerators(xs)
-    assert d == lcm(*(Fraction(x.a).denominator for x in xs),
-                    *(Fraction(x.b).denominator for x in xs))
-    assert [FieldElement(Fraction(a, d), Fraction(b, d))
-            for a, b in pairs] == xs
+@given(_elements, st.integers(min_value=1, max_value=10**6))
+def test_json_pair_writes_the_element_over_its_denominator(x, k):
+    """Every pair-based value writes its numbers by `json_pair`: the
+    element's numerators over any common denominator give its JSON."""
+    [u], d = common_numerators([x])
+    assert json_pair(u, d) == x.to_json() == _Reference(x.a, x.b).to_json()
+    assert json_pair((u[0] * k, u[1] * k), d * k) == x.to_json()
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_elements, min_size=1, max_size=5))
 def test_primitive_numerators_scale_by_one_positive_rational(xs):
-    pairs = primitive_numerators(xs)
+    pairs = primitive_numerators((x.a, x.b) for x in xs)
     ints = [v for pair in pairs for v in pair]
     lead = next((k for k, x in enumerate(xs) if not x.is_zero()), None)
     if lead is None:

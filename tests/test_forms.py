@@ -8,9 +8,8 @@ from math import comb, gcd, isqrt, prod
 
 import pytest
 
-from h4geproci import config, forms, linalg
-from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot,
-                             common_numerators, norm, primitive_numerators)
+from h4geproci import config, field, forms, linalg
+from h4geproci.field import FieldElement, ONE, PHI, ZERO, _dot, norm
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              monomials, plane_curve_is_smooth,
                              vanishing_space, _chart_test,
@@ -19,6 +18,7 @@ from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
                              _residue_row, _resultant_mod)
 from h4geproci.geproci import sample_generic_vertex
 from h4geproci.linalg import _PHI_ROOT, _PRIME, _split_primes
+from elements import coefficients, form, linear, pairs_of
 from form_references import reference_quotient
 from json_readers import hom_form
 from test_linalg import (_integer_pairs, _wrong_first_coefficient,
@@ -32,23 +32,22 @@ def _random_form(rng, nvars, degree, density=0.7, rational=False) -> HomForm:
         if rng.random() < density:
             coeffs[e] = (_random_elem(rng) if rational else
                          FieldElement(rng.randint(-5, 5), rng.randint(-3, 3)))
-    return HomForm(nvars, degree, coeffs)
+    return form(nvars, degree, coeffs)
 
 
 def _var(i, nvars) -> HomForm:
-    return HomForm.linear([ONE if j == i else ZERO for j in range(nvars)])
+    return linear([ONE if j == i else ZERO for j in range(nvars)])
 
 
 def _evaluate(f: HomForm, point) -> FieldElement:
-    """The exact value at a point of Z[phi] pairs: the common numerators of
-    the coefficients dotted with `_evaluation_row`, over their denominator."""
-    u, d = common_numerators(f.coeffs.values())
-    row = _evaluation_row(point, f.degree, f.nvars, f.coeffs)
-    return FieldElement(*_dot(u, row)) / d
+    """The exact value at a point of Z[phi] pairs: the numerators of the
+    coefficients dotted with `_evaluation_row`, over their denominator."""
+    row = _evaluation_row(point, f.degree, f.nvars, f.terms)
+    return FieldElement(*_dot(f.terms.values(), row)) / f.den
 
 
 def _scale(f: HomForm, k: FieldElement) -> HomForm:
-    return HomForm(f.nvars, f.degree, {e: v * k for e, v in f.coeffs.items()})
+    return form(f.nvars, f.degree, {e: v * k for e, v in coefficients(f).items()})
 
 
 def _add(*summands: HomForm) -> HomForm:
@@ -56,20 +55,20 @@ def _add(*summands: HomForm) -> HomForm:
     FieldElement arithmetic."""
     c = {}
     for f in summands:
-        for e, v in f.coeffs.items():
+        for e, v in coefficients(f).items():
             c[e] = c.get(e, ZERO) + v
     degree = next((f.degree for f in summands if not f.is_zero()),
                   summands[0].degree)
-    return HomForm(summands[0].nvars, degree, c)
+    return form(summands[0].nvars, degree, c)
 
 
 def _compose_linear(f: HomForm, matrix) -> HomForm:
     """Substitute x_i -> sum_j matrix[i][j] * x_j in f."""
     n = f.nvars
-    lin = [HomForm.linear(list(row)) for row in matrix]
+    lin = [linear(list(row)) for row in matrix]
     result = HomForm(n, f.degree, {})
-    for e, c in f.coeffs.items():
-        term = HomForm(n, 0, {(0,) * n: c})
+    for e, c in coefficients(f).items():
+        term = form(n, 0, {(0,) * n: c})
         for i, k in enumerate(e):
             for _ in range(k):
                 term = term * lin[i]
@@ -86,7 +85,7 @@ def _random_proj_tuple(rng, n):
 
 def _pairs_of(points):
     """Each point scaled to its coprime Z[phi] pairs, as the package takes them."""
-    return [primitive_numerators(p) for p in points]
+    return [pairs_of(p) for p in points]
 
 
 def _reference_monomials(degree, nvars):
@@ -120,11 +119,11 @@ def test_product_evaluates_to_product():
 def _reference_product(f, g):
     """The product term by term, in FieldElement arithmetic."""
     c = {}
-    for e1, v1 in f.coeffs.items():
-        for e2, v2 in g.coeffs.items():
+    for e1, v1 in coefficients(f).items():
+        for e2, v2 in coefficients(g).items():
             e = tuple(a + b for a, b in zip(e1, e2))
             c[e] = c.get(e, ZERO) + v1 * v2
-    return HomForm(f.nvars, f.degree + g.degree, c)
+    return form(f.nvars, f.degree + g.degree, c)
 
 
 def test_product_matches_the_field_reference():
@@ -137,21 +136,21 @@ def test_product_matches_the_field_reference():
                            rational=rng.random() < 0.5))
              for nvars in (2, 3, 4) for _ in range(6)]
     cubic = _random_form(rng, 3, 3, density=1.0, rational=True)
-    const = HomForm(3, 0, {(0, 0, 0): FieldElement(Fraction(-2, 3), 1)})
+    const = form(3, 0, {(0, 0, 0): FieldElement(Fraction(-2, 3), 1)})
     cases += [(HomForm(3, 2, {}), cubic), (cubic, HomForm(3, 0, {})),
               (const, cubic), (cubic, const), (const, const)]
     half = FieldElement(Fraction(1, 2))
-    plus = HomForm.linear([half, PHI, ZERO])
-    minus = HomForm.linear([half, -PHI, ZERO])
+    plus = linear([half, PHI, ZERO])
+    minus = linear([half, -PHI, ZERO])
     cases.append((plus, minus))
     for f, g in cases:
         product = f * g
         assert product == _reference_product(f, g)
         assert product.degree == f.degree + g.degree
-        assert not any(c.is_zero() for c in product.coeffs.values())
+        assert (0, 0) not in product.terms.values()
     # (x/2 + phi y)(x/2 - phi y) = x^2/4 - (1 + phi) y^2: no xy term is kept.
-    assert (plus * minus).coeffs == {(2, 0, 0): FieldElement(Fraction(1, 4)),
-                                     (0, 2, 0): -(ONE + PHI)}
+    assert coefficients(plus * minus) == {(2, 0, 0): FieldElement(Fraction(1, 4)),
+                                          (0, 2, 0): -(ONE + PHI)}
     assert (HomForm(3, 2, {}) * cubic).is_zero()
     with pytest.raises(ValueError):
         cubic * _var(0, 2)
@@ -163,12 +162,12 @@ def test_a_bad_exponent_tuple_raises_whatever_its_coefficient(exponents,
                                                               coefficient):
     """A wrong length or a wrong degree raises, a zero coefficient too."""
     with pytest.raises(ValueError, match="bad exponent tuple"):
-        HomForm(3, 1, {exponents: coefficient})
+        HomForm(3, 1, {exponents: (coefficient, 0)})
 
 
 def _reference_monic(f: HomForm) -> HomForm:
     """f over its graded-lex leading coefficient, in FieldElement arithmetic."""
-    return f if f.is_zero() else _scale(f, ONE / f.coeffs[max(f.coeffs)])
+    return f if f.is_zero() else _scale(f, ONE / coefficients(f)[max(f.terms)])
 
 
 def test_monic_from_pairs_matches_the_field_reference():
@@ -194,13 +193,12 @@ def test_monic_from_pairs_matches_the_field_reference():
         if terms:
             nvars, degree = len(terms[0][0]), sum(terms[0][0])
         got = HomForm.monic_from_pairs(nvars, degree, iter(terms))
-        reference = _reference_monic(HomForm(nvars, degree, {
-            e: FieldElement(*w) for e, w in terms}))
+        reference = _reference_monic(HomForm(nvars, degree, dict(terms)))
         assert got == reference and got.degree == reference.degree
-        assert not any(c.is_zero() for c in got.coeffs.values())
+        assert (0, 0) not in got.terms.values()
         live = [w for _, w in terms if w != (0, 0)]
         if live:
-            assert got.coeffs[max(got.coeffs)] == ONE
+            assert coefficients(got)[max(got.terms)] == ONE
             lead = max((e, w) for e, w in terms if w != (0, 0))[1]
             norms.add(lead[0] ** 2 + lead[0] * lead[1] - lead[1] ** 2 > 0)
         else:
@@ -211,11 +209,11 @@ def test_monic_from_pairs_matches_the_field_reference():
 
 def test_evaluate_matches_term_by_term_powers():
     rng = random.Random(57)
-    pt = primitive_numerators((PHI, FieldElement(Fraction(-2, 3), 1), ZERO))
+    pt = pairs_of((PHI, FieldElement(Fraction(-2, 3), 1), ZERO))
     for degree in range(6):
         f = _random_form(rng, 3, degree)
         expected = ZERO
-        for e, c in f.coeffs.items():
+        for e, c in coefficients(f).items():
             for x, k in zip((FieldElement(*w) for w in pt), e):
                 c = c * x ** k
             expected = expected + c
@@ -283,7 +281,7 @@ def test_pair_rows_are_the_field_rows_times_lambda_to_the_degree(nvars):
             # The pairs are lambda*point: coprime integer pairs, lambda a
             # positive rational (zero only for the zero point), and the
             # degree-1 row is the pairs themselves.
-            pairs = primitive_numerators(pt)
+            pairs = pairs_of(pt)
             same = [FieldElement(*w) for w in pairs]
             linear = monomials(1, nvars)
             numerators = _evaluation_row(pairs, 1, nvars, linear)
@@ -323,7 +321,7 @@ def test_residue_rows_are_the_exact_rows_mod_p(nvars):
     rng = random.Random(131 + nvars)
     big = 10 ** 12
     for _ in range(6):
-        points = [primitive_numerators(pt) for pt in _evaluation_points(rng, nvars)]
+        points = [pairs_of(pt) for pt in _evaluation_points(rng, nvars)]
         points.append([(rng.randint(-big, big), rng.randint(-big, big))
                        for _ in range(nvars)])
         for pairs in points:
@@ -337,8 +335,9 @@ def test_residue_rows_are_the_exact_rows_mod_p(nvars):
 
 
 def _reference_value(f, pt):
-    ref = _reference_evaluation_row(pt, f.degree, f.nvars, f.coeffs)
-    return sum((c * v for c, v in zip(f.coeffs.values(), ref)), ZERO)
+    coeffs = coefficients(f)
+    ref = _reference_evaluation_row(pt, f.degree, f.nvars, coeffs)
+    return sum((c * v for c, v in zip(coeffs.values(), ref)), ZERO)
 
 
 def test_evaluate_and_vanishes_at_agree_with_the_field_reference():
@@ -349,7 +348,7 @@ def test_evaluate_and_vanishes_at_agree_with_the_field_reference():
     for nvars in (2, 3, 4):
         for _ in range(8):
             for pt in _evaluation_points(rng, nvars):
-                pairs = primitive_numerators(pt)
+                pairs = pairs_of(pt)
                 same = [FieldElement(*w) for w in pairs]
                 for degree in (0, 1, 2, 4):
                     f = _random_form(rng, nvars, degree,
@@ -362,14 +361,14 @@ def test_evaluate_and_vanishes_at_agree_with_the_field_reference():
                         # vanishes at pt.
                         e = tuple(degree if i == j else 0 for i in range(nvars))
                         c = _reference_value(f, pt) / pt[j] ** degree
-                        forms.append(_add(f, HomForm(nvars, degree, {e: -c})))
+                        forms.append(_add(f, form(nvars, degree, {e: -c})))
                     for g in forms:
                         value = _reference_value(g, same)
                         assert _evaluate(g, pairs) == value
                         assert g.vanishes_at(pairs) == value.is_zero()
                         for k in scales:
                             # moved is the pairs of mu*k*same, mu > 0 rational.
-                            moved = primitive_numerators([k * x for x in same])
+                            moved = pairs_of([k * x for x in same])
                             mu_k = _scale_of(moved, same)
                             assert g.vanishes_at(moved) == g.vanishes_at(pairs)
                             assert _evaluate(g, moved) == value * mu_k ** degree
@@ -378,25 +377,21 @@ def test_evaluate_and_vanishes_at_agree_with_the_field_reference():
     assert HomForm(3, 2, {}).vanishes_at(((1, 0), (0, 1), (0, 0)))
 
 
-def test_coefficient_pairs_are_scaled_once_per_form(monkeypatch):
-    """k zero tests of one form at pair points scale the coefficients once
-    and no point: one call of primitive_numerators, not k."""
-    calls = []
-    scale = forms.primitive_numerators
+def test_zero_tests_read_the_stored_numerators(monkeypatch):
+    """A form stores its Z[phi] numerators over one integer denominator, so
+    k zero tests at pair points scale nothing: no `primitive_numerators`
+    call, and each test is one dot product with the stored numerators."""
+    def no_scaling(values):
+        pytest.fail("a zero test scaled its coefficients")
 
-    def counting(elems):
-        calls.append(1)
-        return scale(elems)
-
-    monkeypatch.setattr(forms, "primitive_numerators", counting)
+    monkeypatch.setattr(field, "primitive_numerators", no_scaling)
     # x*y - phi*z^2 / 2 vanishes at (phi, 2, 2) and (1, 2 phi, 2), not at the rest.
-    two = FieldElement(2)
-    f = HomForm(3, 2, {(1, 1, 0): ONE, (0, 0, 2): -PHI / two})
-    points = _pairs_of([(PHI, two, two), (ONE, PHI, ZERO), (ONE, two * PHI, two),
-                        (FieldElement(Fraction(1, 3)), ONE, ONE)])
+    f = HomForm(3, 2, {(1, 1, 0): (4, 0), (0, 0, 2): (0, -2)}, 4)
+    assert f.terms == {(1, 1, 0): (2, 0), (0, 0, 2): (0, -1)} and f.den == 2
+    points = [((0, 1), (2, 0), (2, 0)), ((1, 0), (0, 1), (0, 0)),
+              ((1, 0), (0, 2), (2, 0)), ((1, 0), (3, 0), (3, 0))]
     assert [f.vanishes_at(p) for p in points] == [True, False, True, False]
-    assert len(calls) == 1
-    assert f.pairs() == scale(f.coeffs.values())
+    assert f.value_at(points[3]) == (6, -9)
 
 
 def test_vanishing_space_basis_vanishes_at_inputs():
@@ -435,7 +430,7 @@ def _reference_vanishing_space(points, degree, nvars):
     basis = []
     for vec in reference_nullspace(rows):
         lead = next(c for c in vec if not c.is_zero())
-        basis.append(HomForm(nvars, degree,
+        basis.append(form(nvars, degree,
                              {e: c / lead for e, c in zip(cols, vec)}))
     return basis
 
@@ -523,7 +518,7 @@ def test_no_row_independent_modulo_the_prime():
         assert (vanishing_space(_pairs_of(pts), 2, 3)
                 == _reference_vanishing_space(pts, 2, 3))
         assert len(vanishing_space(_pairs_of(pts), 2, 3)) == 6
-    assert vanishing_space([], 2, 3) == [HomForm(3, 2, {e: ONE})
+    assert vanishing_space([], 2, 3) == [form(3, 2, {e: ONE})
                                          for e in monomials(2, 3)]
 
 
@@ -603,7 +598,7 @@ def test_a_divisor_that_is_not_a_ternary_line_raises():
     against the zero form."""
     x, y = _var(0, 3), _var(1, 3)
     for f, g in ((x * y, x * x * y), (x * x, x * x), (_add(x, y) * x, HomForm(3, 4, {})),
-                 (HomForm(3, 0, {(0, 0, 0): PHI}), x),
+                 (form(3, 0, {(0, 0, 0): PHI}), x),
                  (_var(0, 2), _var(0, 2) * _var(1, 2)),
                  (_var(0, 4), _var(0, 4) * _var(3, 4))):
         with pytest.raises(ValueError, match="linear form in 3 variables"):
@@ -633,12 +628,12 @@ def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
         lead = coeff()
         if lead.is_zero():
             continue
-        line = HomForm.linear([ZERO] * pivot + [lead]
+        line = linear([ZERO] * pivot + [lead]
                               + [coeff() for _ in range(2 - pivot)])
         q = _random_form(rng, 3, rng.randint(0, 4), rational=rational)
         near = _add(line * q, _random_form(rng, 3, q.degree + 1, density=0.2))
         for g in (line * q, _scale(line * q, PHI), q, near,
-                  HomForm(3, 0, {(0, 0, 0): lead})):
+                  form(3, 0, {(0, 0, 0): lead})):
             got = divides(line, g)
             assert got == (quotient(line, g) is not None)
             seen.add((pivot, got))
@@ -647,7 +642,7 @@ def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
     # t < 5, vanishes at all of them but the last.
     x, y, z = (_var(i, 3) for i in range(3))
     fan = prod((_add(y, _scale(x, FieldElement(-t))) for t in range(5)),
-               start=HomForm(3, 0, {(0, 0, 0): ONE}))
+               start=form(3, 0, {(0, 0, 0): ONE}))
     assert not divides(z, fan) and divides(z, fan * z)
     assert divides(_var(2, 3), HomForm(3, 4, {}))
     with pytest.raises(ZeroDivisionError):
@@ -680,7 +675,7 @@ def test_pair_kernels_match_the_field_references():
         h = _random_form(rng, 3, rng.randint(0, 3), rational=rational)
         if f.is_zero() or h.is_zero():
             continue
-        lead = dict(zip(f.coeffs, f.pairs()))[max(f.coeffs)]
+        lead = f.terms[max(f.terms)]
         norms.add(norm(lead) > 0)
         noise = _random_form(rng, 3, f.degree + h.degree, density=0.2)
         for g in (f * h, _add(f * h, noise), h, _scale(f * h, PHI),
@@ -696,7 +691,7 @@ def test_pair_kernels_match_the_field_references():
 def test_smoothness_needs_a_curve():
     """A nonzero constant cuts out no curve, so it has no singular point
     to report; it is refused as the zero form is."""
-    for f in (HomForm(3, 0, {(0, 0, 0): ONE}), HomForm(3, 2, {}),
+    for f in (form(3, 0, {(0, 0, 0): ONE}), HomForm(3, 2, {}),
               _var(0, 2) * _var(1, 2)):
         with pytest.raises(ValueError, match="positive degree in 3 variables"):
             plane_curve_is_smooth(f)
@@ -716,7 +711,7 @@ def test_divides_matches_sympy_over_q_sqrt5():
         return sympy.Poly.from_dict(
             {e: field.convert(sympy.QQ(c.a.numerator, c.a.denominator))
              + field.convert(sympy.QQ(c.b.numerator, c.b.denominator)) * phi
-             for e, c in f.coeffs.items()}, *gens, domain=field)
+             for e, c in coefficients(f).items()}, *gens, domain=field)
 
     line_rng, linear_outcomes = random.Random(91), set()
     for trial in range(8):
@@ -853,7 +848,7 @@ def test_seed1_chart_eliminants_match_the_sylvester_reference(geproci_cert_seed1
     blob = geproci_cert_seed1.to_json()
     p, r = blob["sextic_smooth"]["prime"], blob["sextic_smooth"]["phi_root"]
     f = hom_form(blob["sextic"])
-    fp = {e: (x + y * r) % p for e, (x, y) in zip(f.coeffs, f.pairs())}
+    fp = {e: (x + y * r) % p for e, (x, y) in f.terms.items()}
     if blob["sextic_smooth"]["coordinate_change"] is not None:
         fp = _compose_mod(fp, blob["sextic_smooth"]["coordinate_change"], p)
     checked = 0
@@ -870,20 +865,20 @@ def test_seed1_chart_eliminants_match_the_sylvester_reference(geproci_cert_seed1
 
 
 def test_smooth_conic_certifies():
-    conic = HomForm(3, 2, {(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE})
+    conic = form(3, 2, {(2, 0, 0): ONE, (0, 2, 0): ONE, (0, 0, 2): ONE})
     report = plane_curve_is_smooth(conic)
     assert report.smooth
 
 
 def test_line_pair_is_singular_at_the_intersection():
-    xy = HomForm(3, 2, {(1, 1, 0): ONE})
+    xy = form(3, 2, {(1, 1, 0): ONE})
     report = plane_curve_is_smooth(xy)
     assert not report.smooth
     assert "[0:0:1]" in report.reason
 
 
 def test_fermat_cubic_is_smooth():
-    f = HomForm(3, 3, {(3, 0, 0): ONE, (0, 3, 0): ONE, (0, 0, 3): ONE})
+    f = form(3, 3, {(3, 0, 0): ONE, (0, 3, 0): ONE, (0, 0, 3): ONE})
     assert plane_curve_is_smooth(f).smooth
 
 
@@ -898,19 +893,19 @@ def test_repeated_component_is_caught_by_the_partials_gcd():
     prime: the certificate spends its budget and reads "indeterminate",
     never smooth."""
     x, y, z = (_var(i, 3) for i in range(3))
-    line = HomForm.linear([FieldElement(2), PHI, FieldElement(Fraction(-1, 3))])
-    other = HomForm.linear([ONE, FieldElement(-3), FieldElement(1, 1)])
+    line = linear([FieldElement(2), PHI, FieldElement(Fraction(-1, 3))])
+    other = linear([ONE, FieldElement(-3), FieldElement(1, 1)])
     conic = _add(_scale(x * x, PHI), x * y, _scale(y * y, FieldElement(Fraction(-1, 2))),
                  _scale(z * z, FieldElement(3)))
     for curve in (line * line * other, conic * conic * other):
-        assert all(any(col) for col in zip(*curve.coeffs)), "a variable is missing"
+        assert all(any(col) for col in zip(*curve.terms)), "a variable is missing"
         with pytest.raises(SmoothnessIndeterminate,
                            match=f"no certificate after {forms._MAX_RETRIES} primes"):
             plane_curve_is_smooth(curve)
 
 
 def test_linear_form_is_smooth():
-    f = HomForm.linear([ONE, PHI, FieldElement(2)])
+    f = linear([ONE, PHI, FieldElement(2)])
     assert plane_curve_is_smooth(f).smooth
 
 
@@ -918,7 +913,7 @@ def test_nodal_cubic_never_certifies_smooth(monkeypatch):
     # y^2 z = x^2 (x + z) has a node at [0:0:1]; an isolated singular point
     # is beyond the chart gcd certificate, so the verdict is indeterminate,
     # never a false pass.
-    f = HomForm(3, 3, {(0, 2, 1): ONE, (3, 0, 0): -ONE, (2, 0, 1): -ONE})
+    f = form(3, 3, {(0, 2, 1): ONE, (3, 0, 0): -ONE, (2, 0, 1): -ONE})
     monkeypatch.setattr(forms, "_MAX_RETRIES", 2)
     try:
         report = plane_curve_is_smooth(f)
@@ -930,7 +925,7 @@ def test_nodal_cubic_never_certifies_smooth(monkeypatch):
 def test_bad_first_prime_is_retried_never_believed(monkeypatch):
     # Smooth over Q(phi), but x^2 + y^2 modulo the first prime (p0, phi - r0).
     p0, r0 = next(_split_primes())
-    conic = HomForm(3, 2, {(2, 0, 0): ONE, (0, 2, 0): ONE,
+    conic = form(3, 2, {(2, 0, 0): ONE, (0, 2, 0): ONE,
                            (0, 0, 2): PHI - FieldElement(r0)})
     with monkeypatch.context() as patch:
         patch.setattr(forms, "_MAX_RETRIES", 1)
@@ -949,7 +944,7 @@ def test_bad_first_prime_is_retried_never_believed(monkeypatch):
 def test_form_vanishing_mod_the_first_prime_is_skipped(monkeypatch):
     p0, r0 = next(_split_primes())
     k = PHI - FieldElement(r0)
-    f = HomForm(3, 2, {(2, 0, 0): k, (0, 2, 0): k, (0, 0, 2): k})
+    f = form(3, 2, {(2, 0, 0): k, (0, 2, 0): k, (0, 0, 2): k})
     with monkeypatch.context() as patch:
         patch.setattr(forms, "_MAX_RETRIES", 1)
         with pytest.raises(SmoothnessIndeterminate, match="vanishes"):
@@ -966,7 +961,7 @@ def test_smoothness_certificate_replays_from_json(geproci_cert_seed1):
     assert all(p % q for q in range(2, isqrt(p) + 1))
     assert (r * r - r - 1) % p == 0
     f = hom_form(blob["sextic"])
-    fp = {e: (x + y * r) % p for e, (x, y) in zip(f.coeffs, f.pairs())}
+    fp = {e: (x + y * r) % p for e, (x, y) in f.terms.items()}
     if smooth["coordinate_change"] is not None:
         fp = _compose_mod(fp, smooth["coordinate_change"], p)
     clean, trail = _chart_test(fp, p)

@@ -13,16 +13,16 @@ from pathlib import Path
 import pytest
 
 import h4geproci
-from h4geproci import config, forms, geproci, linalg, projective
+from h4geproci import config, field, forms, geproci, linalg, projective
 from h4geproci.config import HALVES, z_partition
 from h4geproci.coverings import (CoverCertificate, enumerate_coverings,
                                  enumerate_grids)
-from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot, _neg,
-                             from_numerators, primitive_numerators)
+from h4geproci.field import FieldElement, ONE, PHI, ZERO, _dot, _neg
 from h4geproci.forms import (HomForm, SmoothnessIndeterminate,
                              SmoothnessReport, plane_curve_is_smooth)
 from h4geproci.projective import (DegenerateSpanError, ProjPoint, canonicalize,
                                   image_from)
+from elements import coefficients, coords, form, linear, pairs_of, point
 from form_references import monic, reference_partial, reference_quotient
 from test_forms import (_add, _counting_kernel_mod, _evaluate,
                         _reference_monic, _scale)
@@ -183,7 +183,7 @@ def test_each_verdict_computes_only_the_images_it_reads(cfg, monkeypatch):
 
 def test_grid1_quadric_matches_printed_equation(cfg, grid1):
     # 2xy - y^2 + (phi - 1)z^2 - phi*w^2, scaled so the xy coefficient is 1.
-    expected = HomForm(4, 2, {
+    expected = form(4, 2, {
         (1, 1, 0, 0): FieldElement(2),
         (0, 2, 0, 0): -ONE,
         (0, 0, 2, 0): PHI - ONE,
@@ -195,7 +195,7 @@ def test_grid1_quadric_matches_printed_equation(cfg, grid1):
 
 def test_grid2_quadric_matches_printed_equation(cfg):
     grid2 = config.verify_grid(cfg, HALF2.l_lines, HALF2.m_lines)
-    expected = HomForm(4, 2, {
+    expected = form(4, 2, {
         (2, 0, 0, 0): ONE,
         (1, 1, 0, 0): FieldElement(2),
         (0, 0, 2, 0): PHI,
@@ -339,7 +339,7 @@ def test_every_grid_pencil_quadric_is_the_quadric_of_three_lines(cfg):
         for l_lines, m_lines in ((g.l_lines, g.m_lines), (g.m_lines, g.l_lines)):
             x0 = _subgrid(cfg, l_lines, m_lines)[8]
             pairs = config._pencil_quadric(cfg, l_lines, m_lines, x0)
-            q = HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, pairs)})
+            q = HomForm(4, 2, dict(zip(cols, pairs)))
             fifteen = [cfg.points[p].pairs
                        for i in l_lines[:3] for p in cfg.line_points[i]]
             assert len(set(fifteen)) == 15
@@ -425,7 +425,7 @@ def _random_linear(rng):
         coeffs = [FieldElement(Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))),
                                rng.randint(-3, 3)) for _ in range(3)]
         if any(coeffs):
-            return HomForm.linear(coeffs)
+            return linear(coeffs)
 
 
 def test_quintic_cone_matches_the_field_reference():
@@ -436,7 +436,7 @@ def test_quintic_cone_matches_the_field_reference():
     for trial in range(12):
         g, h = (reduce(mul, (_random_linear(rng) for _ in range(5)))
                 for _ in range(2))
-        point = primitive_numerators([FieldElement(rng.randint(-9, 9), rng.randint(-9, 9))
+        point = pairs_of([FieldElement(rng.randint(-9, 9), rng.randint(-9, 9))
                                       for _ in range(3)])
         gx, hx = _evaluate(g, point), _evaluate(h, point)
         if gx.is_zero() and hx.is_zero():
@@ -447,8 +447,7 @@ def test_quintic_cone_matches_the_field_reference():
     line = _random_linear(rng)
     g, h = (line * reduce(mul, (_random_linear(rng) for _ in range(4)))
             for _ in range(2))
-    by_var = dict(zip(line.coeffs, line.pairs()))
-    a, b, c = (by_var.get(e, (0, 0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    a, b, c = (line.terms.get(e, (0, 0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     # A zero of the common factor line: its pairs cross a coordinate vector.
     zero = next(p for p in ([(0, 0), c, _neg(b)], [_neg(c), (0, 0), a],
                             [b, _neg(a), (0, 0)]) if p != [(0, 0)] * 3)
@@ -500,7 +499,7 @@ def test_one_product_of_many_factors_is_the_chain_of_pair_products():
         factors = [_random_linear(rng) for _ in range(n)]
         got = forms.multiply(factors)
         assert got == reduce(mul, factors) and got.degree == n
-        point = primitive_numerators([FieldElement(rng.randint(-9, 9), rng.randint(-9, 9))
+        point = pairs_of([FieldElement(rng.randint(-9, 9), rng.randint(-9, 9))
                                       for _ in range(3)])
         assert _evaluate(got, point) == reduce(mul, (_evaluate(f, point) for f in factors))
     zero = forms.multiply([_random_linear(rng), HomForm(3, 2, {})])
@@ -540,7 +539,8 @@ def test_quintic_missing_its_half_fails_the_quintic_check(cfg, monkeypatch):
     # The first quintic plus x^5 misses the images of Z1.
     _assert_quintic_fails(
         cfg, monkeypatch, 1,
-        lambda q: HomForm(3, 5, {**q.coeffs, (5, 0, 0): q.coeffs.get((5, 0, 0), ZERO) + ONE}))
+        lambda q: form(3, 5, {**coefficients(q),
+                              (5, 0, 0): coefficients(q).get((5, 0, 0), ZERO) + ONE}))
 
 
 def _recording_ladder(monkeypatch, top=None):
@@ -574,8 +574,8 @@ def test_three_sextics_fail_without_a_lower_degree(cfg, geproci_cert_seed1,
     """Any dim_6 but 1 fails the certificate, so no lower degree is
     interpolated, not even when three sextics could be x*Q, y*Q, z*Q."""
     sextic = geproci_cert_seed1.sextic
-    top = [sextic, HomForm(3, 6, {(6, 0, 0): ONE}),
-           HomForm(3, 6, {(0, 6, 0): ONE})]
+    top = [sextic, HomForm(3, 6, {(6, 0, 0): (1, 0)}),
+           HomForm(3, 6, {(0, 6, 0): (1, 0)})]
     degrees = _recording_ladder(monkeypatch, top)
     with pytest.raises(config.VerificationError,
                        match="degree-6 space has dimension 3, not 1"):
@@ -605,6 +605,11 @@ _FIELD_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                     "__pow__", "__neg__")
 
 
+def _line_form(pairs):
+    """The ternary linear form with these coefficient pairs."""
+    return HomForm(3, 1, dict(zip(forms.monomials(1, 3), pairs)))
+
+
 def _push_by_dual_matrix(self, line):
     """The image of a line as L*v on pairs: each row of the line's dual
     Pluecker matrix dotted with the vertex's pairs, the pivot's dropped,
@@ -613,16 +618,19 @@ def _push_by_dual_matrix(self, line):
     plane = [_dot(row, self.vertex.pairs)
              for row in pluecker_matrix(dual_pairs(line.pairs))]
     pairs = projective._canonical_pairs(plane[:k] + plane[k + 1:])
-    return HomForm.linear(from_numerators(pairs, 1))
+    return _line_form(pairs)
 
 
 def test_only_push_line_runs_field_element_arithmetic(cfg, monkeypatch):
-    """With every FieldElement operator failing the test and `push_line`
-    replaced by L*v on pairs, the configuration, the 72 grids, all four
-    verdicts at three seeds and the retries of the smoothness certificate
-    up to "indeterminate" come out unchanged."""
-    line = HomForm.linear([FieldElement(2), PHI, FieldElement(Fraction(-1, 3))])
-    other = HomForm.linear([ONE, FieldElement(-3), FieldElement(1, 1)])
+    """With `push_line` replaced by L*v on pairs, and every FieldElement
+    operator and every way to make a FieldElement (`__init__`, and
+    `field._raw` under the operators) failing the test, the configuration,
+    the 72 grids, all four verdicts at three seeds and the retries of the
+    smoothness certificate up to "indeterminate" come out unchanged: the
+    verdicts run on pairs, and FieldElements enter only as the parsed
+    coordinate tokens, made at import."""
+    line = linear([FieldElement(2), PHI, FieldElement(Fraction(-1, 3))])
+    other = linear([ONE, FieldElement(-3), FieldElement(1, 1)])
     curve = line * line * other  # no attempt is clean: every retry runs
 
     def artifacts(c):
@@ -643,11 +651,16 @@ def test_only_push_line_runs_field_element_arithmetic(cfg, monkeypatch):
             pytest.fail(f"FieldElement.{name} ran outside push_line")
         return operator
 
-    for name in _FIELD_OPERATORS:
+    for name in _FIELD_OPERATORS + ("__init__",):
         monkeypatch.setattr(FieldElement, name, failing(name))
+    monkeypatch.setattr(field, "_raw", failing("_raw"))
     monkeypatch.setattr(geproci.Projection, "push_line", _push_by_dual_matrix)
     with pytest.raises(pytest.fail.Exception, match="__mul__"):
         ONE * PHI
+    with pytest.raises(pytest.fail.Exception, match="__init__"):
+        FieldElement(1, 2)
+    with pytest.raises(pytest.fail.Exception, match="_raw"):
+        field._make(1, 2, 3)
     patched_cfg = config.build_h4()
     assert patched_cfg.to_json() == cfg.to_json()
     assert artifacts(patched_cfg) == expected
@@ -674,7 +687,7 @@ def test_a_quintic_missing_one_image_fails_the_quintic_check(
     monkeypatch.setattr(_MissesOneImage, "missed",
                         images[geproci_cert_seed1.z2[-1]])
     _assert_quintic_fails(
-        cfg, monkeypatch, 2, lambda q: _MissesOneImage(3, 5, q.coeffs))
+        cfg, monkeypatch, 2, lambda q: _MissesOneImage(3, 5, q.terms, q.den))
 
 
 def test_sextic_and_decic_share_no_component(geproci_cert_seed1):
@@ -711,8 +724,8 @@ def test_a_singular_sextic_fails_the_smoothness_check(cfg, monkeypatch):
 def _on_secant(cfg, i, j):
     """The vertex P_i + 2*P_j, on the secant of points i and j, which then
     share an image."""
-    return ProjPoint.of(*(a + 2 * b for a, b in zip(cfg.points[i].coords,
-                                                   cfg.points[j].coords)))
+    return point(*(a + 2 * b for a, b in zip(coords(cfg.points[i]),
+                                             coords(cfg.points[j]))))
 
 
 def _sample_at(monkeypatch, vertex):
@@ -774,6 +787,10 @@ def test_a_vertex_on_a_secant_fails_the_half_grid_bezout_count(cfg,
     # z1 with L-line 1 swapped for z2's L-line 7, skew to the rest: z1, read
     # from its M-lines, does not move with its cover.
     ((7, 25, 32, 37, 44), 24, {"cover_is_exact"}),
+    # z1 with L-line 1 swapped for line 30: the cover (24, 25, 30, 32, 37,
+    # 44) meets only in (25, 30) and (30, 32), each pair adjacent in sorted
+    # order, so a skew check that skipped adjacent pairs would pass it.
+    ((30, 25, 32, 37, 44), 24, {"cover_pairwise_skew", "cover_is_exact"}),
 ])
 def test_a_swapped_cover_line_fails_the_cover_checks(cfg, monkeypatch, l_lines,
                                                      external, failed):
@@ -837,7 +854,7 @@ def test_a_cover_line_missing_one_image_fails_the_product_check(
     def patched(self, line):
         form = push_line(self, line)
         if line == cfg.lines[ext]:
-            return _MissesOneImage(3, 1, form.coeffs)
+            return _MissesOneImage(3, 1, form.terms, form.den)
         return form
 
     monkeypatch.setattr(_MissesOneImage, "missed", missed)
@@ -1138,7 +1155,7 @@ def _reference_push(vertex, line):
     """The image of a line through the plane of the line and the vertex
     (`test_projective.plane_through`), pushed down (`plane_image`)."""
     plane = plane_through(line.p, line.q, vertex)
-    return HomForm.linear(list(plane_image(vertex, plane)))
+    return _line_form(plane_image(vertex, plane))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 12345])
@@ -1154,7 +1171,7 @@ def test_a_vertex_on_the_line_raises(cfg):
     """A vertex on line 1, a configuration point or not, spans no plane
     with it: all three kept minors vanish."""
     line = cfg.lines[1]
-    between = ProjPoint([a + b for a, b in zip(line.p.coords, line.q.coords)])
+    between = point(*[a + b for a, b in zip(coords(line.p), coords(line.q))])
     for v in [cfg.points[i] for i in cfg.line_points[1]] + [between]:
         assert on_line(line, v)
         with pytest.raises(DegenerateSpanError):
@@ -1172,19 +1189,19 @@ def _reference_projection(vertex):
     canonicalized; a plane through the vertex moves by the inverse transpose
     of M, and its first three coordinates are the pushed linear form.
     """
-    k = next(i for i, x in enumerate(vertex.coords) if not x.is_zero())
+    k = next(i for i, x in enumerate(coords(vertex)) if not x.is_zero())
     cols = [[ONE if r == i else ZERO for r in range(4)]
             for i in range(4) if i != k]
-    cols.append(list(vertex.coords))
+    cols.append(list(coords(vertex)))
     m = CoordinateChange(reference_inverse([list(row) for row in zip(*cols)]))
 
     def image(x):
-        return canonicalize(m.apply_point(x).coords[:3])
+        return canonicalize(coords(m.apply_point(x))[:3])
 
     def push(plane):
-        moved = m.apply_plane(plane)
-        assert moved.coords[3].is_zero()
-        return HomForm.linear(list(moved.coords[:3]))
+        moved = coords(m.apply_plane(plane))
+        assert moved[3].is_zero()
+        return linear(moved[:3])
 
     return image, push
 
@@ -1192,7 +1209,7 @@ def _reference_projection(vertex):
 # One vertex for each pivot k, the first nonzero coordinate.  The only
 # vertex with k = 3 is [0:0:0:1], which is configuration point 4.
 PIVOT_VERTICES = {
-    0: ProjPoint.of(3, -7, 11, FieldElement(2) + PHI),
+    0: point(3, -7, 11, FieldElement(2) + PHI),
     1: ProjPoint.of(0, 5, -2, 9),
     2: ProjPoint.of(0, 0, 4, -1),
     3: ProjPoint.of(0, 0, 0, 1),
@@ -1213,7 +1230,7 @@ def test_projection_by_minors_matches_the_coordinate_change(cfg, k):
     assert len(points) == (59 if k == 3 else 60)
     assert len(lines) == (66 if k == 3 else 72)
     images = [image_from(v, x) for x in points]
-    assert images == [tuple(primitive_numerators(image(x))) for x in points]
+    assert images == [image(x) for x in points]
     incident = 0
     for line in cfg.lines.values():
         if line not in lines:

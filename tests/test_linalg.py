@@ -5,13 +5,14 @@ F_p are test-local references."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import isqrt
 
 import pytest
 
 from h4geproci import linalg
-from h4geproci.field import FieldElement, ONE, ZERO, _dot, primitive_numerators
+from h4geproci.field import FieldElement, ONE, ZERO, _dot
+from elements import pairs_of
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -222,10 +223,10 @@ def test_kernel_matches_the_field_element_reference():
     swapped = deficient = squares = 0
     for m in _kernel_cases(rng):
         _, ref_pivots, ref_sign = _reference_eliminate(m)
-        rows = [primitive_numerators(row) for row in m]
+        rows = [pairs_of(row) for row in m]
         basis = reference_nullspace(m)
         assert divided_by_free_entries(linalg.nullspace(rows), m) == basis
-        assert rows == [primitive_numerators(row) for row in m]
+        assert rows == [pairs_of(row) for row in m]
         # Any nonzero Z[phi] multiple of the rows has the same nullspace.
         assert divided_by_free_entries(linalg.nullspace(_times(rows, (3, -2))),
                                        m) == basis
@@ -247,7 +248,7 @@ def test_kernel_times_the_last_pivot_lies_in_z_phi():
     rng = random.Random(41)
     fractional = 0
     for m in _kernel_cases(rng):
-        m = [[FieldElement(*w) for w in primitive_numerators(row)] for row in m]
+        m = [[FieldElement(*w) for w in pairs_of(row)] for row in m]
         echelon, pivots, _ = _reference_eliminate(m)
         d = echelon[len(pivots) - 1][pivots[-1]] if pivots else ONE
         for v in reference_nullspace(m):
@@ -276,9 +277,9 @@ def test_kernel_vectors_are_the_reference_vectors_in_coprime_pairs(kernel_prime)
     for m in list(_kernel_cases(rng)) + [_random_matrix(rng, rng.randint(1, 5),
                                                         rng.randint(1, 6), -99, 99)
                                          for _ in range(40)]:
-        rows = [primitive_numerators(row) for row in m]
+        rows = [pairs_of(row) for row in m]
         reference = reference_nullspace(m)
-        expected = [primitive_numerators(v) for v in reference]
+        expected = [pairs_of(v) for v in reference]
         needs_more = lift_need(reference) > isqrt(q // 2)
         beyond += needs_more
         for scaled in (rows, _times(rows, (3, -2))):
@@ -298,6 +299,19 @@ def test_kernel_prime_is_the_last_split_prime_below_2_to_the_60():
     assert sympy.isprime(q) and q % 20 in (11, 19)
     assert (r * r - r - 1) % q == 0
     assert not any(sympy.isprime(p) for p in range(q + 1, 2 ** 60) if p % 20 in (11, 19))
+
+
+def test_rational_reconstruction_stops_at_wangs_bound():
+    """`_rational` at its boundary, with m the product of the first two
+    split primes and n = isqrt(m // 2), the bound on |numerator| and
+    denominator: n itself lifts to n/1 and its inverse to 1/n, while n + 1,
+    one past the bound, has no fraction within it and gives None."""
+    (p, _), (q, _) = islice(linalg._split_primes(), 2)
+    m = p * q
+    n = isqrt(m // 2)
+    assert linalg._rational(n, m) == Fraction(n, 1)
+    assert linalg._rational(pow(n, -1, m), m) == Fraction(1, n)
+    assert linalg._rational(n + 1, m) is None
 
 
 def _wrong_first_coefficient(monkeypatch, rounds, from_modulus=0):
@@ -327,14 +341,14 @@ def test_a_wrong_reconstruction_is_never_returned(monkeypatch):
     rng = random.Random(71)
     raised = right = 0
     for m in _kernel_cases(rng):
-        rows = [primitive_numerators(row) for row in m]
+        rows = [pairs_of(row) for row in m]
         moduli.clear()
         try:
             basis = linalg.nullspace(rows)
         except ArithmeticError:
             raised += 1
             continue
-        assert basis == [primitive_numerators(v) for v in reference_nullspace(m)]
+        assert basis == [pairs_of(v) for v in reference_nullspace(m)]
         right += 1
     assert raised > 20 and right > 5
 
@@ -349,8 +363,8 @@ def test_a_wrong_reconstruction_is_repaired_by_the_next_prime(monkeypatch):
     rng = random.Random(73)
     m = _random_matrix(rng, 6, 8, -10 ** 6, 10 ** 6)
     m.append([x + y for x, y in zip(m[0], m[1])])
-    rows = [primitive_numerators(row) for row in m]
-    expected = [primitive_numerators(v) for v in reference_nullspace(m)]
+    rows = [pairs_of(row) for row in m]
+    expected = [pairs_of(v) for v in reference_nullspace(m)]
     drawn = []
     split_primes = linalg._split_primes
 
@@ -377,7 +391,7 @@ def test_a_wrong_reconstruction_is_repaired_by_the_next_prime(monkeypatch):
 def test_first_missed_row_is_an_exact_product_check():
     rng = random.Random(37)
     for m in _kernel_cases(rng):
-        rows = [primitive_numerators(row) for row in m]
+        rows = [pairs_of(row) for row in m]
         basis = linalg.nullspace(rows)
         assert linalg.first_missed_row(rows, basis) is None
         # A row that the first vector does not kill is found, first in order.

@@ -8,11 +8,11 @@ from math import gcd
 import pytest
 
 from h4geproci import linalg
-from h4geproci.field import (FieldElement, ONE, PHI, ZERO, _dot, _neg,
-                             primitive_numerators)
+from h4geproci.field import FieldElement, ONE, PHI, ZERO, _dot, _neg
 from h4geproci.forms import HomForm, monomials, vanishing_space
 from h4geproci.projective import (DegenerateSpanError, ProjLine, ProjPlane,
                                   ProjPoint, canonicalize)
+from elements import coords, elements, pairs_of, plane, point
 from form_references import monic
 from json_readers import proj_line, proj_point
 from test_linalg import (_permutation_determinant, mat_vec, reference_inverse,
@@ -21,20 +21,19 @@ from test_linalg import (_permutation_determinant, mat_vec, reference_inverse,
 
 # FieldElement references for the predicates that run on Z[phi] pairs.
 
-def _reference_canonicalize(coords):
+def _reference_canonicalize(xs):
     """Divide by the first nonzero coordinate, then clear to coprime Z[phi]."""
-    lead = next(x for x in coords if not x.is_zero())
+    lead = next(x for x in xs if not x.is_zero())
     inv = lead.inverse()
-    return tuple(FieldElement(x, y)
-                 for x, y in primitive_numerators([c * inv for c in coords]))
+    return tuple(pairs_of([c * inv for c in xs]))
 
 
-def _reference_in_plane(plane, p):
-    return sum((c * x for c, x in zip(plane.coords, p.coords)), ZERO).is_zero()
+def _reference_in_plane(v, p):
+    return sum((c * x for c, x in zip(coords(v), coords(p))), ZERO).is_zero()
 
 
 def _reference_pairing(l1, l2):
-    a, b = l1.pluecker, l2.pluecker
+    a, b = elements(l1.pairs), elements(l2.pairs)
     return (a[0] * b[5] - a[1] * b[4] + a[2] * b[3]
             + a[5] * b[0] - a[4] * b[1] + a[3] * b[2])
 
@@ -44,20 +43,20 @@ def plane_through(p, q, r):
     times the minor of the rows p, q, r without column i, here by
     permutation expansion.  It kills p, q and r (repeated rows), and it is
     zero exactly when the rows have rank below 3."""
-    rows = [p.coords, q.coords, r.coords]
+    rows = [coords(p), coords(q), coords(r)]
     coeffs = [_permutation_determinant([row[:i] + row[i + 1:] for row in rows])
               for i in range(4)]
     if all(c.is_zero() for c in coeffs):
         raise DegenerateSpanError("the points do not span a plane")
-    return ProjPlane([c if i % 2 else -c for i, c in enumerate(coeffs)])
+    return plane([c if i % 2 else -c for i, c in enumerate(coeffs)])
 
 
-def plane_image(vertex, plane):
-    """The linear form that a plane through the vertex pushes down to: its
-    canonical coefficients other than the k-th, k the first nonzero
-    coordinate of the vertex."""
-    k = next(i for i, x in enumerate(vertex.coords) if not x.is_zero())
-    return canonicalize([c for i, c in enumerate(plane.coords) if i != k])
+def plane_image(vertex, v):
+    """The pairs of the linear form that a plane through the vertex pushes
+    down to: its canonical coefficients other than the k-th, k the first
+    nonzero coordinate of the vertex."""
+    k = next(i for i, x in enumerate(coords(vertex)) if not x.is_zero())
+    return canonicalize([c for i, c in enumerate(coords(v)) if i != k])
 
 
 def dual_pairs(ls):
@@ -102,22 +101,23 @@ def transversal_quadric(l1, l2, l3):
 
 
 def _reference_on_line(line, x):
-    return reference_rank([list(x.coords), list(line.p.coords),
-                           list(line.q.coords)]) == 2
+    return reference_rank([list(coords(x)), list(coords(line.p)),
+                           list(coords(line.q))]) == 2
 
 
 def _reference_pluecker(p, q):
+    p, q = coords(p), coords(q)
     return _reference_canonicalize(
-        [p.coords[i] * q.coords[j] - p.coords[j] * q.coords[i]
+        [p[i] * q[j] - p[j] * q[i]
          for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))])
 
 
 def _random_point(rng) -> ProjPoint:
     while True:
-        coords = [FieldElement(rng.randint(-9, 9), rng.randint(-9, 9))
-                  for _ in range(4)]
-        if any(not x.is_zero() for x in coords):
-            return ProjPoint(coords)
+        xs = [FieldElement(rng.randint(-9, 9), rng.randint(-9, 9))
+              for _ in range(4)]
+        if any(not x.is_zero() for x in xs):
+            return point(*xs)
 
 
 class CoordinateChange:
@@ -132,10 +132,10 @@ class CoordinateChange:
                                   zip(*reference_inverse(self.rows))]
 
     def apply_point(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint(mat_vec(self.rows, p.coords))
+        return point(*mat_vec(self.rows, coords(p)))
 
     def apply_plane(self, v: ProjPlane) -> ProjPlane:
-        return ProjPlane(mat_vec(self.inverse_transpose, v.coords))
+        return plane(mat_vec(self.inverse_transpose, coords(v)))
 
 
 def _random_coordinate_change(rng) -> CoordinateChange:
@@ -151,25 +151,25 @@ def _random_coordinate_change(rng) -> CoordinateChange:
 def test_canonicalize_is_idempotent_and_scale_invariant():
     rng = random.Random(23)
     for _ in range(300):
-        coords = [FieldElement(Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
-                               Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
-                  for _ in range(4)]
-        if all(x.is_zero() for x in coords):
+        xs = [FieldElement(Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+                           Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+              for _ in range(4)]
+        if all(x.is_zero() for x in xs):
             continue
-        canon = canonicalize(coords)
-        assert canonicalize(canon) == canon
+        canon = canonicalize(xs)
+        assert canonicalize(elements(canon)) == canon == ProjPoint(canon).pairs
         scale = FieldElement(Fraction(rng.randint(1, 7), rng.randint(1, 7)),
                              rng.randint(0, 3))
         if not scale.is_zero():
-            assert canonicalize([x * scale for x in coords]) == canon
+            assert canonicalize([x * scale for x in xs]) == canon
 
 
 def test_canonicalize_identifies_unit_multiples():
     # phi is a unit of Z[phi]: multiplying by it must not change the flat.
-    p = ProjPoint.of(FieldElement(1, 1), 0, PHI, 1)
-    q = ProjPoint([x * PHI for x in p.coords])
+    p = point(FieldElement(1, 1), 0, PHI, 1)
+    q = point(*[x * PHI for x in coords(p)])
     assert p == q
-    assert canonicalize([ZERO, PHI, ZERO, ZERO]) == (ZERO, ONE, ZERO, ZERO)
+    assert canonicalize([ZERO, PHI, ZERO, ZERO]) == ((0, 0), (1, 0), (0, 0), (0, 0))
 
 
 def test_canonicalize_rejects_zero_vector():
@@ -183,7 +183,7 @@ def test_pluecker_relation_holds():
         p, q = _random_point(rng), _random_point(rng)
         if p == q:
             continue
-        pl = ProjLine(p, q).pluecker
+        pl = elements(ProjLine(p, q).pairs)
         rel = pl[0] * pl[5] - pl[1] * pl[4] + pl[2] * pl[3]
         assert rel.is_zero()
 
@@ -196,8 +196,8 @@ def test_line_contains_its_spanning_points_and_combinations():
             continue
         line = ProjLine(p, q)
         assert on_line(line, p) and on_line(line, q)
-        mix = ProjPoint([p.coords[i] * FieldElement(2, 1) + q.coords[i]
-                         for i in range(4)])
+        mix = point(*[x * FieldElement(2, 1) + y
+                      for x, y in zip(coords(p), coords(q))])
         assert on_line(line, mix)
         assert ProjLine(q, mix) == line
 
@@ -207,9 +207,9 @@ def test_points_planes_and_lines_are_values_of_their_type():
     name, pairs), and immutable, whatever the representative."""
     p, q = ProjPoint.of(1, 0, 0, 0), ProjPoint.of(0, 1, 0, 0)
     values = [(p, ProjPoint.of(-3, 0, 0, 0)),
-              (ProjPlane(p.coords), ProjPlane([PHI, 0, 0, 0])),
+              (ProjPlane(p.pairs), plane([PHI, 0, 0, 0])),
               (ProjLine(p, q),
-               ProjLine(ProjPoint.of(1, PHI, 0, 0), ProjPoint.of(2, 0, 0, 0)))]
+               ProjLine(point(1, PHI, 0, 0), ProjPoint.of(2, 0, 0, 0)))]
     for x, same in values:
         assert x == same and x.pairs == same.pairs and x is not same
         assert hash(x) == hash(same) == hash((type(x).__name__, x.pairs))
@@ -222,7 +222,7 @@ def test_points_planes_and_lines_are_values_of_their_type():
 def test_degenerate_spans_raise():
     p = ProjPoint.of(1, 0, 0, 0)
     with pytest.raises(DegenerateSpanError):
-        ProjLine(p, ProjPoint([x * FieldElement(3) for x in p.coords]))
+        ProjLine(p, point(*[x * 3 for x in coords(p)]))
     with pytest.raises(DegenerateSpanError):
         plane_through(p, p, ProjPoint.of(0, 1, 0, 0))
 
@@ -240,15 +240,14 @@ def test_plane_through_three_points_contains_them():
         for p in pts:
             assert v.contains(p)
         # The plane the deleted nullspace span gave.
-        assert v == ProjPlane([FieldElement(*w) for w in
-                               linalg.nullspace([p.pairs for p in pts])[0]])
+        assert v == ProjPlane(linalg.nullspace([p.pairs for p in pts])[0])
         done += 1
 
 
 def test_incidence_invariance_under_coordinate_changes():
     rng = random.Random(43)
     p = ProjPoint.of(1, 2, 3, 4)
-    q = ProjPoint.of(0, 1, PHI, 1)
+    q = point(0, 1, PHI, 1)
     r = ProjPoint.of(1, 0, 0, 1)
     line = ProjLine(p, q)
     plane = plane_through(p, q, r)
@@ -266,7 +265,7 @@ def test_incidence_invariance_under_coordinate_changes():
 
 
 def test_point_json_roundtrip():
-    p = ProjPoint.of(PHI, 0, FieldElement(Fraction(1, 2)), 1)
+    p = point(PHI, 0, Fraction(1, 2), 1)
     assert proj_point(p.to_json()) == p
     line = ProjLine(p, ProjPoint.of(1, 0, 0, 0))
     assert proj_line(line.to_json()) == line
@@ -297,20 +296,19 @@ def test_canonical_form_matches_the_inverse_reference():
     rng = random.Random(53)
     irrational_lead = negative_lead = leading_zero = 0
     for _ in range(600):
-        coords = _random_vector(rng, rng.choice((3, 4, 6)))
-        canon = canonicalize(coords)
-        assert canon == _reference_canonicalize(coords)
+        xs = _random_vector(rng, rng.choice((3, 4, 6)))
+        canon = canonicalize(xs)
+        assert canon == _reference_canonicalize(xs)
         for scale in SCALES:
-            assert canonicalize([x * scale for x in coords]) == canon
-        numerators = primitive_numerators(coords)
+            assert canonicalize([x * scale for x in xs]) == canon
+        numerators = pairs_of(xs)
         x, y = next(w for w in numerators if w != (0, 0))
         irrational_lead += y != 0
         negative_lead += x * x + x * y - y * y < 0
-        leading_zero += coords[0].is_zero()
-        if len(coords) == 4:
-            p = ProjPoint(coords)
-            assert p.coords == canon
-            assert p.pairs == tuple((e.a, e.b) for e in canon)
+        leading_zero += xs[0].is_zero()
+        if len(xs) == 4:
+            p = ProjPoint(numerators)
+            assert p.pairs == canon == point(*xs).pairs
             lead = next(w for w in p.pairs if w != (0, 0))
             assert lead[0] > 0 and lead[1] == 0
             assert gcd(*(v for w in p.pairs for v in w)) == 1
@@ -330,7 +328,7 @@ def test_pair_predicates_match_the_references_on_the_configuration(cfg):
     assert meeting == 900
     on = 0
     for line in cfg.lines.values():
-        assert line.pluecker == _reference_pluecker(line.p, line.q)
+        assert line.pairs == _reference_pluecker(line.p, line.q)
         for p in points:
             inside = on_line(line, p)
             assert inside == _reference_on_line(line, p)
@@ -344,28 +342,28 @@ def test_pair_predicates_match_the_references_on_random_flats():
     corners = [ProjPoint.of(*[int(i == j) for j in range(4)]) for i in range(4)]
     counts = {"in_plane": 0, "off_plane": 0, "on_line": 0, "off_line": 0}
     for _ in range(150):
-        p, q, r = (ProjPoint(_random_vector(rng)) for _ in range(3))
+        p, q, r = (point(*_random_vector(rng)) for _ in range(3))
         a, b = _random_element(rng, 5), _random_element(rng, 5)
-        mix = [a * x + b * y for x, y in zip(p.coords, q.coords)]
-        others = [ProjPoint(_random_vector(rng)) for _ in range(3)] + corners
+        mix = [a * x + b * y for x, y in zip(coords(p), coords(q))]
+        others = [point(*_random_vector(rng)) for _ in range(3)] + corners
         if any(not x.is_zero() for x in mix):
-            others.append(ProjPoint(mix))
+            others.append(point(*mix))
         if p != q:
             line = ProjLine(p, q)
-            assert line.pluecker == _reference_pluecker(p, q)
+            assert line.pairs == _reference_pluecker(p, q)
             for x in [p, q, r] + others:
                 inside = on_line(line, x)
                 assert inside == _reference_on_line(line, x)
                 counts["on_line" if inside else "off_line"] += 1
-        planes = [ProjPlane(_random_vector(rng))]
+        planes = [plane(_random_vector(rng))]
         try:
             planes.append(plane_through(p, q, r))
         except DegenerateSpanError:
             pass
-        for plane in planes:
+        for v in planes:
             for x in [p, q, r] + others:
-                inside = plane.contains(x)
-                assert inside == _reference_in_plane(plane, x)
+                inside = v.contains(x)
+                assert inside == _reference_in_plane(v, x)
                 counts["in_plane" if inside else "off_plane"] += 1
     assert min(counts.values()) > 100, counts
 
@@ -373,10 +371,10 @@ def test_pair_predicates_match_the_references_on_random_flats():
 def _small_point(rng) -> ProjPoint:
     """Coordinates a + b*phi with a, b in -3..3, not all zero."""
     while True:
-        coords = [FieldElement(rng.randint(-3, 3), rng.randint(-3, 3))
-                  for _ in range(4)]
-        if any(not x.is_zero() for x in coords):
-            return ProjPoint(coords)
+        xs = [FieldElement(rng.randint(-3, 3), rng.randint(-3, 3))
+              for _ in range(4)]
+        if any(not x.is_zero() for x in xs):
+            return point(*xs)
 
 
 def _skew_triple(rng):
@@ -389,7 +387,7 @@ def _skew_triple(rng):
         if any(a == b or _reference_pairing(a, b).is_zero()
                for a, b in combinations(lines, 2)):
             continue
-        on = [[p, q, ProjPoint([x + y for x, y in zip(p.coords, q.coords)])]
+        on = [[p, q, point(*[x + y for x, y in zip(coords(p), coords(q))])]
               for p, q in spans]
         return lines, on
 
@@ -403,7 +401,7 @@ def test_transversal_quadric_is_the_quadric_of_three_skew_lines():
         lines, on = _skew_triple(rng)
         pairs = transversal_quadric(*lines)
         assert any(w != (0, 0) for w in pairs)
-        q = HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, pairs)})
+        q = HomForm(4, 2, dict(zip(cols, pairs)))
         nine = [x.pairs for row in on for x in row]
         assert len(set(nine)) == 9
         assert all(q.vanishes_at(x) for x in nine)
@@ -423,7 +421,7 @@ def test_three_skew_h4_lines_lie_on_one_quadric(cfg):
     assert len(triples) == 30
     for triple in triples:
         pairs = transversal_quadric(*(cfg.lines[i] for i in triple))
-        q = HomForm(4, 2, {c: FieldElement(*w) for c, w in zip(cols, pairs)})
+        q = HomForm(4, 2, dict(zip(cols, pairs)))
         fifteen = [cfg.points[p].pairs for i in triple for p in cfg.line_points[i]]
         assert len(set(fifteen)) == 15
         assert vanishing_space(fifteen, 2, 4) == [monic(q)]
