@@ -3,8 +3,8 @@
 A covering partitions the point set into 12 of the 72 five-point lines.  The
 search branches on the lowest uncovered point, so every solution appears
 exactly once and the output order is deterministic.  A grid is found from
-its lowest line f: one line through each of f's five points, then a skew
-4-clique among their common transversals.
+its lowest line f: one line through each of f's five points, then their
+four common transversals.
 """
 
 from __future__ import annotations
@@ -61,53 +61,43 @@ def enumerate_coverings(cfg: H4Configuration) -> List[CoverCertificate]:
 def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
     """All unordered (5,5)-grids among the 72 lines, each fully verified.
 
+    Lemma.  Two common transversals t, t' of three pairwise skew lines are
+    skew.  If they met at a point X, each of the three lines would pass
+    through X or lie in the plane of t and t'; pairwise skew lines allow at
+    most one of each.
+
     Completeness.  Let f be the lowest of a grid's ten lines and L its
     family.  The M-lines meet f in five distinct grid points, and f carries
     exactly five configuration points (``cfg.line_points``), so M is one
     line through each point of f (``cfg.point_lines``), above f and pairwise
-    skew.  The other four L-lines are a skew 4-clique among the common
-    transversals of M that lie above f and are skew to f.  The search
-    branches point by point along f on ``cfg.meets`` as int bitsets (bit i
-    for line i), pruning once fewer than 4 transversals are left, so each
-    grid is reached once, as (L, M) with min(L) < min(M).
+    skew.  The search branches point by point along f on ``cfg.meets`` as
+    int bitsets (bit i for line i).  ``trans`` keeps the lines above f, skew
+    to f, that meet every M-line so far, and the search prunes below 4.  At
+    a leaf the lemma makes ``trans`` pairwise skew, so its lines meet each
+    M-line in distinct configuration points (``meets``), none on f, of the
+    M-line's five: at most four.  ``trans`` holds the grid's other four
+    L-lines, so it is exactly them, and each grid is reached once, as (L, M)
+    with min(L) < min(M).
 
     Soundness.  Every candidate satisfies each combinatorial condition of
     `verify_grid` by construction.  The M-lines are one line above f through
-    each point of f, pairwise skew.  The L-lines are f and a skew 4-clique
-    of transversals of M, each skew to f; each meets every M-line, which no
-    M-line does, so the families share no line.  Every cell l . m is a
-    ``meets`` entry, and two equal cells would be one point on two lines of
-    one family, which would then meet.  So a NotAGridError here is a bug,
-    and it propagates like any VerificationError.
+    each point of f, pairwise skew.  The L-lines are f and ``trans``, skew
+    by the lemma and to f; each meets every M-line, which no M-line does,
+    so the families share no line.  Every cell l . m is a ``meets`` entry,
+    and two equal cells would be one point on two lines of one family,
+    which would then meet.  So a NotAGridError here is a bug, and it
+    propagates like any VerificationError: a table that broke the lemma
+    would hand `verify_grid` six L-lines, not drop a grid.
     """
     meets = {i: sum(1 << j for j in cfg.meets[i]) for i in cfg.lines}
     through = {p: sum(1 << i for i in cfg.point_lines[p]) for p in cfg.points}
     results: List[GridCertificate] = []
 
-    def skew_cliques(pool: int) -> List[Tuple[int, ...]]:
-        out: List[Tuple[int, ...]] = []
-
-        def grow(clique: List[int], rest: int) -> None:
-            if len(clique) == 4:
-                out.append(tuple(clique))
-                return
-            for cand in members(rest):
-                if len(clique) + rest.bit_count() < 4:
-                    break
-                rest &= rest - 1  # drop cand, the lowest line left
-                clique.append(cand)
-                grow(clique, rest & ~meets[cand])
-                clique.pop()
-
-        grow([], pool)
-        return out
-
     def pick(f: int, m_lines: List[int], skew: int, trans: int) -> None:
         if trans.bit_count() < 4:
             return
         if len(m_lines) == 5:
-            for rest in skew_cliques(trans):
-                results.append(verify_grid(cfg, (f,) + rest, sorted(m_lines)))
+            results.append(verify_grid(cfg, [f] + members(trans), sorted(m_lines)))
             return
         for m in members(skew & through[cfg.line_points[f][len(m_lines)]]):
             m_lines.append(m)

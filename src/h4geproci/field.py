@@ -148,12 +148,6 @@ class FieldElement:
         sign = "+" if b > 0 else "-"
         return f"{a} {sign} {abs(b)}*phi"
 
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        x, y, d = self._v
-        return json_pair((x, y), d)
-
 
 _new = object.__new__
 _set_v = FieldElement._v.__set__  # bypasses the immutability guard

@@ -213,3 +213,38 @@ def test_every_candidate_is_a_grid(cfg, monkeypatch):
 
     monkeypatch.setattr(coverings_mod, "verify_grid", counting)
     assert len(enumerate_grids(cfg)) == len(calls) == GRID_COUNT
+
+
+def test_common_transversals_of_skew_triples_are_skew(cfg):
+    """The lemma `enumerate_grids` rests on, on the real table: for three
+    pairwise skew lines, their common transversals are pairwise skew."""
+    meets = {i: sum(1 << j for j in cfg.meets[i]) for i in cfg.lines}
+    everything = sum(1 << i for i in cfg.lines)
+    crowded = 0  # skew triples with two or more common transversals
+    for a in cfg.lines:
+        for b in config.members(everything >> (a + 1) << (a + 1) & ~meets[a]):
+            above_b = everything >> (b + 1) << (b + 1)
+            for c in config.members(above_b & ~meets[a] & ~meets[b]):
+                trans = meets[a] & meets[b] & meets[c]
+                crowded += trans.bit_count() >= 2
+                for t in config.members(trans):
+                    assert not meets[t] & trans, (a, b, c, t)
+    assert crowded > 0
+
+
+def test_a_sixth_transversal_fails_loudly(cfg):
+    """A table that broke the lemma, with a sixth line above the first
+    grid's lowest line, skew to it and crossing all five of its M-lines,
+    makes the search hand `verify_grid` six L-lines: an error, never a
+    silently dropped or rewritten grid."""
+    first = enumerate_grids(cfg)[0]
+    f = first.l_lines[0]
+    sixth = next(x for x in cfg.lines if x > f
+                 and not set(cfg.meets[x]) & set(first.l_lines + first.m_lines))
+    meets = {i: dict(row) for i, row in cfg.meets.items()}
+    for m in first.m_lines:
+        # Which point the doctored pair meets at is never read: the family
+        # size check comes first.
+        meets[sixth][m] = meets[m][sixth] = cfg.line_points[m][0]
+    with pytest.raises(NotAGridError, match="each family needs 5 distinct lines"):
+        enumerate_grids(cfg._replace(meets=meets))
