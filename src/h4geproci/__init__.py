@@ -8,7 +8,6 @@ is a (5,6) half-grid, and the full set is neither a grid nor a half-grid.
 
 from .config import H4Configuration, build_h4, verify_grid
 from .coverings import enumerate_coverings, enumerate_grids
-from .field import FieldElement, ONE, PHI, ZERO
 from .geproci import verify_geproci, verify_half_grid, verify_not_half_grid
 
 __version__ = "0.1.0"
@@ -16,7 +15,6 @@ __version__ = "0.1.0"
 __all__ = [
     "H4Configuration", "build_h4",
     "enumerate_coverings", "enumerate_grids",
-    "FieldElement", "ONE", "PHI", "ZERO",
     "verify_geproci", "verify_grid", "verify_half_grid",
     "verify_not_half_grid",
     "__version__",

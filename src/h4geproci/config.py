@@ -14,7 +14,7 @@ certifies, the two of the paper's split once per build.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, repeat
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, _dot, _neg, products
@@ -97,15 +97,15 @@ class H4Configuration(NamedTuple):
     quadric_rows: Dict[int, List[Pair]]
     grids: Tuple[GridCertificate, GridCertificate]
 
-    def max_collinear(self, subset: Optional[Iterable[int]] = None) -> int:
-        """Largest number of collinear points in a subset (default: all).
+    def max_collinear(self, subset: Iterable[int]) -> int:
+        """Largest number of collinear points in a subset.
 
         Any two points of the subset span a secant, which lists every
         configuration point on that line, so the maximum over secants of
         |secant & subset| is the collinearity bound once the subset has two
         points.  An index that is not a configuration point raises ValueError.
         """
-        chosen = _known_points(self, self.points if subset is None else subset)
+        chosen = _known_points(self, subset)
         if len(chosen) < 2:
             return len(chosen)
         return max(len(chosen.intersection(s)) for s in self.secants)

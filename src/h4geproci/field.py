@@ -91,13 +91,30 @@ class FieldElement:
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse via the norm: 1/w = conj(w)/N(w)."""
-        return _divide(ONE, self)
+        return ONE._divide(self)
 
     def __truediv__(self, other) -> "FieldElement":
-        return _divide(self, _coerce(other))
+        return self._divide(_coerce(other))
 
     def __rtruediv__(self, other) -> "FieldElement":
-        return _divide(_coerce(other), self)
+        return _coerce(other)._divide(self)
+
+    def _divide(self, w: "FieldElement") -> "FieldElement":
+        """self / w in one step: self * conj(w) * d_w / (d_self * N(w)).
+
+        With self and w in Z[phi] (d = 1) the quotient is the integer triple
+        (self * conj(w), N(w)) reduced by its gcd, so an exact quotient
+        comes out with d = 1.
+        """
+        x1, y1, d1 = self._v
+        x2, y2, d2 = w._v
+        n = norm((x2, y2))
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(phi)")
+        [(x, y)] = products([((x1, y1), conj((x2, y2)))])
+        if d2 != 1:
+            x, y = x * d2, y * d2
+        return _make(x, y, d1 * n)
 
     def __pow__(self, k: int) -> "FieldElement":
         if k < 0:
@@ -139,15 +156,6 @@ class FieldElement:
     def __repr__(self) -> str:
         return f"FieldElement({self.a!r}, {self.b!r})"
 
-    def __str__(self) -> str:
-        a, b = self.a, self.b
-        if b == 0:
-            return str(a)
-        if a == 0:
-            return f"{b}*phi"
-        sign = "+" if b > 0 else "-"
-        return f"{a} {sign} {abs(b)}*phi"
-
 
 _new = object.__new__
 _set_v = FieldElement._v.__set__  # bypasses the immutability guard
@@ -169,24 +177,6 @@ def _make(x: int, y: int, d: int) -> FieldElement:
         if g != 1:
             x, y, d = x // g, y // g, d // g
     return _raw(x, y, d)
-
-
-def _divide(u: FieldElement, w: FieldElement) -> FieldElement:
-    """u / w in one step: u * conj(w) * d_w / (d_u * N(w)).
-
-    With u and w in Z[phi] (d = 1) the quotient is the integer triple
-    (u * conj(w), N(w)) reduced by its gcd, so an exact quotient comes out
-    with d = 1.
-    """
-    x1, y1, d1 = u._v
-    x2, y2, d2 = w._v
-    n = norm((x2, y2))
-    if n == 0:
-        raise ZeroDivisionError("division by zero in Q(phi)")
-    [(x, y)] = products([((x1, y1), conj((x2, y2)))])
-    if d2 != 1:
-        x, y = x * d2, y * d2
-    return _make(x, y, d1 * n)
 
 
 def _coerce(x) -> FieldElement:

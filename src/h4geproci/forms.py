@@ -92,14 +92,6 @@ class HomForm:
                 and self.terms == other.terms and self.den == other.den
                 and (self.degree == other.degree or self.is_zero() and other.is_zero()))
 
-    def __hash__(self) -> int:
-        # The exponents fix the degree of a nonzero form, and zero forms of
-        # all degrees are equal, so the degree itself is not hashed.
-        return hash((self.nvars, self.den, frozenset(self.terms.items())))
-
-    def __mul__(self, other: "HomForm") -> "HomForm":
-        return multiply((self, other))
-
     def value_at(self, point: Sequence[Pair]) -> Pair:
         """f(point) times the positive integer ``den``: one Z[phi] dot product
         of the numerators and the monomials at the point."""

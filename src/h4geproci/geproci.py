@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections.abc import Mapping
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import config as cfgmod
@@ -30,7 +29,7 @@ PlaneCoords = Tuple[Pair, Pair, Pair]  # canonical Z[phi] pairs
 VERTEX_DRAWS = 1000  # draws before `sample_generic_vertex` gives up
 
 
-class _Images(Mapping):
+class _Images:
     """Point index -> image, read-only, each by `image_from` on first read."""
 
     def __init__(self, vertex: ProjPoint, points: Dict[int, ProjPoint]):
@@ -41,19 +40,13 @@ class _Images(Mapping):
             self._known[i] = image_from(self._vertex, self._points[i])
         return self._known[i]
 
-    def __iter__(self):
-        return iter(self._points)
-
-    def __len__(self) -> int:
-        return len(self._points)
-
 
 class Projection(NamedTuple):
     """A projection of P^3 from a verified-generic vertex onto P^2, by the
     minors of `projective.image_from` and `projective.line_image`."""
 
     vertex: ProjPoint
-    images: Mapping  # configuration point index -> image
+    images: _Images  # configuration point index -> image
 
     def push_line(self, line: ProjLine) -> HomForm:
         """The line's image, a linear form on P^2, by `line_image`."""
@@ -223,9 +216,10 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     and its cover lines are its L-lines and its external line.  It raises
     VerificationError unless every check passes.  The line product, g of
     `_half_quintic` times the external line, is tested by its factors, each
-    point's own cover line (`point_lines`) first: Q(phi) has no zero
-    divisors, so it vanishes exactly where one of them does.  With no cover
-    line dividing the quintic, `bezout_count` asks for 5*6 distinct images."""
+    cover line at the images of its own five points (`line_points`): once
+    `cover_is_exact` holds these are exactly the half's points, and a
+    product vanishes wherever one of its factors does.  With no cover line
+    dividing the quintic, `bezout_count` asks for 5*6 distinct images."""
     names = [half.name for half in cfgmod.HALVES]
     if subset not in names:
         raise ValueError(f"subset must be one of {names}")
@@ -243,10 +237,8 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
                                       for i in points)
     line_form[half.external_line] = proj.push_line(cfg.lines[half.external_line])
     product = multiply((g, line_form[half.external_line]))
-    checks["product_on_subset"] = all(
-        any(line_form[j].vanishes_at(proj.images[i])
-            for j in sorted(cover, key=lambda j: j not in cfg.point_lines[i]))
-        for i in points)
+    checks["product_on_subset"] = all(line_form[j].vanishes_at(proj.images[i])
+                                      for j in cover for i in cfg.line_points[j])
     checks["no_line_in_quintic"] = all(not divides(lf, quintic)
                                        for lf in line_form.values())
     checks["bezout_count"] = (len({proj.images[i] for i in points})

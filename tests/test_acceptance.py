@@ -17,7 +17,7 @@ from h4geproci.config import (HALVES, grid_point_indices,
                               special_points_for_grid, z_partition)
 from h4geproci.coverings import enumerate_coverings, enumerate_grids
 from h4geproci.field import FieldElement, ONE, PHI
-from h4geproci.forms import vanishing_space
+from h4geproci.forms import multiply, vanishing_space
 from h4geproci.projective import canonicalize
 from elements import elements, form, pairs_of
 from form_references import monic, reference_quotient
@@ -41,7 +41,7 @@ def test_criterion_02_line_incidence_table(cfg):
     t0 = time.monotonic()
     assert len(cfg.lines) == 72
     assert incidence_table_lines(cfg) == tables.LINE_POINTS
-    assert cfg.max_collinear() == 5
+    assert cfg.max_collinear(cfg.points) == 5
     assert all(len(cfg.point_lines[i]) == 6 for i in cfg.points)
     assert all(len(cfg.line_planes[i]) == 5 for i in cfg.lines)
     assert all(len(cfg.plane_lines[i]) == 6 for i in cfg.planes)
@@ -87,7 +87,7 @@ def test_criterion_05_geproci_certificates(cfg, geproci_cert_seed1):
         assert cert.passed
         assert cert.dimension_table == (0, 0, 0, 0, 0, 1)
         assert cert.sextic_smooth.smooth
-        decic = cert.quintic1 * cert.quintic2
+        decic = multiply((cert.quintic1, cert.quintic2))
         assert reference_quotient(cert.sextic, decic) is None
         assert cert.sextic.degree * decic.degree == 60
     _verdict(5, "(6,10) complete-intersection certificate at 5 seeds")

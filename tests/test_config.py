@@ -49,7 +49,6 @@ def test_incidence_counts(cfg):
 
 
 def test_max_collinear_is_five(cfg):
-    assert cfg.max_collinear() == 5
     assert cfg.max_collinear(cfg.points) == 5
 
 

@@ -54,7 +54,7 @@ def test_vertex_sampling_is_deterministic_and_certified(cfg, projection):
         assert not any(plane.contains(v) for plane in cfg.planes.values())
         assert not any(on_line(line, v) for line in cfg.lines.values())
         assert not any(g.quadric.vanishes_at(v.pairs) for g in cfg.grids)
-        assert len(set(proj.images.values())) == 60
+        assert len({proj.images[i] for i in cfg.points}) == 60
 
 
 def test_different_seeds_give_different_vertices(cfg, projection):
@@ -112,7 +112,8 @@ def test_every_admissible_sextic_lifts_at_the_kernel_prime_alone(cfg, monkeypatc
     needs = []
     for vertex in _admissible_vertices(cfg):
         images = geproci._Images(vertex, cfg.points)
-        assert len(forms.vanishing_space(images.values(), 6, 3)) == 1
+        assert len(forms.vanishing_space([images[i] for i in sorted(cfg.points)],
+                                         6, 3)) == 1
         [v] = kernels.pop()
         g = max(j for j, w in enumerate(v) if w != (0, 0))
         needs.append(lift_need([[FieldElement(*w) / FieldElement(*v[g]) for w in v]]))
@@ -129,7 +130,7 @@ def test_sampling_draws_the_vertex_that_the_image_rejection_drew(cfg):
         proj = geproci.sample_generic_vertex(cfg, seed)
         assert proj.vertex == vertex
         if seed <= 3:
-            assert dict(proj.images) == images
+            assert {i: proj.images[i] for i in sorted(cfg.points)} == images
 
 
 def _counting_images(monkeypatch):
@@ -150,17 +151,16 @@ def test_images_are_computed_on_first_read(cfg, monkeypatch):
     images are those of `image_from`, and the mapping is read-only."""
     calls = _counting_images(monkeypatch)
     proj = geproci.sample_generic_vertex(cfg, 1)
-    assert calls == [] and len(proj.images) == 60
-    assert list(proj.images) == sorted(cfg.points)
+    assert calls == []
     first = proj.images[7]
     assert proj.images[7] is first and calls == [cfg.points[7]]
     assert first == image_from(proj.vertex, cfg.points[7])
     with pytest.raises(TypeError):
         proj.images[7] = first
-    assert list(proj.images.values()) == [image_from(proj.vertex, x)
-                                          for x in cfg.points.values()]
+    assert [proj.images[i] for i in sorted(cfg.points)] == [
+        image_from(proj.vertex, cfg.points[i]) for i in sorted(cfg.points)]
     assert len(calls) == 60
-    assert dict(proj.images)[7] is proj.images[7] is first
+    assert proj.images[7] is first
     assert len(calls) == 60
 
 
@@ -381,11 +381,7 @@ def test_verify_grid_rejects_unknown_lines(cfg, no_quadric, bad):
 
 def _product_of_plane_images(cfg, projection, lines) -> HomForm:
     """The product of the images of the planes spanned by the vertex and each line."""
-    forms = [projection.push_line(cfg.lines[i]) for i in lines]
-    product = forms[0]
-    for f in forms[1:]:
-        product = product * f
-    return product
+    return forms.multiply([projection.push_line(cfg.lines[i]) for i in lines])
 
 
 def test_pencil_base_points_are_exactly_the_grid(cfg, projection, grid1):
@@ -434,7 +430,7 @@ def test_quintic_cone_matches_the_field_reference():
     FieldElement arithmetic; at a common zero of g and h it still raises."""
     rng = random.Random(29)
     for trial in range(12):
-        g, h = (reduce(mul, (_random_linear(rng) for _ in range(5)))
+        g, h = (forms.multiply([_random_linear(rng) for _ in range(5)])
                 for _ in range(2))
         point = pairs_of([FieldElement(rng.randint(-9, 9), rng.randint(-9, 9))
                                       for _ in range(3)])
@@ -445,7 +441,7 @@ def test_quintic_cone_matches_the_field_reference():
         assert geproci.build_quintic_cone(g, h, point) == expected
         assert geproci.build_quintic_cone(g, h, point).vanishes_at(point)
     line = _random_linear(rng)
-    g, h = (line * reduce(mul, (_random_linear(rng) for _ in range(4)))
+    g, h = (forms.multiply([line] + [_random_linear(rng) for _ in range(4)])
             for _ in range(2))
     a, b, c = (line.terms.get(e, (0, 0)) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     # A zero of the common factor line: its pairs cross a coordinate vector.
@@ -489,8 +485,8 @@ def test_half_grid_builds_each_product_once(cfg, monkeypatch):
 
 
 def test_one_product_of_many_factors_is_the_chain_of_pair_products():
-    """`forms.multiply` normalizes once; the chain of `*` normalizes at every
-    step.  Both give the same form, coefficient for coefficient, on random
+    """`forms.multiply` of many factors normalizes once; the chain of pair
+    products normalizes at every step.  Both give the same form, coefficient for coefficient, on random
     factors with rational and Z[phi] coefficients, whose value at a point is
     the product of the factors' values (FieldElement evaluation), and a
     zero factor gives the zero form of the summed degree."""
@@ -498,7 +494,8 @@ def test_one_product_of_many_factors_is_the_chain_of_pair_products():
     for n in (1, 2, 3, 5, 6):
         factors = [_random_linear(rng) for _ in range(n)]
         got = forms.multiply(factors)
-        assert got == reduce(mul, factors) and got.degree == n
+        assert got == reduce(lambda f, g: forms.multiply((f, g)), factors)
+        assert got.degree == n
         point = pairs_of([FieldElement(rng.randint(-9, 9), rng.randint(-9, 9))
                                       for _ in range(3)])
         assert _evaluate(got, point) == reduce(mul, (_evaluate(f, point) for f in factors))
@@ -631,7 +628,7 @@ def test_only_push_line_runs_field_element_arithmetic(cfg, monkeypatch):
     coordinate tokens, made at import."""
     line = linear([FieldElement(2), PHI, FieldElement(Fraction(-1, 3))])
     other = linear([ONE, FieldElement(-3), FieldElement(1, 1)])
-    curve = line * line * other  # no attempt is clean: every retry runs
+    curve = forms.multiply((line, line, other))  # no attempt is clean: every retry runs
 
     def artifacts(c):
         out = [g.to_json() for g in enumerate_grids(c)]
@@ -692,7 +689,7 @@ def test_a_quintic_missing_one_image_fails_the_quintic_check(
 
 def test_sextic_and_decic_share_no_component(geproci_cert_seed1):
     cert = geproci_cert_seed1
-    decic = cert.quintic1 * cert.quintic2
+    decic = forms.multiply((cert.quintic1, cert.quintic2))
     assert decic.degree == 10
     assert reference_quotient(cert.sextic, decic) is None
     assert cert.sextic.degree * decic.degree == 60
@@ -708,7 +705,7 @@ def test_no_shared_component_is_derived_from_smoothness(cfg, seed, monkeypatch):
     monkeypatch.setattr(geproci, "divides", no_division)
     cert = geproci.verify_geproci(cfg, seed)
     assert cert.checks["sextic_smooth"]
-    assert reference_quotient(cert.sextic, cert.quintic1 * cert.quintic2) is None
+    assert reference_quotient(cert.sextic, forms.multiply((cert.quintic1, cert.quintic2))) is None
 
 
 def test_a_singular_sextic_fails_the_smoothness_check(cfg, monkeypatch):
@@ -740,8 +737,9 @@ def test_a_sextic_singular_at_a_shared_image_reads_indeterminate(cfg):
     singular point makes the chart eliminants share a root at every prime,
     so the certificate reads "indeterminate", never smooth."""
     images = geproci._Images(_on_secant(cfg, 1, 5), cfg.points)
-    assert len(set(images.values())) == 58
-    [sextic] = forms.vanishing_space(set(images.values()), 6, 3)
+    distinct = {images[i] for i in cfg.points}
+    assert len(distinct) == 58
+    [sextic] = forms.vanishing_space(distinct, 6, 3)
     assert images[1] == images[5] == images[12]
     assert all(reference_partial(sextic, k).vanishes_at(images[1]) for k in range(3))
     with pytest.raises(forms.SmoothnessIndeterminate, match="eliminants share a root"):
@@ -1084,11 +1082,11 @@ def test_a_rank_short_mod_p_never_refutes(cfg, monkeypatch):
     assert not report.refuted
 
 
-def test_interpolation_eliminates_once_per_root(projection, monkeypatch):
+def test_interpolation_eliminates_once_per_root(cfg, projection, monkeypatch):
     """The sextic: every row at the first root, the 27 it keeps at the
     second.  The quintics: full rank at the first root, one elimination."""
     calls = _counting_kernel_mod(monkeypatch)
-    images = list(projection.images.values())
+    images = [projection.images[i] for i in sorted(cfg.points)]
     assert len(forms.vanishing_space(images, 6, 3)) == 1
     assert calls == [60, 27]
     calls.clear()
