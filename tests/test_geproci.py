@@ -486,10 +486,11 @@ def test_half_grid_builds_each_product_once(cfg, monkeypatch):
 
 def test_one_product_of_many_factors_is_the_chain_of_pair_products():
     """`forms.multiply` of many factors normalizes once; the chain of pair
-    products normalizes at every step.  Both give the same form, coefficient for coefficient, on random
-    factors with rational and Z[phi] coefficients, whose value at a point is
-    the product of the factors' values (FieldElement evaluation), and a
-    zero factor gives the zero form of the summed degree."""
+    products normalizes at every step.  Both give the same form, coefficient
+    for coefficient, on random factors with rational and Z[phi]
+    coefficients, whose value at a point is the product of the factors'
+    values (FieldElement evaluation), and a zero factor gives the zero form
+    of the summed degree."""
     rng = random.Random(31)
     for n in (1, 2, 3, 5, 6):
         factors = [_random_linear(rng) for _ in range(n)]
@@ -705,7 +706,8 @@ def test_no_shared_component_is_derived_from_smoothness(cfg, seed, monkeypatch):
     monkeypatch.setattr(geproci, "divides", no_division)
     cert = geproci.verify_geproci(cfg, seed)
     assert cert.checks["sextic_smooth"]
-    assert reference_quotient(cert.sextic, forms.multiply((cert.quintic1, cert.quintic2))) is None
+    decic = forms.multiply((cert.quintic1, cert.quintic2))
+    assert reference_quotient(cert.sextic, decic) is None
 
 
 def test_a_singular_sextic_fails_the_smoothness_check(cfg, monkeypatch):
