@@ -4,13 +4,12 @@ A form keeps its coefficients as Z[phi] numerators, integer pairs (x, y) for
 x + y*phi, over one positive integer denominator, in graded lexicographic
 order of the exponents (first variable largest).  The module provides
 exact zero tests, products, interpolation through point sets by a nullspace
-proposed modulo split primes and checked exactly, divisibility by a line
-(by evaluation on it), and a smoothness certificate for plane curves from
-chart-wise resultants, by Euclid's algorithm over F_p on formal degrees,
-modulo a degree-1 prime of Z[phi], sound over Q(phi)-bar.  Every exact
-elimination here is `linalg.nullspace`.  Points, evaluation rows, kernel
-vectors and coefficients are all Z[phi] pairs, and no FieldElement is made
-or operated on here.
+proposed modulo split primes and checked exactly, and a smoothness
+certificate for plane curves from chart-wise resultants, by Euclid's
+algorithm over F_p on formal degrees, modulo a degree-1 prime of Z[phi],
+sound over Q(phi)-bar.  Every exact elimination here is `linalg.nullspace`.
+Points, evaluation rows, kernel vectors and coefficients are all Z[phi]
+pairs, and no FieldElement is made or operated on here.
 Every certificate record, here, in `config` and in `geproci`, serializes by
 `_record_json`.
 """
@@ -25,7 +24,7 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
 from . import linalg
-from .field import Pair, _dot, _neg, conj, json_pair, norm, products, residues
+from .field import Pair, _dot, conj, json_pair, norm, products, residues
 
 Exponents = Tuple[int, ...]
 
@@ -205,36 +204,6 @@ def _residue_row(point: Sequence[Pair], degree: int, nvars: int,
             table.append(table[-1] * v % p)
         powers.append(table)
     return [prod(map(list.__getitem__, powers, e)) % p for e in cols]
-
-
-# ---------------------------------------------------------------------------
-# Divisibility by a line
-# ---------------------------------------------------------------------------
-
-def divides(f: HomForm, g: HomForm) -> bool:
-    """Whether f divides g, by evaluation on the line f = 0: f must be
-    linear in 3 variables, and any other divisor raises ValueError.
-
-    Soundness.  With c f's numerators, c_k the first nonzero one and
-    i < j the other indices, u = c_k*e_i - c_i*e_k and w = c_k*e_j - c_j*e_k
-    are independent zeros of f.  So g(u + t*w), t = 0..deg g, are the values
-    of the binary form g(s*u + t*w) of degree deg g at deg g + 1 distinct
-    points, all zero exactly when it is zero, that is when f | g (take
-    f = x_k).
-    """
-    if f.nvars != g.nvars:
-        raise ValueError("forms have different numbers of variables")
-    if f.is_zero():
-        raise ZeroDivisionError("division by the zero form")
-    if f.degree != 1 or f.nvars != 3:
-        raise ValueError("the divisor must be a linear form in 3 variables")
-    c = [f.terms.get(e, (0, 0)) for e in monomials(1, 3)]
-    k = next(v for v in range(3) if c[v] != (0, 0))
-    i, j = (v for v in range(3) if v != k)
-    u, w = [(0, 0)] * 3, [(0, 0)] * 3
-    u[i], u[k], w[j], w[k] = c[k], _neg(c[i]), c[k], _neg(c[j])
-    return all(g.vanishes_at([(a + t * x, b + t * y) for (a, b), (x, y) in zip(u, w)])
-               for t in range(g.degree + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@ from . import config as cfgmod
 from .config import GridCertificate, H4Configuration, VerificationError
 from .field import Pair, _dot, _neg
 from .forms import (HomForm, SmoothnessIndeterminate, SmoothnessReport,
-                    _record_json, divides, independent_evaluation_rows,
-                    monomials, multiply, plane_curve_is_smooth,
-                    vanishing_space)
+                    _record_json, independent_evaluation_rows, monomials,
+                    multiply, plane_curve_is_smooth, vanishing_space)
 from .projective import ProjLine, ProjPoint, image_from, line_image
 
 PlaneCoords = Tuple[Pair, Pair, Pair]  # canonical Z[phi] pairs
@@ -214,12 +213,23 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     """Certify that a half of `config.HALVES`, by name, projects to a (5,6)
     complete intersection.  Its points are its part of `config.z_partition`,
     and its cover lines are its L-lines and its external line.  It raises
-    VerificationError unless every check passes.  The line product, g of
-    `_half_quintic` times the external line, is tested by its factors, each
-    cover line at the images of its own five points (`line_points`): once
-    `cover_is_exact` holds these are exactly the half's points, and a
-    product vanishes wherever one of its factors does.  With no cover line
-    dividing the quintic, `bezout_count` asks for 5*6 distinct images."""
+    VerificationError unless every check passes.  One exact table lists, for
+    each pushed cover line l_j, the half's images where l_j is zero (by
+    `_dot`).  `product_on_subset` finds in it each line's own five points
+    (`line_points`), the half's points by `cover_is_exact`; the line product,
+    g of `_half_quintic` times the external line, vanishes where a factor does.
+    `no_line_in_quintic` asks for `quintic_on_subset` and nothing else in
+    the table.  Lemma: if every check passes, no l_1 divides the quintic Q.
+    Else Q = l_1*R, R a nonzero quartic (`build_quintic_cone` refuses Q = 0).
+    The vertex is off each other cover line C_k (or `push_line` raises), so
+    its five images are distinct points of l_k, none on l_1 by the table,
+    zeros of Q and so of R: R contains l_k.  The l_k are distinct by the
+    table, so l_2*...*l_6, of degree 5, divides R: R = 0.  The cover must
+    partition the half, as checked before any vertex is drawn.  So
+    `bezout_count` asks for 5*6 distinct images.  At a sampled vertex the
+    table holds no more: a half point p off C_j shares a configuration plane
+    with C_j (only its polar line's points, never in its half, share none),
+    and l_j is zero at p's image only for a vertex in that plane."""
     names = [half.name for half in cfgmod.HALVES]
     if subset not in names:
         raise ValueError(f"subset must be one of {names}")
@@ -237,10 +247,15 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
                                       for i in points)
     line_form[half.external_line] = proj.push_line(cfg.lines[half.external_line])
     product = multiply((g, line_form[half.external_line]))
-    checks["product_on_subset"] = all(line_form[j].vanishes_at(proj.images[i])
-                                      for j in cover for i in cfg.line_points[j])
-    checks["no_line_in_quintic"] = all(not divides(lf, quintic)
-                                       for lf in line_form.values())
+    images = [(i, proj.images[i]) for i in points]
+    zeros = {}
+    for j, lf in line_form.items():
+        c = [lf.terms.get(e, (0, 0)) for e in monomials(1, 3)]
+        zeros[j] = {i for i, x in images if _dot(c, x) == (0, 0)}
+    own = {j: set(cfg.line_points[j]) for j in cover}
+    checks["product_on_subset"] = all(own[j] <= zeros[j] for j in cover)
+    checks["no_line_in_quintic"] = (checks["quintic_on_subset"]
+                                    and all(zeros[j] <= own[j] for j in cover))
     checks["bezout_count"] = (len({proj.images[i] for i in points})
                               == quintic.degree * product.degree)
     return _require_passed("half-grid", HalfGridCertificate(

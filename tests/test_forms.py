@@ -1,4 +1,4 @@
-"""Polynomial algebra: interpolation, division by a line, smoothness certificates."""
+"""Polynomial algebra: products, interpolation, smoothness certificates."""
 
 import itertools
 import json
@@ -9,9 +9,9 @@ from math import comb, gcd, isqrt
 import pytest
 
 from h4geproci import config, field, forms, linalg
-from h4geproci.field import FieldElement, ONE, PHI, ZERO, _dot, norm
-from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
-                             monomials, multiply, plane_curve_is_smooth,
+from h4geproci.field import FieldElement, ONE, PHI, ZERO, _dot
+from h4geproci.forms import (HomForm, SmoothnessIndeterminate, monomials,
+                             multiply, plane_curve_is_smooth,
                              vanishing_space, _chart_test,
                              _compose_mod, _eliminant, _evaluation_row,
                              _interpolate_mod, _partial_mod, _reduce,
@@ -19,7 +19,6 @@ from h4geproci.forms import (HomForm, SmoothnessIndeterminate, divides,
 from h4geproci.geproci import sample_generic_vertex
 from h4geproci.linalg import _PHI_ROOT, _PRIME, _split_primes
 from elements import coefficients, form, linear, pairs_of
-from form_references import reference_quotient
 from json_readers import hom_form
 from test_linalg import (_integer_pairs, _wrong_first_coefficient,
                          determinant_mod, reference_nullspace)
@@ -578,119 +577,6 @@ def test_a_wrong_lift_in_interpolation_costs_one_more_prime(seed1_images,
     assert kernel_prime == [_PRIME]
 
 
-def test_divisibility_roundtrip():
-    rng = random.Random(61)
-    for _ in range(25):
-        f = _random_form(rng, 3, 1)
-        g = _random_form(rng, 3, rng.randint(1, 3))
-        if f.is_zero() or g.is_zero():
-            continue
-        prod = multiply((f, g))
-        assert divides(f, prod)
-    x, y = _var(0, 3), _var(1, 3)
-    assert not divides(x, y)
-    assert not divides(_add(x, y), multiply((x, x)))
-
-
-def test_a_divisor_that_is_not_a_ternary_line_raises():
-    """`divides` decides only a linear divisor in 3 variables; a form of
-    another degree, or a line in other than 3 variables, raises, also
-    against the zero form."""
-    x, y = _var(0, 3), _var(1, 3)
-    xx = multiply((x, x))
-    for f, g in ((multiply((x, y)), multiply((x, x, y))), (xx, xx),
-                 (multiply((_add(x, y), x)), HomForm(3, 4, {})),
-                 (form(3, 0, {(0, 0, 0): PHI}), x),
-                 (_var(0, 2), multiply((_var(0, 2), _var(1, 2)))),
-                 (_var(0, 4), multiply((_var(0, 4), _var(3, 4))))):
-        with pytest.raises(ValueError, match="linear form in 3 variables"):
-            divides(f, g)
-
-
-def test_linear_divisors_are_decided_as_long_division_decides(monkeypatch):
-    """A line and a nonzero ternary form reach no `linalg.nullspace`, and
-    the verdict is the reference long division's: on products l*q, on forms
-    that l does not divide, on constants, with the pivot at x, y or z, and
-    with Z[phi] and rational coefficients."""
-    def no_kernel(rows):
-        pytest.fail("a linear divisor went to a nullspace")
-
-    monkeypatch.setattr(linalg, "nullspace", no_kernel)
-    quotient = reference_quotient
-    rng = random.Random(97)
-    seen = set()
-    for trial in range(90):
-        pivot, rational = trial % 3, trial % 2 == 1
-
-        def coeff():
-            if rational:
-                return _random_elem(rng)
-            return FieldElement(rng.randint(-3, 3), rng.randint(-2, 2))
-
-        lead = coeff()
-        if lead.is_zero():
-            continue
-        line = linear([ZERO] * pivot + [lead]
-                              + [coeff() for _ in range(2 - pivot)])
-        q = _random_form(rng, 3, rng.randint(0, 4), rational=rational)
-        lq = multiply((line, q))
-        near = _add(lq, _random_form(rng, 3, q.degree + 1, density=0.2))
-        for g in (lq, _scale(lq, PHI), q, near,
-                  form(3, 0, {(0, 0, 0): lead})):
-            got = divides(line, g)
-            assert got == (quotient(line, g) is not None)
-            seen.add((pivot, got))
-    assert seen == {(k, b) for k in range(3) for b in (True, False)}
-    # On z = 0 the points are (1, t, 0), t = 0..5: the product of y - t*x,
-    # t < 5, vanishes at all of them but the last.
-    x, y, z = (_var(i, 3) for i in range(3))
-    fan = multiply([_add(y, _scale(x, FieldElement(-t))) for t in range(5)])
-    assert not divides(z, fan) and divides(z, multiply((fan, z)))
-    assert divides(_var(2, 3), HomForm(3, 4, {}))
-    with pytest.raises(ZeroDivisionError):
-        divides(HomForm(3, 1, {}), _var(0, 3))
-    with pytest.raises(ValueError):
-        divides(_var(0, 3), _var(0, 2))
-
-
-@pytest.mark.parametrize("zero_first", [True, False])
-def test_forms_in_different_numbers_of_variables_raise_even_when_zero(
-        zero_first):
-    """`divides` compares the variable counts before any zero-form
-    shortcut: a zero form in 2 variables against a form in 3 is a caller
-    fault, as for two nonzero forms."""
-    zero, x = HomForm(2, 3, {}), _var(0, 3)
-    pair = (zero, x) if zero_first else (x, zero)
-    with pytest.raises(ValueError, match="different numbers of variables"):
-        divides(*pair)
-
-
-def test_pair_kernels_match_the_field_references():
-    """`divides` on pairs agrees with the FieldElement long division: on
-    random Z[phi] and rational lines, whose leading pair has positive and
-    negative norm, against divisible and non-divisible forms."""
-    rng = random.Random(107)
-    norms, outcomes = set(), set()
-    for trial in range(60):
-        rational = trial % 2 == 1
-        f = _random_form(rng, 3, 1, rational=rational)
-        h = _random_form(rng, 3, rng.randint(0, 3), rational=rational)
-        if f.is_zero() or h.is_zero():
-            continue
-        lead = f.terms[max(f.terms)]
-        norms.add(norm(lead) > 0)
-        noise = _random_form(rng, 3, f.degree + h.degree, density=0.2)
-        fh = multiply((f, h))
-        for g in (fh, _add(fh, noise), h, _scale(fh, PHI),
-                  HomForm(3, 2, {})):
-            got, ref = divides(f, g), reference_quotient(f, g)
-            assert got == (ref is not None)
-            if got:
-                assert multiply((f, ref)) == g
-            outcomes.add(got)
-    assert norms == {True, False} and outcomes == {True, False}
-
-
 def test_smoothness_needs_a_curve():
     """A nonzero constant cuts out no curve, so it has no singular point
     to report; it is refused as the zero form is."""
@@ -698,38 +584,6 @@ def test_smoothness_needs_a_curve():
               multiply((_var(0, 2), _var(1, 2)))):
         with pytest.raises(ValueError, match="positive degree in 3 variables"):
             plane_curve_is_smooth(f)
-
-
-def test_divides_matches_sympy_over_q_sqrt5():
-    """`divides` by a line agrees with sympy's division over Q(sqrt 5)."""
-    sympy = pytest.importorskip("sympy")
-    # Elements are built in the field directly: sympy expressions with
-    # sqrt(5) would make each Poly find minimal polynomials, about 20x slower.
-    field = sympy.QQ.algebraic_field(sympy.sqrt(5))
-    half = field.convert(sympy.QQ(1, 2))
-    phi = half + half * field.from_sympy(sympy.sqrt(5))
-    gens = sympy.symbols("x0:3")
-
-    def poly(f):
-        return sympy.Poly.from_dict(
-            {e: field.convert(sympy.QQ(c.a.numerator, c.a.denominator))
-             + field.convert(sympy.QQ(c.b.numerator, c.b.denominator)) * phi
-             for e, c in coefficients(f).items()}, *gens, domain=field)
-
-    line_rng, linear_outcomes = random.Random(91), set()
-    for trial in range(8):
-        rational = trial % 2 == 1
-        line, q = (_random_form(line_rng, 3, d, rational=rational)
-                   for d in (1, line_rng.randint(0, 3)))
-        if line.is_zero() or q.is_zero():
-            continue
-        lq = multiply((line, q))
-        for g in (lq, q, _add(lq, _random_form(line_rng, 3, q.degree + 1))):
-            if not g.is_zero():
-                _, rem = poly(g).div(poly(line))
-                assert divides(line, g) == rem.is_zero
-                linear_outcomes.add(rem.is_zero)
-    assert linear_outcomes == {True, False}
 
 
 def test_one_patch_moves_every_rank_test_to_another_prime(cfg, monkeypatch):

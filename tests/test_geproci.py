@@ -697,13 +697,9 @@ def test_sextic_and_decic_share_no_component(geproci_cert_seed1):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_no_shared_component_is_derived_from_smoothness(cfg, seed, monkeypatch):
-    """`verify_geproci` calls no `divides`; the smooth sextic it certifies
-    does not divide q1*q2, as long division confirms."""
-    def no_division(f, g):
-        pytest.fail("verify_geproci called divides")
-
-    monkeypatch.setattr(geproci, "divides", no_division)
+def test_no_shared_component_is_derived_from_smoothness(cfg, seed):
+    """The smooth sextic that `verify_geproci` certifies does not divide
+    q1*q2, as long division confirms."""
     cert = geproci.verify_geproci(cfg, seed)
     assert cert.checks["sextic_smooth"]
     decic = forms.multiply((cert.quintic1, cert.quintic2))
@@ -769,14 +765,72 @@ def test_a_vertex_on_a_secant_fails_the_half_grid_bezout_count(cfg,
     """Points 1 and 5 of z1 share an image from a vertex on their secant:
     29 distinct images against 5*6, so the count reads False.  The vertex
     also lies in planes 20 and 22, whose ten z1 points each project onto
-    the pushed cover line 25 or 1, so the quintic contains both lines."""
+    the pushed cover line 25 or 1, so the quintic contains both lines, as
+    long division confirms, and no other cover line."""
     vertex = _on_secant(cfg, 1, 5)
     assert [i for i, plane in cfg.planes.items() if plane.contains(vertex)
             and {1, 25} & set(cfg.plane_lines[i])] == [20, 22]
+    assert _cover_lines_in_the_quintic(cfg, vertex, HALF1) == [1, 25]
     _sample_at(monkeypatch, vertex)
     with pytest.raises(config.VerificationError) as err:
         geproci.verify_half_grid(cfg, 1, "z1")
     assert str(err.value).endswith("['no_line_in_quintic', 'bezout_count']")
+
+
+def _cover_lines_in_the_quintic(cfg, vertex, half):
+    """The cover lines whose pushed form divides the half's quintic, from
+    `vertex`, by long division."""
+    proj = geproci.Projection(vertex, geproci._Images(vertex, cfg.points))
+    quintic = geproci._half_quintic(cfg, proj, half)[0]
+    return [j for j in sorted(half.l_lines + (half.external_line,))
+            if reference_quotient(proj.push_line(cfg.lines[j]), quintic)
+            is not None]
+
+
+@pytest.mark.parametrize("half", HALVES, ids=lambda h: h.name)
+def test_each_half_point_off_a_cover_line_shares_a_plane_with_it(cfg, half):
+    """The fact that keeps the table of zeros free of extra entries at a
+    sampled vertex: every point of the half off cover line j lies in a
+    plane of `line_planes[j]`.  The five points of the configuration in
+    none are those of the polar line, the one whose planes are indexed by
+    j's points, and none of them is in the half."""
+    points = set(z_partition(cfg)[HALVES.index(half)])
+    for j in half.l_lines + (half.external_line,):
+        planes = [cfg.planes[k] for k in cfg.line_planes[j]]
+        in_none = {i for i, x in cfg.points.items()
+                   if not any(plane.contains(x) for plane in planes)}
+        [polar] = [m for m, ks in cfg.line_planes.items()
+                   if set(ks) == set(cfg.line_points[j])]
+        assert in_none == set(cfg.line_points[polar])
+        assert not in_none & points
+
+
+def test_a_vertex_in_one_plane_fails_only_the_line_check(cfg, monkeypatch):
+    """The vertex P_1 + 2*P_7 + 3*P_15 lies in plane 18 and no other, and
+    off both grid quadrics.  Plane 18 holds cover line 1 of z1 and z1
+    points off it, whose images then fall on the pushed line 1: the
+    quintic contains that line, as long division confirms, and no other
+    cover line.  z1 fails `no_line_in_quintic` and no other check."""
+    vertex = point(*(a + 2 * b + 3 * c for a, b, c in zip(
+        *(coords(cfg.points[i]) for i in (1, 7, 15)))))
+    assert [k for k, plane in cfg.planes.items() if plane.contains(vertex)] == [18]
+    assert not any(g.quadric.vanishes_at(vertex.pairs) for g in cfg.grids)
+    assert _cover_lines_in_the_quintic(cfg, vertex, HALF1) == [1]
+    _sample_at(monkeypatch, vertex)
+    with pytest.raises(config.VerificationError) as err:
+        geproci.verify_half_grid(cfg, 1, "z1")
+    assert str(err.value).endswith("['no_line_in_quintic']")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_no_cover_line_divides_the_quintic_at_sampled_vertices(cfg, seed):
+    """At the sampled vertex of seeds 1-3, for both halves, long division
+    finds no cover line in the quintic, as `no_line_in_quintic` says."""
+    vertex = geproci.sample_generic_vertex(cfg, seed).vertex
+    for half in HALVES:
+        assert geproci.verify_half_grid(cfg, seed, half.name).checks[
+            "no_line_in_quintic"]
+        assert _cover_lines_in_the_quintic(cfg, vertex, half) == []
 
 
 @pytest.mark.parametrize("l_lines, external, failed", [
@@ -824,8 +878,9 @@ def test_half_grid_certificates_pass(cfg, subset):
 
 
 def test_half_grid_tests_the_line_product_by_its_factors(cfg, monkeypatch):
-    """The degree-6 line product is never evaluated: each image is tested
-    once, against its own cover line's linear form."""
+    """The degree-6 line product is never evaluated, and no linear form goes
+    through `_evaluation_row`: the cover lines are read off their table of
+    zeros."""
     evaluation_row = forms._evaluation_row
     degrees = []
 
@@ -838,26 +893,25 @@ def test_half_grid_tests_the_line_product_by_its_factors(cfg, monkeypatch):
         degrees.clear()
         assert geproci.verify_half_grid(cfg, 1, half.name).passed
         assert 6 not in degrees
-        assert degrees.count(1) == 30
+        assert 1 not in degrees
 
 
 def test_a_cover_line_missing_one_image_fails_the_product_check(
         cfg, monkeypatch):
-    """The pushed external line of z1 reads False at the image of one of
-    its points, where no other cover line vanishes: the product check, and
-    only it, fails."""
+    """z1's external line 24 pushed as the line through the images of its
+    point 39 and of point 3 of z2: it misses the images of 24's other four
+    points, and the secant {3, 39} holds no other z1 point, so the table
+    holds nothing extra.  The product check, and only it, fails."""
     ext = HALF1.external_line
-    missed = geproci.sample_generic_vertex(cfg, 1).images[
-        cfg.line_points[ext][0]]
+    assert 39 in cfg.line_points[ext] and 3 in z_partition(cfg)[1]
+    images = geproci.sample_generic_vertex(cfg, 1).images
+    [wrong] = forms.vanishing_space([images[39], images[3]], 1, 3)
+    assert [i for i in z_partition(cfg)[0] if wrong.vanishes_at(images[i])] == [39]
     push_line = geproci.Projection.push_line
 
     def patched(self, line):
-        form = push_line(self, line)
-        if line == cfg.lines[ext]:
-            return _MissesOneImage(3, 1, form.terms, form.den)
-        return form
+        return wrong if line == cfg.lines[ext] else push_line(self, line)
 
-    monkeypatch.setattr(_MissesOneImage, "missed", missed)
     monkeypatch.setattr(geproci.Projection, "push_line", patched)
     with pytest.raises(config.VerificationError) as err:
         geproci.verify_half_grid(cfg, 1, "z1")
@@ -865,8 +919,8 @@ def test_a_cover_line_missing_one_image_fails_the_product_check(
 
 
 def test_half_grid_makes_no_nullspace_call(cfg, monkeypatch):
-    """`no_line_in_quintic` decides each cover line by evaluation: neither
-    half-grid verdict reaches an exact elimination."""
+    """The cover lines' table of zeros is read by evaluation, with no
+    division: neither half-grid verdict reaches an exact elimination."""
     kernel = linalg.nullspace
     calls = []
 
