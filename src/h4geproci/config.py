@@ -165,13 +165,17 @@ def build_h4() -> H4Configuration:
     """Construct the configuration; every incidence comes from the exact
     plane table, which lists every configuration point of each plane.
 
-    Two points lie on 2, 3 or 5 of the planes (checked: at least two), and
-    two planes meet in one line, so the points of the line p_i p_j are those
-    on the two lowest planes through both.  A line lies in the planes
-    through two of its points.  A failed structural count raises
-    AssertionError (`_expect`, kept under -O).  Two lines through a common
-    point meet there, and ``meets`` records it from ``point_lines``;
-    `_prove_skew` proves every other pair skew."""
+    Plane k is dual to point k, so ``masks[k]`` is the points on plane k and
+    the planes through point k.  Distinct planes a, b meet in a line whose
+    configuration points are ``masks[a] & masks[b]``, a secant with all its
+    points when there are two.  The line p_i p_j is found exactly when two
+    planes contain it, that is, when i and j share two planes.  Distinct lines
+    share at most one point, so the secants' point pairs are disjoint and
+    number C(60, 2) = 1770 only if every pair lies on a found secant, as
+    checked.  A line lies in the planes through two of its points.  A failed
+    structural count raises AssertionError (`_expect`, kept under -O).  Two
+    lines through a common point meet there, and ``meets`` records it from
+    ``point_lines``; `_prove_skew` proves every other pair skew."""
     points = {i + 1: p for i, p in enumerate(_parse_points())}
     _expect(len(set(points.values())) == 60, "points are not pairwise distinct")
     planes = {i: ProjPlane(points[i].pairs) for i in points}
@@ -189,26 +193,11 @@ def build_h4() -> H4Configuration:
         _expect(len(row) == 15, f"plane {i} contains {len(row)} points, not 15")
     point_planes = plane_points
 
-    # masks[i] is also the planes through point i.  Each secant is found
-    # from its lowest point i, skipping points seen on a line through p_i.
-    found = []
-    for i in points:
-        below, seen = (1 << i) - 1, 1 << i
-        for j in range(i + 1, len(points) + 1):
-            if seen >> j & 1:
-                continue
-            both = masks[i] & masks[j]
-            rest = both & (both - 1)  # all but the lowest plane through both
-            if not rest:  # inline, unlike `_expect`: no message built per pair
-                raise AssertionError(f"points {i} and {j} share fewer than two planes")
-            line = masks[(both ^ rest).bit_length() - 1] \
-                & masks[(rest & -rest).bit_length() - 1]
-            seen |= line
-            if not line & below:
-                found.append(tuple(members(line)))
-    secants = tuple(sorted(found))
+    met = {masks[a] & masks[b] for a, b in combinations(masks, 2)}
+    secants = tuple(sorted(tuple(members(m)) for m in met if m.bit_count() > 1))
     n_pairs = sum(len(s) * (len(s) - 1) // 2 for s in secants)
-    _expect(n_pairs == 1770, f"secants cover {n_pairs} point pairs, not 1770")
+    _expect(n_pairs == 1770, f"secants cover {n_pairs} point pairs, not 1770: "
+            "two points share fewer than two planes")
     top = max(len(s) for s in secants)
     _expect(top == 5, f"a line carries {top} points; expected max 5")
     # The five-point lines, indexed in lexicographic order of their points.

@@ -59,10 +59,10 @@ def sample_generic_vertex(cfg: H4Configuration, seed: int) -> Projection:
     Coordinates are drawn uniformly from [-3, 3]; a draw is rejected if the
     vertex lies on any configuration plane or either grid quadric, which
     leaves 192 projective vertices in the box.  Any two configuration points
-    lie in two of the 60 planes (`build_h4` asserts it), which meet in their
-    line, so such a vertex is off every such line: the 60 images are
-    distinct (`image_from`), and none is computed here.  After VERTEX_DRAWS
-    rejected draws it raises VerificationError.
+    lie in two of the 60 planes (checked by `build_h4`'s pair count), which
+    meet in their line, so such a vertex is off every such line: the 60
+    images are distinct (`image_from`), and none is computed here.  After
+    VERTEX_DRAWS rejected draws it raises VerificationError.
     """
     rng = random.Random(seed)
     for _ in range(VERTEX_DRAWS):
@@ -218,18 +218,19 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     `_dot`).  `product_on_subset` finds in it each line's own five points
     (`line_points`), the half's points by `cover_is_exact`; the line product,
     g of `_half_quintic` times the external line, vanishes where a factor does.
-    `no_line_in_quintic` asks for `quintic_on_subset` and nothing else in
-    the table.  Lemma: if every check passes, no l_1 divides the quintic Q.
-    Else Q = l_1*R, R a nonzero quartic (`build_quintic_cone` refuses Q = 0).
-    The vertex is off each other cover line C_k (or `push_line` raises), so
-    its five images are distinct points of l_k, none on l_1 by the table,
-    zeros of Q and so of R: R contains l_k.  The l_k are distinct by the
-    table, so l_2*...*l_6, of degree 5, divides R: R = 0.  The cover must
-    partition the half, as checked before any vertex is drawn.  So
-    `bezout_count` asks for 5*6 distinct images.  At a sampled vertex the
-    table holds no more: a half point p off C_j shares a configuration plane
-    with C_j (only its polar line's points, never in its half, share none),
-    and l_j is zero at p's image only for a vertex in that plane."""
+    `no_line_in_quintic` asks for `quintic_on_subset` and, in the table, just
+    each line's own five points.  Lemma: if every check passes, no l_1
+    divides the quintic Q.  Else Q = l_1*R, R a nonzero quartic
+    (`build_quintic_cone` refuses Q = 0).  The vertex is off each other
+    cover line C_k (or `push_line` raises), so its five images are distinct
+    points of l_k, none on l_1 by the table, zeros of Q and so of R: R
+    contains l_k.  The l_k are distinct by the table, so l_2*...*l_6, of
+    degree 5, divides R: R = 0.  The cover must partition the half, as
+    checked before any vertex is drawn.  So `bezout_count` asks for 5*6
+    distinct images.  At a sampled vertex the table holds no more: a half
+    point p off C_j shares a configuration plane with C_j (only its polar
+    line's points, never in its half, share none), and l_j is zero at p's
+    image only for a vertex in that plane."""
     names = [half.name for half in cfgmod.HALVES]
     if subset not in names:
         raise ValueError(f"subset must be one of {names}")
@@ -255,7 +256,7 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     own = {j: set(cfg.line_points[j]) for j in cover}
     checks["product_on_subset"] = all(own[j] <= zeros[j] for j in cover)
     checks["no_line_in_quintic"] = (checks["quintic_on_subset"]
-                                    and all(zeros[j] <= own[j] for j in cover))
+                                    and all(zeros[j] == own[j] for j in cover))
     checks["bezout_count"] = (len({proj.images[i] for i in points})
                               == quintic.degree * product.degree)
     return _require_passed("half-grid", HalfGridCertificate(

@@ -105,6 +105,21 @@ def test_secant_table_invariants(cfg):
     assert "secants" not in cfg.to_json() and "grids" not in cfg.to_json()
 
 
+def test_two_points_share_as_many_planes_as_their_secant_has_points(cfg):
+    """From the plane table alone: two points lie in as many common planes as
+    their secant has points, 2, 3 or 5, so every pair is on two planes.  By
+    duality two planes share 2, 3 or 5 points, in the same counts."""
+    secant_of = {pair: s for s in cfg.secants for pair in combinations(s, 2)}
+    rows = {v: set(row) for v, row in cfg.plane_points.items()}
+    through = {k: {v for v, row in rows.items() if k in row} for k in rows}
+    shared = {(i, j): len(through[i] & through[j])
+              for i, j in combinations(sorted(rows), 2)}
+    assert all(n == len(secant_of[pair]) for pair, n in shared.items())
+    assert Counter(shared.values()) == {2: 450, 3: 600, 5: 720}
+    assert Counter(len(rows[a] & rows[b]) for a, b
+                   in combinations(sorted(rows), 2)) == {2: 450, 3: 600, 5: 720}
+
+
 def _pair_scan_groups(points):
     """The groups of the pair scan that `collinear_groups` replaced: every
     pair of points keyed by the canonical Pluecker pairs of its line (1770

@@ -901,7 +901,8 @@ def test_a_cover_line_missing_one_image_fails_the_product_check(
     """z1's external line 24 pushed as the line through the images of its
     point 39 and of point 3 of z2: it misses the images of 24's other four
     points, and the secant {3, 39} holds no other z1 point, so the table
-    holds nothing extra.  The product check, and only it, fails."""
+    holds nothing extra.  The product check fails, and so does the line
+    check, which asks for each line's own five points and nothing else."""
     ext = HALF1.external_line
     assert 39 in cfg.line_points[ext] and 3 in z_partition(cfg)[1]
     images = geproci.sample_generic_vertex(cfg, 1).images
@@ -915,7 +916,7 @@ def test_a_cover_line_missing_one_image_fails_the_product_check(
     monkeypatch.setattr(geproci.Projection, "push_line", patched)
     with pytest.raises(config.VerificationError) as err:
         geproci.verify_half_grid(cfg, 1, "z1")
-    assert str(err.value).endswith("['product_on_subset']")
+    assert str(err.value).endswith("['product_on_subset', 'no_line_in_quintic']")
 
 
 def test_half_grid_makes_no_nullspace_call(cfg, monkeypatch):
