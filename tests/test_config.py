@@ -78,7 +78,7 @@ def test_only_the_cli_imports_the_tables():
 
 def test_the_tables_stay_text():
     """Each table is one string of rows: compiling ~2,300 int literals cost
-    every uncached import 3.65 ms and 1.25 MB of peak memory."""
+    every uncached import about 3 ms and 1.25 MB of peak memory."""
     path = Path(tables.__file__)
     ints = [node for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Constant) and type(node.value) is int]
