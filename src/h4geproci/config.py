@@ -13,8 +13,9 @@ certifies, the two of the paper's split once per build.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement, repeat
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, _dot, _neg, products
@@ -63,11 +64,16 @@ def _parse_points() -> List[ProjPoint]:
     return pts
 
 
-class H4Configuration(NamedTuple):
+class H4Configuration(namedtuple("H4Configuration", (
+        "points planes lines line_points plane_points point_planes point_lines"
+        " line_planes plane_lines secants meets quadric_rows grids"))):
     """The full configuration: flats indexed 1-based, plus incidence maps.
 
-    ``point_planes`` is ``plane_points``: plane i is dual to point i, so
-    point j lies on plane i exactly when point i lies on plane j.
+    ``points``, ``planes`` and ``lines`` map each index to its ProjPoint,
+    ProjPlane or ProjLine, and the six tables from ``line_points`` to
+    ``plane_lines`` map each index to the sorted tuple of indices incident
+    with it.  ``point_planes`` is ``plane_points``: plane i is dual to point
+    i, so point j lies on plane i exactly when point i lies on plane j.
 
     ``secants`` lists every line spanned by two configuration points as the
     sorted tuple of all configuration points on it, in lexicographic order:
@@ -77,25 +83,14 @@ class H4Configuration(NamedTuple):
 
     ``meets`` maps each five-point line to {each line it meets: the
     configuration point they share}; `_prove_skew` proves every other pair
-    skew.  ``quadric_rows`` maps each point to its x_i*x_j, i <= j
-    (`_QUADRIC_MONOMIALS`), and ``grids`` holds the certificates of the
-    grids of `HALVES` from `verify_grid`, which certifies every grid.  Like
-    ``secants``, they are derived data and stay out of ``to_json()``.
+    skew.  ``quadric_rows`` maps each point to the pairs of its x_i*x_j,
+    i <= j (`_QUADRIC_MONOMIALS`), and ``grids`` holds the two
+    GridCertificates of the grids of `HALVES` from `verify_grid`, which
+    certifies every grid.  Like ``secants``, they are derived data and stay
+    out of ``to_json()``.
     """
 
-    points: Dict[int, ProjPoint]
-    planes: Dict[int, ProjPlane]
-    lines: Dict[int, ProjLine]
-    line_points: Dict[int, Tuple[int, ...]]
-    plane_points: Dict[int, Tuple[int, ...]]
-    point_planes: Dict[int, Tuple[int, ...]]
-    point_lines: Dict[int, Tuple[int, ...]]
-    line_planes: Dict[int, Tuple[int, ...]]
-    plane_lines: Dict[int, Tuple[int, ...]]
-    secants: Tuple[Tuple[int, ...], ...]
-    meets: Dict[int, Dict[int, int]]
-    quadric_rows: Dict[int, List[Pair]]
-    grids: Tuple[GridCertificate, GridCertificate]
+    __slots__ = ()
 
     def max_collinear(self, subset: Iterable[int]) -> int:
         """Largest number of collinear points in a subset.
@@ -145,15 +140,12 @@ def _inverse(table: Dict[int, Tuple[int, ...]], keys: Iterable[int]) -> Dict:
     return {k: tuple(v) for k, v in out.items()}
 
 
-class Half(NamedTuple):
-    """A 30-point half: the (5,5)-grid of the L- and M-lines, by line index,
-    plus the five points of one external line.  Its cover by six skew lines
-    is the L-lines and the external line."""
+class Half(namedtuple("Half", "name l_lines m_lines external_line")):
+    """A 30-point half, by name: the (5,5)-grid of the L- and M-lines, by
+    line index, plus the five points of one external line.  Its cover by
+    six skew lines is the L-lines and the external line."""
 
-    name: str
-    l_lines: Tuple[int, ...]
-    m_lines: Tuple[int, ...]
-    external_line: int
+    __slots__ = ()
 
 
 # The paper's split of the 60 points: z1, and z2 its complement.
@@ -273,14 +265,13 @@ class NotAGridError(VerificationError):
     pass
 
 
-class GridCertificate(NamedTuple):
-    """Evidence that two 5-line families form a (5,5)-grid on a quadric."""
+class GridCertificate(namedtuple("GridCertificate",
+                                  "l_lines m_lines grid_points quadric")):
+    """Evidence that two 5-line families, tuples of line indices, form a
+    (5,5)-grid on a quadric: its 25 configuration points, sorted, and the
+    quadric as a HomForm."""
 
-    l_lines: Tuple[int, ...]
-    m_lines: Tuple[int, ...]
-    grid_points: Tuple[int, ...]  # 25 configuration point indices
-    quadric: HomForm
-
+    __slots__ = ()
     to_json = _record_json
 
 

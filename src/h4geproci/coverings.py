@@ -9,16 +9,13 @@ four common transversals.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Tuple
+from collections import namedtuple
+from typing import Iterable, List, Tuple
 
 from .config import GridCertificate, H4Configuration, members, verify_grid
 
 
-class _Cover(NamedTuple):
-    lines: Tuple[int, ...]
-
-
-class CoverCertificate(_Cover):
+class CoverCertificate(namedtuple("CoverCertificate", "lines")):
     """Twelve line indices whose point sets partition {1..60}."""
 
     __slots__ = ()

@@ -11,9 +11,11 @@ denominator as JSON.
 
 `FieldElement` is the field element (x + y*phi)/d as a normalized triple,
 d > 0 and gcd(x, y, d) = 1, so equal elements have equal triples and the
-type is hashable.  Its operations are exact integer formulas.  It enters at
-the input edge, the coordinate tokens that `config` parses, and the pushed
-line (`linalg.determinant`) is the one verdict step that runs its operators.
+type is hashable.  Its operations are exact integer formulas, and its parts
+``a`` and ``b`` are ints on Z[phi] (d = 1) and Fractions otherwise.  It
+enters at the input edge, the coordinate tokens that `config` parses, and
+the pushed line (`linalg.determinant`) is the one verdict step that runs its
+operators.
 """
 
 from __future__ import annotations
@@ -48,16 +50,18 @@ class FieldElement:
         raise AttributeError("FieldElement is immutable")
 
     @property
-    def a(self) -> Fraction:
-        """The rational part."""
+    def a(self) -> _RationalLike:
+        """The rational part: an int when the element is in Z[phi] (d = 1),
+        else a Fraction."""
         x, _, d = self._v
-        return Fraction(x, d)
+        return x if d == 1 else Fraction(x, d)
 
     @property
-    def b(self) -> Fraction:
-        """The phi part."""
+    def b(self) -> _RationalLike:
+        """The phi part: an int when the element is in Z[phi] (d = 1), else
+        a Fraction."""
         _, y, d = self._v
-        return Fraction(y, d)
+        return y if d == 1 else Fraction(y, d)
 
     # -- ring structure -------------------------------------------------
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import namedtuple
 from math import gcd, prod
 from operator import add
-from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .field import Pair, _dot, conj, json_pair, norm, products, residues
@@ -240,14 +240,16 @@ def _json_value(value):
     return dict(value) if isinstance(value, dict) else value
 
 
-class SmoothnessReport(NamedTuple):
-    smooth: bool
-    reason: str  # a singular verdict names its witness here
-    chart_trail: Tuple[str, ...] = ()
-    prime: Optional[int] = None  # p of the certifying prime (p, phi - phi_root)
-    phi_root: Optional[int] = None  # root of x^2 - x - 1 mod p; phi maps to it
-    coordinate_change: Optional[Tuple[Tuple[int, ...], ...]] = None
+class SmoothnessReport(namedtuple("SmoothnessReport", (
+        "smooth reason chart_trail prime phi_root coordinate_change"),
+        defaults=((), None, None, None))):
+    """The verdict of `plane_curve_is_smooth`; a singular one names its
+    witness in ``reason``.  A pass by reduction records the certifying
+    prime (p, phi - r) as ``prime`` p and ``phi_root`` r, the root of
+    x^2 - x - 1 mod p that phi maps to, with the integer matrix
+    ``coordinate_change`` and the strings of ``chart_trail``."""
 
+    __slots__ = ()
     to_json = _record_json
 
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import config as cfgmod
-from .config import GridCertificate, H4Configuration, VerificationError
+from .config import H4Configuration, VerificationError
 from .field import Pair, _dot, _neg
-from .forms import (HomForm, SmoothnessIndeterminate, SmoothnessReport,
-                    _record_json, independent_evaluation_rows, monomials,
-                    multiply, plane_curve_is_smooth, vanishing_space)
+from .forms import (HomForm, SmoothnessIndeterminate, _record_json,
+                    independent_evaluation_rows, monomials, multiply,
+                    plane_curve_is_smooth, vanishing_space)
 from .projective import ProjLine, ProjPoint, image_from, line_image
 
 PlaneCoords = Tuple[Pair, Pair, Pair]  # canonical Z[phi] pairs
@@ -40,12 +41,13 @@ class _Images:
         return self._known[i]
 
 
-class Projection(NamedTuple):
-    """A projection of P^3 from a verified-generic vertex onto P^2, by the
-    minors of `projective.image_from` and `projective.line_image`."""
+class Projection(namedtuple("Projection", "vertex images")):
+    """A projection of P^3 from a verified-generic vertex, a ProjPoint, onto
+    P^2, by the minors of `projective.image_from` and
+    `projective.line_image`; ``images`` maps each configuration point index
+    to its image (`_Images`)."""
 
-    vertex: ProjPoint
-    images: _Images  # configuration point index -> image
+    __slots__ = ()
 
     def push_line(self, line: ProjLine) -> HomForm:
         """The line's image, a linear form on P^2, by `line_image`."""
@@ -108,22 +110,18 @@ def build_quintic_cone(g: HomForm, h: HomForm, point: PlaneCoords) -> HomForm:
     return member
 
 
-class GeprociCertificate(NamedTuple):
-    """Evidence that the projected 60 points are a (6,10) complete intersection."""
+class GeprociCertificate(namedtuple("GeprociCertificate", (
+        "seed vertex dimension_table sextic sextic_smooth grid1 grid2"
+        " quintic1 quintic2 z1 z2 checks"))):
+    """Evidence that the projected 60 points are a (6,10) complete intersection.
 
-    seed: int
-    vertex: ProjPoint
-    dimension_table: Tuple[int, ...]  # dim of degree-d vanishing space, d=1..6
-    sextic: HomForm
-    sextic_smooth: SmoothnessReport
-    grid1: GridCertificate
-    grid2: GridCertificate
-    quintic1: HomForm
-    quintic2: HomForm
-    z1: Tuple[int, ...]
-    z2: Tuple[int, ...]
-    checks: Dict[str, bool]
+    ``dimension_table`` holds the dimension of the degree-d vanishing space,
+    d = 1..6; ``sextic``, ``quintic1`` and ``quintic2`` are HomForms,
+    ``sextic_smooth`` a SmoothnessReport, ``grid1`` and ``grid2``
+    GridCertificates, ``z1`` and ``z2`` tuples of point indices, and
+    ``checks`` maps each check name to its bool."""
 
+    __slots__ = ()
     passed = property(_all_checks_pass)
     to_json = _record_json
 
@@ -192,18 +190,15 @@ def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
     return build_quintic_cone(g, h, anchor), l_forms, g
 
 
-class HalfGridCertificate(NamedTuple):
-    """Evidence that one half of the configuration is a (5,6) half-grid."""
+class HalfGridCertificate(namedtuple("HalfGridCertificate", (
+        "subset seed vertex points cover_lines quintic line_product checks"))):
+    """Evidence that one half of the configuration is a (5,6) half-grid.
 
-    subset: str  # the half's name
-    seed: int
-    vertex: ProjPoint
-    points: Tuple[int, ...]
-    cover_lines: Tuple[int, ...]
-    quintic: HomForm
-    line_product: HomForm
-    checks: Dict[str, bool]
+    ``subset`` is the half's name; ``points`` and ``cover_lines`` are tuples
+    of indices, ``quintic`` and ``line_product`` HomForms, and ``checks``
+    maps each check name to its bool."""
 
+    __slots__ = ()
     passed = property(_all_checks_pass)
     to_json = _record_json
 
@@ -263,16 +258,13 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
         subset, seed, proj.vertex, points, cover, quintic, product, checks))
 
 
-class RefutationReport(NamedTuple):
-    """Why a point set cannot be a half-grid of the forced CI type."""
+class RefutationReport(namedtuple("RefutationReport", (
+        "subset max_collinear low_degree_dims forced_degrees refuted details"))):
+    """Why a point set, named by ``subset``, cannot be a half-grid of the
+    forced CI type: ``forced_degrees`` holds the (a, b) types, and
+    ``details`` the argument, one string per step."""
 
-    subset: str  # the point set's name
-    max_collinear: int
-    low_degree_dims: Tuple[int, ...]
-    forced_degrees: Tuple[Tuple[int, int], ...]
-    refuted: bool
-    details: Tuple[str, ...]
-
+    __slots__ = ()
     to_json = _record_json
 
 

@@ -181,7 +181,8 @@ def line_image(vertex: ProjPoint, line: ProjLine) -> Tuple[Pair, ...]:
 
     The minors alone are `linalg.determinant` on FieldElement rows, built
     here from the pairs; it is the one determinant the package takes, and
-    the one verdict step that runs FieldElement arithmetic."""
+    the one verdict step that runs FieldElement arithmetic.  Minors of
+    integer rows lie in Z[phi], so their parts come back as ints."""
     k = _pivot(vertex)
     rows = [[FieldElement(x, y) for x, y in flat.pairs]
             for flat in (line.p, line.q, vertex)]

@@ -211,6 +211,9 @@ class _Reference:
 
 def _assert_agrees(x: FieldElement, ref: _Reference) -> None:
     assert (x.a, x.b) == (ref.a, ref.b)
+    integral = ref.a.denominator == ref.b.denominator == 1
+    assert {type(x.a), type(x.b)} == {int if integral else Fraction}
+    assert eval(repr(x), {"FieldElement": FieldElement, "Fraction": Fraction}) == x
     [u], d = common_numerators([x])
     assert json_pair(u, d) == ref.to_json()
     assert hash(x) == hash(FieldElement(ref.a, ref.b))

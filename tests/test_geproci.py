@@ -1321,26 +1321,37 @@ def test_image_from_matches_the_pluecker_row_formula(cfg, k):
                 assert image_from(v, x) == _pluecker_row_image(v, x)
 
 
-RECORD_TYPES = (config.H4Configuration, CoverCertificate,
+RECORD_TYPES = (config.H4Configuration, config.Half, CoverCertificate,
                 forms.SmoothnessReport, geproci.Projection,
                 config.GridCertificate, geproci.GeprociCertificate,
                 geproci.HalfGridCertificate, geproci.RefutationReport)
 
 
-def test_importing_the_package_loads_no_dataclasses():
-    """Without site, the fresh interpreter loads only what the package
-    imports, and ``dataclasses`` is not among it."""
+def test_importing_the_package_makes_no_forward_refs_and_loads_no_dataclasses():
+    """Set-up guard.  Without site, the fresh interpreter loads only what the
+    package imports.  A ``typing.NamedTuple`` record would build a
+    ``typing.ForwardRef`` for each string field annotation, and a dataclass
+    would load ``dataclasses`` and ``inspect``; the import does neither."""
     src = Path(h4geproci.__file__).resolve().parent.parent
-    code = ("import sys; before = 'dataclasses' in sys.modules; "
-            "import h4geproci; print(before, 'dataclasses' in sys.modules)")
+    code = ("import sys, typing\n"
+            "made = []\n"
+            "init = typing.ForwardRef.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    made.append(args[0])\n"
+            "    init(self, *args, **kwargs)\n"
+            "typing.ForwardRef.__init__ = counted\n"
+            "heavy = {'dataclasses', 'inspect'}\n"
+            "before = sorted(heavy & sys.modules.keys())\n"
+            "import h4geproci\n"
+            "print((made, before, sorted(heavy & sys.modules.keys())))")
     out = subprocess.run([sys.executable, "-S", "-c", code],
                          env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.strip() == "([], [], [])"
 
 
 def test_records_are_immutable(cfg, geproci_cert_seed1):
-    records = [cfg, enumerate_coverings(cfg)[0],
+    records = [cfg, HALVES[0], enumerate_coverings(cfg)[0],
                geproci_cert_seed1.sextic_smooth,
                geproci.sample_generic_vertex(cfg, 1),
                geproci_cert_seed1.grid1, geproci_cert_seed1,
@@ -1348,6 +1359,7 @@ def test_records_are_immutable(cfg, geproci_cert_seed1):
                geproci.verify_not_half_grid(cfg, 1)]
     assert [type(r) for r in records] == list(RECORD_TYPES)
     for record in records:
+        assert not hasattr(record, "__dict__")
         for name in (record._fields[0], "extra"):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
