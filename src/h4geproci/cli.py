@@ -16,8 +16,7 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from . import coverings as coverings_mod
 from . import geproci as geproci_mod
@@ -29,14 +28,14 @@ from .config import (HALVES, VerificationError, build_h4, format_table,
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-Verdict = Tuple[bool, dict, str]  # passed, the artifact, a note for stdout
+Verdict = tuple[bool, dict, str]  # passed, the artifact, a note for stdout
 
 
 def _write_json(path: str, payload) -> bool:
     """Write an artifact; on an I/O error, say so and return False."""
     try:
-        Path(path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        with open(path, "w") as f:
+            f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return False
@@ -57,7 +56,7 @@ def cmd_build(out: str) -> int:
     return EXIT_OK
 
 
-def table_mismatches(computed, expected) -> List[str]:
+def table_mismatches(computed, expected) -> list[str]:
     """Where an incidence table differs from the paper's, one line each."""
     got = {i: tuple(sorted(v)) for i, v in computed.items()}
     want = {i: tuple(sorted(v)) for i, v in expected.items()}
@@ -90,7 +89,7 @@ def cmd_incidences(kind: str, emit: str) -> int:
     return EXIT_FAIL if mismatches else EXIT_OK
 
 
-def cmd_coverings(count_only: bool, emit: str, out: Optional[str]) -> int:
+def cmd_coverings(count_only: bool, emit: str, out: str | None) -> int:
     cfg = build_h4()
     covs = coverings_mod.enumerate_coverings(cfg)
     payload = [c.to_json() for c in covs]
@@ -160,9 +159,9 @@ def cmd_verify(out: str, name: str, verdict, *args) -> int:
 def cmd_report(out: str, seeds: Sequence[int]) -> int:
     t_start = time.monotonic()
     cfg = build_h4()
-    checks: List[dict] = []
+    checks: list[dict] = []
 
-    def check(name: str, claim: str, passed: bool, error: Optional[str] = None) -> None:
+    def check(name: str, claim: str, passed: bool, error: str | None = None) -> None:
         checks.append({"name": name, "claim": claim, "passed": bool(passed)})
         if error and not passed:
             checks[-1]["error"] = error
@@ -208,7 +207,7 @@ def cmd_report(out: str, seeds: Sequence[int]) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _parse_seeds(text: str) -> List[int]:
+def _parse_seeds(text: str) -> list[int]:
     try:
         seeds = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "build":
         return cmd_build(args.out)

@@ -14,8 +14,8 @@ certifies, the two of the paper's split once per build.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import combinations, combinations_with_replacement, repeat
-from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import linalg
 from .field import FieldElement, ONE, PHI, PHI2, ZERO, Pair, _dot, _neg, products
@@ -52,7 +52,7 @@ def _expect(holds: bool, message: str) -> None:
         raise AssertionError(message)
 
 
-def _parse_points() -> List[ProjPoint]:
+def _parse_points() -> list[ProjPoint]:
     pts = []
     for chunk in _POINT_DATA.replace("\n", "|").split("|"):
         tokens = chunk.split()
@@ -121,7 +121,7 @@ def _known_points(cfg: H4Configuration, indices: Iterable[int]) -> set:
     return chosen
 
 
-def members(mask: int) -> List[int]:
+def members(mask: int) -> list[int]:
     """The set bits of an int bitset, in increasing order."""
     out = []
     while mask:
@@ -131,9 +131,9 @@ def members(mask: int) -> List[int]:
     return out
 
 
-def _inverse(table: Dict[int, Tuple[int, ...]], keys: Iterable[int]) -> Dict:
+def _inverse(table: dict[int, tuple[int, ...]], keys: Iterable[int]) -> dict:
     """Each key -> the indices, increasing, of the rows that list it."""
-    out: Dict[int, list] = {k: [] for k in keys}
+    out: dict[int, list] = {k: [] for k in keys}
     for i, row in table.items():
         for k in row:
             out[k].append(i)
@@ -210,7 +210,7 @@ def build_h4() -> H4Configuration:
     for v, row in plane_lines.items():
         _expect(len(row) == 6, f"plane {v} contains {len(row)} lines, not 6")
 
-    meets: Dict[int, Dict[int, int]] = {i: {} for i in lines}
+    meets: dict[int, dict[int, int]] = {i: {} for i in lines}
     for k, row in point_lines.items():
         for i, j in combinations(row, 2):
             meets[i][j] = meets[j][i] = k
@@ -225,7 +225,7 @@ def build_h4() -> H4Configuration:
                                     for h in HALVES))
 
 
-def _prove_skew(cfg: H4Configuration, masks: Dict[int, int]) -> None:
+def _prove_skew(cfg: H4Configuration, masks: dict[int, int]) -> None:
     """Prove skew each pair of lines i, j that ``meets`` does not list, from
     the tables and ``masks``, each plane's points as a bitset.  Say a point
     k of j lies on a plane V through i, and no plane of ``line_planes``
@@ -328,7 +328,7 @@ def verify_grid(cfg: H4Configuration, l_lines: Sequence[int],
 
 
 def _pencil_quadric(cfg: H4Configuration, l_lines: Sequence[int],
-                    m_lines: Sequence[int], x0: int) -> List[Pair]:
+                    m_lines: Sequence[int], x0: int) -> list[Pair]:
     """The pairs, in the order of `_QUADRIC_MONOMIALS`, of the member Q =
     (C*D)(x0)*A*B - (A*B)(x0)*C*D through x0 = l_3 . m_3 of the pencil of
     the skew quadrilateral l_1 m_1 l_2 m_2: A, B, C, D are the one plane of
@@ -358,19 +358,19 @@ def _pencil_quadric(cfg: H4Configuration, l_lines: Sequence[int],
 _QUADRIC_MONOMIALS = tuple(monomials(2, 4))  # the order of ``quadric_rows``
 
 
-def incidence_table_planes(cfg: H4Configuration) -> Dict[int, Tuple[int, ...]]:
+def incidence_table_planes(cfg: H4Configuration) -> dict[int, tuple[int, ...]]:
     """Plane index -> the 15 point indices it contains."""
     return dict(cfg.plane_points)
 
 
-def incidence_table_lines(cfg: H4Configuration) -> Dict[int, Tuple[int, ...]]:
+def incidence_table_lines(cfg: H4Configuration) -> dict[int, tuple[int, ...]]:
     """Line index -> the 5 point indices it carries."""
     return dict(cfg.line_points)
 
 
 def special_points_for_grid(
     cfg: H4Configuration, grid_points: Iterable[int]
-) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """Points outside a 25-point grid whose secants pair up the grid.
 
     For each configuration point X outside the grid, collect all pairs {A, B}
@@ -387,7 +387,7 @@ def special_points_for_grid(
     grid = _known_points(cfg, grid_points)
     if len(grid) != 25:
         raise ValueError(f"expected a 25-point grid, got {len(grid)} points")
-    pairs: Dict[int, List[Tuple[int, int]]] = {x: [] for x in set(cfg.points) - grid}
+    pairs: dict[int, list[tuple[int, int]]] = {x: [] for x in set(cfg.points) - grid}
     for s in cfg.secants:
         on_grid = [a for a in s if a in grid]
         if len(on_grid) > 1:
@@ -397,12 +397,12 @@ def special_points_for_grid(
             if len(ps) == 10 and len({i for pair in ps for i in pair}) == 20]
 
 
-def grid_point_indices(cfg: H4Configuration, line_indices: Iterable[int]) -> Tuple[int, ...]:
+def grid_point_indices(cfg: H4Configuration, line_indices: Iterable[int]) -> tuple[int, ...]:
     """Union of the configuration points on the given lines, sorted."""
     return tuple(sorted({p for i in line_indices for p in cfg.line_points[i]}))
 
 
-def z_partition(cfg: H4Configuration) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+def z_partition(cfg: H4Configuration) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The split: the points of the first half's M-lines and external line
     (not of its cover, which is checked against them), and the rest."""
     half = HALVES[0]
@@ -410,7 +410,7 @@ def z_partition(cfg: H4Configuration) -> Tuple[Tuple[int, ...], Tuple[int, ...]]
     return z1, tuple(sorted(set(cfg.points) - set(z1)))
 
 
-def format_table(table: Dict[int, Tuple[int, ...]], name: str, sep: str) -> str:
+def format_table(table: dict[int, tuple[int, ...]], name: str, sep: str) -> str:
     """One line per index i: name_i, then its row joined by sep."""
     return "\n".join(f"{name}_{i}: " + sep.join(map(str, table[i]))
                      for i in sorted(table))

@@ -10,7 +10,7 @@ four common transversals.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, List, Tuple
+from collections.abc import Iterable
 
 from .config import GridCertificate, H4Configuration, members, verify_grid
 
@@ -30,7 +30,7 @@ class CoverCertificate(namedtuple("CoverCertificate", "lines")):
         return list(self.lines)
 
 
-def enumerate_coverings(cfg: H4Configuration) -> List[CoverCertificate]:
+def enumerate_coverings(cfg: H4Configuration) -> list[CoverCertificate]:
     """All partitions of the points into 12 disjoint lines, sorted.
 
     Point sets are int bitsets, bit p for point p.  The search branches on
@@ -38,9 +38,9 @@ def enumerate_coverings(cfg: H4Configuration) -> List[CoverCertificate]:
     set; every covering has exactly one of them, so it is found once.
     """
     masks = {i: sum(1 << p for p in cfg.line_points[i]) for i in cfg.lines}
-    found: List[Tuple[int, ...]] = []
+    found: list[tuple[int, ...]] = []
 
-    def search(uncovered: int, chosen: List[int]) -> None:
+    def search(uncovered: int, chosen: list[int]) -> None:
         if not uncovered:
             found.append(tuple(sorted(chosen)))
             return
@@ -55,7 +55,7 @@ def enumerate_coverings(cfg: H4Configuration) -> List[CoverCertificate]:
     return [CoverCertificate(c) for c in found]
 
 
-def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
+def enumerate_grids(cfg: H4Configuration) -> list[GridCertificate]:
     """All unordered (5,5)-grids among the 72 lines, each fully verified.
 
     Lemma.  Two common transversals t, t' of three pairwise skew lines are
@@ -88,9 +88,9 @@ def enumerate_grids(cfg: H4Configuration) -> List[GridCertificate]:
     """
     meets = {i: sum(1 << j for j in cfg.meets[i]) for i in cfg.lines}
     through = {p: sum(1 << i for i in cfg.point_lines[p]) for p in cfg.points}
-    results: List[GridCertificate] = []
+    results: list[GridCertificate] = []
 
-    def pick(f: int, m_lines: List[int], skew: int, trans: int) -> None:
+    def pick(f: int, m_lines: list[int], skew: int, trans: int) -> None:
         if trans.bit_count() < 4:
             return
         if len(m_lines) == 5:

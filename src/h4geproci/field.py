@@ -20,12 +20,12 @@ operators.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Sequence, Tuple, Union
 
-_RationalLike = Union[int, Fraction]
-Pair = Tuple[int, int]  # x + y*phi in Z[phi]
+_RationalLike = int | Fraction
+Pair = tuple[int, int]  # x + y*phi in Z[phi]
 
 
 class FieldElement:
@@ -187,8 +187,8 @@ def _coerce(x) -> FieldElement:
     return x if isinstance(x, FieldElement) else FieldElement(x)
 
 
-def primitive_numerators(values: Iterable[Tuple[_RationalLike, _RationalLike]]
-                         ) -> List[Pair]:
+def primitive_numerators(values: Iterable[tuple[_RationalLike, _RationalLike]]
+                         ) -> list[Pair]:
     """Scale the elements a + b*phi, given as rational pairs (a, b), by one
     positive rational to coprime Z[phi] pairs, in input order: the pairs over
     the lcm of the denominators, divided by their integer content, which is
@@ -208,7 +208,7 @@ def json_pair(w: Pair, d: int = 1) -> dict:
     return {"a": str(Fraction(w[0], d)), "b": str(Fraction(w[1], d))}
 
 
-def products(factor_pairs: Iterable[Tuple[Pair, Pair]]) -> List[Pair]:
+def products(factor_pairs: Iterable[tuple[Pair, Pair]]) -> list[Pair]:
     """The Z[phi] product u*v of each pair of factors (u, v), in order:
     (a + b*phi)(c + d*phi) = ac + bd + (ad + bc + bd)*phi."""
     return [(a * c + b * d, a * d + b * c + b * d) for (a, b), (c, d) in factor_pairs]
@@ -240,7 +240,7 @@ def norm(w: Pair) -> int:
     return x * x + x * y - y * y
 
 
-def residues(pairs: Iterable[Pair], p: int, r: int) -> List[int]:
+def residues(pairs: Iterable[Pair], p: int, r: int) -> list[int]:
     """The images (x + y*r) mod p of the pairs x + y*phi: for r a root of
     x^2 - x - 1 mod a prime p, the ring map Z[phi] -> F_p modulo (p, phi - r).
     The other root is 1 - r, where each w has the residue of conj(w) at r."""

@@ -19,17 +19,17 @@ from __future__ import annotations
 import itertools
 import random
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import gcd, prod
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .field import Pair, _dot, conj, json_pair, norm, products, residues
 
-Exponents = Tuple[int, ...]
+Exponents = tuple[int, ...]
 
 
-def monomials(degree: int, nvars: int) -> List[Exponents]:
+def monomials(degree: int, nvars: int) -> list[Exponents]:
     """All exponent tuples of the given total degree, graded-lex order: the
     sorted multisets of variables come in lexicographic order, and the
     smaller of two has the larger exponent at the first variable where the
@@ -46,7 +46,7 @@ class HomForm:
 
     __slots__ = ("nvars", "degree", "terms", "den")
 
-    def __init__(self, nvars: int, degree: int, terms: Dict[Exponents, Pair],
+    def __init__(self, nvars: int, degree: int, terms: dict[Exponents, Pair],
                  den: int = 1):
         clean = {}
         for e, w in terms.items():
@@ -71,7 +71,7 @@ class HomForm:
 
     @classmethod
     def monic_from_pairs(cls, nvars: int, degree: int,
-                         terms: Iterable[Tuple[Exponents, Pair]]) -> "HomForm":
+                         terms: Iterable[tuple[Exponents, Pair]]) -> "HomForm":
         """The form of the (exponents, Z[phi] pair) terms, zero pairs dropped,
         times conj(lead)/N(lead): one `products` call over the denominator
         N(lead).  Its graded-lex leading coefficient is 1; with no nonzero
@@ -123,7 +123,7 @@ def multiply(factors: Sequence[HomForm]) -> HomForm:
         raise ValueError("forms have different numbers of variables")
     terms = factors[0].terms
     for f in factors[1:]:
-        grouped: Dict[Exponents, List[Tuple[Pair, Pair]]] = {}
+        grouped: dict[Exponents, list[tuple[Pair, Pair]]] = {}
         for (e1, a), (e2, b) in itertools.product(terms.items(), f.terms.items()):
             grouped.setdefault(tuple(map(add, e1, e2)), []).append((a, b))
         terms = {e: _dot(*zip(*ab)) for e, ab in grouped.items()}
@@ -136,7 +136,7 @@ def multiply(factors: Sequence[HomForm]) -> HomForm:
 # ---------------------------------------------------------------------------
 
 def independent_evaluation_rows(points: Iterable[Sequence[Pair]], degree: int,
-                                nvars: int) -> List[int]:
+                                nvars: int) -> list[int]:
     """Indices of the first points (Z[phi] pairs) whose degree-d evaluation
     rows are independent modulo P = (p, phi - r), `linalg._PRIME`/`_PHI_ROOT`.
 
@@ -153,7 +153,7 @@ def independent_evaluation_rows(points: Iterable[Sequence[Pair]], degree: int,
 
 
 def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
-                    nvars: int) -> List[HomForm]:
+                    nvars: int) -> list[HomForm]:
     """Basis of the degree-d forms vanishing at every given point (Z[phi] pairs).
 
     Rows are point evaluations, columns the graded-lex monomials.  The basis
@@ -173,7 +173,7 @@ def vanishing_space(points: Iterable[Sequence[Pair]], degree: int,
 
 
 def _evaluation_row(point: Sequence[Pair], degree: int, nvars: int,
-                    cols: Iterable[Exponents]) -> List[Pair]:
+                    cols: Iterable[Exponents]) -> list[Pair]:
     """The monomials at a point of Z[phi] pairs, as pairs: the powers of the
     coordinates, one `products` call per degree, then each monomial as the
     product of its variables' powers, one `products` call per variable."""
@@ -190,7 +190,7 @@ def _evaluation_row(point: Sequence[Pair], degree: int, nvars: int,
 
 
 def _residue_row(point: Sequence[Pair], degree: int, nvars: int,
-                 cols: Iterable[Exponents]) -> List[int]:
+                 cols: Iterable[Exponents]) -> list[int]:
     """The monomials at a point of Z[phi] pairs, mod P: the `residues` v of
     the coordinates, a table of the powers of each v in F_p, and monomial e
     as the product of powers[i][e[i]] over the variables."""
@@ -212,8 +212,8 @@ def _residue_row(point: Sequence[Pair], degree: int, nvars: int,
 
 # Over F_p: a form maps exponent tuples to nonzero residues; a chart polynomial
 # maps (keep exponent, elim exponent) pairs to them.
-ModForm = Dict[Exponents, int]
-ChartPoly = Dict[Tuple[int, int], int]
+ModForm = dict[Exponents, int]
+ChartPoly = dict[tuple[int, int], int]
 
 _MAX_RETRIES = 8  # primes that `plane_curve_is_smooth` tries before it gives up
 
@@ -294,7 +294,7 @@ def plane_curve_is_smooth(f: HomForm, seed: int = 0) -> SmoothnessReport:
             return SmoothnessReport(False, f"form misses a variable: singular at {pt}")
     rng = random.Random(seed)
     primes = itertools.islice(linalg._split_primes(), 1, None)  # after the stored one
-    trail: List[str] = []
+    trail: list[str] = []
     for attempt in range(_MAX_RETRIES):
         p, r = next(primes) if attempt else (linalg._PRIME, linalg._PHI_ROOT)
         fp = _reduce(f, p, r)
@@ -319,7 +319,7 @@ def _reduce(f: HomForm, p: int, r: int) -> ModForm:
     return {e: v for e, v in zip(f.terms, residues(f.terms.values(), p, r)) if v}
 
 
-def _random_invertible_mod(rng: random.Random, p: int) -> Tuple[Tuple[int, ...], ...]:
+def _random_invertible_mod(rng: random.Random, p: int) -> tuple[tuple[int, ...], ...]:
     while True:
         m = tuple(tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(3))
         if len(linalg.independent_rows_mod(m, p)) == 3:
@@ -349,7 +349,7 @@ def _partial_mod(f: ModForm, var: int, p: int) -> ModForm:
             for e, c in f.items() if e[var]}
 
 
-def _chart_test(f: ModForm, p: int) -> Tuple[bool, List[str]]:
+def _chart_test(f: ModForm, p: int) -> tuple[bool, list[str]]:
     """The three-chart eliminant test; True when every chart is clean.
 
     `_interpolate_mod` returns the eliminants trimmed, so their formal degrees
@@ -375,7 +375,7 @@ def _chart_test(f: ModForm, p: int) -> Tuple[bool, List[str]]:
     return True, trail
 
 
-def _eliminant(u: ChartPoly, v: ChartPoly, p: int) -> Optional[List[int]]:
+def _eliminant(u: ChartPoly, v: ChartPoly, p: int) -> list[int] | None:
     """Res_elim(u, v) in F_p[keep], low degree first, or None: no certificate.
 
     Horner's rule evaluates the coefficients of elim^j (keep-polynomials, top
@@ -396,7 +396,7 @@ def _eliminant(u: ChartPoly, v: ChartPoly, p: int) -> Optional[List[int]]:
     cu, cv = ([[w.get((i, j), 0) for i in range(d - j, -1, -1)] for j in range(k + 1)]
               for w, d, k in ((u, du, m), (v, dv, n)))
 
-    def at(polys: List[List[int]], x: int) -> List[int]:  # Horner's rule
+    def at(polys: list[list[int]], x: int) -> list[int]:  # Horner's rule
         vals = []
         for poly in polys:
             acc = 0
@@ -409,7 +409,7 @@ def _eliminant(u: ChartPoly, v: ChartPoly, p: int) -> Optional[List[int]]:
                              for x in range(nodes)], p)
 
 
-def _resultant_mod(a: List[int], b: List[int], p: int) -> int:
+def _resultant_mod(a: list[int], b: list[int], p: int) -> int:
     """Res_{m,n}(a, b) over F_p: the Sylvester determinant on the formal
     degrees m = len(a) - 1, n = len(b) - 1 (low degree first), by Euclid.
     - a -> a - q*b, deg q <= m - n, adds b-rows to a-rows: Res is unchanged.
@@ -434,7 +434,7 @@ def _resultant_mod(a: List[int], b: List[int], p: int) -> int:
     return res * pow(b[0], len(a) - 1, p) % p
 
 
-def _interpolate_mod(values: List[int], p: int) -> List[int]:
+def _interpolate_mod(values: list[int], p: int) -> list[int]:
     """The polynomial of degree < len(values) taking values[x] at x = 0, 1, ...
 
     Newton divided differences, then Horner expansion; coefficients run from
@@ -452,7 +452,7 @@ def _interpolate_mod(values: List[int], p: int) -> List[int]:
     return _trim_mod(poly)
 
 
-def _rem_mod(a: List[int], b: List[int], p: int) -> None:
+def _rem_mod(a: list[int], b: list[int], p: int) -> None:
     """a mod b in place (b[-1] != 0), keeping len(a): degrees >= deg b clear."""
     inv, n = pow(b[-1], -1, p), len(b) - 1
     for top in range(len(a) - 1, n - 1, -1):
@@ -461,7 +461,7 @@ def _rem_mod(a: List[int], b: List[int], p: int) -> None:
             a[i] = (a[i] - k * c) % p
 
 
-def _trim_mod(poly: List[int]) -> List[int]:
+def _trim_mod(poly: list[int]) -> list[int]:
     while poly and not poly[-1]:
         poly.pop()
     return poly

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import namedtuple
-from typing import Dict, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from . import config as cfgmod
 from .config import H4Configuration, VerificationError
@@ -23,7 +23,7 @@ from .forms import (HomForm, SmoothnessIndeterminate, _record_json,
                     plane_curve_is_smooth, vanishing_space)
 from .projective import ProjLine, ProjPoint, image_from, line_image
 
-PlaneCoords = Tuple[Pair, Pair, Pair]  # canonical Z[phi] pairs
+PlaneCoords = tuple[Pair, Pair, Pair]  # canonical Z[phi] pairs
 
 
 VERTEX_DRAWS = 1000  # draws before `sample_generic_vertex` gives up
@@ -32,7 +32,7 @@ VERTEX_DRAWS = 1000  # draws before `sample_generic_vertex` gives up
 class _Images:
     """Point index -> image, read-only, each by `image_from` on first read."""
 
-    def __init__(self, vertex: ProjPoint, points: Dict[int, ProjPoint]):
+    def __init__(self, vertex: ProjPoint, points: dict[int, ProjPoint]):
         self._vertex, self._points, self._known = vertex, points, {}
 
     def __getitem__(self, i: int) -> PlaneCoords:
@@ -179,7 +179,7 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
 
 
 def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
-                  ) -> Tuple[HomForm, Dict[int, HomForm], HomForm]:
+                  ) -> tuple[HomForm, dict[int, HomForm], HomForm]:
     """The member of the half's quintic pencil, spanned by the products g, h
     of the pushed L- and M-lines (one `multiply` each), through the image of
     the lowest point on the half's external line; the pushed L-lines; and g."""
@@ -269,8 +269,8 @@ class RefutationReport(namedtuple("RefutationReport", (
 
 
 def verify_not_half_grid(cfg: H4Configuration, seed: int,
-                         subset: Optional[Sequence[int]] = None,
-                         subset_name: Optional[str] = None) -> RefutationReport:
+                         subset: Sequence[int] | None = None,
+                         subset_name: str | None = None) -> RefutationReport:
     """Refute the half-grid property for the full set (or test a subset).
 
     Steps: (1) the largest collinear subset has 5 points; (2) no curve of

@@ -18,16 +18,16 @@ take any iterable of rows and stop reading it at the last possible pivot.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import (FieldElement, ONE, ZERO, Pair, _dot, primitive_numerators,
                     residues)
 
 
-def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
+def nullspace(rows: Sequence[Sequence[Pair]]) -> list[list[Pair]]:
     """Basis of the right nullspace N of Z[phi] rows, one pair vector per
     free column g: the vector b_g with 1 at g, 0 at the other free columns
     and 0 past g, scaled by a positive rational to coprime pairs.  The input
@@ -104,7 +104,7 @@ def nullspace(rows: Sequence[Sequence[Pair]]) -> List[List[Pair]]:
 
 
 def _kernel_mod(rows: Sequence[Sequence[Pair]], q: int,
-                r: int) -> Tuple[List[int], List[int], List[int]]:
+                r: int) -> tuple[list[int], list[int], list[int]]:
     """The pivot columns, ascending, of Z[phi] rows at phi -> r mod q; the
     entries of the kernel vectors b_g at the pivots c < g, by free column g,
     then by c; and the indices of the rows kept, which span the rest.
@@ -116,7 +116,7 @@ def _kernel_mod(rows: Sequence[Sequence[Pair]], q: int,
     return pivots, [-at[g][c] % q for g in at for c in pivots if c < g], kept
 
 
-def _rational(a: int, m: int) -> Optional[Fraction]:
+def _rational(a: int, m: int) -> Fraction | None:
     """The fraction n/d = a mod m with |n|, d <= sqrt(m/2), or None (Wang,
     Guy and Davenport, 1982).  Euclid on (m, a) keeps r_i = t_i*a mod m; two
     such fractions congruent mod m are equal, since |n*d' - n'*d| < m."""
@@ -128,7 +128,7 @@ def _rational(a: int, m: int) -> Optional[Fraction]:
     return Fraction(r1, t1) if abs(t1) <= bound and gcd(r1, t1) == 1 else None
 
 
-def _split_primes() -> Iterator[Tuple[int, int]]:
+def _split_primes() -> Iterator[tuple[int, int]]:
     """Primes p > 2^31 with p = 11 or 19 (mod 20), each with its phi root.
 
     p = +-1 (mod 5) makes 5 a square mod p, so x^2 - x - 1 splits; p = 3
@@ -160,7 +160,7 @@ def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
     first nonzero term (a dense 3x3 takes 5 additions); a zero row gives
     ZERO, a 0x0 matrix ONE.  Its one caller, `projective.line_image`, passes
     3x3 minors.  The recursion is nested, so one determinant is one call."""
-    def expand(i: int, cols: List[int]) -> FieldElement:
+    def expand(i: int, cols: list[int]) -> FieldElement:
         if len(cols) == 1:
             return matrix[i][cols[0]]
         terms = []
@@ -173,7 +173,7 @@ def determinant(matrix: Sequence[Sequence[FieldElement]]) -> FieldElement:
 
 
 def first_missed_row(rows: Sequence[Sequence[Pair]],
-                     vectors: Sequence[Sequence[Pair]]) -> Optional[int]:
+                     vectors: Sequence[Sequence[Pair]]) -> int | None:
     """The first row, for the first vector, that the vector does not kill:
     an exact Z[phi] dot product of pairs; None when every vector kills all."""
     for vec in vectors:
@@ -183,14 +183,14 @@ def first_missed_row(rows: Sequence[Sequence[Pair]],
     return None
 
 
-def independent_rows_mod(rows: Iterable[Sequence[int]], p: int) -> List[int]:
+def independent_rows_mod(rows: Iterable[Sequence[int]], p: int) -> list[int]:
     """Indices of the first rows independent mod p, in input order; their
     number is the rank.  Rows: any iterable of any ints, left unmodified."""
     return _echelon_mod(rows, p)[0]
 
 
 def _echelon_mod(rows: Iterable[Sequence[int]], p: int
-                 ) -> Tuple[List[int], List[int], Dict[int, List[int]]]:
+                 ) -> tuple[list[int], list[int], dict[int, list[int]]]:
     """Reduced echelon form over F_p, one row at a time.  Returns the indices
     of the first rows independent mod p, their pivot columns, and each free
     column's entries in those rows.  A kept row is 1 at its pivot and 0 at
@@ -199,11 +199,11 @@ def _echelon_mod(rows: Iterable[Sequence[int]], p: int
     the row, scaled to 1 at c and subtracted from the kept rows to clear c.
     The first row sets the width; reading stops once ``free`` is empty.
     """
-    kept: List[int] = []
-    pivots: List[int] = []
+    kept: list[int] = []
+    pivots: list[int] = []
     rows = iter(rows)
     first = next(rows, ())
-    free: Dict[int, List[int]] = {j: [] for j in range(len(first))}
+    free: dict[int, list[int]] = {j: [] for j in range(len(first))}
     for i, row in enumerate(itertools.chain([first], rows) if free else ()):
         head = [row[c] for c in pivots]
         rest = {j: (row[j] - sum(map(mul, head, col))) % p for j, col in free.items()}

@@ -15,9 +15,9 @@ the arguments are at `image_from` and `line_image`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import repeat
 from math import gcd
-from typing import List, Sequence, Tuple
 
 from . import linalg
 from .field import (FieldElement, Pair, _dot, _neg, conj, json_pair, norm,
@@ -31,7 +31,7 @@ class DegenerateSpanError(ValueError):
     """Raised when asked for the flat spanned by coincident inputs."""
 
 
-def _canonical_pairs(pairs: Sequence[Pair]) -> Tuple[Pair, ...]:
+def _canonical_pairs(pairs: Sequence[Pair]) -> tuple[Pair, ...]:
     """The canonical representative of a nonzero vector over Z[phi].
 
     Multiplying by the conjugate of the first nonzero entry w turns that
@@ -52,7 +52,7 @@ def _canonical_pairs(pairs: Sequence[Pair]) -> Tuple[Pair, ...]:
     return tuple((x // content, y // content) for x, y in prods)
 
 
-def canonicalize(coords: Sequence[FieldElement]) -> Tuple[Pair, ...]:
+def canonicalize(coords: Sequence[FieldElement]) -> tuple[Pair, ...]:
     """The canonical pairs of a nonzero homogeneous coordinate vector given
     as FieldElements, where parsed coordinates enter: cleared to Z[phi]
     numerators and put in the form of `_canonical_pairs`.  Representatives
@@ -61,14 +61,14 @@ def canonicalize(coords: Sequence[FieldElement]) -> Tuple[Pair, ...]:
 
 
 def _minors(p: Sequence[Pair], q: Sequence[Pair],
-            index_pairs: Sequence[Tuple[int, int]]) -> List[Pair]:
+            index_pairs: Sequence[tuple[int, int]]) -> list[Pair]:
     """The 2x2 minors p_i*q_j - p_j*q_i of the rows p, q, for each ij."""
     plus = products((p[i], q[j]) for i, j in index_pairs)
     minus = products((p[j], q[i]) for i, j in index_pairs)
     return [(a - c, b - d) for (a, b), (c, d) in zip(plus, minus)]
 
 
-def pluecker_pairs(p: Sequence[Pair], q: Sequence[Pair]) -> Tuple[Pair, ...]:
+def pluecker_pairs(p: Sequence[Pair], q: Sequence[Pair]) -> tuple[Pair, ...]:
     """Canonical Pluecker pairs of the line through two distinct points.
 
     The points are given by their Z[phi] pairs; the coordinates are the
@@ -155,7 +155,7 @@ def _pivot(vertex: ProjPoint) -> int:
     return next(i for i, w in enumerate(vertex.pairs) if w != (0, 0))
 
 
-def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[Pair, ...]:
+def image_from(vertex: ProjPoint, x: ProjPoint) -> tuple[Pair, ...]:
     """The image of x under projection from v onto P^2: with k the pivot
     (first nonzero coordinate) of v, the canonical pairs of the three minors
     v_k*x_i - v_i*x_k, i != k (row k of the Pluecker matrix of the line vx).
@@ -171,7 +171,7 @@ def image_from(vertex: ProjPoint, x: ProjPoint) -> Tuple[Pair, ...]:
                                     [(k, i) for i in range(4) if i != k]))
 
 
-def line_image(vertex: ProjPoint, line: ProjLine) -> Tuple[Pair, ...]:
+def line_image(vertex: ProjPoint, line: ProjLine) -> tuple[Pair, ...]:
     """The image of the line pq: the canonical H_i, i != k (k the pivot of
     v), of H: x -> det[p, q, v, x], each (-1)**(i + 1) times the minor of p,
     q, v without column i.  H kills p, q, v, so at the image pi(x) of
