@@ -18,7 +18,7 @@ from collections.abc import Sequence
 from . import config as cfgmod
 from .config import H4Configuration, VerificationError
 from .field import Pair, _dot, _neg
-from .forms import (HomForm, SmoothnessIndeterminate, _record_json,
+from .forms import (HomForm, SmoothnessIndeterminate, _evaluation_row, _record_json,
                     independent_evaluation_rows, monomials, multiply,
                     plane_curve_is_smooth, vanishing_space)
 from .projective import ProjLine, ProjPoint, image_from, line_image
@@ -82,12 +82,10 @@ def _all_checks_pass(cert) -> bool:
     return all(cert.checks.values())
 
 
-def _require_passed(kind: str, cert):
-    """The certificate, or VerificationError naming its failed checks."""
-    if not cert.passed:
-        failed = [k for k, v in cert.checks.items() if not v]
+def _require(kind: str, checks: dict[str, bool]) -> None:
+    """VerificationError naming the failed checks, if any fails."""
+    if failed := [k for k, v in checks.items() if not v]:
         raise VerificationError(f"{kind} certificate failed: {failed}")
-    return cert
 
 
 def build_quintic_cone(g: HomForm, h: HomForm, point: PlaneCoords) -> HomForm:
@@ -130,21 +128,31 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     """Full pipeline for the complete-intersection certificate at one seed.
 
     The dimension table lists dim_d, the dimension of the degree-d forms
-    vanishing at the 60 images, for d = 1..6.  Only degree 6 is
-    interpolated, and anything but dim_6 = 1 raises.  That forces the rest
-    of the table to 0: a nonzero degree-(d-1) form Q through the images
-    gives x*Q, y*Q and z*Q through them, independent as Q(phi)[x, y, z] has
-    no zero divisors, so dim_d < 3 forces dim_{d-1} = 0, and so on down.
+    vanishing at the 60 images, for d = 1..6.  Only degree 6 is solved
+    for, and anything but dim_6 = 1 raises.  That forces the rest of the
+    table to 0: a nonzero degree-(d-1) form Q through the images gives
+    x*Q, y*Q and z*Q through them, independent as Q(phi)[x, y, z] has no
+    zero divisors, so dim_d < 3 forces dim_{d-1} = 0, and so on down.
 
     Each quintic is tested by `HomForm.vanishes_at` (an integer product, the
     value times a nonzero rational) on its own half, and the decic q1*q2
     vanishes where either does.  `bezout_count` asks for 6*10 distinct
     images of z1 and z2: sextic and decic then meet there only, once each.
     The two grid certificates are those `build_h4` made (``cfg.grids``).
-    It raises VerificationError unless every check passes, and for each
-    indeterminate outcome too: an interpolation's ArithmeticError
-    (`linalg.nullspace` found no certified kernel) and a spent smoothness
-    retry budget (SmoothnessIndeterminate) both read "not certified".
+
+    These checks read no sextic and run first, then all of z1's half-grid
+    checks (`_half_grid`).  Lemma: if all pass, I(z1)_6 = S_1*q1 + <P1>, of
+    dimension 4, with P1 the product of z1's pushed cover lines.  q1 and P1
+    share no component (`verify_half_grid`'s lemma), and their 30 distinct
+    common zeros, z1's images, use up the Bezout count 5*6, so each is
+    simple; a complete intersection in P^2 is saturated, so (q1, P1) =
+    I(z1).  No cover line divides q1, so P1 is not in S_1*q1.  So dim_6 is
+    the exact kernel dimension of the rows (x*q1, y*q1, z*q1, P1)(x), x in
+    z2, on numerators; a kernel vector c gives the sextic, the monic form
+    of (c0*x + c1*y + c2*z)*q1 + c3*P1 on the same numerators.
+    It raises VerificationError on any failed check and on an indeterminate
+    outcome: an ArithmeticError (`linalg.nullspace` certified no kernel) or
+    a spent smoothness retry budget (SmoothnessIndeterminate).
 
     `sextic_smooth` also proves that the two share no component, with no
     division: a smooth curve over Q(phi)-bar is reduced and irreducible, as
@@ -153,29 +161,35 @@ def verify_geproci(cfg: H4Configuration, seed: int) -> GeprociCertificate:
     Q(phi)[x, y, z]; dividing q1*q2, it would divide a nonzero quintic
     (`build_quintic_cone` refuses the zero member), which its degree forbids.
     """
-    proj = sample_generic_vertex(cfg, seed)
-    images = [proj.images[i] for i in sorted(cfg.points)]
+    proj, z1, _, quintic1, product, half = _half_grid(cfg, seed, 0)
+    quintic2 = _half_quintic(cfg, proj, cfgmod.HALVES[1])[0]
+    z2 = cfgmod.z_partition(cfg)[1]
+    checks = {"quintic1_on_z1": half["quintic_on_subset"],
+              "quintic2_on_z2": all(quintic2.vanishes_at(proj.images[i]) for i in z2),
+              "bezout_count": len({proj.images[i] for i in z1 + z2})
+              == product.degree * (quintic1.degree + quintic2.degree)}
+    _require("geproci", checks)
+    _require("geproci z1 half-grid", half)
+    cols = monomials(6, 3)
+    shifts = [multiply((HomForm(3, 1, {u: (1, 0)}), quintic1)) for u in monomials(1, 3)]
+    basis = [[f.terms.get(e, (0, 0)) for e in cols] for f in shifts + [product]]
+    rows = [[_dot(b, row) for b in basis]
+            for row in (_evaluation_row(proj.images[i], 6, 3, cols) for i in z2)]
     try:
-        top = vanishing_space(images, 6, 3)
+        top = vanishing_space(rows, 1, 4)
         if len(top) != 1:
-            raise VerificationError(
-                f"degree-6 space has dimension {len(top)}, not 1")
-        sextic = top[0]
+            raise VerificationError(f"degree-6 space has dimension {len(top)}, not 1")
+        c = [top[0].terms.get(u, (0, 0)) for u in monomials(1, 4)]
+        sextic = HomForm.monic_from_pairs(
+            3, 6, zip(cols, (_dot(c, w) for w in zip(*basis))))
         smooth = plane_curve_is_smooth(sextic, seed=seed)
     except (ArithmeticError, SmoothnessIndeterminate) as exc:
         raise VerificationError(f"geproci certificate indeterminate: {exc}") from exc
     dims = (0, 0, 0, 0, 0, 1)  # dim_6 = 1 and the x*Q argument above
-    quintic1, quintic2 = (_half_quintic(cfg, proj, h)[0] for h in cfgmod.HALVES)
-    z1, z2 = cfgmod.z_partition(cfg)
-    checks = {
-        "sextic_smooth": smooth.smooth,
-        "quintic1_on_z1": all(quintic1.vanishes_at(proj.images[i]) for i in z1),
-        "quintic2_on_z2": all(quintic2.vanishes_at(proj.images[i]) for i in z2),
-        "bezout_count": len({proj.images[i] for i in z1 + z2})
-        == sextic.degree * (quintic1.degree + quintic2.degree)}
-    return _require_passed("geproci", GeprociCertificate(
-        seed, proj.vertex, dims, sextic, smooth, *cfg.grids, quintic1,
-        quintic2, z1, z2, checks))
+    checks = {"sextic_smooth": smooth.smooth, **checks}
+    _require("geproci", checks)
+    return GeprociCertificate(seed, proj.vertex, dims, sextic, smooth,
+                              *cfg.grids, quintic1, quintic2, z1, z2, checks)
 
 
 def _half_quintic(cfg: H4Configuration, proj: Projection, half: cfgmod.Half
@@ -229,14 +243,20 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
     names = [half.name for half in cfgmod.HALVES]
     if subset not in names:
         raise ValueError(f"subset must be one of {names}")
-    k = names.index(subset)
+    proj, *fields, checks = _half_grid(cfg, seed, names.index(subset))
+    _require("half-grid", checks)
+    return HalfGridCertificate(subset, seed, proj.vertex, *fields, checks)
+
+
+def _half_grid(cfg: H4Configuration, seed: int, k: int) -> tuple:
+    """Half k's projection and half-grid fields, its checks not yet required."""
     half, points = cfgmod.HALVES[k], cfgmod.z_partition(cfg)[k]
     cover = tuple(sorted(half.l_lines + (half.external_line,)))
     checks = {"cover_pairwise_skew": all(b not in cfg.meets[a] for i, a in
                                          enumerate(cover) for b in cover[i + 1:]),
               "cover_is_exact": cfgmod.grid_point_indices(cfg, cover) == points}
     if not all(checks.values()):
-        raise VerificationError(f"covering failure for {subset}: {checks}")
+        raise VerificationError(f"covering failure for {half.name}: {checks}")
     proj = sample_generic_vertex(cfg, seed)
     quintic, line_form, g = _half_quintic(cfg, proj, half)
     checks["quintic_on_subset"] = all(quintic.vanishes_at(proj.images[i])
@@ -254,8 +274,7 @@ def verify_half_grid(cfg: H4Configuration, seed: int,
                                     and all(zeros[j] == own[j] for j in cover))
     checks["bezout_count"] = (len({proj.images[i] for i in points})
                               == quintic.degree * product.degree)
-    return _require_passed("half-grid", HalfGridCertificate(
-        subset, seed, proj.vertex, points, cover, quintic, product, checks))
+    return proj, points, cover, quintic, product, checks
 
 
 class RefutationReport(namedtuple("RefutationReport", (

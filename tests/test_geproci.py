@@ -545,44 +545,75 @@ def test_quintic_missing_its_half_fails_the_quintic_check(cfg, monkeypatch):
                               (5, 0, 0): coefficients(q).get((5, 0, 0), ZERO) + ONE}))
 
 
-def _recording_ladder(monkeypatch, top=None):
-    """Record the degrees `verify_geproci` interpolates; with top, degree 6
-    returns it instead of the interpolated space."""
-    interpolate = geproci.vanishing_space
-    degrees = []
+def _recording_solve(monkeypatch, top=None):
+    """Record the shape of each `vanishing_space` call of `verify_geproci`,
+    as (points, degree, variables); with top, the call returns it instead
+    of the space it solves for."""
+    solve = geproci.vanishing_space
+    shapes = []
 
-    def recording(images, degree, nvars):
-        degrees.append(degree)
-        if degree == 6 and top is not None:
-            return top
-        return interpolate(images, degree, nvars)
+    def recording(points, degree, nvars):
+        points = list(points)
+        shapes.append((len(points), degree, nvars))
+        return solve(points, degree, nvars) if top is None else top
 
     monkeypatch.setattr(geproci, "vanishing_space", recording)
-    return degrees
+    return shapes
 
 
 def test_the_ladder_stops_at_a_unique_sextic(cfg, geproci_cert_seed1,
                                              monkeypatch):
-    """dim_6 = 1 < 3 forces dim_5 = 0: degree 6 is the only one interpolated."""
-    degrees = _recording_ladder(monkeypatch)
+    """dim_6 = 1 < 3 forces dim_5 = 0, and dim_6 is one solve in z1's ideal:
+    30 rows, the images of z2, of degree 1 in the 4 coefficients of
+    l*q1 + a*P1."""
+    shapes = _recording_solve(monkeypatch)
     cert = geproci.verify_geproci(cfg, 1)
-    assert degrees == [6]
+    assert shapes == [(30, 1, 4)]
     assert cert.dimension_table == (0, 0, 0, 0, 0, 1)
     assert cert.to_json() == geproci_cert_seed1.to_json()
 
 
-def test_three_sextics_fail_without_a_lower_degree(cfg, geproci_cert_seed1,
-                                                   monkeypatch):
+def test_three_sextics_fail_without_a_lower_degree(cfg, monkeypatch):
     """Any dim_6 but 1 fails the certificate, so no lower degree is
-    interpolated, not even when three sextics could be x*Q, y*Q, z*Q."""
-    sextic = geproci_cert_seed1.sextic
-    top = [sextic, HomForm(3, 6, {(6, 0, 0): (1, 0)}),
-           HomForm(3, 6, {(0, 6, 0): (1, 0)})]
-    degrees = _recording_ladder(monkeypatch, top)
+    solved for, not even when the three sextics of three kernel vectors
+    could be x*Q, y*Q, z*Q."""
+    top = [HomForm(4, 1, {u: (1, 0)}) for u in forms.monomials(1, 4)[:3]]
+    shapes = _recording_solve(monkeypatch, top)
     with pytest.raises(config.VerificationError,
                        match="degree-6 space has dimension 3, not 1"):
         geproci.verify_geproci(cfg, 1)
-    assert degrees == [6]
+    assert shapes == [(30, 1, 4)]
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_a_solve_of_dimension_other_than_one_fails(cfg, monkeypatch, k):
+    """A solve returning no vector or two fails with the dimension it read,
+    before any smoothness certificate runs."""
+    top = [HomForm(4, 1, {u: (1, 0)}) for u in forms.monomials(1, 4)[:k]]
+    shapes = _recording_solve(monkeypatch, top)
+    monkeypatch.setattr(geproci, "plane_curve_is_smooth",
+                        lambda f, seed=0: pytest.fail("smoothness ran"))
+    with pytest.raises(config.VerificationError,
+                       match=f"degree-6 space has dimension {k}, not 1"):
+        geproci.verify_geproci(cfg, 1)
+    assert shapes == [(30, 1, 4)]
+
+
+def test_the_sextic_is_the_interpolated_one_at_every_admissible_vertex(
+        cfg, monkeypatch):
+    """At each of the 192 vertices the sampler can draw, the sextic solved
+    for in z1's ideal is the one interpolated through all 60 images.
+    Smoothness is patched to pass: the sextic is read before it."""
+    monkeypatch.setattr(geproci, "plane_curve_is_smooth",
+                        lambda f, seed=0: SmoothnessReport(True, "patched"))
+    vertices = sorted(_admissible_vertices(cfg), key=lambda v: v.pairs)
+    for vertex in vertices:
+        _sample_at(monkeypatch, vertex)
+        cert = geproci.verify_geproci(cfg, 1)
+        images = geproci._Images(vertex, cfg.points)
+        assert forms.vanishing_space([images[i] for i in sorted(cfg.points)],
+                                     6, 3) == [cert.sextic]
+    assert len(vertices) == 192
 
 
 def test_each_quintic_is_tested_on_its_own_half(cfg, monkeypatch):
@@ -900,15 +931,14 @@ def test_half_grid_tests_the_line_product_by_its_factors(cfg, monkeypatch):
         assert 1 not in degrees
 
 
-def test_a_cover_line_missing_one_image_fails_the_product_check(
-        cfg, monkeypatch):
-    """z1's external line 24 pushed as the line through the images of its
-    point 39 and of point 3 of z2: it misses the images of 24's other four
-    points, and the secant {3, 39} holds no other z1 point, so the table
-    holds nothing extra.  The product check fails, and so does the line
-    check, which asks for each line's own five points and nothing else."""
+def _push_z1_external_line_wrong(cfg, monkeypatch):
+    """Push z1's external line 24 as the line through the images, from the
+    vertex of seed 1, of its point 39 and of point 3 of z2: it misses the
+    images of 24's other four points, and the secant {3, 39} holds no other
+    z1 point, so the table of zeros holds nothing extra."""
     ext = HALF1.external_line
     assert 39 in cfg.line_points[ext] and 3 in z_partition(cfg)[1]
+    assert ext not in HALF2.l_lines + HALF2.m_lines + (HALF2.external_line,)
     images = geproci.sample_generic_vertex(cfg, 1).images
     [wrong] = forms.vanishing_space([images[39], images[3]], 1, 3)
     assert [i for i in z_partition(cfg)[0] if wrong.vanishes_at(images[i])] == [39]
@@ -918,9 +948,50 @@ def test_a_cover_line_missing_one_image_fails_the_product_check(
         return wrong if line == cfg.lines[ext] else push_line(self, line)
 
     monkeypatch.setattr(geproci.Projection, "push_line", patched)
+
+
+def test_a_cover_line_missing_one_image_fails_the_product_check(
+        cfg, monkeypatch):
+    """With z1's external line pushed wrong, the product check fails, and so
+    does the line check, which asks for each line's own five points and
+    nothing else."""
+    _push_z1_external_line_wrong(cfg, monkeypatch)
     with pytest.raises(config.VerificationError) as err:
         geproci.verify_half_grid(cfg, 1, "z1")
     assert str(err.value).endswith("['product_on_subset', 'no_line_in_quintic']")
+
+
+def test_a_cover_line_missing_one_image_fails_the_geproci_premise(
+        cfg, monkeypatch):
+    """With z1's external line pushed wrong, the line product P1 misses four
+    images of z1, so (q1, P1) is not z1's ideal and the solve on z2 could
+    not read dim_6.  `verify_geproci` names the failed z1 checks before it
+    solves; its own three sextic-free checks pass, as the line enters
+    neither quintic."""
+    _push_z1_external_line_wrong(cfg, monkeypatch)
+    shapes = _recording_solve(monkeypatch)
+    with pytest.raises(config.VerificationError) as err:
+        geproci.verify_geproci(cfg, 1)
+    assert str(err.value) == ("geproci z1 half-grid certificate failed:"
+                              " ['product_on_subset', 'no_line_in_quintic']")
+    assert shapes == []
+
+
+def test_a_vertex_in_one_plane_fails_the_geproci_line_premise(cfg, monkeypatch):
+    """From the vertex in plane 18 alone, pushed cover line 1 divides q1, so
+    P1 lies in the span of x*q1, y*q1, z*q1 and the solve could not read
+    dim_6.  `verify_geproci` refuses on z1's `no_line_in_quintic` alone,
+    before it solves."""
+    vertex = point(*(a + 2 * b + 3 * c for a, b, c in zip(
+        *(coords(cfg.points[i]) for i in (1, 7, 15)))))
+    assert _cover_lines_in_the_quintic(cfg, vertex, HALF1) == [1]
+    _sample_at(monkeypatch, vertex)
+    shapes = _recording_solve(monkeypatch)
+    with pytest.raises(config.VerificationError) as err:
+        geproci.verify_geproci(cfg, 1)
+    assert str(err.value) == ("geproci z1 half-grid certificate failed:"
+                              " ['no_line_in_quintic']")
+    assert shapes == []
 
 
 def test_half_grid_makes_no_nullspace_call(cfg, monkeypatch):
